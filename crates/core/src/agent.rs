@@ -337,6 +337,13 @@ impl PolyraptorAgent {
     /// capped by what the decode still needs). Sessions whose every
     /// sender is dead stay on the keep-alive sweep — only a revival can
     /// save them, and the sweep keeps probing for exactly that.
+    ///
+    /// The notice is per host, not per session, so it also reaches
+    /// sessions on `dead` still waiting for their start timer. Their
+    /// stranding is recorded (the dead sender's blind window is written
+    /// off, sweeps skip it) but nothing is pulled: the session has
+    /// nothing in flight to re-target, and a pull now would finish it
+    /// before it starts. Its start timer asks the survivors as usual.
     fn on_host_failure(&mut self, dead: NodeId, ctx: &mut Ctx<PrPayload>) {
         let mut stranded: Vec<SessionId> = Vec::new();
         let mut retargets: Vec<(SessionId, NodeId)> = Vec::new();
@@ -347,7 +354,7 @@ impl PolyraptorAgent {
             self.stranded_sessions += 1;
             stranded.push(*sid);
             let survivors = rs.surviving_senders();
-            if survivors.is_empty() {
+            if survivors.is_empty() || ctx.now < rs.spec.start {
                 continue;
             }
             self.retargeted_sessions += 1;

@@ -11,7 +11,7 @@
 //! behaviour knob.
 //!
 //! The route-computation paths in [`crate::topology`] are the intended
-//! consumer: per-(layer, destination-column) rebuilds are independent
+//! consumer: per-(layer, access-switch-column) rebuilds are independent
 //! and each column is a contiguous slice of the column-major arenas.
 
 /// Resolve a user-facing parallelism knob: `0` = one worker per

@@ -377,8 +377,9 @@ pub struct FabricStats {
     /// Reroutes served by incremental [`Topology::repair_routes`]
     /// surgery instead of a full recomputation.
     pub reroutes_incremental: u64,
-    /// Destination trees rebuilt by per-destination BFS across all
-    /// reroutes (full recomputations count every destination).
+    /// (layer, access-switch) route columns rebuilt by a per-column
+    /// search across all reroutes (full recomputations count every
+    /// column; host and access-link faults rebuild none).
     pub route_dests_rebuilt: u64,
     /// Multicast trees rebuilt during reroutes.
     pub trees_repaired: u64,
@@ -2367,6 +2368,67 @@ mod tests {
             "every packet arrives or is accounted as a fault loss"
         );
         assert!(got >= 20, "the surviving uplink carries the rest");
+    }
+
+    #[test]
+    fn access_link_failure_stays_stale_until_the_reroute() {
+        // A host's `cut` bit follows the mask the routes were computed
+        // with, never the live mask: while the control plane converges,
+        // every switch keeps forwarding towards the dead access link
+        // (all five switch hops, the ToR's last hop included) and the
+        // packets die at the ToR; only the reroute makes the first
+        // switch refuse them.
+        let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+        let hosts = t.hosts().to_vec();
+        let (src, dst) = (hosts[0], hosts[15]);
+        let mut cfg = SimConfig::ndp(13);
+        cfg.reroute_delay_ns = 200_000;
+        let mut sim = Simulator::new(t, cfg);
+        for &h in &hosts {
+            sim.set_agent(
+                h,
+                Echo {
+                    to_send: vec![],
+                    received: vec![],
+                },
+            );
+        }
+        for i in 0..10 {
+            sim.agent_mut(src).to_send.push(data_pkt(src, dst, i));
+        }
+        sim.schedule_timer(src, SimTime::ZERO, 0);
+        // The burst is strung out over 120 us of NIC serialization and
+        // the first two packets land at 132 and 144 us: the failure at 150 us splits
+        // it, the reroute at 350 us finds the rest parked at the ToR.
+        let plan = FaultPlan::new().link_down(SimTime::from_micros(150), dst, 0);
+        sim.schedule_faults(&plan);
+        sim.run_until(SimTime::from_micros(349));
+        let stale = sim.stats();
+        assert_eq!(stale.reroutes, 0, "still inside the convergence window");
+        assert_eq!(
+            stale.layer_forwarded[0], 50,
+            "all 10 packets took all 5 switch hops towards the dead link"
+        );
+        sim.run_to_completion();
+        let converged = sim.stats();
+        let got = sim.agent(dst).received.len() as u64;
+        assert_eq!(converged.reroutes, 1);
+        assert_eq!(converged.route_dests_rebuilt, 0, "a bit flip, no column");
+        assert_eq!((got, converged.lost_to_fault), (2, 8));
+        // After the reroute the first switch has no route: nothing is
+        // forwarded, every packet is a fault loss on the spot.
+        for i in 10..20 {
+            sim.agent_mut(src).to_send.push(data_pkt(src, dst, i));
+        }
+        sim.schedule_timer(src, SimTime::from_micros(1000), 0);
+        sim.run_to_completion();
+        let refused = sim.stats();
+        assert_eq!(
+            refused.layer_forwarded[0], 50,
+            "refused at the first switch"
+        );
+        assert_eq!(refused.lost_to_fault, 18);
+        assert_eq!(sim.agent(dst).received.len() as u64, got);
     }
 
     #[test]

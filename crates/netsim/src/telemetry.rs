@@ -115,7 +115,7 @@ pub enum FabricEvent {
         /// Whether this was a full recomputation (vs incremental
         /// surgery).
         full: bool,
-        /// Destination columns rebuilt.
+        /// (layer, access-switch) route columns rebuilt.
         dests_rebuilt: u32,
         /// Restorations healed incrementally in this repair.
         restored: u32,

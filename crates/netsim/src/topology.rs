@@ -34,20 +34,33 @@
 //!   are `ports[port_off[n] .. port_off[n+1]]` and `port_off[n] + p` is
 //!   the *global port id* of `(n, p)`. The graph is built through an
 //!   edge log and frozen into the arena by the first route computation.
-//! - **Routes** (per layer): one flat `buf: Vec<u16>` holding a
-//!   fixed-capacity cell per `(node, destination)` — capacity
-//!   `deg(node)`, at arena offset `h·P + port_off[n]` for `P` total
-//!   directed ports — plus a `len: Vec<u16>` table (`len[h·N + n]`)
-//!   giving the occupied prefix. The advertised ports are that prefix,
-//!   always in ascending port order. Because a cell can never overflow
-//!   (a node advertises at most `deg(n)` distinct ports), failure
-//!   excision and restore surgery shift entries *in place* and never
-//!   reallocate. The arenas are column-major — destination column `h`
-//!   owns contiguous `buf[h·P..]`/`len[h·N..]` regions — so route
-//!   (re)computation can hand disjoint columns to parallel workers as
-//!   a plain `chunks_mut` partition (see [`crate::par`]).
-//! - **Distances / weights** (per layer): flat `dist[h·N + n]` and a
-//!   per-layer weight arena indexed by global port id.
+//! - **Routes** (per layer): hosts are single-homed leaves, so every
+//!   host behind one access switch (ToR) shares its routes up to the
+//!   last hop. The tables therefore hold one destination column per
+//!   **access switch** — never per host — and know switches only. One
+//!   flat `buf: Vec<u16>` holds a fixed-capacity cell per `(node,
+//!   column)` — capacity `deg(node)`, at arena offset `c·P +
+//!   port_off[n]` for `P` total directed ports — plus a `len: Vec<u16>`
+//!   table (`len[c·N + n]`) giving the occupied prefix. The advertised
+//!   ports are that prefix, always in ascending port order. Because a
+//!   cell can never overflow (a node advertises at most `deg(n)`
+//!   distinct ports), failure excision and restore surgery shift
+//!   entries *in place* and never reallocate. The arenas are
+//!   column-major — column `c` owns contiguous `buf[c·P..]`/`len[c·N..]`
+//!   regions — so route (re)computation can hand disjoint columns to
+//!   parallel workers as a plain `chunks_mut` partition (see
+//!   [`crate::par`]).
+//! - **Distances / weights** (per layer): flat `dist[c·N + n]` (switch
+//!   to column root) and a per-layer weight arena indexed by global
+//!   port id.
+//! - **Hosts** (shared by all layers): one small `access` record per
+//!   host — its ToR, the ToR's column, the ToR's port facing it, and a
+//!   `cut` bit (host or access link down under the mask the routes were
+//!   computed with). A lookup towards a host resolves its record and
+//!   answers everything host-shaped arithmetically: the last hop (at
+//!   the ToR: the one access port), a host source (port 0 iff its ToR
+//!   has a route), the destination itself (nothing), and a cut host
+//!   (nothing, anywhere). A host or access-link fault is a bit flip.
 //!
 //! Three generators are provided: [`Topology::fat_tree`] (the paper's
 //! evaluation fabric, k = 10 → 250 hosts), [`Topology::leaf_spine`]
@@ -152,73 +165,66 @@ impl RoutingPolicy {
     }
 }
 
-/// One layer's routing state as flat arenas: advertised-port cells and
-/// weighted distances, per (node, destination-host), maintained in
-/// lockstep by full recomputation and incremental repair alike.
-///
-/// The arenas are **column-major**: destination column `h` owns the
-/// contiguous regions `buf[h·P .. (h+1)·P]`, `len[h·N .. (h+1)·N]`, and
-/// `dist[h·N .. (h+1)·N]` (`P` = total directed port count, `N` = node
-/// count). The route cell for `(node u, dst h)` occupies
-/// `buf[h·P + port_off[u] ..][..deg(u)]`; its occupied prefix length is
-/// `len[h·N + u]` and the prefix is always in ascending port order (the
-/// order full recomputation records), so in-place surgery stays
-/// bit-identical to a from-scratch build. Column-major is what lets the
-/// parallel (re)compute paths hand each destination column to a worker
-/// as a safe `chunks_mut` slice partition — no two columns share bytes.
+/// One layer's routing state as flat column-major arenas (layout: see
+/// the module docs): advertised-port cells and weighted distances, per
+/// (switch, access-switch column), maintained in lockstep by full
+/// recomputation and incremental repair alike. Hosts never appear:
+/// their rows of `len`/`dist` stay empty/unreachable and the last hop
+/// is resolved from [`HostAccess`]. A cell's occupied prefix is always
+/// in ascending port order (the order full recomputation records), so
+/// in-place surgery stays bit-identical to a from-scratch build.
 #[derive(Debug, Clone, Default)]
 struct LayerTables {
     /// Node count `N` (row stride of `len` and `dist`).
     n_nodes: usize,
-    /// Host count `H` (column count of all three arenas).
-    n_hosts: usize,
     /// Total directed port count `P` (column stride of `buf`).
     n_ports: usize,
     /// Route arena: fixed-capacity advertised-port cells (see above).
     buf: Vec<u16>,
-    /// `len[h·N + node]` = occupied prefix of that route cell.
+    /// `len[c·N + node]` = occupied prefix of that route cell.
     len: Vec<u16>,
-    /// `dist[h·N + node]` = weighted distance from `node` to that host
-    /// under the mask the routes were computed with (`u32::MAX` =
-    /// unreachable). Restore repair uses it to decide in O(degree) per
-    /// destination whether a restored element can shorten any path.
+    /// `dist[c·N + node]` = weighted distance from switch `node` to the
+    /// column's root switch under the mask the routes were computed
+    /// with (`u32::MAX` = unreachable; the root itself holds 0 iff it
+    /// is up). Restore repair uses it to decide in O(degree) per column
+    /// whether a restored element can shorten any path.
     dist: Vec<u32>,
 }
 
 impl LayerTables {
-    /// Arena offset and capacity of the route cell for `(u, h_idx)`.
+    /// Arena offset and capacity of the route cell for `(u, col)`.
     #[inline]
-    fn cell(&self, off: &[u32], u: usize, h_idx: usize) -> (usize, usize) {
+    fn cell(&self, off: &[u32], u: usize, col: usize) -> (usize, usize) {
         let base = off[u] as usize;
         let deg = off[u + 1] as usize - base;
-        (h_idx * self.n_ports + base, deg)
+        (col * self.n_ports + base, deg)
     }
 
-    /// The advertised ports of `(u, h_idx)`: the cell's occupied prefix.
+    /// The advertised ports of `(u, col)`: the cell's occupied prefix.
     #[inline]
-    fn advertised(&self, off: &[u32], u: usize, h_idx: usize) -> &[u16] {
-        let (start, _) = self.cell(off, u, h_idx);
-        let l = self.len[h_idx * self.n_nodes + u] as usize;
+    fn advertised(&self, off: &[u32], u: usize, col: usize) -> &[u16] {
+        let (start, _) = self.cell(off, u, col);
+        let l = self.len[col * self.n_nodes + u] as usize;
         &self.buf[start..start + l]
     }
 
-    /// Weighted distance from `u` to destination `h_idx`.
+    /// Weighted distance from switch `u` to the root of column `col`.
     #[inline]
-    fn dist_to(&self, u: usize, h_idx: usize) -> u32 {
-        self.dist[h_idx * self.n_nodes + u]
+    fn dist_to(&self, u: usize, col: usize) -> u32 {
+        self.dist[col * self.n_nodes + u]
     }
 
     #[inline]
-    fn set_dist(&mut self, u: usize, h_idx: usize, d: u32) {
-        self.dist[h_idx * self.n_nodes + u] = d;
+    fn set_dist(&mut self, u: usize, col: usize, d: u32) {
+        self.dist[col * self.n_nodes + u] = d;
     }
 
     /// Insert `p` into the cell keeping ascending order (no-op when
     /// already advertised). A cell holds distinct port indices of a
     /// `deg`-port node at capacity `deg`, so the shift always fits.
-    fn insert_port(&mut self, off: &[u32], u: usize, h_idx: usize, p: u16) {
-        let (start, deg) = self.cell(off, u, h_idx);
-        let li = h_idx * self.n_nodes + u;
+    fn insert_port(&mut self, off: &[u32], u: usize, col: usize, p: u16) {
+        let (start, deg) = self.cell(off, u, col);
+        let li = col * self.n_nodes + u;
         let l = self.len[li] as usize;
         if let Err(pos) = self.buf[start..start + l].binary_search(&p) {
             debug_assert!(l < deg, "route cell overflow");
@@ -228,20 +234,24 @@ impl LayerTables {
             self.len[li] = (l + 1) as u16;
         }
     }
+}
 
-    /// Make `p` the cell's only advertised port.
-    #[inline]
-    fn set_single(&mut self, off: &[u32], u: usize, h_idx: usize, p: u16) {
-        let (start, _) = self.cell(off, u, h_idx);
-        self.buf[start] = p;
-        self.len[h_idx * self.n_nodes + u] = 1;
-    }
-
-    /// Empty the cell.
-    #[inline]
-    fn clear_cell(&mut self, u: usize, h_idx: usize) {
-        self.len[h_idx * self.n_nodes + u] = 0;
-    }
+/// Where one (single-homed) host hangs off the switch fabric — all a
+/// route lookup needs to turn a destination host into a table column
+/// and an arithmetic last hop.
+#[derive(Debug, Clone, Copy)]
+struct HostAccess {
+    /// The host's access switch (ToR): its single port's peer.
+    tor: u32,
+    /// The ToR's column in every layer's arenas.
+    col: u32,
+    /// The ToR's port facing the host — the last hop.
+    port: u16,
+    /// The host or its access link is down under `routes_mask` (never
+    /// the live mask: during a convergence window stale routes keep
+    /// forwarding towards the ToR, exactly like any stale table entry).
+    /// A cut host is unreachable from every node on every layer.
+    cut: bool,
 }
 
 /// Outcome of an incremental [`Topology::repair_routes`] call —
@@ -251,17 +261,19 @@ pub struct RouteRepair {
     /// The repair fell back to a full [`Topology::compute_routes_masked`]
     /// (routes were never computed under the current policy).
     pub full: bool,
-    /// (layer, destination) columns rebuilt by a per-destination
-    /// search. Equals `hosts × layers` on a full fallback; usually a
-    /// small fraction of it after a single link or switch failure.
+    /// (layer, access-switch) columns rebuilt by a per-column search.
+    /// Equals `access switches × layers` on a full fallback; usually a
+    /// small fraction of it after a single link or switch failure, and
+    /// 0 after a host or access-link fault (a bit flip, no column).
     pub dests_rebuilt: usize,
-    /// (layer, destination) route columns touched by dead-entry surgery
-    /// alone (advertised ports removed without any distance change).
+    /// (layer, access-switch) route columns touched by dead-entry
+    /// surgery alone (advertised ports removed without any distance
+    /// change).
     pub dests_touched: usize,
-    /// Restored elements (undirected links + nodes) in the delta. When
-    /// `full` is false these were healed by bounded restore surgery —
-    /// re-advertising equal-cost ports in place and BFS-rebuilding only
-    /// destinations whose distance can shrink.
+    /// Restored elements (undirected links + nodes, host-side ones
+    /// included) in the delta. When `full` is false these were healed
+    /// by bounded restore surgery — re-advertising equal-cost ports in
+    /// place and search-rebuilding only columns whose distance can shrink.
     pub restored: usize,
 }
 
@@ -285,6 +297,12 @@ pub struct Topology {
     ports_stale: bool,
     hosts: Vec<NodeId>,
     host_index: Vec<Option<u32>>, // NodeId -> index into `hosts`
+    /// Per-host attachment record, indexed like `hosts`; rebuilt (and
+    /// single-homing enforced) by every freeze.
+    access: Vec<HostAccess>,
+    /// The access switches (switches with at least one host), in column
+    /// order: `col_root[c]` is the switch column `c` routes towards.
+    col_root: Vec<NodeId>,
     /// One routing table set per layer (`layers[0]` = minimal routes).
     /// Empty until [`Topology::compute_routes`].
     layers: Vec<LayerTables>,
@@ -337,6 +355,8 @@ impl Topology {
             ports_stale: false,
             hosts: Vec::new(),
             host_index: Vec::new(),
+            access: Vec::new(),
+            col_root: Vec::new(),
             layers: Vec::new(),
             weights: Vec::new(),
             policy: RoutingPolicy::minimal(),
@@ -352,7 +372,7 @@ impl Topology {
     /// `1` (the default) runs the serial loop on the calling thread —
     /// the exact pre-parallel code path; `0` resolves to the number of
     /// available cores; any other value caps the scoped worker pool
-    /// (see [`crate::par`]). Every destination column is a pure,
+    /// (see [`crate::par`]). Every route column is a pure,
     /// disjoint unit of work, so tables are byte-identical at every
     /// setting — this is a throughput knob, never a behaviour knob.
     pub fn set_parallelism(&mut self, parallelism: usize) {
@@ -480,6 +500,44 @@ impl Topology {
         // A re-frozen arena may assign different global port ids;
         // cached weight tables are keyed by them and must be rebuilt.
         self.weights_policy = None;
+        self.index_access();
+    }
+
+    /// Rebuild the per-host attachment records and the access-switch
+    /// column list from the frozen port arena, enforcing what the route
+    /// tables (and the simulator's "host NIC is port 0") rely on: every
+    /// host has exactly one port and its peer is a switch.
+    fn index_access(&mut self) {
+        let mut col_of = vec![u32::MAX; self.kinds.len()];
+        self.col_root.clear();
+        self.access.clear();
+        for &h in &self.hosts {
+            let ports = self.node_ports(h);
+            assert!(
+                ports.len() == 1,
+                "host {} has {} ports; hosts are single-homed (exactly one)",
+                h.0,
+                ports.len()
+            );
+            let up = ports[0];
+            assert!(
+                self.kinds[up.peer.0 as usize] == NodeKind::Switch,
+                "host {} is attached to non-switch node {}",
+                h.0,
+                up.peer.0
+            );
+            let col = &mut col_of[up.peer.0 as usize];
+            if *col == u32::MAX {
+                *col = self.col_root.len() as u32;
+                self.col_root.push(up.peer);
+            }
+            self.access.push(HostAccess {
+                tor: up.peer.0,
+                col: *col,
+                port: up.peer_port,
+                cut: false,
+            });
+        }
     }
 
     /// Node kind accessor.
@@ -543,15 +601,15 @@ impl Topology {
     /// [`Topology::try_next_ports`]).
     ///
     /// The layer arenas are resized in place, so every recompute after
-    /// the first reuses the existing multi-megabyte allocations instead
-    /// of cloning or reallocating nested tables. Columns are rebuilt by
-    /// up to [`Topology::set_parallelism`] scoped workers — each owns a
+    /// the first reuses the existing allocations instead of cloning or
+    /// reallocating nested tables. Columns are rebuilt by up to
+    /// [`Topology::set_parallelism`] scoped workers — each owns a
     /// disjoint contiguous slice of the column-major arenas, so the
     /// result is byte-identical at every thread count.
     pub fn compute_routes_masked(&mut self, mask: &FaultMask) {
         self.freeze_ports();
         let n = self.node_count();
-        let n_hosts = self.hosts.len();
+        let n_cols = self.col_root.len();
         let p_total = self.ports.len();
         let n_layers = self.policy.layers;
         self.ensure_weights();
@@ -559,45 +617,52 @@ impl Topology {
         self.layers.resize_with(n_layers, LayerTables::default);
         for tab in &mut self.layers {
             tab.n_nodes = n;
-            tab.n_hosts = n_hosts;
             tab.n_ports = p_total;
-            tab.buf.resize(p_total * n_hosts, 0);
-            tab.len.resize(n * n_hosts, 0);
-            tab.dist.resize(n_hosts * n, u32::MAX);
+            tab.buf.resize(p_total * n_cols, 0);
+            tab.len.resize(n * n_cols, 0);
+            tab.dist.resize(n * n_cols, u32::MAX);
         }
-        let mut jobs: Vec<ColumnJob> = Vec::with_capacity(n_layers * n_hosts);
+        self.rebuild_columns(mask, None);
+        for (a, &h) in self.access.iter_mut().zip(&self.hosts) {
+            a.cut = host_cut(mask, h);
+        }
+        self.routes_policy = Some(self.policy);
+        self.routes_mask = mask.clone();
+    }
+
+    /// Rebuild route columns against `mask` — all of them, or only the
+    /// (layer, column) pairs flagged in `dirty`. Full recompute and
+    /// repair share this scatter: one job list across all layers keeps
+    /// the workers busy even when each layer dirtied only a few columns.
+    /// The jobs hold disjoint `&mut` column slices of the arenas, which
+    /// is what makes the scatter safe without interior synchronisation.
+    fn rebuild_columns(&mut self, mask: &FaultMask, dirty: Option<&[Vec<bool>]>) {
+        let mut jobs: Vec<ColumnJob> = Vec::new();
         for (layer, tab) in self.layers.iter_mut().enumerate() {
-            column_jobs(
-                tab,
-                &self.weights[layer],
-                layer == 0,
-                &self.hosts,
-                None,
-                &mut jobs,
-            );
+            // A column exists only behind a host link, so both strides
+            // are non-zero whenever there is one; `max(1)` only keeps
+            // `chunks_mut` legal on a hostless graph's empty arenas.
+            let (n, p) = (tab.n_nodes.max(1), tab.n_ports.max(1));
+            let columns = tab.buf.chunks_mut(p).zip(tab.len.chunks_mut(n));
+            for (col, ((buf, len), dist)) in columns.zip(tab.dist.chunks_mut(n)).enumerate() {
+                if dirty.is_none_or(|d| d[layer][col]) {
+                    jobs.push(ColumnJob {
+                        weights: &self.weights[layer],
+                        root: self.col_root[col],
+                        buf,
+                        len,
+                        dist,
+                    });
+                }
+            }
         }
-        let (ports, port_off) = (&self.ports, &self.port_off);
+        let (kinds, ports, port_off) = (&self.kinds, &self.ports, &self.port_off);
         crate::par::scatter(
             crate::par::resolve(self.parallelism),
             jobs,
             ColumnScratch::default,
-            |scratch, job| {
-                compute_column(
-                    ports,
-                    port_off,
-                    job.weights,
-                    job.uniform,
-                    mask,
-                    job.host,
-                    job.buf,
-                    job.len,
-                    job.dist,
-                    scratch,
-                );
-            },
+            |scratch, job| compute_column(kinds, ports, port_off, mask, job, scratch),
         );
-        self.routes_policy = Some(self.policy);
-        self.routes_mask = mask.clone();
     }
 
     /// Rebuild the per-layer link-weight arenas iff the cached ones are
@@ -672,23 +737,24 @@ impl Topology {
     /// fault mask changed — the fast path for the common case of one
     /// (or a few) new link or switch failures or restorations.
     ///
+    /// **Hosts.** A host or access-link fault (or repair) touches no
+    /// table: it flips the host's `cut` bit and is done.
+    ///
     /// **Failures.** The repair diffs `mask` against the mask the tables
     /// were last computed with and excises the newly dead directed
-    /// `(node, port)` entries from every layer cell they are advertised
-    /// in — an in-place shift within the fixed-capacity cell, swept
-    /// contiguously across the node's arena region. Removing an
-    /// advertised port can only change shortest-path *distances* when it
-    /// was the node's last advertised port in that layer (any surviving
-    /// advertised port still reaches a neighbour strictly closer under
-    /// the layer's weights, so every distance is preserved by
-    /// induction); only those (layer, destination) columns are rebuilt
-    /// by a per-destination search. Hosts are leaves that nothing routes
-    /// through, so emptying a host's own cell never invalidates the
-    /// tree.
+    /// switch-to-switch `(node, port)` entries from every layer cell
+    /// they are advertised in — an in-place shift within the
+    /// fixed-capacity cell, swept contiguously across the node's arena
+    /// region. Removing an advertised port can only change
+    /// shortest-path *distances* when it was the node's last advertised
+    /// port in that layer (any surviving advertised port still reaches
+    /// a neighbour strictly closer under the layer's weights, so every
+    /// distance is preserved by induction); only those (layer, column)
+    /// pairs are rebuilt by a per-column search.
     ///
     /// **Restorations.** A restored element can only *shrink* distances.
     /// Using each layer's retained distance table the repair decides per
-    /// (layer, destination) in O(degree) whether the restored link/node
+    /// (layer, column) in O(degree) whether the restored link/switch
     /// lies on a strictly shorter weighted path: if not, the restoration
     /// is pure surgery — the restored ports are re-advertised exactly
     /// where they are equal-cost next hops — and only columns whose
@@ -697,130 +763,116 @@ impl Topology {
     ///
     /// Falls back to a full [`Topology::compute_routes_masked`] — and
     /// says so in the returned [`RouteRepair`] — only when routes were
-    /// never computed under the current policy. The old non-minimal and
-    /// mass-delta fallbacks are gone: every layer repairs incrementally,
-    /// and a mass delta simply rebuilds its (large) dirty column set —
-    /// never more work than the full recompute it used to trigger, since
-    /// the full path visits every column anyway.
+    /// never computed under the current policy. Every layer repairs
+    /// incrementally, and a mass delta simply rebuilds its (large) dirty
+    /// column set — never more work than a full recompute, which visits
+    /// every column anyway.
     ///
     /// The result is always identical to a full recomputation against
     /// `mask` (property-tested in `fabric_invariants`).
     pub fn repair_routes(&mut self, mask: &FaultMask) -> RouteRepair {
         let restored_links = mask.restored_links_since(&self.routes_mask);
         let restored_nodes = mask.restored_nodes_since(&self.routes_mask);
-        // Directed restored entries come in symmetric pairs; count and
-        // process each undirected link once.
-        let restored_undirected: Vec<(u32, u16)> = restored_links
-            .iter()
-            .map(|&(n, p)| (n.0, p))
-            .filter(|&(n, p)| {
-                let back = self.port(NodeId(n), p);
-                (n, p) <= (back.peer.0, back.peer_port)
-            })
-            .collect();
-        let restored = restored_undirected.len() + restored_nodes.len();
+        // Directed link entries come in symmetric pairs (masks store
+        // both directions): two per undirected link.
+        let restored = restored_links.len() / 2 + restored_nodes.len();
         let n_layers = self.policy.layers;
-        let full = RouteRepair {
-            full: true,
-            dests_rebuilt: self.hosts.len() * n_layers,
-            dests_touched: self.hosts.len() * n_layers,
-            restored,
-        };
         if self.routes_policy != Some(self.policy) || self.weights_policy != Some(self.policy) {
             self.compute_routes_masked(mask);
-            return full;
+            let all = self.col_root.len() * n_layers;
+            return RouteRepair {
+                full: true,
+                dests_rebuilt: all,
+                dests_touched: all,
+                restored,
+            };
         }
         let new_links = mask.new_links_since(&self.routes_mask);
         let new_nodes = mask.new_nodes_since(&self.routes_mask);
-        if new_links.is_empty() && new_nodes.is_empty() && restored == 0 {
-            self.routes_mask = mask.clone();
-            return RouteRepair {
-                full: false,
-                dests_rebuilt: 0,
-                dests_touched: 0,
-                restored: 0,
-            };
+        // Host-side delta: refresh the cut bit of every host whose own
+        // state or access link changed. The tables below never see it.
+        for &n in (new_links.iter().chain(&restored_links).map(|(n, _)| n))
+            .chain(new_nodes.iter().chain(&restored_nodes))
+        {
+            if let Some(h) = self.host_index[n.0 as usize] {
+                self.access[h as usize].cut = host_cut(mask, n);
+            }
         }
-        // Every newly dead directed (node, port) hop: the failed links
-        // (masks store both directions) plus each port of — and into —
-        // a newly failed node.
+        // Fabric-side delta: what is left once hosts and access links
+        // are taken out. Every newly dead directed switch-to-switch
+        // (node, port) hop: the failed links (masks store both
+        // directions) plus each port of — and into — a newly failed
+        // switch.
+        let is_switch = |n: NodeId| self.kinds[n.0 as usize] == NodeKind::Switch;
+        let fabric_hop =
+            |&(n, p): &(u32, u16)| is_switch(NodeId(n)) && is_switch(self.port(NodeId(n), p).peer);
+        let dead_switches: Vec<NodeId> = new_nodes.into_iter().filter(|&w| is_switch(w)).collect();
+        let restored_switches: Vec<NodeId> = restored_nodes
+            .into_iter()
+            .filter(|&w| is_switch(w))
+            .collect();
+        // Each restored undirected fabric link once, from its lower end.
+        let restored_fabric: Vec<(u32, u16)> = restored_links
+            .iter()
+            .map(|&(n, p)| (n.0, p))
+            .filter(|&(n, p)| n < self.port(NodeId(n), p).peer.0)
+            .filter(fabric_hop)
+            .collect();
         let mut dead: Vec<(u32, u16)> = new_links.iter().map(|&(n, p)| (n.0, p)).collect();
-        for &w in &new_nodes {
+        for &w in &dead_switches {
             for (pi, p) in self.node_ports(w).iter().enumerate() {
                 dead.push((w.0, pi as u16));
                 dead.push((p.peer.0, p.peer_port));
             }
         }
+        dead.retain(fabric_hop);
         dead.sort_unstable();
         dead.dedup();
         // Surgery runs layer-major, dead-entry-major within a layer:
-        // each dead (u, p) sweeps node u's route cells across all H
-        // destination columns (one cell per column stride in the
-        // column-major arena), shifting entries in place and flagging
-        // per-destination outcomes in bitmaps that are aggregated
-        // afterwards.
-        let n_hosts = self.hosts.len();
+        // each dead (u, p) sweeps switch u's route cells across all
+        // columns (one cell per column stride in the column-major
+        // arena), shifting entries in place and flagging per-column
+        // outcomes in bitmaps that are aggregated afterwards.
+        let n_cols = self.col_root.len();
         let mut dirty_cols: Vec<Vec<bool>> = Vec::with_capacity(n_layers);
         let mut touched_total = 0usize;
         for layer in 0..n_layers {
-            let mut col_touched = vec![false; n_hosts];
-            let mut col_dirty = vec![false; n_hosts];
-            // A newly failed destination host needs its column cleared —
-            // the rebuild handles that uniformly.
-            for &w in &new_nodes {
-                if let Some(h) = self.host_index[w.0 as usize] {
-                    col_dirty[h as usize] = true;
-                }
-            }
+            let mut col_touched = vec![false; n_cols];
+            let mut col_dirty = vec![false; n_cols];
             let tab = &mut self.layers[layer];
             let (nn, pt) = (tab.n_nodes, tab.n_ports);
             for &(u, p) in &dead {
                 // A live switch that loses its last advertised port may
-                // now be farther from (or cut off from) the destination,
-                // which can cascade; those columns are rebuilt. Dead
-                // nodes' distances are irrelevant (their cells are
-                // cleared below), and hosts are leaves nothing routes
-                // through.
+                // now be farther from (or cut off from) the column's
+                // root, which can cascade; those columns are rebuilt.
+                // Dead switches' distances are irrelevant (their cells
+                // are cleared below).
                 let alive = !mask.node_is_down(NodeId(u));
                 let uu = u as usize;
-                let empties_matter = self.kinds[uu] == NodeKind::Switch && alive;
-                let is_host = self.kinds[uu] == NodeKind::Host;
                 let base = self.port_off[uu] as usize;
-                for h_idx in 0..n_hosts {
-                    let li = h_idx * nn + uu;
+                for col in 0..n_cols {
+                    let li = col * nn + uu;
                     let l = tab.len[li] as usize;
                     if l == 0 {
                         continue;
                     }
-                    let cell = h_idx * pt + base;
+                    let cell = col * pt + base;
                     if let Some(pos) = tab.buf[cell..cell + l].iter().position(|&x| x == p) {
                         tab.buf.copy_within(cell + pos + 1..cell + l, cell + pos);
                         tab.len[li] = (l - 1) as u16;
-                        col_touched[h_idx] = true;
-                        if l == 1 {
-                            if empties_matter {
-                                col_dirty[h_idx] = true;
-                            } else if is_host && alive {
-                                // A host with no way out is cut off
-                                // (hosts have one link), and nothing
-                                // routes through it, so no switch
-                                // empties on its behalf — record the
-                                // unreachability directly or the
-                                // distance table would go stale for
-                                // restore checks.
-                                tab.set_dist(uu, h_idx, u32::MAX);
-                            }
-                        }
+                        col_touched[col] = true;
+                        col_dirty[col] |= l == 1 && alive;
                     }
                 }
             }
-            // A dead node advertises nothing and is unreachable
+            // A dead switch advertises nothing and is unreachable
             // everywhere (full recomputation never visits it); clear its
-            // cells and distances wholesale.
-            for &w in &new_nodes {
-                for h_idx in 0..n_hosts {
-                    tab.clear_cell(w.0 as usize, h_idx);
-                    tab.set_dist(w.0 as usize, h_idx, u32::MAX);
+            // cells and distances wholesale. (Its own column empties by
+            // the rule above: its nearest neighbour loses its last port.)
+            for &w in &dead_switches {
+                for col in 0..n_cols {
+                    tab.len[col * nn + w.0 as usize] = 0;
+                    tab.set_dist(w.0 as usize, col, u32::MAX);
                 }
             }
             // Restore surgery, against the post-excision tables.
@@ -833,16 +885,16 @@ impl Topology {
                 &self.kinds,
                 &self.ports,
                 &self.port_off,
-                &self.hosts,
+                &self.col_root,
                 &self.weights[layer],
                 mask,
-                &restored_undirected,
-                &restored_nodes,
+                &restored_fabric,
+                &restored_switches,
                 tab,
                 &mut col_dirty,
             );
-            touched_total += (0..n_hosts)
-                .filter(|&h| col_touched[h] && !col_dirty[h])
+            touched_total += (0..n_cols)
+                .filter(|&c| col_touched[c] && !col_dirty[c])
                 .count();
             dirty_cols.push(col_dirty);
         }
@@ -850,41 +902,7 @@ impl Topology {
             .iter()
             .map(|cols| cols.iter().filter(|&&d| d).count())
             .sum();
-        // The dirty (layer, column) rebuilds are the same pure,
-        // disjoint-output units the full recompute fans out, so they
-        // share the scatter: one job list across all layers keeps the
-        // workers busy even when each layer dirtied only a few columns.
-        let mut jobs: Vec<ColumnJob> = Vec::with_capacity(dirty_total);
-        for (layer, tab) in self.layers.iter_mut().enumerate() {
-            column_jobs(
-                tab,
-                &self.weights[layer],
-                layer == 0,
-                &self.hosts,
-                Some(&dirty_cols[layer]),
-                &mut jobs,
-            );
-        }
-        let (ports, port_off) = (&self.ports, &self.port_off);
-        crate::par::scatter(
-            crate::par::resolve(self.parallelism),
-            jobs,
-            ColumnScratch::default,
-            |scratch, job| {
-                compute_column(
-                    ports,
-                    port_off,
-                    job.weights,
-                    job.uniform,
-                    mask,
-                    job.host,
-                    job.buf,
-                    job.len,
-                    job.dist,
-                    scratch,
-                );
-            },
-        );
+        self.rebuild_columns(mask, Some(&dirty_cols));
         self.routes_mask = mask.clone();
         RouteRepair {
             full: false,
@@ -932,36 +950,86 @@ impl Topology {
     /// dense host index — the forwarding hot path resolves the index
     /// once per packet and reuses it across layer-liveness probes and
     /// the final port pick.
+    /// Everything host-shaped is resolved here from the per-host access
+    /// records (see the module docs); the tables know switches only.
     #[inline]
     pub fn try_next_ports_at(&self, layer: usize, node: NodeId, dst_index: usize) -> &[u16] {
-        self.layers[layer].advertised(&self.port_off, node.0 as usize, dst_index)
+        let tab = &self.layers[layer];
+        let dst = &self.access[dst_index];
+        let at = node.0 as usize;
+        if dst.cut {
+            return &[];
+        }
+        let col = dst.col as usize;
+        if self.kinds[at] == NodeKind::Host {
+            let src_index = self.host_index(node);
+            let src = &self.access[src_index];
+            let routed = !src.cut && src_index != dst_index;
+            return if routed && tab.dist_to(src.tor as usize, col) != u32::MAX {
+                &[0]
+            } else {
+                &[]
+            };
+        }
+        if node.0 == dst.tor {
+            // The root's distance is 0 iff the ToR itself is up.
+            return if tab.dist_to(at, col) == 0 {
+                std::slice::from_ref(&dst.port)
+            } else {
+                &[]
+            };
+        }
+        tab.advertised(&self.port_off, at, col)
     }
 
     /// A layer's weighted distance from `node` to `dst` (`None` =
     /// unreachable under the mask the routes were computed with). On
-    /// layer 0 the weighted distance is the plain hop count.
+    /// layer 0 the weighted distance is the plain hop count. Derived:
+    /// the switch-to-ToR distance plus one access link per host end
+    /// (host links weigh 1 on every layer).
     pub fn layer_distance(&self, layer: usize, node: NodeId, dst: NodeId) -> Option<u32> {
-        let h = self.host_index(dst);
-        let d = self.layers[layer].dist_to(node.0 as usize, h);
-        (d != u32::MAX).then_some(d)
+        if node == dst {
+            return (!self.routes_mask.node_is_down(dst)).then_some(0);
+        }
+        let to = &self.access[self.host_index(dst)];
+        // A host end starts at its ToR, one access link further out.
+        let (from, access_links, cut) = match self.host_index[node.0 as usize] {
+            Some(src) => {
+                let src = &self.access[src as usize];
+                (src.tor, 2, src.cut || to.cut)
+            }
+            None => (node.0, 1, to.cut),
+        };
+        let d = self.layers[layer].dist_to(from as usize, to.col as usize);
+        (!cut && d != u32::MAX).then(|| d + access_links)
     }
 
-    /// Hop count of the shortest path between two hosts.
+    /// Bytes held by the route tables: every layer's `buf`/`len`/`dist`
+    /// arena capacity plus the per-host access records and the column
+    /// list — the number that decides how large a fabric fits.
+    pub fn route_table_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let arenas: usize = self
+            .layers
+            .iter()
+            .map(|t| {
+                (t.buf.capacity() + t.len.capacity()) * size_of::<u16>()
+                    + t.dist.capacity() * size_of::<u32>()
+            })
+            .sum();
+        arenas
+            + self.access.capacity() * size_of::<HostAccess>()
+            + self.col_root.capacity() * size_of::<NodeId>()
+    }
+
+    /// Hop count of the shortest path between two hosts (layer 0's
+    /// weighted distance is the plain hop count).
+    ///
+    /// # Panics
+    /// Panics if `b` is unreachable from `a`.
     pub fn path_hops(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            return 0;
-        }
-        let mut hops = 0;
-        let mut at = a;
-        loop {
-            let p = self.next_ports(at, b)[0];
-            at = self.port(at, p).peer;
-            hops += 1;
-            if at == b {
-                return hops;
-            }
-            assert!(hops < 64, "path longer than 64 hops; routing loop?");
-        }
+        self.layer_distance(0, a, b)
+            .unwrap_or_else(|| panic!("no route from host {} to host {}", a.0, b.0))
     }
 
     /// Structural invariants of the CSR arenas, for tests and debugging:
@@ -991,31 +1059,45 @@ impl Topology {
                 assert_eq!(back.peer_port as usize, pi, "port symmetry (index)");
             }
         }
-        let n_hosts = self.hosts.len();
+        assert_eq!(self.access.len(), self.hosts.len(), "one record per host");
+        for (a, &h) in self.access.iter().zip(&self.hosts) {
+            let down = self.port(NodeId(a.tor), a.port);
+            assert_eq!(down.peer, h, "access port of host {} points elsewhere", h.0);
+            assert_eq!(
+                self.col_root[a.col as usize].0, a.tor,
+                "host {} column",
+                h.0
+            );
+        }
+        let n_cols = self.col_root.len();
         for (layer, tab) in self.layers.iter().enumerate() {
             assert_eq!(tab.n_nodes, n, "layer {layer} node stride");
-            assert_eq!(tab.n_hosts, n_hosts, "layer {layer} host stride");
-            assert_eq!(tab.buf.len(), self.ports.len() * n_hosts, "arena size");
-            assert_eq!(tab.len.len(), n * n_hosts, "len table size");
-            assert_eq!(tab.dist.len(), n_hosts * n, "dist table size");
+            assert_eq!(tab.buf.len(), self.ports.len() * n_cols, "arena size");
+            assert_eq!(tab.len.len(), n * n_cols, "len table size");
+            assert_eq!(tab.dist.len(), n * n_cols, "dist table size");
             for u in 0..n {
-                let deg = (self.port_off[u + 1] - self.port_off[u]) as usize;
-                for h_idx in 0..n_hosts {
-                    let cell = tab.advertised(&self.port_off, u, h_idx);
+                let ports = self.node_ports(NodeId(u as u32));
+                for col in 0..n_cols {
+                    let cell = tab.advertised(&self.port_off, u, col);
                     assert!(
-                        cell.len() <= deg,
-                        "layer {layer} cell ({u}, {h_idx}) overflows deg {deg}"
+                        cell.len() <= ports.len(),
+                        "layer {layer} cell ({u}, {col}) overflows its capacity"
+                    );
+                    assert!(
+                        cell.is_empty() || self.kinds[u] == NodeKind::Switch,
+                        "layer {layer}: host {u} holds a route cell"
                     );
                     for w in cell.windows(2) {
-                        assert!(
-                            w[0] < w[1],
-                            "layer {layer} cell ({u}, {h_idx}) not ascending"
-                        );
+                        assert!(w[0] < w[1], "layer {layer} cell ({u}, {col}) not ascending");
                     }
                     for &p in cell {
                         assert!(
-                            (p as usize) < deg,
-                            "layer {layer} cell ({u}, {h_idx}) dangles port {p}"
+                            (p as usize) < ports.len(),
+                            "layer {layer} cell ({u}, {col}) dangles port {p}"
+                        );
+                        assert!(
+                            self.kinds[ports[p as usize].peer.0 as usize] == NodeKind::Switch,
+                            "layer {layer} cell ({u}, {col}) advertises a host port"
                         );
                     }
                 }
@@ -1075,8 +1157,7 @@ impl Topology {
 
     /// The edge switch a host hangs off (host's single uplink peer).
     pub fn edge_switch(&self, host: NodeId) -> NodeId {
-        assert_eq!(self.kind(host), NodeKind::Host);
-        self.node_ports(host)[0].peer
+        NodeId(self.access[self.host_index(host)].tor)
     }
 
     /// Whether two hosts share an edge switch ("same rack"); used for
@@ -1241,28 +1322,27 @@ impl Topology {
     }
 }
 
-/// Reusable scratch queues for [`compute_column`], so per-column
-/// searches allocate nothing: the plain BFS frontier for unit-weight
-/// layers and the binary heap for weighted ones.
+/// Reusable scratch for [`compute_column`], so per-column searches
+/// allocate nothing: the search's distance buckets (weights are 1 or 2,
+/// so three buckets indexed by `distance % 3` hold every open distance)
+/// and the reached-switch list.
 #[derive(Default)]
 struct ColumnScratch {
-    frontier: std::collections::VecDeque<u32>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
+    buckets: [Vec<u32>; 3],
+    reached: Vec<u32>,
 }
 
-/// One (layer, destination-column) unit of route-computation work: the
-/// column's disjoint slices of the column-major arenas plus the layer
-/// context the rebuild needs. Built by [`column_jobs`], consumed by a
-/// [`crate::par::scatter`] over [`compute_column`]. Columns never share
-/// arena bytes, so any number of jobs can run concurrently and the
-/// result is identical to the serial loop.
+/// One (layer, column) unit of route-computation work: the column's
+/// disjoint slices of the column-major arenas plus the layer context the
+/// rebuild needs, consumed by a [`crate::par::scatter`] over
+/// [`compute_column`]. Columns never share arena bytes, so any number
+/// of jobs can run concurrently and the result is identical to the
+/// serial loop.
 struct ColumnJob<'a> {
     /// The layer's link-weight arena (shared, read-only).
     weights: &'a [u8],
-    /// Layer 0: unit weights, BFS fast path.
-    uniform: bool,
-    /// The destination host this column routes towards.
-    host: NodeId,
+    /// The access switch this column routes towards.
+    root: NodeId,
     /// The column's `P`-length route-cell slice.
     buf: &'a mut [u16],
     /// The column's `N`-length occupied-prefix slice.
@@ -1271,254 +1351,195 @@ struct ColumnJob<'a> {
     dist: &'a mut [u32],
 }
 
-/// Split `v` into `count` disjoint column slices of `stride` elements
-/// each. `stride == 0` yields `count` empty slices: a degenerate arena
-/// (a graph with no links has no route cells) still has columns.
-fn column_chunks<T>(v: &mut [T], stride: usize, count: usize) -> Vec<&mut [T]> {
-    if stride == 0 {
-        return (0..count).map(|_| &mut [] as &mut [T]).collect();
-    }
-    debug_assert_eq!(v.len(), stride * count);
-    v.chunks_mut(stride).collect()
+/// Whether a host is unreachable by its own doing under `mask`: the
+/// host or its (single, port 0) access link is down. A dead ToR needs
+/// no bit — its column is empty.
+fn host_cut(mask: &FaultMask, host: NodeId) -> bool {
+    mask.node_is_down(host) || mask.link_is_down(host, 0)
 }
 
-/// Carve one layer's arenas into per-destination-column jobs and push
-/// them onto `out` — all columns, or only those flagged in `cols`. The
-/// pushed jobs hold disjoint `&mut` slices into `tab`, which is what
-/// makes the scatter safe without any interior synchronisation.
-fn column_jobs<'a>(
-    tab: &'a mut LayerTables,
-    weights: &'a [u8],
-    uniform: bool,
-    hosts: &[NodeId],
-    cols: Option<&[bool]>,
-    out: &mut Vec<ColumnJob<'a>>,
-) {
-    let (n, p, nh) = (tab.n_nodes, tab.n_ports, tab.n_hosts);
-    let bufs = column_chunks(&mut tab.buf, p, nh);
-    let lens = column_chunks(&mut tab.len, n, nh);
-    let dists = column_chunks(&mut tab.dist, n, nh);
-    for (h_idx, ((buf, len), dist)) in bufs.into_iter().zip(lens).zip(dists).enumerate() {
-        if cols.is_some_and(|c| !c[h_idx]) {
-            continue;
-        }
-        out.push(ColumnJob {
-            weights,
-            uniform,
-            host: hosts[h_idx],
-            buf,
-            len,
-            dist,
-        });
-    }
+/// The usable switch-to-switch links of switch `u` under `mask` (link
+/// up, peer a live switch), as `(port index, global port id, port)` in
+/// ascending port order. The only adjacency route computation sees:
+/// hosts are in no frontier and no surgery loop.
+fn fabric_links<'a>(
+    kinds: &'a [NodeKind],
+    ports: &'a [Port],
+    off: &[u32],
+    mask: &'a FaultMask,
+    u: u32,
+) -> impl Iterator<Item = (u16, usize, &'a Port)> {
+    let base = off[u as usize] as usize;
+    let mine = &ports[base..off[u as usize + 1] as usize];
+    mine.iter().enumerate().filter_map(move |(pi, port)| {
+        let usable = kinds[port.peer.0 as usize] == NodeKind::Switch
+            && !mask.link_is_down(NodeId(u), pi as u16)
+            && !mask.node_is_down(port.peer);
+        usable.then_some((pi as u16, base + pi, port))
+    })
 }
 
-/// Rebuild one layer's routing column for one destination host: a
-/// weighted shortest-path search from the destination outward (weights
-/// in {1, 2} per the layer's preferred-link draw), recording the
-/// distances in `dist` (this column's N-length slice), then record
-/// every node's advertised ports into its arena cell — exactly the
-/// ports on weighted shortest paths, in ascending port order. With
-/// `uniform` (layer 0, whose weights are all 1 — i.e. the whole of
-/// every single-layer policy) the distance phase runs the original
-/// O(1)-per-node BFS instead of heap Dijkstra, keeping the pre-layering
-/// repair fast path at its old constant factor. The search traverses
-/// links in reverse, but the mask and the weights are symmetric per
-/// link, so checking the (u, port) direction suffices. A free function
-/// (not a method), taking only this column's slices of the column-major
-/// arenas (`buf`: P-length, `len`/`dist`: N-length), so the repair path
-/// can borrow `Topology` fields disjointly and the parallel scatter can
-/// run many columns at once.
-#[allow(clippy::too_many_arguments)]
+/// Rebuild one layer's routing column for one access switch: a weighted
+/// shortest-path search over [`fabric_links`] from the root outward
+/// (weights in {1, 2} per the layer's preferred-link draw; all 1 on
+/// layer 0), recording the distances in the job's `dist` slice, then
+/// record every reached switch's advertised ports into its arena cell —
+/// exactly the ports on weighted shortest paths, in ascending port
+/// order. The search traverses links in reverse, but the mask and the
+/// weights are symmetric per link, so checking the (u, port) direction
+/// suffices. A free function (not a method), taking only this column's
+/// slices of the column-major arenas, so the repair path can borrow
+/// `Topology` fields disjointly and the parallel scatter can run many
+/// columns at once.
 fn compute_column(
+    kinds: &[NodeKind],
     ports: &[Port],
-    port_off: &[u32],
-    weights: &[u8],
-    uniform: bool,
+    off: &[u32],
     mask: &FaultMask,
-    host: NodeId,
-    buf: &mut [u16],
-    len: &mut [u16],
-    dist: &mut [u32],
+    job: ColumnJob,
     scratch: &mut ColumnScratch,
 ) {
-    use std::cmp::Reverse;
-    let n = port_off.len() - 1;
+    let ColumnJob {
+        weights,
+        root,
+        buf,
+        len,
+        dist,
+    } = job;
     len.fill(0);
     dist.fill(u32::MAX);
-    if mask.node_is_down(host) {
+    if mask.node_is_down(root) {
         return;
     }
-    dist[host.0 as usize] = 0;
-    if uniform {
-        let frontier = &mut scratch.frontier;
-        frontier.clear();
-        frontier.push_back(host.0);
-        while let Some(u) = frontier.pop_front() {
-            let du = dist[u as usize];
-            let base = port_off[u as usize] as usize;
-            let end = port_off[u as usize + 1] as usize;
-            for (pi, port) in ports[base..end].iter().enumerate() {
-                if mask.link_is_down(NodeId(u), pi as u16) || mask.node_is_down(port.peer) {
-                    continue;
-                }
-                let v = port.peer.0;
-                if dist[v as usize] == u32::MAX {
-                    dist[v as usize] = du + 1;
-                    frontier.push_back(v);
-                }
+    // Dial's algorithm: settle distances in increasing order, one
+    // bucket per distance. Relaxing from distance d only ever fills the
+    // buckets of d + 1 and d + 2, never the one being drained.
+    let ColumnScratch { buckets, reached } = scratch;
+    reached.clear();
+    dist[root.0 as usize] = 0;
+    buckets[0].push(root.0);
+    let (mut d, mut open) = (0u32, 1usize);
+    while open > 0 {
+        let mut level = std::mem::take(&mut buckets[(d % 3) as usize]);
+        open -= level.len();
+        for u in level.drain(..) {
+            if dist[u as usize] != d {
+                continue; // settled closer through another neighbour
             }
-        }
-    } else {
-        let heap = &mut scratch.heap;
-        heap.clear();
-        heap.push(Reverse((0, host.0)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue; // stale heap entry
-            }
-            let base = port_off[u as usize] as usize;
-            let end = port_off[u as usize + 1] as usize;
-            for (pi, port) in ports[base..end].iter().enumerate() {
-                if mask.link_is_down(NodeId(u), pi as u16) || mask.node_is_down(port.peer) {
-                    continue;
-                }
-                let nd = d + weights[base + pi] as u32;
-                let v = port.peer.0;
+            reached.push(u);
+            for (_, gid, port) in fabric_links(kinds, ports, off, mask, u) {
+                let (nd, v) = (d + weights[gid] as u32, port.peer.0);
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
+                    buckets[(nd % 3) as usize].push(v);
+                    open += 1;
                 }
             }
         }
+        buckets[(d % 3) as usize] = level; // hand the allocation back
+        d += 1;
     }
-    for u in 0..n {
-        if dist[u] == u32::MAX || u as u32 == host.0 || mask.node_is_down(NodeId(u as u32)) {
-            continue;
-        }
-        let du = dist[u];
-        let base = port_off[u] as usize;
-        let deg = port_off[u + 1] as usize - base;
+    // Every reached switch but the root (settled first) gets a cell.
+    for &u in &reached[1..] {
+        let base = off[u as usize] as usize;
         let mut l = 0usize;
-        for pi in 0..deg {
-            let p = &ports[base + pi];
-            if mask.link_is_down(NodeId(u as u32), pi as u16) || mask.node_is_down(p.peer) {
-                continue;
-            }
-            let dp = dist[p.peer.0 as usize];
-            if dp != u32::MAX && dp + weights[base + pi] as u32 == du {
-                buf[base + l] = pi as u16;
+        for (pi, gid, port) in fabric_links(kinds, ports, off, mask, u) {
+            let dv = dist[port.peer.0 as usize];
+            if dv != u32::MAX && dv + weights[gid] as u32 == dist[u as usize] {
+                buf[base + l] = pi;
                 l += 1;
             }
         }
-        len[u] = l as u16;
+        len[u as usize] = l as u16;
     }
 }
 
-/// Patch one layer's route arena for restored elements, column by
-/// column. For every destination whose distances cannot shrink,
-/// restored ports are re-advertised exactly where they are equal-cost
-/// next hops under the layer's weights — in-place cell shifts, no
-/// allocation; destinations where the restored element lies on a
+/// Patch one layer's route arena for restored switches and fabric
+/// links, column by column. For every column whose distances cannot
+/// shrink, restored ports are re-advertised exactly where they are
+/// equal-cost next hops under the layer's weights — in-place cell
+/// shifts, no allocation; columns where the restored element lies on a
 /// strictly shorter weighted path (or re-attaches a cut-off region) are
-/// flagged in `col_dirty` for a per-destination rebuild. Elements are
-/// processed sequentially, so a restored node's freshly computed
+/// flagged in `col_dirty` for a per-column rebuild. Elements are
+/// processed sequentially, so a restored switch's freshly computed
 /// distance feeds the checks of later elements in the same delta.
-// The column loops index several parallel per-destination tables
-// (`col_dirty`, the dist/len arenas, `hosts`); iterator chains would
+// The column loops index several parallel per-column tables
+// (`col_dirty`, the dist/len arenas, `roots`); iterator chains would
 // obscure that they advance in lockstep.
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 fn restore_surgery_layer(
     kinds: &[NodeKind],
     ports: &[Port],
     off: &[u32],
-    hosts: &[NodeId],
+    roots: &[NodeId],
     weights: &[u8],
     mask: &FaultMask,
     restored_links: &[(u32, u16)],
-    restored_nodes: &[NodeId],
+    restored_switches: &[NodeId],
     tab: &mut LayerTables,
     col_dirty: &mut [bool],
 ) {
-    // A single-port host is a leaf nothing can route through, so its
-    // reachability changes never cascade: restore surgery patches such
-    // nodes in place instead of rebuilding whole destination columns.
-    let leaf = |n: NodeId| {
-        let i = n.0 as usize;
-        kinds[i] == NodeKind::Host && off[i + 1] - off[i] == 1
-    };
-    for &w in restored_nodes {
+    for &w in restored_switches {
         let wu = w.0 as usize;
-        let base = off[wu] as usize;
-        let n_ports = off[wu + 1] as usize - base;
-        for h_idx in 0..hosts.len() {
-            if col_dirty[h_idx] {
+        // w's usable links under the new mask: (port, peer, the peer's
+        // port back to w, link weight).
+        let live: Vec<(u16, usize, u16, u32)> = fabric_links(kinds, ports, off, mask, w.0)
+            .map(|(pi, gid, port)| {
+                (
+                    pi,
+                    port.peer.0 as usize,
+                    port.peer_port,
+                    weights[gid] as u32,
+                )
+            })
+            .collect();
+        for col in 0..roots.len() {
+            if col_dirty[col] {
                 continue;
             }
-            // The restored node is this column's destination host: the
-            // whole column was cleared when it died.
-            if hosts[h_idx] == w {
-                col_dirty[h_idx] = true;
+            // The restored switch is this column's root: the whole
+            // column was cleared when it died.
+            if roots[col] == w {
+                col_dirty[col] = true;
                 continue;
             }
-            // New distance of w: one link past its closest usable
-            // neighbour (usable = link up, peer up, peer reachable).
-            let mut dw = u32::MAX;
-            for pi in 0..n_ports {
-                let peer = ports[base + pi].peer;
-                if mask.link_is_down(w, pi as u16) || mask.node_is_down(peer) {
-                    continue;
-                }
-                let dp = tab.dist_to(peer.0 as usize, h_idx);
-                if dp != u32::MAX {
-                    dw = dw.min(dp + weights[base + pi] as u32);
-                }
-            }
+            // New distance of w: one link past its closest reachable
+            // usable neighbour.
+            let dw = live
+                .iter()
+                .map(|&(_, peer, _, wl)| tab.dist_to(peer, col).saturating_add(wl))
+                .min()
+                .unwrap_or(u32::MAX);
             if dw == u32::MAX {
                 continue; // still cut off; cell stays empty
             }
             // Any usable neighbour strictly farther than dw + w(link)
             // (including unreachable ones) gets closer through w — the
-            // shrink can cascade, so rebuild this destination.
-            // Exception: a leaf host (nothing routes through it) can
-            // only have its own cell change, which is pure surgery.
-            let shrinks = (0..n_ports).any(|pi| {
-                let peer = ports[base + pi].peer;
-                !mask.link_is_down(w, pi as u16)
-                    && !mask.node_is_down(peer)
-                    && tab.dist_to(peer.0 as usize, h_idx)
-                        > dw.saturating_add(weights[base + pi] as u32)
-                    && !leaf(peer)
-            });
-            if shrinks {
-                col_dirty[h_idx] = true;
+            // shrink can cascade, so rebuild this column.
+            if live
+                .iter()
+                .any(|&(_, peer, _, wl)| tab.dist_to(peer, col) > dw + wl)
+            {
+                col_dirty[col] = true;
                 continue;
             }
             // Pure surgery: record w's own advertised ports straight
-            // into its (empty — cleared when it died) cell, make w an
-            // additional equal-cost hop at neighbours one link further
-            // out, and re-attach leaf hosts w was the way out for.
-            tab.set_dist(wu, h_idx, dw);
-            let (cell, _) = tab.cell(off, wu, h_idx);
+            // into its (empty — cleared when it died) cell, and make w
+            // an additional equal-cost hop at neighbours one link
+            // further out.
+            tab.set_dist(wu, col, dw);
+            let (cell, _) = tab.cell(off, wu, col);
             let mut l = 0usize;
-            for pi in 0..n_ports {
-                let port = ports[base + pi];
-                if mask.link_is_down(w, pi as u16) || mask.node_is_down(port.peer) {
-                    continue;
-                }
-                let wl = weights[base + pi] as u32;
-                let dp = tab.dist_to(port.peer.0 as usize, h_idx);
-                if dp != u32::MAX && dp + wl == dw {
-                    tab.buf[cell + l] = pi as u16;
+            for &(pi, peer, back, wl) in &live {
+                let dp = tab.dist_to(peer, col);
+                if dp + wl == dw {
+                    tab.buf[cell + l] = pi;
                     l += 1;
                 } else if dp == dw + wl {
-                    tab.insert_port(off, port.peer.0 as usize, h_idx, port.peer_port);
-                } else if dp > dw + wl && leaf(port.peer) {
-                    tab.set_dist(port.peer.0 as usize, h_idx, dw + wl);
-                    tab.set_single(off, port.peer.0 as usize, h_idx, port.peer_port);
+                    tab.insert_port(off, peer, col, back);
                 }
             }
-            tab.len[h_idx * tab.n_nodes + wu] = l as u16;
+            tab.len[col * tab.n_nodes + wu] = l as u16;
         }
     }
     for &(u, p) in restored_links {
@@ -1529,29 +1550,19 @@ fn restore_surgery_layer(
             continue;
         }
         let wl = weights[off[u as usize] as usize + p as usize] as u32;
-        for h_idx in 0..hosts.len() {
-            if col_dirty[h_idx] {
+        for col in 0..roots.len() {
+            if col_dirty[col] {
                 continue;
             }
-            let du = tab.dist_to(u as usize, h_idx);
-            let dv = tab.dist_to(v.0 as usize, h_idx);
+            let du = tab.dist_to(u as usize, col);
+            let dv = tab.dist_to(v.0 as usize, col);
             if du == u32::MAX && dv == u32::MAX {
                 continue; // both sides cut off; the link helps nobody
             }
             // One side unreachable or farther than the link's weight:
-            // the restored link shortens (or creates) paths — rebuild,
-            // unless the far side is a leaf host, whose revival can't
-            // cascade (nothing routes through it) and is patched in
-            // place.
-            let (near, far) = (du.min(dv), du.max(dv));
-            if far > near.saturating_add(wl) {
-                let (far_node, far_port) = if du > dv { (NodeId(u), p) } else { (v, q) };
-                if leaf(far_node) {
-                    tab.set_dist(far_node.0 as usize, h_idx, near + wl);
-                    tab.set_single(off, far_node.0 as usize, h_idx, far_port);
-                } else {
-                    col_dirty[h_idx] = true;
-                }
+            // the restored link shortens (or creates) paths — rebuild.
+            if du.max(dv) > du.min(dv).saturating_add(wl) {
+                col_dirty[col] = true;
                 continue;
             }
             // Equal-cost surgery: the downhill direction (if any)
@@ -1559,12 +1570,10 @@ fn restore_surgery_layer(
             // gap is smaller than the link's weight — e.g. equal
             // distances, or a gap of 1 on a weight-2 link — no shortest
             // path uses the link and nothing changes.)
-            if du != u32::MAX && dv != u32::MAX {
-                if du == dv + wl {
-                    tab.insert_port(off, u as usize, h_idx, p);
-                } else if dv == du + wl {
-                    tab.insert_port(off, v.0 as usize, h_idx, q);
-                }
+            if du == dv + wl {
+                tab.insert_port(off, u as usize, col, p);
+            } else if dv == du + wl {
+                tab.insert_port(off, v.0 as usize, col, q);
             }
         }
     }
@@ -1595,30 +1604,34 @@ fn random_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
             }
             edges.push((a.min(b), a.max(b)));
         }
-        // Connectivity check over the switch graph.
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b) in &edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let mut visited = vec![false; n];
-        let mut stack = vec![0usize];
-        visited[0] = true;
-        let mut count = 1;
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if !visited[v] {
-                    visited[v] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        if count == n {
+        if connected(n, &edges) {
             return edges;
         }
     }
     panic!("could not build a connected {d}-regular graph on {n} switches");
+}
+
+/// Whether the undirected graph on nodes `0..n` is connected.
+fn connected(n: usize, edges: &[(usize, usize)]) -> bool {
+    let mut adj = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        adj[a].push(b);
+        adj[b].push(a);
+    }
+    let mut visited = vec![false; n];
+    let mut stack = vec![0usize];
+    visited[0] = true;
+    let mut count = 1;
+    while let Some(u) = stack.pop() {
+        for &v in &adj[u] {
+            if !visited[v] {
+                visited[v] = true;
+                count += 1;
+                stack.push(v);
+            }
+        }
+    }
+    count == n
 }
 
 /// Connected random regular graph for degrees where stub matching is
@@ -1654,7 +1667,7 @@ fn swapped_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
     debug_assert_eq!(present.len(), edges.len(), "circulant base must be simple");
     let mut rng = Pcg32::new(seed ^ 0x0005_EED0_F1A7_u64);
     let target = 20 * edges.len();
-    for round in 0..100 {
+    for _ in 0..100 {
         let mut done = 0;
         let mut tries = 0;
         while done < target && tries < 20 * target {
@@ -1681,30 +1694,11 @@ fn swapped_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
             edges[j] = nb;
             done += 1;
         }
-        // Connectivity check; a disconnected result gets another round
-        // of mixing (swaps across components reconnect them).
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b) in &edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let mut visited = vec![false; n];
-        let mut stack = vec![0usize];
-        visited[0] = true;
-        let mut count = 1;
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if !visited[v] {
-                    visited[v] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        if count == n {
+        // A disconnected result gets another round of mixing (swaps
+        // across components reconnect them).
+        if connected(n, &edges) {
             return edges;
         }
-        let _ = round;
     }
     panic!("could not mix a connected {d}-regular graph on {n} switches");
 }
@@ -2098,7 +2092,7 @@ mod tests {
     fn repair_single_link_matches_full_and_rebuilds_few() {
         // Fail one agg–core link on a k=4 fat-tree: only the core's
         // single path into the agg's pod empties, so just that pod's
-        // hosts (4 of 16) need a BFS rebuild. The true core layer is the
+        // edge switches (2 of 8) need a BFS rebuild. The true core layer is the
         // last-added (k/2)² nodes (`core_switches()` includes aggs).
         let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
         let core = NodeId(pristine.node_count() as u32 - 1);
@@ -2111,8 +2105,8 @@ mod tests {
         let outcome = repaired.repair_routes(&mask);
         assert!(!outcome.full, "single link failure must repair in place");
         assert!(
-            outcome.dests_rebuilt <= 4,
-            "at most one pod's hosts rebuilt (got {})",
+            outcome.dests_rebuilt <= 2,
+            "at most one pod's edge-switch columns rebuilt (got {})",
             outcome.dests_rebuilt
         );
         assert!(outcome.dests_touched > 0, "surgery must remove dead ports");
@@ -2184,8 +2178,9 @@ mod tests {
         let healthy = Topology::fat_tree(4, 1_000_000_000, 10_000);
         assert_eq!(route_tables(&t), route_tables(&healthy));
         // An aggregation switch's death cuts its group's cores off from
-        // the pod; the restoration must rebuild exactly that pod's
-        // columns (where distances genuinely changed) and still match.
+        // the pod; the restoration must rebuild exactly that pod's two
+        // edge-switch columns (where distances genuinely changed) and
+        // still match.
         let mut t2 = Topology::fat_tree(4, 1_000_000_000, 10_000);
         let agg = t2.core_switches()[0]; // host-free ⇒ agg or core; [0] is an agg
         let mut m2 = FaultMask::new();
@@ -2194,13 +2189,12 @@ mod tests {
         m2.restore_node(agg);
         let o2 = t2.repair_routes(&m2);
         assert!(!o2.full, "agg restoration must repair incrementally");
-        assert_eq!(o2.dests_rebuilt, 4, "one pod's host columns rebuilt");
+        assert_eq!(o2.dests_rebuilt, 2, "one pod's edge-switch columns rebuilt");
         assert_eq!(route_tables(&t2), route_tables(&healthy));
-        // Layered policies repair incrementally too — the old
-        // non-minimal full-recompute fallback is gone. A host-link flap
-        // on a 3-layer Jellyfish dirties exactly one column per layer
-        // (hosts are leaves), so both deltas must be surgical and land
-        // exactly on the from-scratch tables.
+        // Layered policies repair incrementally too. A host-link flap
+        // on a 3-layer Jellyfish is a bit flip on every layer at once —
+        // no column rebuilt or touched either way — and lands exactly
+        // on the from-scratch tables.
         let mut lt = Topology::jellyfish(12, 3, 2, 1_000_000_000, 10_000, 3);
         lt.set_policy(RoutingPolicy::layered(3, 11));
         lt.compute_routes();
@@ -2209,9 +2203,14 @@ mod tests {
         let mut m3 = FaultMask::new();
         m3.fail_link(&lt, victim_host, 0);
         let fail_outcome = lt.repair_routes(&m3);
-        assert!(
-            !fail_outcome.full,
-            "layered host-link failure must repair incrementally"
+        assert_eq!(
+            (
+                fail_outcome.full,
+                fail_outcome.dests_rebuilt,
+                fail_outcome.dests_touched
+            ),
+            (false, 0, 0),
+            "layered host-link failure is a bit flip"
         );
         let mut layered_full = layered_pristine.clone();
         layered_full.compute_routes_masked(&m3);
@@ -2220,11 +2219,7 @@ mod tests {
         let o3 = lt.repair_routes(&m3);
         assert!(!o3.full, "layered restoration must repair incrementally");
         assert_eq!(o3.restored, 1);
-        assert_eq!(
-            o3.dests_rebuilt,
-            lt.layer_count(),
-            "only the cut host's column per layer"
-        );
+        assert_eq!(o3.dests_rebuilt + o3.dests_touched, 0, "bit flip back");
         assert_eq!(route_tables(&lt), route_tables(&layered_pristine));
         // An inter-switch link's blast radius on a weighted layer can
         // legitimately exceed the mass-delta threshold (weighted columns
@@ -2244,9 +2239,8 @@ mod tests {
 
     #[test]
     fn restore_repair_link_and_host_cases() {
-        // A host link flaps down and up: the restoration rebuilds only
-        // the cut host's own column (its distance was genuinely cut to
-        // MAX) and re-advertises the link everywhere else in place.
+        // A host link flaps down and up: the cut bit flips and flips
+        // back; no column is rebuilt either way.
         let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
         let victim = pristine.hosts()[0];
         let mut t = pristine.clone();
@@ -2257,10 +2251,7 @@ mod tests {
         let outcome = t.repair_routes(&mask);
         assert!(!outcome.full, "link restoration must repair in place");
         assert_eq!(outcome.restored, 1);
-        assert_eq!(
-            outcome.dests_rebuilt, 1,
-            "only the cut host's column is rebuilt"
-        );
+        assert_eq!(outcome.dests_rebuilt, 0, "no column behind a host link");
         assert_eq!(route_tables(&t), route_tables(&pristine));
 
         // A whole host (node) dies and revives: same exactness.
@@ -2271,6 +2262,7 @@ mod tests {
         m2.restore_node(victim);
         let o2 = t2.repair_routes(&m2);
         assert!(!o2.full, "host restoration must repair in place");
+        assert_eq!((o2.restored, o2.dests_rebuilt), (1, 0));
         assert_eq!(route_tables(&t2), route_tables(&pristine));
     }
 
@@ -2348,8 +2340,9 @@ mod tests {
 
     #[test]
     fn repair_host_link_rebuilds_only_that_host() {
-        // A dying host uplink cuts exactly one destination; everyone
-        // else's trees route around nothing (hosts are leaves).
+        // A dying host uplink cuts exactly one destination, and does it
+        // with a bit flip: hosts are leaves nothing routes through, so
+        // no column is rebuilt or even touched.
         let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
         let victim = pristine.hosts()[0];
         let mut mask = FaultMask::new();
@@ -2359,11 +2352,57 @@ mod tests {
         let mut repaired = pristine.clone();
         let outcome = repaired.repair_routes(&mask);
         assert!(!outcome.full);
-        assert_eq!(outcome.dests_rebuilt, 1, "only the cut host's tree");
+        assert_eq!((outcome.dests_rebuilt, outcome.dests_touched), (0, 0));
         assert_eq!(route_tables(&full), route_tables(&repaired));
-        assert!(repaired
-            .try_next_ports(pristine.hosts()[1], victim)
-            .is_empty());
+        let (neighbour, edge) = (pristine.hosts()[1], pristine.edge_switch(victim));
+        assert!(repaired.try_next_ports(neighbour, victim).is_empty());
+        assert!(repaired.try_next_ports(edge, victim).is_empty());
+        assert_eq!(repaired.layer_distance(0, edge, victim), None);
+        // The rack-mate behind the same ToR keeps its last hop.
+        assert_eq!(repaired.try_next_ports(edge, neighbour).len(), 1);
+        assert_eq!(repaired.layer_distance(0, victim, neighbour), None);
+        assert_eq!(
+            repaired.layer_distance(0, pristine.hosts()[2], neighbour),
+            Some(4)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "host 0 has 2 ports")]
+    fn multi_homed_host_is_rejected() {
+        let mut t = Topology::new();
+        let h = t.add_node(NodeKind::Host);
+        let a = t.add_node(NodeKind::Switch);
+        let b = t.add_node(NodeKind::Switch);
+        t.connect(h, a, 1_000_000_000, 10_000);
+        t.connect(h, b, 1_000_000_000, 10_000);
+        t.connect(a, b, 1_000_000_000, 10_000);
+        t.compute_routes();
+    }
+
+    #[test]
+    #[should_panic(expected = "host 0 is attached to non-switch node 1")]
+    fn host_to_host_link_is_rejected() {
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Host);
+        let b = t.add_node(NodeKind::Host);
+        t.connect(a, b, 1_000_000_000, 10_000);
+        t.compute_routes();
+    }
+
+    /// Route tables scale with access switches × ports, not hosts ×
+    /// ports: the 5 000-host Jellyfish under two layers fits in 32 MB
+    /// (≈ 575 MB with one column per host).
+    #[test]
+    fn jellyfish_5000_route_tables_fit_in_32_mb() {
+        let mut t = Topology::jellyfish(250, 12, 20, 1_000_000_000, 10_000, 7);
+        let one_layer = t.route_table_bytes();
+        t.set_policy(RoutingPolicy::layered(2, 7));
+        t.compute_routes();
+        assert_eq!(t.hosts().len(), 5000);
+        let bytes = t.route_table_bytes();
+        assert!(bytes < 32 << 20, "route tables hold {bytes} bytes");
+        assert!(bytes > one_layer, "a second layer must be counted");
     }
 
     #[test]

@@ -62,11 +62,78 @@ fn random_walk(
     Ok(steps)
 }
 
-/// Reference nested-`Vec` rebuild of one layer's route tables and
-/// distances: a textbook per-destination Dijkstra over the public
-/// port/weight accessors, fully independent of the CSR arenas it
-/// checks. Returns `(next_ports[node][host_idx], dist[node][host_idx])`
-/// in the pre-refactor nested layout.
+/// A seeded random fail/restore process over *every* element of a
+/// fabric — fabric links and access links, hosts, ToRs and transit
+/// switches — shared by the properties that replay fault histories.
+struct FaultWalk {
+    links: Vec<(NodeId, u16)>,
+    mask: FaultMask,
+    failed_links: Vec<(NodeId, u16)>,
+    failed_nodes: Vec<NodeId>,
+}
+
+impl FaultWalk {
+    fn new(t: &Topology) -> Self {
+        let mut links = Vec::new();
+        for n in 0..t.node_count() as u32 {
+            for (pi, p) in t.node_ports(NodeId(n)).iter().enumerate() {
+                if p.peer.0 > n {
+                    links.push((NodeId(n), pi as u16));
+                }
+            }
+        }
+        Self {
+            links,
+            mask: FaultMask::new(),
+            failed_links: Vec::new(),
+            failed_nodes: Vec::new(),
+        }
+    }
+
+    fn fail_link(&mut self, t: &Topology, node: NodeId, port: u16) {
+        if !self.mask.link_is_down(node, port) {
+            self.mask.fail_link(t, node, port);
+            self.failed_links.push((node, port));
+        }
+    }
+
+    fn fail_node(&mut self, node: NodeId) {
+        if !self.mask.node_is_down(node) {
+            self.mask.fail_node(node);
+            self.failed_nodes.push(node);
+        }
+    }
+
+    /// One random mask op: restore a failed element (half the time,
+    /// when there is one), else fail a random link or a random node.
+    fn step(&mut self, t: &Topology, rng: &mut netsim::Pcg32) {
+        let any_failed = !(self.failed_links.is_empty() && self.failed_nodes.is_empty());
+        if any_failed && rng.below(2) == 0 {
+            let pick_link = !self.failed_links.is_empty()
+                && (self.failed_nodes.is_empty() || rng.below(2) == 0);
+            if pick_link {
+                let i = rng.below(self.failed_links.len() as u64) as usize;
+                let (n, p) = self.failed_links.swap_remove(i);
+                self.mask.restore_link(t, n, p);
+            } else {
+                let i = rng.below(self.failed_nodes.len() as u64) as usize;
+                self.mask.restore_node(self.failed_nodes.swap_remove(i));
+            }
+        } else if rng.below(2) == 0 {
+            let (n, p) = self.links[rng.below(self.links.len() as u64) as usize];
+            self.fail_link(t, n, p);
+        } else {
+            self.fail_node(NodeId(rng.below(t.node_count() as u64) as u32));
+        }
+    }
+}
+
+/// The independent **per-host** reference: one textbook Dijkstra per
+/// destination host over the *full* graph — hosts are ordinary nodes
+/// here, access links ordinary links — using only the public
+/// port/weight accessors, so it shares nothing with the switch-keyed
+/// arenas (or their arithmetic last hop) that it checks. Returns
+/// `(next_ports[node][host_idx], dist[node][host_idx])`.
 #[allow(clippy::type_complexity)]
 fn reference_layer(
     t: &Topology,
@@ -124,12 +191,14 @@ fn reference_layer(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The CSR arenas are equivalent to a reference nested-`Vec` build
-    /// on every topology family under 1–3-layer policies and mixed
-    /// fail/restore sequences: same next-port sets (in the same
-    /// ascending order), same distances, offsets monotone, and no
-    /// dangling indices (the latter two via `check_csr_invariants`,
-    /// which panics on violation).
+    /// The switch-keyed CSR arenas plus the arithmetic last hop answer
+    /// every `(layer, node, host)` query exactly like the per-host
+    /// reference, on every topology family under 1–3-layer policies and
+    /// mixed fail/restore sequences that include access-link, host and
+    /// ToR faults: same next-port sets (in the same ascending order),
+    /// same distances, offsets monotone, and no dangling indices (the
+    /// latter two via `check_csr_invariants`, which panics on
+    /// violation).
     #[test]
     fn csr_tables_match_reference_nested_build(
         fabric in any_fabric(),
@@ -142,51 +211,24 @@ proptest! {
             t.compute_routes();
         }
         let mut rng = netsim::Pcg32::new(seed);
-        let mut links = Vec::new();
-        for n in 0..t.node_count() as u32 {
-            for (pi, p) in t.node_ports(NodeId(n)).iter().enumerate() {
-                if p.peer.0 > n {
-                    links.push((NodeId(n), pi as u16));
-                }
-            }
-        }
-        let mut nodes: Vec<NodeId> = t.core_switches();
-        nodes.extend(t.hosts().iter().copied());
         let hosts = t.hosts().to_vec();
-        let mut mask = FaultMask::new();
-        let mut failed_links: Vec<(NodeId, u16)> = Vec::new();
-        let mut failed_nodes: Vec<NodeId> = Vec::new();
-        for step in 0..3 {
-            let restore = !(failed_links.is_empty() && failed_nodes.is_empty())
-                && rng.below(2) == 0;
-            if restore {
-                let pick_link = !failed_links.is_empty()
-                    && (failed_nodes.is_empty() || rng.below(2) == 0);
-                if pick_link {
-                    let i = rng.below(failed_links.len() as u64) as usize;
-                    let (n, p) = failed_links.swap_remove(i);
-                    mask.restore_link(&t, n, p);
-                } else {
-                    let i = rng.below(failed_nodes.len() as u64) as usize;
-                    mask.restore_node(failed_nodes.swap_remove(i));
-                }
-            } else if rng.below(2) == 0 {
-                let (n, p) = links[rng.below(links.len() as u64) as usize];
-                if !mask.link_is_down(n, p) {
-                    mask.fail_link(&t, n, p);
-                    failed_links.push((n, p));
-                }
-            } else {
-                let w = nodes[rng.below(nodes.len() as u64) as usize];
-                if !mask.node_is_down(w) {
-                    mask.fail_node(w);
-                    failed_nodes.push(w);
-                }
+        let mut walk = FaultWalk::new(&t);
+        let mut any_host = || hosts[rng.below(hosts.len() as u64) as usize];
+        // Every case opens with the three host-side faults the tables
+        // answer arithmetically — an access link, a host node, a ToR —
+        // then wanders through random failures and restorations.
+        let forced = [any_host(), any_host(), t.edge_switch(any_host())];
+        for step in 0..7 {
+            match step {
+                0 => walk.fail_link(&t, forced[0], 0),
+                1 | 2 => walk.fail_node(forced[step]),
+                _ => walk.step(&t, &mut rng),
             }
-            t.repair_routes(&mask);
+            let mask = &walk.mask;
+            t.repair_routes(mask);
             t.check_csr_invariants();
             for layer in 0..t.layer_count() {
-                let (ports_ref, dist_ref) = reference_layer(&t, &mask, layer);
+                let (ports_ref, dist_ref) = reference_layer(&t, mask, layer);
                 for n in 0..t.node_count() as u32 {
                     for (h_idx, &h) in hosts.iter().enumerate() {
                         prop_assert_eq!(
@@ -432,7 +474,8 @@ proptest! {
 
     /// Restore repair and flap coalescing are exact on every layer: an
     /// arbitrary seeded sequence of failures *and restorations* — links
-    /// (fabric and host links), transit switches, and whole hosts —
+    /// (fabric and host links), switches (ToRs included), and whole
+    /// hosts —
     /// applied one `repair_routes` delta at a time yields bit-identical
     /// route tables, per layer, to a from-scratch
     /// `compute_routes_masked` of the accumulated mask, on every
@@ -449,59 +492,18 @@ proptest! {
         pristine.set_policy(RoutingPolicy::layered(layers, seed ^ 0xFA7));
         pristine.compute_routes();
         let mut rng = netsim::Pcg32::new(seed);
-        // Candidate elements: every link (host links included — host
-        // disconnection and re-attachment is exactly the churn case)
-        // plus transit switches and hosts as node victims.
-        let mut links = Vec::new();
-        for n in 0..pristine.node_count() as u32 {
-            let node = NodeId(n);
-            for (pi, p) in pristine.node_ports(node).iter().enumerate() {
-                if p.peer.0 > n {
-                    links.push((node, pi as u16));
-                }
-            }
-        }
-        let mut nodes: Vec<NodeId> = pristine.core_switches();
-        nodes.extend(pristine.hosts().iter().copied());
-        let mut mask = FaultMask::new();
-        let mut failed_links: Vec<(NodeId, u16)> = Vec::new();
-        let mut failed_nodes: Vec<NodeId> = Vec::new();
+        let mut walk = FaultWalk::new(&pristine);
         let mut repaired = pristine.clone();
         for step in 0..4 {
             // Each step mutates the mask by one or two ops (two ops in
             // one delta covers fail+restore coalescing) then repairs.
-            let ops = 1 + rng.below(2);
-            for _ in 0..ops {
-                let restore = !(failed_links.is_empty() && failed_nodes.is_empty())
-                    && rng.below(2) == 0;
-                if restore {
-                    let pick_link = !failed_links.is_empty()
-                        && (failed_nodes.is_empty() || rng.below(2) == 0);
-                    if pick_link {
-                        let i = rng.below(failed_links.len() as u64) as usize;
-                        let (n, p) = failed_links.swap_remove(i);
-                        mask.restore_link(&repaired, n, p);
-                    } else {
-                        let i = rng.below(failed_nodes.len() as u64) as usize;
-                        mask.restore_node(failed_nodes.swap_remove(i));
-                    }
-                } else if rng.below(2) == 0 {
-                    let (n, p) = links[rng.below(links.len() as u64) as usize];
-                    if !mask.link_is_down(n, p) {
-                        mask.fail_link(&repaired, n, p);
-                        failed_links.push((n, p));
-                    }
-                } else {
-                    let w = nodes[rng.below(nodes.len() as u64) as usize];
-                    if !mask.node_is_down(w) {
-                        mask.fail_node(w);
-                        failed_nodes.push(w);
-                    }
-                }
+            for _ in 0..1 + rng.below(2) {
+                walk.step(&pristine, &mut rng);
             }
-            repaired.repair_routes(&mask);
+            let mask = &walk.mask;
+            repaired.repair_routes(mask);
             let mut full = pristine.clone();
-            full.compute_routes_masked(&mask);
+            full.compute_routes_masked(mask);
             for layer in 0..layers {
                 for n in 0..pristine.node_count() as u32 {
                     for &h in pristine.hosts() {
@@ -522,7 +524,7 @@ proptest! {
     /// executed at 2–4 worker threads yield exactly the serial
     /// topology's next-port sets and per-layer distances, on every
     /// topology family under a 1–3-layer policy. (The chunked scatter
-    /// only partitions disjoint destination columns — see
+    /// only partitions disjoint route columns — see
     /// `netsim::par` — so thread count must never leak into results.)
     #[test]
     fn parallel_routes_byte_identical_to_serial(
@@ -538,52 +540,14 @@ proptest! {
         par.set_parallelism(threads);
         par.compute_routes();
         let hosts = serial.hosts().to_vec();
-        let mut links = Vec::new();
-        for n in 0..serial.node_count() as u32 {
-            let node = NodeId(n);
-            for (pi, p) in serial.node_ports(node).iter().enumerate() {
-                if p.peer.0 > n {
-                    links.push((node, pi as u16));
-                }
-            }
-        }
-        let mut nodes: Vec<NodeId> = serial.core_switches();
-        nodes.extend(serial.hosts().iter().copied());
         let mut rng = netsim::Pcg32::new(seed);
-        let mut mask = FaultMask::new();
-        let mut failed_links: Vec<(NodeId, u16)> = Vec::new();
-        let mut failed_nodes: Vec<NodeId> = Vec::new();
+        let mut walk = FaultWalk::new(&serial);
         for step in 0..4 {
             if step > 0 {
                 // Mixed fail/restore delta, repaired on both sides.
-                let restore = !(failed_links.is_empty() && failed_nodes.is_empty())
-                    && rng.below(2) == 0;
-                if restore {
-                    let pick_link = !failed_links.is_empty()
-                        && (failed_nodes.is_empty() || rng.below(2) == 0);
-                    if pick_link {
-                        let i = rng.below(failed_links.len() as u64) as usize;
-                        let (n, p) = failed_links.swap_remove(i);
-                        mask.restore_link(&serial, n, p);
-                    } else {
-                        let i = rng.below(failed_nodes.len() as u64) as usize;
-                        mask.restore_node(failed_nodes.swap_remove(i));
-                    }
-                } else if rng.below(2) == 0 {
-                    let (n, p) = links[rng.below(links.len() as u64) as usize];
-                    if !mask.link_is_down(n, p) {
-                        mask.fail_link(&serial, n, p);
-                        failed_links.push((n, p));
-                    }
-                } else {
-                    let w = nodes[rng.below(nodes.len() as u64) as usize];
-                    if !mask.node_is_down(w) {
-                        mask.fail_node(w);
-                        failed_nodes.push(w);
-                    }
-                }
-                serial.repair_routes(&mask);
-                par.repair_routes(&mask);
+                walk.step(&serial, &mut rng);
+                serial.repair_routes(&walk.mask);
+                par.repair_routes(&walk.mask);
             }
             par.check_csr_invariants();
             for layer in 0..layers {

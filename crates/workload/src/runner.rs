@@ -453,8 +453,24 @@ pub(crate) fn collect_rq_results<T: netsim::TelemetrySink>(
             ls.index
         );
     }
+    assert_finish_after_start(&flows);
     flows.sort_by_key(|f| f.session);
     flows
+}
+
+/// Completion check shared by both collectors: a flow that finished at
+/// or before its own start is a transport bug (and would underflow
+/// [`TransferResult::goodput_gbps`]), never a result.
+fn assert_finish_after_start(flows: &[TransferResult]) {
+    for f in flows {
+        assert!(
+            f.finish > f.start,
+            "session {} finished at {:?}, not after its start {:?}",
+            f.session,
+            f.finish,
+            f.start
+        );
+    }
 }
 
 fn expected_rq_records(ls: &LogicalSession, pattern: Pattern) -> usize {
@@ -618,6 +634,7 @@ pub(crate) fn collect_tcp_results<T: netsim::TelemetrySink>(
             ls.index
         );
     }
+    assert_finish_after_start(&flows);
     flows.sort_by_key(|f| f.session);
     flows
 }

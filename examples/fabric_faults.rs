@@ -119,7 +119,7 @@ fn write_telemetry(t: &RunTelemetry, prefix: &str) {
 
 /// Wall-clock the control-plane bill of one link failure on `fabric`:
 /// a full masked recomputation vs. the incremental repair, at the
-/// `--par` thread count.
+/// `--par` thread count — and the bytes of route table they maintain.
 fn time_reroute(fabric: &Fabric) -> (f64, f64, usize) {
     let mut pristine = fabric.build();
     pristine.set_parallelism(par_flag());
@@ -144,9 +144,10 @@ fn time_reroute(fabric: &Fabric) -> (f64, f64, usize) {
         start.elapsed().as_secs_f64() * 1e3
     };
     let full_ms = wall(&mut |t| t.compute_routes_masked(&mask));
-    let mut rebuilt = 0;
-    let repair_ms = wall(&mut |t| rebuilt = t.repair_routes(&mask).dests_rebuilt);
-    (full_ms, repair_ms, rebuilt)
+    let repair_ms = wall(&mut |t| {
+        t.repair_routes(&mask);
+    });
+    (full_ms, repair_ms, pristine.route_table_bytes())
 }
 
 fn churn_line(label: &str, rep: &ChurnReport) {
@@ -269,17 +270,19 @@ fn run_churn(smoke: bool, telemetry: bool) {
         };
         let rep = run_churn_rq(&big, &fabric, &big_opts);
         let c = rep.completion();
-        let (full_ms, repair_ms, _) = time_reroute(&fabric);
+        let (full_ms, repair_ms, table_bytes) = time_reroute(&fabric);
         println!(
             "large-fabric churn: {}: completion p99 {:.2} ms, {} reroutes \
              ({} incremental, {} restore-incremental), {} timeouts; \
-             one-link repair {repair_ms:.2} ms vs {full_ms:.2} ms full recompute",
+             one-link repair {repair_ms:.2} ms vs {full_ms:.2} ms full recompute, \
+             route tables {:.1} MB",
             fabric.describe(),
             c.p99_ns as f64 / 1e6,
             rep.fabric.reroutes,
             rep.fabric.reroutes_incremental,
             rep.fabric.restores_incremental,
             rep.timeouts,
+            table_bytes as f64 / (1 << 20) as f64,
         );
     }
 }

@@ -219,3 +219,25 @@ fn shared_risk_placement_compares_under_identical_churn() {
         "placement must not perturb the fault process"
     );
 }
+
+#[test]
+fn host_failure_never_pulls_a_session_before_its_start_timer() {
+    // 600 fetches over 250 hosts: clients hold several sessions each,
+    // so a host-failure notice reaches clients that also hold sessions
+    // on the dead replica which have not started yet. Those must wait
+    // for their start timer — re-targeting them on the spot used to
+    // finish them before they began.
+    let sc = ChurnScenario::ten_event(600, 1 << 20, 1);
+    let rep = run_churn_rq(&sc, &Fabric::paper(), &RqRunOptions::default());
+    assert!(rep.host_failures >= 1 && rep.stranded_sessions >= 1);
+    assert_eq!(rep.flows.len(), 600);
+    for f in &rep.flows {
+        assert!(
+            f.finish > f.start,
+            "session {} finished at {:?}, before its start {:?}",
+            f.session,
+            f.finish,
+            f.start
+        );
+    }
+}
