@@ -4,6 +4,7 @@
 //! and the GF(256) slice kernels everything above sits on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use rq::hdpc::HdpcFold;
 use rq::{gf256, Decoder, Encoder};
 
 fn data(n: usize) -> Vec<u8> {
@@ -18,6 +19,21 @@ fn encoder_construction(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(d.len() as u64));
         g.bench_function(format!("k={k}"), |b| {
             b.iter(|| Encoder::new(std::hint::black_box(&d), 256).unwrap())
+        });
+    }
+    g.finish();
+}
+
+fn encode_at_object_scale(c: &mut Criterion) {
+    // What a real-oracle session pays once per object: the 512 KiB
+    // `bench_e2e` read object and the paper's 4 MB block.
+    let mut g = c.benchmark_group("rq/encode");
+    g.sample_size(10);
+    for (label, bytes) in [("encode_512k", 512usize << 10), ("encode_4m", 4 << 20)] {
+        let d = data(bytes);
+        g.throughput(Throughput::Bytes(bytes as u64));
+        g.bench_function(label, |b| {
+            b.iter(|| Encoder::new(std::hint::black_box(&d), 1440).unwrap())
         });
     }
     g.finish();
@@ -173,6 +189,15 @@ fn gf256_kernels(c: &mut Criterion) {
             gf256::addmul(std::hint::black_box(&mut dst), &src, coef);
         })
     });
+    // All twelve HDPC rows in one pass: compare with 12 × addmul_1440.
+    g.bench_function("hdpc_fold", |b| {
+        let mut fold = HdpcFold::new(n);
+        let mut coefs = [1u8; rq::params::H_HDPC];
+        b.iter(|| {
+            coefs[0] = coefs[0].wrapping_mul(3).max(2);
+            fold.fold(std::hint::black_box(&coefs), &src);
+        })
+    });
     g.bench_function("xor_assign_1440", |b| {
         let mut dst = data(n);
         b.iter(|| gf256::xor_assign(std::hint::black_box(&mut dst), &src))
@@ -191,6 +216,7 @@ fn gf256_kernels(c: &mut Criterion) {
 criterion_group!(
     benches,
     encoder_construction,
+    encode_at_object_scale,
     repair_symbol_cost,
     decode_with_loss,
     systematic_fast_path,

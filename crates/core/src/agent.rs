@@ -168,6 +168,13 @@ pub struct PolyraptorAgent {
     /// (session, revived sender) re-admissions via host-revival
     /// notifications — strandings that were later undone.
     pub unstranded_sessions: u64,
+    /// Real-oracle encoders this host's senders built. A session's
+    /// replicas share one encoder ([`SessionSpec`] carries it), so summed
+    /// over all hosts this counts one per object sent, not one per
+    /// replica; always 0 under the counting oracle. Only the sum is
+    /// meaningful: which replica builds is whichever starts first — in a
+    /// sharded run, in wall-clock time.
+    pub objects_encoded: u64,
     /// Flow-span telemetry: session open/close and recovery marks, in
     /// the order recorded (time-ordered — marks are appended at event
     /// time). Empty unless [`PrConfig::record_spans`] is set; collected
@@ -193,6 +200,7 @@ impl PolyraptorAgent {
             stranded_sessions: 0,
             retargeted_sessions: 0,
             unstranded_sessions: 0,
+            objects_encoded: 0,
             spans: Vec::new(),
         }
     }
@@ -526,11 +534,13 @@ impl Agent<PrPayload> for PolyraptorAgent {
             } => {
                 if let Some(ss) = self.send_sessions.get_mut(&session) {
                     ss.on_pull(pkt.src, count, nudge, batch, self.node, &self.cfg, ctx);
+                    self.objects_encoded += u64::from(ss.take_built_encoder());
                 }
             }
             PrPayload::Req { session } => {
                 if let Some(ss) = self.send_sessions.get_mut(&session) {
                     ss.on_req(self.node, &self.cfg, ctx);
+                    self.objects_encoded += u64::from(ss.take_built_encoder());
                 }
             }
             PrPayload::Fin { session } => {
@@ -552,6 +562,7 @@ impl Agent<PrPayload> for PolyraptorAgent {
                 if let Some(ss) = self.send_sessions.get_mut(&sid) {
                     if ss.spec.initiator == Initiator::Sender {
                         ss.start(self.node, &self.cfg, ctx);
+                        self.objects_encoded += u64::from(ss.take_built_encoder());
                     }
                     // Receiver-initiated senders wait for Req.
                 } else {

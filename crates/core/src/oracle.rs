@@ -11,12 +11,14 @@
 //!   source symbols all arrive completes via the systematic fast path
 //!   regardless (no decode happens at all).
 //! * [`Oracle::Real`] runs the actual [`rq`] decoder over real bytes and
-//!   only reports completion when decoding genuinely succeeds. Tests use
-//!   it to validate the counting model.
+//!   only reports completion when decoding genuinely succeeds — and the
+//!   decoded bytes equal the session's canonical object. Tests use it to
+//!   validate the counting model. Once it has succeeded it holds no
+//!   symbol bytes.
 
 use std::collections::HashSet;
 
-use rq::{CodeMode, Decoder, Encoder};
+use rq::{CodeMode, CodeParams, Decoder, Encoder};
 
 use crate::wire::SessionId;
 
@@ -53,12 +55,13 @@ pub enum Oracle {
     },
     /// Real decoding of real bytes.
     Real {
-        /// The in-progress decoder.
-        decoder: Decoder,
-        /// Expected plaintext, kept to verify correctness end-to-end.
-        expected: Vec<u8>,
-        /// Whether decode already succeeded.
-        done: bool,
+        /// Whose canonical object ([`session_object`]) must come out.
+        session: SessionId,
+        /// The in-progress decoder; `None` once decode succeeded — the
+        /// received symbols are freed with it.
+        decoder: Option<Decoder>,
+        /// Distinct symbols the successful decode had collected.
+        received: usize,
     },
 }
 
@@ -76,14 +79,30 @@ impl Oracle {
     /// Real oracle: builds the decoder for the canonical session object
     /// (see [`session_object`]) under the given code construction mode —
     /// it must match the sender's mode or decoding fails outright.
+    ///
+    /// [`CodeMode::Systematic`] parameters are arithmetic; only
+    /// [`CodeMode::Legacy`], whose construction tweak comes out of the
+    /// solve, encodes the object here to learn them.
     pub fn real(session: SessionId, data_len: usize, symbol_size: usize, mode: CodeMode) -> Self {
-        let data = session_object(session, data_len);
-        let enc =
-            Encoder::with_mode(&data, symbol_size, mode).expect("session object is non-empty");
+        let code = match mode {
+            CodeMode::Systematic => CodeParams::systematic(data_len, symbol_size),
+            CodeMode::Legacy => {
+                Encoder::legacy(&session_object(session, data_len), symbol_size).map(|e| e.params())
+            }
+        };
+        Self::real_with_code(
+            session,
+            code.expect("session object is non-empty and fits one block"),
+        )
+    }
+
+    /// Real oracle over a block whose parameters the caller already has
+    /// (from a live encoder, or [`CodeParams::systematic`]).
+    pub(crate) fn real_with_code(session: SessionId, code: CodeParams) -> Self {
         Oracle::Real {
-            decoder: Decoder::new(enc.params()),
-            expected: data,
-            done: false,
+            session,
+            decoder: Some(Decoder::new(code)),
+            received: 0,
         }
     }
 
@@ -106,19 +125,23 @@ impl Oracle {
                 *source_seen == *k || seen.len() >= *k + *required_overhead
             }
             Oracle::Real {
+                session,
                 decoder,
-                expected,
-                done,
+                received,
             } => {
-                if *done {
+                let Some(dec) = decoder else {
                     return true;
-                }
-                let bytes = bytes.expect("real oracle requires symbol bytes");
-                decoder.push(esi, bytes);
-                if decoder.symbols_received() >= decoder.params().k {
-                    if let Ok(data) = decoder.try_decode() {
-                        assert_eq!(&data, expected, "real oracle decoded wrong bytes");
-                        *done = true;
+                };
+                dec.push(esi, bytes.expect("real oracle requires symbol bytes"));
+                if dec.symbols_received() >= dec.params().k {
+                    if let Ok(data) = dec.try_decode() {
+                        assert!(
+                            data == session_object(*session, dec.params().data_len),
+                            "real oracle decoded wrong bytes for session {}",
+                            session.0
+                        );
+                        *received = dec.symbols_received();
+                        *decoder = None;
                         return true;
                     }
                 }
@@ -131,7 +154,11 @@ impl Oracle {
     pub fn symbols_received(&self) -> usize {
         match self {
             Oracle::Counting { seen, .. } => seen.len(),
-            Oracle::Real { decoder, .. } => decoder.symbols_received(),
+            Oracle::Real {
+                decoder, received, ..
+            } => decoder
+                .as_ref()
+                .map_or(*received, Decoder::symbols_received),
         }
     }
 
@@ -150,17 +177,9 @@ impl Oracle {
             } => (*k + *required_overhead).saturating_sub(seen.len()) as u64,
             // The real decoder may need a little overhead beyond k, so
             // the bound stays at least 1 until decode succeeds.
-            Oracle::Real { decoder, done, .. } => {
-                if *done {
-                    0
-                } else {
-                    (decoder
-                        .params()
-                        .k
-                        .saturating_sub(decoder.symbols_received()) as u64)
-                        .max(1)
-                }
-            }
+            Oracle::Real { decoder, .. } => decoder.as_ref().map_or(0, |d| {
+                (d.params().k.saturating_sub(d.symbols_received()) as u64).max(1)
+            }),
         }
     }
 }
@@ -271,6 +290,27 @@ mod tests {
         done = o.add(k + 4, Some(enc.symbol(k + 4)));
         let done2 = o.add(k + 9, Some(enc.symbol(k + 9)));
         assert!(done || done2, "k+1 distinct symbols should decode");
+        // A completed oracle keeps the count and nothing else.
+        assert!(matches!(o, Oracle::Real { decoder: None, .. }));
+        assert!(o.symbols_received() >= k as usize);
+        assert_eq!(o.symbols_needed(), 0);
+        assert!(o.add(k + 11, Some(enc.symbol(k + 11))), "stays complete");
+    }
+
+    #[test]
+    fn real_oracle_parameters_match_the_encoder_in_both_modes() {
+        let session = SessionId(3);
+        let len = 40 * 64 - 9;
+        for mode in [CodeMode::Systematic, CodeMode::Legacy] {
+            let enc = Encoder::with_mode(&session_object(session, len), 64, mode).unwrap();
+            let Oracle::Real {
+                decoder: Some(dec), ..
+            } = Oracle::real(session, len, 64, mode)
+            else {
+                panic!("a fresh real oracle is decoding");
+            };
+            assert_eq!(dec.params(), enc.params());
+        }
     }
 
     #[test]

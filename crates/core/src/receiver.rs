@@ -15,6 +15,7 @@
 //! [`ReceiverSession::take_repull_batch`]).
 
 use netsim::{NodeId, SimTime};
+use rq::CodeMode;
 
 use crate::config::{OracleMode, PrConfig};
 use crate::metrics::SessionRecord;
@@ -25,7 +26,13 @@ use crate::session::{SessionSpec, SessionState};
 pub struct ReceiverSession {
     /// Shared descriptor.
     pub spec: SessionSpec,
-    oracle: Oracle,
+    /// Under the real oracle, `None` until the first symbol arrives: the
+    /// decoder's block parameters may have to come from the session's
+    /// encoder ([`SessionSpec::code_params`]), which exists once a
+    /// sender has started.
+    oracle: Option<Oracle>,
+    /// `(symbol_size, code_mode)` the real oracle is built with.
+    real_code: (usize, CodeMode),
     /// Cumulative arrivals (full + trimmed) per sender index — the
     /// counts pulls report back (read at pull transmission time).
     arrivals_from: Vec<u64>,
@@ -93,10 +100,8 @@ impl ReceiverSession {
         );
         let k = cfg.k_for(spec.data_len);
         let oracle = match cfg.oracle {
-            OracleMode::Counting => Oracle::counting(spec.id, k, seed),
-            OracleMode::Real => {
-                Oracle::real(spec.id, spec.data_len, cfg.symbol_size, cfg.code_mode)
-            }
+            OracleMode::Counting => Some(Oracle::counting(spec.id, k, seed)),
+            OracleMode::Real => None,
         };
         let n_senders = spec.senders.len();
         let share = cfg.per_sender_window(spec.data_len, n_senders);
@@ -108,6 +113,7 @@ impl ReceiverSession {
             .collect();
         Self {
             oracle,
+            real_code: (cfg.symbol_size, cfg.code_mode),
             arrivals_from: vec![0; n_senders],
             granted: vec![share; n_senders],
             written_off: vec![0; n_senders],
@@ -142,7 +148,13 @@ impl ReceiverSession {
         self.last_activity = now;
         self.count_arrival(sender_idx);
         self.note_esi(sender_idx, esi);
-        self.oracle.add(esi, body)
+        let (symbol_size, mode) = self.real_code;
+        let spec = &self.spec;
+        self.oracle
+            .get_or_insert_with(|| {
+                Oracle::real_with_code(spec.id, spec.code_params(symbol_size, mode))
+            })
+            .add(esi, body)
     }
 
     /// Record a trimmed header (no coding progress, but it advances the
@@ -222,7 +234,7 @@ impl ReceiverSession {
 
     /// Upper bound on fresh symbols still needed to recover the object.
     pub fn symbols_needed(&self) -> u64 {
-        self.oracle.symbols_needed()
+        self.oracle.as_ref().map_or(self.k, Oracle::symbols_needed)
     }
 
     /// Start a new recovery round (called by each keep-alive sweep that
@@ -276,7 +288,7 @@ impl ReceiverSession {
 
     /// Distinct symbols collected.
     pub fn symbols_received(&self) -> usize {
-        self.oracle.symbols_received()
+        self.oracle.as_ref().map_or(0, Oracle::symbols_received)
     }
 
     /// The next sender to target with a keep-alive pull (round-robin
@@ -420,6 +432,43 @@ mod tests {
         }
         assert!(done, "systematic completion at k source symbols");
         assert_eq!(rs.arrivals_from(0), 5);
+    }
+
+    #[test]
+    fn real_oracle_is_built_on_the_first_symbol() {
+        use crate::sender::SenderSession;
+        use crate::wire::PrPayload;
+        use netsim::Ctx;
+        // Legacy parameters come from the object's encoder, which the
+        // started sender holds.
+        let cfg = PrConfig::real_oracle_legacy_code();
+        let spec = SessionSpec::unicast(
+            SessionId(8),
+            5 * cfg.symbol_size,
+            NodeId(1),
+            NodeId(0),
+            SimTime::ZERO,
+        );
+        let mut ss = SenderSession::new(spec.clone(), NodeId(1), &cfg);
+        let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(1));
+        ss.start(NodeId(1), &cfg, &mut ctx);
+        let symbols: Vec<(u32, Vec<u8>)> = ctx
+            .queued_sends()
+            .iter()
+            .map(|pkt| match &pkt.payload {
+                PrPayload::Symbol { esi, body, .. } => (*esi, body.clone().unwrap()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+
+        let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 1);
+        assert_eq!((rs.symbols_received(), rs.symbols_needed()), (0, 5));
+        let mut done = false;
+        for (esi, body) in symbols {
+            done = rs.on_symbol(0, esi, Some(body), SimTime::ZERO);
+        }
+        assert!(done, "the blind window (k + 2 symbols) decodes");
+        assert_eq!(rs.symbols_needed(), 0);
     }
 
     #[test]

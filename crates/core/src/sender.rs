@@ -19,10 +19,11 @@
 //! union of any senders' emissions is duplicate-free — each replica's
 //! stream is fully useful to the receiver.
 
+use std::sync::Arc;
+
 use netsim::{Ctx, Dest, FlowId, NodeId, Packet, SimTime};
 
 use crate::config::{MulticastPull, OracleMode, PrConfig};
-use crate::oracle::session_object;
 use crate::session::SessionSpec;
 use crate::wire::{symbol_packet_bytes, PrPayload};
 
@@ -53,8 +54,13 @@ pub struct SenderSession {
     fins: Vec<bool>,
     detached: Vec<bool>,
     started: bool,
-    /// Real-mode encoder (None under the counting oracle).
-    encoder: Option<rq::Encoder>,
+    /// Real-mode encoder, from [`SessionSpec::encoder`] at the first
+    /// emission (None before that, and always under the counting
+    /// oracle). Dropped with the session at the last FIN.
+    encoder: Option<Arc<rq::Encoder>>,
+    /// This sender had to build the object's encoder (no sibling replica
+    /// was holding it) and the agent has not booked that yet.
+    built_encoder: bool,
     /// All receivers have FINed; the agent can drop this state.
     pub complete: bool,
     /// Symbols emitted (diagnostics).
@@ -70,16 +76,6 @@ impl SenderSession {
         let k = cfg.k_for(spec.data_len) as u32;
         let s = spec.senders.len();
         let (lo, hi) = crate::session::source_partition(k as usize, s, idx);
-        let encoder = match cfg.oracle {
-            OracleMode::Counting => None,
-            OracleMode::Real => {
-                let data = session_object(spec.id, spec.data_len);
-                Some(
-                    rq::Encoder::with_mode(&data, cfg.symbol_size, cfg.code_mode)
-                        .expect("non-empty session object"),
-                )
-            }
-        };
         let n_recv = spec.receivers.len();
         Self {
             sender_idx: idx as u8,
@@ -95,7 +91,8 @@ impl SenderSession {
             fins: vec![false; n_recv],
             detached: vec![false; n_recv],
             started: false,
-            encoder,
+            encoder: None,
+            built_encoder: false,
             complete: false,
             symbols_sent: 0,
             spec,
@@ -187,9 +184,22 @@ impl SenderSession {
             return;
         }
         self.started = true;
+        if cfg.oracle == OracleMode::Real {
+            let (encoder, built) = self.spec.encoder(cfg.symbol_size, cfg.code_mode);
+            self.encoder = Some(encoder);
+            self.built_encoder = built;
+        }
         for _ in 0..self.window(cfg) {
             self.emit_group(node, cfg, ctx);
         }
+    }
+
+    /// Whether this sender built the object's encoder since the last
+    /// call — the agent adds it to
+    /// [`crate::PolyraptorAgent::objects_encoded`] after every call that
+    /// can start a sender.
+    pub(crate) fn take_built_encoder(&mut self) -> bool {
+        std::mem::take(&mut self.built_encoder)
     }
 
     /// A `Req` arrived (receiver-initiated read): same as `start`.

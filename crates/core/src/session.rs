@@ -5,8 +5,12 @@
 //! participants): the workload installs the same [`SessionSpec`] at every
 //! participating host before the start time, and schedules a start timer.
 
-use netsim::{GroupId, NodeId, SimTime};
+use std::sync::{Arc, Mutex, Weak};
 
+use netsim::{GroupId, NodeId, SimTime};
+use rq::CodeMode;
+
+use crate::oracle::session_object;
 use crate::wire::SessionId;
 
 /// The contiguous source-symbol range `[lo, hi)` that sender `idx` of
@@ -80,9 +84,80 @@ pub struct SessionSpec {
     pub initiator: Initiator,
     /// Background sessions are excluded from reported metrics.
     pub background: bool,
+    /// The object's real-oracle encoder, shared by every clone of this
+    /// spec (see [`SessionSpec::encoder`]). Weak: the senders that
+    /// started own the encoder, and the last one's FIN frees it.
+    encoder: Arc<Mutex<Weak<rq::Encoder>>>,
 }
 
 impl SessionSpec {
+    /// The encoder over this session's canonical object
+    /// ([`session_object`]), and whether this call had to build it.
+    ///
+    /// Every replica of a real-oracle session sends symbols of the same
+    /// bytes, so the specs installed at the participating hosts (clones
+    /// of one another) share one encoder: the first caller builds it
+    /// under the lock, later callers get the same `Arc` for as long as
+    /// any of them still holds it. The encoded bytes are a pure function
+    /// of `(id, data_len, symbol_size, mode)` and building takes no
+    /// simulated time, so who builds never shows in a run's results. A
+    /// live encoder built for another `(symbol_size, mode)` — hosts
+    /// configured differently — is left alone and the caller gets a
+    /// private one.
+    pub(crate) fn encoder(&self, symbol_size: usize, mode: CodeMode) -> (Arc<rq::Encoder>, bool) {
+        let build = || {
+            let data = session_object(self.id, self.data_len);
+            Arc::new(
+                rq::Encoder::with_mode(&data, symbol_size, mode)
+                    .expect("session object is non-empty and fits one block"),
+            )
+        };
+        let mut slot = self
+            .encoder
+            .lock()
+            .expect("a sibling session panicked while encoding");
+        match slot.upgrade() {
+            Some(enc) => {
+                let code = enc.params();
+                if (code.symbol_size, code.mode) == (symbol_size, mode) {
+                    (enc, false)
+                } else {
+                    drop(slot);
+                    (build(), true)
+                }
+            }
+            None => {
+                let enc = build();
+                *slot = Arc::downgrade(&enc);
+                (enc, true)
+            }
+        }
+    }
+
+    /// The block parameters a real-oracle receiver builds its decoder
+    /// from. [`CodeMode::Systematic`] parameters are arithmetic;
+    /// [`CodeMode::Legacy`]'s construction tweak only the encoder knows,
+    /// so they are read off the shared one — live already when asked at
+    /// the first symbol's arrival, since its sender holds it.
+    pub(crate) fn code_params(&self, symbol_size: usize, mode: CodeMode) -> rq::CodeParams {
+        match mode {
+            CodeMode::Systematic => rq::CodeParams::systematic(self.data_len, symbol_size)
+                .expect("session object is non-empty and fits one block"),
+            CodeMode::Legacy => self.encoder(symbol_size, mode).0.params(),
+        }
+    }
+
+    /// Whether some started sender currently holds this session's shared
+    /// encoder (diagnostics: never under the counting oracle, and not
+    /// after the last sender saw its FIN).
+    pub fn encoder_live(&self) -> bool {
+        self.encoder
+            .lock()
+            .expect("a sibling session panicked while encoding")
+            .strong_count()
+            > 0
+    }
+
     /// One-to-one write (sender initiates).
     pub fn unicast(
         id: SessionId,
@@ -100,6 +175,7 @@ impl SessionSpec {
             start,
             initiator: Initiator::Sender,
             background: false,
+            encoder: Arc::default(),
         }
     }
 
@@ -126,6 +202,7 @@ impl SessionSpec {
             start,
             initiator: Initiator::Sender,
             background: false,
+            encoder: Arc::default(),
         }
     }
 
@@ -147,6 +224,7 @@ impl SessionSpec {
             start,
             initiator: Initiator::Receiver,
             background: false,
+            encoder: Arc::default(),
         }
     }
 

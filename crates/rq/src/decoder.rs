@@ -5,7 +5,8 @@ use std::collections::BTreeMap;
 
 use crate::encoder::CodeParams;
 use crate::gf256;
-use crate::matrix::{hdpc_rows, ldpc_rows, lt_row, ConstraintRow, RowKind};
+use crate::hdpc::HdpcFold;
+use crate::matrix::{hdpc_columns, hdpc_rows, ldpc_rows, lt_row, ConstraintRow, RowKind};
 use crate::params::{BlockParams, CodeMode};
 use crate::solver::{solve, SolveError};
 use crate::tuple::{lt_columns, lt_columns_with_floor};
@@ -241,23 +242,28 @@ impl Decoder {
             };
             rows.push(project_binary(cols, row.value));
         }
-        for row in hdpc_rows(p, 0, t) {
-            let RowKind::Dense { coefs } = row.kind else {
-                unreachable!("HDPC rows are dense")
-            };
-            let mut value = row.value;
-            let mut ucoefs = vec![0u8; n_unknown];
-            for (c, &coef) in coefs.iter().enumerate() {
-                if coef == 0 {
-                    continue;
-                }
-                match compact[c] {
-                    KNOWN => gf256::addmul(&mut value, &self.received[&(c as u32)], coef),
-                    u => ucoefs[u as usize] = coef,
+        // HDPC rows: unknown columns keep their coefficient (remapped),
+        // known source symbols go into all H right-hand sides in one
+        // fused pass each.
+        let ks = k + p.s;
+        let mut hdpc_coefs = vec![vec![0u8; n_unknown]; p.h];
+        let mut known = HdpcFold::new(t);
+        for (c, column) in hdpc_columns(p, 0).iter().enumerate() {
+            match compact[c] {
+                KNOWN => known.fold(column, &self.received[&(c as u32)]),
+                u => {
+                    for (coefs, &coef) in hdpc_coefs.iter_mut().zip(column) {
+                        coefs[u as usize] = coef;
+                    }
                 }
             }
+        }
+        for (h, mut coefs) in hdpc_coefs.into_iter().enumerate() {
+            coefs[compact[ks + h] as usize] = 1;
+            let mut value = vec![0u8; t];
+            known.write_row(h, &mut value);
             rows.push(ConstraintRow {
-                kind: RowKind::Dense { coefs: ucoefs },
+                kind: RowKind::Dense { coefs },
                 value,
             });
         }

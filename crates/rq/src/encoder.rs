@@ -1,7 +1,8 @@
 //! Systematic encoder for a single source block.
 
 use crate::gf256;
-use crate::matrix::{hdpc_rows, ldpc_rows, lt_row, ConstraintRow, RowKind};
+use crate::hdpc::HdpcFold;
+use crate::matrix::{hdpc_columns, hdpc_rows, ldpc_cols, ldpc_rows, lt_row, ConstraintRow};
 use crate::params::{BlockParams, CodeMode};
 use crate::solver::{solve, SolveError};
 use crate::tuple::lt_columns_with_floor;
@@ -24,6 +25,32 @@ pub struct CodeParams {
     /// Intermediate-block construction mode; encoder and decoder must
     /// agree, so it travels with the block parameters.
     pub mode: CodeMode,
+}
+
+impl CodeParams {
+    /// The parameters [`Encoder::new`] reports for `data_len` bytes cut
+    /// into `symbol_size`-byte symbols, by arithmetic alone: the direct
+    /// [`CodeMode::Systematic`] construction cannot fail, so its tweak is
+    /// always 0 and a receiver can set up its decoder without an
+    /// encoder. ([`CodeMode::Legacy`] parameters need the solve — only
+    /// [`Encoder::params`] knows the tweak.)
+    pub fn systematic(data_len: usize, symbol_size: usize) -> Result<Self, EncodeError> {
+        assert!(symbol_size > 0, "symbol size must be positive");
+        if data_len == 0 {
+            return Err(EncodeError::EmptyData);
+        }
+        let k = data_len.div_ceil(symbol_size);
+        if k > crate::params::MAX_K {
+            return Err(EncodeError::BlockTooLarge { k });
+        }
+        Ok(Self {
+            k,
+            symbol_size,
+            data_len,
+            tweak: 0,
+            mode: CodeMode::Systematic,
+        })
+    }
 }
 
 /// Errors from encoder construction.
@@ -90,8 +117,10 @@ impl std::error::Error for EncodeError {}
 pub struct Encoder {
     params: BlockParams,
     code: CodeParams,
-    source: Vec<Vec<u8>>,
-    intermediates: Vec<Vec<u8>>,
+    /// The `L` intermediate symbols, back to back (`L · T` bytes). In
+    /// [`CodeMode::Systematic`] the first `K · T` bytes are the
+    /// zero-padded source itself.
+    block: Vec<u8>,
 }
 
 impl Encoder {
@@ -110,60 +139,29 @@ impl Encoder {
 
     /// Build an encoder over `data` in an explicit mode.
     pub fn with_mode(data: &[u8], symbol_size: usize, mode: CodeMode) -> Result<Self, EncodeError> {
-        assert!(symbol_size > 0, "symbol size must be positive");
-        if data.is_empty() {
-            return Err(EncodeError::EmptyData);
-        }
-        let k = data.len().div_ceil(symbol_size);
-        if k > crate::params::MAX_K {
-            return Err(EncodeError::BlockTooLarge { k });
-        }
-        // Slice the data into symbols, zero-padding the tail.
-        let mut source: Vec<Vec<u8>> = Vec::with_capacity(k);
-        for i in 0..k {
-            let start = i * symbol_size;
-            let end = (start + symbol_size).min(data.len());
-            let mut sym = data[start..end].to_vec();
-            sym.resize(symbol_size, 0);
-            source.push(sym);
-        }
-        let params = BlockParams::new(k);
-
+        let code = CodeParams::systematic(data.len(), symbol_size)?;
+        let params = BlockParams::new(code.k);
         match mode {
-            CodeMode::Systematic => {
-                // Direct construction: no solve, no tweak, cannot fail.
-                let intermediates = Self::systematic_intermediates(&params, &source, symbol_size);
-                Ok(Self {
-                    params,
-                    code: CodeParams {
-                        k,
-                        symbol_size,
-                        data_len: data.len(),
-                        tweak: 0,
-                        mode,
-                    },
-                    source,
-                    intermediates,
-                })
-            }
+            // Direct construction: no solve, no tweak, cannot fail.
+            CodeMode::Systematic => Ok(Self {
+                params,
+                code,
+                block: Self::systematic_block(&params, data, symbol_size),
+            }),
             CodeMode::Legacy => {
                 // Find a construction tweak that makes the systematic
                 // matrix invertible. Attempt 0 works essentially always.
                 for tweak in 0u8..=255 {
-                    match Self::derive_intermediates(&params, tweak, &source, symbol_size) {
+                    match Self::derive_intermediates(&params, tweak, data, symbol_size) {
                         Ok(intermediates) => {
-                            let code = CodeParams {
-                                k,
-                                symbol_size,
-                                data_len: data.len(),
-                                tweak,
-                                mode,
-                            };
                             return Ok(Self {
                                 params,
-                                code,
-                                source,
-                                intermediates,
+                                code: CodeParams {
+                                    tweak,
+                                    mode,
+                                    ..code
+                                },
+                                block: intermediates.concat(),
                             });
                         }
                         Err(SolveError::Singular) => continue,
@@ -175,71 +173,61 @@ impl Encoder {
     }
 
     /// Direct systematic construction: the intermediate block is
-    /// `[source | LDPC parity | HDPC parity]`, each parity symbol computed
-    /// straight from its constraint row — a couple of streaming passes over
-    /// the block instead of an `L×L` inactivation solve.
+    /// `[source | LDPC parity | HDPC parity]` in one `L · T` buffer, each
+    /// parity symbol computed straight from its constraint row — two
+    /// streaming passes over the block instead of an `L×L` inactivation
+    /// solve.
     ///
     /// This works because the precode rows are triangular over the parity
     /// columns: LDPC row `j` touches only source columns plus its identity
     /// column `K+j`, and HDPC row `h` touches columns `[0, K+S)` plus its
     /// identity column `K+S+h` — so each parity symbol is determined by
     /// columns constructed before it.
-    fn systematic_intermediates(
-        params: &BlockParams,
-        source: &[Vec<u8>],
-        symbol_size: usize,
-    ) -> Vec<Vec<u8>> {
+    fn systematic_block(params: &BlockParams, data: &[u8], t: usize) -> Vec<u8> {
         let k = params.k;
-        let ks = k + params.s;
-        let mut c: Vec<Vec<u8>> = Vec::with_capacity(params.l);
-        c.extend(source.iter().cloned());
+        let mut block = vec![0u8; params.l * t];
+        block[..data.len()].copy_from_slice(data);
+        let (source, parity) = block.split_at_mut(k * t);
+        let (ldpc, hdpc) = parity.split_at_mut(params.s * t);
         // LDPC parity: row j is `C[k+j] + XOR(source cols) = 0`.
-        for row in ldpc_rows(params, symbol_size) {
-            let RowKind::Binary { cols } = row.kind else {
-                unreachable!("LDPC rows are binary")
-            };
+        for (cols, sym) in ldpc_cols(params).iter().zip(ldpc.chunks_exact_mut(t)) {
             debug_assert_eq!(
                 cols.iter().filter(|&&col| col as usize >= k).count(),
                 1,
                 "LDPC row must touch exactly one parity column (its identity)"
             );
-            let mut sym = vec![0u8; symbol_size];
-            for col in cols {
-                if (col as usize) < k {
-                    gf256::xor_assign(&mut sym, &c[col as usize]);
-                }
+            for &col in cols.iter().filter(|&&col| (col as usize) < k) {
+                gf256::xor_assign(sym, &source[col as usize * t..][..t]);
             }
-            c.push(sym);
         }
         // HDPC parity: row h is `C[ks+h] + Σ coef_j · C[j] = 0` over
         // `j < K+S`, all of which are already constructed.
-        for row in hdpc_rows(params, 0, symbol_size) {
-            let RowKind::Dense { coefs } = row.kind else {
-                unreachable!("HDPC rows are dense")
-            };
-            let mut sym = vec![0u8; symbol_size];
-            for (j, &coef) in coefs.iter().enumerate().take(ks) {
-                gf256::addmul(&mut sym, &c[j], coef);
-            }
-            c.push(sym);
+        let mut fold = HdpcFold::new(t);
+        let constructed = source.chunks_exact(t).chain(ldpc.chunks_exact(t));
+        for (coefs, sym) in hdpc_columns(params, 0).iter().zip(constructed) {
+            fold.fold(coefs, sym);
         }
-        debug_assert_eq!(c.len(), params.l);
-        c
+        for (h, sym) in hdpc.chunks_exact_mut(t).enumerate() {
+            fold.write_row(h, sym);
+        }
+        block
     }
 
     /// Solve the L×L systematic system: precode constraints plus the LT
-    /// rows of ESIs `0..k` pinned to the source symbols.
+    /// rows of ESIs `0..k` pinned to the (zero-padded) source symbols.
     fn derive_intermediates(
         params: &BlockParams,
         tweak: u8,
-        source: &[Vec<u8>],
+        data: &[u8],
         symbol_size: usize,
     ) -> Result<Vec<Vec<u8>>, SolveError> {
         let mut rows: Vec<ConstraintRow> = Vec::with_capacity(params.s + params.h + params.k);
         rows.extend(ldpc_rows(params, symbol_size));
         rows.extend(hdpc_rows(params, tweak, symbol_size));
-        for (i, sym) in source.iter().enumerate() {
-            rows.push(lt_row(params, tweak, i as u32, sym.clone()));
+        for (i, chunk) in data.chunks(symbol_size).enumerate() {
+            let mut sym = chunk.to_vec();
+            sym.resize(symbol_size, 0);
+            rows.push(lt_row(params, tweak, i as u32, sym));
         }
         solve(params.l, rows, symbol_size)
     }
@@ -255,14 +243,22 @@ impl Encoder {
         self.params
     }
 
+    /// Intermediate symbol `c` of the block.
+    fn intermediate(&self, c: usize) -> &[u8] {
+        let t = self.code.symbol_size;
+        &self.block[c * t..][..t]
+    }
+
     /// Produce encoding symbol `esi`.
     ///
-    /// Source symbols (`esi < k`) are returned from storage; repair
-    /// symbols are LT-encoded from the intermediate block on demand
-    /// (cost: mean-degree ≈ 4.6 symbol XORs, independent of `k`).
+    /// Systematic source symbols (`esi < k`) are copied out of the block;
+    /// everything else is LT-encoded from the intermediates on demand
+    /// (cost: mean-degree ≈ 4.6 symbol XORs, independent of `k`) — in
+    /// [`CodeMode::Legacy`] that includes the source symbols, which the
+    /// solve pinned to their LT relation.
     pub fn symbol(&self, esi: u32) -> Vec<u8> {
-        if (esi as usize) < self.code.k {
-            self.source[esi as usize].clone()
+        if (esi as usize) < self.code.k && self.code.mode == CodeMode::Systematic {
+            self.intermediate(esi as usize).to_vec()
         } else {
             self.lt_encode(esi)
         }
@@ -282,7 +278,7 @@ impl Encoder {
         let cols = lt_columns_with_floor(&self.params, self.code.tweak, esi, min_d);
         let mut out = vec![0u8; self.code.symbol_size];
         for c in cols {
-            gf256::xor_assign(&mut out, &self.intermediates[c as usize]);
+            gf256::xor_assign(&mut out, self.intermediate(c as usize));
         }
         out
     }
@@ -291,9 +287,124 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::RowKind;
 
     fn data(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 131 + 17) as u8).collect()
+    }
+
+    /// The systematic intermediates built symbol by symbol, one
+    /// `xor_assign` / `addmul` per (row, column) — the construction
+    /// [`Encoder::systematic_block`] must stay byte-equal to.
+    fn reference_intermediates(data: &[u8], t: usize) -> Vec<Vec<u8>> {
+        let params = BlockParams::new(data.len().div_ceil(t));
+        let mut c: Vec<Vec<u8>> = data
+            .chunks(t)
+            .map(|chunk| {
+                let mut sym = chunk.to_vec();
+                sym.resize(t, 0);
+                sym
+            })
+            .collect();
+        for row in ldpc_rows(&params, t) {
+            let RowKind::Binary { cols } = row.kind else {
+                unreachable!("LDPC rows are binary")
+            };
+            let mut sym = vec![0u8; t];
+            for col in cols.into_iter().filter(|&col| (col as usize) < params.k) {
+                gf256::xor_assign(&mut sym, &c[col as usize]);
+            }
+            c.push(sym);
+        }
+        for row in hdpc_rows(&params, 0, t) {
+            let RowKind::Dense { coefs } = row.kind else {
+                unreachable!("HDPC rows are dense")
+            };
+            let mut sym = vec![0u8; t];
+            for (j, &coef) in coefs.iter().enumerate().take(params.k + params.s) {
+                gf256::addmul(&mut sym, &c[j], coef);
+            }
+            c.push(sym);
+        }
+        c
+    }
+
+    #[test]
+    fn block_and_symbols_match_the_reference_construction() {
+        // K = 365 is the 512 KiB benchmark object, 2913 the paper's 4 MB.
+        for (k, t) in [
+            (1usize, 24usize),
+            (2, 24),
+            (7, 17),
+            (40, 16),
+            (313, 24),
+            (365, 1440),
+            (2913, 40),
+        ] {
+            let d = data(k * t - t / 3);
+            let enc = Encoder::new(&d, t).unwrap();
+            let reference = reference_intermediates(&d, t);
+            assert_eq!(enc.block, reference.concat(), "K={k}: intermediates");
+            let floor = crate::params::sys_repair_min_degree(enc.params.l);
+            for esi in (0..k as u32 + 64).chain([1 << 20, u32::MAX]) {
+                let expect = if (esi as usize) < k {
+                    reference[esi as usize].clone()
+                } else {
+                    let mut sym = vec![0u8; t];
+                    for col in lt_columns_with_floor(&enc.params, 0, esi, floor) {
+                        gf256::xor_assign(&mut sym, &reference[col as usize]);
+                    }
+                    sym
+                };
+                assert_eq!(enc.symbol(esi), expect, "K={k}: symbol {esi}");
+            }
+        }
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // FNV-1a over symbols 0..K+64 of one fixed object, recorded from
+        // the row-by-row encoder this one replaced. The wire bytes are a
+        // contract between independently built senders and receivers: a
+        // kernel change that moves this hash has changed them.
+        let hash = |enc: &Encoder| {
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            for esi in 0..enc.params().k as u32 + 64 {
+                for b in enc.symbol(esi) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+            h
+        };
+        let d = data(313 * 24 - 7);
+        assert_eq!(hash(&Encoder::new(&d, 24).unwrap()), 0x9C61_26FC_CAA5_5A7C);
+        assert_eq!(
+            hash(&Encoder::legacy(&d, 24).unwrap()),
+            0xE8BF_0840_030C_AF20
+        );
+        let d = data(365 * 1440 - 7);
+        assert_eq!(
+            hash(&Encoder::new(&d, 1440).unwrap()),
+            0x85BA_7B06_91FB_CED3
+        );
+    }
+
+    #[test]
+    fn arithmetic_params_match_the_encoder() {
+        for (len, t) in [(1usize, 1usize), (100, 64), (4000, 1440), (512 << 10, 1440)] {
+            assert_eq!(
+                CodeParams::systematic(len, t).unwrap(),
+                Encoder::new(&data(len), t).unwrap().params()
+            );
+        }
+        assert_eq!(
+            CodeParams::systematic(0, 16).unwrap_err(),
+            EncodeError::EmptyData
+        );
+        assert!(matches!(
+            CodeParams::systematic((crate::params::MAX_K + 1) * 4, 4),
+            Err(EncodeError::BlockTooLarge { .. })
+        ));
     }
 
     #[test]
@@ -336,12 +447,12 @@ mod tests {
                 match &row.kind {
                     RowKind::Binary { cols } => {
                         for &c in cols {
-                            gf256::xor_assign(&mut acc, &enc.intermediates[c as usize]);
+                            gf256::xor_assign(&mut acc, enc.intermediate(c as usize));
                         }
                     }
                     RowKind::Dense { coefs } => {
                         for (j, &coef) in coefs.iter().enumerate() {
-                            gf256::addmul(&mut acc, &enc.intermediates[j], coef);
+                            gf256::addmul(&mut acc, enc.intermediate(j), coef);
                         }
                     }
                 }

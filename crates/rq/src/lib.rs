@@ -61,6 +61,7 @@ pub mod decoder;
 pub mod degree;
 pub mod encoder;
 pub mod gf256;
+pub mod hdpc;
 pub mod lt;
 pub mod matrix;
 pub mod params;

@@ -15,7 +15,7 @@
 //! * **LT rows** (one per known encoding symbol, sparse binary): the
 //!   systematic relation `LT(esi) = symbol value`.
 
-use crate::params::BlockParams;
+use crate::params::{BlockParams, H_HDPC};
 use crate::rand::{hash2, rand};
 use crate::tuple::lt_columns;
 
@@ -54,8 +54,9 @@ impl ConstraintRow {
     }
 }
 
-/// Build the `S` LDPC constraint rows (zero RHS).
-pub fn ldpc_rows(params: &BlockParams, symbol_size: usize) -> Vec<ConstraintRow> {
+/// Column sets of the `S` LDPC constraint rows: row `j` holds its
+/// identity column `K + j` plus the source columns folded into it.
+pub fn ldpc_cols(params: &BlockParams) -> Vec<Vec<u32>> {
     let k = params.k;
     let s = params.s;
     let mut cols_per_row: Vec<Vec<u32>> = (0..s)
@@ -79,24 +80,43 @@ pub fn ldpc_rows(params: &BlockParams, symbol_size: usize) -> Vec<ConstraintRow>
         }
     }
     cols_per_row
+}
+
+/// Build the `S` LDPC constraint rows (zero RHS).
+pub fn ldpc_rows(params: &BlockParams, symbol_size: usize) -> Vec<ConstraintRow> {
+    ldpc_cols(params)
         .into_iter()
         .map(|cols| ConstraintRow::binary_zero(cols, symbol_size))
         .collect()
 }
 
-/// Build the `H` dense HDPC constraint rows (zero RHS).
+/// HDPC coefficients by column: entry `j < K+S` holds the coefficient of
+/// intermediate column `j` in each of the `H` rows — the layout the
+/// one-pass [`crate::hdpc::HdpcFold`] consumes. Row `h`'s identity 1 at
+/// column `K+S+h` is implicit.
 ///
-/// Coefficients over columns `[0, K+S)` come from the deterministic hash
-/// (`tweak` participates so a construction retry reshuffles them too);
-/// column `K+S+h` carries the identity 1.
+/// Coefficients come from the deterministic hash (`tweak` participates
+/// so a construction retry reshuffles them too).
+pub fn hdpc_columns(params: &BlockParams, tweak: u8) -> Vec<[u8; H_HDPC]> {
+    assert_eq!(params.h, H_HDPC, "HDPC row count is fixed");
+    let seeds: [u64; H_HDPC] =
+        std::array::from_fn(|h| hash2(u64::from(tweak) << 8 | 0x4844, h as u64)); // 0x4844 = "HD"
+    (0..params.k + params.s)
+        .map(|j| seeds.map(|seed| rand(seed, j as u64, 256) as u8))
+        .collect()
+}
+
+/// Build the `H` dense HDPC constraint rows (zero RHS): the
+/// [`hdpc_columns`] coefficients over columns `[0, K+S)`, identity 1 at
+/// column `K+S+h`.
 pub fn hdpc_rows(params: &BlockParams, tweak: u8, symbol_size: usize) -> Vec<ConstraintRow> {
     let ks = params.k + params.s;
+    let columns = hdpc_columns(params, tweak);
     (0..params.h)
         .map(|h| {
-            let seed = hash2(u64::from(tweak) << 8 | 0x4844, h as u64); // 0x4844 = "HD"
             let mut coefs = vec![0u8; params.l];
-            for (j, c) in coefs.iter_mut().enumerate().take(ks) {
-                *c = rand(seed, j as u64, 256) as u8;
+            for (c, column) in coefs.iter_mut().zip(&columns) {
+                *c = column[h];
             }
             coefs[ks + h] = 1;
             ConstraintRow {

@@ -1,14 +1,15 @@
 //! Cross-crate integration tests: the full stack (codec → protocol →
 //! fabric → workload) exercised end to end.
 
-use polyraptor_repro::netsim::{SimConfig, SimTime, Simulator, Topology};
+use polyraptor_repro::netsim::{Ctx, NodeId, Pcg32, SimConfig, SimTime, Simulator, Topology};
 use polyraptor_repro::polyraptor::{
-    start_token, MulticastPull, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
+    start_token, MulticastPull, OracleMode, PolyraptorAgent, PrConfig, PrPayload, ReceiverSession,
+    SenderSession, SessionId, SessionSpec,
 };
 use polyraptor_repro::workload::{
-    foreground_goodputs, op_results, run_incast_rq, run_incast_tcp, run_storage_rq,
-    run_storage_tcp, Fabric, IncastScenario, Pattern, RankCurve, RqRunOptions, StorageScenario,
-    TcpRunOptions,
+    build_rq_specs, foreground_goodputs, install_rq, op_results, run_incast_rq, run_incast_tcp,
+    run_storage_rq, run_storage_tcp, Fabric, IncastScenario, Pattern, RankCurve, RqRunOptions,
+    StorageScenario, TcpRunOptions,
 };
 
 fn small_scenario(pattern: Pattern, replicas: usize, seed: u64) -> StorageScenario {
@@ -88,6 +89,148 @@ fn real_oracle_multi_source_fetch() {
     let rec = &sim.agent(hosts[0]).records[0];
     assert_eq!(rec.data_len, 400_000);
     assert!(rec.goodput_gbps() > 0.4);
+}
+
+/// `run_storage_rq` on a seeded 3-replica read scenario, staged by hand
+/// so the agents can be inspected afterwards: per-flow `(session, start,
+/// finish)` and the sum of `objects_encoded` over all hosts.
+fn staged_read(oracle: OracleMode, shards: usize) -> (Vec<(u32, SimTime, SimTime)>, u64) {
+    let sc = StorageScenario {
+        sessions: 16,
+        background_frac: 0.0,
+        ..small_scenario(Pattern::Read, 3, 33)
+    };
+    let topo = Fabric::small().build();
+    let sessions = sc.generate(&topo);
+    let mut sim_cfg = SimConfig::ndp(sc.seed ^ 0xFAB);
+    sim_cfg.shards = shards;
+    let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, sim_cfg);
+    let pr = PrConfig {
+        oracle,
+        ..PrConfig::paper_default()
+    };
+    let hosts = sim.topology().hosts().to_vec();
+    let mut seed_rng = Pcg32::new(sc.seed ^ 0xA6E27);
+    for &h in &hosts {
+        sim.set_agent(h, PolyraptorAgent::new(h, pr, seed_rng.next_u64()));
+    }
+    let specs = build_rq_specs(&mut sim, &sessions, sc.pattern);
+    for spec in &specs {
+        install_rq(&mut sim, spec);
+        assert!(!spec.encoder_live(), "installing a session must not encode");
+    }
+    sim.run_to_completion();
+    assert_eq!(sim.stats().shard_epochs > 0, shards > 1, "shard plan");
+    for spec in &specs {
+        assert!(!spec.encoder_live(), "the last FIN frees the encoder");
+    }
+    let mut flows: Vec<_> = sim
+        .agents()
+        .flat_map(|(_, a)| &a.records)
+        .map(|r| (r.session.0, r.start, r.finish))
+        .collect();
+    flows.sort_unstable();
+    assert_eq!(flows.len(), sc.sessions, "every read must complete");
+    let encoded = sim.agents().map(|(_, a)| a.objects_encoded).sum();
+    (flows, encoded)
+}
+
+/// With the codec in the loop a session's three replicas share one
+/// encoder — built by whichever starts first — and neither that sharing
+/// nor the shard count shows in the results.
+#[test]
+fn real_oracle_read_encodes_each_object_once() {
+    let (serial, encoded) = staged_read(OracleMode::Real, 1);
+    assert_eq!(encoded, 16, "one encode per session, not one per replica");
+    let (sharded, encoded) = staged_read(OracleMode::Real, 2);
+    assert_eq!(encoded, 16, "shards must not duplicate the encode");
+    assert_eq!(serial, sharded, "per-flow results differ across shards");
+    // The counting oracle never touches the codec, and the codec takes
+    // no simulated time: same flows, no encoder.
+    let (counting, encoded) = staged_read(OracleMode::Counting, 1);
+    assert_eq!(encoded, 0);
+    assert_eq!(counting.len(), serial.len());
+}
+
+/// Drive one multi-source session by hand: two replicas start, deliver
+/// their shares (less one lost symbol) and go away; the third starts
+/// only then, finds the shared encoder gone, rebuilds it, and its
+/// symbols still complete the decode — which the real oracle checks
+/// byte for byte against the session object.
+#[test]
+fn late_sender_rebuilds_the_shared_encoder() {
+    let cfg = PrConfig::real_oracle();
+    let (receiver, replicas) = (NodeId(0), [NodeId(1), NodeId(2), NodeId(3)]);
+    let spec = SessionSpec::multi_source(
+        SessionId(7),
+        40 * cfg.symbol_size - 100,
+        replicas.to_vec(),
+        receiver,
+        SimTime::ZERO,
+    );
+    let mut rs = ReceiverSession::new(spec.clone(), receiver, &cfg, 1);
+    // Start `node`'s sender and keep pulling until it has emitted
+    // `symbols` symbols; returns the first `symbols` of them as (sender
+    // index, esi, body).
+    let emit = |node: NodeId, symbols: usize| {
+        let mut ss = SenderSession::new(spec.clone(), node, &cfg);
+        let mut out = Vec::new();
+        let mut ctx = Ctx::detached(SimTime::ZERO, node);
+        ss.start(node, &cfg, &mut ctx);
+        while out.len() < symbols {
+            for pkt in ctx.queued_sends() {
+                let PrPayload::Symbol {
+                    esi,
+                    sender_idx,
+                    body,
+                    ..
+                } = &pkt.payload
+                else {
+                    panic!("senders emit only symbols");
+                };
+                out.push((*sender_idx, *esi, body.clone()));
+            }
+            ctx = Ctx::detached(SimTime::ZERO, node);
+            ss.on_pull(receiver, out.len() as u64, false, 0, node, &cfg, &mut ctx);
+        }
+        out.truncate(symbols);
+        (ss, out)
+    };
+
+    assert!(!spec.encoder_live());
+    let (a, from_a) = emit(replicas[0], 14);
+    let (b, from_b) = emit(replicas[1], 13);
+    assert!(spec.encoder_live(), "started senders hold the encoder");
+    let mut done = false;
+    for (idx, esi, body) in from_a.into_iter().chain(from_b.into_iter().skip(1)) {
+        assert!(body.is_some(), "real-oracle symbols carry bytes");
+        done |= rs.on_symbol(idx, esi, body, SimTime::ZERO);
+    }
+    assert!(!done, "a third of the object is still missing");
+    drop((a, b));
+    assert!(!spec.encoder_live(), "the last sender's exit frees it");
+
+    let (c, from_c) = emit(replicas[2], 24);
+    assert!(spec.encoder_live(), "the late sender rebuilt it");
+    for (idx, esi, body) in from_c {
+        if rs.on_symbol(idx, esi, body, SimTime::ZERO) {
+            done = true;
+            break;
+        }
+    }
+    assert!(done, "the rebuilt encoder's symbols complete the decode");
+    assert!(rs.symbols_received() >= cfg.k_for(spec.data_len));
+    drop(c);
+
+    // The counting oracle never populates the slot.
+    let counting = PrConfig::paper_default();
+    let mut ss = SenderSession::new(spec.clone(), replicas[0], &counting);
+    ss.start(
+        replicas[0],
+        &counting,
+        &mut Ctx::detached(SimTime::ZERO, replicas[0]),
+    );
+    assert!(!spec.encoder_live());
 }
 
 /// The legacy (solve-based) code construction still works end to end —
