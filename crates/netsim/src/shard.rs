@@ -542,17 +542,8 @@ where
                                             continue;
                                         }
                                         let slot = cell_of[node.0 as usize] as usize - slot_base;
-                                        let cell = &mut cells_w[slot];
-                                        if !cell.busy[p as usize]
-                                            && !cell.queues[p as usize].is_empty()
-                                        {
-                                            let seq = cell.next_seq();
-                                            heap.push(Reverse(Ev {
-                                                at,
-                                                rank: node.0 + 1,
-                                                seq,
-                                                kind: NodeEvent::Dequeue(node, p),
-                                            }));
+                                        if let Some(ev) = cells_w[slot].kick(at, p) {
+                                            heap.push(Reverse(ev));
                                         }
                                     }
                                     LocalOp::ClearMemos => {

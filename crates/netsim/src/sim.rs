@@ -29,9 +29,12 @@
 //! [`FabricStats`]: `lost_to_fault`, `reroutes`, `trees_repaired`.
 //!
 //! Internally the simulator keeps two heaps: the node heap (arrivals,
-//! dequeues, timers — everything a single node authors and a single
-//! node consumes) and the much smaller global heap (faults and
-//! reroutes, which mutate fabric-wide state). The serial hot loop pops
+//! port releases, timers — everything a single node authors and a
+//! single node consumes) and the much smaller global heap (faults and
+//! reroutes, which mutate fabric-wide state). The node heap carries
+//! only events that do work: a port's release (`Dequeue`) is reserved
+//! when its packet goes on the wire but pushed only once a packet is
+//! waiting behind it (see `PortTx`). The serial hot loop pops
 //! the node heap once per event and only compares against an O(1) peek
 //! of the global head; the sharded runner gives every shard its own
 //! node heap and executes the global heap at synchronisation barriers.
@@ -292,7 +295,9 @@ pub(crate) enum NodeEvent<P> {
         /// The packet.
         pkt: Box<Packet<Stamped<P>>>,
     },
-    /// Port `port` of `node` finished a transmission; send the next one.
+    /// Port `port` of `node` finished a transmission; send the next
+    /// one. On the heap only when a packet was waiting at some point
+    /// while the wire was taken (see [`PortTx`]).
     Dequeue(NodeId, u16),
     /// Agent timer.
     Timer(NodeId, u64),
@@ -317,6 +322,9 @@ pub(crate) enum GlobalEvent {
 /// at `t` is visible to every packet arriving at `t`.
 pub(crate) const GLOBAL_RANK: u32 = 0;
 
+/// The total event order: `(time, author rank, author seq)`.
+pub(crate) type EvKey = (SimTime, u32, u64);
+
 /// A heap entry. Ordered by `(at, rank, seq)` where `rank` identifies
 /// the *author* (0 = the global control plane, `n + 1` = node `n`) and
 /// `seq` is the author's private counter. The key is a pure function
@@ -334,7 +342,7 @@ pub(crate) struct Ev<K> {
 }
 
 impl<K> Ev<K> {
-    pub(crate) fn key(&self) -> (SimTime, u32, u64) {
+    pub(crate) fn key(&self) -> EvKey {
         (self.at, self.rank, self.seq)
     }
 }
@@ -365,7 +373,10 @@ pub struct FabricStats {
     pub dropped: u64,
     /// Packets trimmed to headers.
     pub trimmed: u64,
-    /// Events processed.
+    /// Events processed: packet arrivals, agent timers, global fault
+    /// and reroute events, and the port releases that found — or at
+    /// some point had — a packet waiting for the wire. A release of a
+    /// port nobody queued behind is never an event.
     pub events: u64,
     /// Packets lost to fabric faults: flushed from a dead element's
     /// queues, in flight on a failed link, arriving at a dead switch, or
@@ -480,7 +491,9 @@ enum FaultKey {
 pub(crate) struct Group {
     sender: NodeId,
     receivers: Vec<NodeId>,
-    pub(crate) table: HashMap<NodeId, Vec<u16>>,
+    /// Out-ports per tree node. A `BTreeMap`: a tree is a dozen
+    /// nodes, looked up once per multicast hop.
+    pub(crate) table: BTreeMap<NodeId, Vec<u16>>,
 }
 
 /// Per-switch flat open-addressing memo of layer re-assignments, keyed
@@ -567,6 +580,31 @@ impl LayerMemo {
     }
 }
 
+/// Transmit state of one port. The wire is taken until the port's
+/// *release* event — a `Dequeue` keyed `(free_at, node + 1,
+/// release_seq)` — has run; whether it is taken when some event runs
+/// is a comparison of keys ([`NodeCell::port_busy`]), so the release
+/// only has to be on the heap when it will find work. Its `seq` is
+/// drawn from the cell's counter when the packet goes on the wire;
+/// the event itself is pushed (`armed`) the first time a packet waits
+/// behind the one in flight, and never for a port nobody queued
+/// behind.
+///
+/// Two facts hold between events: `armed` means exactly one `Dequeue`
+/// of this port is on the heap, keyed as above; and a taken wire with
+/// a non-empty queue is always armed — so a port with packets queued
+/// and no release armed is idle (parked behind a dead or rate-0 link),
+/// which is all a kick has to check.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PortTx {
+    /// When the wire frees.
+    free_at: SimTime,
+    /// The release event's reserved `seq`.
+    release_seq: u64,
+    /// The release event is on the heap.
+    armed: bool,
+}
+
 /// Everything one node owns: its port queues, transmit state, agent,
 /// RNG stream, event counter, and layer memo. Cells are stored grouped
 /// by shard so the sharded runner can hand each worker a disjoint
@@ -574,7 +612,7 @@ impl LayerMemo {
 pub(crate) struct NodeCell<P: SimPayload, A> {
     pub(crate) node: NodeId,
     pub(crate) queues: Vec<PortQueue<Stamped<P>>>,
-    pub(crate) busy: Vec<bool>,
+    tx: Vec<PortTx>,
     pub(crate) agent: Option<A>,
     /// Per-node RNG stream (spraying decisions), forked from the
     /// config seed in node-id order — a function of (seed, node), so
@@ -592,6 +630,46 @@ impl<P: SimPayload, A> NodeCell<P, A> {
         let s = self.seq;
         self.seq += 1;
         s
+    }
+
+    /// Whether `port`'s wire is still taken when the event keyed `now`
+    /// runs, i.e. whether `now` sorts before the port's release. (A
+    /// port that never transmitted has the release key `(0, node + 1,
+    /// 0)`, which no event able to reach it sorts before: wires have
+    /// positive latency, so only the node's own timers run at t = 0.)
+    fn port_busy(&self, port: u16, now: EvKey) -> bool {
+        let tx = &self.tx[port as usize];
+        now < (tx.free_at, self.node.0 + 1, tx.release_seq)
+    }
+
+    /// Put `port`'s release event on the heap unless it already is.
+    fn arm_release(&mut self, port: u16) -> Option<Ev<NodeEvent<P>>> {
+        let tx = &mut self.tx[port as usize];
+        if tx.armed {
+            return None;
+        }
+        tx.armed = true;
+        Some(Ev {
+            at: tx.free_at,
+            rank: self.node.0 + 1,
+            seq: tx.release_seq,
+            kind: NodeEvent::Dequeue(self.node, port),
+        })
+    }
+
+    /// Restart `port`'s transmit loop at `at` if packets are parked on
+    /// it: the returned release event, keyed `at`, sends the first of
+    /// them. The wire counts as taken until that event has run, so a
+    /// second kick at the same instant — or one of a port whose release
+    /// is armed anyway — is a no-op.
+    pub(crate) fn kick(&mut self, at: SimTime, port: u16) -> Option<Ev<NodeEvent<P>>> {
+        let p = port as usize;
+        if self.tx[p].armed || self.queues[p].is_empty() {
+            return None;
+        }
+        self.tx[p].free_at = at;
+        self.tx[p].release_seq = self.next_seq();
+        self.arm_release(port)
     }
 }
 
@@ -669,8 +747,8 @@ pub(crate) enum LocalOp {
     /// Drop everything queued on the port, accounting to
     /// `lost_to_fault`.
     Flush(NodeId, u16),
-    /// Restart the port's transmit loop if it is idle with packets
-    /// waiting.
+    /// Restart the port's transmit loop if packets are parked on it
+    /// (see [`NodeCell::kick`]).
     Kick(NodeId, u16),
     /// Forget every switch's layer re-assignment memo — issued at
     /// every mask change (the memos cache a pure function of the
@@ -760,7 +838,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
             cells.push(NodeCell {
                 node,
                 queues: (0..ports).map(|_| PortQueue::new(qc)).collect(),
-                busy: vec![false; ports],
+                tx: vec![PortTx::default(); ports],
                 agent: None,
                 rng: std::mem::replace(&mut rngs[node.0 as usize], Pcg32::new(0)),
                 seq: 0,
@@ -846,9 +924,8 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         // packets queued up in the meantime.
         if rate_bps > 0 {
             let now = self.now;
-            let cell = self.cell(node);
-            if !cell.busy[port as usize] && !cell.queues[port as usize].is_empty() {
-                self.push_node_event(node, now, NodeEvent::Dequeue(node, port));
+            if let Some(ev) = self.cell_mut(node).kick(now, port) {
+                self.nevents.push(Reverse(ev));
             }
         }
     }
@@ -1225,9 +1302,8 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                     self.lane.stats.lost_to_fault += lost as u64;
                 }
                 LocalOp::Kick(n, p) => {
-                    let cell = self.cell(n);
-                    if !cell.busy[p as usize] && !cell.queues[p as usize].is_empty() {
-                        self.push_node_event(n, at, NodeEvent::Dequeue(n, p));
+                    if let Some(ev) = self.cell_mut(n).kick(at, p) {
+                        self.nevents.push(Reverse(ev));
                     }
                 }
                 LocalOp::ClearMemos => {
@@ -1468,8 +1544,8 @@ fn build_tree(
     gid: GroupId,
     sender: NodeId,
     receivers: &[NodeId],
-) -> HashMap<NodeId, Vec<u16>> {
-    let mut table: HashMap<NodeId, Vec<u16>> = HashMap::new();
+) -> BTreeMap<NodeId, Vec<u16>> {
+    let mut table: BTreeMap<NodeId, Vec<u16>> = BTreeMap::new();
     for &r in receivers {
         if topo.try_next_ports(sender, r).is_empty() {
             continue;
@@ -1514,12 +1590,17 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
                 return;
             }
             match env.topo.kind(cell.node) {
-                NodeKind::Host => deliver_to_agent(env, cell, lane, at, *pkt),
+                NodeKind::Host => deliver_to_agent(env, cell, lane, (at, rank, seq), *pkt),
                 NodeKind::Switch => forward(env, cell, lane, at, rank, seq, *pkt),
             }
         }
         NodeEvent::Dequeue(node, port) => {
             debug_assert_eq!(node, cell.node);
+            debug_assert_eq!((at, seq), {
+                let tx = &cell.tx[port as usize];
+                (tx.free_at, tx.release_seq)
+            });
+            cell.tx[port as usize].armed = false;
             transmit_next(env, cell, lane, at, port);
         }
         NodeEvent::Timer(node, token) => {
@@ -1530,7 +1611,7 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
                 .as_mut()
                 .expect("timer for a host without an agent");
             agent.on_timer(token, &mut ctx);
-            apply_ctx(env, cell, lane, at, ctx);
+            apply_ctx(env, cell, lane, (at, rank, seq), ctx);
         }
     }
 }
@@ -1539,7 +1620,7 @@ fn deliver_to_agent<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
     lane: &mut Lane<P>,
-    at: SimTime,
+    now: EvKey,
     pkt: Packet<Stamped<P>>,
 ) {
     // A host receives packets addressed to it or to a group whose
@@ -1548,26 +1629,26 @@ fn deliver_to_agent<P: SimPayload, A: Agent<P>>(
         assert_eq!(h, cell.node, "unicast packet delivered to wrong host");
     }
     lane.stats.delivered += 1;
-    let mut ctx = Ctx::new(at, cell.node);
+    let mut ctx = Ctx::new(now.0, cell.node);
     let agent = cell
         .agent
         .as_mut()
         .expect("packet delivered to a host without an agent");
     agent.on_packet(unwrap_packet(pkt), &mut ctx);
-    apply_ctx(env, cell, lane, at, ctx);
+    apply_ctx(env, cell, lane, now, ctx);
 }
 
 fn apply_ctx<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
     lane: &mut Lane<P>,
-    at: SimTime,
+    now: EvKey,
     ctx: Ctx<P>,
 ) {
     let node = ctx.node;
     debug_assert_eq!(node, cell.node);
     for (t, token) in ctx.timers {
-        debug_assert!(t >= at, "scheduling into the past");
+        debug_assert!(t >= now.0, "scheduling into the past");
         let seq = cell.next_seq();
         lane.out.push(Ev {
             at: t,
@@ -1579,7 +1660,7 @@ fn apply_ctx<P: SimPayload, A: Agent<P>>(
     for pkt in ctx.sends {
         // Host NIC: hosts have exactly one port (index 0). The layer
         // stamp stays unset until the first switch assigns it.
-        enqueue_and_kick(env, cell, lane, at, 0, wrap_packet(pkt));
+        enqueue_and_kick(env, cell, lane, now, 0, wrap_packet(pkt));
     }
 }
 
@@ -1758,7 +1839,7 @@ fn forward<P: SimPayload, A: Agent<P>>(
                 RouteMode::EcmpFlow => choices[ecmp_choice(pkt.flow, node, choices.len())],
                 RouteMode::Spray => choices[cell.rng.below(choices.len() as u64) as usize],
             };
-            match enqueue_and_kick(env, cell, lane, at, port, pkt) {
+            match enqueue_and_kick(env, cell, lane, (at, rank, seq), port, pkt) {
                 Enqueued::Trimmed => lane.stats.layer_trimmed[layer] += 1,
                 Enqueued::Dropped => lane.stats.layer_dropped[layer] += 1,
                 Enqueued::Queued => {}
@@ -1783,22 +1864,28 @@ fn forward<P: SimPayload, A: Agent<P>>(
                 lane.stats.lost_to_fault += 1;
                 return;
             };
-            let ports = ports.clone();
-            for port in ports {
-                enqueue_and_kick(env, cell, lane, at, port, pkt.clone());
+            // One copy per branch; the last branch takes the packet
+            // itself.
+            let (&last, rest) = ports.split_last().expect("a tree node has an out-port");
+            let now = (at, rank, seq);
+            for &port in rest {
+                enqueue_and_kick(env, cell, lane, now, port, pkt.clone());
             }
+            enqueue_and_kick(env, cell, lane, now, last, pkt);
         }
     }
 }
 
-/// Enqueue on a port and restart its transmit loop if idle. Returns
-/// the queue's verdict so callers that know the packet's routing
-/// layer can attribute trims/drops per layer.
+/// Enqueue on a port while the event keyed `now` runs: transmit at
+/// once if the wire is free, else make sure the port's release is on
+/// the heap to pick the packet up. Returns the queue's verdict so
+/// callers that know the packet's routing layer can attribute
+/// trims/drops per layer.
 fn enqueue_and_kick<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
     lane: &mut Lane<P>,
-    at: SimTime,
+    now: EvKey,
     port: u16,
     pkt: Packet<Stamped<P>>,
 ) -> Enqueued {
@@ -1811,12 +1898,17 @@ fn enqueue_and_kick<P: SimPayload, A: Agent<P>>(
         Enqueued::Trimmed => lane.stats.trimmed += 1,
         Enqueued::Queued => {}
     }
-    if !cell.busy[port as usize] {
-        transmit_next(env, cell, lane, at, port);
+    if cell.port_busy(port, now) {
+        lane.out.extend(cell.arm_release(port));
+    } else {
+        transmit_next(env, cell, lane, now.0, port);
     }
     outcome
 }
 
+/// Put `port`'s next queued packet on the wire at `at`. Only called
+/// with the wire free: by the port's release event, or by an enqueue
+/// that found the release already past.
 fn transmit_next<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
@@ -1836,14 +1928,11 @@ fn transmit_next<P: SimPayload, A: Agent<P>>(
         // Link down (silent rate-0 blackhole or detected fault):
         // leave the port idle; queued packets wait for a possible
         // repair (and overflow per queue discipline).
-        cell.busy[port as usize] = false;
         return;
     }
     let Some(pkt) = cell.queues[port as usize].dequeue() else {
-        cell.busy[port as usize] = false;
         return;
     };
-    cell.busy[port as usize] = true;
     let link = *env.topo.port(node, port);
     let ser = serialization_ns(pkt.size, rate);
     let seq = cell.next_seq();
@@ -1857,13 +1946,15 @@ fn transmit_next<P: SimPayload, A: Agent<P>>(
             pkt: Box::new(pkt),
         },
     });
-    let seq = cell.next_seq();
-    lane.out.push(Ev {
-        at: at + ser,
-        rank: node.0 + 1,
-        seq,
-        kind: NodeEvent::Dequeue(node, port),
-    });
+    // The release's `seq` is drawn here whether or not the event is
+    // pushed, so every event this node authors keeps the key an eager
+    // release would have given it.
+    debug_assert!(!cell.tx[port as usize].armed && ser > 0);
+    cell.tx[port as usize].free_at = at + ser;
+    cell.tx[port as usize].release_seq = cell.next_seq();
+    if !cell.queues[port as usize].is_empty() {
+        lane.out.extend(cell.arm_release(port));
+    }
 }
 
 /// The equal-cost choice per-flow ECMP makes at `node`: a deterministic
@@ -2449,14 +2540,13 @@ mod tests {
         let s = hosts[0];
         let receivers = [hosts[5], hosts[9], hosts[13]];
         let gid = sim.register_group(s, &receivers);
-        // Kill a core the tree actually crosses (the tests module can
-        // see the private table; min-id keeps the HashMap's arbitrary
-        // key order out of the test); the repair must re-tree around it.
+        // Kill the lowest-id core the tree actually crosses (the tests
+        // module can see the private table); the repair must re-tree
+        // around it.
         let victim = *sim.control.groups[&gid]
             .table
             .keys()
-            .filter(|n| cores.contains(n))
-            .min()
+            .find(|n| cores.contains(n))
             .expect("inter-pod multicast tree crosses a core");
         let plan = FaultPlan::new().switch_down(SimTime::from_micros(100), victim);
         sim.schedule_faults(&plan);
@@ -3148,5 +3238,244 @@ mod tests {
             );
             assert_eq!(serial_trace, trace, "shards={shards}: trace diverged");
         }
+    }
+
+    /// sender — switch — b, the switch's port 1 facing b at `b_rate`.
+    /// The sender's id is below the switch's or above it, so its
+    /// arrivals at the switch sort before or after the switch's own
+    /// events of the same instant.
+    fn ranked_sim(
+        sender_below_switch: bool,
+        b_rate: u64,
+        config: SimConfig,
+    ) -> (Simulator<P, Echo>, NodeId, NodeId, NodeId) {
+        let mut t = Topology::new();
+        let (x, s) = if sender_below_switch {
+            let x = t.add_node(NodeKind::Host);
+            (x, t.add_node(NodeKind::Switch))
+        } else {
+            let s = t.add_node(NodeKind::Switch);
+            (t.add_node(NodeKind::Host), s)
+        };
+        let b = t.add_node(NodeKind::Host);
+        t.connect(x, s, 1_000_000_000, 10_000);
+        t.connect(b, s, b_rate, 10_000);
+        t.compute_routes();
+        let mut sim = Simulator::new(t, config);
+        for h in [x, b] {
+            sim.set_agent(
+                h,
+                Echo {
+                    to_send: vec![],
+                    received: vec![],
+                },
+            );
+        }
+        (sim, x, s, b)
+    }
+
+    /// Have `from` send `ids` back to back to `to` at `at_us`.
+    fn send_at(sim: &mut Simulator<P, Echo>, at_us: u64, from: NodeId, to: NodeId, ids: &[u32]) {
+        sim.run_until(SimTime::from_nanos((at_us * 1_000).saturating_sub(1)));
+        for &i in ids {
+            sim.agent_mut(from).to_send.push(data_pkt(from, to, i));
+        }
+        sim.schedule_timer(from, SimTime::from_micros(at_us), 0);
+    }
+
+    fn arrival_us(sim: &Simulator<P, Echo>, host: NodeId) -> Vec<u64> {
+        sim.agent(host)
+            .received
+            .iter()
+            .map(|(at, _)| {
+                assert_eq!(at.as_nanos() % 1_000, 0);
+                at.as_nanos() / 1_000
+            })
+            .collect()
+    }
+
+    /// The second of two back-to-back packets reaches the switch at
+    /// exactly the instant its port to b frees. From a lower-ranked
+    /// sender the arrival sorts before the release, queues behind the
+    /// wire and makes the release an event; from a higher-ranked one
+    /// the release is already past and never exists. Either way the
+    /// packet leaves at that instant.
+    #[test]
+    fn arrival_at_the_release_instant_queues_or_transmits_by_rank() {
+        for (below, events) in [(true, 7), (false, 6)] {
+            let (mut sim, x, _, b) = ranked_sim(below, 1_000_000_000, SimConfig::ndp(1));
+            sim.agent_mut(x).to_send = vec![data_pkt(x, b, 0), data_pkt(x, b, 1)];
+            sim.schedule_timer(x, SimTime::ZERO, 0);
+            sim.run_to_completion();
+            assert_eq!(arrival_us(&sim, b), [44, 56], "below = {below}");
+            // The timer, the NIC's release for the second packet, two
+            // arrivals at each end — and the switch's release iff the
+            // arrival beat it.
+            assert_eq!(sim.stats().events, events, "below = {below}");
+        }
+    }
+
+    /// The same tie with the NDP data queue full: behind the wire the
+    /// ninth waiting packet is trimmed; after the release (which took
+    /// one off the queue) it fits.
+    #[test]
+    fn arrival_at_the_release_instant_with_a_full_queue_trims_by_rank() {
+        for (below, trimmed) in [(true, 1), (false, 0)] {
+            // 100 Mbps to b: packet 0 holds the wire from 22 to 142 µs
+            // while 1..=8 arrive every 12 µs and fill the data queue.
+            let (mut sim, x, _, b) = ranked_sim(below, 100_000_000, SimConfig::ndp(1));
+            send_at(&mut sim, 0, x, b, &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+            // Sent at 120 µs: 12 µs on the NIC, 10 µs on the wire.
+            send_at(&mut sim, 120, x, b, &[9]);
+            sim.run_to_completion();
+            assert_eq!(sim.stats().trimmed, trimmed, "below = {below}");
+            let rec = &sim.agent(b).received;
+            assert_eq!(rec.len(), 10);
+            assert_eq!(
+                rec.iter().filter(|(_, p)| *p == P::Hdr(9)).count() as u64,
+                trimmed
+            );
+        }
+    }
+
+    /// A global kick at exactly the release instant sorts before the
+    /// release (rank 0) and finds it armed: it changes nothing.
+    #[test]
+    fn global_kick_at_the_release_instant_is_a_no_op() {
+        let run = |kick: bool| {
+            let (mut sim, x, s, b) = ranked_sim(true, 100_000_000, SimConfig::ndp(1));
+            sim.agent_mut(x).to_send = (0..4).map(|i| data_pkt(x, b, i)).collect();
+            sim.schedule_timer(x, SimTime::ZERO, 0);
+            if kick {
+                // Packet 0 frees the port at 142 µs with 1..=3 waiting;
+                // a rate "change" to the nominal rate is a bare kick.
+                let plan =
+                    FaultPlan::new().rate_change(SimTime::from_micros(142), s, 1, 100_000_000);
+                sim.schedule_faults(&plan);
+            }
+            sim.run_to_completion();
+            (arrival_us(&sim, b), sim.stats().events)
+        };
+        let (plain, plain_events) = run(false);
+        let (kicked, kicked_events) = run(true);
+        assert_eq!(plain, [152, 272, 392, 512]);
+        assert_eq!(kicked, plain);
+        assert_eq!(kicked_events, plain_events + 1, "the fault event itself");
+    }
+
+    /// A port kicked twice at one instant — a link repair plus the
+    /// repair of its endpoint, two rate changes, two `set_link_rate`
+    /// calls — restarts once: the parked packets leave one
+    /// serialization time apart, never two on the wire at once.
+    #[test]
+    fn two_kicks_at_one_instant_restart_the_port_once() {
+        let park = |config: SimConfig, plan: FaultPlan| {
+            let (mut sim, x, s, b) = ranked_sim(true, 1_000_000_000, config);
+            sim.schedule_faults(&plan);
+            sim.agent_mut(x).to_send = (0..3).map(|i| data_pkt(x, b, i)).collect();
+            sim.schedule_timer(x, SimTime::ZERO, 0);
+            (sim, s, b)
+        };
+        let us = SimTime::from_micros;
+        let mut stale = SimConfig::ndp(1);
+        stale.reroute_delay_ns = 1_000_000;
+
+        // Stale routes park the burst behind the dead link to b; the
+        // link and b itself are repaired at the same instant.
+        let plan = FaultPlan::new()
+            .link_down(us(5), NodeId(1), 1)
+            .link_up(us(100), NodeId(1), 1)
+            .host_up(us(100), NodeId(2));
+        let (mut sim, _, b) = park(stale, plan);
+        sim.run_to_completion();
+        assert_eq!(arrival_us(&sim, b), [122, 134, 146], "link + endpoint");
+
+        // A silent rate-0 black hole, lifted by two rate changes.
+        let plan = FaultPlan::new()
+            .rate_change(us(5), NodeId(1), 1, 0)
+            .rate_change(us(100), NodeId(1), 1, 1_000_000_000)
+            .rate_change(us(100), NodeId(1), 1, 1_000_000_000);
+        let (mut sim, _, b) = park(SimConfig::ndp(1), plan);
+        sim.run_to_completion();
+        assert_eq!(arrival_us(&sim, b), [122, 134, 146], "two rate changes");
+
+        // The same through the scripting entry point, called twice
+        // between run slices (the kick lands at the last event, 46 µs).
+        let (mut sim, s, b) = park(SimConfig::ndp(1), FaultPlan::new());
+        sim.set_link_rate(s, 1, 0);
+        sim.run_until(us(100));
+        sim.set_link_rate(s, 1, 1_000_000_000);
+        sim.set_link_rate(s, 1, 1_000_000_000);
+        sim.run_to_completion();
+        assert_eq!(arrival_us(&sim, b), [68, 80, 92], "two set_link_rate calls");
+    }
+
+    /// A link that fails, or silently drops to rate 0, while a packet
+    /// is serializing on an otherwise empty port: the release is not
+    /// on the heap, yet a packet arriving before the wire would have
+    /// freed must still wait for it, park when it finds the link dead,
+    /// and leave at the repair.
+    #[test]
+    fn link_loss_mid_serialization_parks_later_arrivals() {
+        let us = SimTime::from_micros;
+        let mut stale = SimConfig::ndp(1);
+        stale.reroute_delay_ns = 1_000_000;
+        let silent = FaultPlan::new()
+            .rate_change(us(50), NodeId(1), 1, 0)
+            .rate_change(us(300), NodeId(1), 1, 100_000_000);
+        let detected =
+            FaultPlan::new()
+                .link_down(us(50), NodeId(1), 1)
+                .link_up(us(300), NodeId(1), 1);
+        // Packet 0 holds the 100 Mbps wire from 22 to 142 µs; packet 1
+        // reaches the switch at 82 µs, inside that.
+        for (config, plan, arrivals, lost) in [
+            (SimConfig::ndp(1), silent, vec![152, 430], 0),
+            // A detected failure also kills the packet on the wire.
+            (stale, detected, vec![430], 1),
+        ] {
+            let (mut sim, x, _, b) = ranked_sim(true, 100_000_000, config);
+            sim.schedule_faults(&plan);
+            send_at(&mut sim, 0, x, b, &[0]);
+            send_at(&mut sim, 60, x, b, &[1]);
+            sim.run_until(us(299));
+            assert_eq!(sim.queue_stats(NodeId(1), 1).tx_bytes, 1500, "parked");
+            sim.run_to_completion();
+            assert_eq!(arrival_us(&sim, b), arrivals);
+            assert_eq!(sim.stats().lost_to_fault, lost);
+        }
+    }
+
+    /// A flush empties the queue under an armed release: the release
+    /// still fires (it is on the heap), finds nothing, and the port is
+    /// idle again for the traffic that follows the repair.
+    #[test]
+    fn flush_under_an_armed_release_leaves_the_port_usable() {
+        let us = SimTime::from_micros;
+        let (mut sim, x, s, b) = ranked_sim(true, 100_000_000, SimConfig::ndp(1));
+        let plan = FaultPlan::new()
+            .link_down(us(50), s, 1)
+            .link_up(us(160), s, 1);
+        sim.schedule_faults(&plan);
+        // 0 is on the wire (due at b at 152 µs) and 1, 2 wait behind it
+        // when the link dies.
+        send_at(&mut sim, 0, x, b, &[0, 1, 2]);
+        send_at(&mut sim, 200, x, b, &[3, 4]);
+        sim.run_to_completion();
+        assert_eq!(sim.stats().lost_to_fault, 3, "one in flight, two flushed");
+        assert_eq!(arrival_us(&sim, b), [352, 472]);
+        assert_eq!(sim.agent(b).received[0].1, P::Data(3));
+    }
+
+    /// One packet over an idle six-hop path is a timer and six
+    /// arrivals: no port it crosses ever has a release on the heap.
+    #[test]
+    fn lone_packet_across_the_fat_tree_is_seven_events() {
+        let (mut sim, src, dst, _) = fat_tree_sim(3);
+        sim.agent_mut(src).to_send.push(data_pkt(src, dst, 0));
+        sim.schedule_timer(src, SimTime::ZERO, 0);
+        assert_eq!(sim.run_to_completion(), 7);
+        assert_eq!(sim.stats().events, 7);
+        assert_eq!(arrival_us(&sim, dst), [6 * 22]);
     }
 }

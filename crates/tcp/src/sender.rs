@@ -43,6 +43,9 @@ pub struct TcpSender {
     backoff: u32,
     /// Deadline of the armed retransmission timer (None = disarmed).
     pub rto_deadline: Option<SimTime>,
+    /// When the agent's simulator timer for this connection fires (the
+    /// earliest one in flight); always at or before `rto_deadline`.
+    pub(crate) rto_timer: Option<SimTime>,
     /// One timed segment for RTT sampling: (covers-up-to, sent-at).
     timed: Option<(u64, SimTime)>,
     /// Diagnostics.
@@ -72,6 +75,7 @@ impl TcpSender {
             rto_ns: cfg.rto_init_ns,
             backoff: 0,
             rto_deadline: None,
+            rto_timer: None,
             timed: None,
             timeouts: 0,
             fast_retransmits: 0,
