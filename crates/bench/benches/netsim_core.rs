@@ -45,13 +45,14 @@ impl Agent<P> for Blaster {
 }
 
 fn event_throughput(c: &mut Criterion) {
-    // Both event-loop micro-optimisations land here: the hot loop
-    // does one heap pop per node event (no peek-then-pop double
-    // access), and `Arrive` boxes its packet so the heap sifts a
-    // 48-byte key-plus-pointer instead of the whole payload. The
-    // incast shape is push-pop interleaved (deep queues at the
-    // victim); the all-pairs shape below is pop-dominated with a
-    // wide heap — together they bound both sift directions.
+    // The event queue's two shapes: the node queue is a calendar
+    // queue (`netsim::evq`: an O(1) bucket push, one sort per 256 ns
+    // slot, pops off the back of the sorted slot), and `Arrive` boxes
+    // its packet so buckets hold a 40-byte key-plus-pointer instead of
+    // the whole payload. The incast shape is push-pop interleaved
+    // (deep queues at the victim, few events per slot); the all-pairs
+    // shape below keeps many events in flight, so slots are full and
+    // the per-slot sort does the work.
     let mut g = c.benchmark_group("netsim/event_throughput");
     g.sample_size(10);
     // 15 hosts blast 200 packets each at one victim across a k=4
@@ -80,9 +81,9 @@ fn event_throughput(c: &mut Criterion) {
             std::hint::black_box(sim.stats().events)
         })
     });
-    // Every host blasts its diagonal peer: no single victim, so the
-    // event heap stays wide and the loop spends its time in pops and
-    // sifts rather than queue churn.
+    // Every host blasts its diagonal peer: no single victim, so many
+    // events stay in flight and the loop spends its time in the event
+    // queue's buckets and sorts rather than port-queue churn.
     g.throughput(Throughput::Elements(16 * 200));
     g.bench_function("all_pairs_burst_k4", |b| {
         b.iter(|| {

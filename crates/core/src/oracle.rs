@@ -16,8 +16,6 @@
 //!   validate the counting model. Once it has succeeded it holds no
 //!   symbol bytes.
 
-use std::collections::HashSet;
-
 use rq::{CodeMode, CodeParams, Decoder, Encoder};
 
 use crate::wire::SessionId;
@@ -40,6 +38,40 @@ pub fn required_overhead(session: SessionId, seed: u64) -> usize {
     o
 }
 
+/// A set of ESIs as a growable bitmap. ESIs are dense — senders hand
+/// out sources `0..k` and then repairs strided just above `k` — so a
+/// bit per ESI up to the largest seen (a few hundred bytes per
+/// session) replaces a hash and a rehash-on-growth per symbol arrival.
+#[derive(Debug, Clone, Default)]
+pub struct EsiSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl EsiSet {
+    /// Add `esi`; `true` if it was not in the set.
+    pub fn insert(&mut self, esi: u32) -> bool {
+        let (word, bit) = ((esi / 64) as usize, 1u64 << (esi % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Distinct ESIs in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no ESI was ever inserted.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// Receiver-side completion oracle.
 pub enum Oracle {
     /// Distinct-symbol counting with the RaptorQ failure model.
@@ -49,7 +81,7 @@ pub enum Oracle {
         /// Extra symbols required for this session's (virtual) decode.
         required_overhead: usize,
         /// Distinct ESIs seen.
-        seen: HashSet<u32>,
+        seen: EsiSet,
         /// Distinct *source* ESIs seen (systematic fast path).
         source_seen: usize,
     },
@@ -71,7 +103,7 @@ impl Oracle {
         Oracle::Counting {
             k,
             required_overhead: required_overhead(session, seed),
-            seen: HashSet::new(),
+            seen: EsiSet::default(),
             source_seen: 0,
         }
     }
@@ -235,7 +267,7 @@ mod tests {
         let mut o = Oracle::Counting {
             k: 5,
             required_overhead: 1,
-            seen: HashSet::new(),
+            seen: EsiSet::default(),
             source_seen: 0,
         };
         for esi in 0..4 {
@@ -249,7 +281,7 @@ mod tests {
         let mut o = Oracle::Counting {
             k: 5,
             required_overhead: 1,
-            seen: HashSet::new(),
+            seen: EsiSet::default(),
             source_seen: 0,
         };
         // Lose source symbol 0; feed repairs instead.
@@ -265,12 +297,26 @@ mod tests {
         let mut o = Oracle::Counting {
             k: 3,
             required_overhead: 0,
-            seen: HashSet::new(),
+            seen: EsiSet::default(),
             source_seen: 0,
         };
         assert!(!o.add(7, None));
         assert!(!o.add(7, None));
         assert_eq!(o.symbols_received(), 1);
+    }
+
+    #[test]
+    fn esi_set_counts_distinct_like_a_hash_set() {
+        // Sources then strided repairs with gaps and repeats, across
+        // several word boundaries and arriving out of order.
+        let mut set = EsiSet::default();
+        let mut reference = std::collections::HashSet::new();
+        assert!(set.is_empty());
+        for i in 0..2_000u32 {
+            let esi = (i * 7919) % 613 + if i % 3 == 0 { 640 } else { 0 };
+            assert_eq!(set.insert(esi), reference.insert(esi), "esi {esi}");
+            assert_eq!(set.len(), reference.len());
+        }
     }
 
     #[test]

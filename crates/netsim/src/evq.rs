@@ -1,0 +1,430 @@
+//! The simulator's event queue: a calendar queue that pops in exactly
+//! the total `(at, rank, seq)` key order a binary heap would.
+//!
+//! This is the sim-core seam: event entries, their key, and the queue
+//! that orders them — nothing here knows what an event *is* (the kind
+//! is an opaque `K`), so the scheduling structure can change without
+//! touching forwarding, and the other way round.
+//!
+//! Packet-level traffic is the wrong shape for a comparison heap: on
+//! the k = 10 fat-tree 99.9 % of pushes land less than 32 µs ahead of
+//! the clock (one hop is 0.512 – 22.032 µs), a third of consecutive
+//! pops share a timestamp, and only session starts, 1 ms sweeps and
+//! RTOs lie further out — yet every `BinaryHeap::pop` sifts ≈ 10
+//! levels of a ≈ 1 400-entry heap (36 % of a `fig1a_write_k10` run).
+//! The calendar queue files near events by time instead:
+//!
+//! * `ring` — [`RING_SLOTS`] unsorted buckets, one per
+//!   `1 << SLOT_SHIFT` ns *slot* of simulated time, with an occupancy
+//!   bitmap. A push inside the ring's horizon is a `Vec::push` and a
+//!   bit set.
+//! * `far` — a small binary heap for everything beyond the horizon.
+//! * `current` — the events of the cursor's slot, sorted descending
+//!   once when the cursor reaches the slot, popped from the back.
+//!
+//! The cursor invariant, which makes every pop the global minimum:
+//! **`current` holds every event whose slot ≤ `cursor`, the ring only
+//! slots in `cursor + 1 ..= cursor + RING_SLOTS - 1`, and `far` only
+//! slots ≥ `cursor + RING_SLOTS`.** The cursor moves only in
+//! [`EventQueue::pop`], to the slot of the event it returns, so it
+//! never runs ahead of the simulation clock. [`EventQueue::peek`] is
+//! deliberately non-mutating: the callers peek to decide *whether* to
+//! run the next event (deadline, shard window, global-event
+//! arbitration), and a peek that advanced the cursor to an event that
+//! then does not run — an idle shard whose next event is a 1 ms sweep
+//! — would leave every later push behind the cursor, each an O(n)
+//! ordered insert into `current`.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use crate::time::SimTime;
+
+/// log₂ of the slot width in nanoseconds: 256 ns slots, the narrowest
+/// power of two whose ring still spans a hop. Width barely moves the
+/// run time — a third of consecutive pops share a timestamp, which no
+/// width splits, so narrower slots do not shorten the per-slot sort
+/// much: `fig1a_write_k10`, seed 1, four alternating rounds on a noisy
+/// 2-core box, median `wall_s` 3.08 s at 256 ns, 3.08 s at 512 ns,
+/// 3.40 s at 1 024 ns (parent 3.93 s). It does move memory, because
+/// every bucket grows to the busiest slot it ever held: `peak_rss_mb`
+/// on `tcp_write_k10` (5.8 MB at the parent) read 5.9 / 6.4 / 6.7 MB
+/// at the three widths.
+const SLOT_SHIFT: u32 = 8;
+
+/// Ring length in slots — the occupancy bitmap is one `u128`. The
+/// horizon (128 × 256 ns = 32.8 µs) has to cover one full-size hop at
+/// 1 Gb/s (12.032 µs serialization + 10 µs propagation), or every
+/// arrival would detour through `far`; it does: on `tcp_write_k10`,
+/// seed 1, 11 410 808 pushes went to the ring, 327 126 into the
+/// cursor's own slot and 803 to `far` (`fig1a_write_k10`: 12 721 548 /
+/// 277 260 / 11 171). A longer ring would only cost memory.
+const RING_SLOTS: u64 = u128::BITS as u64;
+
+/// The total event order: `(time, author rank, author seq)`.
+pub(crate) type EvKey = (SimTime, u32, u64);
+
+/// A queue entry. Ordered by `(at, rank, seq)` where `rank` identifies
+/// the *author* (0 = the global control plane, `n + 1` = node `n`) and
+/// `seq` is the author's private counter. The key is a pure function
+/// of simulated causality: node `n` authors the same events with the
+/// same counters whether it runs on the serial loop or on any shard,
+/// so serial and sharded schedules are identical. Since `(rank, seq)`
+/// never repeats, the order is total — no tie ever falls through to
+/// implementation-defined push order.
+#[derive(Debug)]
+pub(crate) struct Ev<K> {
+    pub(crate) at: SimTime,
+    pub(crate) rank: u32,
+    pub(crate) seq: u64,
+    pub(crate) kind: K,
+}
+
+impl<K> Ev<K> {
+    pub(crate) fn key(&self) -> EvKey {
+        (self.at, self.rank, self.seq)
+    }
+
+    /// The calendar slot this event falls in.
+    fn slot(&self) -> u64 {
+        self.at.as_nanos() >> SLOT_SHIFT
+    }
+}
+
+impl<K> PartialEq for Ev<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<K> Eq for Ev<K> {}
+impl<K> PartialOrd for Ev<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<K> Ord for Ev<K> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// The calendar queue (see the module docs for the layout and the
+/// cursor invariant).
+pub(crate) struct EventQueue<K> {
+    /// Every event whose slot ≤ `cursor`, sorted by key descending:
+    /// the next event is at the back.
+    current: Vec<Ev<K>>,
+    /// `ring[slot % RING_SLOTS]`: the unsorted events of one slot in
+    /// `cursor + 1 ..= cursor + RING_SLOTS - 1`.
+    ring: Vec<Vec<Ev<K>>>,
+    /// Bit `i` set iff `ring[i]` is non-empty.
+    occupied: u128,
+    /// Events at slots ≥ `cursor + RING_SLOTS`.
+    far: BinaryHeap<Reverse<Ev<K>>>,
+    /// Slot of the last popped event (0 before the first pop).
+    cursor: u64,
+}
+
+impl<K> Default for EventQueue<K> {
+    fn default() -> Self {
+        Self {
+            current: Vec::new(),
+            ring: (0..RING_SLOTS).map(|_| Vec::new()).collect(),
+            occupied: 0,
+            far: BinaryHeap::new(),
+            cursor: 0,
+        }
+    }
+}
+
+impl<K> EventQueue<K> {
+    /// Add an event. O(1) inside the ring's horizon, a heap push
+    /// beyond it, and an ordered insert when the event belongs to the
+    /// cursor's slot (a timer at the current instant) — near the back,
+    /// where the next pop is, so the scan and the shift are short.
+    pub(crate) fn push(&mut self, ev: Ev<K>) {
+        let slot = ev.slot();
+        if slot <= self.cursor {
+            let key = ev.key();
+            let i = self
+                .current
+                .iter()
+                .rposition(|e| e.key() > key)
+                .map_or(0, |p| p + 1);
+            self.current.insert(i, ev);
+        } else if slot - self.cursor < RING_SLOTS {
+            self.push_ring(slot, ev);
+        } else {
+            self.far.push(Reverse(ev));
+        }
+    }
+
+    /// File an event of a slot inside the ring's horizon.
+    fn push_ring(&mut self, slot: u64, ev: Ev<K>) {
+        let i = (slot % RING_SLOTS) as usize;
+        let bucket = &mut self.ring[i];
+        // Every bucket ends up as large as the busiest slot (capacity
+        // circulates, see `advance`), so `Vec`'s doubling is paid
+        // RING_SLOTS times over: on `tcp_write_k10` all 128 buckets sat
+        // at capacity 64 (330 KB, in a 5.8 MB process); growing by a
+        // quarter they stop at 50 (257 KB).
+        if bucket.len() == bucket.capacity() {
+            bucket.reserve_exact((bucket.capacity() / 4).max(8));
+        }
+        bucket.push(ev);
+        self.occupied |= 1 << i;
+    }
+
+    /// Remove and return the event with the smallest key.
+    pub(crate) fn pop(&mut self) -> Option<Ev<K>> {
+        if self.current.is_empty() {
+            self.advance();
+        }
+        self.current.pop()
+    }
+
+    /// The event [`EventQueue::pop`] would return, without moving the
+    /// cursor (see the module docs for why that matters).
+    pub(crate) fn peek(&self) -> Option<&Ev<K>> {
+        if let Some(ev) = self.current.last() {
+            return Some(ev);
+        }
+        match self.next_ring_slot() {
+            // Ring slots all precede `far`'s, so an occupied bucket
+            // holds the minimum.
+            Some(slot) => self.ring[(slot % RING_SLOTS) as usize]
+                .iter()
+                .min_by_key(|e| e.key()),
+            None => self.far.peek().map(|Reverse(ev)| ev),
+        }
+    }
+
+    /// Consume the queue, yielding its events in no particular order
+    /// (the sharded loop redistributes them between queues).
+    pub(crate) fn into_unordered(self) -> impl Iterator<Item = Ev<K>> {
+        self.current
+            .into_iter()
+            .chain(self.ring.into_iter().flatten())
+            .chain(self.far.into_iter().map(|Reverse(ev)| ev))
+    }
+
+    /// The first occupied ring slot after the cursor.
+    fn next_ring_slot(&self) -> Option<u64> {
+        // Rotate the bitmap so bit 0 is slot `cursor + 1`.
+        let first = self.cursor + 1;
+        let ahead = self.occupied.rotate_right((first % RING_SLOTS) as u32);
+        (ahead != 0).then(|| first + u64::from(ahead.trailing_zeros()))
+    }
+
+    /// With `current` empty, move the cursor to the next slot that
+    /// holds an event (if any) and make that slot `current`.
+    fn advance(&mut self) {
+        let next = match self.next_ring_slot() {
+            Some(slot) => slot,
+            None => match self.far.peek() {
+                Some(Reverse(ev)) => ev.slot(),
+                None => return,
+            },
+        };
+        self.cursor = next;
+        // Swapping (rather than taking) hands the emptied `current`'s
+        // allocation to the bucket, so capacity circulates round the
+        // ring instead of being reallocated per slot.
+        let i = (next % RING_SLOTS) as usize;
+        std::mem::swap(&mut self.current, &mut self.ring[i]);
+        self.occupied &= !(1 << i);
+        // The horizon moved with the cursor: pull in what `far` held
+        // for the slots it now covers.
+        while let Some(Reverse(ev)) = self.far.peek() {
+            let slot = ev.slot();
+            if slot - next >= RING_SLOTS {
+                break;
+            }
+            let Reverse(ev) = self.far.pop().expect("peeked");
+            if slot == next {
+                self.current.push(ev);
+            } else {
+                self.push_ring(slot, ev);
+            }
+        }
+        self.current.sort_unstable_by_key(|e| Reverse(e.key()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The reference model: the binary heap the queue replaced.
+    type Model = BinaryHeap<Reverse<Ev<u64>>>;
+
+    /// What one generated step does. Delays are relative to the key of
+    /// the last popped event — the simulation clock — and drawn from
+    /// the classes that reach different parts of the queue.
+    fn delay_ns(class: u8, raw: u64) -> u64 {
+        match class {
+            // The cursor's own slot: the clock's instant, then within
+            // a slot's width of it.
+            0 => 0,
+            1 => raw % 256,
+            // One hop: 64 B / 1 504 B serialization, with and without
+            // 10 µs of propagation — inside the ring.
+            2 => [512, 10_512, 12_032, 22_032][(raw % 4) as usize],
+            // The horizon's edge, both sides.
+            3 => RING_SLOTS * 256 - 300 + raw % 600,
+            // Beyond it: sweeps, RTOs, session starts.
+            4 => 40_000 + raw % 2_000_000,
+            // So far out that the slot distance overflows 32 bits.
+            _ => (1 << 40) + raw % (1 << 41),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any interleaving of pushes, pops, peeks and drains pops the
+        /// heap's sequence, every peek is the heap's head, and (since
+        /// the heap cannot tell) no peek changes a later pop. A `nosy`
+        /// case also peeks after every step.
+        #[test]
+        fn pops_exactly_like_the_binary_heap(
+            steps in proptest::collection::vec((0u8..12, 0u8..6, any::<u64>(), 0u32..4), 1..700),
+            nosy in any::<bool>(),
+        ) {
+            let mut queue = EventQueue::<u64>::default();
+            let mut model = Model::new();
+            // The clock, and the next `seq` (unique, so keys never tie).
+            let (mut now, mut seq) = (0u64, 0u64);
+            let pop_both = |queue: &mut EventQueue<u64>, model: &mut Model, now: &mut u64| {
+                let got = queue.pop().map(|e| (e.key(), e.kind));
+                let want = model.pop().map(|Reverse(e)| (e.key(), e.kind));
+                prop_assert_eq!(got, want);
+                if let Some(((at, ..), _)) = got {
+                    *now = at.as_nanos();
+                }
+                Ok(got.is_some())
+            };
+            let peek_both = |queue: &EventQueue<u64>, model: &Model| {
+                let want = model.peek().map(|Reverse(e)| e.key());
+                prop_assert_eq!(queue.peek().map(Ev::key), want);
+                Ok(())
+            };
+            for (op, class, raw, rank) in steps {
+                match op {
+                    // Pushes outnumber pops so the queue fills; every
+                    // sixth is dated *before* the clock (never legal
+                    // in the simulator, still ordered exactly here) to
+                    // land behind the cursor.
+                    0..=5 => {
+                        let at = if op == 5 {
+                            now.saturating_sub(delay_ns(class.min(4), raw))
+                        } else {
+                            now + delay_ns(class, raw)
+                        };
+                        let ev = || Ev { at: SimTime::from_nanos(at), rank, seq, kind: seq };
+                        queue.push(ev());
+                        model.push(Reverse(ev()));
+                        seq += 1;
+                    }
+                    6..=8 => {
+                        pop_both(&mut queue, &mut model, &mut now)?;
+                    }
+                    9 | 10 => peek_both(&queue, &model)?,
+                    // Drain to empty, then carry on reusing the queue.
+                    _ => while pop_both(&mut queue, &mut model, &mut now)? {},
+                }
+                if nosy {
+                    peek_both(&queue, &model)?;
+                }
+            }
+            while pop_both(&mut queue, &mut model, &mut now)? {}
+            prop_assert!(queue.peek().is_none());
+        }
+    }
+
+    /// The two caller sequences that push at or behind the cursor's
+    /// slot, spelled out: a run slice that stopped at a peek followed
+    /// by an earlier timer, and a mailbox arrival after a window test.
+    #[test]
+    fn a_peek_leaves_room_for_earlier_pushes() {
+        let ev = |at: u64, seq: u64| Ev {
+            at: SimTime::from_nanos(at),
+            rank: 1,
+            seq,
+            kind: (),
+        };
+        let mut queue = EventQueue::default();
+        queue.push(ev(100, 0));
+        queue.push(ev(1_000_000, 1)); // a 1 ms sweep, in `far`
+        assert_eq!(queue.pop().map(|e| e.seq), Some(0));
+        // `run_until(deadline)` stops here: the sweep is past it.
+        assert_eq!(queue.peek().map(|e| e.seq), Some(1));
+        assert_eq!(queue.cursor, 0, "peeking must not move the cursor");
+        // `schedule_timer(earlier)` / a mailbox arrival: ahead of the
+        // cursor, so a plain bucket push.
+        queue.push(ev(500_000, 2));
+        queue.push(ev(150, 3)); // the cursor's own slot
+        assert!(queue.far.len() == 2 && queue.current.len() == 1);
+        let order: Vec<u64> = std::iter::from_fn(|| queue.pop()).map(|e| e.seq).collect();
+        assert_eq!(order, [3, 2, 1]);
+    }
+
+    /// The invariant's far edge: an event exactly `RING_SLOTS` slots
+    /// ahead waits in `far`, and moves into the ring the moment a pop
+    /// brings the cursor one slot closer — so an occupied bucket always
+    /// precedes everything in `far`, which `peek` relies on.
+    #[test]
+    fn the_horizon_follows_the_cursor() {
+        let width = 1u64 << SLOT_SHIFT;
+        let ev = |slot: u64, seq: u64| Ev {
+            at: SimTime::from_nanos(slot * width),
+            rank: 1,
+            seq,
+            kind: (),
+        };
+        let mut queue = EventQueue::default();
+        queue.push(ev(1, 0));
+        queue.push(ev(RING_SLOTS - 1, 1));
+        queue.push(ev(RING_SLOTS, 2));
+        queue.push(ev(RING_SLOTS + 1, 3));
+        assert_eq!(
+            queue.far.len(),
+            2,
+            "slots 128 and 129 are past slot 0's horizon"
+        );
+        assert_eq!(queue.pop().map(|e| e.seq), Some(0));
+        assert_eq!(queue.far.len(), 1, "slot 128 is inside slot 1's horizon");
+        // Same slot as the event that just left `far`, smaller key.
+        queue.push(ev(RING_SLOTS, 1));
+        queue.push(ev(RING_SLOTS - 1, 0));
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| {
+            let head = queue.peek().map(Ev::key);
+            let ev = queue.pop()?;
+            assert_eq!(head, Some(ev.key()));
+            Some((ev.at.as_nanos() / width, ev.seq))
+        })
+        .collect();
+        assert_eq!(order, [(127, 0), (127, 1), (128, 1), (128, 2), (129, 3)]);
+    }
+
+    /// Slots a whole ring apart share a bucket index; the far heap
+    /// keeps the later one out until the cursor has passed the earlier.
+    #[test]
+    fn ring_wrap_around_keeps_laps_apart() {
+        let width = 1u64 << SLOT_SHIFT;
+        let mut queue = EventQueue::default();
+        // Same bucket index (5), laps 0, 1 and 2; pushed latest first.
+        for (seq, lap) in [2u64, 1, 0].into_iter().enumerate() {
+            queue.push(Ev {
+                at: SimTime::from_nanos((5 + lap * RING_SLOTS) * width + 7),
+                rank: 1,
+                seq: seq as u64,
+                kind: lap,
+            });
+        }
+        assert_eq!(queue.far.len(), 2, "laps 1 and 2 lie beyond the horizon");
+        let laps: Vec<u64> = std::iter::from_fn(|| queue.pop()).map(|e| e.kind).collect();
+        assert_eq!(laps, [0, 1, 2]);
+    }
+}

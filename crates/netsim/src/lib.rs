@@ -69,6 +69,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod evq;
 pub mod fault;
 pub mod packet;
 pub mod par;

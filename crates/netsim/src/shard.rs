@@ -4,7 +4,7 @@
 //! their access switch; fat-tree pods fall out of seeded graph-growing
 //! over the non-core switches; Jellyfish partitions the same way; core
 //! switches are round-robined). Each shard owns its nodes' cells and a
-//! private event heap, and shards run on scoped threads under
+//! private event queue, and shards run on scoped threads under
 //! conservative synchronisation: every epoch, each shard executes its
 //! events up to `horizon = min(all shard clocks) + lookahead`, where
 //! lookahead is the minimum propagation delay over cross-shard links —
@@ -17,7 +17,7 @@
 //!
 //! Determinism is inherited, not re-proved: every event carries the
 //! execution-order-independent key `(time, author rank, author seq)`
-//! (see [`crate::sim`]), so each shard's heap pops its events in
+//! (see [`crate::sim`]), so each shard's queue pops its events in
 //! exactly the order the serial loop would have reached them, each
 //! node's RNG stream and sequence counter advance identically, and the
 //! mailbox insertion order is irrelevant. A sharded run is therefore
@@ -30,23 +30,25 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 
+use crate::evq::{Ev, EventQueue};
 use crate::packet::SimPayload;
 use crate::sim::{
-    apply_fault_shared, dispatch_node, reroute_shared, target_of, Agent, Control, Env, Ev,
-    FabricStats, GlobalEvent, Lane, LocalOp, NodeEvent, Simulator, GLOBAL_RANK,
+    apply_fault_shared, dispatch_node, reroute_shared, target_of, Agent, Control, Env, FabricStats,
+    GlobalEvent, Lane, LocalOp, NodeEvent, Simulator, GLOBAL_RANK,
 };
 use crate::telemetry::{FabricEvent, PortProbe, TelemetrySink};
 use crate::time::SimTime;
 use crate::topology::{NodeId, NodeKind, Topology};
 
-/// A shard's private event heap (min-heap over the total event key).
-type ShardHeap<P> = BinaryHeap<Reverse<Ev<NodeEvent<P>>>>;
+/// A shard's private event queue: the same calendar queue the serial
+/// loop runs on.
+type ShardQueue<P> = EventQueue<NodeEvent<P>>;
 /// `mailboxes[dst][src]`: cross-shard events posted during a window.
 type Mailboxes<P> = Vec<Vec<Mutex<Vec<Ev<NodeEvent<P>>>>>>;
 /// What each worker hands back at the end of the run: its remaining
-/// heap, its lane (stats + buffered notes), events processed, and the
+/// queue, its lane (stats + buffered notes), events processed, and the
 /// timestamp of the last event it executed.
-type WorkerResult<P> = (ShardHeap<P>, Lane<P>, u64, u64);
+type WorkerResult<P> = (ShardQueue<P>, Lane<P>, u64, u64);
 
 /// A partition of a topology into event-loop shards (see the module
 /// docs). Built once per simulator; purely a wall-clock knob — the
@@ -316,12 +318,11 @@ where
     let entry_now = sim.now;
     let reroute_delay = sim.config.reroute_delay_ns;
 
-    // Distribute the pending node events to per-shard heaps.
-    let mut heaps: Vec<BinaryHeap<Reverse<Ev<NodeEvent<P>>>>> =
-        (0..k).map(|_| BinaryHeap::new()).collect();
-    while let Some(Reverse(ev)) = sim.nevents.pop() {
+    // Distribute the pending node events to per-shard queues.
+    let mut queues: Vec<ShardQueue<P>> = (0..k).map(|_| EventQueue::default()).collect();
+    for ev in std::mem::take(&mut sim.nevents).into_unordered() {
         let t = target_of(&ev.kind, &sim.topo);
-        heaps[plan.shard_of[t.0 as usize] as usize].push(Reverse(ev));
+        queues[plan.shard_of[t.0 as usize] as usize].push(ev);
     }
 
     let config = &sim.config;
@@ -349,7 +350,7 @@ where
 
     // mailboxes[dst][src]: cross-shard events posted during a window,
     // drained by the destination after the epoch barrier. Insertion
-    // order is irrelevant — the heap's total key order re-serialises.
+    // order is irrelevant — the queue's total key order re-serialises.
     let mailboxes: Mailboxes<P> = (0..k)
         .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
         .collect();
@@ -370,7 +371,7 @@ where
     let mut results: Vec<WorkerResult<P>> = Vec::with_capacity(k);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(k);
-        for (w, (mut heap, cells_w)) in heaps.drain(..).zip(slices.drain(..)).enumerate() {
+        for (w, (mut queue, cells_w)) in queues.drain(..).zip(slices.drain(..)).enumerate() {
             let (plan, shared, barrier) = (&plan, &shared, &barrier);
             let (mailboxes, bins, next_pub) = (&mailboxes, &bins, &next_pub);
             let (tg_pub, tb_pub) = (&tg_pub, &tb_pub);
@@ -390,10 +391,7 @@ where
                             .notes
                             .append(&mut lane.notes);
                     }
-                    let t_own = heap
-                        .peek()
-                        .map(|Reverse(e)| e.at.as_nanos())
-                        .unwrap_or(u64::MAX);
+                    let t_own = queue.peek().map_or(u64::MAX, |e| e.at.as_nanos());
                     next_pub[w].store(t_own, Ordering::SeqCst);
                     if w == 0 {
                         let g = shared.read().expect("shared read");
@@ -418,7 +416,7 @@ where
                     let tb = tb_pub.load(Ordering::SeqCst);
                     let t_next = t_node.min(tg);
                     if t_next == u64::MAX {
-                        break; // all heaps drained
+                        break; // all queues drained
                     }
                     if t_next > deadline_ns {
                         break;
@@ -543,7 +541,7 @@ where
                                         }
                                         let slot = cell_of[node.0 as usize] as usize - slot_base;
                                         if let Some(ev) = cells_w[slot].kick(at, p) {
-                                            heap.push(Reverse(ev));
+                                            queue.push(ev);
                                         }
                                     }
                                     LocalOp::ClearMemos => {
@@ -558,7 +556,7 @@ where
                     }
                     // Window: run this shard's events strictly below
                     // the conservative horizon. Everything a window
-                    // event can emit lands either back on this heap
+                    // event can emit lands either back on this queue
                     // (own-node timers/dequeues, same-shard arrivals,
                     // possibly still inside the window) or at
                     // `t + cross-shard prop ≥ horizon` in a mailbox.
@@ -576,14 +574,10 @@ where
                             control: &*g.control,
                             tele_on,
                         };
-                        loop {
-                            let ready = heap
-                                .peek()
-                                .is_some_and(|Reverse(e)| e.at.as_nanos() < horizon);
-                            if !ready {
-                                break;
-                            }
-                            let Reverse(ev) = heap.pop().expect("peeked");
+                        // The window test peeks: an event at or past
+                        // the horizon stays put, cursor and all.
+                        while queue.peek().is_some_and(|e| e.at.as_nanos() < horizon) {
+                            let ev = queue.pop().expect("peeked");
                             last_at = ev.at.as_nanos();
                             let target = target_of(&ev.kind, env.topo);
                             let slot = cell_of[target.0 as usize] as usize - slot_base;
@@ -600,7 +594,7 @@ where
                                 let ot = target_of(&oe.kind, env.topo);
                                 let os = plan.shard_of[ot.0 as usize] as usize;
                                 if os == w {
-                                    heap.push(Reverse(oe));
+                                    queue.push(oe);
                                 } else {
                                     lane.stats.cross_shard_packets += 1;
                                     mailboxes[os][w].lock().expect("mailbox").push(oe);
@@ -621,12 +615,12 @@ where
                     for slot in &mailboxes[w] {
                         let mut mb = slot.lock().expect("mailbox");
                         for ev in mb.drain(..) {
-                            heap.push(Reverse(ev));
+                            queue.push(ev);
                         }
                     }
                 }
                 lane.stats.events += processed;
-                (heap, lane, processed, last_at)
+                (queue, lane, processed, last_at)
             }));
         }
         for h in handles {
@@ -634,14 +628,16 @@ where
         }
     });
 
-    // Reassemble: merge heaps and lanes back into the simulator, flush
+    // Reassemble: merge queues and lanes back into the simulator, flush
     // any notes buffered since the last synchronisation point, and
     // advance the clock to the last executed event.
     let mut node_processed = 0u64;
     let mut max_at = entry_now.as_nanos();
     let mut leftover: Vec<(SimTime, u32, u64, FabricEvent)> = Vec::new();
-    for (heap, mut wl, p, la) in results {
-        sim.nevents.extend(heap);
+    for (queue, mut wl, p, la) in results {
+        for ev in queue.into_unordered() {
+            sim.nevents.push(ev);
+        }
         leftover.append(&mut wl.notes);
         sim.lane.stats.absorb(&wl.stats);
         node_processed += p;

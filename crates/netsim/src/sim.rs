@@ -28,20 +28,22 @@
 //! wire that no longer exists). All of it is accounted in
 //! [`FabricStats`]: `lost_to_fault`, `reroutes`, `trees_repaired`.
 //!
-//! Internally the simulator keeps two heaps: the node heap (arrivals,
-//! port releases, timers — everything a single node authors and a
-//! single node consumes) and the much smaller global heap (faults and
-//! reroutes, which mutate fabric-wide state). The node heap carries
-//! only events that do work: a port's release (`Dequeue`) is reserved
-//! when its packet goes on the wire but pushed only once a packet is
-//! waiting behind it (see `PortTx`). The serial hot loop pops
-//! the node heap once per event and only compares against an O(1) peek
-//! of the global head; the sharded runner gives every shard its own
-//! node heap and executes the global heap at synchronisation barriers.
+//! Internally the simulator keeps two event queues: the node queue
+//! (arrivals, port releases, timers — everything a single node authors
+//! and a single node consumes), a calendar queue (see `crate::evq`),
+//! and the much smaller global heap (faults and reroutes, which mutate
+//! fabric-wide state). The node queue carries only events that do
+//! work: a port's release (`Dequeue`) is reserved when its packet goes
+//! on the wire but pushed only once a packet is waiting behind it (see
+//! `PortTx`). The serial hot loop compares two O(1) peeks — the node
+//! queue's head and the global head — and pops the winner; the sharded
+//! runner gives every shard its own node queue and executes the global
+//! heap at synchronisation barriers.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
+use crate::evq::{Ev, EvKey, EventQueue};
 use crate::fault::{FaultAction, FaultMask, FaultPlan};
 use crate::packet::{Dest, GroupId, Packet, SimPayload};
 use crate::queue::{Enqueued, PortQueue, QueueConfig, QueueStats};
@@ -104,7 +106,13 @@ impl<P> Ctx<P> {
         self.sends.push(pkt);
     }
 
-    /// Fire `on_timer(token)` at absolute time `at`.
+    /// Fire `on_timer(token)` at absolute time `at` (the current
+    /// instant included).
+    ///
+    /// # Panics
+    /// The simulator panics when it applies the callback's effects if
+    /// `at` lies before [`Ctx::now`]: a past-dated timer would drag the
+    /// clock backwards.
     pub fn timer_at(&mut self, at: SimTime, token: u64) {
         self.timers.push((at, token));
     }
@@ -277,26 +285,31 @@ fn unwrap_packet<P>(pkt: Packet<Stamped<P>>) -> Packet<P> {
     }
 }
 
+/// A packet on the wire. Boxed so the event stays thin; the `Option`
+/// lets dispatch `take` the packet and keep the emptied box for the
+/// next transmission (see [`Lane::boxes`]).
+pub(crate) type WireBox<P> = Box<Option<Packet<Stamped<P>>>>;
+
 /// Events a single node authors and a single node consumes. These live
-/// on the node heap (per-shard in a sharded run).
+/// on the node queue (per-shard in a sharded run).
 #[derive(Debug)]
 pub(crate) enum NodeEvent<P> {
     /// Packet fully received at the far end of `(from, port)`
     /// (store-and-forward). Carrying the transmitting side lets the
     /// dispatcher drop packets whose link died while they were on the
-    /// wire. Boxed: `Arrive` dwarfs the other variants, and heap sift
-    /// moves every event by value — a thin event is most of the event
-    /// loop's memory traffic.
+    /// wire. Boxed: `Arrive` dwarfs the other variants, and the queue
+    /// moves and sorts events by value — a thin event is most of the
+    /// event loop's memory traffic.
     Arrive {
         /// Transmitting node.
         from: NodeId,
         /// Transmitting port on `from`.
         port: u16,
-        /// The packet.
-        pkt: Box<Packet<Stamped<P>>>,
+        /// The packet (`Some` from transmission to dispatch).
+        pkt: WireBox<P>,
     },
     /// Port `port` of `node` finished a transmission; send the next
-    /// one. On the heap only when a packet was waiting at some point
+    /// one. Queued only when a packet was waiting at some point
     /// while the wire was taken (see [`PortTx`]).
     Dequeue(NodeId, u16),
     /// Agent timer.
@@ -321,48 +334,6 @@ pub(crate) enum GlobalEvent {
 /// `n + 1`), which pins the convergence-window semantics — a reroute
 /// at `t` is visible to every packet arriving at `t`.
 pub(crate) const GLOBAL_RANK: u32 = 0;
-
-/// The total event order: `(time, author rank, author seq)`.
-pub(crate) type EvKey = (SimTime, u32, u64);
-
-/// A heap entry. Ordered by `(at, rank, seq)` where `rank` identifies
-/// the *author* (0 = the global control plane, `n + 1` = node `n`) and
-/// `seq` is the author's private counter. The key is a pure function
-/// of simulated causality: node `n` authors the same events with the
-/// same counters whether it runs on the serial loop or on any shard,
-/// so serial and sharded schedules are identical. Since `(rank, seq)`
-/// never repeats, the order is total — no tie ever falls through to
-/// implementation-defined push order.
-#[derive(Debug)]
-pub(crate) struct Ev<K> {
-    pub(crate) at: SimTime,
-    pub(crate) rank: u32,
-    pub(crate) seq: u64,
-    pub(crate) kind: K,
-}
-
-impl<K> Ev<K> {
-    pub(crate) fn key(&self) -> EvKey {
-        (self.at, self.rank, self.seq)
-    }
-}
-
-impl<K> PartialEq for Ev<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<K> Eq for Ev<K> {}
-impl<K> PartialOrd for Ev<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K> Ord for Ev<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
 
 /// Aggregated fabric counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -491,9 +462,33 @@ enum FaultKey {
 pub(crate) struct Group {
     sender: NodeId,
     receivers: Vec<NodeId>,
-    /// Out-ports per tree node. A `BTreeMap`: a tree is a dozen
-    /// nodes, looked up once per multicast hop.
-    pub(crate) table: BTreeMap<NodeId, Vec<u16>>,
+    pub(crate) tree: Tree,
+}
+
+/// A multicast forwarding tree, flat: looked up once per multicast hop.
+#[derive(Default)]
+pub(crate) struct Tree {
+    /// One entry per tree node, ascending by node: the node and the
+    /// range of `ports` holding its out-ports.
+    hops: Vec<(NodeId, u16, u16)>,
+    ports: Vec<u16>,
+}
+
+impl Tree {
+    /// The tree's out-ports at `node`, if the tree visits it. A tree
+    /// is a dozen nodes in two cache lines: a linear scan, with none
+    /// of a binary search's mispredicted branches.
+    fn ports_at(&self, node: NodeId) -> Option<&[u16]> {
+        let &(_, start, end) = self.hops.iter().find(|hop| hop.0 == node)?;
+        Some(&self.ports[start as usize..end as usize])
+    }
+
+    /// Every tree node with its out-ports, ascending by node.
+    pub(crate) fn hops(&self) -> impl Iterator<Item = (NodeId, &[u16])> {
+        self.hops
+            .iter()
+            .map(|&(node, start, end)| (node, &self.ports[start as usize..end as usize]))
+    }
 }
 
 /// Per-switch flat open-addressing memo of layer re-assignments, keyed
@@ -584,14 +579,14 @@ impl LayerMemo {
 /// *release* event — a `Dequeue` keyed `(free_at, node + 1,
 /// release_seq)` — has run; whether it is taken when some event runs
 /// is a comparison of keys ([`NodeCell::port_busy`]), so the release
-/// only has to be on the heap when it will find work. Its `seq` is
+/// only has to be in the event queue when it will find work. Its `seq` is
 /// drawn from the cell's counter when the packet goes on the wire;
 /// the event itself is pushed (`armed`) the first time a packet waits
 /// behind the one in flight, and never for a port nobody queued
 /// behind.
 ///
 /// Two facts hold between events: `armed` means exactly one `Dequeue`
-/// of this port is on the heap, keyed as above; and a taken wire with
+/// of this port is in the event queue, keyed as above; and a taken wire with
 /// a non-empty queue is always armed — so a port with packets queued
 /// and no release armed is idle (parked behind a dead or rate-0 link),
 /// which is all a kick has to check.
@@ -601,7 +596,7 @@ pub(crate) struct PortTx {
     free_at: SimTime,
     /// The release event's reserved `seq`.
     release_seq: u64,
-    /// The release event is on the heap.
+    /// The release event is in the node queue.
     armed: bool,
 }
 
@@ -642,7 +637,7 @@ impl<P: SimPayload, A> NodeCell<P, A> {
         now < (tx.free_at, self.node.0 + 1, tx.release_seq)
     }
 
-    /// Put `port`'s release event on the heap unless it already is.
+    /// Put `port`'s release event in the queue unless it already is.
     fn arm_release(&mut self, port: u16) -> Option<Ev<NodeEvent<P>>> {
         let tx = &mut self.tx[port as usize];
         if tx.armed {
@@ -691,10 +686,9 @@ pub(crate) struct Control {
     /// Per-port rate overrides (hotspot/failure injection); keyed by
     /// (node, port), in bits per second. Zero means the link is down.
     rate_overrides: HashMap<(u32, u16), u64>,
-    // BTreeMap: tree repair iterates the groups, and iteration order
-    // must be seed-stable for determinism.
-    pub(crate) groups: BTreeMap<GroupId, Group>,
-    next_group: u32,
+    /// Indexed by [`GroupId`]: ids are dense and groups are never
+    /// removed. Tree repair iterates in id order (seed-stable).
+    pub(crate) groups: Vec<Group>,
     /// Counters the control plane owns (reroutes, repairs, flaps, its
     /// own processed events); node-context counters accumulate in
     /// [`Lane::stats`] and the two merge in [`Simulator::stats`].
@@ -703,14 +697,24 @@ pub(crate) struct Control {
     pub(crate) gseq: u64,
 }
 
+/// Emptied [`WireBox`]es a lane keeps for reuse. Bounds what a shard
+/// that receives more packets than it sends can hoard; far above the
+/// few thousand packets the k = 10 runs ever have in flight.
+const LANE_BOXES_MAX: usize = 1 << 14;
+
 /// Per-execution-lane scratch: the stats a lane's node dispatch
-/// accumulates, the events it emits (routed to heaps or mailboxes by
+/// accumulates, the events it emits (routed to queues or mailboxes by
 /// the driver), and the telemetry notes it buffers. The serial loop
 /// owns one persistent lane; each shard worker gets a fresh one that
 /// merges into it at run end.
 pub(crate) struct Lane<P> {
     pub(crate) stats: FabricStats,
     pub(crate) out: Vec<Ev<NodeEvent<P>>>,
+    /// Boxes emptied at dispatch, refilled at the next transmission:
+    /// a hop costs a malloc/free pair only while the pool is empty. In
+    /// a sharded run a box travels with its packet, so boxes migrate
+    /// between lanes.
+    boxes: Vec<WireBox<P>>,
     /// Telemetry events emitted during node dispatch, keyed by the
     /// authoring event so a sharded run can replay them to the sink in
     /// exact serial order at synchronisation points.
@@ -722,6 +726,7 @@ impl<P> Default for Lane<P> {
         Self {
             stats: FabricStats::default(),
             out: Vec::new(),
+            boxes: Vec::new(),
             notes: Vec::new(),
         }
     }
@@ -763,7 +768,7 @@ pub(crate) enum LocalOp {
 /// [`crate::telemetry`]): the default [`NoTelemetry`] monomorphizes
 /// every hook to nothing, `Option<Recorder>` is the runtime-switchable
 /// sink, and a bare `Recorder` is always-on. Enabling telemetry never
-/// perturbs results: no probe events enter the heap and no RNG is
+/// perturbs results: no probe events enter the queues and no RNG is
 /// consumed, so event order and every random draw are unchanged.
 pub struct Simulator<P: SimPayload, A: Agent<P>, T: TelemetrySink = NoTelemetry> {
     pub(crate) topo: Topology,
@@ -775,8 +780,8 @@ pub struct Simulator<P: SimPayload, A: Agent<P>, T: TelemetrySink = NoTelemetry>
     /// unsharded); [`Simulator::cell_of`] maps node id → slot.
     pub(crate) cells: Vec<NodeCell<P, A>>,
     pub(crate) cell_of: Vec<u32>,
-    /// The node-event heap (all shards' events between runs).
-    pub(crate) nevents: BinaryHeap<Reverse<Ev<NodeEvent<P>>>>,
+    /// The node-event queue (all shards' events between runs).
+    pub(crate) nevents: EventQueue<NodeEvent<P>>,
     /// The global-event heap (faults, reroutes).
     pub(crate) gevents: BinaryHeap<Reverse<Ev<GlobalEvent>>>,
     pub(crate) control: Control,
@@ -851,15 +856,14 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
             plan,
             cells,
             cell_of,
-            nevents: BinaryHeap::new(),
+            nevents: EventQueue::default(),
             gevents: BinaryHeap::new(),
             control: Control {
                 mask: FaultMask::new(),
                 reroute_pending: false,
                 pending_down: std::collections::BTreeSet::new(),
                 rate_overrides: HashMap::new(),
-                groups: BTreeMap::new(),
-                next_group: 0,
+                groups: Vec::new(),
                 stats: FabricStats::default(),
                 gseq: 0,
             },
@@ -879,16 +883,15 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     }
 
     /// Push an event authored by `node` (rank `node + 1`, the node's
-    /// own counter) onto the node heap.
+    /// own counter) onto the node queue.
     fn push_node_event(&mut self, node: NodeId, at: SimTime, kind: NodeEvent<P>) {
-        debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.cell_mut(node).next_seq();
-        self.nevents.push(Reverse(Ev {
+        self.nevents.push(Ev {
             at,
             rank: node.0 + 1,
             seq,
             kind,
-        }));
+        });
     }
 
     /// Push a global event (rank 0, the control plane's counter).
@@ -925,7 +928,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         if rate_bps > 0 {
             let now = self.now;
             if let Some(ev) = self.cell_mut(node).kick(now, port) {
-                self.nevents.push(Reverse(ev));
+                self.nevents.push(ev);
             }
         }
     }
@@ -1015,7 +1018,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     /// Catch the sink up to `upto`: close every bucket whose boundary
     /// the event loop is about to cross. Counters only change at
     /// events, so closing lazily here is exactly equivalent to an eager
-    /// probe at each boundary — without polluting the event heap (which
+    /// probe at each boundary — without polluting the event queue (which
     /// would perturb sequence numbers and break per-seed byte
     /// identity).
     #[cold]
@@ -1090,8 +1093,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     /// experiments assume.
     pub fn register_group(&mut self, sender: NodeId, receivers: &[NodeId]) -> GroupId {
         assert!(!receivers.is_empty(), "multicast group needs receivers");
-        let gid = GroupId(self.control.next_group);
-        self.control.next_group += 1;
+        let gid = GroupId(self.control.groups.len() as u32);
         for &r in receivers {
             assert_ne!(r, sender, "sender cannot be a group receiver");
             assert!(
@@ -1101,15 +1103,12 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 sender.0
             );
         }
-        let table = build_tree(&self.topo, gid, sender, receivers);
-        self.control.groups.insert(
-            gid,
-            Group {
-                sender,
-                receivers: receivers.to_vec(),
-                table,
-            },
-        );
+        let tree = build_tree(&self.topo, gid, sender, receivers);
+        self.control.groups.push(Group {
+            sender,
+            receivers: receivers.to_vec(),
+            tree,
+        });
         gid
     }
 
@@ -1138,8 +1137,19 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     }
 
     /// Schedule a timer for a host agent (used by workloads to start
-    /// sessions).
+    /// sessions). `at` may be the current instant.
+    ///
+    /// # Panics
+    /// Panics if `at` lies before the current simulation time — a
+    /// past-dated timer would drag the clock backwards and corrupt every
+    /// relative timestamp computed while dispatching it.
     pub fn schedule_timer(&mut self, node: NodeId, at: SimTime, token: u64) {
+        assert!(
+            at >= self.now,
+            "timer at {} is in the simulator's past (now {})",
+            at,
+            self.now
+        );
         self.push_node_event(node, at, NodeEvent::Timer(node, token));
     }
 
@@ -1173,54 +1183,43 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         self.run_until(SimTime::MAX)
     }
 
-    /// The serial event loop. The hot path is one `pop` per node event
-    /// (no peek-then-pop double heap access); the rare global head is
-    /// an O(1) peek compared against the popped key, and loses ties by
-    /// rank only when it is genuinely later.
+    /// The serial event loop. Both queue heads are O(1) peeks (the
+    /// node queue's never moves its cursor), so the loop pops only the
+    /// event it is about to run: the global head wins when its key is
+    /// smaller, and nothing past the deadline is ever taken off a queue.
     fn run_serial(&mut self, deadline: SimTime) -> u64 {
         let tele_on = self.telemetry.enabled();
         let mut node_processed = 0u64;
         let mut global_processed = 0u64;
         loop {
-            let next_node = self.nevents.pop();
+            let nkey = self.nevents.peek().map(Ev::key);
             let gkey = self.gevents.peek().map(|Reverse(g)| g.key());
-            let take_global = match (&next_node, gkey) {
-                (Some(Reverse(n)), Some(gk)) => gk < n.key(),
+            let take_global = match (nkey, gkey) {
+                (Some(nk), Some(gk)) => gk < nk,
                 (None, Some(_)) => true,
                 (_, None) => false,
             };
+            let Some((at, ..)) = (if take_global { gkey } else { nkey }) else {
+                break;
+            };
+            if at > deadline {
+                break;
+            }
+            // Telemetry bucket boundaries are honoured lazily: an
+            // event at or past the open bucket's end closes it
+            // first, so a bucket never includes later activity. One
+            // always-false comparison when telemetry is off
+            // (`next_boundary` is MAX).
+            if at >= self.telemetry.next_boundary() {
+                self.close_telemetry_buckets(at);
+            }
+            self.now = at;
             if take_global {
-                if let Some(ev) = next_node {
-                    self.nevents.push(ev);
-                }
                 let Reverse(gev) = self.gevents.pop().expect("peeked");
-                if gev.at > deadline {
-                    self.gevents.push(Reverse(gev));
-                    break;
-                }
-                // Telemetry bucket boundaries are honoured lazily: an
-                // event at or past the open bucket's end closes it
-                // first, so a bucket never includes later activity. One
-                // always-false comparison when telemetry is off
-                // (`next_boundary` is MAX).
-                if gev.at >= self.telemetry.next_boundary() {
-                    self.close_telemetry_buckets(gev.at);
-                }
-                self.now = gev.at;
-                self.apply_global(gev.at, gev.kind);
+                self.apply_global(at, gev.kind);
                 global_processed += 1;
             } else {
-                let Some(Reverse(ev)) = next_node else {
-                    break;
-                };
-                if ev.at > deadline {
-                    self.nevents.push(Reverse(ev));
-                    break;
-                }
-                if ev.at >= self.telemetry.next_boundary() {
-                    self.close_telemetry_buckets(ev.at);
-                }
-                self.now = ev.at;
+                let ev = self.nevents.pop().expect("peeked");
                 let target = target_of(&ev.kind, &self.topo);
                 let slot = self.cell_of[target.0 as usize] as usize;
                 let env = Env {
@@ -1233,13 +1232,13 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                     &env,
                     &mut self.cells[slot],
                     &mut self.lane,
-                    ev.at,
+                    at,
                     ev.rank,
                     ev.seq,
                     ev.kind,
                 );
                 while let Some(oe) = self.lane.out.pop() {
-                    self.nevents.push(Reverse(oe));
+                    self.nevents.push(oe);
                 }
                 if tele_on {
                     for (nat, _, _, fe) in self.lane.notes.drain(..) {
@@ -1303,7 +1302,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 }
                 LocalOp::Kick(n, p) => {
                     if let Some(ev) = self.cell_mut(n).kick(at, p) {
-                        self.nevents.push(Reverse(ev));
+                        self.nevents.push(ev);
                     }
                 }
                 LocalOp::ClearMemos => {
@@ -1512,15 +1511,11 @@ pub(crate) fn reroute_shared<T: TelemetrySink>(
     // crossing a dead element are rebuilt. A full reroute may have
     // restored capacity, which can re-attach previously cut-off
     // receivers — every tree is rebuilt then.
-    let gids: Vec<GroupId> = control.groups.keys().copied().collect();
-    for gid in gids {
-        if !outcome.full && !group_crosses_fault(topo, &control.mask, &control.groups[&gid]) {
+    for (gid, group) in control.groups.iter_mut().enumerate() {
+        if !outcome.full && !group_crosses_fault(topo, &control.mask, group) {
             continue;
         }
-        let g = &control.groups[&gid];
-        let (sender, receivers) = (g.sender, g.receivers.clone());
-        let table = build_tree(topo, gid, sender, &receivers);
-        control.groups.get_mut(&gid).expect("group exists").table = table;
+        group.tree = build_tree(topo, GroupId(gid as u32), group.sender, &group.receivers);
         control.stats.trees_repaired += 1;
     }
 }
@@ -1529,7 +1524,7 @@ pub(crate) fn reroute_shared<T: TelemetrySink>(
 /// is unusable under the live fault mask (dead node, dead link, or
 /// dead far end).
 fn group_crosses_fault(topo: &Topology, mask: &FaultMask, group: &Group) -> bool {
-    group.table.iter().any(|(&node, ports)| {
+    group.tree.hops().any(|(node, ports)| {
         mask.node_is_down(node) || ports.iter().any(|&p| !mask.port_is_up(topo, node, p))
     })
 }
@@ -1539,12 +1534,7 @@ fn group_crosses_fault(topo: &Topology, mask: &FaultMask, group: &Group) -> bool
 /// possible. Receivers unreachable under the current routes (a fault
 /// cut them off) are skipped — during repair the tree covers the
 /// reachable membership.
-fn build_tree(
-    topo: &Topology,
-    gid: GroupId,
-    sender: NodeId,
-    receivers: &[NodeId],
-) -> BTreeMap<NodeId, Vec<u16>> {
+fn build_tree(topo: &Topology, gid: GroupId, sender: NodeId, receivers: &[NodeId]) -> Tree {
     let mut table: BTreeMap<NodeId, Vec<u16>> = BTreeMap::new();
     for &r in receivers {
         if topo.try_next_ports(sender, r).is_empty() {
@@ -1562,7 +1552,13 @@ fn build_tree(
             at = topo.port(at, pick).peer;
         }
     }
-    table
+    let mut tree = Tree::default();
+    for (node, ports) in table {
+        let start = tree.ports.len() as u16;
+        tree.ports.extend(ports);
+        tree.hops.push((node, start, tree.ports.len() as u16));
+    }
+    tree
 }
 
 /// Dispatch one node event against its cell. Mutates exactly that cell
@@ -1580,8 +1576,16 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
     kind: NodeEvent<P>,
 ) {
     match kind {
-        NodeEvent::Arrive { from, port, pkt } => {
+        NodeEvent::Arrive {
+            from,
+            port,
+            pkt: mut wire,
+        } => {
             debug_assert_eq!(env.topo.port(from, port).peer, cell.node);
+            let pkt = wire.take().expect("a box on the wire holds its packet");
+            if lane.boxes.len() < LANE_BOXES_MAX {
+                lane.boxes.push(wire);
+            }
             // The packet was on the wire; if the link died under it
             // or the far end is dead, it never really arrives.
             if env.control.mask.link_is_down(from, port) || env.control.mask.node_is_down(cell.node)
@@ -1590,8 +1594,8 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
                 return;
             }
             match env.topo.kind(cell.node) {
-                NodeKind::Host => deliver_to_agent(env, cell, lane, (at, rank, seq), *pkt),
-                NodeKind::Switch => forward(env, cell, lane, at, rank, seq, *pkt),
+                NodeKind::Host => deliver_to_agent(env, cell, lane, (at, rank, seq), pkt),
+                NodeKind::Switch => forward(env, cell, lane, at, rank, seq, pkt),
             }
         }
         NodeEvent::Dequeue(node, port) => {
@@ -1648,7 +1652,12 @@ fn apply_ctx<P: SimPayload, A: Agent<P>>(
     let node = ctx.node;
     debug_assert_eq!(node, cell.node);
     for (t, token) in ctx.timers {
-        debug_assert!(t >= now.0, "scheduling into the past");
+        assert!(
+            t >= now.0,
+            "timer at {} is in the simulator's past (now {})",
+            t,
+            now.0
+        );
         let seq = cell.next_seq();
         lane.out.push(Ev {
             at: t,
@@ -1849,9 +1858,9 @@ fn forward<P: SimPayload, A: Agent<P>>(
             let group = env
                 .control
                 .groups
-                .get(&gid)
+                .get(gid.0 as usize)
                 .expect("unregistered multicast group");
-            let Some(ports) = group.table.get(&node) else {
+            let Some(ports) = group.tree.ports_at(node) else {
                 // Tree does not branch here. After a repair, packets
                 // already inside the old tree can be stranded at
                 // switches the new tree no longer visits — those are
@@ -1877,8 +1886,8 @@ fn forward<P: SimPayload, A: Agent<P>>(
 }
 
 /// Enqueue on a port while the event keyed `now` runs: transmit at
-/// once if the wire is free, else make sure the port's release is on
-/// the heap to pick the packet up. Returns the queue's verdict so
+/// once if the wire is free, else make sure the port's release is in
+/// the event queue to pick the packet up. Returns the port queue's verdict so
 /// callers that know the packet's routing layer can attribute
 /// trims/drops per layer.
 fn enqueue_and_kick<P: SimPayload, A: Agent<P>>(
@@ -1936,6 +1945,8 @@ fn transmit_next<P: SimPayload, A: Agent<P>>(
     let link = *env.topo.port(node, port);
     let ser = serialization_ns(pkt.size, rate);
     let seq = cell.next_seq();
+    let mut wire = lane.boxes.pop().unwrap_or_default();
+    *wire = Some(pkt);
     lane.out.push(Ev {
         at: at + ser + link.prop_ns,
         rank: node.0 + 1,
@@ -1943,7 +1954,7 @@ fn transmit_next<P: SimPayload, A: Agent<P>>(
         kind: NodeEvent::Arrive {
             from: node,
             port,
-            pkt: Box::new(pkt),
+            pkt: wire,
         },
     });
     // The release's `seq` is drawn here whether or not the event is
@@ -2543,9 +2554,10 @@ mod tests {
         // Kill the lowest-id core the tree actually crosses (the tests
         // module can see the private table); the repair must re-tree
         // around it.
-        let victim = *sim.control.groups[&gid]
-            .table
-            .keys()
+        let victim = sim.control.groups[gid.0 as usize]
+            .tree
+            .hops()
+            .map(|(n, _)| n)
             .find(|n| cores.contains(n))
             .expect("inter-pod multicast tree crosses a core");
         let plan = FaultPlan::new().switch_down(SimTime::from_micros(100), victim);
@@ -3103,16 +3115,14 @@ mod tests {
             (200, 2, 9),
         ];
         let pop_all = |order: &[usize]| -> Vec<(SimTime, u32, u64)> {
-            let mut heap = std::collections::BinaryHeap::new();
+            let mut queue = EventQueue::default();
             for &i in order {
                 let (at, rank, seq) = keys[i];
-                heap.push(std::cmp::Reverse(mk(at, rank, seq)));
+                queue.push(mk(at, rank, seq));
             }
-            let mut out = Vec::new();
-            while let Some(std::cmp::Reverse(ev)) = heap.pop() {
-                out.push(ev.key());
-            }
-            out
+            std::iter::from_fn(|| queue.pop())
+                .map(|ev| ev.key())
+                .collect()
         };
         let forward = pop_all(&[0, 1, 2, 3, 4, 5, 6]);
         let shuffled = pop_all(&[6, 3, 0, 5, 2, 4, 1]);
@@ -3127,15 +3137,16 @@ mod tests {
         assert_eq!(forward[0], (SimTime::from_nanos(100), GLOBAL_RANK, 0));
     }
 
-    /// `Arrive` boxes its packet, so a heap entry is the 20-byte key
-    /// plus a small kind — every sift moves a fixed few words no
-    /// matter how fat the payload type is. Pin the bound so a future
-    /// inline variant can't silently quadruple heap traffic.
+    /// `Arrive` boxes its packet, so a queue entry is the 20-byte key
+    /// plus a small kind — every bucket push, sort and swap moves a
+    /// fixed few words no matter how fat the payload type is. Pin the
+    /// bound so a future inline variant can't silently quadruple the
+    /// queue's memory traffic.
     #[test]
     fn heap_event_stays_small_with_boxed_payload() {
         assert!(
             std::mem::size_of::<Ev<NodeEvent<P>>>() <= 48,
-            "heap event grew to {} bytes — keep large payload variants boxed",
+            "queue event grew to {} bytes — keep large payload variants boxed",
             std::mem::size_of::<Ev<NodeEvent<P>>>()
         );
         // And the bound is payload-independent: a deliberately fat
@@ -3153,7 +3164,7 @@ mod tests {
         assert_eq!(
             std::mem::size_of::<Ev<NodeEvent<Fat>>>(),
             std::mem::size_of::<Ev<NodeEvent<P>>>(),
-            "payload size must not leak into the heap entry"
+            "payload size must not leak into the queue entry"
         );
     }
 
@@ -3412,7 +3423,7 @@ mod tests {
 
     /// A link that fails, or silently drops to rate 0, while a packet
     /// is serializing on an otherwise empty port: the release is not
-    /// on the heap, yet a packet arriving before the wire would have
+    /// in the queue, yet a packet arriving before the wire would have
     /// freed must still wait for it, park when it finds the link dead,
     /// and leave at the repair.
     #[test]
@@ -3447,7 +3458,7 @@ mod tests {
     }
 
     /// A flush empties the queue under an armed release: the release
-    /// still fires (it is on the heap), finds nothing, and the port is
+    /// still fires (it is in the queue), finds nothing, and the port is
     /// idle again for the traffic that follows the repair.
     #[test]
     fn flush_under_an_armed_release_leaves_the_port_usable() {
@@ -3467,8 +3478,114 @@ mod tests {
         assert_eq!(sim.agent(b).received[0].1, P::Data(3));
     }
 
+    /// A run cut into slices — the boundary falling inside a calendar
+    /// slot with an event on either side of it — and a `set_link_rate`
+    /// kick between two slices (an event pushed at the clock's instant,
+    /// into the slot the queue is already popping from) deliver exactly
+    /// what one uninterrupted run with the same kick scripted does.
+    #[test]
+    fn sliced_run_and_a_kick_between_slices_match_one_run() {
+        let ns = SimTime::from_nanos;
+        // b's no-op timers at 46.1 and 46.2 µs share the 256 ns slot
+        // 46 080..46 336; a slice ending at 46.15 µs splits it.
+        let (first, cut, second) = (46_100, 46_150, 46_200);
+        let run = |slices: &[u64], scripted_kick: bool| {
+            let (mut sim, x, s, b) = ranked_sim(true, 1_000_000_000, SimConfig::ndp(1));
+            // The port to b is a silent black hole until the kick: the
+            // burst (at the switch from 22 µs, every 12 µs) parks.
+            sim.set_link_rate(s, 1, 0);
+            sim.agent_mut(x).to_send = (0..5).map(|i| data_pkt(x, b, i)).collect();
+            sim.schedule_timer(x, SimTime::ZERO, 0);
+            sim.schedule_timer(b, ns(first), 0);
+            sim.schedule_timer(b, ns(second), 0);
+            if scripted_kick {
+                let plan = FaultPlan::new().rate_change(ns(first), s, 1, 1_000_000_000);
+                sim.schedule_faults(&plan);
+            }
+            for &deadline in slices {
+                sim.run_until(ns(deadline));
+            }
+            if !scripted_kick {
+                // Lands at the last executed event, `first`: behind
+                // `second`, which the queue has already sorted.
+                assert_eq!(sim.now(), ns(first));
+                sim.set_link_rate(s, 1, 1_000_000_000);
+            }
+            sim.run_to_completion();
+            sim.agent(b).received.clone()
+        };
+        let whole = run(&[], true);
+        let times: Vec<u64> = whole.iter().map(|(at, _)| at.as_nanos()).collect();
+        // Three were parked at the kick; the fourth and fifth (58 and
+        // 70 µs at the switch) queue behind them.
+        let expect: Vec<u64> = (0..5).map(|i| first + 22_000 + i * 12_000).collect();
+        assert_eq!(times, expect);
+        assert_eq!(run(&[cut], true), whole, "slice boundary inside a slot");
+        assert_eq!(run(&[30_000, cut, 90_000], true), whole, "three slices");
+        assert_eq!(run(&[cut], false), whole, "kick between slices");
+    }
+
+    /// A timer dated before the clock would run the simulation
+    /// backwards; in a release build as much as in a debug one.
+    #[test]
+    #[should_panic(expected = "is in the simulator's past")]
+    fn past_dated_timer_from_the_workload_panics() {
+        let (mut sim, a, _) = two_host_sim(SimConfig::ndp(1));
+        sim.schedule_timer(a, SimTime::from_micros(10), 0);
+        sim.run_to_completion();
+        sim.schedule_timer(a, SimTime::from_micros(9), 0);
+    }
+
+    /// Agent that, on timer `t`, asks for timer 0 at absolute time `t` ns.
+    struct Rearm {
+        fired_at: Vec<SimTime>,
+    }
+
+    impl Agent<P> for Rearm {
+        fn on_packet(&mut self, _: Packet<P>, _: &mut Ctx<P>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<P>) {
+            self.fired_at.push(ctx.now);
+            if token > 0 {
+                ctx.timer_at(SimTime::from_nanos(token), 0);
+            }
+        }
+    }
+
+    fn rearm_sim() -> (Simulator<P, Rearm>, NodeId) {
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Host);
+        let s = t.add_node(NodeKind::Switch);
+        t.connect(a, s, 1_000_000_000, 10_000);
+        t.compute_routes();
+        let mut sim = Simulator::new(t, SimConfig::ndp(1));
+        sim.set_agent(a, Rearm { fired_at: vec![] });
+        (sim, a)
+    }
+
+    #[test]
+    #[should_panic(expected = "is in the simulator's past")]
+    fn past_dated_timer_from_an_agent_panics() {
+        let (mut sim, a) = rearm_sim();
+        sim.schedule_timer(a, SimTime::from_nanos(5_000), 4_999);
+        sim.run_to_completion();
+    }
+
+    /// `at == now` is legal from both entry points, and runs at that
+    /// instant, after the event that asked for it.
+    #[test]
+    fn timer_at_the_current_instant_is_legal() {
+        let (mut sim, a) = rearm_sim();
+        let t = SimTime::from_nanos(5_000);
+        sim.schedule_timer(a, t, 5_000);
+        assert_eq!(sim.run_to_completion(), 2);
+        assert_eq!(sim.now(), t);
+        sim.schedule_timer(a, t, 0);
+        assert_eq!(sim.run_to_completion(), 1);
+        assert_eq!(sim.agent(a).fired_at, [t, t, t]);
+    }
+
     /// One packet over an idle six-hop path is a timer and six
-    /// arrivals: no port it crosses ever has a release on the heap.
+    /// arrivals: no port it crosses ever has a release queued.
     #[test]
     fn lone_packet_across_the_fat_tree_is_seven_events() {
         let (mut sim, src, dst, _) = fat_tree_sim(3);

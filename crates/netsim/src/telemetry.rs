@@ -9,8 +9,8 @@
 //! runtime-switchable sink is `Option<Recorder>`: `None` costs one
 //! always-false time comparison per event, `Some` records.
 //!
-//! Recording is **pull-free and heap-free**: no probe events are pushed
-//! into the simulator's event heap and no RNG is consumed, so enabling
+//! Recording is **pull-free and event-free**: no probe events are pushed
+//! into the simulator's event queue and no RNG is consumed, so enabling
 //! telemetry cannot perturb event ordering, sequence numbers, or random
 //! draws — byte-identical-per-seed results are preserved structurally,
 //! not by luck (property-tested in `tests/telemetry.rs`). Buckets are

@@ -8,7 +8,7 @@
 //! fault and churn runners honour the options and attach a
 //! [`RunTelemetry`] to their reports when enabled. Enabling telemetry
 //! never perturbs a run: the recorder consumes no randomness and pushes
-//! no events into the simulator's heap (see `netsim::telemetry`), and
+//! no events into the simulator's queue (see `netsim::telemetry`), and
 //! flow spans are plain appends on session-rare agent paths — the
 //! byte-identity property is tested in `tests/telemetry.rs`.
 

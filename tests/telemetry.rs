@@ -2,7 +2,7 @@
 //! never change it.
 //!
 //! The recorder hooks the simulator's event loop (bucket closure is
-//! lazy, probe events never enter the heap, and no RNG draws happen on
+//! lazy, probe events never enter the queue, and no RNG draws happen on
 //! behalf of telemetry), so byte-identity per seed is structural — but
 //! this test pins it at workload scale across several seeds, on the
 //! exact churn runner the `fabric_faults --churn --telemetry` example
