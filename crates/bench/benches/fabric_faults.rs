@@ -1,8 +1,7 @@
 //! Fabric-dynamics benchmarks: the cost of surviving a core-switch
 //! failure, the raw cost of a masked route recomputation, and the
 //! incremental repair that replaces it after small fault deltas —
-//! plus the simulated post-fault recovery tail with and without
-//! batched sweep re-pulls.
+//! plus the simulated post-fault recovery tail.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use netsim::{FaultMask, Topology};
@@ -16,37 +15,16 @@ fn fault_recovery(c: &mut Criterion) {
     // must complete.
     let sc = FaultScenario::fig1_failure(4, 128 << 10, 11);
     let fabric = Fabric::small();
+    // Wall time is criterion's; the *simulated* post-fault tail is the
+    // metric batched sweep recovery exists for, so print it alongside.
+    let tail = run_fault_rq(&sc, &fabric, &RqRunOptions::default())
+        .recovery()
+        .expect("faulted run")
+        .max_ns;
+    println!("fault/recovery: simulated post-fault tail {tail} ns");
     g.throughput(Throughput::Bytes((4 * 3 * (128 << 10)) as u64));
     g.bench_function("core_failure_rq_k4", |b| {
         b.iter(|| run_fault_rq(&sc, &fabric, &RqRunOptions::default()));
-    });
-    g.finish();
-}
-
-/// The recovery-tail measurement: identical fault runs with the batched
-/// sweep recovery on (default) and off (legacy single-nudge sweeps).
-/// Wall time is reported by criterion; the *simulated* post-fault tails
-/// are printed alongside, since that is the metric batching improves.
-fn recovery_tail(c: &mut Criterion) {
-    let sc = FaultScenario::fig1_failure(4, 128 << 10, 11);
-    let fabric = Fabric::small();
-    let batched_opts = RqRunOptions::default();
-    let mut legacy_opts = RqRunOptions::default();
-    legacy_opts.pr.repull_batch_cap = 0;
-    for (name, opts) in [("batched", &batched_opts), ("legacy", &legacy_opts)] {
-        let tail = run_fault_rq(&sc, &fabric, opts)
-            .recovery()
-            .expect("faulted run")
-            .max_ns;
-        println!("fault/recovery_tail/{name}: simulated post-fault tail {tail} ns");
-    }
-    let mut g = c.benchmark_group("fault/recovery_tail");
-    g.sample_size(10);
-    g.bench_function("batched_repull", |b| {
-        b.iter(|| run_fault_rq(&sc, &fabric, &batched_opts));
-    });
-    g.bench_function("legacy_sweep", |b| {
-        b.iter(|| run_fault_rq(&sc, &fabric, &legacy_opts));
     });
     g.finish();
 }
@@ -199,5 +177,5 @@ fn reroute_cost(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, fault_recovery, recovery_tail, churn, reroute_cost);
+criterion_group!(benches, fault_recovery, churn, reroute_cost);
 criterion_main!(benches);

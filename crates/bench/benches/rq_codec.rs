@@ -1,7 +1,7 @@
 //! Codec microbenchmarks (E5): encoder construction, per-symbol repair
 //! cost (O(1) in K — the property that makes rateless sending cheap),
-//! full decode at realistic loss, systematic-vs-legacy construction A/B,
-//! and the GF(256) slice kernels everything above sits on.
+//! full decode at realistic loss, and the GF(256) slice kernels
+//! everything above sits on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rq::hdpc::HdpcFold;
@@ -120,60 +120,6 @@ fn systematic_fast_path(c: &mut Criterion) {
     g.finish();
 }
 
-fn systematic_vs_legacy(c: &mut Criterion) {
-    // The tentpole A/B: the direct systematic construction vs the
-    // solve-based legacy one, on both sides of the wire. Encode shows
-    // the solve-free construction win; decode shows the shrinking
-    // (seeded) solve against the fixed full-L solve at the same loss.
-    let k = 256usize;
-    let d = data(k * 256);
-
-    let mut g = c.benchmark_group("rq/encode_ab");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(d.len() as u64));
-    g.bench_function("systematic", |b| {
-        b.iter(|| Encoder::new(std::hint::black_box(&d), 256).unwrap())
-    });
-    g.bench_function("legacy", |b| {
-        b.iter(|| Encoder::legacy(std::hint::black_box(&d), 256).unwrap())
-    });
-    g.finish();
-
-    let mut g = c.benchmark_group("rq/decode_ab_10pct_loss");
-    g.sample_size(10);
-    for (label, enc) in [
-        ("systematic", Encoder::new(&d, 256).unwrap()),
-        ("legacy", Encoder::legacy(&d, 256).unwrap()),
-    ] {
-        let mut symbols: Vec<(u32, Vec<u8>)> = Vec::new();
-        for esi in 0..k as u32 {
-            if esi % 10 != 0 {
-                symbols.push((esi, enc.symbol(esi)));
-            }
-        }
-        let mut esi = k as u32;
-        while symbols.len() < k + 2 {
-            symbols.push((esi, enc.symbol(esi)));
-            esi += 1;
-        }
-        g.throughput(Throughput::Bytes(d.len() as u64));
-        g.bench_function(label, |b| {
-            b.iter_batched(
-                || symbols.clone(),
-                |syms| {
-                    let mut dec = Decoder::new(enc.params());
-                    for (esi, s) in syms {
-                        dec.push(esi, s);
-                    }
-                    dec.try_decode().unwrap()
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
 fn gf256_kernels(c: &mut Criterion) {
     // The solver and the HDPC construction are made of these two slice
     // ops; symbol-size slices are the real working set.
@@ -220,7 +166,6 @@ criterion_group!(
     repair_symbol_cost,
     decode_with_loss,
     systematic_fast_path,
-    systematic_vs_legacy,
     gf256_kernels
 );
 criterion_main!(benches);

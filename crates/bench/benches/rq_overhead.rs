@@ -12,40 +12,36 @@ use rq::{rand::Xorshift64, Decoder, Encoder};
 fn measure_failure_rates() {
     let k = 64usize;
     let d: Vec<u8> = (0..k * 64).map(|i| (i * 7) as u8).collect();
-    for (mode, enc) in [
-        ("systematic", Encoder::new(&d, 64).unwrap()),
-        ("legacy", Encoder::legacy(&d, 64).unwrap()),
-    ] {
-        println!("# measured decode-failure rates (K = {k}, {mode}, repair-only worst case)");
-        for overhead in 0..=2usize {
-            let trials = match overhead {
-                0 => 3000,
-                1 => 2000,
-                _ => 1000,
-            };
-            let mut failures = 0;
-            let mut rng = Xorshift64::new(42 + overhead as u64);
-            for _ in 0..trials {
-                let mut dec = Decoder::new(enc.params());
-                let mut added = 0;
-                // Random distinct repair symbols from a wide ESI range:
-                // the hardest case (no systematic fast path).
-                while added < k + overhead {
-                    let esi = k as u32 + rng.next_below(100 * k as u64) as u32;
-                    if dec.push(esi, enc.symbol(esi)) {
-                        added += 1;
-                    }
-                }
-                if dec.try_decode().is_err() {
-                    failures += 1;
+    let enc = Encoder::new(&d, 64).unwrap();
+    println!("# measured decode-failure rates (K = {k}, repair-only worst case)");
+    for overhead in 0..=2usize {
+        let trials = match overhead {
+            0 => 3000,
+            1 => 2000,
+            _ => 1000,
+        };
+        let mut failures = 0;
+        let mut rng = Xorshift64::new(42 + overhead as u64);
+        for _ in 0..trials {
+            let mut dec = Decoder::new(enc.params());
+            let mut added = 0;
+            // Random distinct repair symbols from a wide ESI range:
+            // the hardest case (no systematic fast path).
+            while added < k + overhead {
+                let esi = k as u32 + rng.next_below(100 * k as u64) as u32;
+                if dec.push(esi, enc.symbol(esi)) {
+                    added += 1;
                 }
             }
-            println!(
-                "#   +{overhead}: {failures}/{trials} = {:.4}% (RFC 6330 class: {}%)",
-                100.0 * failures as f64 / trials as f64,
-                100.0 * 10f64.powi(-(2 * (overhead as i32 + 1)))
-            );
+            if dec.try_decode().is_err() {
+                failures += 1;
+            }
         }
+        println!(
+            "#   +{overhead}: {failures}/{trials} = {:.4}% (RFC 6330 class: {}%)",
+            100.0 * failures as f64 / trials as f64,
+            100.0 * 10f64.powi(-(2 * (overhead as i32 + 1)))
+        );
     }
 }
 

@@ -14,9 +14,8 @@
 //! pulled-minus-arrived ledger (see [`crate::receiver`]) is exactly the
 //! loss a fault inflicted: the sweep re-pulls **every affected sender in
 //! one batched recovery round** — each re-pull writes off the stranded
-//! symbols and triggers a window-sized refill burst — instead of the
-//! legacy one-nudge-per-sweep trickle whose post-fault tail was paced by
-//! the 1 ms sweep interval.
+//! symbols and triggers a window-sized refill burst, so the post-fault
+//! tail is not paced by the 1 ms sweep interval.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -64,6 +63,12 @@ pub fn host_fail_token(dead: NodeId) -> u64 {
 pub fn host_up_token(revived: NodeId) -> u64 {
     KIND_HOSTUP << 56 | u64::from(revived.0)
 }
+
+/// The most stranded symbols one recovery re-pull may write off and
+/// re-request from a sender. The refill burst a write-off triggers is
+/// window-capped regardless, so the cap bounds accounting drift, not
+/// burst size — it is deliberately generous.
+const REPULL_BATCH_CAP: u32 = 512;
 
 fn pacer_token() -> u64 {
     KIND_PACER << 56
@@ -300,14 +305,8 @@ impl PolyraptorAgent {
                     rs.note_pull_sent(sender_idx);
                     (false, 0)
                 }
-                PullClass::Recover => (
-                    true,
-                    rs.take_repull_batch(sender_idx, self.cfg.repull_batch_cap),
-                ),
-                PullClass::Retarget => (
-                    true,
-                    rs.take_retarget_batch(sender_idx, self.cfg.repull_batch_cap),
-                ),
+                PullClass::Recover => (true, rs.take_repull_batch(sender_idx, REPULL_BATCH_CAP)),
+                PullClass::Retarget => (true, rs.take_retarget_batch(sender_idx, REPULL_BATCH_CAP)),
             };
             let count = rs.report_count(sender_idx);
             ctx.send(Packet {
@@ -417,7 +416,6 @@ impl PolyraptorAgent {
         }
         let now = ctx.now;
         let rto = self.cfg.retransmit_timeout_ns;
-        let batched = self.cfg.repull_batch_cap > 0;
         let mut rounds: Vec<SessionId> = Vec::new();
         let mut repulls: Vec<(SessionId, NodeId)> = Vec::new();
         for (sid, rs) in self.recv_sessions.iter_mut() {
@@ -426,18 +424,13 @@ impl PolyraptorAgent {
             }
             // Quiet session: nothing is left in flight, so the stranded
             // estimates are live loss. Open a recovery round and re-pull
-            // every affected sender (legacy mode: one round-robin nudge).
-            // The pull also restarts a sender whose initial window
-            // vanished entirely.
+            // every affected sender. The pull also restarts a sender
+            // whose initial window vanished entirely.
             rs.last_activity = now;
             rs.begin_recovery_round();
             rounds.push(*sid);
-            if batched {
-                for target in rs.recovery_targets() {
-                    repulls.push((*sid, target));
-                }
-            } else {
-                repulls.push((*sid, rs.next_sweep_target()));
+            for target in rs.recovery_targets() {
+                repulls.push((*sid, target));
             }
         }
         for sid in rounds {

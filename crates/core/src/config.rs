@@ -1,7 +1,6 @@
 //! Protocol configuration.
 
 use netsim::serialization_ns;
-use rq::CodeMode;
 
 /// How a multicast sender converts receiver pulls into group emissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,14 +52,6 @@ pub struct PrConfig {
     pub pull_spacing_ns: u64,
     /// Oracle mode (see [`OracleMode`]).
     pub oracle: OracleMode,
-    /// Code construction mode for real-oracle sessions (see
-    /// [`rq::CodeMode`]). [`CodeMode::Systematic`] (the default) encodes
-    /// without a solve and gives receivers the zero-copy decode fast
-    /// path; [`CodeMode::Legacy`] keeps the solve-based construction for
-    /// A/B comparison. Under [`OracleMode::Counting`] no symbol bytes are
-    /// materialized, so the mode has no effect on packet-level results —
-    /// emission order and ESI spaces are identical in both modes.
-    pub code_mode: CodeMode,
     /// Re-pull a quiet session after this many nanoseconds (loss of all
     /// in-flight anchors is rare but must not wedge a session).
     pub retransmit_timeout_ns: u64,
@@ -76,16 +67,6 @@ pub struct PrConfig {
     /// window's worth, extra pulls carry no information (every pull
     /// requests "one more fresh symbol").
     pub pull_queue_cap: usize,
-    /// Batch sweep recovery: the most stranded symbols one keep-alive
-    /// re-pull may write off and re-request from a sender. A fault that
-    /// strands a pile of pulled symbols is healed by a single batched
-    /// re-pull instead of one sweep nudge per lost symbol (the
-    /// sweep-paced post-fault tail the ROADMAP called out). The refill
-    /// burst a write-off triggers is window-capped regardless, so the
-    /// cap bounds accounting drift, not burst size — the default is
-    /// deliberately generous. `0` disables batching and falls back to
-    /// the legacy single-nudge sweep.
-    pub repull_batch_cap: u32,
     /// Pacer spacing after a batched recovery re-pull leaves the host
     /// (regular pulls use [`PrConfig::pull_spacing_ns`]): each re-pull
     /// can trigger up to a window of emissions, so consecutive re-pulls
@@ -117,13 +98,11 @@ impl PrConfig {
             initial_window: 16,
             pull_spacing_ns: serialization_ns(pkt, rate),
             oracle: OracleMode::Counting,
-            code_mode: CodeMode::Systematic,
             retransmit_timeout_ns: 2_000_000, // 2 ms
             sweep_interval_ns: 1_000_000,     // 1 ms
             straggler_lag: None,
             multicast: MulticastPull::Any,
             pull_queue_cap: 32,
-            repull_batch_cap: 512,
             repull_spacing_ns: 4 * serialization_ns(pkt, rate),
             record_spans: false,
         }
@@ -135,15 +114,6 @@ impl PrConfig {
         Self {
             oracle: OracleMode::Real,
             ..Self::paper_default()
-        }
-    }
-
-    /// Same as [`PrConfig::real_oracle`] but with the legacy solve-based
-    /// code construction — the A/B baseline for the systematic fast path.
-    pub fn real_oracle_legacy_code() -> Self {
-        Self {
-            code_mode: CodeMode::Legacy,
-            ..Self::real_oracle()
         }
     }
 

@@ -70,7 +70,6 @@ pub use config::{MulticastPull, OracleMode, PrConfig};
 pub use metrics::SessionRecord;
 pub use oracle::{required_overhead, session_object, Oracle};
 pub use receiver::ReceiverSession;
-pub use rq::CodeMode;
 pub use sender::SenderSession;
 pub use session::{Initiator, SessionSpec, SessionState};
 pub use wire::{symbol_packet_bytes, PrPayload, SessionId, CONTROL_BYTES};

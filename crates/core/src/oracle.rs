@@ -16,7 +16,7 @@
 //!   validate the counting model. Once it has succeeded it holds no
 //!   symbol bytes.
 
-use rq::{CodeMode, CodeParams, Decoder, Encoder};
+use rq::{CodeMode, CodeParams, Decoder};
 
 use crate::wire::SessionId;
 
@@ -109,28 +109,15 @@ impl Oracle {
     }
 
     /// Real oracle: builds the decoder for the canonical session object
-    /// (see [`session_object`]) under the given code construction mode —
-    /// it must match the sender's mode or decoding fails outright.
+    /// (see [`session_object`]). The block parameters are arithmetic, so
+    /// nothing is encoded here.
     ///
-    /// [`CodeMode::Systematic`] parameters are arithmetic; only
-    /// [`CodeMode::Legacy`], whose construction tweak comes out of the
-    /// solve, encodes the object here to learn them.
-    pub fn real(session: SessionId, data_len: usize, symbol_size: usize, mode: CodeMode) -> Self {
-        let code = match mode {
-            CodeMode::Systematic => CodeParams::systematic(data_len, symbol_size),
-            CodeMode::Legacy => {
-                Encoder::legacy(&session_object(session, data_len), symbol_size).map(|e| e.params())
-            }
-        };
-        Self::real_with_code(
-            session,
-            code.expect("session object is non-empty and fits one block"),
-        )
-    }
-
-    /// Real oracle over a block whose parameters the caller already has
-    /// (from a live encoder, or [`CodeParams::systematic`]).
-    pub(crate) fn real_with_code(session: SessionId, code: CodeParams) -> Self {
+    /// The last argument has one value and is ignored; it stays because
+    /// `bench_e2e/src/layers.rs` passes it (ROADMAP, "API the benchmark
+    /// pins").
+    pub fn real(session: SessionId, data_len: usize, symbol_size: usize, _: CodeMode) -> Self {
+        let code = CodeParams::systematic(data_len, symbol_size)
+            .expect("session object is non-empty and fits one block");
         Oracle::Real {
             session,
             decoder: Some(Decoder::new(code)),
@@ -233,6 +220,7 @@ pub fn session_object(session: SessionId, len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rq::Encoder;
 
     #[test]
     fn overhead_distribution_shape() {
@@ -344,19 +332,17 @@ mod tests {
     }
 
     #[test]
-    fn real_oracle_parameters_match_the_encoder_in_both_modes() {
+    fn real_oracle_parameters_match_the_encoder() {
         let session = SessionId(3);
         let len = 40 * 64 - 9;
-        for mode in [CodeMode::Systematic, CodeMode::Legacy] {
-            let enc = Encoder::with_mode(&session_object(session, len), 64, mode).unwrap();
-            let Oracle::Real {
-                decoder: Some(dec), ..
-            } = Oracle::real(session, len, 64, mode)
-            else {
-                panic!("a fresh real oracle is decoding");
-            };
-            assert_eq!(dec.params(), enc.params());
-        }
+        let enc = Encoder::new(&session_object(session, len), 64).unwrap();
+        let Oracle::Real {
+            decoder: Some(dec), ..
+        } = Oracle::real(session, len, 64, CodeMode::Systematic)
+        else {
+            panic!("a fresh real oracle is decoding");
+        };
+        assert_eq!(dec.params(), enc.params());
     }
 
     #[test]

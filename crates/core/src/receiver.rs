@@ -26,13 +26,10 @@ use crate::session::{SessionSpec, SessionState};
 pub struct ReceiverSession {
     /// Shared descriptor.
     pub spec: SessionSpec,
-    /// Under the real oracle, `None` until the first symbol arrives: the
-    /// decoder's block parameters may have to come from the session's
-    /// encoder ([`SessionSpec::code_params`]), which exists once a
-    /// sender has started.
+    /// Under the real oracle, `None` until the first symbol arrives.
     oracle: Option<Oracle>,
-    /// `(symbol_size, code_mode)` the real oracle is built with.
-    real_code: (usize, CodeMode),
+    /// Symbol size the real oracle is built with.
+    real_symbol_size: usize,
     /// Cumulative arrivals (full + trimmed) per sender index — the
     /// counts pulls report back (read at pull transmission time).
     arrivals_from: Vec<u64>,
@@ -113,7 +110,7 @@ impl ReceiverSession {
             .collect();
         Self {
             oracle,
-            real_code: (cfg.symbol_size, cfg.code_mode),
+            real_symbol_size: cfg.symbol_size,
             arrivals_from: vec![0; n_senders],
             granted: vec![share; n_senders],
             written_off: vec![0; n_senders],
@@ -148,11 +145,10 @@ impl ReceiverSession {
         self.last_activity = now;
         self.count_arrival(sender_idx);
         self.note_esi(sender_idx, esi);
-        let (symbol_size, mode) = self.real_code;
-        let spec = &self.spec;
+        let (spec, symbol_size) = (&self.spec, self.real_symbol_size);
         self.oracle
             .get_or_insert_with(|| {
-                Oracle::real_with_code(spec.id, spec.code_params(symbol_size, mode))
+                Oracle::real(spec.id, spec.data_len, symbol_size, CodeMode::Systematic)
             })
             .add(esi, body)
     }
@@ -439,9 +435,7 @@ mod tests {
         use crate::sender::SenderSession;
         use crate::wire::PrPayload;
         use netsim::Ctx;
-        // Legacy parameters come from the object's encoder, which the
-        // started sender holds.
-        let cfg = PrConfig::real_oracle_legacy_code();
+        let cfg = PrConfig::real_oracle();
         let spec = SessionSpec::unicast(
             SessionId(8),
             5 * cfg.symbol_size,

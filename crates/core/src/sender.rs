@@ -185,7 +185,7 @@ impl SenderSession {
         }
         self.started = true;
         if cfg.oracle == OracleMode::Real {
-            let (encoder, built) = self.spec.encoder(cfg.symbol_size, cfg.code_mode);
+            let (encoder, built) = self.spec.encoder(cfg.symbol_size);
             self.encoder = Some(encoder);
             self.built_encoder = built;
         }

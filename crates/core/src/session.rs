@@ -8,7 +8,6 @@
 use std::sync::{Arc, Mutex, Weak};
 
 use netsim::{GroupId, NodeId, SimTime};
-use rq::CodeMode;
 
 use crate::oracle::session_object;
 use crate::wire::SessionId;
@@ -99,16 +98,15 @@ impl SessionSpec {
     /// of one another) share one encoder: the first caller builds it
     /// under the lock, later callers get the same `Arc` for as long as
     /// any of them still holds it. The encoded bytes are a pure function
-    /// of `(id, data_len, symbol_size, mode)` and building takes no
-    /// simulated time, so who builds never shows in a run's results. A
-    /// live encoder built for another `(symbol_size, mode)` — hosts
-    /// configured differently — is left alone and the caller gets a
-    /// private one.
-    pub(crate) fn encoder(&self, symbol_size: usize, mode: CodeMode) -> (Arc<rq::Encoder>, bool) {
+    /// of `(id, data_len, symbol_size)` and building takes no simulated
+    /// time, so who builds never shows in a run's results. A live
+    /// encoder built for another `symbol_size` — hosts configured
+    /// differently — is left alone and the caller gets a private one.
+    pub(crate) fn encoder(&self, symbol_size: usize) -> (Arc<rq::Encoder>, bool) {
         let build = || {
             let data = session_object(self.id, self.data_len);
             Arc::new(
-                rq::Encoder::with_mode(&data, symbol_size, mode)
+                rq::Encoder::new(&data, symbol_size)
                     .expect("session object is non-empty and fits one block"),
             )
         };
@@ -117,33 +115,16 @@ impl SessionSpec {
             .lock()
             .expect("a sibling session panicked while encoding");
         match slot.upgrade() {
-            Some(enc) => {
-                let code = enc.params();
-                if (code.symbol_size, code.mode) == (symbol_size, mode) {
-                    (enc, false)
-                } else {
-                    drop(slot);
-                    (build(), true)
-                }
+            Some(enc) if enc.params().symbol_size == symbol_size => (enc, false),
+            Some(_) => {
+                drop(slot);
+                (build(), true)
             }
             None => {
                 let enc = build();
                 *slot = Arc::downgrade(&enc);
                 (enc, true)
             }
-        }
-    }
-
-    /// The block parameters a real-oracle receiver builds its decoder
-    /// from. [`CodeMode::Systematic`] parameters are arithmetic;
-    /// [`CodeMode::Legacy`]'s construction tweak only the encoder knows,
-    /// so they are read off the shared one — live already when asked at
-    /// the first symbol's arrival, since its sender holds it.
-    pub(crate) fn code_params(&self, symbol_size: usize, mode: CodeMode) -> rq::CodeParams {
-        match mode {
-            CodeMode::Systematic => rq::CodeParams::systematic(self.data_len, symbol_size)
-                .expect("session object is non-empty and fits one block"),
-            CodeMode::Legacy => self.encoder(symbol_size, mode).0.params(),
         }
     }
 

@@ -33,8 +33,8 @@ use std::sync::{Barrier, Mutex, RwLock};
 use crate::evq::{Ev, EventQueue};
 use crate::packet::SimPayload;
 use crate::sim::{
-    apply_fault_shared, dispatch_node, reroute_shared, target_of, Agent, Control, Env, FabricStats,
-    GlobalEvent, Lane, LocalOp, NodeEvent, Simulator, GLOBAL_RANK,
+    apply_global_event, apply_local_op, dispatch_node, probe_cells, target_of, Agent, Control, Env,
+    FabricStats, GlobalEvent, Lane, LocalOp, NodeEvent, Simulator,
 };
 use crate::telemetry::{FabricEvent, PortProbe, TelemetrySink};
 use crate::time::SimTime;
@@ -434,19 +434,7 @@ where
                             let mut bin = bins[w].lock().expect("bin lock");
                             bin.stats = lane.stats;
                             bin.probes.clear();
-                            for cell in cells_w.iter() {
-                                if g.topo.kind(cell.node) != NodeKind::Switch {
-                                    continue;
-                                }
-                                for (p, q) in cell.queues.iter().enumerate() {
-                                    bin.probes.push(PortProbe {
-                                        node: cell.node.0,
-                                        port: p as u16,
-                                        depth: q.len() as u32,
-                                        queue: q.stats(),
-                                    });
-                                }
-                            }
+                            probe_cells(g.topo, cells_w.iter(), &mut bin.probes);
                         }
                         barrier.wait();
                         if w == 0 {
@@ -485,71 +473,35 @@ where
                             sh.g_processed += 1;
                             sh.ops.clear();
                             sh.ops_at = gev.at;
-                            match gev.kind {
-                                GlobalEvent::Fault(action) => {
-                                    let mut reroute_at = None;
-                                    apply_fault_shared(
-                                        sh.topo,
-                                        sh.control,
-                                        sh.telemetry,
-                                        reroute_delay,
-                                        gev.at,
-                                        action,
-                                        &mut sh.ops,
-                                        &mut reroute_at,
-                                    );
-                                    if let Some(t) = reroute_at {
-                                        let seq = sh.control.gseq;
-                                        sh.control.gseq += 1;
-                                        sh.gevents.push(Reverse(Ev {
-                                            at: t,
-                                            rank: GLOBAL_RANK,
-                                            seq,
-                                            kind: GlobalEvent::Reroute,
-                                        }));
-                                    }
-                                }
-                                GlobalEvent::Reroute => {
-                                    sh.control.reroute_pending = false;
-                                    reroute_shared(
-                                        sh.topo,
-                                        sh.control,
-                                        sh.telemetry,
-                                        gev.at,
-                                        &mut sh.ops,
-                                    );
-                                }
-                            }
+                            apply_global_event(
+                                sh.topo,
+                                sh.control,
+                                sh.telemetry,
+                                sh.gevents,
+                                reroute_delay,
+                                gev,
+                                &mut sh.ops,
+                            );
                         }
                         barrier.wait();
                         {
                             let g = shared.read().expect("shared read");
                             let at = g.ops_at;
-                            for op in &g.ops {
-                                match *op {
-                                    LocalOp::Flush(node, p) => {
-                                        if plan.shard_of[node.0 as usize] as usize != w {
-                                            continue;
-                                        }
-                                        let slot = cell_of[node.0 as usize] as usize - slot_base;
-                                        let lost = cells_w[slot].queues[p as usize].flush();
-                                        lane.stats.lost_to_fault += lost as u64;
-                                    }
-                                    LocalOp::Kick(node, p) => {
-                                        if plan.shard_of[node.0 as usize] as usize != w {
-                                            continue;
-                                        }
-                                        let slot = cell_of[node.0 as usize] as usize - slot_base;
-                                        if let Some(ev) = cells_w[slot].kick(at, p) {
-                                            queue.push(ev);
-                                        }
-                                    }
-                                    LocalOp::ClearMemos => {
-                                        for cell in cells_w.iter_mut() {
-                                            cell.memo.clear();
-                                        }
-                                    }
-                                }
+                            // A cell another shard owns is that shard's
+                            // to touch.
+                            let slot_of = |n: NodeId| {
+                                (plan.shard_of[n.0 as usize] as usize == w)
+                                    .then(|| cell_of[n.0 as usize] as usize - slot_base)
+                            };
+                            for &op in &g.ops {
+                                apply_local_op(
+                                    cells_w,
+                                    slot_of,
+                                    &mut queue,
+                                    &mut lane.stats,
+                                    at,
+                                    op,
+                                );
                             }
                         }
                         continue;

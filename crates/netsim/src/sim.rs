@@ -894,19 +894,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         });
     }
 
-    /// Push a global event (rank 0, the control plane's counter).
-    fn push_global_event(&mut self, at: SimTime, kind: GlobalEvent) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        let seq = self.control.gseq;
-        self.control.gseq += 1;
-        self.gevents.push(Reverse(Ev {
-            at,
-            rank: GLOBAL_RANK,
-            seq,
-            kind,
-        }));
-    }
-
     /// Degrade (or restore) one direction of a link: packets leaving
     /// `node` through `port` serialize at `rate_bps` instead of the
     /// topology rate. `0` takes the direction down entirely (packets
@@ -998,20 +985,8 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     /// boundaries and at [`Simulator::finish_telemetry`].
     fn collect_port_probes(&self) -> Vec<PortProbe> {
         let mut probes = Vec::new();
-        for n in 0..self.topo.node_count() {
-            let node = NodeId(n as u32);
-            if self.topo.kind(node) != NodeKind::Switch {
-                continue;
-            }
-            for (p, q) in self.cell(node).queues.iter().enumerate() {
-                probes.push(PortProbe {
-                    node: n as u32,
-                    port: p as u16,
-                    depth: q.len() as u32,
-                    queue: q.stats(),
-                });
-            }
-        }
+        let nodes = 0..self.topo.node_count() as u32;
+        probe_cells(&self.topo, nodes.map(|n| self.cell(NodeId(n))), &mut probes);
         probes
     }
 
@@ -1127,7 +1102,12 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 ev.at,
                 self.now
             );
-            self.push_global_event(ev.at, GlobalEvent::Fault(ev.action));
+            push_global_event(
+                &mut self.control,
+                &mut self.gevents,
+                ev.at,
+                GlobalEvent::Fault(ev.action),
+            );
         }
     }
 
@@ -1216,7 +1196,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
             self.now = at;
             if take_global {
                 let Reverse(gev) = self.gevents.pop().expect("peeked");
-                self.apply_global(at, gev.kind);
+                self.apply_global(gev);
                 global_processed += 1;
             } else {
                 let ev = self.nevents.pop().expect("peeked");
@@ -1253,64 +1233,134 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         node_processed + global_processed
     }
 
-    /// Execute one global event: apply the shared part (mask, tables,
-    /// telemetry, control stats), then the per-node ops in list order.
-    pub(crate) fn apply_global(&mut self, at: SimTime, kind: GlobalEvent) {
+    /// Execute one global event on the serial loop: the shared part,
+    /// then every per-node op (all cells are this loop's own).
+    fn apply_global(&mut self, gev: Ev<GlobalEvent>) {
+        let at = gev.at;
         let mut ops = Vec::new();
-        match kind {
-            GlobalEvent::Fault(action) => {
-                // request_reroute needs to push onto the global heap:
-                // split the borrow by staging the push.
-                let mut reroute_at = None;
-                apply_fault_shared(
-                    &self.topo,
-                    &mut self.control,
-                    &mut self.telemetry,
-                    self.config.reroute_delay_ns,
-                    at,
-                    action,
-                    &mut ops,
-                    &mut reroute_at,
-                );
-                if let Some(t) = reroute_at {
-                    self.push_global_event(t, GlobalEvent::Reroute);
-                }
-            }
-            GlobalEvent::Reroute => {
-                self.control.reroute_pending = false;
-                reroute_shared(
-                    &mut self.topo,
-                    &mut self.control,
-                    &mut self.telemetry,
-                    at,
-                    &mut ops,
-                );
+        apply_global_event(
+            &mut self.topo,
+            &mut self.control,
+            &mut self.telemetry,
+            &mut self.gevents,
+            self.config.reroute_delay_ns,
+            gev,
+            &mut ops,
+        );
+        let cell_of = &self.cell_of;
+        for op in ops {
+            apply_local_op(
+                &mut self.cells,
+                |n| Some(cell_of[n.0 as usize] as usize),
+                &mut self.nevents,
+                &mut self.lane.stats,
+                at,
+                op,
+            );
+        }
+    }
+}
+
+/// Push a global event (rank 0, the control plane's counter).
+fn push_global_event(
+    control: &mut Control,
+    gevents: &mut BinaryHeap<Reverse<Ev<GlobalEvent>>>,
+    at: SimTime,
+    kind: GlobalEvent,
+) {
+    let seq = control.gseq;
+    control.gseq += 1;
+    gevents.push(Reverse(Ev {
+        at,
+        rank: GLOBAL_RANK,
+        seq,
+        kind,
+    }));
+}
+
+/// Execute the shared part of one global event (mask, tables,
+/// telemetry, control stats, the deferred reroute a fault requests) and
+/// list its per-node effects in `ops`, for [`apply_local_op`]. The one
+/// path for the serial loop and for shard worker 0 at a barrier.
+pub(crate) fn apply_global_event<T: TelemetrySink>(
+    topo: &mut Topology,
+    control: &mut Control,
+    telemetry: &mut T,
+    gevents: &mut BinaryHeap<Reverse<Ev<GlobalEvent>>>,
+    reroute_delay_ns: u64,
+    ev: Ev<GlobalEvent>,
+    ops: &mut Vec<LocalOp>,
+) {
+    match ev.kind {
+        GlobalEvent::Fault(action) => {
+            apply_fault_shared(topo, control, telemetry, ev.at, action, ops);
+            // Every detected fault (anything but a silent rate change)
+            // has routes recomputed one control-plane convergence delay
+            // later; a burst of faults shares the pending recompute.
+            if !matches!(action, FaultAction::RateChange { .. }) && !control.reroute_pending {
+                control.reroute_pending = true;
+                let at = ev.at + reroute_delay_ns;
+                push_global_event(control, gevents, at, GlobalEvent::Reroute);
             }
         }
-        self.apply_local_ops(at, &ops);
+        GlobalEvent::Reroute => {
+            control.reroute_pending = false;
+            reroute_shared(topo, control, telemetry, ev.at, ops);
+        }
     }
+}
 
-    /// Apply a global event's per-node ops on the serial loop (a shard
-    /// worker applies the same list filtered to its own cells).
-    fn apply_local_ops(&mut self, at: SimTime, ops: &[LocalOp]) {
-        for op in ops {
-            match *op {
-                LocalOp::Flush(n, p) => {
-                    let slot = self.cell_of[n.0 as usize] as usize;
-                    let lost = self.cells[slot].queues[p as usize].flush();
-                    self.lane.stats.lost_to_fault += lost as u64;
-                }
-                LocalOp::Kick(n, p) => {
-                    if let Some(ev) = self.cell_mut(n).kick(at, p) {
-                        self.nevents.push(ev);
-                    }
-                }
-                LocalOp::ClearMemos => {
-                    for cell in &mut self.cells {
-                        cell.memo.clear();
-                    }
-                }
+/// Apply one per-node op of the global event at `at` to `cells`, the
+/// caller's own: `slot_of` maps a node to its slot there, or `None` for
+/// a cell another shard owns (that shard applies the op). Ops run in
+/// list order everywhere, so per-node effect order is the same in
+/// serial and sharded runs.
+pub(crate) fn apply_local_op<P: SimPayload, A>(
+    cells: &mut [NodeCell<P, A>],
+    slot_of: impl Fn(NodeId) -> Option<usize>,
+    queue: &mut EventQueue<NodeEvent<P>>,
+    stats: &mut FabricStats,
+    at: SimTime,
+    op: LocalOp,
+) {
+    match op {
+        LocalOp::Flush(node, port) => {
+            if let Some(slot) = slot_of(node) {
+                let lost = cells[slot].queues[port as usize].flush();
+                stats.lost_to_fault += lost as u64;
             }
+        }
+        LocalOp::Kick(node, port) => {
+            if let Some(ev) = slot_of(node).and_then(|slot| cells[slot].kick(at, port)) {
+                queue.push(ev);
+            }
+        }
+        LocalOp::ClearMemos => {
+            for cell in cells {
+                cell.memo.clear();
+            }
+        }
+    }
+}
+
+/// Append a probe of every switch port among `cells` (depth and
+/// cumulative counters), in the order given.
+pub(crate) fn probe_cells<'a, P: SimPayload + 'a, A: 'a>(
+    topo: &Topology,
+    cells: impl IntoIterator<Item = &'a NodeCell<P, A>>,
+    out: &mut Vec<PortProbe>,
+) {
+    for cell in cells {
+        if topo.kind(cell.node) != NodeKind::Switch {
+            continue;
+        }
+        for (p, q) in cell.queues.iter().enumerate() {
+            out.push(PortProbe {
+                node: cell.node.0,
+                port: p as u16,
+                depth: q.len() as u32,
+                queue: q.stats(),
+            });
         }
     }
 }
@@ -1333,36 +1383,17 @@ fn link_key(topo: &Topology, node: NodeId, port: u16) -> FaultKey {
     FaultKey::Link(n, p)
 }
 
-/// Schedule a route recomputation after the configured control-plane
-/// convergence delay, unless one is already pending. Returns the fire
-/// time through `reroute_at` (the caller owns the global heap).
-fn request_reroute(
-    control: &mut Control,
-    reroute_delay_ns: u64,
-    now: SimTime,
-    reroute_at: &mut Option<SimTime>,
-) {
-    if control.reroute_pending {
-        return;
-    }
-    control.reroute_pending = true;
-    *reroute_at = Some(now + reroute_delay_ns);
-}
-
 /// The shared part of a fault event: telemetry annotation, fault mask,
-/// flap bookkeeping, rate overrides, and the deferred-reroute request.
-/// Per-node effects (queue flushes, transmit kicks) come back as
-/// [`LocalOp`]s in deterministic order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_fault_shared<T: TelemetrySink>(
+/// flap bookkeeping, and rate overrides. Per-node effects (queue
+/// flushes, transmit kicks) come back as [`LocalOp`]s in deterministic
+/// order.
+fn apply_fault_shared<T: TelemetrySink>(
     topo: &Topology,
     control: &mut Control,
     telemetry: &mut T,
-    reroute_delay_ns: u64,
     now: SimTime,
     action: FaultAction,
     ops: &mut Vec<LocalOp>,
-    reroute_at: &mut Option<SimTime>,
 ) {
     // Every mask change starts a new fault era: the layer memos cache
     // a pure function of (tables, mask), so they must be forgotten the
@@ -1380,7 +1411,6 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
             control.pending_down.insert(link_key(topo, node, port));
             ops.push(LocalOp::Flush(node, port));
             ops.push(LocalOp::Flush(back.peer, back.peer_port));
-            request_reroute(control, reroute_delay_ns, now, reroute_at);
         }
         FaultAction::LinkUp { node, port } => {
             telemetry.record(now, FabricEvent::LinkUp { node: node.0, port });
@@ -1391,7 +1421,6 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
                 // pair cancels out of the pending reroute's delta.
                 control.stats.flaps_coalesced += 1;
             }
-            request_reroute(control, reroute_delay_ns, now, reroute_at);
             ops.push(LocalOp::Kick(node, port));
             ops.push(LocalOp::Kick(back.peer, back.peer_port));
         }
@@ -1405,7 +1434,6 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
             for p in 0..topo.node_ports(switch).len() as u16 {
                 ops.push(LocalOp::Flush(switch, p));
             }
-            request_reroute(control, reroute_delay_ns, now, reroute_at);
         }
         FaultAction::SwitchUp { switch } => {
             telemetry.record(now, FabricEvent::NodeUp { node: switch.0 });
@@ -1413,7 +1441,6 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
             if control.pending_down.remove(&FaultKey::Node(switch.0)) {
                 control.stats.flaps_coalesced += 1;
             }
-            request_reroute(control, reroute_delay_ns, now, reroute_at);
             // Neighbours may have queued towards the repaired node
             // while it routed around (and a repaired host's own NIC
             // may have parked traffic); restart any idle ports.
@@ -1459,7 +1486,7 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
 /// and repair multicast trees (receivers a fault cut off are skipped
 /// until a later repair restores them). Dead-link flushes and memo
 /// clears come back as [`LocalOp`]s.
-pub(crate) fn reroute_shared<T: TelemetrySink>(
+fn reroute_shared<T: TelemetrySink>(
     topo: &mut Topology,
     control: &mut Control,
     telemetry: &mut T,

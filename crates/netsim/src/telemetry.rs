@@ -4,10 +4,12 @@
 //! The simulator is generic over a [`TelemetrySink`]. The default sink,
 //! [`NoTelemetry`], is a unit type whose methods are empty bodies: the
 //! compiler monomorphizes every hook to nothing, so a recorder-less
-//! simulator is *the same machine code* as before telemetry existed
-//! (the `bench_smoke` gate holds this to within noise). The
-//! runtime-switchable sink is `Option<Recorder>`: `None` costs one
-//! always-false time comparison per event, `Some` records.
+//! simulator is *the same machine code* as before telemetry existed.
+//! The runtime-switchable sink is `Option<Recorder>`: `None` costs one
+//! always-false time comparison per event, `Some` records (`bench_e2e`
+//! reports the recording-on cost as `telemetry.on_wall_ratio`; the
+//! `None` sink runs its churn workloads, [`NoTelemetry`] its storage
+//! workloads).
 //!
 //! Recording is **pull-free and event-free**: no probe events are pushed
 //! into the simulator's event queue and no RNG is consumed, so enabling
@@ -502,8 +504,7 @@ pub trait TelemetrySink {
 }
 
 /// The default sink: a unit type whose empty hook bodies monomorphize
-/// away, leaving the simulator's hot path untouched (gated by
-/// `bench_smoke`'s telemetry ratio).
+/// away, leaving the simulator's hot path untouched.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoTelemetry;
 

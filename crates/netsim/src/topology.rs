@@ -156,13 +156,6 @@ impl RoutingPolicy {
         );
         Self { layers, seed }
     }
-
-    /// The two-layer policy that replaces the old `RouteSet::NonMinimal`
-    /// loop-free-detour path set: one minimal layer plus one seeded
-    /// non-minimal layer.
-    pub fn non_minimal() -> Self {
-        Self::layered(2, 0)
-    }
 }
 
 /// One layer's routing state as flat column-major arenas (layout: see
@@ -1865,8 +1858,6 @@ mod tests {
     fn layered_policy_widens_path_set_and_stays_loop_free() {
         let mut t = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3);
         let minimal: usize = count_advertised(&t, 0);
-        // The old `RouteSet::NonMinimal` maps to a 2-layer policy.
-        assert_eq!(RoutingPolicy::non_minimal(), RoutingPolicy::layered(2, 0));
         t.set_policy(RoutingPolicy::layered(3, 7));
         t.compute_routes();
         assert_eq!(t.layer_count(), 3);

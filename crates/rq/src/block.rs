@@ -8,7 +8,7 @@
 
 use crate::decoder::{DecodeError, Decoder};
 use crate::encoder::{CodeParams, EncodeError, Encoder};
-use crate::params::{partition, CodeMode, MAX_K};
+use crate::params::{partition, MAX_K};
 
 /// Identifies one encoding symbol of an object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,16 +45,8 @@ pub struct ObjectEncoder {
 }
 
 impl ObjectEncoder {
-    /// Split `data` into blocks and construct per-block encoders in the
-    /// default [`CodeMode::Systematic`] mode.
+    /// Split `data` into blocks and construct per-block encoders.
     pub fn new(data: &[u8], symbol_size: usize) -> Result<Self, EncodeError> {
-        Self::with_mode(data, symbol_size, CodeMode::Systematic)
-    }
-
-    /// Split `data` into blocks with an explicit construction mode (the
-    /// mode travels in each block's [`CodeParams`], so decoders follow
-    /// automatically).
-    pub fn with_mode(data: &[u8], symbol_size: usize, mode: CodeMode) -> Result<Self, EncodeError> {
         if data.is_empty() {
             return Err(EncodeError::EmptyData);
         }
@@ -68,7 +60,7 @@ impl ObjectEncoder {
         for b in 0..z {
             let k = if b < zl { kl } else { ks };
             let end = (offset + k * symbol_size).min(data.len());
-            let enc = Encoder::with_mode(&data[offset..end], symbol_size, mode)?;
+            let enc = Encoder::new(&data[offset..end], symbol_size)?;
             blocks.push(enc.params());
             encoders.push(enc);
             offset = end;

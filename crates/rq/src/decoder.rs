@@ -6,10 +6,10 @@ use std::collections::BTreeMap;
 use crate::encoder::CodeParams;
 use crate::gf256;
 use crate::hdpc::HdpcFold;
-use crate::matrix::{hdpc_columns, hdpc_rows, ldpc_rows, lt_row, ConstraintRow, RowKind};
-use crate::params::{BlockParams, CodeMode};
+use crate::matrix::{hdpc_columns, ldpc_rows, ConstraintRow, RowKind};
+use crate::params::BlockParams;
 use crate::solver::{solve, SolveError};
-use crate::tuple::{lt_columns, lt_columns_with_floor};
+use crate::tuple::lt_columns_with_floor;
 
 /// Decode outcome when the data is not (yet) recoverable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,7 @@ impl std::error::Error for DecodeError {}
 
 /// Which decode paths a [`Decoder`] has taken so far — instrumentation for
 /// the fast-path contract ("the solver is *not* invoked when all `K`
-/// source symbols arrive") and for A/B benchmarking.
+/// source symbols arrive").
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Successful decodes that took the zero-copy fast path (all source
@@ -56,9 +56,8 @@ pub struct DecodeStats {
     pub fast_path_decodes: u64,
     /// Decodes (successful or not) that invoked the inactivation solver.
     pub solver_decodes: u64,
-    /// Number of unknowns in the most recent solver invocation. In
-    /// systematic mode this is `missing + S + H` — it shrinks with the
-    /// loss count; in legacy mode it is always `L`.
+    /// Number of unknowns in the most recent solver invocation:
+    /// `missing + S + H` — it shrinks with the loss count.
     pub last_solve_unknowns: usize,
 }
 
@@ -151,9 +150,8 @@ impl Decoder {
     /// When every source symbol arrived this is the zero-copy fast path:
     /// received symbols are appended straight into the output buffer and
     /// no linear algebra runs at all (observable via [`DecodeStats`]).
-    /// Otherwise the solver runs — in [`CodeMode::Systematic`] a *reduced*
-    /// solve seeded with the known source symbols, in [`CodeMode::Legacy`]
-    /// the full `L×L` system.
+    /// Otherwise the solver runs a *reduced* solve seeded with the known
+    /// source symbols.
     pub fn try_decode(&self) -> Result<Vec<u8>, DecodeError> {
         // Fast path: all source symbols present, no linear algebra at all.
         if self.systematic_complete() {
@@ -174,9 +172,16 @@ impl Decoder {
 
     /// Decode via the solver even when the fast path is eligible.
     ///
-    /// Exists for the fast-path/solver equivalence tests and for A/B
+    /// Exists for the fast-path/solver equivalence tests and for
     /// benchmarking the fast path against the work it avoids; production
     /// callers want [`Decoder::try_decode`].
+    ///
+    /// The solve is reduced: received source symbols pin intermediate
+    /// columns `0..k` directly, so the unknowns are only the *missing*
+    /// source columns plus the `S + H` parity columns. Every constraint
+    /// row is projected onto those unknowns, with the known-source
+    /// contributions folded into its RHS — the "seeding" that makes the
+    /// system shrink with the loss count.
     pub fn try_decode_solver(&self) -> Result<Vec<u8>, DecodeError> {
         if self.received.len() < self.code.k {
             return Err(DecodeError::NeedMoreSymbols {
@@ -184,19 +189,6 @@ impl Decoder {
                 need: self.code.k,
             });
         }
-        match self.code.mode {
-            CodeMode::Systematic => self.decode_systematic(),
-            CodeMode::Legacy => self.decode_legacy(),
-        }
-    }
-
-    /// Reduced solve for the systematic construction: received source
-    /// symbols pin intermediate columns `0..k` directly, so the unknowns
-    /// are only the *missing* source columns plus the `S + H` parity
-    /// columns. Every constraint row is projected onto those unknowns,
-    /// with the known-source contributions folded into its RHS — the
-    /// "seeding" that makes the system shrink with the loss count.
-    fn decode_systematic(&self) -> Result<Vec<u8>, DecodeError> {
         let k = self.code.k;
         let t = self.code.symbol_size;
         let p = &self.params;
@@ -248,7 +240,7 @@ impl Decoder {
         let ks = k + p.s;
         let mut hdpc_coefs = vec![vec![0u8; n_unknown]; p.h];
         let mut known = HdpcFold::new(t);
-        for (c, column) in hdpc_columns(p, 0).iter().enumerate() {
+        for (c, column) in hdpc_columns(p).iter().enumerate() {
             match compact[c] {
                 KNOWN => known.fold(column, &self.received[&(c as u32)]),
                 u => {
@@ -268,15 +260,11 @@ impl Decoder {
             });
         }
         // One row per received repair symbol; its LT columns over the
-        // intermediates (degree-floored in systematic mode, matching the
-        // encoder), known sources folded into the RHS.
+        // intermediates (degree-floored, matching the encoder), known
+        // sources folded into the RHS.
+        let min_d = crate::params::sys_repair_min_degree(p.l);
         for (&esi, sym) in self.received.range(k as u32..) {
-            let cols = lt_columns_with_floor(
-                p,
-                self.code.tweak,
-                esi,
-                crate::params::sys_repair_min_degree(p.l),
-            );
+            let cols = lt_columns_with_floor(p, esi, min_d);
             rows.push(project_binary(cols, sym.clone()));
         }
 
@@ -295,60 +283,14 @@ impl Decoder {
         };
 
         // Assemble: received source symbols verbatim, missing ones straight
-        // from the solution (in systematic mode the intermediate *is* the
-        // source symbol — no LT re-encode needed).
+        // from the solution (the intermediate *is* the source symbol — no
+        // LT re-encode needed).
         let mut out = Vec::with_capacity(k * t);
         for esi in 0..k as u32 {
             if let Some(sym) = self.received.get(&esi) {
                 out.extend_from_slice(sym);
             } else {
                 out.extend_from_slice(&solution[compact[esi as usize] as usize]);
-            }
-        }
-        out.truncate(self.code.data_len);
-        Ok(out)
-    }
-
-    /// Full solve for the legacy construction: precode constraints plus
-    /// one LT row per received symbol, over all `L` intermediates.
-    fn decode_legacy(&self) -> Result<Vec<u8>, DecodeError> {
-        let k = self.code.k;
-        let t = self.code.symbol_size;
-        let mut rows: Vec<ConstraintRow> =
-            Vec::with_capacity(self.params.s + self.params.h + self.received.len());
-        rows.extend(ldpc_rows(&self.params, t));
-        rows.extend(hdpc_rows(&self.params, self.code.tweak, t));
-        for (&esi, sym) in &self.received {
-            rows.push(lt_row(&self.params, self.code.tweak, esi, sym.clone()));
-        }
-
-        let mut st = self.stats.get();
-        st.solver_decodes += 1;
-        st.last_solve_unknowns = self.params.l;
-        self.stats.set(st);
-
-        let intermediates = match solve(self.params.l, rows, t) {
-            Ok(c) => c,
-            Err(SolveError::Singular) => {
-                return Err(DecodeError::RankDeficient {
-                    have: self.received.len(),
-                })
-            }
-        };
-
-        // Reassemble: received source symbols verbatim, missing ones
-        // re-encoded from the recovered intermediate block.
-        let mut out = Vec::with_capacity(k * t);
-        for esi in 0..k as u32 {
-            if let Some(sym) = self.received.get(&esi) {
-                out.extend_from_slice(sym);
-            } else {
-                let cols = lt_columns(&self.params, self.code.tweak, esi);
-                let mut sym = vec![0u8; t];
-                for c in cols {
-                    gf256::xor_assign(&mut sym, &intermediates[c as usize]);
-                }
-                out.extend_from_slice(&sym);
             }
         }
         out.truncate(self.code.data_len);

@@ -2,9 +2,8 @@
 
 use crate::gf256;
 use crate::hdpc::HdpcFold;
-use crate::matrix::{hdpc_columns, hdpc_rows, ldpc_cols, ldpc_rows, lt_row, ConstraintRow};
+use crate::matrix::{hdpc_columns, ldpc_cols};
 use crate::params::{BlockParams, CodeMode};
-use crate::solver::{solve, SolveError};
 use crate::tuple::lt_columns_with_floor;
 
 /// Everything a decoder must know to decode one block. Communicated
@@ -18,22 +17,13 @@ pub struct CodeParams {
     pub symbol_size: usize,
     /// Length of the real data (the last symbol may carry zero padding).
     pub data_len: usize,
-    /// Construction tweak: bumped (rarely) until the legacy systematic
-    /// constraint matrix is invertible for this `k`. Always 0 in
-    /// [`CodeMode::Systematic`] — the direct construction cannot fail.
-    pub tweak: u8,
-    /// Intermediate-block construction mode; encoder and decoder must
-    /// agree, so it travels with the block parameters.
-    pub mode: CodeMode,
 }
 
 impl CodeParams {
     /// The parameters [`Encoder::new`] reports for `data_len` bytes cut
     /// into `symbol_size`-byte symbols, by arithmetic alone: the direct
-    /// [`CodeMode::Systematic`] construction cannot fail, so its tweak is
-    /// always 0 and a receiver can set up its decoder without an
-    /// encoder. ([`CodeMode::Legacy`] parameters need the solve — only
-    /// [`Encoder::params`] knows the tweak.)
+    /// construction cannot fail, so a receiver can set up its decoder
+    /// without an encoder.
     pub fn systematic(data_len: usize, symbol_size: usize) -> Result<Self, EncodeError> {
         assert!(symbol_size > 0, "symbol size must be positive");
         if data_len == 0 {
@@ -47,8 +37,6 @@ impl CodeParams {
             k,
             symbol_size,
             data_len,
-            tweak: 0,
-            mode: CodeMode::Systematic,
         })
     }
 }
@@ -64,10 +52,6 @@ pub enum EncodeError {
         /// The number of source symbols the data would need.
         k: usize,
     },
-    /// No construction tweak in `0..=255` produced an invertible matrix.
-    /// Practically unreachable (each attempt fails with probability
-    /// ~2⁻⁹⁶); kept as an honest error path instead of a panic.
-    ConstructionFailed,
 }
 
 impl std::fmt::Display for EncodeError {
@@ -79,9 +63,6 @@ impl std::fmt::Display for EncodeError {
                     f,
                     "block needs K={k} symbols, above MAX_K; use ObjectEncoder"
                 )
-            }
-            EncodeError::ConstructionFailed => {
-                write!(f, "no construction tweak yields an invertible matrix")
             }
         }
     }
@@ -97,11 +78,9 @@ impl std::error::Error for EncodeError {}
 /// latency); `esi >= k` returns repair symbols, of which there are
 /// effectively unlimited (`u32` space).
 ///
-/// In the default [`CodeMode::Systematic`] mode construction is solve-free
-/// (the intermediates are source plus directly-computed parity);
-/// [`Encoder::legacy`] keeps the original solve-based construction for A/B
-/// comparison. Either way the intermediate precompute happens once here
-/// and is reused across every repair symbol.
+/// Construction is solve-free (the intermediates are source plus
+/// directly-computed parity); the intermediate precompute happens once
+/// here and is reused across every repair symbol.
 ///
 /// ```
 /// use rq::Encoder;
@@ -117,59 +96,29 @@ impl std::error::Error for EncodeError {}
 pub struct Encoder {
     params: BlockParams,
     code: CodeParams,
-    /// The `L` intermediate symbols, back to back (`L · T` bytes). In
-    /// [`CodeMode::Systematic`] the first `K · T` bytes are the
-    /// zero-padded source itself.
+    /// The `L` intermediate symbols, back to back (`L · T` bytes); the
+    /// first `K · T` bytes are the zero-padded source itself.
     block: Vec<u8>,
 }
 
 impl Encoder {
-    /// Build an encoder over `data` with the given symbol size, in the
-    /// default [`CodeMode::Systematic`] mode (direct parity construction,
-    /// no solve).
+    /// Build an encoder over `data` with the given symbol size (direct
+    /// parity construction, no solve — it cannot fail on valid input).
     pub fn new(data: &[u8], symbol_size: usize) -> Result<Self, EncodeError> {
-        Self::with_mode(data, symbol_size, CodeMode::Systematic)
-    }
-
-    /// Build an encoder in the solve-based [`CodeMode::Legacy`] mode —
-    /// kept for A/B comparison against the systematic fast path.
-    pub fn legacy(data: &[u8], symbol_size: usize) -> Result<Self, EncodeError> {
-        Self::with_mode(data, symbol_size, CodeMode::Legacy)
-    }
-
-    /// Build an encoder over `data` in an explicit mode.
-    pub fn with_mode(data: &[u8], symbol_size: usize, mode: CodeMode) -> Result<Self, EncodeError> {
         let code = CodeParams::systematic(data.len(), symbol_size)?;
         let params = BlockParams::new(code.k);
-        match mode {
-            // Direct construction: no solve, no tweak, cannot fail.
-            CodeMode::Systematic => Ok(Self {
-                params,
-                code,
-                block: Self::systematic_block(&params, data, symbol_size),
-            }),
-            CodeMode::Legacy => {
-                // Find a construction tweak that makes the systematic
-                // matrix invertible. Attempt 0 works essentially always.
-                for tweak in 0u8..=255 {
-                    match Self::derive_intermediates(&params, tweak, data, symbol_size) {
-                        Ok(intermediates) => {
-                            return Ok(Self {
-                                params,
-                                code: CodeParams {
-                                    tweak,
-                                    mode,
-                                    ..code
-                                },
-                                block: intermediates.concat(),
-                            });
-                        }
-                        Err(SolveError::Singular) => continue,
-                    }
-                }
-                Err(EncodeError::ConstructionFailed)
-            }
-        }
+        Ok(Self {
+            params,
+            code,
+            block: Self::systematic_block(&params, data, symbol_size),
+        })
+    }
+
+    /// [`Encoder::new`]; the mode argument has one value. Kept because
+    /// `bench_e2e/src/layers.rs` calls it (ROADMAP, "API the benchmark
+    /// pins").
+    pub fn with_mode(data: &[u8], symbol_size: usize, _: CodeMode) -> Result<Self, EncodeError> {
+        Self::new(data, symbol_size)
     }
 
     /// Direct systematic construction: the intermediate block is
@@ -204,32 +153,13 @@ impl Encoder {
         // `j < K+S`, all of which are already constructed.
         let mut fold = HdpcFold::new(t);
         let constructed = source.chunks_exact(t).chain(ldpc.chunks_exact(t));
-        for (coefs, sym) in hdpc_columns(params, 0).iter().zip(constructed) {
+        for (coefs, sym) in hdpc_columns(params).iter().zip(constructed) {
             fold.fold(coefs, sym);
         }
         for (h, sym) in hdpc.chunks_exact_mut(t).enumerate() {
             fold.write_row(h, sym);
         }
         block
-    }
-
-    /// Solve the L×L systematic system: precode constraints plus the LT
-    /// rows of ESIs `0..k` pinned to the (zero-padded) source symbols.
-    fn derive_intermediates(
-        params: &BlockParams,
-        tweak: u8,
-        data: &[u8],
-        symbol_size: usize,
-    ) -> Result<Vec<Vec<u8>>, SolveError> {
-        let mut rows: Vec<ConstraintRow> = Vec::with_capacity(params.s + params.h + params.k);
-        rows.extend(ldpc_rows(params, symbol_size));
-        rows.extend(hdpc_rows(params, tweak, symbol_size));
-        for (i, chunk) in data.chunks(symbol_size).enumerate() {
-            let mut sym = chunk.to_vec();
-            sym.resize(symbol_size, 0);
-            rows.push(lt_row(params, tweak, i as u32, sym));
-        }
-        solve(params.l, rows, symbol_size)
     }
 
     /// The decoder-facing parameters of this block.
@@ -252,30 +182,20 @@ impl Encoder {
     /// Produce encoding symbol `esi`.
     ///
     /// Systematic source symbols (`esi < k`) are copied out of the block;
-    /// everything else is LT-encoded from the intermediates on demand
-    /// (cost: mean-degree ≈ 4.6 symbol XORs, independent of `k`) — in
-    /// [`CodeMode::Legacy`] that includes the source symbols, which the
-    /// solve pinned to their LT relation.
+    /// repair symbols are LT-encoded from the intermediates on demand.
     pub fn symbol(&self, esi: u32) -> Vec<u8> {
-        if (esi as usize) < self.code.k && self.code.mode == CodeMode::Systematic {
+        if (esi as usize) < self.code.k {
             self.intermediate(esi as usize).to_vec()
         } else {
             self.lt_encode(esi)
         }
     }
 
-    /// LT-encode any ESI from the intermediates.
-    ///
-    /// In [`CodeMode::Legacy`] this satisfies the solve-enforced property
-    /// `lt_encode(i) == source[i]` for `i < k` (confirmed by tests). In
-    /// [`CodeMode::Systematic`] it is only meaningful for repair ESIs —
-    /// source symbols are emitted verbatim, not via the LT relation.
-    pub fn lt_encode(&self, esi: u32) -> Vec<u8> {
-        let min_d = match self.code.mode {
-            CodeMode::Systematic => crate::params::sys_repair_min_degree(self.params.l),
-            CodeMode::Legacy => 0,
-        };
-        let cols = lt_columns_with_floor(&self.params, self.code.tweak, esi, min_d);
+    /// LT-encode a repair ESI from the intermediates, at the floored
+    /// walk degree ([`crate::params::sys_repair_min_degree`]).
+    fn lt_encode(&self, esi: u32) -> Vec<u8> {
+        let min_d = crate::params::sys_repair_min_degree(self.params.l);
+        let cols = lt_columns_with_floor(&self.params, esi, min_d);
         let mut out = vec![0u8; self.code.symbol_size];
         for c in cols {
             gf256::xor_assign(&mut out, self.intermediate(c as usize));
@@ -287,10 +207,32 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::RowKind;
+    use crate::matrix::{ldpc_rows, ConstraintRow, RowKind};
 
     fn data(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 131 + 17) as u8).collect()
+    }
+
+    /// The `H` dense HDPC constraint rows (zero RHS) spelled out one row
+    /// at a time: the [`hdpc_columns`] coefficients over columns
+    /// `[0, K+S)`, identity 1 at column `K+S+h` — what the fused
+    /// [`HdpcFold`] pass is checked against.
+    fn hdpc_rows(params: &BlockParams, symbol_size: usize) -> Vec<ConstraintRow> {
+        let ks = params.k + params.s;
+        let columns = hdpc_columns(params);
+        (0..params.h)
+            .map(|h| {
+                let mut coefs = vec![0u8; params.l];
+                for (c, column) in coefs.iter_mut().zip(&columns) {
+                    *c = column[h];
+                }
+                coefs[ks + h] = 1;
+                ConstraintRow {
+                    kind: RowKind::Dense { coefs },
+                    value: vec![0; symbol_size],
+                }
+            })
+            .collect()
     }
 
     /// The systematic intermediates built symbol by symbol, one
@@ -316,7 +258,7 @@ mod tests {
             }
             c.push(sym);
         }
-        for row in hdpc_rows(&params, 0, t) {
+        for row in hdpc_rows(&params, t) {
             let RowKind::Dense { coefs } = row.kind else {
                 unreachable!("HDPC rows are dense")
             };
@@ -351,7 +293,7 @@ mod tests {
                     reference[esi as usize].clone()
                 } else {
                     let mut sym = vec![0u8; t];
-                    for col in lt_columns_with_floor(&enc.params, 0, esi, floor) {
+                    for col in lt_columns_with_floor(&enc.params, esi, floor) {
                         gf256::xor_assign(&mut sym, &reference[col as usize]);
                     }
                     sym
@@ -378,10 +320,6 @@ mod tests {
         };
         let d = data(313 * 24 - 7);
         assert_eq!(hash(&Encoder::new(&d, 24).unwrap()), 0x9C61_26FC_CAA5_5A7C);
-        assert_eq!(
-            hash(&Encoder::legacy(&d, 24).unwrap()),
-            0xE8BF_0840_030C_AF20
-        );
         let d = data(365 * 1440 - 7);
         assert_eq!(
             hash(&Encoder::new(&d, 1440).unwrap()),
@@ -409,25 +347,10 @@ mod tests {
 
     #[test]
     fn construction_succeeds_for_many_k() {
-        // Legacy mode: the systematic solve uses exactly L rows, so a
-        // duplicate LT tuple (birthday-bounded, ~10% per attempt) makes it
-        // singular; the construction tweak retries deterministically — RFC
-        // 6330 solves the same problem with its K' padding table. Assert
-        // the retry count stays small rather than demanding zero.
+        // There is no solve to go singular: every K constructs.
         for k in [1usize, 2, 3, 5, 8, 13, 50, 101, 256, 500] {
-            let d = data(k * 16);
-            let enc = Encoder::legacy(&d, 16).unwrap();
+            let enc = Encoder::new(&data(k * 16), 16).unwrap();
             assert_eq!(enc.params().k, k, "k mismatch");
-            assert!(
-                enc.params().tweak <= 8,
-                "k={k} needed {} construction retries — structural problem",
-                enc.params().tweak
-            );
-            // Systematic mode never retries: the direct construction
-            // cannot be singular.
-            let sys = Encoder::new(&d, 16).unwrap();
-            assert_eq!(sys.params().tweak, 0);
-            assert_eq!(sys.params().mode, CodeMode::Systematic);
         }
     }
 
@@ -441,7 +364,7 @@ mod tests {
             let enc = Encoder::new(&d, 24).unwrap();
             let params = enc.block_params();
             let mut rows = ldpc_rows(&params, 24);
-            rows.extend(hdpc_rows(&params, 0, 24));
+            rows.extend(hdpc_rows(&params, 24));
             for (ri, row) in rows.iter().enumerate() {
                 let mut acc = vec![0u8; 24];
                 match &row.kind {
@@ -473,58 +396,6 @@ mod tests {
             let start = i * 100;
             let end = (start + 100).min(d.len());
             assert_eq!(&sym[..end - start], &d[start..end]);
-        }
-    }
-
-    #[test]
-    fn nonzero_tweak_roundtrips() {
-        // Force the legacy retry path by scanning for a K that needs
-        // tweak > 0 (rare since the PI column landed, but the mechanism
-        // must keep working): encoder and decoder must agree on the
-        // retried construction end to end.
-        let mut exercised = false;
-        for k in 90..=600usize {
-            let d = data(k * 16);
-            let enc = Encoder::legacy(&d, 16).unwrap();
-            if enc.params().tweak == 0 {
-                continue;
-            }
-            exercised = true;
-            let mut dec = crate::decoder::Decoder::new(enc.params());
-            for esi in 3..k as u32 {
-                dec.push(esi, enc.symbol(esi));
-            }
-            for esi in 2 * k as u32..2 * k as u32 + 5 {
-                dec.push(esi, enc.symbol(esi));
-            }
-            assert_eq!(
-                dec.try_decode().unwrap(),
-                d,
-                "tweak>0 roundtrip failed at k={k}"
-            );
-            break;
-        }
-        if !exercised {
-            // No retry case in range: the mechanism is still covered by
-            // construction_succeeds_for_many_k; nothing to assert.
-            eprintln!("note: no k in 90..=600 required a construction retry");
-        }
-    }
-
-    #[test]
-    fn systematic_property() {
-        // Legacy mode's defining property: the solve pins LT(esi<k) to
-        // the source symbols bit-exactly.
-        for k in [1usize, 4, 37, 200] {
-            let d = data(k * 24);
-            let enc = Encoder::legacy(&d, 24).unwrap();
-            for i in 0..k as u32 {
-                assert_eq!(
-                    enc.lt_encode(i),
-                    enc.symbol(i),
-                    "systematic violation at esi={i}, k={k}"
-                );
-            }
         }
     }
 

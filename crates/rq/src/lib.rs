@@ -6,11 +6,9 @@
 //! provides:
 //!
 //! * a **systematic** encoder — encoding symbols `0..k` *are* the source
-//!   symbols, so a lossless transfer needs no decoding at all; in the
-//!   default [`CodeMode::Systematic`] construction (SCDP-style) the
-//!   encoder is also *solve-free* and the decoder's solve shrinks with
-//!   the loss count ([`CodeMode::Legacy`] keeps the original solve-based
-//!   construction for A/B comparison);
+//!   symbols, so a lossless transfer needs no decoding at all; the
+//!   construction (SCDP-style) makes the encoder *solve-free* too, and
+//!   the decoder's solve shrinks with the loss count;
 //! * a **rateless** repair stream — any `esi >= k` yields a repair symbol,
 //!   and any fresh symbol is as useful as any other, which is what lets
 //!   Polyraptor never retransmit and never care which packet was lost;

@@ -17,7 +17,6 @@
 
 use crate::params::{BlockParams, H_HDPC};
 use crate::rand::{hash2, rand};
-use crate::tuple::lt_columns;
 
 /// The coefficient structure of one constraint row.
 #[derive(Debug, Clone)]
@@ -95,44 +94,11 @@ pub fn ldpc_rows(params: &BlockParams, symbol_size: usize) -> Vec<ConstraintRow>
 /// one-pass [`crate::hdpc::HdpcFold`] consumes. Row `h`'s identity 1 at
 /// column `K+S+h` is implicit.
 ///
-/// Coefficients come from the deterministic hash (`tweak` participates
-/// so a construction retry reshuffles them too).
-pub fn hdpc_columns(params: &BlockParams, tweak: u8) -> Vec<[u8; H_HDPC]> {
+/// Coefficients come from the deterministic hash.
+pub fn hdpc_columns(params: &BlockParams) -> Vec<[u8; H_HDPC]> {
     assert_eq!(params.h, H_HDPC, "HDPC row count is fixed");
-    let seeds: [u64; H_HDPC] =
-        std::array::from_fn(|h| hash2(u64::from(tweak) << 8 | 0x4844, h as u64)); // 0x4844 = "HD"
+    let seeds: [u64; H_HDPC] = std::array::from_fn(|h| hash2(0x4844, h as u64)); // 0x4844 = "HD"
     (0..params.k + params.s)
         .map(|j| seeds.map(|seed| rand(seed, j as u64, 256) as u8))
         .collect()
-}
-
-/// Build the `H` dense HDPC constraint rows (zero RHS): the
-/// [`hdpc_columns`] coefficients over columns `[0, K+S)`, identity 1 at
-/// column `K+S+h`.
-pub fn hdpc_rows(params: &BlockParams, tweak: u8, symbol_size: usize) -> Vec<ConstraintRow> {
-    let ks = params.k + params.s;
-    let columns = hdpc_columns(params, tweak);
-    (0..params.h)
-        .map(|h| {
-            let mut coefs = vec![0u8; params.l];
-            for (c, column) in coefs.iter_mut().zip(&columns) {
-                *c = column[h];
-            }
-            coefs[ks + h] = 1;
-            ConstraintRow {
-                kind: RowKind::Dense { coefs },
-                value: vec![0; symbol_size],
-            }
-        })
-        .collect()
-}
-
-/// Build the LT row for encoding symbol `esi` with RHS `value`.
-pub fn lt_row(params: &BlockParams, tweak: u8, esi: u32, value: Vec<u8>) -> ConstraintRow {
-    ConstraintRow {
-        kind: RowKind::Binary {
-            cols: lt_columns(params, tweak, esi),
-        },
-        value,
-    }
 }

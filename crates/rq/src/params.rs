@@ -28,35 +28,27 @@ pub const MAX_K: usize = 16_384;
 /// the paper cares about (10^-6 at two extra symbols).
 pub const H_HDPC: usize = 12;
 
-/// How the intermediate block relates to the source symbols.
+/// The code construction. There is one: the SCDP-style systematic
+/// construction, whose intermediates *are*
+/// `[source | LDPC parity | HDPC parity]` — computed directly, with no
+/// linear solve at encode time — and whose decoder pins received source
+/// symbols straight into the output, so only missing sources plus the
+/// parity tail go through the inactivation solver (decode cost shrinks
+/// with the loss count and a lossless block is a pure copy).
 ///
-/// Both modes emit the same wire format — source symbols at ESIs `0..K`,
-/// LT repair symbols above — but differ in how the `L` intermediates are
-/// constructed, which is where all the CPU goes:
-///
-/// * [`CodeMode::Systematic`] (the default, SCDP-style): the intermediates
-///   *are* `[source | LDPC parity | HDPC parity]`, computed directly with
-///   no linear solve at encode time, and the decoder pins received source
-///   symbols straight into the output — only missing sources plus the
-///   parity tail go through the inactivation solver, so decode cost
-///   shrinks with the loss count and a lossless block is a pure copy.
-/// * [`CodeMode::Legacy`]: the original solve-based construction — the
-///   encoder inverts the full `L×L` systematic constraint matrix (LT rows
-///   of ESIs `0..K` pinned to the source) and the decoder re-solves it on
-///   any loss. Kept for A/B comparison; it is the baseline the systematic
-///   fast path is gated against in `bench_smoke`.
+/// A one-variant enum because `bench_e2e/src/layers.rs` names
+/// `CodeMode::Systematic` and the benchmark is edited only by
+/// `benchmark` PRs (ROADMAP, "API the benchmark pins").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CodeMode {
     /// Direct parity construction; no solve at encode, shrinking solve at
-    /// decode. The default.
+    /// decode.
     #[default]
     Systematic,
-    /// Solve-based construction on both sides (pre-SCDP behaviour).
-    Legacy,
 }
 
-/// Minimum LT walk degree for repair symbols in [`CodeMode::Systematic`],
-/// as a function of the intermediate-block size `L`.
+/// Minimum LT walk degree for repair symbols, as a function of the
+/// intermediate-block size `L`.
 ///
 /// The direct construction folds received source symbols out of the
 /// decode system, so a repair row only contributes its columns that are

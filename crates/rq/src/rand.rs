@@ -21,7 +21,7 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// Hash two words into one; used to derive per-symbol seeds from
-/// `(construction tweak, internal symbol id)`.
+/// `(hash domain, internal symbol id)`.
 #[inline]
 pub fn hash2(a: u64, b: u64) -> u64 {
     mix64(a ^ mix64(b.wrapping_add(0xA0761D6478BD642F)))

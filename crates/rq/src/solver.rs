@@ -1,5 +1,5 @@
-//! Inactivation decoding: the linear solver behind both the systematic
-//! encoder (deriving intermediate symbols) and the decoder.
+//! Inactivation decoding: the linear solver behind the decoder's
+//! reduced solve (and the [`crate::lt`] baseline's).
 //!
 //! The solver runs the classic three-phase pipeline:
 //!
@@ -21,9 +21,8 @@
 //!    column + (inactive projection)`, so pivot unknowns fall out with one
 //!    fused multiply-accumulate pass per row.
 //!
-//! Failure surfaces as [`SolveError::Singular`]: the encoder responds by
-//! bumping the construction tweak; the decoder by waiting for more
-//! symbols.
+//! Failure surfaces as [`SolveError::Singular`]: the decoder responds by
+//! waiting for more symbols (the encoder never solves).
 
 use crate::gf256;
 use crate::matrix::{ConstraintRow, RowKind};

@@ -2,7 +2,7 @@
 //! symbol.
 //!
 //! Every encoding symbol is identified by its *encoding symbol id* (ESI).
-//! The tuple generator maps `(construction tweak, ESI)` to a triple
+//! The tuple generator maps an ESI to a triple
 //! `(d, a, b)`; the symbol is then the XOR of `d` intermediate symbols
 //! visited by the walk `b, b+a, b+2a, … (mod L')`, skipping positions
 //! `>= L` — the RFC 5053/6330 construction. Because `L'` is prime the walk
@@ -23,14 +23,9 @@ pub struct Tuple {
     pub b: u32,
 }
 
-/// Generate the tuple for encoding symbol `esi` under construction
-/// `tweak`.
-///
-/// The tweak is bumped by the encoder if the systematic constraint matrix
-/// happens to be singular for a given `K` (rare); it is carried in the
-/// object parameters so decoders build identical tuples.
-pub fn tuple(params: &BlockParams, tweak: u8, esi: u32) -> Tuple {
-    let y = hash2(u64::from(tweak) << 32 | 0xC0DE, u64::from(esi));
+/// Generate the tuple for encoding symbol `esi`.
+pub fn tuple(params: &BlockParams, esi: u32) -> Tuple {
+    let y = hash2(0xC0DE, u64::from(esi));
     let v = rand(y, 0, DEGREE_DOMAIN);
     let d = degree(v);
     let a = 1 + rand(y, 1, (params.l_prime - 1) as u32);
@@ -38,33 +33,29 @@ pub fn tuple(params: &BlockParams, tweak: u8, esi: u32) -> Tuple {
     Tuple { d, a, b }
 }
 
-/// The intermediate-symbol columns of encoding symbol `esi`.
+/// The intermediate-symbol columns of encoding symbol `esi`, with a
+/// minimum walk degree.
 ///
 /// Returns indices in `[0, L)`, all distinct: the LT walk plus one
 /// *permanently-inactive* (PI) column from the last
 /// [`BlockParams::pi`] columns — RFC 6330's PI structure. Without the
 /// PI column, sparse dependencies (two degree-1 rows on the same
-/// column; cycles in the degree-2 graph) accumulate linearly in `K`
-/// and make the square systematic solve fail for essentially every
-/// construction at `K ≳ 10⁴`; the PI column breaks binary
-/// cancellation patterns at the cost of one extra XOR per symbol.
-pub fn lt_columns(params: &BlockParams, tweak: u8, esi: u32) -> Vec<u32> {
-    lt_columns_with_floor(params, tweak, esi, 0)
-}
-
-/// [`lt_columns`] with a minimum walk degree.
+/// column; cycles in the degree-2 graph) accumulate linearly in `K`;
+/// the PI column breaks binary cancellation patterns at the cost of
+/// one extra XOR per symbol.
 ///
-/// The systematic (direct-construction) mode uses a floored degree for its
-/// repair symbols: with received source symbols folded out of the decode
-/// system, a repair row only contributes the columns that remain unknown,
-/// and the plain LT degree distribution (mean ≈ 4.6) leaves too few — the
-/// projected rows degenerate to degree ≈ 2 at moderate loss and the
-/// reduced system goes rank-deficient at rates far above the code's
-/// overhead-failure envelope. Flooring the walk degree restores the
-/// envelope at the cost of a few extra XORs per *repair* symbol (source
-/// symbols are emitted verbatim and pay nothing).
-pub fn lt_columns_with_floor(params: &BlockParams, tweak: u8, esi: u32, min_d: u32) -> Vec<u32> {
-    let Tuple { d, a, b } = tuple(params, tweak, esi);
+/// Repair symbols use a floored degree
+/// ([`crate::params::sys_repair_min_degree`]): with received source
+/// symbols folded out of the decode system, a repair row only
+/// contributes the columns that remain unknown, and the plain LT degree
+/// distribution (mean ≈ 4.6) leaves too few — the projected rows
+/// degenerate to degree ≈ 2 at moderate loss and the reduced system goes
+/// rank-deficient at rates far above the code's overhead-failure
+/// envelope. Flooring the walk degree restores the envelope at the cost
+/// of a few extra XORs per *repair* symbol (source symbols are emitted
+/// verbatim and pay nothing). `min_d = 0` is the plain distribution.
+pub fn lt_columns_with_floor(params: &BlockParams, esi: u32, min_d: u32) -> Vec<u32> {
+    let Tuple { d, a, b } = tuple(params, esi);
     let l = params.l as u32;
     let lp = params.l_prime as u32;
     let d = d.max(min_d).min(l); // degree can't exceed the number of intermediates
@@ -82,7 +73,7 @@ pub fn lt_columns_with_floor(params: &BlockParams, tweak: u8, esi: u32, min_d: u
         cols.push(b);
     }
     // PI column: one draw from the dense-handled tail range [L−P, L).
-    let y = crate::rand::hash2(u64::from(tweak) << 32 | 0xC0DE, u64::from(esi));
+    let y = crate::rand::hash2(0xC0DE, u64::from(esi));
     let pi_col = l - params.pi as u32 + crate::rand::rand(y, 3, params.pi as u32);
     if !cols.contains(&pi_col) {
         cols.push(pi_col);
@@ -102,16 +93,8 @@ mod tests {
     fn tuples_deterministic() {
         let p = params(100);
         for esi in 0..50 {
-            assert_eq!(tuple(&p, 0, esi), tuple(&p, 0, esi));
+            assert_eq!(tuple(&p, esi), tuple(&p, esi));
         }
-    }
-
-    #[test]
-    fn tweak_changes_tuples() {
-        let p = params(100);
-        let t0: Vec<_> = (0..20).map(|e| tuple(&p, 0, e)).collect();
-        let t1: Vec<_> = (0..20).map(|e| tuple(&p, 1, e)).collect();
-        assert_ne!(t0, t1);
     }
 
     #[test]
@@ -119,7 +102,7 @@ mod tests {
         for k in [1usize, 2, 10, 100, 1000] {
             let p = params(k);
             for esi in 0..200u32 {
-                let cols = lt_columns(&p, 0, esi);
+                let cols = lt_columns_with_floor(&p, esi, 0);
                 assert!(!cols.is_empty());
                 let mut sorted = cols.clone();
                 sorted.sort_unstable();
@@ -140,8 +123,8 @@ mod tests {
         // so the total is d or d+1).
         let p = params(500);
         for esi in 0..500u32 {
-            let t = tuple(&p, 0, esi);
-            let cols = lt_columns(&p, 0, esi);
+            let t = tuple(&p, esi);
+            let cols = lt_columns_with_floor(&p, esi, 0);
             let d = t.d.min(p.l as u32);
             assert!(
                 cols.len() as u32 == d || cols.len() as u32 == d + 1,
@@ -166,7 +149,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut collisions = 0;
         for esi in 0..10_000u32 {
-            let mut cols = lt_columns(&p, 0, esi);
+            let mut cols = lt_columns_with_floor(&p, esi, 0);
             cols.sort_unstable();
             if !seen.insert(cols) {
                 collisions += 1;

@@ -1,56 +1,41 @@
 //! Test battery for the systematic-code fast path.
 //!
-//! Three pillars, matching the contracts the systematic mode must hold:
+//! Three pillars, matching the contracts the systematic code must hold:
 //!
 //! 1. **Round-trip equivalence** — for any data, symbol size, and loss
 //!    pattern (zero loss, source-only loss, repair-only receipt,
-//!    interleaved), the systematic decode is byte-identical to the source
-//!    *and* to a legacy non-systematic decode of the same block.
+//!    interleaved), the decode is byte-identical to the source.
 //! 2. **Fast-path/solver equivalence** — any sufficient symbol subset
 //!    decodes identically whether it takes the zero-copy fast path or is
 //!    forced through the inactivation solver; and when all `K` source
 //!    symbols arrive the solver is provably not invoked (decode-path
 //!    counters).
 //! 3. **Loss-sweep envelope** — decode overhead under 0–20% seeded loss
-//!    stays on the code's overhead-failure envelope in systematic mode:
-//!    zero failures at two extra symbols, near-zero at one.
+//!    stays on the code's overhead-failure envelope: zero failures at
+//!    two extra symbols, near-zero at one.
 
 use proptest::prelude::*;
 use rq::rand::Xorshift64;
-use rq::{CodeMode, DecodeError, Decoder, Encoder};
+use rq::{DecodeError, Decoder, Encoder};
 
-/// Feed the same ESI set into a decoder pair (systematic + legacy built
-/// from the same data) and return both decodes, topping *both* up with
-/// fresh repair ESIs on rank deficiency so the property tests statistical
-/// equivalence, not per-construction luck.
-fn decode_both(
-    sys: &Encoder,
-    leg: &Encoder,
-    esis: &[u32],
-    mut next_repair: u32,
-) -> (Vec<u8>, Vec<u8>) {
-    let mut dec_s = Decoder::new(sys.params());
-    let mut dec_l = Decoder::new(leg.params());
+/// Decode `esis`, topping up with fresh repair ESIs on rank deficiency
+/// so the property tests the code, not per-subset luck.
+fn decode_with_topup(enc: &Encoder, esis: &[u32], mut next_repair: u32) -> Vec<u8> {
+    let mut dec = Decoder::new(enc.params());
     for &esi in esis {
-        dec_s.push(esi, sys.symbol(esi));
-        dec_l.push(esi, leg.symbol(esi));
+        dec.push(esi, enc.symbol(esi));
     }
     // Rank deficiency is healed by any fresh symbol with P ≈ 1 − 2⁻⁸;
-    // sixteen retries put a joint failure beyond reach of a test run.
+    // sixteen retries put a persistent failure beyond reach of a test run.
     for _ in 0..16 {
-        match (dec_s.try_decode(), dec_l.try_decode()) {
-            (Ok(a), Ok(b)) => return (a, b),
-            (ra, rb) => {
+        match dec.try_decode() {
+            Ok(out) => return out,
+            Err(e) => {
                 assert!(
-                    !matches!(ra, Err(DecodeError::NeedMoreSymbols { .. })),
-                    "systematic decoder under-fed: {ra:?}"
+                    !matches!(e, DecodeError::NeedMoreSymbols { .. }),
+                    "decoder under-fed: {e:?}"
                 );
-                assert!(
-                    !matches!(rb, Err(DecodeError::NeedMoreSymbols { .. })),
-                    "legacy decoder under-fed: {rb:?}"
-                );
-                dec_s.push(next_repair, sys.symbol(next_repair));
-                dec_l.push(next_repair, leg.symbol(next_repair));
+                dec.push(next_repair, enc.symbol(next_repair));
                 next_repair += 1;
             }
         }
@@ -61,22 +46,18 @@ fn decode_both(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Satellite 1: systematic round-trip is byte-identical to the source
-    /// and to the legacy decode of the same block, across random data,
-    /// symbol sizes, and loss-pattern families.
+    /// Satellite 1: the round-trip is byte-identical to the source across
+    /// random data, symbol sizes, and loss-pattern families.
     #[test]
-    fn systematic_matches_source_and_legacy(
+    fn systematic_matches_source(
         data in proptest::collection::vec(any::<u8>(), 32..3000),
         symbol_size in 4usize..160,
         pattern in 0u32..4,
         loss_seed in any::<u64>(),
         loss_pct in 1u32..50,
     ) {
-        let sys = Encoder::new(&data, symbol_size).unwrap();
-        let leg = Encoder::legacy(&data, symbol_size).unwrap();
-        prop_assert_eq!(sys.params().mode, CodeMode::Systematic);
-        prop_assert_eq!(leg.params().mode, CodeMode::Legacy);
-        let k = sys.params().k as u32;
+        let enc = Encoder::new(&data, symbol_size).unwrap();
+        let k = enc.params().k as u32;
 
         let mut rng = Xorshift64::new(loss_seed);
         let mut esis: Vec<u32> = Vec::new();
@@ -109,10 +90,8 @@ proptest! {
             }
         }
         let next_repair = esis.iter().max().unwrap() + 1;
-        let (out_sys, out_leg) = decode_both(&sys, &leg, &esis, next_repair);
-        prop_assert_eq!(&out_sys, &data, "systematic decode diverged from source");
-        prop_assert_eq!(&out_leg, &data, "legacy decode diverged from source");
-        prop_assert_eq!(out_sys, out_leg, "modes diverged from each other");
+        let out = decode_with_topup(&enc, &esis, next_repair);
+        prop_assert_eq!(out, data, "decode diverged from source");
     }
 
     /// Satellite 2a: for any sufficient subset, the fast path (when
@@ -190,10 +169,9 @@ proptest! {
     }
 }
 
-/// Satellite 3: seeded loss sweep 0–20% — systematic-mode decode failure
-/// rates stay on the overhead envelope the legacy `rq_overhead` bench
-/// established: **zero** failures at two extra symbols, at most a stray
-/// one at one extra, and a loose bound at exactly `k` symbols (the
+/// Satellite 3: seeded loss sweep 0–20% — decode failure rates stay on
+/// the overhead envelope: **zero** failures at two extra symbols, at most
+/// a stray one at one extra, and a loose bound at exactly `k` symbols (the
 /// degree-floored repair distribution trades a little +0 performance for
 /// the shrinking solve; the paper's claims live at +1/+2).
 #[test]
@@ -255,7 +233,7 @@ fn systematic_repair_degree_floor_applied() {
     let p = rq::BlockParams::new(256);
     let floor = rq::params::sys_repair_min_degree(p.l);
     for esi in p.k as u32..p.k as u32 + 200 {
-        let cols = rq::tuple::lt_columns_with_floor(&p, 0, esi, floor);
+        let cols = rq::tuple::lt_columns_with_floor(&p, esi, floor);
         assert!(
             cols.len() as u32 >= floor,
             "esi={esi}: {} cols below floor {floor}",

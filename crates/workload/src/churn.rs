@@ -17,16 +17,13 @@
 //! process, spraying), so a churn soak is byte-identical per seed like
 //! every other experiment in this repo.
 
-use netsim::{
-    FabricStats, FaultMix, FaultPlan, FaultProcess, Pcg32, SimConfig, SimTime, Simulator, Topology,
-};
-use polyraptor::{host_fail_token, host_up_token, PolyraptorAgent};
-use tcpsim::{conn_start_token, TcpAgent};
+use netsim::{FabricStats, FaultMix, FaultPlan, FaultProcess, Pcg32, SimTime, Topology};
+use polyraptor::{host_fail_token, host_up_token};
 
 use crate::fault::{RecoveryStats, REROUTE_DELAY_NS};
 use crate::runner::{
     build_rq_specs, build_tcp_conns, collect_rq_results, collect_tcp_results, install_rq,
-    op_results, Fabric, RqRunOptions, TcpRunOptions, TransferResult,
+    install_tcp, op_results, tcp_timeouts, Fabric, RqRunOptions, TcpRunOptions, TransferResult,
 };
 use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
 use crate::telemetry::{gather_rq_spans, take_run_telemetry, RunTelemetry};
@@ -189,23 +186,13 @@ pub fn run_churn_rq(sc: &ChurnScenario, fabric: &Fabric, opts: &RqRunOptions) ->
     let topo = fabric.build_with_policy(opts.policy);
     let sessions = sc.storage().generate(&topo);
     let plan = sc.plan(&topo, &sessions);
-    let mut sim_cfg = SimConfig::ndp(sc.seed ^ 0xC0_17);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    sim_cfg.layer_assign = opts.layer_assign;
-    sim_cfg.reroute_delay_ns = REROUTE_DELAY_NS;
-    let mut pr = opts.pr;
-    pr.record_spans |= opts.telemetry.enabled;
-    let mut sim: Simulator<_, PolyraptorAgent, _> =
-        Simulator::with_telemetry(topo, sim_cfg, opts.telemetry.recorder());
-    let hosts = sim.topology().hosts().to_vec();
-    let mut seed_rng = Pcg32::new(sc.seed ^ 0xA6E27);
-    for &h in &hosts {
-        let s = seed_rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, pr, s));
-    }
+    let mut sim = opts.simulator(
+        topo,
+        sc.seed ^ 0xC0_17,
+        &mut Pcg32::new(sc.seed ^ 0xA6E27),
+        REROUTE_DELAY_NS,
+        opts.telemetry.recorder(),
+    );
     let specs = build_rq_specs(&mut sim, &sessions, Pattern::Read);
     for spec in &specs {
         install_rq(&mut sim, spec);
@@ -292,30 +279,17 @@ pub fn run_churn_tcp(sc: &ChurnScenario, fabric: &Fabric, opts: &TcpRunOptions) 
     let topo = fabric.build_with_policy(opts.policy);
     let sessions = sc.storage().generate(&topo);
     let plan = sc.plan(&topo, &sessions);
-    let mut sim_cfg = SimConfig::classic(sc.seed ^ 0xC0_17);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    sim_cfg.reroute_delay_ns = REROUTE_DELAY_NS;
-    let mut sim: Simulator<_, TcpAgent, _> =
-        Simulator::with_telemetry(topo, sim_cfg, opts.telemetry.recorder());
-    let hosts = sim.topology().hosts().to_vec();
-    for &h in &hosts {
-        sim.set_agent(h, TcpAgent::new(h, opts.tcp));
-    }
+    let mut sim = opts.simulator(
+        topo,
+        sc.seed ^ 0xC0_17,
+        REROUTE_DELAY_NS,
+        opts.telemetry.recorder(),
+    );
     let conns = build_tcp_conns(&sessions, Pattern::Read);
-    for c in &conns {
-        sim.agent_mut(c.sender).install(c.clone());
-        sim.agent_mut(c.receiver).install(c.clone());
-        sim.schedule_timer(c.sender, c.start, conn_start_token(c.id));
-    }
+    install_tcp(&mut sim, &conns);
     sim.schedule_faults(&plan);
     sim.run_to_completion();
-    let timeouts: u64 = conns
-        .iter()
-        .map(|c| sim.agent(c.sender).sender(c.id).map_or(0, |s| s.timeouts))
-        .sum();
+    let timeouts = tcp_timeouts(&sim, &conns);
     if timeouts > 0 {
         sim.note_anomaly(netsim::AnomalyKind::Timeout);
     }

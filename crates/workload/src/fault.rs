@@ -17,13 +17,11 @@
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-use netsim::{FaultPlan, NodeId, Pcg32, SimConfig, SimTime, Simulator, Topology};
-use polyraptor::PolyraptorAgent;
-use tcpsim::{conn_start_token, TcpAgent};
+use netsim::{FaultPlan, NodeId, Pcg32, SimTime, Topology};
 
 use crate::runner::{
-    build_rq_specs, build_tcp_conns, collect_rq_results, collect_tcp_results, install_rq, Fabric,
-    RqRunOptions, TcpRunOptions, TransferResult,
+    build_rq_specs, build_tcp_conns, collect_rq_results, collect_tcp_results, install_rq,
+    install_tcp, tcp_timeouts, Fabric, RqRunOptions, TcpRunOptions, TransferResult,
 };
 use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
 use crate::telemetry::{gather_rq_spans, take_run_telemetry, RunTelemetry};
@@ -267,9 +265,7 @@ impl FaultRunReport {
     /// Summary of the post-fault completion tail, or `None` for healthy
     /// runs. This is the headline fast-recovery metric: with batched
     /// sweep re-pulls the max is bounded by the control-plane
-    /// convergence window plus a near-healthy transfer remainder, where
-    /// the legacy single-nudge sweep was paced at one symbol per sweep
-    /// interval (~450 ms at paper scale).
+    /// convergence window plus a near-healthy transfer remainder.
     pub fn recovery(&self) -> Option<RecoveryStats> {
         RecoveryStats::from_latencies(self.recovery_latencies_ns())
     }
@@ -317,22 +313,13 @@ pub fn run_fault_rq(sc: &FaultScenario, fabric: &Fabric, opts: &RqRunOptions) ->
     let fail_at = sc.fault_time_of(&topo, &sessions);
     let victim = sc.victim_core_of(&topo, &sessions, fail_at);
     let plan = sc.plan_at(&topo, victim, fail_at);
-    let mut sim_cfg = SimConfig::ndp(sc.seed ^ 0xFA17);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.layer_assign = opts.layer_assign;
-    sim_cfg.reroute_delay_ns = REROUTE_DELAY_NS;
-    let mut pr = opts.pr;
-    pr.record_spans |= opts.telemetry.enabled;
-    let mut sim: Simulator<_, PolyraptorAgent, _> =
-        Simulator::with_telemetry(topo, sim_cfg, opts.telemetry.recorder());
-    let hosts = sim.topology().hosts().to_vec();
-    let mut seed_rng = Pcg32::new(sc.seed ^ 0xA6E27);
-    for &h in &hosts {
-        let s = seed_rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, pr, s));
-    }
+    let mut sim = opts.simulator(
+        topo,
+        sc.seed ^ 0xFA17,
+        &mut Pcg32::new(sc.seed ^ 0xA6E27),
+        REROUTE_DELAY_NS,
+        opts.telemetry.recorder(),
+    );
     let specs = build_rq_specs(&mut sim, &sessions, Pattern::Write);
     for spec in &specs {
         install_rq(&mut sim, spec);
@@ -362,29 +349,17 @@ pub fn run_fault_tcp(sc: &FaultScenario, fabric: &Fabric, opts: &TcpRunOptions) 
     let fail_at = sc.fault_time_of(&topo, &sessions);
     let victim = sc.victim_core_of(&topo, &sessions, fail_at);
     let plan = sc.plan_at(&topo, victim, fail_at);
-    let mut sim_cfg = SimConfig::classic(sc.seed ^ 0xFA17);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.reroute_delay_ns = REROUTE_DELAY_NS;
-    let mut sim: Simulator<_, TcpAgent, _> =
-        Simulator::with_telemetry(topo, sim_cfg, opts.telemetry.recorder());
-    let hosts = sim.topology().hosts().to_vec();
-    for &h in &hosts {
-        sim.set_agent(h, TcpAgent::new(h, opts.tcp));
-    }
+    let mut sim = opts.simulator(
+        topo,
+        sc.seed ^ 0xFA17,
+        REROUTE_DELAY_NS,
+        opts.telemetry.recorder(),
+    );
     let conns = build_tcp_conns(&sessions, Pattern::Write);
-    for c in &conns {
-        sim.agent_mut(c.sender).install(c.clone());
-        sim.agent_mut(c.receiver).install(c.clone());
-        sim.schedule_timer(c.sender, c.start, conn_start_token(c.id));
-    }
+    install_tcp(&mut sim, &conns);
     sim.schedule_faults(&plan);
     sim.run_to_completion();
-    let timeouts: u64 = conns
-        .iter()
-        .map(|c| sim.agent(c.sender).sender(c.id).map_or(0, |s| s.timeouts))
-        .sum();
+    let timeouts = tcp_timeouts(&sim, &conns);
     if timeouts > 0 {
         // Timeouts mean work the fabric failed to carry — flag the
         // anomaly so the flight recorder freezes the lead-up events.
@@ -472,21 +447,41 @@ mod tests {
     }
 
     #[test]
-    fn batched_repull_beats_legacy_sweep_tail() {
-        // The headline of batch sweep recovery, at smoke scale: the same
-        // fault run with batching disabled (legacy one-nudge-per-sweep)
-        // must show a strictly worse post-fault completion tail.
+    fn both_fault_runners_honour_shards() {
+        // The sharded loop replays the serial schedule, so the only
+        // visible difference is the runner's own counters — which must
+        // show that the option reached the simulator.
+        let timing = |rep: &FaultRunReport| -> Vec<(u32, SimTime, SimTime)> {
+            rep.flows
+                .iter()
+                .map(|f| (f.session, f.start, f.finish))
+                .collect()
+        };
         let sc = small_scenario();
-        let batched = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        let mut legacy_opts = RqRunOptions::default();
-        legacy_opts.pr.repull_batch_cap = 0;
-        let legacy = run_fault_rq(&sc, &Fabric::small(), &legacy_opts);
-        let b = batched.recovery().expect("faulted run").max_ns;
-        let l = legacy.recovery().expect("faulted run").max_ns;
-        assert!(
-            b < l,
-            "batched recovery must beat the sweep-paced tail ({b} vs {l} ns)"
-        );
+        let rq = |shards| {
+            let opts = RqRunOptions {
+                shards,
+                ..Default::default()
+            };
+            run_fault_rq(&sc, &Fabric::small(), &opts)
+        };
+        let tcp = |shards| {
+            let opts = TcpRunOptions {
+                shards,
+                ..Default::default()
+            };
+            run_fault_tcp(&sc, &Fabric::small(), &opts)
+        };
+        for (serial, sharded) in [(rq(1), rq(2)), (tcp(1), tcp(2))] {
+            assert_eq!(serial.fabric.shard_epochs, 0);
+            assert!(sharded.fabric.shard_epochs > 0, "shards: 2 ran serially");
+            assert_eq!(timing(&serial), timing(&sharded));
+            assert_eq!(
+                serial.fabric.shard_invariant(),
+                sharded.fabric.shard_invariant()
+            );
+            assert_eq!(serial.timeouts, sharded.timeouts);
+        }
     }
 
     #[test]

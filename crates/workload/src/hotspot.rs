@@ -8,8 +8,8 @@
 //! them for their whole lifetime — the "embracing path redundancy"
 //! claim, made measurable.
 
-use netsim::{FaultAction, FaultPlan, NodeKind, Pcg32, SimTime, Simulator};
-use polyraptor::{PolyraptorAgent, SessionId, SessionSpec};
+use netsim::{FaultAction, FaultPlan, NoTelemetry, NodeKind, Pcg32, SimTime};
+use polyraptor::{SessionId, SessionSpec};
 
 use crate::runner::{install_rq, Fabric, RqRunOptions, TransferResult};
 
@@ -44,17 +44,10 @@ pub fn run_hotspot_rq(
         hosts.len() >= 2 * scenario.transfers,
         "need disjoint host pairs"
     );
-    let mut sim_cfg = netsim::SimConfig::ndp(scenario.seed ^ 0x407);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.layer_assign = opts.layer_assign;
-    let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, sim_cfg);
+    // One stream seeds the agents, then draws the degraded links and
+    // the host pairs below.
     let mut rng = Pcg32::new(scenario.seed ^ 0x5077);
-    for &h in &hosts {
-        let s = rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, opts.pr, s));
-    }
+    let mut sim = opts.simulator(topo, scenario.seed ^ 0x407, &mut rng, 0, NoTelemetry);
 
     // Degrade a random subset of inter-switch links, expressed as a
     // FaultPlan applied at t = 0 — the single rate-override code path
@@ -187,6 +180,21 @@ mod tests {
             spray_worst > ecmp_worst,
             "spraying should protect the tail: spray worst {spray_worst} vs ecmp worst {ecmp_worst}"
         );
+    }
+
+    #[test]
+    fn sharded_run_returns_the_serial_flows() {
+        let timing = |shards| -> Vec<(u32, SimTime, SimTime)> {
+            let opts = RqRunOptions {
+                shards,
+                ..Default::default()
+            };
+            run_hotspot_rq(&scenario(0.3), &Fabric::small(), &opts)
+                .iter()
+                .map(|r| (r.session, r.start, r.finish))
+                .collect()
+        };
+        assert_eq!(timing(1), timing(2));
     }
 
     #[test]

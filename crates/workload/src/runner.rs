@@ -5,11 +5,11 @@
 use std::collections::BTreeMap;
 
 use netsim::{
-    LayerAssign, NodeId, Pcg32, QueueConfig, RouteMode, RoutingPolicy, SimConfig, SimTime,
-    Simulator, Topology,
+    LayerAssign, NoTelemetry, NodeId, Pcg32, QueueConfig, RouteMode, RoutingPolicy, SimConfig,
+    SimTime, Simulator, TelemetrySink, Topology,
 };
-use polyraptor::{start_token, PolyraptorAgent, PrConfig, SessionId, SessionSpec};
-use tcpsim::{conn_start_token, ConnId, ConnSpec, TcpAgent, TcpConfig};
+use polyraptor::{start_token, PolyraptorAgent, PrConfig, PrPayload, SessionId, SessionSpec};
+use tcpsim::{conn_start_token, ConnId, ConnSpec, TcpAgent, TcpConfig, TcpPayload};
 
 use crate::scenario::{IncastScenario, LogicalSession, Pattern, StorageScenario};
 use crate::telemetry::TelemetryOptions;
@@ -322,6 +322,40 @@ impl Default for RqRunOptions {
     }
 }
 
+impl RqRunOptions {
+    /// The simulator every Polyraptor runner drives: an NDP fabric over
+    /// `topo` configured from these options — the one place they become
+    /// a [`SimConfig`] — with an agent on every host, seeded in host
+    /// order from `agent_seeds`. `sink` is the runner's telemetry sink
+    /// ([`NoTelemetry`], or `self.telemetry.recorder()` where a report
+    /// carries the recording); a recording sink also turns on the
+    /// agents' flow spans.
+    pub(crate) fn simulator<T: TelemetrySink>(
+        &self,
+        topo: Topology,
+        sim_seed: u64,
+        agent_seeds: &mut Pcg32,
+        reroute_delay_ns: u64,
+        sink: T,
+    ) -> Simulator<PrPayload, PolyraptorAgent, T> {
+        let mut cfg = SimConfig::ndp(sim_seed);
+        cfg.switch_queue = self.switch_queue;
+        cfg.route = self.route;
+        cfg.layer_assign = self.layer_assign;
+        cfg.reroute_delay_ns = reroute_delay_ns;
+        cfg.parallelism = self.parallelism;
+        cfg.shards = self.shards;
+        let mut pr = self.pr;
+        pr.record_spans |= sink.enabled();
+        let mut sim = Simulator::with_telemetry(topo, cfg, sink);
+        for h in sim.topology().hosts().to_vec() {
+            let seed = agent_seeds.next_u64();
+            sim.set_agent(h, PolyraptorAgent::new(h, pr, seed));
+        }
+        sim
+    }
+}
+
 /// Run a storage scenario under Polyraptor and aggregate per-session
 /// results. `pattern` Write ⇒ multicast replication; Read ⇒ multi-source
 /// fetch. Background sessions are unicast writes to the session's first
@@ -333,21 +367,13 @@ pub fn run_storage_rq(
 ) -> Vec<TransferResult> {
     let topo = fabric.build_with_policy(opts.policy);
     let sessions = scenario.generate(&topo);
-    let mut sim_cfg = SimConfig::ndp(scenario.seed ^ 0xFAB);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    sim_cfg.layer_assign = opts.layer_assign;
-    let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, sim_cfg);
-
-    let hosts = sim.topology().hosts().to_vec();
-    let mut seed_rng = Pcg32::new(scenario.seed ^ 0xA6E27);
-    for &h in &hosts {
-        let s = seed_rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, opts.pr, s));
-    }
-
+    let mut sim = opts.simulator(
+        topo,
+        scenario.seed ^ 0xFAB,
+        &mut Pcg32::new(scenario.seed ^ 0xA6E27),
+        0,
+        NoTelemetry,
+    );
     let specs = build_rq_specs(&mut sim, &sessions, scenario.pattern);
     for spec in &specs {
         install_rq(&mut sim, spec);
@@ -527,6 +553,56 @@ impl Default for TcpRunOptions {
     }
 }
 
+impl TcpRunOptions {
+    /// The simulator every TCP runner drives: a classic fabric over
+    /// `topo` configured from these options — the one place they become
+    /// a [`SimConfig`] — with an agent on every host. `sink` as for
+    /// [`RqRunOptions::simulator`].
+    pub(crate) fn simulator<T: TelemetrySink>(
+        &self,
+        topo: Topology,
+        sim_seed: u64,
+        reroute_delay_ns: u64,
+        sink: T,
+    ) -> Simulator<TcpPayload, TcpAgent, T> {
+        let mut cfg = SimConfig::classic(sim_seed);
+        cfg.switch_queue = self.switch_queue;
+        cfg.route = self.route;
+        cfg.reroute_delay_ns = reroute_delay_ns;
+        cfg.parallelism = self.parallelism;
+        cfg.shards = self.shards;
+        let mut sim = Simulator::with_telemetry(topo, cfg, sink);
+        for h in sim.topology().hosts().to_vec() {
+            sim.set_agent(h, TcpAgent::new(h, self.tcp));
+        }
+        sim
+    }
+}
+
+/// Install every connection at both of its ends and schedule its start
+/// timer at the sender.
+pub(crate) fn install_tcp<T: TelemetrySink>(
+    sim: &mut Simulator<TcpPayload, TcpAgent, T>,
+    conns: &[ConnSpec],
+) {
+    for c in conns {
+        sim.agent_mut(c.sender).install(c.clone());
+        sim.agent_mut(c.receiver).install(c.clone());
+        sim.schedule_timer(c.sender, c.start, conn_start_token(c.id));
+    }
+}
+
+/// Sender retransmission timeouts summed over `conns`, after a run.
+pub(crate) fn tcp_timeouts<T: TelemetrySink>(
+    sim: &Simulator<TcpPayload, TcpAgent, T>,
+    conns: &[ConnSpec],
+) -> u64 {
+    conns
+        .iter()
+        .map(|c| sim.agent(c.sender).sender(c.id).map_or(0, |s| s.timeouts))
+        .sum()
+}
+
 /// Run a storage scenario under TCP, emulating the paper's baselines:
 /// Write ⇒ multi-unicast (the client sends one full copy per replica);
 /// Read ⇒ partitioned fetch (each replica returns `1/R` of the object,
@@ -538,23 +614,9 @@ pub fn run_storage_tcp(
 ) -> Vec<TransferResult> {
     let topo = fabric.build_with_policy(opts.policy);
     let sessions = scenario.generate(&topo);
-    let mut sim_cfg = SimConfig::classic(scenario.seed ^ 0xFAB);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    let mut sim: Simulator<_, TcpAgent> = Simulator::new(topo, sim_cfg);
-    let hosts = sim.topology().hosts().to_vec();
-    for &h in &hosts {
-        sim.set_agent(h, TcpAgent::new(h, opts.tcp));
-    }
-
+    let mut sim = opts.simulator(topo, scenario.seed ^ 0xFAB, 0, NoTelemetry);
     let conns = build_tcp_conns(&sessions, scenario.pattern);
-    for c in &conns {
-        sim.agent_mut(c.sender).install(c.clone());
-        sim.agent_mut(c.receiver).install(c.clone());
-        sim.schedule_timer(c.sender, c.start, conn_start_token(c.id));
-    }
+    install_tcp(&mut sim, &conns);
     sim.run_to_completion();
     collect_tcp_results(&sim, &sessions)
 }
@@ -648,19 +710,13 @@ pub(crate) fn collect_tcp_results<T: netsim::TelemetrySink>(
 pub fn run_incast_rq(scenario: &IncastScenario, fabric: &Fabric, opts: &RqRunOptions) -> f64 {
     let topo = fabric.build_with_policy(opts.policy);
     let (client, senders) = scenario.place(&topo);
-    let mut sim_cfg = SimConfig::ndp(scenario.seed ^ 0x1C);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    sim_cfg.layer_assign = opts.layer_assign;
-    let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, sim_cfg);
-    let hosts = sim.topology().hosts().to_vec();
-    let mut seed_rng = Pcg32::new(scenario.seed ^ 0xA6E27);
-    for &h in &hosts {
-        let s = seed_rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, opts.pr, s));
-    }
+    let mut sim = opts.simulator(
+        topo,
+        scenario.seed ^ 0x1C,
+        &mut Pcg32::new(scenario.seed ^ 0xA6E27),
+        0,
+        NoTelemetry,
+    );
     let spec = SessionSpec::multi_source(
         SessionId(0),
         scenario.block_bytes,
@@ -684,19 +740,13 @@ pub fn run_incast_rq(scenario: &IncastScenario, fabric: &Fabric, opts: &RqRunOpt
 pub fn run_incast_tcp(scenario: &IncastScenario, fabric: &Fabric, opts: &TcpRunOptions) -> f64 {
     let topo = fabric.build_with_policy(opts.policy);
     let (client, senders) = scenario.place(&topo);
-    let mut sim_cfg = SimConfig::classic(scenario.seed ^ 0x1C);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    let mut sim: Simulator<_, TcpAgent> = Simulator::new(topo, sim_cfg);
-    let hosts = sim.topology().hosts().to_vec();
-    for &h in &hosts {
-        sim.set_agent(h, TcpAgent::new(h, opts.tcp));
-    }
+    let mut sim = opts.simulator(topo, scenario.seed ^ 0x1C, 0, NoTelemetry);
     let shares = stripe(scenario.block_bytes as u64, senders.len());
-    for (i, (&s, &sh)) in senders.iter().zip(&shares).enumerate() {
-        let spec = ConnSpec {
+    let conns: Vec<ConnSpec> = senders
+        .iter()
+        .zip(&shares)
+        .enumerate()
+        .map(|(i, (&s, &sh))| ConnSpec {
             id: ConnId(i as u32),
             session: 0,
             bytes: sh,
@@ -704,11 +754,9 @@ pub fn run_incast_tcp(scenario: &IncastScenario, fabric: &Fabric, opts: &TcpRunO
             receiver: client,
             start: SimTime::ZERO,
             background: false,
-        };
-        sim.agent_mut(spec.sender).install(spec.clone());
-        sim.agent_mut(spec.receiver).install(spec.clone());
-        sim.schedule_timer(spec.sender, spec.start, conn_start_token(spec.id));
-    }
+        })
+        .collect();
+    install_tcp(&mut sim, &conns);
     sim.run_to_completion();
     let finish = sim
         .agent(client)

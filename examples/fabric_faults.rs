@@ -1,8 +1,7 @@
 //! Mid-run core-switch failure on the paper's 250-host fat-tree:
 //! Polyraptor vs. TCP when the fabric actively fails underneath them,
-//! plus the two fast-recovery mechanisms in isolation — batched sweep
-//! re-pulls (vs. the legacy one-nudge-per-sweep recovery) and
-//! incremental route repair (vs. a full masked recomputation).
+//! plus incremental route repair in isolation (vs. a full masked
+//! recomputation).
 //!
 //! The victim is the core switch that the most ECMP-pinned TCP flows
 //! cross at the failure instant (chosen by replaying the fabric's ECMP
@@ -363,47 +362,11 @@ fn main() {
         write_telemetry(t, "fault");
     }
 
-    // Batch sweep recovery, isolated: the identical Polyraptor run with
-    // batching off recovers one symbol per keep-alive sweep.
-    let mut legacy_opts = RqRunOptions::default();
-    legacy_opts.pr.repull_batch_cap = 0;
-    let legacy = run_fault_rq(&sc, &fabric, &legacy_opts);
-    let (b, l) = (
-        rq.recovery().expect("faulted run").max_ns,
-        legacy.recovery().expect("faulted run").max_ns,
-    );
-    println!(
-        "\nbatch sweep recovery: post-fault tail {:.2} ms vs {:.2} ms legacy \
-         single-nudge sweep ({:.1}x)",
-        b as f64 / 1e6,
-        l as f64 / 1e6,
-        l as f64 / b as f64,
-    );
-
-    // Systematic vs legacy code construction, A/B on the identical fault
-    // run: under the counting oracle the code mode touches no packet, so
-    // the runs must be indistinguishable — this line is the cheap CI
-    // check that flipping the codec default did not perturb the
-    // packet-level story.
-    let mut legacy_code_opts = RqRunOptions::default();
-    legacy_code_opts.pr.code_mode = polyraptor_repro::polyraptor::CodeMode::Legacy;
-    let legacy_code = run_fault_rq(&sc, &fabric, &legacy_code_opts);
-    assert_eq!(
-        legacy_code.makespan(),
-        rq.makespan(),
-        "code mode must not perturb counting-oracle runs"
-    );
-    println!(
-        "code mode A/B: systematic {:.2} ms vs legacy {:.2} ms makespan (packet-identical)",
-        rq.makespan().as_secs_f64() * 1e3,
-        legacy_code.makespan().as_secs_f64() * 1e3,
-    );
-
     // Incremental route repair, isolated: the control-plane bill of one
     // link failure on this fabric.
     let (full_ms, repair_ms, rebuilt) = time_reroute(&fabric);
     println!(
-        "incremental route repair: {repair_ms:.3} ms ({rebuilt} destination trees rebuilt) \
+        "\nincremental route repair: {repair_ms:.3} ms ({rebuilt} destination trees rebuilt) \
          vs {full_ms:.3} ms full recompute ({:.1}x)",
         full_ms / repair_ms,
     );

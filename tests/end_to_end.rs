@@ -233,66 +233,6 @@ fn late_sender_rebuilds_the_shared_encoder() {
     assert!(!spec.encoder_live());
 }
 
-/// The legacy (solve-based) code construction still works end to end —
-/// the A/B baseline for the systematic fast path. Same fabric and
-/// session shape as `real_oracle_multicast_write`, which runs in the
-/// default systematic mode: every replica must reconstruct the exact
-/// object bytes in both.
-#[test]
-fn real_oracle_legacy_code_multicast_write() {
-    let topo = Topology::fat_tree(4, 1_000_000_000, 10_000);
-    let hosts = topo.hosts().to_vec();
-    let cfg = PrConfig::real_oracle_legacy_code();
-    let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, SimConfig::ndp(11));
-    for &h in &hosts {
-        sim.set_agent(h, PolyraptorAgent::new(h, cfg, u64::from(h.0)));
-    }
-    let (sender, receivers) = (hosts[0], vec![hosts[4], hosts[8], hosts[12]]);
-    let groups: Vec<_> = (0..4)
-        .map(|_| sim.register_group(sender, &receivers))
-        .collect();
-    let spec = SessionSpec::multicast(
-        SessionId(5),
-        300_000,
-        sender,
-        receivers.clone(),
-        groups,
-        SimTime::ZERO,
-    );
-    for &h in spec.senders.iter().chain(&spec.receivers) {
-        sim.agent_mut(h).install(spec.clone());
-        sim.schedule_timer(h, spec.start, start_token(spec.id));
-    }
-    sim.run_to_completion();
-    for &r in &receivers {
-        let rec = &sim.agent(r).records[0];
-        assert_eq!(rec.data_len, 300_000);
-        assert!(rec.goodput_gbps() > 0.4, "goodput {}", rec.goodput_gbps());
-    }
-}
-
-/// Under the counting oracle the code mode touches no packet: a seeded
-/// storage run is byte-identical between systematic (default) and
-/// legacy A/B configurations.
-#[test]
-fn counting_runs_are_code_mode_invariant() {
-    let sc = small_scenario(Pattern::Write, 3, 21);
-    let sys = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    let mut leg_opts = RqRunOptions::default();
-    leg_opts.pr.code_mode = polyraptor_repro::polyraptor::CodeMode::Legacy;
-    let leg = run_storage_rq(&sc, &Fabric::small(), &leg_opts);
-    assert_eq!(sys.len(), leg.len());
-    for (x, y) in sys.iter().zip(&leg) {
-        assert_eq!(x.session, y.session);
-        assert_eq!(x.start, y.start);
-        assert_eq!(
-            x.finish, y.finish,
-            "code mode perturbed session {}",
-            x.session
-        );
-    }
-}
-
 /// Determinism across identical runs — the simulator's contract.
 #[test]
 fn identical_seeds_identical_results() {

@@ -48,10 +48,10 @@ fn core_failure_polyraptor_completes_while_tcp_tail_inflates() {
     assert_eq!(rq.timeouts, 0, "coded repair needs no timeouts");
     // Batched sweep recovery: the post-fault completion tail is bounded
     // by the 25 ms control-plane convergence window plus a near-healthy
-    // transfer remainder — not paced by the 1 ms keep-alive sweep. The
-    // legacy single-nudge sweep needed ~147 ms at this scale (~450 ms at
-    // the paper's 1 MB objects); 60 ms leaves slack without ever letting
-    // a sweep-paced tail sneak back in.
+    // transfer remainder — not paced by the 1 ms keep-alive sweep. A
+    // one-nudge-per-sweep recovery needed ~147 ms at this scale (~450 ms
+    // at the paper's 1 MB objects); 60 ms leaves slack without ever
+    // letting a sweep-paced tail sneak back in.
     let recovery = rq.recovery().expect("failure caught flows in flight");
     assert!(
         recovery.max_ns < 60_000_000,

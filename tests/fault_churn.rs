@@ -165,42 +165,6 @@ fn churn_soak_is_byte_identical_per_seed() {
 }
 
 #[test]
-fn churn_soak_is_mode_invariant() {
-    // The systematic codec changes how bytes are encoded, not which
-    // packets fly: under the counting oracle no symbol bytes are
-    // materialized and ESI emission order is identical in both code
-    // modes, so the entire churn run — fault process included — must be
-    // byte-identical between systematic (the default) and legacy A/B
-    // runs, with zero timeouts in both.
-    let sc = scenario();
-    let fabric = Fabric::small();
-    let sys_opts = RqRunOptions::default();
-    assert_eq!(
-        sys_opts.pr.code_mode,
-        polyraptor_repro::polyraptor::CodeMode::Systematic,
-        "systematic mode is the default"
-    );
-    let mut leg_opts = RqRunOptions::default();
-    leg_opts.pr.code_mode = polyraptor_repro::polyraptor::CodeMode::Legacy;
-    let a = run_churn_rq(&sc, &fabric, &sys_opts);
-    let b = run_churn_rq(&sc, &fabric, &leg_opts);
-    assert_eq!(a.timeouts + b.timeouts, 0, "zero timeouts in both modes");
-    let fingerprint = |rep: &ChurnReport| -> Vec<(u32, u64, u64, usize)> {
-        rep.flows
-            .iter()
-            .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos(), f.bytes))
-            .collect()
-    };
-    assert_eq!(
-        fingerprint(&a),
-        fingerprint(&b),
-        "code mode must not perturb packet-level results"
-    );
-    assert_eq!(a.fabric, b.fabric);
-    assert_eq!(a.fault_instants, b.fault_instants);
-}
-
-#[test]
 fn shared_risk_placement_compares_under_identical_churn() {
     // Same seed, same fault plan, different placement: both complete;
     // the spread placement never lets one event strand two replicas of
