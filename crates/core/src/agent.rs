@@ -253,6 +253,12 @@ impl PolyraptorAgent {
         self.send_sessions.get(&id)
     }
 
+    /// Access a receiver session, finished ones included
+    /// (tests/diagnostics).
+    pub fn receiver_session(&self, id: SessionId) -> Option<&ReceiverSession> {
+        self.recv_sessions.get(&id)
+    }
+
     /// Protocol configuration.
     pub fn config(&self) -> &PrConfig {
         &self.cfg

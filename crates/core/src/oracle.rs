@@ -13,10 +13,11 @@
 //! * [`Oracle::Real`] runs the actual [`rq`] decoder over real bytes and
 //!   only reports completion when decoding genuinely succeeds — and the
 //!   decoded bytes equal the session's canonical object. Tests use it to
-//!   validate the counting model. Once it has succeeded it holds no
-//!   symbol bytes.
+//!   validate the counting model. It holds symbol storage for what has
+//!   arrived, none before the first symbol, and once it has succeeded
+//!   none again.
 
-use rq::{CodeMode, CodeParams, Decoder};
+use rq::{CodeMode, CodeParams, DecodeStats, Decoded, Decoder};
 
 use crate::wire::SessionId;
 
@@ -94,6 +95,8 @@ pub enum Oracle {
         decoder: Option<Decoder>,
         /// Distinct symbols the successful decode had collected.
         received: usize,
+        /// The decode paths the decoder took, kept past its release.
+        stats: DecodeStats,
     },
 }
 
@@ -122,6 +125,7 @@ impl Oracle {
             session,
             decoder: Some(Decoder::new(code)),
             received: 0,
+            stats: DecodeStats::default(),
         }
     }
 
@@ -143,30 +147,63 @@ impl Oracle {
                 // distinct symbols.
                 *source_seen == *k || seen.len() >= *k + *required_overhead
             }
-            Oracle::Real {
-                session,
-                decoder,
-                received,
-            } => {
-                let Some(dec) = decoder else {
-                    return true;
-                };
-                dec.push(esi, bytes.expect("real oracle requires symbol bytes"));
-                if dec.symbols_received() >= dec.params().k {
-                    if let Ok(data) = dec.try_decode() {
-                        assert!(
-                            data == session_object(*session, dec.params().data_len),
-                            "real oracle decoded wrong bytes for session {}",
-                            session.0
-                        );
-                        *received = dec.symbols_received();
-                        *decoder = None;
-                        return true;
-                    }
-                }
-                false
+            Oracle::Real { .. } => {
+                let bytes = bytes.expect("real oracle requires symbol bytes");
+                self.add_real(|dec| dec.push(esi, bytes))
             }
         }
+    }
+
+    /// [`Oracle::add`] for a symbol still inside its sender's encoder:
+    /// the real oracle writes it from the encoder's block straight into
+    /// the decoder's storage (a duplicate is not written at all); the
+    /// counting oracle needs no bytes.
+    pub fn add_encoded(&mut self, esi: u32, encoder: &rq::Encoder) -> bool {
+        match self {
+            Oracle::Counting { .. } => self.add(esi, None),
+            Oracle::Real { .. } => {
+                self.add_real(|dec| dec.push_with(esi, |slot| encoder.symbol_into(esi, slot)))
+            }
+        }
+    }
+
+    /// The real arm of [`Oracle::add`]: `push` the symbol and, from `k`
+    /// distinct symbols on, try to decode in place. A success is checked
+    /// against the session's canonical object and releases the decoder.
+    fn add_real(&mut self, push: impl FnOnce(&mut Decoder) -> bool) -> bool {
+        let Oracle::Real {
+            session,
+            decoder,
+            received,
+            stats,
+        } = self
+        else {
+            unreachable!("add_real is the real oracle's")
+        };
+        let Some(dec) = decoder else {
+            return true;
+        };
+        push(dec);
+        if dec.symbols_received() < dec.params().k {
+            return false;
+        }
+        let decoded = match dec.decode_in_place() {
+            Ok(object) => {
+                assert!(
+                    is_session_object(*session, object),
+                    "real oracle decoded wrong bytes for session {}",
+                    session.0
+                );
+                true
+            }
+            Err(_) => false,
+        };
+        *stats = dec.decode_stats();
+        if decoded {
+            *received = dec.symbols_received();
+            *decoder = None;
+        }
+        decoded
     }
 
     /// Distinct symbols collected so far.
@@ -178,6 +215,15 @@ impl Oracle {
             } => decoder
                 .as_ref()
                 .map_or(*received, Decoder::symbols_received),
+        }
+    }
+
+    /// The decode paths taken so far (all zero under counting, which
+    /// never decodes).
+    pub fn decode_stats(&self) -> DecodeStats {
+        match self {
+            Oracle::Counting { .. } => DecodeStats::default(),
+            Oracle::Real { stats, .. } => *stats,
         }
     }
 
@@ -203,18 +249,63 @@ impl Oracle {
     }
 }
 
+/// Word `i` (eight little-endian bytes) of a session's canonical
+/// object: the SplitMix64 *counter* stream, `mix64(base + i·γ)`. Every
+/// word is a function of its index alone, so the object can be written
+/// or checked from any offset and consecutive words do not wait on each
+/// other.
+fn object_word(session: SessionId, i: u64) -> [u8; 8] {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    let base = u64::from(session.0) ^ 0xDA7A_B10C;
+    rq::rand::mix64(base.wrapping_add(i.wrapping_mul(GAMMA))).to_le_bytes()
+}
+
+/// Write the head of `session`'s canonical object over `out` — the
+/// generator behind [`session_object`], for a sender that has the
+/// object's final place (its encoder's block) at hand.
+pub(crate) fn write_session_object(session: SessionId, out: &mut [u8]) {
+    let mut words = out.chunks_exact_mut(8);
+    let mut i = 0u64;
+    for word in words.by_ref() {
+        word.copy_from_slice(&object_word(session, i));
+        i += 1;
+    }
+    let tail = words.into_remainder();
+    tail.copy_from_slice(&object_word(session, i)[..tail.len()]);
+}
+
 /// The canonical (deterministic) object bytes for a session — what a
 /// "real" sender would read from storage. Both the real oracle and the
 /// real-mode sender generate the same bytes from the session id.
 pub fn session_object(session: SessionId, len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
-    let mut state = u64::from(session.0) ^ 0xDA7A_B10C;
-    while out.len() < len {
-        state = rq::rand::mix64(state);
-        out.extend_from_slice(&state.to_le_bytes());
-    }
-    out.truncate(len);
+    let mut out = vec![0u8; len];
+    write_session_object(session, &mut out);
     out
+}
+
+/// Whether `object` is `session`'s canonical object, regenerated word by
+/// word beside the decoded bytes — no second copy of the object, and
+/// nothing taken from the sender.
+fn is_session_object(session: SessionId, object: Decoded<'_>) -> bool {
+    let mut at = 0usize;
+    object.runs().all(|run| {
+        let matches = session_object_matches_at(session, at, run);
+        at += run.len();
+        matches
+    })
+}
+
+/// Whether `bytes` are the canonical object's bytes from offset `at` on.
+fn session_object_matches_at(session: SessionId, at: usize, bytes: &[u8]) -> bool {
+    // A run may start inside a word: check up to the word boundary, then
+    // whole words, then what is left of the last one.
+    let (head, body) = bytes.split_at(((8 - at % 8) % 8).min(bytes.len()));
+    let first = ((at + head.len()) / 8) as u64;
+    let words = body.chunks_exact(8);
+    let tail = words.remainder();
+    head == &object_word(session, (at / 8) as u64)[at % 8..][..head.len()]
+        && tail == &object_word(session, first + (body.len() / 8) as u64)[..tail.len()]
+        && (words.zip(first..)).all(|(word, i)| word == object_word(session, i))
 }
 
 #[cfg(test)]
@@ -343,6 +434,119 @@ mod tests {
             panic!("a fresh real oracle is decoding");
         };
         assert_eq!(dec.params(), enc.params());
+    }
+
+    #[test]
+    fn add_encoded_equals_add_with_bytes() {
+        // The by-reference path and the by-value one feed one decoder
+        // logic: same answers symbol by symbol, duplicates included.
+        let session = SessionId(21);
+        let len = 40 * 64 - 9;
+        let enc = Encoder::new(&session_object(session, len), 64).unwrap();
+        let mut by_value = Oracle::real(session, len, 64, CodeMode::Systematic);
+        let mut by_reference = Oracle::real(session, len, 64, CodeMode::Systematic);
+        let esis = (0..40u32)
+            .filter(|e| e % 7 != 2)
+            .chain([41, 41, 44, 47, 50, 53, 56, 59, 62]);
+        let mut done = false;
+        for esi in esis {
+            if done {
+                break;
+            }
+            done = by_reference.add_encoded(esi, &enc);
+            assert_eq!(done, by_value.add(esi, Some(enc.symbol(esi))), "esi {esi}");
+            assert_eq!(by_reference.symbols_received(), by_value.symbols_received());
+            assert_eq!(by_reference.symbols_needed(), by_value.symbols_needed());
+        }
+        assert!(done);
+        assert_eq!(by_reference.decode_stats(), by_value.decode_stats());
+        assert!(by_reference.decode_stats().solver_decodes >= 1);
+        // What had arrived (34 sources and the repairs it took), not the
+        // six symbols the decode filled in.
+        assert!((40..46).contains(&by_reference.symbols_received()));
+        // The counting oracle takes the same call and needs no bytes.
+        let mut counting = Oracle::counting(session, 40, 1);
+        assert!(!counting.add_encoded(0, &enc));
+        assert_eq!(counting.symbols_received(), 1);
+    }
+
+    /// A decoder holding `object` cut into `t`-byte source symbols.
+    fn holding(object: &[u8], t: usize) -> Decoder {
+        let mut dec = Decoder::new(CodeParams::systematic(object.len(), t).unwrap());
+        for (esi, symbol) in object.chunks(t).enumerate() {
+            dec.push_with(esi as u32, |slot| {
+                slot[..symbol.len()].copy_from_slice(symbol)
+            });
+        }
+        dec
+    }
+
+    #[test]
+    fn streaming_check_rejects_any_flipped_bit() {
+        let session = SessionId(5);
+        // 40 symbols of 100 bytes, the last one ragged: three runs of
+        // the decoder's storage, seams at bytes 1600 and 3200.
+        let len = 40 * 100 - 33;
+        let object = session_object(session, len);
+        assert!(is_session_object(
+            session,
+            holding(&object, 100).decode_in_place().unwrap()
+        ));
+        assert!(!is_session_object(
+            SessionId(6),
+            holding(&object, 100).decode_in_place().unwrap()
+        ));
+        for (at, why) in [
+            (0, "first word"),
+            (7, "first word, last byte"),
+            (1599, "before a seam"),
+            (1600, "after a seam"),
+            (3200, "second seam"),
+            (len - 8, "last whole word"),
+            (len - 1, "ragged tail"),
+        ] {
+            for bit in [0, 7] {
+                let mut wrong = object.clone();
+                wrong[at] ^= 1 << bit;
+                assert!(
+                    !is_session_object(session, holding(&wrong, 100).decode_in_place().unwrap()),
+                    "bit {bit} of byte {at} ({why}) went unnoticed"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn session_object_is_one_stream(
+            id in proptest::prelude::any::<u32>(),
+            n in 1usize..3000,
+            extra in 1usize..3000,
+            at in 0usize..3000,
+            t in 1usize..200,
+        ) {
+            use proptest::prelude::*;
+            let session = SessionId(id);
+            let long = session_object(session, n + extra);
+            // A shorter object is a prefix of a longer one...
+            prop_assert_eq!(&session_object(session, n)[..], &long[..n]);
+            // ...any stretch of it checks from its own offset, word
+            // aligned or not...
+            let at = at % (n + extra);
+            prop_assert!(session_object_matches_at(session, at, &long[at..]));
+            prop_assert!(session_object_matches_at(session, at, &long[at..at + 1]));
+            if at > 0 {
+                prop_assert!(!session_object_matches_at(session, at - 1, &long[at..]));
+            }
+            // ...and a sender generating into its encoder's block sends
+            // the same symbols as one encoding a staged copy.
+            let staged = Encoder::new(&long[..n], t).unwrap();
+            let direct =
+                Encoder::from_fn(n, t, |object| write_session_object(session, object)).unwrap();
+            for esi in (0..staged.params().k as u32 + 4).step_by(1 + n / t / 16) {
+                prop_assert_eq!(staged.symbol(esi), direct.symbol(esi), "esi {}", esi);
+            }
+        }
     }
 
     #[test]

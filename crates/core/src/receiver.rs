@@ -21,15 +21,13 @@ use crate::config::{OracleMode, PrConfig};
 use crate::metrics::SessionRecord;
 use crate::oracle::Oracle;
 use crate::session::{SessionSpec, SessionState};
+use crate::wire::SymbolBody;
 
 /// Receiver-side state for one session.
 pub struct ReceiverSession {
     /// Shared descriptor.
     pub spec: SessionSpec,
-    /// Under the real oracle, `None` until the first symbol arrives.
-    oracle: Option<Oracle>,
-    /// Symbol size the real oracle is built with.
-    real_symbol_size: usize,
+    oracle: Oracle,
     /// Cumulative arrivals (full + trimmed) per sender index — the
     /// counts pulls report back (read at pull transmission time).
     arrivals_from: Vec<u64>,
@@ -97,8 +95,15 @@ impl ReceiverSession {
         );
         let k = cfg.k_for(spec.data_len);
         let oracle = match cfg.oracle {
-            OracleMode::Counting => Some(Oracle::counting(spec.id, k, seed)),
-            OracleMode::Real => None,
+            OracleMode::Counting => Oracle::counting(spec.id, k, seed),
+            // Decoder storage is allocated as symbols arrive, so an
+            // installed session that has not started costs a few words.
+            OracleMode::Real => Oracle::real(
+                spec.id,
+                spec.data_len,
+                cfg.symbol_size,
+                CodeMode::Systematic,
+            ),
         };
         let n_senders = spec.senders.len();
         let share = cfg.per_sender_window(spec.data_len, n_senders);
@@ -110,7 +115,6 @@ impl ReceiverSession {
             .collect();
         Self {
             oracle,
-            real_symbol_size: cfg.symbol_size,
             arrivals_from: vec![0; n_senders],
             granted: vec![share; n_senders],
             written_off: vec![0; n_senders],
@@ -137,7 +141,7 @@ impl ReceiverSession {
         &mut self,
         sender_idx: u8,
         esi: u32,
-        body: Option<Vec<u8>>,
+        body: Option<SymbolBody>,
         now: SimTime,
     ) -> bool {
         debug_assert!(!self.done);
@@ -145,12 +149,10 @@ impl ReceiverSession {
         self.last_activity = now;
         self.count_arrival(sender_idx);
         self.note_esi(sender_idx, esi);
-        let (spec, symbol_size) = (&self.spec, self.real_symbol_size);
-        self.oracle
-            .get_or_insert_with(|| {
-                Oracle::real(spec.id, spec.data_len, symbol_size, CodeMode::Systematic)
-            })
-            .add(esi, body)
+        match body {
+            Some(body) => self.oracle.add_encoded(esi, body.encoder()),
+            None => self.oracle.add(esi, None),
+        }
     }
 
     /// Record a trimmed header (no coding progress, but it advances the
@@ -230,7 +232,7 @@ impl ReceiverSession {
 
     /// Upper bound on fresh symbols still needed to recover the object.
     pub fn symbols_needed(&self) -> u64 {
-        self.oracle.as_ref().map_or(self.k, Oracle::symbols_needed)
+        self.oracle.symbols_needed()
     }
 
     /// Start a new recovery round (called by each keep-alive sweep that
@@ -284,7 +286,13 @@ impl ReceiverSession {
 
     /// Distinct symbols collected.
     pub fn symbols_received(&self) -> usize {
-        self.oracle.as_ref().map_or(0, Oracle::symbols_received)
+        self.oracle.symbols_received()
+    }
+
+    /// The decode paths this session's real oracle took (all zero under
+    /// the counting oracle).
+    pub fn decode_stats(&self) -> rq::DecodeStats {
+        self.oracle.decode_stats()
     }
 
     /// The next sender to target with a keep-alive pull (round-robin
@@ -431,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn real_oracle_is_built_on_the_first_symbol() {
+    fn a_fresh_real_oracle_holds_no_symbol_storage() {
         use crate::sender::SenderSession;
         use crate::wire::PrPayload;
         use netsim::Ctx;
@@ -446,7 +454,7 @@ mod tests {
         let mut ss = SenderSession::new(spec.clone(), NodeId(1), &cfg);
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(1));
         ss.start(NodeId(1), &cfg, &mut ctx);
-        let symbols: Vec<(u32, Vec<u8>)> = ctx
+        let symbols: Vec<(u32, SymbolBody)> = ctx
             .queued_sends()
             .iter()
             .map(|pkt| match &pkt.payload {
@@ -455,7 +463,17 @@ mod tests {
             })
             .collect();
 
+        // Built with the session, like the counting oracle — and until a
+        // symbol arrives it is parameters only.
         let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 1);
+        let Oracle::Real {
+            decoder: Some(decoder),
+            ..
+        } = &rs.oracle
+        else {
+            panic!("a fresh real oracle is decoding");
+        };
+        assert_eq!(decoder.storage_bytes(), 0);
         assert_eq!((rs.symbols_received(), rs.symbols_needed()), (0, 5));
         let mut done = false;
         for (esi, body) in symbols {

@@ -19,13 +19,11 @@
 //! union of any senders' emissions is duplicate-free — each replica's
 //! stream is fully useful to the receiver.
 
-use std::sync::Arc;
-
 use netsim::{Ctx, Dest, FlowId, NodeId, Packet, SimTime};
 
 use crate::config::{MulticastPull, OracleMode, PrConfig};
 use crate::session::SessionSpec;
-use crate::wire::{symbol_packet_bytes, PrPayload};
+use crate::wire::{symbol_packet_bytes, PrPayload, SymbolBody};
 
 /// Sender-side state for one session.
 pub struct SenderSession {
@@ -56,8 +54,10 @@ pub struct SenderSession {
     started: bool,
     /// Real-mode encoder, from [`SessionSpec::encoder`] at the first
     /// emission (None before that, and always under the counting
-    /// oracle). Dropped with the session at the last FIN.
-    encoder: Option<Arc<rq::Encoder>>,
+    /// oracle), as the handle every emitted symbol carries a clone of.
+    /// Dropped with the session at the last FIN; the encoder goes when
+    /// the last symbol in flight has landed too.
+    encoder: Option<SymbolBody>,
     /// This sender had to build the object's encoder (no sibling replica
     /// was holding it) and the agent has not booked that yet.
     built_encoder: bool,
@@ -125,7 +125,7 @@ impl SenderSession {
     /// Emit one fresh symbol towards `dst`.
     fn emit(&mut self, dst: Dest, node: NodeId, cfg: &PrConfig, ctx: &mut Ctx<PrPayload>) {
         let esi = self.alloc_esi();
-        let body = self.encoder.as_ref().map(|e| e.symbol(esi));
+        let body = self.encoder.clone();
         self.symbols_sent += 1;
         ctx.send(Packet {
             src: node,
@@ -186,7 +186,7 @@ impl SenderSession {
         self.started = true;
         if cfg.oracle == OracleMode::Real {
             let (encoder, built) = self.spec.encoder(cfg.symbol_size);
-            self.encoder = Some(encoder);
+            self.encoder = Some(SymbolBody::new(encoder));
             self.built_encoder = built;
         }
         for _ in 0..self.window(cfg) {

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex, Weak};
 
 use netsim::{GroupId, NodeId, SimTime};
 
-use crate::oracle::session_object;
+use crate::oracle::write_session_object;
 use crate::wire::SessionId;
 
 /// The contiguous source-symbol range `[lo, hi)` that sender `idx` of
@@ -91,7 +91,7 @@ pub struct SessionSpec {
 
 impl SessionSpec {
     /// The encoder over this session's canonical object
-    /// ([`session_object`]), and whether this call had to build it.
+    /// ([`crate::session_object`]), and whether this call had to build it.
     ///
     /// Every replica of a real-oracle session sends symbols of the same
     /// bytes, so the specs installed at the participating hosts (clones
@@ -103,11 +103,13 @@ impl SessionSpec {
     /// encoder built for another `symbol_size` — hosts configured
     /// differently — is left alone and the caller gets a private one.
     pub(crate) fn encoder(&self, symbol_size: usize) -> (Arc<rq::Encoder>, bool) {
+        // The object is generated straight into the encoder's block.
         let build = || {
-            let data = session_object(self.id, self.data_len);
             Arc::new(
-                rq::Encoder::new(&data, symbol_size)
-                    .expect("session object is non-empty and fits one block"),
+                rq::Encoder::from_fn(self.data_len, symbol_size, |object| {
+                    write_session_object(self.id, object)
+                })
+                .expect("session object is non-empty and fits one block"),
             )
         };
         let mut slot = self

@@ -16,11 +16,52 @@
 //! Sizes model a 64-byte header (addressing + transport fields) plus the
 //! symbol body for full symbol packets.
 
+use std::sync::Arc;
+
 use netsim::{SimPayload, HEADER_BYTES};
 
 /// Globally unique transport-session identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u32);
+
+/// The bytes of a symbol in flight under the real-decoder oracle: a
+/// shared handle on the sender's encoder, the symbol being that
+/// encoder's `esi`. Cloning it (one per emission, one per multicast
+/// branch) copies a pointer; the receiver writes the symbol out of the
+/// sender's block straight into its decoder, and a symbol trimmed on
+/// the way is never materialised at all.
+#[derive(Clone)]
+pub struct SymbolBody(Arc<rq::Encoder>);
+
+impl SymbolBody {
+    /// The symbols of `encoder`.
+    pub fn new(encoder: Arc<rq::Encoder>) -> Self {
+        Self(encoder)
+    }
+
+    /// The encoder whose symbol this is.
+    pub fn encoder(&self) -> &Arc<rq::Encoder> {
+        &self.0
+    }
+}
+
+/// Names the block, not its bytes: an `Encoder` prints as its whole
+/// `L · T` block (590 KB for a 512 KiB object), once per packet.
+impl std::fmt::Debug for SymbolBody {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let code = self.0.params();
+        write!(f, "SymbolBody(K={}, T={})", code.k, code.symbol_size)
+    }
+}
+
+/// Two bodies are equal when they are the same encoder.
+impl PartialEq for SymbolBody {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for SymbolBody {}
 
 /// Polyraptor packet payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,10 +76,10 @@ pub enum PrPayload {
         sender_idx: u8,
         /// True if a switch trimmed the body; only the header arrived.
         trimmed: bool,
-        /// Actual symbol bytes — only materialized under the real-decoder
+        /// Where the symbol's bytes are — only under the real-decoder
         /// oracle (tests/examples); `None` at simulation scale, where the
         /// packet's `size` field models the bytes on the wire.
-        body: Option<Vec<u8>>,
+        body: Option<SymbolBody>,
     },
     /// Receiver-driven request for more symbols. Pulls are *cumulative*
     /// (they report how many of this sender's symbols — full or trimmed —
@@ -128,18 +169,29 @@ pub const CONTROL_BYTES: u32 = HEADER_BYTES;
 mod tests {
     use super::*;
 
+    fn body(len: usize) -> SymbolBody {
+        SymbolBody::new(Arc::new(rq::Encoder::new(&vec![7u8; len], 1440).unwrap()))
+    }
+
     #[test]
     fn symbol_is_data_until_trimmed() {
+        let body = body(48);
         let s = PrPayload::Symbol {
             session: SessionId(1),
             esi: 9,
             sender_idx: 0,
             trimmed: false,
-            body: Some(vec![1, 2, 3]),
+            body: Some(body.clone()),
         };
         assert!(!s.is_control());
         let t = s.trim().unwrap();
         assert!(t.is_control());
+        drop(s);
+        assert_eq!(
+            Arc::strong_count(body.encoder()),
+            1,
+            "a trimmed header holds no reference on the encoder"
+        );
         match t {
             PrPayload::Symbol {
                 esi: 9,
@@ -188,6 +240,48 @@ mod tests {
         ] {
             assert_eq!(p.session(), SessionId(5));
         }
+    }
+
+    #[test]
+    fn payload_is_small_and_shareable() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<PrPayload>();
+        // Every queued packet, event and multicast copy carries one.
+        assert!(
+            std::mem::size_of::<PrPayload>() <= 24,
+            "PrPayload grew to {} bytes",
+            std::mem::size_of::<PrPayload>()
+        );
+        let body = body(512 << 10);
+        let symbol = PrPayload::Symbol {
+            session: SessionId(1),
+            esi: 0,
+            sender_idx: 0,
+            trimmed: false,
+            body: Some(body.clone()),
+        };
+        let branches = vec![symbol.clone(); 3];
+        assert_eq!(
+            Arc::strong_count(body.encoder()),
+            5,
+            "a clone shares the encoder, it does not copy bytes"
+        );
+        assert!(branches.iter().all(|b| *b == symbol), "same encoder");
+        assert_ne!(
+            symbol,
+            PrPayload::Symbol {
+                session: SessionId(1),
+                esi: 0,
+                sender_idx: 0,
+                trimmed: false,
+                body: Some(self::body(512 << 10)),
+            },
+            "an equal block elsewhere is another body"
+        );
+        // Prints the block's shape, not its 590 KB of bytes.
+        let printed = format!("{symbol:?}");
+        assert!(printed.contains("SymbolBody(K=365, T=1440)"), "{printed}");
+        assert!(printed.len() < 200, "{} bytes of Debug", printed.len());
     }
 
     #[test]

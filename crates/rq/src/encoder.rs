@@ -105,12 +105,29 @@ impl Encoder {
     /// Build an encoder over `data` with the given symbol size (direct
     /// parity construction, no solve — it cannot fail on valid input).
     pub fn new(data: &[u8], symbol_size: usize) -> Result<Self, EncodeError> {
-        let code = CodeParams::systematic(data.len(), symbol_size)?;
+        Self::from_fn(data.len(), symbol_size, |source| {
+            source.copy_from_slice(data)
+        })
+    }
+
+    /// [`Encoder::new`] over the `data_len` bytes that `write_source`
+    /// writes: it is handed the (zeroed) head of the encoder's own
+    /// block, so a caller that generates or reads its object does so
+    /// straight into place, with no staging buffer to copy from.
+    pub fn from_fn(
+        data_len: usize,
+        symbol_size: usize,
+        write_source: impl FnOnce(&mut [u8]),
+    ) -> Result<Self, EncodeError> {
+        let code = CodeParams::systematic(data_len, symbol_size)?;
         let params = BlockParams::new(code.k);
+        let mut block = vec![0u8; params.l * symbol_size];
+        write_source(&mut block[..data_len]);
+        Self::fill_parity(&params, &mut block, symbol_size);
         Ok(Self {
             params,
             code,
-            block: Self::systematic_block(&params, data, symbol_size),
+            block,
         })
     }
 
@@ -122,8 +139,9 @@ impl Encoder {
     }
 
     /// Direct systematic construction: the intermediate block is
-    /// `[source | LDPC parity | HDPC parity]` in one `L · T` buffer, each
-    /// parity symbol computed straight from its constraint row — two
+    /// `[source | LDPC parity | HDPC parity]` in one `L · T` buffer —
+    /// `block`, holding the zero-padded source and zeros behind it —
+    /// each parity symbol computed straight from its constraint row: two
     /// streaming passes over the block instead of an `L×L` inactivation
     /// solve.
     ///
@@ -132,10 +150,8 @@ impl Encoder {
     /// column `K+j`, and HDPC row `h` touches columns `[0, K+S)` plus its
     /// identity column `K+S+h` — so each parity symbol is determined by
     /// columns constructed before it.
-    fn systematic_block(params: &BlockParams, data: &[u8], t: usize) -> Vec<u8> {
+    fn fill_parity(params: &BlockParams, block: &mut [u8], t: usize) {
         let k = params.k;
-        let mut block = vec![0u8; params.l * t];
-        block[..data.len()].copy_from_slice(data);
         let (source, parity) = block.split_at_mut(k * t);
         let (ldpc, hdpc) = parity.split_at_mut(params.s * t);
         // LDPC parity: row j is `C[k+j] + XOR(source cols) = 0`.
@@ -153,13 +169,10 @@ impl Encoder {
         // `j < K+S`, all of which are already constructed.
         let mut fold = HdpcFold::new(t);
         let constructed = source.chunks_exact(t).chain(ldpc.chunks_exact(t));
-        for (coefs, sym) in hdpc_columns(params).iter().zip(constructed) {
-            fold.fold(coefs, sym);
-        }
+        fold.fold_all(hdpc_columns(params).iter().zip(constructed));
         for (h, sym) in hdpc.chunks_exact_mut(t).enumerate() {
             fold.write_row(h, sym);
         }
-        block
     }
 
     /// The decoder-facing parameters of this block.
@@ -184,23 +197,32 @@ impl Encoder {
     /// Systematic source symbols (`esi < k`) are copied out of the block;
     /// repair symbols are LT-encoded from the intermediates on demand.
     pub fn symbol(&self, esi: u32) -> Vec<u8> {
-        if (esi as usize) < self.code.k {
-            self.intermediate(esi as usize).to_vec()
-        } else {
-            self.lt_encode(esi)
-        }
+        let mut out = vec![0u8; self.code.symbol_size];
+        self.symbol_into(esi, &mut out);
+        out
     }
 
-    /// LT-encode a repair ESI from the intermediates, at the floored
-    /// walk degree ([`crate::params::sys_repair_min_degree`]).
-    fn lt_encode(&self, esi: u32) -> Vec<u8> {
-        let min_d = crate::params::sys_repair_min_degree(self.params.l);
-        let cols = lt_columns_with_floor(&self.params, esi, min_d);
-        let mut out = vec![0u8; self.code.symbol_size];
-        for c in cols {
-            gf256::xor_assign(&mut out, self.intermediate(c as usize));
+    /// Write encoding symbol `esi` over `out` — [`Encoder::symbol`]
+    /// without the allocation, for a receiver that has the symbol's
+    /// final resting place at hand ([`crate::Decoder::push_with`]).
+    ///
+    /// # Panics
+    /// Panics if `out` is not `symbol_size` bytes long.
+    pub fn symbol_into(&self, esi: u32, out: &mut [u8]) {
+        assert_eq!(out.len(), self.code.symbol_size, "symbol size mismatch");
+        if (esi as usize) < self.code.k {
+            out.copy_from_slice(self.intermediate(esi as usize));
+            return;
         }
-        out
+        // LT-encode a repair ESI from the intermediates, at the floored
+        // walk degree ([`crate::params::sys_repair_min_degree`]).
+        let min_d = crate::params::sys_repair_min_degree(self.params.l);
+        let mut cols = lt_columns_with_floor(&self.params, esi, min_d).into_iter();
+        let first = cols.next().expect("an LT row has at least one column");
+        out.copy_from_slice(self.intermediate(first as usize));
+        for c in cols {
+            gf256::xor_assign(out, self.intermediate(c as usize));
+        }
     }
 }
 
@@ -237,7 +259,7 @@ mod tests {
 
     /// The systematic intermediates built symbol by symbol, one
     /// `xor_assign` / `addmul` per (row, column) — the construction
-    /// [`Encoder::systematic_block`] must stay byte-equal to.
+    /// [`Encoder::fill_parity`] must stay byte-equal to.
     fn reference_intermediates(data: &[u8], t: usize) -> Vec<Vec<u8>> {
         let params = BlockParams::new(data.len().div_ceil(t));
         let mut c: Vec<Vec<u8>> = data

@@ -12,6 +12,11 @@
 //! and one XOR for each of the other 247 (multiplication distributes
 //! over GF(256) addition: `c·(x ^ y) = c·x ^ c·y`) — noise beside a
 //! symbol of more than a few dozen bytes.
+//!
+//! What is left per byte is a load and a store of the 16-byte
+//! accumulator lane, so [`HdpcFold::fold_all`] takes its columns two at
+//! a time (`acc[i] ^= tab_a[a[i]] ^ tab_b[b[i]]`): half the accumulator
+//! traffic for the same sums.
 
 use crate::gf256::MUL_TABLE;
 use crate::params::H_HDPC;
@@ -34,9 +39,24 @@ const _: () = assert!(H_HDPC <= 16, "one u128 must hold a lane per HDPC row");
 pub struct HdpcFold {
     /// `acc[i]`, little-endian byte `h`: row `h`'s sum at byte position `i`.
     acc: Vec<u128>,
-    /// Product table of the column being folded: `tab[x]`, byte `h` =
-    /// `coef[h] · x`. Entry 0 stays zero.
-    tab: [u128; 256],
+    /// Product tables of the (up to two) columns being folded:
+    /// `tabs[c][x]`, byte `h` = `coef_c[h] · x`. Entry 0 stays zero.
+    tabs: [[u128; 256]; 2],
+}
+
+/// Fill `tab` with the lane-packed products of `coefs`.
+fn product_table(tab: &mut [u128; 256], coefs: &[u8; H_HDPC]) {
+    for bit in 0..8 {
+        let hi = 1usize << bit;
+        let mut lanes = [0u8; 16];
+        for (lane, &c) in lanes.iter_mut().zip(coefs) {
+            *lane = MUL_TABLE[c as usize][hi];
+        }
+        tab[hi] = u128::from_le_bytes(lanes);
+        for low in 1..hi {
+            tab[hi | low] = tab[hi] ^ tab[low];
+        }
+    }
 }
 
 impl HdpcFold {
@@ -44,7 +64,7 @@ impl HdpcFold {
     pub fn new(symbol_size: usize) -> Self {
         Self {
             acc: vec![0; symbol_size],
-            tab: [0; 256],
+            tabs: [[0; 256]; 2],
         }
     }
 
@@ -54,20 +74,37 @@ impl HdpcFold {
     /// Panics if `symbol` is not `symbol_size` bytes long.
     pub fn fold(&mut self, coefs: &[u8; H_HDPC], symbol: &[u8]) {
         assert_eq!(symbol.len(), self.acc.len(), "symbol length mismatch");
-        let tab = &mut self.tab;
-        for bit in 0..8 {
-            let hi = 1usize << bit;
-            let mut lanes = [0u8; 16];
-            for (lane, &c) in lanes.iter_mut().zip(coefs) {
-                *lane = MUL_TABLE[c as usize][hi];
-            }
-            tab[hi] = u128::from_le_bytes(lanes);
-            for low in 1..hi {
-                tab[hi | low] = tab[hi] ^ tab[low];
-            }
-        }
+        let [tab, _] = &mut self.tabs;
+        product_table(tab, coefs);
         for (a, &x) in self.acc.iter_mut().zip(symbol) {
             *a ^= tab[x as usize];
+        }
+    }
+
+    /// [`HdpcFold::fold`] over every `(coefficients, symbol)` column of
+    /// `columns`, two columns per pass over the sums (a last odd column
+    /// alone). The sums are XORs, so pairing changes no byte.
+    ///
+    /// # Panics
+    /// Panics if a symbol is not `symbol_size` bytes long.
+    pub fn fold_all<'a>(
+        &mut self,
+        columns: impl IntoIterator<Item = (&'a [u8; H_HDPC], &'a [u8])>,
+    ) {
+        let mut columns = columns.into_iter();
+        while let Some((coefs_a, a)) = columns.next() {
+            let Some((coefs_b, b)) = columns.next() else {
+                self.fold(coefs_a, a);
+                return;
+            };
+            assert_eq!(a.len(), self.acc.len(), "symbol length mismatch");
+            assert_eq!(b.len(), self.acc.len(), "symbol length mismatch");
+            let [tab_a, tab_b] = &mut self.tabs;
+            product_table(tab_a, coefs_a);
+            product_table(tab_b, coefs_b);
+            for ((acc, &x), &y) in self.acc.iter_mut().zip(a).zip(b) {
+                *acc ^= tab_a[x as usize] ^ tab_b[y as usize];
+            }
         }
     }
 

@@ -68,7 +68,7 @@ pub mod solver;
 pub mod tuple;
 
 pub use block::{ObjectDecoder, ObjectEncoder, ObjectParams, PayloadId};
-pub use decoder::{DecodeError, DecodeStats, Decoder};
+pub use decoder::{DecodeError, DecodeStats, Decoded, Decoder};
 pub use encoder::{CodeParams, EncodeError, Encoder};
 pub use params::{BlockParams, CodeMode};
 pub use solver::SolveError;

@@ -1,5 +1,7 @@
 //! The one-pass HDPC kernel against the row-by-row construction it
-//! replaced: `H` independent `gf256::addmul` sweeps per column.
+//! replaced: `H` independent `gf256::addmul` sweeps per column — one
+//! column per pass ([`HdpcFold::fold`]) and two ([`HdpcFold::fold_all`],
+//! whose last column goes alone when the count is odd).
 
 use proptest::prelude::*;
 use rq::gf256;
@@ -23,6 +25,7 @@ proptest! {
             for columns in COLUMN_COUNTS {
                 let mut fold = HdpcFold::new(t);
                 let mut reference = vec![vec![0u8; t]; H_HDPC];
+                let mut folded = Vec::with_capacity(columns);
                 for _ in 0..columns {
                     // 0 and 1 take addmul's dedicated paths; keep them common.
                     let coefs: [u8; H_HDPC] = std::array::from_fn(|_| match rng.next_below(8) {
@@ -35,11 +38,16 @@ proptest! {
                     for (row, &coef) in reference.iter_mut().zip(&coefs) {
                         gf256::addmul(row, &symbol, coef);
                     }
+                    folded.push((coefs, symbol));
                 }
+                let mut paired = HdpcFold::new(t);
+                paired.fold_all(folded.iter().map(|(coefs, symbol)| (coefs, &symbol[..])));
                 for (h, expect) in reference.iter().enumerate() {
                     let mut row = vec![0xAAu8; t];
                     fold.write_row(h, &mut row);
                     prop_assert_eq!(&row, expect, "T={} columns={} row {}", t, columns, h);
+                    paired.write_row(h, &mut row);
+                    prop_assert_eq!(&row, expect, "T={} columns={} row {}, paired", t, columns, h);
                 }
             }
         }
