@@ -7,10 +7,9 @@
 //! * initial window sizing;
 //! * RaptorQ-family code vs plain LT (reception overhead).
 //!
-//! Each ablation prints its headline comparison once, then benches one
-//! representative configuration so regressions show up in CI timing.
+//! Each ablation prints its headline comparison — simulated results,
+//! not timings: `cargo run --release --bin ablations`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::QueueConfig;
 use polyraptor::MulticastPull;
 use workload::{
@@ -144,7 +143,7 @@ fn ablation_hotspot() {
     );
 }
 
-fn ablations(c: &mut Criterion) {
+fn main() {
     ablation_trimming();
     ablation_spray();
     ablation_multicast_policy();
@@ -152,25 +151,4 @@ fn ablations(c: &mut Criterion) {
     ablation_incast_trimming();
     ablation_lt_overhead();
     ablation_hotspot();
-
-    let mut g = c.benchmark_group("ablations");
-    g.sample_size(10);
-    g.bench_function("rq_multicast_any_40sessions", |b| {
-        b.iter(|| {
-            let sc = StorageScenario::fig1a(SESSIONS, 3, 1);
-            run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default())
-        })
-    });
-    g.bench_function("rq_multicast_all_40sessions", |b| {
-        let mut opts = RqRunOptions::default();
-        opts.pr.multicast = MulticastPull::All;
-        b.iter(|| {
-            let sc = StorageScenario::fig1a(SESSIONS, 3, 1);
-            run_storage_rq(&sc, &Fabric::small(), &opts)
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, ablations);
-criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! # `polyraptor-bench` — experiment harness
 //!
 //! Shared machinery for the figure-regeneration binaries
-//! (`fig1a`, `fig1b`, `fig1c`) and the Criterion benches:
+//! (`fig1a`, `fig1b`, `fig1c`; `ablations` prints its own):
 //! command-line parsing, parallel execution of independent
 //! (configuration × seed) runs across CPU cores, rank-curve averaging,
 //! and CSV emission.

@@ -9,7 +9,7 @@ pub enum MulticastPull {
     /// symbol only after **all** receivers have sent one \[pull\]". The
     /// group advances at the instantaneously slowest receiver's pull
     /// rate. Under cross-traffic this couples every receiver to every
-    /// other receiver's congestion (measured in `benches/ablations.rs`);
+    /// other receiver's congestion (measured by the `ablations` binary);
     /// the paper's own straggler-detachment "current work" exists to
     /// mitigate exactly this.
     All,

@@ -68,8 +68,8 @@ pub(crate) type EvKey = (SimTime, u32, u64);
 /// the *author* (0 = the global control plane, `n + 1` = node `n`) and
 /// `seq` is the author's private counter. The key is a pure function
 /// of simulated causality: node `n` authors the same events with the
-/// same counters whether it runs on the serial loop or on any shard,
-/// so serial and sharded schedules are identical. Since `(rank, seq)`
+/// same counters on whichever shard it runs, so the schedule is
+/// identical at every shard count. Since `(rank, seq)`
 /// never repeats, the order is total — no tie ever falls through to
 /// implementation-defined push order.
 #[derive(Debug)]
@@ -200,7 +200,8 @@ impl<K> EventQueue<K> {
     }
 
     /// Consume the queue, yielding its events in no particular order
-    /// (the sharded loop redistributes them between queues).
+    /// (the event loop deals them out to, and merges them back from,
+    /// the queues of shards past the first).
     pub(crate) fn into_unordered(self) -> impl Iterator<Item = Ev<K>> {
         self.current
             .into_iter()

@@ -72,7 +72,6 @@
 mod evq;
 pub mod fault;
 pub mod packet;
-pub mod par;
 pub mod queue;
 pub mod rng;
 pub mod shard;

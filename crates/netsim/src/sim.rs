@@ -9,8 +9,8 @@
 //! every event is keyed by the node that *authored* it and a per-node
 //! sequence counter, so the order is a pure function of the simulated
 //! causality — not of the order the implementation happened to push
-//! events — and a sharded run (see [`crate::shard`]) reproduces the
-//! serial schedule byte for byte.
+//! events — and the event loop (see [`crate::shard`]) reproduces one
+//! schedule byte for byte at every shard count.
 //!
 //! Hosts hand packets to their NIC queue; switches forward within the
 //! packet's routing layer (assigned per flow, see
@@ -35,10 +35,10 @@
 //! fabric-wide state). The node queue carries only events that do
 //! work: a port's release (`Dequeue`) is reserved when its packet goes
 //! on the wire but pushed only once a packet is waiting behind it (see
-//! `PortTx`). The serial hot loop compares two O(1) peeks — the node
-//! queue's head and the global head — and pops the winner; the sharded
-//! runner gives every shard its own node queue and executes the global
-//! heap at synchronisation barriers.
+//! `PortTx`). The event loop (see [`crate::shard`]) gives every shard
+//! its own node queue — one shard runs on the simulator's — pops node
+//! events up to the next global event's instant, and executes the
+//! global heap at synchronisation barriers.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -185,19 +185,16 @@ pub struct SimConfig {
     pub reroute_delay_ns: u64,
     /// RNG seed (spraying decisions).
     pub seed: u64,
-    /// Worker threads for route (re)computation (applied to the
-    /// topology via [`Topology::set_parallelism`]): 1 = serial (the
-    /// default, the exact pre-parallel code path), 0 = one per
-    /// available core. Results are byte-identical at every setting —
-    /// a throughput knob only, so determinism per seed is unaffected.
+    /// Accepted and ignored — route columns are rebuilt on the calling
+    /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
+    /// 2(b)).
     pub parallelism: usize,
-    /// Event-loop shards (see [`crate::shard`]): 1 = the serial loop
-    /// (the default), 0 = one shard per available core, `n` = partition
-    /// the fabric into up to `n` switch-group shards and run them on
-    /// scoped threads under conservative time-window synchronisation.
-    /// Results are byte-identical per seed at every setting — like
-    /// [`SimConfig::parallelism`], a throughput knob, never a behaviour
-    /// knob.
+    /// Event-loop shards (see [`crate::shard`]): 1 = one shard, inline
+    /// on the calling thread (the default), 0 = one shard per available
+    /// core, `n` = partition the fabric into up to `n` switch-group
+    /// shards and run them on scoped threads under conservative
+    /// time-window synchronisation. Results are byte-identical per seed
+    /// at every setting — a throughput knob, never a behaviour knob.
     pub shards: usize,
 }
 
@@ -317,8 +314,8 @@ pub(crate) enum NodeEvent<P> {
 }
 
 /// Fabric-global events: they mutate state every shard reads (fault
-/// mask, routing tables, multicast trees), so they execute serially at
-/// synchronisation barriers in a sharded run. They live on their own
+/// mask, routing tables, multicast trees), so they execute alone at
+/// synchronisation barriers. They live on their own
 /// small heap.
 #[derive(Debug)]
 pub(crate) enum GlobalEvent {
@@ -392,20 +389,27 @@ pub struct FabricStats {
     /// advertised port locally known down — onto a live layer. At most
     /// one move per (switch, flow, destination) per convergence window.
     pub layer_reassignments: u64,
-    /// Synchronisation epochs executed by the sharded event loop (0 in
-    /// a serial run). Shard-machinery counter: it varies with the shard
-    /// count by construction — compare runs across shard counts with
-    /// [`FabricStats::shard_invariant`].
+    /// Synchronisation epochs in which two or more shard workers met
+    /// at a barrier (0 at one shard). Shard-machinery counter: it
+    /// varies with the shard count by construction — compare runs
+    /// across shard counts with [`FabricStats::shard_invariant`].
     pub shard_epochs: u64,
     /// Packets handed between shards through the per-epoch mailboxes
-    /// (0 in a serial run; shard-machinery counter, see
+    /// (0 at one shard; shard-machinery counter, see
     /// [`FabricStats::shard_invariant`]).
     pub cross_shard_packets: u64,
     /// Epochs in which a shard's window closed before it could execute
     /// a single local event — the conservative horizon held it back (0
-    /// in a serial run; shard-machinery counter, see
+    /// at one shard; shard-machinery counter, see
     /// [`FabricStats::shard_invariant`]).
     pub horizon_stalls: u64,
+    /// The run's critical path in events: per window the count of the
+    /// busiest shard, plus one per global event (every shard waits on
+    /// it). [`FabricStats::events`] ÷ this is the speed-up ceiling of
+    /// the partition — exact per (seed, shard count), whatever machine
+    /// counts it (0 at one shard; shard-machinery counter, see
+    /// [`FabricStats::shard_invariant`]).
+    pub shard_critical_events: u64,
 }
 
 impl FabricStats {
@@ -432,11 +436,13 @@ impl FabricStats {
         self.shard_epochs += other.shard_epochs;
         self.cross_shard_packets += other.cross_shard_packets;
         self.horizon_stalls += other.horizon_stalls;
+        self.shard_critical_events += other.shard_critical_events;
     }
 
     /// These counters with the shard-machinery fields
     /// ([`FabricStats::shard_epochs`], [`FabricStats::cross_shard_packets`],
-    /// [`FabricStats::horizon_stalls`]) zeroed. Every other field is
+    /// [`FabricStats::horizon_stalls`],
+    /// [`FabricStats::shard_critical_events`]) zeroed. Every other field is
     /// byte-identical across shard counts per seed; the machinery
     /// counters describe the runner, not the simulated fabric, so
     /// cross-shard-count comparisons go through this view.
@@ -445,6 +451,7 @@ impl FabricStats {
         s.shard_epochs = 0;
         s.cross_shard_packets = 0;
         s.horizon_stalls = 0;
+        s.shard_critical_events = 0;
         s
     }
 }
@@ -670,8 +677,8 @@ impl<P: SimPayload, A> NodeCell<P, A> {
 
 /// Fabric-global mutable state: the fault mask, route/reroute
 /// bookkeeping, multicast groups, and the control plane's own stats
-/// and event counter. Only the serial loop or shard worker 0 (under a
-/// write lock, at a barrier) mutates it; node dispatch reads it.
+/// and event counter. Only shard worker 0 (under a write lock, at a
+/// barrier) mutates it; node dispatch reads it.
 pub(crate) struct Control {
     /// Live fault state (dead links/switches). Routing tables lag it by
     /// the configured control-plane convergence delay.
@@ -704,9 +711,9 @@ const LANE_BOXES_MAX: usize = 1 << 14;
 
 /// Per-execution-lane scratch: the stats a lane's node dispatch
 /// accumulates, the events it emits (routed to queues or mailboxes by
-/// the driver), and the telemetry notes it buffers. The serial loop
-/// owns one persistent lane; each shard worker gets a fresh one that
-/// merges into it at run end.
+/// the driver), and the telemetry notes it buffers. The simulator
+/// owns one persistent lane, which shard 0 runs on; every other shard
+/// worker gets a fresh one whose stats merge into it at run end.
 pub(crate) struct Lane<P> {
     pub(crate) stats: FabricStats,
     pub(crate) out: Vec<Ev<NodeEvent<P>>>,
@@ -716,8 +723,8 @@ pub(crate) struct Lane<P> {
     /// between lanes.
     boxes: Vec<WireBox<P>>,
     /// Telemetry events emitted during node dispatch, keyed by the
-    /// authoring event so a sharded run can replay them to the sink in
-    /// exact serial order at synchronisation points.
+    /// authoring event so the driver can replay them to the sink in
+    /// exact key order at synchronisation points.
     pub(crate) notes: Vec<(SimTime, u32, u64, FabricEvent)>,
 }
 
@@ -746,7 +753,7 @@ pub(crate) struct Env<'a> {
 /// fault/reroute (mask, tables, telemetry annotations) applies once;
 /// these ops touch individual cells and are applied by whichever
 /// execution lane owns the cell, in list order — so per-node effect
-/// order is identical in serial and sharded runs.
+/// order is identical at every shard count.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LocalOp {
     /// Drop everything queued on the port, accounting to
@@ -773,11 +780,11 @@ pub(crate) enum LocalOp {
 pub struct Simulator<P: SimPayload, A: Agent<P>, T: TelemetrySink = NoTelemetry> {
     pub(crate) topo: Topology,
     pub(crate) config: SimConfig,
-    /// Shard partition, present iff the resolved shard count exceeds 1
-    /// on this topology; `None` runs the serial loop.
-    pub(crate) plan: Option<ShardPlan>,
-    /// One cell per node, stored grouped by shard (identity order when
-    /// unsharded); [`Simulator::cell_of`] maps node id → slot.
+    /// Shard partition at the resolved shard count (one shard: the
+    /// whole fabric, see [`crate::shard`]).
+    pub(crate) plan: ShardPlan,
+    /// One cell per node, stored grouped by shard (identity order at
+    /// one shard); [`Simulator::cell_of`] maps node id → slot.
     pub(crate) cells: Vec<NodeCell<P, A>>,
     pub(crate) cell_of: Vec<u32>,
     /// The node-event queue (all shards' events between runs).
@@ -785,8 +792,8 @@ pub struct Simulator<P: SimPayload, A: Agent<P>, T: TelemetrySink = NoTelemetry>
     /// The global-event heap (faults, reroutes).
     pub(crate) gevents: BinaryHeap<Reverse<Ev<GlobalEvent>>>,
     pub(crate) control: Control,
-    /// The serial loop's lane; sharded workers merge their lanes into
-    /// it at run end, so its stats accumulate across both modes.
+    /// Shard 0's lane; the other workers' stats merge into it at run
+    /// end, so its stats accumulate across runs.
     pub(crate) lane: Lane<P>,
     pub(crate) now: SimTime,
     /// Telemetry sink (default: the zero-cost [`NoTelemetry`]).
@@ -806,34 +813,23 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     /// telemetry sink — pass `None::<Recorder>` for a runtime-switchable
     /// sink that is currently off, or `Some(Recorder::new(..))` to
     /// record.
-    pub fn with_telemetry(mut topo: Topology, config: SimConfig, telemetry: T) -> Self {
-        topo.set_parallelism(config.parallelism);
+    pub fn with_telemetry(topo: Topology, config: SimConfig, telemetry: T) -> Self {
         let n = topo.node_count();
-        let requested = crate::par::resolve(config.shards);
-        let plan = if requested > 1 {
-            let p = ShardPlan::build(&topo, requested);
-            (p.shards > 1).then_some(p)
-        } else {
-            None
-        };
+        let plan = ShardPlan::build(&topo, crate::shard::resolve(config.shards));
         // Per-node RNG streams fork from the config seed in node-id
         // order: a pure function of (seed, node), independent of the
         // shard layout.
         let mut root = Pcg32::new(config.seed);
         let mut rngs: Vec<Pcg32> = (0..n).map(|i| root.fork(i as u64)).collect();
         // Cells are stored grouped by shard (ascending node id within
-        // each shard) so the sharded runner can split them into
-        // disjoint contiguous worker slices.
-        let order: Vec<u32> = match &plan {
-            Some(p) => p.order.clone(),
-            None => (0..n as u32).collect(),
-        };
+        // each shard) so the event loop can split them into disjoint
+        // contiguous worker slices.
         let mut cell_of = vec![0u32; n];
-        for (slot, &node) in order.iter().enumerate() {
+        for (slot, &node) in plan.order.iter().enumerate() {
             cell_of[node as usize] = slot as u32;
         }
         let mut cells = Vec::with_capacity(n);
-        for &node in &order {
+        for &node in &plan.order {
             let node = NodeId(node);
             let qc = match topo.kind(node) {
                 NodeKind::Host => config.host_queue,
@@ -966,7 +962,11 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         if !self.telemetry.enabled() {
             return;
         }
-        let probes = self.collect_port_probes();
+        // Every switch port's depth and cumulative counters, in
+        // deterministic (node, port) order.
+        let mut probes = Vec::new();
+        let nodes = 0..self.topo.node_count() as u32;
+        probe_cells(&self.topo, nodes.map(|n| self.cell(NodeId(n))), &mut probes);
         let (now, stats) = (self.now, self.stats());
         self.telemetry.finish(now, &stats, &probes);
     }
@@ -978,31 +978,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     pub fn note_anomaly(&mut self, kind: AnomalyKind) {
         let now = self.now;
         self.telemetry.record(now, FabricEvent::Anomaly(kind));
-    }
-
-    /// Snapshot every switch port's depth and cumulative counters, in
-    /// deterministic (node, port) order. Only called at bucket
-    /// boundaries and at [`Simulator::finish_telemetry`].
-    fn collect_port_probes(&self) -> Vec<PortProbe> {
-        let mut probes = Vec::new();
-        let nodes = 0..self.topo.node_count() as u32;
-        probe_cells(&self.topo, nodes.map(|n| self.cell(NodeId(n))), &mut probes);
-        probes
-    }
-
-    /// Catch the sink up to `upto`: close every bucket whose boundary
-    /// the event loop is about to cross. Counters only change at
-    /// events, so closing lazily here is exactly equivalent to an eager
-    /// probe at each boundary — without polluting the event queue (which
-    /// would perturb sequence numbers and break per-seed byte
-    /// identity).
-    #[cold]
-    fn close_telemetry_buckets(&mut self, upto: SimTime) {
-        while upto >= self.telemetry.next_boundary() {
-            let probes = self.collect_port_probes();
-            let stats = self.stats();
-            self.telemetry.close_bucket(&stats, &probes);
-        }
     }
 
     /// Queue statistics of one port.
@@ -1136,20 +1111,17 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     /// Run until the event queue drains or `deadline` passes. Returns the
     /// number of events processed.
     ///
-    /// With a resolved shard count above 1 (see [`SimConfig::shards`])
-    /// the run executes on the sharded event loop — byte-identical
-    /// results, parallel wall clock.
+    /// This is the one event loop ([`crate::shard`]): at one shard it
+    /// runs inline on the calling thread, with a resolved shard count
+    /// above 1 (see [`SimConfig::shards`]) on scoped worker threads —
+    /// byte-identical results, parallel wall clock.
     pub fn run_until(&mut self, deadline: SimTime) -> u64
     where
         P: Send,
         A: Send,
         T: Send + Sync,
     {
-        if self.plan.is_some() {
-            crate::shard::run_sharded(self, deadline)
-        } else {
-            self.run_serial(deadline)
-        }
+        crate::shard::run(self, deadline)
     }
 
     /// Run until no events remain (workloads bound their own horizon via
@@ -1161,103 +1133,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         T: Send + Sync,
     {
         self.run_until(SimTime::MAX)
-    }
-
-    /// The serial event loop. Both queue heads are O(1) peeks (the
-    /// node queue's never moves its cursor), so the loop pops only the
-    /// event it is about to run: the global head wins when its key is
-    /// smaller, and nothing past the deadline is ever taken off a queue.
-    fn run_serial(&mut self, deadline: SimTime) -> u64 {
-        let tele_on = self.telemetry.enabled();
-        let mut node_processed = 0u64;
-        let mut global_processed = 0u64;
-        loop {
-            let nkey = self.nevents.peek().map(Ev::key);
-            let gkey = self.gevents.peek().map(|Reverse(g)| g.key());
-            let take_global = match (nkey, gkey) {
-                (Some(nk), Some(gk)) => gk < nk,
-                (None, Some(_)) => true,
-                (_, None) => false,
-            };
-            let Some((at, ..)) = (if take_global { gkey } else { nkey }) else {
-                break;
-            };
-            if at > deadline {
-                break;
-            }
-            // Telemetry bucket boundaries are honoured lazily: an
-            // event at or past the open bucket's end closes it
-            // first, so a bucket never includes later activity. One
-            // always-false comparison when telemetry is off
-            // (`next_boundary` is MAX).
-            if at >= self.telemetry.next_boundary() {
-                self.close_telemetry_buckets(at);
-            }
-            self.now = at;
-            if take_global {
-                let Reverse(gev) = self.gevents.pop().expect("peeked");
-                self.apply_global(gev);
-                global_processed += 1;
-            } else {
-                let ev = self.nevents.pop().expect("peeked");
-                let target = target_of(&ev.kind, &self.topo);
-                let slot = self.cell_of[target.0 as usize] as usize;
-                let env = Env {
-                    topo: &self.topo,
-                    config: &self.config,
-                    control: &self.control,
-                    tele_on,
-                };
-                dispatch_node(
-                    &env,
-                    &mut self.cells[slot],
-                    &mut self.lane,
-                    at,
-                    ev.rank,
-                    ev.seq,
-                    ev.kind,
-                );
-                while let Some(oe) = self.lane.out.pop() {
-                    self.nevents.push(oe);
-                }
-                if tele_on {
-                    for (nat, _, _, fe) in self.lane.notes.drain(..) {
-                        self.telemetry.record(nat, fe);
-                    }
-                }
-                node_processed += 1;
-            }
-        }
-        self.lane.stats.events += node_processed;
-        self.control.stats.events += global_processed;
-        node_processed + global_processed
-    }
-
-    /// Execute one global event on the serial loop: the shared part,
-    /// then every per-node op (all cells are this loop's own).
-    fn apply_global(&mut self, gev: Ev<GlobalEvent>) {
-        let at = gev.at;
-        let mut ops = Vec::new();
-        apply_global_event(
-            &mut self.topo,
-            &mut self.control,
-            &mut self.telemetry,
-            &mut self.gevents,
-            self.config.reroute_delay_ns,
-            gev,
-            &mut ops,
-        );
-        let cell_of = &self.cell_of;
-        for op in ops {
-            apply_local_op(
-                &mut self.cells,
-                |n| Some(cell_of[n.0 as usize] as usize),
-                &mut self.nevents,
-                &mut self.lane.stats,
-                at,
-                op,
-            );
-        }
     }
 }
 
@@ -1280,8 +1155,8 @@ fn push_global_event(
 
 /// Execute the shared part of one global event (mask, tables,
 /// telemetry, control stats, the deferred reroute a fault requests) and
-/// list its per-node effects in `ops`, for [`apply_local_op`]. The one
-/// path for the serial loop and for shard worker 0 at a barrier.
+/// list its per-node effects in `ops`, for [`apply_local_op`]. Shard
+/// worker 0 runs it at a barrier.
 pub(crate) fn apply_global_event<T: TelemetrySink>(
     topo: &mut Topology,
     control: &mut Control,
@@ -1313,8 +1188,8 @@ pub(crate) fn apply_global_event<T: TelemetrySink>(
 /// Apply one per-node op of the global event at `at` to `cells`, the
 /// caller's own: `slot_of` maps a node to its slot there, or `None` for
 /// a cell another shard owns (that shard applies the op). Ops run in
-/// list order everywhere, so per-node effect order is the same in
-/// serial and sharded runs.
+/// list order everywhere, so per-node effect order is the same at
+/// every shard count.
 pub(crate) fn apply_local_op<P: SimPayload, A>(
     cells: &mut [NodeCell<P, A>],
     slot_of: impl Fn(NodeId) -> Option<usize>,
@@ -1591,8 +1466,7 @@ fn build_tree(topo: &Topology, gid: GroupId, sender: NodeId, receivers: &[NodeId
 /// Dispatch one node event against its cell. Mutates exactly that cell
 /// (plus the lane scratch); reads only the shared [`Env`]. Every event
 /// it emits is authored by this cell (its rank and counter), so the
-/// emission is identical whether this runs on the serial loop or on a
-/// shard worker.
+/// emission is identical on whichever shard worker runs it.
 pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
@@ -3195,30 +3069,8 @@ mod tests {
         );
     }
 
-    /// `shards: 1` (and a shard request collapsing to one shard) keeps
-    /// the plain serial loop: no plan is built, and the run is the
-    /// byte-identical baseline every sharded count is compared against.
-    #[test]
-    fn shard_count_one_is_the_serial_loop() {
-        let mut cfg = SimConfig::ndp(7);
-        cfg.shards = 1;
-        let (sim, _, _) = two_host_sim(cfg);
-        assert!(sim.plan.is_none(), "one shard = serial loop");
-        // A multi-shard request on a fabric too small to split also
-        // collapses to serial rather than spinning idle workers.
-        let mut t = Topology::new();
-        let a = t.add_node(NodeKind::Host);
-        let s = t.add_node(NodeKind::Switch);
-        t.connect(a, s, 1_000_000_000, 10_000);
-        t.compute_routes();
-        let mut cfg = SimConfig::ndp(7);
-        cfg.shards = 4;
-        let sim: Simulator<P, Echo> = Simulator::new(t, cfg);
-        assert!(sim.plan.is_none(), "one switch cannot shard");
-    }
-
-    /// The sharded loop reproduces the serial run byte for byte at any
-    /// shard count, through a mid-stream switch failure and repair —
+    /// The event loop at any shard count reproduces the one-shard run
+    /// byte for byte, through a mid-stream switch failure and repair —
     /// same delivery trace (payloads and timestamps), same stats up to
     /// the shard-machinery counters.
     #[test]

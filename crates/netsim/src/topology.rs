@@ -47,9 +47,8 @@
 //!   distinct ports), failure excision and restore surgery shift
 //!   entries *in place* and never reallocate. The arenas are
 //!   column-major — column `c` owns contiguous `buf[c·P..]`/`len[c·N..]`
-//!   regions — so route (re)computation can hand disjoint columns to
-//!   parallel workers as a plain `chunks_mut` partition (see
-//!   [`crate::par`]).
+//!   regions — so a column rebuild is a search over one contiguous
+//!   slice of each arena, reached by a plain `chunks_mut` walk.
 //! - **Distances / weights** (per layer): flat `dist[c·N + n]` (switch
 //!   to column root) and a per-layer weight arena indexed by global
 //!   port id.
@@ -319,12 +318,6 @@ pub struct Topology {
     /// Diagnostic: how many times the per-layer weight arenas were
     /// (re)built — see [`Topology::weight_builds`].
     weight_builds: u64,
-    /// Route-computation worker threads (see
-    /// [`Topology::set_parallelism`]): 1 = serial on the calling thread
-    /// (the default, and the exact pre-parallel code path), 0 = one per
-    /// available core. A pure throughput knob: tables are byte-identical
-    /// at every setting.
-    parallelism: usize,
     /// The fault mask the current layer tables were computed against —
     /// the baseline [`Topology::repair_routes`] diffs new masks against.
     routes_mask: FaultMask,
@@ -356,27 +349,14 @@ impl Topology {
             routes_policy: None,
             weights_policy: None,
             weight_builds: 0,
-            parallelism: 1,
             routes_mask: FaultMask::new(),
         }
     }
 
-    /// Set the number of worker threads route (re)computation may use:
-    /// `1` (the default) runs the serial loop on the calling thread —
-    /// the exact pre-parallel code path; `0` resolves to the number of
-    /// available cores; any other value caps the scoped worker pool
-    /// (see [`crate::par`]). Every route column is a pure,
-    /// disjoint unit of work, so tables are byte-identical at every
-    /// setting — this is a throughput knob, never a behaviour knob.
-    pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.parallelism = parallelism;
-    }
-
-    /// The current route-computation parallelism knob (see
-    /// [`Topology::set_parallelism`]).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
+    /// Accepted and ignored — route columns are rebuilt on the calling
+    /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
+    /// 2(b)).
+    pub fn set_parallelism(&mut self, _parallelism: usize) {}
 
     /// Diagnostic counter: how many times the per-layer link-weight
     /// arenas were (re)built. Weight tables depend only on (policy,
@@ -595,10 +575,7 @@ impl Topology {
     ///
     /// The layer arenas are resized in place, so every recompute after
     /// the first reuses the existing allocations instead of cloning or
-    /// reallocating nested tables. Columns are rebuilt by up to
-    /// [`Topology::set_parallelism`] scoped workers — each owns a
-    /// disjoint contiguous slice of the column-major arenas, so the
-    /// result is byte-identical at every thread count.
+    /// reallocating nested tables.
     pub fn compute_routes_masked(&mut self, mask: &FaultMask) {
         self.freeze_ports();
         let n = self.node_count();
@@ -624,13 +601,12 @@ impl Topology {
     }
 
     /// Rebuild route columns against `mask` — all of them, or only the
-    /// (layer, column) pairs flagged in `dirty`. Full recompute and
-    /// repair share this scatter: one job list across all layers keeps
-    /// the workers busy even when each layer dirtied only a few columns.
-    /// The jobs hold disjoint `&mut` column slices of the arenas, which
-    /// is what makes the scatter safe without interior synchronisation.
+    /// (layer, column) pairs flagged in `dirty`; full recompute and
+    /// repair share this loop. A column is a contiguous slice of each
+    /// destination-major arena and is searched with one reused scratch.
     fn rebuild_columns(&mut self, mask: &FaultMask, dirty: Option<&[Vec<bool>]>) {
-        let mut jobs: Vec<ColumnJob> = Vec::new();
+        let (kinds, ports, port_off) = (&self.kinds, &self.ports, &self.port_off);
+        let mut scratch = ColumnScratch::default();
         for (layer, tab) in self.layers.iter_mut().enumerate() {
             // A column exists only behind a host link, so both strides
             // are non-zero whenever there is one; `max(1)` only keeps
@@ -639,23 +615,17 @@ impl Topology {
             let columns = tab.buf.chunks_mut(p).zip(tab.len.chunks_mut(n));
             for (col, ((buf, len), dist)) in columns.zip(tab.dist.chunks_mut(n)).enumerate() {
                 if dirty.is_none_or(|d| d[layer][col]) {
-                    jobs.push(ColumnJob {
+                    let column = Column {
                         weights: &self.weights[layer],
                         root: self.col_root[col],
                         buf,
                         len,
                         dist,
-                    });
+                    };
+                    compute_column(kinds, ports, port_off, mask, column, &mut scratch);
                 }
             }
         }
-        let (kinds, ports, port_off) = (&self.kinds, &self.ports, &self.port_off);
-        crate::par::scatter(
-            crate::par::resolve(self.parallelism),
-            jobs,
-            ColumnScratch::default,
-            |scratch, job| compute_column(kinds, ports, port_off, mask, job, scratch),
-        );
     }
 
     /// Rebuild the per-layer link-weight arenas iff the cached ones are
@@ -1325,13 +1295,10 @@ struct ColumnScratch {
     reached: Vec<u32>,
 }
 
-/// One (layer, column) unit of route-computation work: the column's
-/// disjoint slices of the column-major arenas plus the layer context the
-/// rebuild needs, consumed by a [`crate::par::scatter`] over
-/// [`compute_column`]. Columns never share arena bytes, so any number
-/// of jobs can run concurrently and the result is identical to the
-/// serial loop.
-struct ColumnJob<'a> {
+/// One (layer, column) for [`compute_column`] to rebuild: the column's
+/// slices of the column-major arenas plus the layer context the search
+/// needs.
+struct Column<'a> {
     /// The layer's link-weight arena (shared, read-only).
     weights: &'a [u8],
     /// The access switch this column routes towards.
@@ -1375,30 +1342,29 @@ fn fabric_links<'a>(
 /// Rebuild one layer's routing column for one access switch: a weighted
 /// shortest-path search over [`fabric_links`] from the root outward
 /// (weights in {1, 2} per the layer's preferred-link draw; all 1 on
-/// layer 0), recording the distances in the job's `dist` slice, then
+/// layer 0), recording the distances in the column's `dist` slice, then
 /// record every reached switch's advertised ports into its arena cell —
 /// exactly the ports on weighted shortest paths, in ascending port
 /// order. The search traverses links in reverse, but the mask and the
 /// weights are symmetric per link, so checking the (u, port) direction
 /// suffices. A free function (not a method), taking only this column's
-/// slices of the column-major arenas, so the repair path can borrow
-/// `Topology` fields disjointly and the parallel scatter can run many
-/// columns at once.
+/// slices of the column-major arenas, so the caller can borrow
+/// `Topology` fields disjointly.
 fn compute_column(
     kinds: &[NodeKind],
     ports: &[Port],
     off: &[u32],
     mask: &FaultMask,
-    job: ColumnJob,
+    column: Column,
     scratch: &mut ColumnScratch,
 ) {
-    let ColumnJob {
+    let Column {
         weights,
         root,
         buf,
         len,
         dist,
-    } = job;
+    } = column;
     len.fill(0);
     dist.fill(u32::MAX);
     if mask.node_is_down(root) {
@@ -2027,56 +1993,6 @@ mod tests {
         t.set_policy(RoutingPolicy::layered(3, 9));
         t.compute_routes();
         assert_eq!(weight_snapshot(&t), snapshot);
-    }
-
-    /// Parallel route computation is byte-identical to serial — full
-    /// compute and fail/restore repair alike. Columns are pure units
-    /// writing disjoint arena slices, so the thread count (including 0
-    /// = auto and counts above the column count) can never leak into
-    /// the tables.
-    #[test]
-    fn parallel_compute_and_repair_match_serial() {
-        let mut serial = Topology::fat_tree(4, 1_000_000_000, 10_000);
-        serial.set_policy(RoutingPolicy::layered(3, 7));
-        serial.compute_routes();
-        for threads in [0, 2, 3, 64] {
-            let mut par = Topology::fat_tree(4, 1_000_000_000, 10_000);
-            par.set_policy(RoutingPolicy::layered(3, 7));
-            par.set_parallelism(threads);
-            par.compute_routes();
-            assert_eq!(
-                route_tables(&serial),
-                route_tables(&par),
-                "full compute, threads={threads}"
-            );
-            let core = serial.core_switches()[0];
-            let victim = serial.hosts()[3];
-            let mut mask = FaultMask::new();
-            mask.fail_node(core);
-            mask.fail_link(&serial, victim, 0);
-            let mut serial_run = serial.clone();
-            serial_run.repair_routes(&mask);
-            par.repair_routes(&mask);
-            assert_eq!(
-                route_tables(&serial_run),
-                route_tables(&par),
-                "failure repair, threads={threads}"
-            );
-            mask.restore_node(core);
-            mask.restore_link(&serial_run, victim, 0);
-            serial_run.repair_routes(&mask);
-            par.repair_routes(&mask);
-            assert_eq!(
-                route_tables(&serial_run),
-                route_tables(&par),
-                "restore repair, threads={threads}"
-            );
-            assert_eq!(
-                route_tables(&serial),
-                route_tables(&par),
-                "restored tables must match pristine, threads={threads}"
-            );
-        }
     }
 
     #[test]

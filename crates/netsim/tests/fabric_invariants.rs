@@ -519,58 +519,6 @@ proptest! {
         }
     }
 
-    /// Parallel route computation is byte-identical to serial: the same
-    /// full compute, mixed fail/restore deltas, and per-delta repairs
-    /// executed at 2–4 worker threads yield exactly the serial
-    /// topology's next-port sets and per-layer distances, on every
-    /// topology family under a 1–3-layer policy. (The chunked scatter
-    /// only partitions disjoint route columns — see
-    /// `netsim::par` — so thread count must never leak into results.)
-    #[test]
-    fn parallel_routes_byte_identical_to_serial(
-        fabric in any_fabric(),
-        layers in 1usize..=3,
-        threads in 2usize..=4,
-        seed in any::<u64>(),
-    ) {
-        let (mut serial, label) = fabric;
-        serial.set_policy(RoutingPolicy::layered(layers, seed ^ 0x9A12));
-        serial.compute_routes();
-        let mut par = serial.clone();
-        par.set_parallelism(threads);
-        par.compute_routes();
-        let hosts = serial.hosts().to_vec();
-        let mut rng = netsim::Pcg32::new(seed);
-        let mut walk = FaultWalk::new(&serial);
-        for step in 0..4 {
-            if step > 0 {
-                // Mixed fail/restore delta, repaired on both sides.
-                walk.step(&serial, &mut rng);
-                serial.repair_routes(&walk.mask);
-                par.repair_routes(&walk.mask);
-            }
-            par.check_csr_invariants();
-            for layer in 0..layers {
-                for n in 0..serial.node_count() as u32 {
-                    for &h in &hosts {
-                        prop_assert_eq!(
-                            par.try_next_ports_on(layer, NodeId(n), h),
-                            serial.try_next_ports_on(layer, NodeId(n), h),
-                            "{}: {} threads, layer {} node {} dest {} ports diverged at step {}",
-                            label, threads, layer, n, h.0, step
-                        );
-                        prop_assert_eq!(
-                            par.layer_distance(layer, NodeId(n), h),
-                            serial.layer_distance(layer, NodeId(n), h),
-                            "{}: {} threads, layer {} node {} dest {} distance diverged at step {}",
-                            label, threads, layer, n, h.0, step
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Any single fabric-link or transit/aggregation-switch failure in a
     /// k ≥ 4 fat-tree leaves every host pair routable after a masked
     /// recompute (edge switches are excluded: killing one provably

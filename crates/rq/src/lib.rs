@@ -15,7 +15,8 @@
 //! * a **steep overhead/failure curve** — with `k + 2` distinct symbols
 //!   decoding fails with probability on the order of 10⁻⁶ (the property
 //!   quoted in the paper, validated empirically in
-//!   `benches/rq_overhead.rs` and the property tests);
+//!   `tests/systematic_battery.rs::loss_sweep_overhead_envelope` and
+//!   the benchmark's `rq.decode_fail_share`);
 //! * an **object layer** that splits arbitrarily large objects into
 //!   blocks (RFC 6330 §4.4.1 partitioning);
 //! * a plain **LT code** baseline for ablations.

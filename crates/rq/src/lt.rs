@@ -6,7 +6,7 @@
 //! source symbols. Compared to the Raptor construction it needs noticeably
 //! more reception overhead (Θ(√k·ln²(k/δ)) extra symbols instead of a
 //! small constant) and is not systematic — both differences are measured
-//! by `benches/ablations.rs` to justify the paper's choice of RaptorQ.
+//! by the `ablations` binary to justify the paper's choice of RaptorQ.
 
 use crate::gf256;
 use crate::matrix::{ConstraintRow, RowKind};

@@ -58,8 +58,9 @@ pub enum CodeMode {
 /// overhead-failure envelope allows. Flooring the walk degree — scaled
 /// with `L` so the projection keeps enough weight as blocks grow — keeps
 /// the reduced system's rank deficiency on the envelope (validated
-/// empirically in the loss-sweep tests and `rq_overhead`), at the cost of
-/// extra symbol XORs per *repair* symbol — source symbols pay nothing.
+/// empirically in `tests/systematic_battery.rs::loss_sweep_overhead_envelope`
+/// and the benchmark's `rq.decode_fail_share`), at the cost of extra
+/// symbol XORs per *repair* symbol — source symbols pay nothing.
 pub fn sys_repair_min_degree(l: usize) -> u32 {
     (10 + l / 16) as u32
 }

@@ -448,9 +448,10 @@ mod tests {
 
     #[test]
     fn both_fault_runners_honour_shards() {
-        // The sharded loop replays the serial schedule, so the only
-        // visible difference is the runner's own counters — which must
-        // show that the option reached the simulator.
+        // One shard and two are the same driver replaying one
+        // schedule, so the only visible difference is the runner's own
+        // counters — which must show that the option reached the
+        // simulator.
         let timing = |rep: &FaultRunReport| -> Vec<(u32, SimTime, SimTime)> {
             rep.flows
                 .iter()
@@ -474,7 +475,7 @@ mod tests {
         };
         for (serial, sharded) in [(rq(1), rq(2)), (tcp(1), tcp(2))] {
             assert_eq!(serial.fabric.shard_epochs, 0);
-            assert!(sharded.fabric.shard_epochs > 0, "shards: 2 ran serially");
+            assert!(sharded.fabric.shard_epochs > 0, "shards: 2 ran as one");
             assert_eq!(timing(&serial), timing(&sharded));
             assert_eq!(
                 serial.fabric.shard_invariant(),

@@ -295,15 +295,14 @@ pub struct RqRunOptions {
     /// churn runners, which attach a [`crate::RunTelemetry`] to their
     /// reports; enabling it also turns on the agents' flow spans.
     pub telemetry: TelemetryOptions,
-    /// Route-computation worker threads (0 = available cores, 1 =
-    /// serial, the default). Reports are byte-identical per seed at
-    /// every setting — route tables are computed by pure per-column
-    /// work — so this is purely a wall-clock knob for large fabrics.
+    /// Accepted and ignored — route columns are rebuilt on the calling
+    /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
+    /// 2(b)).
     pub parallelism: usize,
-    /// Event-loop shards (0 = available cores, 1 = the serial loop,
-    /// the default). Like `parallelism`, byte-identical per seed at
-    /// every setting — the sharded loop replays the serial schedule —
-    /// so this too is purely a wall-clock knob.
+    /// Event-loop shards (0 = available cores, 1 = one shard, inline
+    /// on the calling thread, the default). Byte-identical per seed at
+    /// every setting — every shard count replays one schedule — so
+    /// this is purely a wall-clock knob.
     pub shards: usize,
 }
 
@@ -530,12 +529,13 @@ pub struct TcpRunOptions {
     /// churn runners, which attach a [`crate::RunTelemetry`] to their
     /// reports.
     pub telemetry: TelemetryOptions,
-    /// Route-computation worker threads (0 = available cores, 1 =
-    /// serial, the default). Reports are byte-identical per seed at
-    /// every setting.
+    /// Accepted and ignored — route columns are rebuilt on the calling
+    /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
+    /// 2(b)).
     pub parallelism: usize,
-    /// Event-loop shards (0 = available cores, 1 = the serial loop,
-    /// the default). Byte-identical per seed at every setting.
+    /// Event-loop shards (0 = available cores, 1 = one shard, inline
+    /// on the calling thread, the default). Byte-identical per seed at
+    /// every setting.
     pub shards: usize,
 }
 

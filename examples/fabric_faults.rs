@@ -28,15 +28,14 @@
 //! cargo run --release --example fabric_faults            # 250-host fabric
 //! cargo run --release --example fabric_faults -- --smoke # 16-host quick run
 //! cargo run --release --example fabric_faults -- --churn [--smoke] [--telemetry]
-//! cargo run --release --example fabric_faults -- --churn --par 4 # parallel reroutes
+//! cargo run --release --example fabric_faults -- --churn --shards 4 # sharded event loop
 //! ```
 //!
-//! `--par N` sets the route-computation worker threads (0 = available
-//! cores, 1 = serial); results stay byte-identical per seed at every
-//! setting — the flag only changes the reroute wall-clock on the
-//! large-fabric churn lines. `--shards N` does the same for the event
-//! loop itself (conservative-window shard workers, 0 = available
-//! cores): per-seed results are identical at every shard count.
+//! `--shards N` sets the event-loop shards (conservative-window shard
+//! workers; 0 = available cores, 1 = one shard, inline): per-seed
+//! results are identical at every shard count — the flag only changes
+//! event-loop wall-clock — and `--churn` prints the partition's counted
+//! speed-up ceiling (events ÷ events on the critical path).
 
 use std::path::Path;
 
@@ -49,25 +48,8 @@ use polyraptor_repro::workload::{
 /// Where `--telemetry` artefacts land.
 const TELEMETRY_DIR: &str = "target/telemetry";
 
-/// `--par N`: route-computation worker threads (0 = available cores,
-/// 1 = serial, the default). Results are byte-identical per seed at
-/// every setting — the flag only changes reroute wall-clock on the
-/// large fabrics.
-fn par_flag() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--par")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--par takes a thread count")
-                .parse()
-                .expect("--par takes a thread count")
-        })
-        .unwrap_or(1)
-}
-
-/// `--shards N`: event-loop shards (0 = available cores, 1 = the
-/// serial loop, the default). Results are byte-identical per seed at
+/// `--shards N`: event-loop shards (0 = available cores, 1 = one
+/// shard inline, the default). Results are byte-identical per seed at
 /// every setting — the flag only changes event-loop wall-clock on the
 /// large fabrics.
 fn shards_flag() -> usize {
@@ -117,11 +99,10 @@ fn write_telemetry(t: &RunTelemetry, prefix: &str) {
 }
 
 /// Wall-clock the control-plane bill of one link failure on `fabric`:
-/// a full masked recomputation vs. the incremental repair, at the
-/// `--par` thread count — and the bytes of route table they maintain.
+/// a full masked recomputation vs. the incremental repair — and the
+/// bytes of route table they maintain.
 fn time_reroute(fabric: &Fabric) -> (f64, f64, usize) {
-    let mut pristine = fabric.build();
-    pristine.set_parallelism(par_flag());
+    let pristine = fabric.build();
     // Victim: the first switch-switch link (an edge/leaf uplink).
     let (node, port) = (0..pristine.node_count() as u32)
         .map(polyraptor_repro::netsim::NodeId)
@@ -209,7 +190,6 @@ fn run_churn(smoke: bool, telemetry: bool) {
         sc.repair_delay_ns / 1_000_000,
     );
     let mut opts = RqRunOptions {
-        parallelism: par_flag(),
         shards: shards_flag(),
         ..Default::default()
     };
@@ -218,6 +198,14 @@ fn run_churn(smoke: bool, telemetry: bool) {
     }
     let rep = run_churn_rq(&sc, &fabric, &opts);
     churn_line("default", &rep);
+    let (events, critical) = (rep.fabric.events, rep.fabric.shard_critical_events);
+    if critical > 0 {
+        println!(
+            "  speed-up ceiling at {} shards: {events} events ÷ {critical} on the critical path = {:.3}",
+            opts.shards,
+            events as f64 / critical as f64,
+        );
+    }
     if let Some(t) = &rep.telemetry {
         write_telemetry(t, "churn");
     }
@@ -263,7 +251,6 @@ fn run_churn(smoke: bool, telemetry: bool) {
         let mut big = ChurnScenario::ten_event(big_sessions, big_bytes, 2);
         big.fault_events = big_events;
         let big_opts = RqRunOptions {
-            parallelism: par_flag(),
             shards: shards_flag(),
             ..Default::default()
         };
@@ -307,7 +294,6 @@ fn main() {
     );
 
     let mut rq_opts = RqRunOptions {
-        parallelism: par_flag(),
         shards: shards_flag(),
         ..Default::default()
     };

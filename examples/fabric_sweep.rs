@@ -25,13 +25,11 @@
 //! cargo run --release --example fabric_sweep            # full scale
 //! cargo run --release --example fabric_sweep -- --smoke # quick run
 //! cargo run --release --example fabric_sweep -- --out target/figures [--telemetry]
-//! cargo run --release --example fabric_sweep -- --par 4 # parallel reroutes
+//! cargo run --release --example fabric_sweep -- --shards 4 # sharded event loop
 //! ```
 //!
-//! `--par N` sets the route-computation worker threads (0 = available
-//! cores); results stay byte-identical per seed at every setting.
-//! `--shards N` does the same for the event loop itself
-//! (conservative-window shard workers, 0 = available cores): per-seed
+//! `--shards N` sets the event-loop shards (conservative-window shard
+//! workers; 0 = available cores, 1 = one shard, inline): per-seed
 //! sweep rows are identical at every shard count.
 
 use std::path::PathBuf;
@@ -65,22 +63,9 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let telemetry = args.iter().any(|a| a == "--telemetry");
-    // Route-computation worker threads (0 = available cores, 1 =
-    // serial). Sweep rows are byte-identical per seed at every setting;
-    // the flag only changes reroute wall-clock on large fabrics.
-    let par: usize = args
-        .iter()
-        .position(|a| a == "--par")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--par takes a thread count")
-                .parse()
-                .expect("--par takes a thread count")
-        })
-        .unwrap_or(1);
-    // Event-loop shards (0 = available cores, 1 = the serial loop).
-    // Like --par, the setting never changes a sweep row — only the
-    // event-loop wall-clock on large fabrics.
+    // Event-loop shards (0 = available cores, 1 = one shard, inline).
+    // The setting never changes a sweep row — only the event-loop
+    // wall-clock on large fabrics.
     let shards: usize = args
         .iter()
         .position(|a| a == "--shards")
@@ -122,12 +107,10 @@ fn main() {
         };
         let sc = FaultScenario::fig1_failure(sessions, bytes, 42);
         let rq_opts = RqRunOptions {
-            parallelism: par,
             shards,
             ..Default::default()
         };
         let tcp_opts = TcpRunOptions {
-            parallelism: par,
             shards,
             ..Default::default()
         };
@@ -179,7 +162,6 @@ fn main() {
             &link_churn(jf_sessions, jf_bytes, jf_events, 1),
             &fabric,
             &RqRunOptions {
-                parallelism: par,
                 shards,
                 ..Default::default()
             },
@@ -241,7 +223,6 @@ fn main() {
     for layers in [1usize, 2, 3, 4] {
         let opts = RqRunOptions {
             policy: RoutingPolicy::layered(layers, 7),
-            parallelism: par,
             shards,
             telemetry: if telemetry {
                 TelemetryOptions::enabled_default()

@@ -6,8 +6,8 @@
 //! packet is waiting and keeps one RTO timer per connection; these
 //! constants are the proof that neither moved a simulated nanosecond:
 //! every flow's `(session, start, finish)` and the fabric's packet
-//! fates must hash to the eager schedule's value, on the serial loop
-//! and on two shards alike.
+//! fates must hash to the eager schedule's value, on one shard and on
+//! two alike.
 
 use polyraptor_repro::netsim::{
     FabricStats, FaultPlan, NodeKind, Pcg32, SimConfig, SimTime, Simulator, Topology,

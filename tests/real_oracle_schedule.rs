@@ -7,7 +7,7 @@
 //! the canonical object was a serial `mix64` chain. None of that may
 //! move a simulated nanosecond or a symbol count: when the oracle is
 //! asked and what it answers for a given ESI set are as they were, on
-//! the serial loop and on two shards alike.
+//! one shard and on two alike.
 
 use polyraptor_repro::netsim::{FabricStats, Pcg32, SimConfig, Simulator};
 use polyraptor_repro::polyraptor::{PolyraptorAgent, PrConfig, SessionId};
