@@ -11,9 +11,9 @@
 //! graphs (Jellyfish) structurally lack at minimal length — while
 //! keeping each layer loop-free (the weighted distance is a strictly
 //! decreasing potential) and bounding stretch at 2× the minimal hop
-//! count. Every layer has its own per-(node, destination) route table
-//! and distance table; the forwarding policy picks a layer per flow
-//! and then a port within the layer at run time.
+//! count. Every layer has its own per-(switch, destination rack) route
+//! table and distance table; the forwarding policy picks a layer per
+//! flow and then a port within the layer at run time.
 //!
 //! Routing is **re-runnable**: [`Topology::compute_routes_masked`]
 //! recomputes every layer against a live [`FaultMask`], and
@@ -34,24 +34,33 @@
 //!   are `ports[port_off[n] .. port_off[n+1]]` and `port_off[n] + p` is
 //!   the *global port id* of `(n, p)`. The graph is built through an
 //!   edge log and frozen into the arena by the first route computation.
+//! - **Switch rows** (shared by all layers): every freeze numbers the
+//!   `S` switches `0..S` in id order and gives each a *row*; hosts get
+//!   none. A switch's *fabric degree* counts its ports whose peer is a
+//!   switch, and `cell_off[row]` (`S + 1` entries) is the prefix over
+//!   those degrees, `P_f = cell_off[S]` fabric ports in all. One packed
+//!   per-node word holds `(row, cell_off[row])`, so a lookup resolves a
+//!   node's place in the arenas with a single load.
 //! - **Routes** (per layer): hosts are single-homed leaves, so every
 //!   host behind one access switch (ToR) shares its routes up to the
 //!   last hop. The tables therefore hold one destination column per
-//!   **access switch** — never per host — and know switches only. One
-//!   flat `buf: Vec<u16>` holds a fixed-capacity cell per `(node,
-//!   column)` — capacity `deg(node)`, at arena offset `c·P +
-//!   port_off[n]` for `P` total directed ports — plus a `len: Vec<u16>`
-//!   table (`len[c·N + n]`) giving the occupied prefix. The advertised
-//!   ports are that prefix, always in ascending port order. Because a
-//!   cell can never overflow (a node advertises at most `deg(n)`
-//!   distinct ports), failure excision and restore surgery shift
-//!   entries *in place* and never reallocate. The arenas are
-//!   column-major — column `c` owns contiguous `buf[c·P..]`/`len[c·N..]`
-//!   regions — so a column rebuild is a search over one contiguous
-//!   slice of each arena, reached by a plain `chunks_mut` walk.
-//! - **Distances / weights** (per layer): flat `dist[c·N + n]` (switch
-//!   to column root) and a per-layer weight arena indexed by global
-//!   port id.
+//!   **access switch** — never per host — and rows for switches only.
+//!   One flat `buf: Vec<u16>` holds a fixed-capacity cell per `(switch,
+//!   column)` — capacity the switch's fabric degree, at arena offset
+//!   `c·P_f + cell_off[row]` — plus a `len: Vec<u16>` table
+//!   (`len[c·S + row]`) giving the occupied prefix. The advertised
+//!   ports are that prefix: the node's real port indices, always in
+//!   ascending order. Because a cell can never overflow (a switch
+//!   advertises distinct fabric ports only), failure excision and
+//!   restore surgery shift entries *in place* and never reallocate. The
+//!   arenas are column-major — column `c` owns contiguous
+//!   `buf[c·P_f..]`/`len[c·S..]` regions — so a column rebuild is a
+//!   search over one contiguous slice of each arena. (A lone switch
+//!   with hosts only has `P_f = 0`: its columns are zero-width in `buf`
+//!   but still one row wide in `len`/`dist`.)
+//! - **Distances / weights** (per layer): flat `dist[c·S + row]`
+//!   (switch to column root) and a per-layer weight arena indexed by
+//!   global port id.
 //! - **Hosts** (shared by all layers): one small `access` record per
 //!   host — its ToR, the ToR's column, the ToR's port facing it, and a
 //!   `cut` bit (host or access link down under the mask the routes were
@@ -157,25 +166,106 @@ impl RoutingPolicy {
     }
 }
 
+/// A node's place in the switch-keyed route arenas, packed into one
+/// word so a forwarding lookup resolves row and cell base with a single
+/// load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SwitchRow {
+    /// The switch's row: its index within a column of `len` and `dist`
+    /// ([`SwitchRow::HOST`]'s `u32::MAX` for a host, which has none).
+    row: u32,
+    /// `cell_off[row]`: the base of its cells within a column of `buf`.
+    cell: u32,
+}
+
+impl SwitchRow {
+    /// What a host holds: no row, no cells.
+    const HOST: SwitchRow = SwitchRow {
+        row: u32::MAX,
+        cell: u32::MAX,
+    };
+
+    /// Whether this is a host's word (one compare, on the row alone).
+    #[inline]
+    fn is_host(self) -> bool {
+        self.row == Self::HOST.row
+    }
+}
+
+/// The dense switch index every layer's arenas are keyed by (layout:
+/// see the module docs), rebuilt by every freeze.
+#[derive(Debug, Clone)]
+struct SwitchIndex {
+    /// Per node: its [`SwitchRow`] (switches numbered in id order).
+    rows: Vec<SwitchRow>,
+    /// Prefix over the switches' fabric degrees, by row: `S + 1`
+    /// entries, `cell_off[S] = P_f`.
+    cell_off: Vec<u32>,
+}
+
+impl SwitchIndex {
+    /// The index of a graph with no switch.
+    fn empty() -> Self {
+        Self {
+            rows: Vec::new(),
+            cell_off: vec![0],
+        }
+    }
+
+    /// Number the switches of a frozen port arena in id order.
+    fn build(kinds: &[NodeKind], ports: &[Port], off: &[u32]) -> Self {
+        let is_switch = |n: usize| kinds[n] == NodeKind::Switch;
+        let mut ix = Self::empty();
+        ix.rows.reserve_exact(kinds.len());
+        for n in 0..kinds.len() {
+            if !is_switch(n) {
+                ix.rows.push(SwitchRow::HOST);
+                continue;
+            }
+            let (row, cell) = (ix.switches(), ix.fabric_ports() as u32);
+            let mine = &ports[off[n] as usize..off[n + 1] as usize];
+            let fabric_degree = mine.iter().filter(|p| is_switch(p.peer.0 as usize)).count();
+            ix.rows.push(SwitchRow {
+                row: row as u32,
+                cell,
+            });
+            ix.cell_off.push(cell + fabric_degree as u32);
+        }
+        ix.cell_off.shrink_to_fit();
+        ix
+    }
+
+    /// Switch count `S`.
+    fn switches(&self) -> usize {
+        self.cell_off.len() - 1
+    }
+
+    /// Fabric port count `P_f`.
+    fn fabric_ports(&self) -> usize {
+        self.cell_off[self.switches()] as usize
+    }
+}
+
 /// One layer's routing state as flat column-major arenas (layout: see
 /// the module docs): advertised-port cells and weighted distances, per
-/// (switch, access-switch column), maintained in lockstep by full
-/// recomputation and incremental repair alike. Hosts never appear:
-/// their rows of `len`/`dist` stay empty/unreachable and the last hop
-/// is resolved from [`HostAccess`]. A cell's occupied prefix is always
-/// in ascending port order (the order full recomputation records), so
-/// in-place surgery stays bit-identical to a from-scratch build.
+/// (switch row, access-switch column), maintained in lockstep by full
+/// recomputation and incremental repair alike. Hosts have no row: the
+/// last hop is resolved from [`HostAccess`]. A cell's occupied prefix
+/// is always in ascending port order (the order full recomputation
+/// records), so in-place surgery stays bit-identical to a from-scratch
+/// build. Every accessor takes a node id and translates it through the
+/// [`SwitchIndex`].
 #[derive(Debug, Clone, Default)]
 struct LayerTables {
-    /// Node count `N` (row stride of `len` and `dist`).
-    n_nodes: usize,
-    /// Total directed port count `P` (column stride of `buf`).
-    n_ports: usize,
+    /// Switch count `S` (column stride of `len` and `dist`).
+    n_switches: usize,
+    /// Fabric port count `P_f` (column stride of `buf`).
+    n_fabric_ports: usize,
     /// Route arena: fixed-capacity advertised-port cells (see above).
     buf: Vec<u16>,
-    /// `len[c·N + node]` = occupied prefix of that route cell.
+    /// `len[c·S + row]` = occupied prefix of that route cell.
     len: Vec<u16>,
-    /// `dist[c·N + node]` = weighted distance from switch `node` to the
+    /// `dist[c·S + row]` = weighted distance from that switch to the
     /// column's root switch under the mask the routes were computed
     /// with (`u32::MAX` = unreachable; the root itself holds 0 iff it
     /// is up). Restore repair uses it to decide in O(degree) per column
@@ -184,42 +274,53 @@ struct LayerTables {
 }
 
 impl LayerTables {
+    /// Index of switch `u`'s entry for column `col` in `len` and `dist`.
+    #[inline]
+    fn slot(&self, ix: &SwitchIndex, u: usize, col: usize) -> usize {
+        let row = ix.rows[u].row as usize;
+        debug_assert!(row < self.n_switches, "node {u} has no switch row");
+        col * self.n_switches + row
+    }
+
     /// Arena offset and capacity of the route cell for `(u, col)`.
     #[inline]
-    fn cell(&self, off: &[u32], u: usize, col: usize) -> (usize, usize) {
-        let base = off[u] as usize;
-        let deg = off[u + 1] as usize - base;
-        (col * self.n_ports + base, deg)
+    fn cell(&self, ix: &SwitchIndex, u: usize, col: usize) -> (usize, usize) {
+        let SwitchRow { row, cell } = ix.rows[u];
+        let cap = ix.cell_off[row as usize + 1] - cell;
+        (col * self.n_fabric_ports + cell as usize, cap as usize)
     }
 
     /// The advertised ports of `(u, col)`: the cell's occupied prefix.
     #[inline]
-    fn advertised(&self, off: &[u32], u: usize, col: usize) -> &[u16] {
-        let (start, _) = self.cell(off, u, col);
-        let l = self.len[col * self.n_nodes + u] as usize;
+    fn advertised(&self, ix: &SwitchIndex, u: usize, col: usize) -> &[u16] {
+        let SwitchRow { row, cell } = ix.rows[u];
+        let start = col * self.n_fabric_ports + cell as usize;
+        let l = self.len[col * self.n_switches + row as usize] as usize;
         &self.buf[start..start + l]
     }
 
     /// Weighted distance from switch `u` to the root of column `col`.
     #[inline]
-    fn dist_to(&self, u: usize, col: usize) -> u32 {
-        self.dist[col * self.n_nodes + u]
+    fn dist_to(&self, ix: &SwitchIndex, u: usize, col: usize) -> u32 {
+        self.dist[self.slot(ix, u, col)]
     }
 
     #[inline]
-    fn set_dist(&mut self, u: usize, col: usize, d: u32) {
-        self.dist[col * self.n_nodes + u] = d;
+    fn set_dist(&mut self, ix: &SwitchIndex, u: usize, col: usize, d: u32) {
+        let i = self.slot(ix, u, col);
+        self.dist[i] = d;
     }
 
     /// Insert `p` into the cell keeping ascending order (no-op when
-    /// already advertised). A cell holds distinct port indices of a
-    /// `deg`-port node at capacity `deg`, so the shift always fits.
-    fn insert_port(&mut self, off: &[u32], u: usize, col: usize, p: u16) {
-        let (start, deg) = self.cell(off, u, col);
-        let li = col * self.n_nodes + u;
+    /// already advertised). A cell holds distinct fabric port indices
+    /// of its switch at capacity the fabric degree, so the shift always
+    /// fits.
+    fn insert_port(&mut self, ix: &SwitchIndex, u: usize, col: usize, p: u16) {
+        let (start, cap) = self.cell(ix, u, col);
+        let li = self.slot(ix, u, col);
         let l = self.len[li] as usize;
         if let Err(pos) = self.buf[start..start + l].binary_search(&p) {
-            debug_assert!(l < deg, "route cell overflow");
+            debug_assert!(l < cap, "route cell overflow");
             self.buf
                 .copy_within(start + pos..start + l, start + pos + 1);
             self.buf[start + pos] = p;
@@ -295,6 +396,9 @@ pub struct Topology {
     /// The access switches (switches with at least one host), in column
     /// order: `col_root[c]` is the switch column `c` routes towards.
     col_root: Vec<NodeId>,
+    /// The switch rows and fabric-port cell offsets every layer's
+    /// arenas are keyed by; rebuilt by every freeze.
+    switches: SwitchIndex,
     /// One routing table set per layer (`layers[0]` = minimal routes).
     /// Empty until [`Topology::compute_routes`].
     layers: Vec<LayerTables>,
@@ -343,6 +447,7 @@ impl Topology {
             host_index: Vec::new(),
             access: Vec::new(),
             col_root: Vec::new(),
+            switches: SwitchIndex::empty(),
             layers: Vec::new(),
             weights: Vec::new(),
             policy: RoutingPolicy::minimal(),
@@ -476,11 +581,13 @@ impl Topology {
         self.index_access();
     }
 
-    /// Rebuild the per-host attachment records and the access-switch
-    /// column list from the frozen port arena, enforcing what the route
-    /// tables (and the simulator's "host NIC is port 0") rely on: every
-    /// host has exactly one port and its peer is a switch.
+    /// Rebuild the per-host attachment records, the access-switch
+    /// column list and the switch rows from the frozen port arena,
+    /// enforcing what the route tables (and the simulator's "host NIC
+    /// is port 0") rely on: every host has exactly one port and its
+    /// peer is a switch.
     fn index_access(&mut self) {
+        self.switches = SwitchIndex::build(&self.kinds, &self.ports, &self.port_off);
         let mut col_of = vec![u32::MAX; self.kinds.len()];
         self.col_root.clear();
         self.access.clear();
@@ -578,19 +685,18 @@ impl Topology {
     /// reallocating nested tables.
     pub fn compute_routes_masked(&mut self, mask: &FaultMask) {
         self.freeze_ports();
-        let n = self.node_count();
+        let (s, p_f) = (self.switches.switches(), self.switches.fabric_ports());
         let n_cols = self.col_root.len();
-        let p_total = self.ports.len();
         let n_layers = self.policy.layers;
         self.ensure_weights();
         self.layers.truncate(n_layers);
         self.layers.resize_with(n_layers, LayerTables::default);
         for tab in &mut self.layers {
-            tab.n_nodes = n;
-            tab.n_ports = p_total;
-            tab.buf.resize(p_total * n_cols, 0);
-            tab.len.resize(n * n_cols, 0);
-            tab.dist.resize(n * n_cols, u32::MAX);
+            tab.n_switches = s;
+            tab.n_fabric_ports = p_f;
+            tab.buf.resize(p_f * n_cols, 0);
+            tab.len.resize(s * n_cols, 0);
+            tab.dist.resize(s * n_cols, u32::MAX);
         }
         self.rebuild_columns(mask, None);
         for (a, &h) in self.access.iter_mut().zip(&self.hosts) {
@@ -606,23 +712,23 @@ impl Topology {
     /// destination-major arena and is searched with one reused scratch.
     fn rebuild_columns(&mut self, mask: &FaultMask, dirty: Option<&[Vec<bool>]>) {
         let (kinds, ports, port_off) = (&self.kinds, &self.ports, &self.port_off);
+        let rows = &self.switches.rows;
         let mut scratch = ColumnScratch::default();
         for (layer, tab) in self.layers.iter_mut().enumerate() {
-            // A column exists only behind a host link, so both strides
-            // are non-zero whenever there is one; `max(1)` only keeps
-            // `chunks_mut` legal on a hostless graph's empty arenas.
-            let (n, p) = (tab.n_nodes.max(1), tab.n_ports.max(1));
-            let columns = tab.buf.chunks_mut(p).zip(tab.len.chunks_mut(n));
-            for (col, ((buf, len), dist)) in columns.zip(tab.dist.chunks_mut(n)).enumerate() {
+            // Columns by index, not by chunking `buf`: a fabric with no
+            // switch-to-switch port has zero-width `buf` columns that
+            // still carry a row of `len`/`dist` (the root's distance 0).
+            let (s, p_f) = (tab.n_switches, tab.n_fabric_ports);
+            for (col, &root) in self.col_root.iter().enumerate() {
                 if dirty.is_none_or(|d| d[layer][col]) {
                     let column = Column {
                         weights: &self.weights[layer],
-                        root: self.col_root[col],
-                        buf,
-                        len,
-                        dist,
+                        root,
+                        buf: &mut tab.buf[col * p_f..][..p_f],
+                        len: &mut tab.len[col * s..][..s],
+                        dist: &mut tab.dist[col * s..][..s],
                     };
-                    compute_column(kinds, ports, port_off, mask, column, &mut scratch);
+                    compute_column(kinds, ports, port_off, rows, mask, column, &mut scratch);
                 }
             }
         }
@@ -803,7 +909,7 @@ impl Topology {
             let mut col_touched = vec![false; n_cols];
             let mut col_dirty = vec![false; n_cols];
             let tab = &mut self.layers[layer];
-            let (nn, pt) = (tab.n_nodes, tab.n_ports);
+            let ix = &self.switches;
             for &(u, p) in &dead {
                 // A live switch that loses its last advertised port may
                 // now be farther from (or cut off from) the column's
@@ -812,14 +918,13 @@ impl Topology {
                 // are cleared below).
                 let alive = !mask.node_is_down(NodeId(u));
                 let uu = u as usize;
-                let base = self.port_off[uu] as usize;
                 for col in 0..n_cols {
-                    let li = col * nn + uu;
+                    let li = tab.slot(ix, uu, col);
                     let l = tab.len[li] as usize;
                     if l == 0 {
                         continue;
                     }
-                    let cell = col * pt + base;
+                    let (cell, _) = tab.cell(ix, uu, col);
                     if let Some(pos) = tab.buf[cell..cell + l].iter().position(|&x| x == p) {
                         tab.buf.copy_within(cell + pos + 1..cell + l, cell + pos);
                         tab.len[li] = (l - 1) as u16;
@@ -834,8 +939,9 @@ impl Topology {
             // the rule above: its nearest neighbour loses its last port.)
             for &w in &dead_switches {
                 for col in 0..n_cols {
-                    tab.len[col * nn + w.0 as usize] = 0;
-                    tab.set_dist(w.0 as usize, col, u32::MAX);
+                    let li = tab.slot(ix, w.0 as usize, col);
+                    tab.len[li] = 0;
+                    tab.dist[li] = u32::MAX;
                 }
             }
             // Restore surgery, against the post-excision tables.
@@ -848,6 +954,7 @@ impl Topology {
                 &self.kinds,
                 &self.ports,
                 &self.port_off,
+                ix,
                 &self.col_root,
                 &self.weights[layer],
                 mask,
@@ -915,20 +1022,23 @@ impl Topology {
     /// the final port pick.
     /// Everything host-shaped is resolved here from the per-host access
     /// records (see the module docs); the tables know switches only.
+    /// One load of the node's packed switch-row word tells a host from
+    /// a switch and places the switch in the arenas.
     #[inline]
     pub fn try_next_ports_at(&self, layer: usize, node: NodeId, dst_index: usize) -> &[u16] {
         let tab = &self.layers[layer];
+        let ix = &self.switches;
         let dst = &self.access[dst_index];
         let at = node.0 as usize;
         if dst.cut {
             return &[];
         }
         let col = dst.col as usize;
-        if self.kinds[at] == NodeKind::Host {
+        if ix.rows[at].is_host() {
             let src_index = self.host_index(node);
             let src = &self.access[src_index];
             let routed = !src.cut && src_index != dst_index;
-            return if routed && tab.dist_to(src.tor as usize, col) != u32::MAX {
+            return if routed && tab.dist_to(ix, src.tor as usize, col) != u32::MAX {
                 &[0]
             } else {
                 &[]
@@ -936,13 +1046,13 @@ impl Topology {
         }
         if node.0 == dst.tor {
             // The root's distance is 0 iff the ToR itself is up.
-            return if tab.dist_to(at, col) == 0 {
+            return if tab.dist_to(ix, at, col) == 0 {
                 std::slice::from_ref(&dst.port)
             } else {
                 &[]
             };
         }
-        tab.advertised(&self.port_off, at, col)
+        tab.advertised(ix, at, col)
     }
 
     /// A layer's weighted distance from `node` to `dst` (`None` =
@@ -963,13 +1073,14 @@ impl Topology {
             }
             None => (node.0, 1, to.cut),
         };
-        let d = self.layers[layer].dist_to(from as usize, to.col as usize);
+        let d = self.layers[layer].dist_to(&self.switches, from as usize, to.col as usize);
         (!cut && d != u32::MAX).then(|| d + access_links)
     }
 
     /// Bytes held by the route tables: every layer's `buf`/`len`/`dist`
-    /// arena capacity plus the per-host access records and the column
-    /// list — the number that decides how large a fabric fits.
+    /// arena capacity plus the per-host access records, the column list
+    /// and the switch index — the number that decides how large a
+    /// fabric fits.
     pub fn route_table_bytes(&self) -> usize {
         use std::mem::size_of;
         let arenas: usize = self
@@ -983,6 +1094,8 @@ impl Topology {
         arenas
             + self.access.capacity() * size_of::<HostAccess>()
             + self.col_root.capacity() * size_of::<NodeId>()
+            + self.switches.rows.capacity() * size_of::<SwitchRow>()
+            + self.switches.cell_off.capacity() * size_of::<u32>()
     }
 
     /// Hop count of the shortest path between two hosts (layer 0's
@@ -996,9 +1109,11 @@ impl Topology {
     }
 
     /// Structural invariants of the CSR arenas, for tests and debugging:
-    /// offset monotonicity, port-arena symmetry, cell-capacity bounds,
-    /// and advertised-port sanity (strictly ascending, in range, no
-    /// dangling indices). Panics on the first violation.
+    /// offset monotonicity, port-arena symmetry, the switch index (rows
+    /// a bijection from the switches onto `0..S`, hosts without one,
+    /// each cell's capacity its switch's fabric degree), cell-capacity
+    /// bounds, and advertised-port sanity (strictly ascending, in range,
+    /// no dangling indices). Panics on the first violation.
     pub fn check_csr_invariants(&self) {
         let n = self.node_count();
         assert!(!self.ports_stale, "graph edited since the last freeze");
@@ -1032,23 +1147,48 @@ impl Topology {
                 h.0
             );
         }
+        let ix = &self.switches;
+        let s = ix.switches();
+        assert_eq!(ix.rows.len(), n, "one switch-row word per node");
+        assert_eq!(ix.cell_off[0], 0, "cell offsets start at 0");
+        let mut row_owner = vec![None; s];
+        for (u, &sr) in ix.rows.iter().enumerate() {
+            if self.kinds[u] == NodeKind::Host {
+                assert_eq!(sr, SwitchRow::HOST, "host {u} holds a switch row");
+                continue;
+            }
+            let r = sr.row as usize;
+            assert!(r < s, "switch {u} has row {r} outside 0..{s}");
+            assert_eq!(row_owner[r].replace(u), None, "row {r} taken twice");
+            assert_eq!(sr.cell, ix.cell_off[r], "switch {u} cell base");
+            let fabric_degree = self
+                .node_ports(NodeId(u as u32))
+                .iter()
+                .filter(|p| self.kinds[p.peer.0 as usize] == NodeKind::Switch)
+                .count() as u32;
+            assert_eq!(
+                ix.cell_off[r + 1],
+                sr.cell + fabric_degree,
+                "switch {u} cell capacity is its fabric degree"
+            );
+        }
+        assert!(row_owner.iter().all(Option::is_some), "rows cover 0..{s}");
+        let p_f = ix.fabric_ports();
         let n_cols = self.col_root.len();
         for (layer, tab) in self.layers.iter().enumerate() {
-            assert_eq!(tab.n_nodes, n, "layer {layer} node stride");
-            assert_eq!(tab.buf.len(), self.ports.len() * n_cols, "arena size");
-            assert_eq!(tab.len.len(), n * n_cols, "len table size");
-            assert_eq!(tab.dist.len(), n * n_cols, "dist table size");
-            for u in 0..n {
+            assert_eq!(tab.n_switches, s, "layer {layer} row stride");
+            assert_eq!(tab.n_fabric_ports, p_f, "layer {layer} cell stride");
+            assert_eq!(tab.buf.len(), p_f * n_cols, "arena size");
+            assert_eq!(tab.len.len(), s * n_cols, "len table size");
+            assert_eq!(tab.dist.len(), s * n_cols, "dist table size");
+            for &u in row_owner.iter().flatten() {
                 let ports = self.node_ports(NodeId(u as u32));
                 for col in 0..n_cols {
-                    let cell = tab.advertised(&self.port_off, u, col);
+                    let cell = tab.advertised(ix, u, col);
+                    let (_, cap) = tab.cell(ix, u, col);
                     assert!(
-                        cell.len() <= ports.len(),
+                        cell.len() <= cap,
                         "layer {layer} cell ({u}, {col}) overflows its capacity"
-                    );
-                    assert!(
-                        cell.is_empty() || self.kinds[u] == NodeKind::Switch,
-                        "layer {layer}: host {u} holds a route cell"
                     );
                     for w in cell.windows(2) {
                         assert!(w[0] < w[1], "layer {layer} cell ({u}, {col}) not ascending");
@@ -1303,11 +1443,11 @@ struct Column<'a> {
     weights: &'a [u8],
     /// The access switch this column routes towards.
     root: NodeId,
-    /// The column's `P`-length route-cell slice.
+    /// The column's `P_f`-length route-cell slice.
     buf: &'a mut [u16],
-    /// The column's `N`-length occupied-prefix slice.
+    /// The column's `S`-length occupied-prefix slice, by switch row.
     len: &'a mut [u16],
-    /// The column's `N`-length distance slice.
+    /// The column's `S`-length distance slice, by switch row.
     dist: &'a mut [u32],
 }
 
@@ -1349,11 +1489,13 @@ fn fabric_links<'a>(
 /// weights are symmetric per link, so checking the (u, port) direction
 /// suffices. A free function (not a method), taking only this column's
 /// slices of the column-major arenas, so the caller can borrow
-/// `Topology` fields disjointly.
+/// `Topology` fields disjointly. The search runs on node ids and
+/// indexes the slices by each switch's [`SwitchRow`].
 fn compute_column(
     kinds: &[NodeKind],
     ports: &[Port],
     off: &[u32],
+    rows: &[SwitchRow],
     mask: &FaultMask,
     column: Column,
     scratch: &mut ColumnScratch,
@@ -1370,26 +1512,27 @@ fn compute_column(
     if mask.node_is_down(root) {
         return;
     }
+    let row = |n: u32| rows[n as usize].row as usize;
     // Dial's algorithm: settle distances in increasing order, one
     // bucket per distance. Relaxing from distance d only ever fills the
     // buckets of d + 1 and d + 2, never the one being drained.
     let ColumnScratch { buckets, reached } = scratch;
     reached.clear();
-    dist[root.0 as usize] = 0;
+    dist[row(root.0)] = 0;
     buckets[0].push(root.0);
     let (mut d, mut open) = (0u32, 1usize);
     while open > 0 {
         let mut level = std::mem::take(&mut buckets[(d % 3) as usize]);
         open -= level.len();
         for u in level.drain(..) {
-            if dist[u as usize] != d {
+            if dist[row(u)] != d {
                 continue; // settled closer through another neighbour
             }
             reached.push(u);
             for (_, gid, port) in fabric_links(kinds, ports, off, mask, u) {
                 let (nd, v) = (d + weights[gid] as u32, port.peer.0);
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
+                if nd < dist[row(v)] {
+                    dist[row(v)] = nd;
                     buckets[(nd % 3) as usize].push(v);
                     open += 1;
                 }
@@ -1400,16 +1543,17 @@ fn compute_column(
     }
     // Every reached switch but the root (settled first) gets a cell.
     for &u in &reached[1..] {
-        let base = off[u as usize] as usize;
+        let SwitchRow { row: r, cell } = rows[u as usize];
+        let (r, base) = (r as usize, cell as usize);
         let mut l = 0usize;
         for (pi, gid, port) in fabric_links(kinds, ports, off, mask, u) {
-            let dv = dist[port.peer.0 as usize];
-            if dv != u32::MAX && dv + weights[gid] as u32 == dist[u as usize] {
+            let dv = dist[row(port.peer.0)];
+            if dv != u32::MAX && dv + weights[gid] as u32 == dist[r] {
                 buf[base + l] = pi;
                 l += 1;
             }
         }
-        len[u as usize] = l as u16;
+        len[r] = l as u16;
     }
 }
 
@@ -1430,6 +1574,7 @@ fn restore_surgery_layer(
     kinds: &[NodeKind],
     ports: &[Port],
     off: &[u32],
+    ix: &SwitchIndex,
     roots: &[NodeId],
     weights: &[u8],
     mask: &FaultMask,
@@ -1466,7 +1611,7 @@ fn restore_surgery_layer(
             // usable neighbour.
             let dw = live
                 .iter()
-                .map(|&(_, peer, _, wl)| tab.dist_to(peer, col).saturating_add(wl))
+                .map(|&(_, peer, _, wl)| tab.dist_to(ix, peer, col).saturating_add(wl))
                 .min()
                 .unwrap_or(u32::MAX);
             if dw == u32::MAX {
@@ -1477,7 +1622,7 @@ fn restore_surgery_layer(
             // shrink can cascade, so rebuild this column.
             if live
                 .iter()
-                .any(|&(_, peer, _, wl)| tab.dist_to(peer, col) > dw + wl)
+                .any(|&(_, peer, _, wl)| tab.dist_to(ix, peer, col) > dw + wl)
             {
                 col_dirty[col] = true;
                 continue;
@@ -1486,19 +1631,20 @@ fn restore_surgery_layer(
             // into its (empty — cleared when it died) cell, and make w
             // an additional equal-cost hop at neighbours one link
             // further out.
-            tab.set_dist(wu, col, dw);
-            let (cell, _) = tab.cell(off, wu, col);
+            tab.set_dist(ix, wu, col, dw);
+            let (cell, _) = tab.cell(ix, wu, col);
             let mut l = 0usize;
             for &(pi, peer, back, wl) in &live {
-                let dp = tab.dist_to(peer, col);
+                let dp = tab.dist_to(ix, peer, col);
                 if dp + wl == dw {
                     tab.buf[cell + l] = pi;
                     l += 1;
                 } else if dp == dw + wl {
-                    tab.insert_port(off, peer, col, back);
+                    tab.insert_port(ix, peer, col, back);
                 }
             }
-            tab.len[col * tab.n_nodes + wu] = l as u16;
+            let li = tab.slot(ix, wu, col);
+            tab.len[li] = l as u16;
         }
     }
     for &(u, p) in restored_links {
@@ -1513,8 +1659,8 @@ fn restore_surgery_layer(
             if col_dirty[col] {
                 continue;
             }
-            let du = tab.dist_to(u as usize, col);
-            let dv = tab.dist_to(v.0 as usize, col);
+            let du = tab.dist_to(ix, u as usize, col);
+            let dv = tab.dist_to(ix, v.0 as usize, col);
             if du == u32::MAX && dv == u32::MAX {
                 continue; // both sides cut off; the link helps nobody
             }
@@ -1530,9 +1676,9 @@ fn restore_surgery_layer(
             // distances, or a gap of 1 on a weight-2 link — no shortest
             // path uses the link and nothing changes.)
             if du == dv + wl {
-                tab.insert_port(off, u as usize, col, p);
+                tab.insert_port(ix, u as usize, col, p);
             } else if dv == du + wl {
-                tab.insert_port(off, v.0 as usize, col, q);
+                tab.insert_port(ix, v.0 as usize, col, q);
             }
         }
     }
@@ -2297,19 +2443,32 @@ mod tests {
         t.compute_routes();
     }
 
-    /// Route tables scale with access switches × ports, not hosts ×
-    /// ports: the 5 000-host Jellyfish under two layers fits in 32 MB
-    /// (≈ 575 MB with one column per host).
+    /// Route tables scale with access switches × switch-to-switch
+    /// ports: the 5 000-host Jellyfish's tables, exactly. (One column
+    /// per host took ≈ 575 MB under two layers; node-keyed rows with
+    /// host-port room in every cell, 28 849 328 B.)
     #[test]
-    fn jellyfish_5000_route_tables_fit_in_32_mb() {
+    fn jellyfish_5000_route_table_bytes() {
         let mut t = Topology::jellyfish(250, 12, 20, 1_000_000_000, 10_000, 7);
-        let one_layer = t.route_table_bytes();
+        assert_eq!(t.hosts().len(), 5000);
+        assert_eq!(t.route_table_bytes(), 2_017_332, "one layer");
         t.set_policy(RoutingPolicy::layered(2, 7));
         t.compute_routes();
-        assert_eq!(t.hosts().len(), 5000);
-        let bytes = t.route_table_bytes();
-        assert!(bytes < 32 << 20, "route tables hold {bytes} bytes");
-        assert!(bytes > one_layer, "a second layer must be counted");
+        assert_eq!(t.route_table_bytes(), 3_892_332, "two layers");
+        assert!(t.route_table_bytes() <= 4_000_000);
+    }
+
+    /// The same count at RNG scale (flat fabrics of 10⁴+ racks): a
+    /// 20 000-host, 1 000-switch Jellyfish under two layers.
+    #[test]
+    #[ignore = "20 000-host build; run in release"]
+    fn jellyfish_20000_route_tables_fit_in_64_mb() {
+        let mut t = Topology::jellyfish(1000, 12, 20, 1_000_000_000, 10_000, 7);
+        t.set_policy(RoutingPolicy::layered(2, 7));
+        t.compute_routes();
+        assert_eq!(t.hosts().len(), 20_000);
+        assert_eq!(t.route_table_bytes(), 60_569_316);
+        assert!(t.route_table_bytes() <= 64 << 20);
     }
 
     #[test]
@@ -2326,16 +2485,75 @@ mod tests {
         assert!(!t.try_next_ports(hosts[2], hosts[3]).is_empty());
     }
 
+    /// The switch index on every family, before and after repair. The
+    /// Jellyfish numbers its switches first (row = id), so a row/id
+    /// mix-up would pass there; the fat-tree and the leaf–spine
+    /// interleave switches with hosts (leaf, its hosts, next leaf, …,
+    /// spines), so there it cannot.
     #[test]
     fn csr_invariants_hold_after_build_and_repair() {
-        let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+        let leaf_spine = Topology::leaf_spine(3, 2, 2, 1.0, 1_000_000_000, 10_000);
+        assert_eq!(leaf_spine.switches.rows[3].row, 1, "second leaf, id 3");
+        let mut jelly = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 7);
+        jelly.set_policy(RoutingPolicy::layered(2, 5));
+        jelly.compute_routes();
+        for mut t in [
+            Topology::fat_tree(4, 1_000_000_000, 10_000),
+            leaf_spine,
+            jelly,
+        ] {
+            t.check_csr_invariants();
+            // The last switch dies, and the first rack's first fabric
+            // link with it.
+            let victim = (0..t.node_count() as u32)
+                .rev()
+                .map(NodeId)
+                .find(|&n| t.kind(n) == NodeKind::Switch)
+                .unwrap();
+            let edge = t.edge_switch(t.hosts()[0]);
+            let uplink = t
+                .node_ports(edge)
+                .iter()
+                .position(|p| t.kind(p.peer) == NodeKind::Switch)
+                .unwrap() as u16;
+            let mut mask = FaultMask::new();
+            mask.fail_node(victim);
+            mask.fail_link(&t, edge, uplink);
+            t.repair_routes(&mask);
+            t.check_csr_invariants();
+            mask.restore_node(victim);
+            t.repair_routes(&mask);
+            t.check_csr_invariants();
+        }
+    }
+
+    /// One switch and two hosts: no switch-to-switch port, so every
+    /// `buf` column is zero-width — yet the column's one row must still
+    /// give the root distance 0, or the two hosts could never reach
+    /// each other. Holds through a host-link failure and its repair.
+    #[test]
+    fn lone_switch_routes_through_a_zero_width_column() {
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Host);
+        let s = t.add_node(NodeKind::Switch);
+        let b = t.add_node(NodeKind::Host);
+        t.connect(a, s, 1_000_000_000, 10_000);
+        t.connect(b, s, 1_000_000_000, 10_000);
+        t.compute_routes();
         t.check_csr_invariants();
+        let routed = |t: &Topology| {
+            assert_eq!(t.next_ports(a, b), [0]);
+            assert_eq!(t.next_ports(s, b), [1], "the switch's access port to b");
+            assert_eq!(t.path_hops(a, b), 2);
+        };
+        routed(&t);
         let mut mask = FaultMask::new();
-        mask.fail_node(NodeId(t.node_count() as u32 - 1));
+        mask.fail_link(&t, b, 0);
+        t.repair_routes(&mask);
+        assert!(t.try_next_ports(a, b).is_empty());
+        mask.restore_link(&t, b, 0);
         t.repair_routes(&mask);
         t.check_csr_invariants();
-        mask.restore_node(NodeId(t.node_count() as u32 - 1));
-        t.repair_routes(&mask);
-        t.check_csr_invariants();
+        routed(&t);
     }
 }
