@@ -154,9 +154,9 @@ impl Oracle {
         }
     }
 
-    /// [`Oracle::add`] for a symbol still inside its sender's encoder:
-    /// the real oracle writes it from the encoder's block straight into
-    /// the decoder's storage (a duplicate is not written at all); the
+    /// [`Oracle::add`] for a symbol its sender's encoder has yet to
+    /// write: the real oracle has the encoder write it straight into the
+    /// decoder's storage (a duplicate is not written at all); the
     /// counting oracle needs no bytes.
     pub fn add_encoded(&mut self, esi: u32, encoder: &rq::Encoder) -> bool {
         match self {
@@ -249,29 +249,48 @@ impl Oracle {
     }
 }
 
-/// Word `i` (eight little-endian bytes) of a session's canonical
-/// object: the SplitMix64 *counter* stream, `mix64(base + i·γ)`. Every
-/// word is a function of its index alone, so the object can be written
-/// or checked from any offset and consecutive words do not wait on each
-/// other.
-fn object_word(session: SessionId, i: u64) -> [u8; 8] {
+/// Words `i, i + 1, …` (eight little-endian bytes each) of a session's
+/// canonical object: the SplitMix64 *counter* stream, word `i` =
+/// `mix64(base + i·γ)`. Every word is a function of its index alone, so
+/// the object can be written or checked from any offset and consecutive
+/// words do not wait on each other. The counter steps by `γ`: no
+/// multiply per word for the index, on a path every source symbol of a
+/// real-oracle sender takes.
+fn object_words(session: SessionId, i: u64) -> impl Iterator<Item = [u8; 8]> {
     const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
     let base = u64::from(session.0) ^ 0xDA7A_B10C;
-    rq::rand::mix64(base.wrapping_add(i.wrapping_mul(GAMMA))).to_le_bytes()
+    let mut counter = base.wrapping_add(i.wrapping_mul(GAMMA));
+    std::iter::repeat_with(move || {
+        let word = rq::rand::mix64(counter).to_le_bytes();
+        counter = counter.wrapping_add(GAMMA);
+        word
+    })
 }
 
-/// Write the head of `session`'s canonical object over `out` — the
-/// generator behind [`session_object`], for a sender that has the
-/// object's final place (its encoder's block) at hand.
-pub(crate) fn write_session_object(session: SessionId, out: &mut [u8]) {
-    let mut words = out.chunks_exact_mut(8);
-    let mut i = 0u64;
-    for word in words.by_ref() {
-        word.copy_from_slice(&object_word(session, i));
-        i += 1;
+/// Word `i` of a session's canonical object.
+fn object_word(session: SessionId, i: u64) -> [u8; 8] {
+    object_words(session, i)
+        .next()
+        .expect("the word stream is endless")
+}
+
+/// Write `session`'s canonical object from byte `at` on over `out`, at
+/// any offset, word-aligned or not — the generator behind
+/// [`session_object`], and the store a real-oracle sender's encoder
+/// re-reads its source symbols from.
+pub(crate) fn write_session_object_at(session: SessionId, at: usize, out: &mut [u8]) {
+    // Up to the word boundary, then whole words, then what is left of
+    // the last one — as `session_object_matches_at` checks them.
+    let (head, body) = out.split_at_mut(((8 - at % 8) % 8).min(out.len()));
+    head.copy_from_slice(&object_word(session, (at / 8) as u64)[at % 8..][..head.len()]);
+    let first = ((at + head.len()) / 8) as u64;
+    let last = first + (body.len() / 8) as u64;
+    let mut words = body.chunks_exact_mut(8);
+    for (word, bytes) in words.by_ref().zip(object_words(session, first)) {
+        word.copy_from_slice(&bytes);
     }
     let tail = words.into_remainder();
-    tail.copy_from_slice(&object_word(session, i)[..tail.len()]);
+    tail.copy_from_slice(&object_word(session, last)[..tail.len()]);
 }
 
 /// The canonical (deterministic) object bytes for a session — what a
@@ -279,7 +298,7 @@ pub(crate) fn write_session_object(session: SessionId, out: &mut [u8]) {
 /// real-mode sender generate the same bytes from the session id.
 pub fn session_object(session: SessionId, len: usize) -> Vec<u8> {
     let mut out = vec![0u8; len];
-    write_session_object(session, &mut out);
+    write_session_object_at(session, 0, &mut out);
     out
 }
 
@@ -305,12 +324,16 @@ fn session_object_matches_at(session: SessionId, at: usize, bytes: &[u8]) -> boo
     let tail = words.remainder();
     head == &object_word(session, (at / 8) as u64)[at % 8..][..head.len()]
         && tail == &object_word(session, first + (body.len() / 8) as u64)[..tail.len()]
-        && (words.zip(first..)).all(|(word, i)| word == object_word(session, i))
+        && words
+            .zip(object_words(session, first))
+            .all(|(word, bytes)| word == bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SessionSpec;
+    use netsim::{NodeId, SimTime};
     use rq::Encoder;
 
     #[test]
@@ -523,7 +546,7 @@ mod tests {
             n in 1usize..3000,
             extra in 1usize..3000,
             at in 0usize..3000,
-            t in 1usize..200,
+            len in 1usize..200,
         ) {
             use proptest::prelude::*;
             let session = SessionId(id);
@@ -538,13 +561,50 @@ mod tests {
             if at > 0 {
                 prop_assert!(!session_object_matches_at(session, at - 1, &long[at..]));
             }
-            // ...and a sender generating into its encoder's block sends
-            // the same symbols as one encoding a staged copy.
-            let staged = Encoder::new(&long[..n], t).unwrap();
-            let direct =
-                Encoder::from_fn(n, t, |object| write_session_object(session, object)).unwrap();
-            for esi in (0..staged.params().k as u32 + 4).step_by(1 + n / t / 16) {
-                prop_assert_eq!(staged.symbol(esi), direct.symbol(esi), "esi {}", esi);
+            // ...and is written from there as it reads from there: any
+            // stretch, starting at any byte of a word.
+            let len = len.min(n + extra - at);
+            let mut stretch = vec![0xEE; len];
+            write_session_object_at(session, at, &mut stretch);
+            prop_assert_eq!(&stretch[..], &session_object(session, at + len)[at..]);
+        }
+
+        #[test]
+        fn a_sender_encoder_sends_the_staged_object_symbols(
+            id in proptest::prelude::any::<u32>(),
+            n in 1usize..3000,
+            t in 1usize..200,
+        ) {
+            use proptest::prelude::*;
+            // The encoder a real-oracle sender builds keeps only the
+            // parity and re-reads the generator at unaligned offsets
+            // (odd `t`) up to a ragged tail (`n % t != 0`); it must send
+            // what an encoder over a staged copy of the object sends.
+            let session = SessionId(id);
+            let spec = SessionSpec::unicast(session, n, NodeId(0), NodeId(1), SimTime::ZERO);
+            let (sender, built) = spec.encoder(t);
+            prop_assert!(built);
+            let staged = Encoder::new(&session_object(session, n), t).unwrap();
+            let bp = staged.block_params();
+            prop_assert_eq!(sender.params(), staged.params());
+            prop_assert_eq!(sender.storage_bytes(), (bp.s + bp.h) * t);
+            for esi in (0..bp.k as u32 + 64).chain([1 << 20, u32::MAX]) {
+                prop_assert_eq!(sender.symbol(esi), staged.symbol(esi), "esi {}", esi);
+            }
+        }
+    }
+
+    #[test]
+    fn stepped_words_equal_the_counter_stream() {
+        // Word `i` is `mix64(base + i·γ)` however the stream is entered.
+        let session = SessionId(0xBEEF);
+        let base = 0xBEEF ^ 0xDA7A_B10C_u64;
+        for first in [0u64, 1, 7, 1 << 40, u64::MAX - 2] {
+            for (j, word) in (0u64..5).zip(object_words(session, first)) {
+                let i = first.wrapping_add(j);
+                let expect =
+                    rq::rand::mix64(base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+                assert_eq!(word, expect.to_le_bytes(), "word {i}");
             }
         }
     }

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex, Weak};
 
 use netsim::{GroupId, NodeId, SimTime};
 
-use crate::oracle::write_session_object;
+use crate::oracle::write_session_object_at;
 use crate::wire::SessionId;
 
 /// The contiguous source-symbol range `[lo, hi)` that sender `idx` of
@@ -102,12 +102,16 @@ impl SessionSpec {
     /// time, so who builds never shows in a run's results. A live
     /// encoder built for another `symbol_size` — hosts configured
     /// differently — is left alone and the caller gets a private one.
+    ///
+    /// The encoder keeps only the object's parity: like a replica's
+    /// store, the generator hands it the source bytes again whenever a
+    /// symbol needs them.
     pub(crate) fn encoder(&self, symbol_size: usize) -> (Arc<rq::Encoder>, bool) {
-        // The object is generated straight into the encoder's block.
+        let id = self.id;
         let build = || {
             Arc::new(
-                rq::Encoder::from_fn(self.data_len, symbol_size, |object| {
-                    write_session_object(self.id, object)
+                rq::Encoder::from_source(self.data_len, symbol_size, move |at, out| {
+                    write_session_object_at(id, at, out)
                 })
                 .expect("session object is non-empty and fits one block"),
             )

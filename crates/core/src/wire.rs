@@ -27,8 +27,8 @@ pub struct SessionId(pub u32);
 /// The bytes of a symbol in flight under the real-decoder oracle: a
 /// shared handle on the sender's encoder, the symbol being that
 /// encoder's `esi`. Cloning it (one per emission, one per multicast
-/// branch) copies a pointer; the receiver writes the symbol out of the
-/// sender's block straight into its decoder, and a symbol trimmed on
+/// branch) copies a pointer; the receiver has the sender's encoder
+/// write the symbol straight into its decoder, and a symbol trimmed on
 /// the way is never materialised at all.
 #[derive(Clone)]
 pub struct SymbolBody(Arc<rq::Encoder>);
@@ -45,8 +45,7 @@ impl SymbolBody {
     }
 }
 
-/// Names the block, not its bytes: an `Encoder` prints as its whole
-/// `L · T` block (590 KB for a 512 KiB object), once per packet.
+/// Names the block by its shape, once per packet.
 impl std::fmt::Debug for SymbolBody {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let code = self.0.params();
@@ -278,7 +277,7 @@ mod tests {
             },
             "an equal block elsewhere is another body"
         );
-        // Prints the block's shape, not its 590 KB of bytes.
+        // Prints the block's shape, none of its bytes.
         let printed = format!("{symbol:?}");
         assert!(printed.contains("SymbolBody(K=365, T=1440)"), "{printed}");
         assert!(printed.len() < 200, "{} bytes of Debug", printed.len());

@@ -1,5 +1,7 @@
 //! Systematic encoder for a single source block.
 
+use std::sync::Arc;
+
 use crate::gf256;
 use crate::hdpc::HdpcFold;
 use crate::matrix::{hdpc_columns, ldpc_cols};
@@ -82,6 +84,12 @@ impl std::error::Error for EncodeError {}
 /// directly-computed parity); the intermediate precompute happens once
 /// here and is reused across every repair symbol.
 ///
+/// An encoder built by [`Encoder::new`] owns a copy of its source; one
+/// built by [`Encoder::from_source`] keeps only the `S + H` parity
+/// symbols and re-reads source bytes from its caller's object whenever a
+/// symbol needs them — the source symbols of a systematic code *are* the
+/// object, which a replica already stores.
+///
 /// ```
 /// use rq::Encoder;
 /// let data = vec![7u8; 4000];
@@ -92,29 +100,105 @@ impl std::error::Error for EncodeError {}
 /// let repair = enc.symbol(12345); // any repair symbol, on demand
 /// assert_eq!(repair.len(), 1440);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Encoder {
     params: BlockParams,
     code: CodeParams,
-    /// The `L` intermediate symbols, back to back (`L · T` bytes); the
-    /// first `K · T` bytes are the zero-padded source itself.
-    block: Vec<u8>,
+    /// The intermediate symbols this encoder holds, back to back: all
+    /// `L` of them (`L · T` bytes, the first `K · T` the zero-padded
+    /// source itself) when it owns its source, only the `S + H` parity
+    /// symbols when `source` re-reads it.
+    stored: Vec<u8>,
+    /// Where source columns are read when they are not in `stored`.
+    source: Option<Arc<ReadSource>>,
+}
+
+/// A re-readable object: `read(at, out)` writes its bytes
+/// `[at, at + out.len())` over `out`.
+type ReadSource = dyn Fn(usize, &mut [u8]) + Send + Sync;
+
+/// Bytes of a re-read source column XORed at a time: a stack buffer, so
+/// a repair symbol allocates nothing.
+const XOR_PIECE: usize = 512;
+
+/// One intermediate symbol, where it lies.
+enum Column<'a> {
+    /// Held by the encoder.
+    Stored(&'a [u8]),
+    /// A source column of a re-read object: its bytes `[at, at + len)`,
+    /// then zero padding to `T`.
+    Source {
+        read: &'a ReadSource,
+        at: usize,
+        len: usize,
+    },
+}
+
+impl Column<'_> {
+    /// Write the symbol over `out`.
+    fn write_over(&self, out: &mut [u8]) {
+        match *self {
+            Column::Stored(bytes) => out.copy_from_slice(bytes),
+            Column::Source { read, at, len } => {
+                let (data, padding) = out.split_at_mut(len);
+                read(at, data);
+                padding.fill(0);
+            }
+        }
+    }
+
+    /// XOR the symbol into `out` (the padding XORs as nothing).
+    fn xor_into(&self, out: &mut [u8]) {
+        match *self {
+            Column::Stored(bytes) => gf256::xor_assign(out, bytes),
+            Column::Source { read, at, len } => {
+                let mut buf = [0u8; XOR_PIECE];
+                for (i, piece) in out[..len].chunks_mut(XOR_PIECE).enumerate() {
+                    let buf = &mut buf[..piece.len()];
+                    read(at + i * XOR_PIECE, buf);
+                    gf256::xor_assign(piece, buf);
+                }
+            }
+        }
+    }
 }
 
 impl Encoder {
     /// Build an encoder over `data` with the given symbol size (direct
     /// parity construction, no solve — it cannot fail on valid input).
+    /// It keeps its own copy of the source beside the parity.
     pub fn new(data: &[u8], symbol_size: usize) -> Result<Self, EncodeError> {
-        Self::from_fn(data.len(), symbol_size, |source| {
+        Self::staged(data.len(), symbol_size, |source| {
             source.copy_from_slice(data)
         })
     }
 
-    /// [`Encoder::new`] over the `data_len` bytes that `write_source`
-    /// writes: it is handed the (zeroed) head of the encoder's own
-    /// block, so a caller that generates or reads its object does so
-    /// straight into place, with no staging buffer to copy from.
-    pub fn from_fn(
+    /// [`Encoder::new`] over the `data_len`-byte object that `read`
+    /// re-reads: `read(at, out)` must write the object's bytes
+    /// `[at, at + out.len())` over `out`, the same bytes on every call.
+    /// The encoder reads the whole object once to build its parity and
+    /// keeps only that (`(S + H) · T` bytes); every source column a
+    /// symbol needs afterwards is read again, never past `data_len`.
+    pub fn from_source(
+        data_len: usize,
+        symbol_size: usize,
+        read: impl Fn(usize, &mut [u8]) + Send + Sync + 'static,
+    ) -> Result<Self, EncodeError> {
+        let staged = Self::staged(data_len, symbol_size, |source| read(0, source))?;
+        // A copy, not a `drain`: the parity's own allocation, so the
+        // staged block's capacity goes with it.
+        let parity = staged.stored[staged.code.k * symbol_size..].to_vec();
+        Ok(Self {
+            stored: parity,
+            source: Some(Arc::new(read)),
+            ..staged
+        })
+    }
+
+    /// An encoder owning the whole `L · T` intermediate block over the
+    /// `data_len` bytes that `write_source` writes over its (zeroed)
+    /// head.
+    fn staged(
         data_len: usize,
         symbol_size: usize,
         write_source: impl FnOnce(&mut [u8]),
@@ -127,7 +211,8 @@ impl Encoder {
         Ok(Self {
             params,
             code,
-            block,
+            stored: block,
+            source: None,
         })
     }
 
@@ -186,15 +271,29 @@ impl Encoder {
         self.params
     }
 
-    /// Intermediate symbol `c` of the block.
-    fn intermediate(&self, c: usize) -> &[u8] {
-        let t = self.code.symbol_size;
-        &self.block[c * t..][..t]
+    /// Bytes of symbol storage allocated: `L · T` when the encoder owns
+    /// its source, `(S + H) · T` when it re-reads it.
+    pub fn storage_bytes(&self) -> usize {
+        self.stored.capacity()
+    }
+
+    /// Intermediate symbol `c` of the block: held, or re-read.
+    fn column(&self, c: usize) -> Column<'_> {
+        let (k, t) = (self.code.k, self.code.symbol_size);
+        match &self.source {
+            None => Column::Stored(&self.stored[c * t..][..t]),
+            Some(_) if c >= k => Column::Stored(&self.stored[(c - k) * t..][..t]),
+            Some(read) => Column::Source {
+                read: read.as_ref(),
+                at: c * t,
+                len: t.min(self.code.data_len - c * t),
+            },
+        }
     }
 
     /// Produce encoding symbol `esi`.
     ///
-    /// Systematic source symbols (`esi < k`) are copied out of the block;
+    /// Systematic source symbols (`esi < k`) are copied out of the source;
     /// repair symbols are LT-encoded from the intermediates on demand.
     pub fn symbol(&self, esi: u32) -> Vec<u8> {
         let mut out = vec![0u8; self.code.symbol_size];
@@ -211,7 +310,7 @@ impl Encoder {
     pub fn symbol_into(&self, esi: u32, out: &mut [u8]) {
         assert_eq!(out.len(), self.code.symbol_size, "symbol size mismatch");
         if (esi as usize) < self.code.k {
-            out.copy_from_slice(self.intermediate(esi as usize));
+            self.column(esi as usize).write_over(out);
             return;
         }
         // LT-encode a repair ESI from the intermediates, at the floored
@@ -219,10 +318,22 @@ impl Encoder {
         let min_d = crate::params::sys_repair_min_degree(self.params.l);
         let mut cols = lt_columns_with_floor(&self.params, esi, min_d).into_iter();
         let first = cols.next().expect("an LT row has at least one column");
-        out.copy_from_slice(self.intermediate(first as usize));
+        self.column(first as usize).write_over(out);
         for c in cols {
-            gf256::xor_assign(out, self.intermediate(c as usize));
+            self.column(c as usize).xor_into(out);
         }
+    }
+}
+
+/// The block's shape and storage, never its bytes.
+impl std::fmt::Debug for Encoder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Encoder")
+            .field("k", &self.code.k)
+            .field("t", &self.code.symbol_size)
+            .field("l", &self.params.l)
+            .field("storage_bytes", &self.storage_bytes())
+            .finish()
     }
 }
 
@@ -293,9 +404,32 @@ mod tests {
         c
     }
 
+    /// An encoder over `d` that re-reads it: it keeps only the parity,
+    /// and a read past the object panics on the slice.
+    fn rereading(d: &[u8], t: usize) -> Encoder {
+        let d = d.to_vec();
+        Encoder::from_source(d.len(), t, move |at, out| {
+            out.copy_from_slice(&d[at..][..out.len()])
+        })
+        .unwrap()
+    }
+
+    /// Both kinds of encoder over `d`: owned, then re-reading.
+    fn both(d: &[u8], t: usize) -> [Encoder; 2] {
+        [Encoder::new(d, t).unwrap(), rereading(d, t)]
+    }
+
+    /// Intermediate symbol `c`, through the column accessor.
+    fn intermediate(enc: &Encoder, c: usize) -> Vec<u8> {
+        let mut sym = vec![0xEE; enc.code.symbol_size];
+        enc.column(c).write_over(&mut sym);
+        sym
+    }
+
     #[test]
     fn block_and_symbols_match_the_reference_construction() {
-        // K = 365 is the 512 KiB benchmark object, 2913 the paper's 4 MB.
+        // K = 365 is the 512 KiB benchmark object, 2913 the paper's 4 MB;
+        // T = 1440 re-reads a source column in three XOR pieces.
         for (k, t) in [
             (1usize, 24usize),
             (2, 24),
@@ -306,23 +440,67 @@ mod tests {
             (2913, 40),
         ] {
             let d = data(k * t - t / 3);
-            let enc = Encoder::new(&d, t).unwrap();
             let reference = reference_intermediates(&d, t);
-            assert_eq!(enc.block, reference.concat(), "K={k}: intermediates");
-            let floor = crate::params::sys_repair_min_degree(enc.params.l);
-            for esi in (0..k as u32 + 64).chain([1 << 20, u32::MAX]) {
-                let expect = if (esi as usize) < k {
-                    reference[esi as usize].clone()
-                } else {
-                    let mut sym = vec![0u8; t];
-                    for col in lt_columns_with_floor(&enc.params, esi, floor) {
-                        gf256::xor_assign(&mut sym, &reference[col as usize]);
-                    }
-                    sym
-                };
-                assert_eq!(enc.symbol(esi), expect, "K={k}: symbol {esi}");
+            for enc in both(&d, t) {
+                let l = enc.params.l;
+                assert_eq!(reference.len(), l);
+                for (c, expect) in reference.iter().enumerate() {
+                    assert_eq!(&intermediate(&enc, c), expect, "K={k}: intermediate {c}");
+                }
+                let floor = crate::params::sys_repair_min_degree(l);
+                for esi in (0..k as u32 + 64).chain([1 << 20, u32::MAX]) {
+                    let expect = if (esi as usize) < k {
+                        reference[esi as usize].clone()
+                    } else {
+                        let mut sym = vec![0u8; t];
+                        for col in lt_columns_with_floor(&enc.params, esi, floor) {
+                            gf256::xor_assign(&mut sym, &reference[col as usize]);
+                        }
+                        sym
+                    };
+                    assert_eq!(enc.symbol(esi), expect, "K={k}: symbol {esi}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_rereading_encoder_holds_only_its_parity() {
+        let generated = |at: usize, out: &mut [u8]| {
+            for (b, i) in out.iter_mut().zip(at..) {
+                *b = (i * 131 + 17) as u8;
+            }
+        };
+        // (object bytes, K, S + H, owned bytes, re-reading bytes) at
+        // T = 1440: the benchmark's 512 KiB read and the paper's 4 MiB.
+        for (len, k, parity, owned, reread) in [
+            (512usize << 10, 365usize, 49usize, 596_160usize, 70_560usize),
+            (4 << 20, 2913, 119, 4_366_080, 171_360),
+        ] {
+            let enc = Encoder::from_source(len, 1440, generated).unwrap();
+            let bp = enc.block_params();
+            assert_eq!((bp.k, bp.s + bp.h), (k, parity));
+            assert_eq!(enc.storage_bytes(), reread);
+            assert_eq!(reread, parity * 1440);
+            assert_eq!(
+                Encoder::new(&data(len), 1440).unwrap().storage_bytes(),
+                owned
+            );
+            assert_eq!(owned, bp.l * 1440);
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_shape_not_the_bytes() {
+        let [owned, reread] = both(&data(512 << 10), 1440);
+        assert_eq!(
+            format!("{owned:?}"),
+            "Encoder { k: 365, t: 1440, l: 414, storage_bytes: 596160 }"
+        );
+        assert_eq!(
+            format!("{reread:?}"),
+            "Encoder { k: 365, t: 1440, l: 414, storage_bytes: 70560 }"
+        );
     }
 
     #[test]
@@ -382,29 +560,29 @@ mod tests {
         // every LDPC and HDPC constraint row (zero RHS), i.e. exactly what
         // a decoder's reduced solve assumes.
         for k in [1usize, 2, 7, 40, 313] {
-            let d = data(k * 24);
-            let enc = Encoder::new(&d, 24).unwrap();
-            let params = enc.block_params();
-            let mut rows = ldpc_rows(&params, 24);
-            rows.extend(hdpc_rows(&params, 24));
-            for (ri, row) in rows.iter().enumerate() {
-                let mut acc = vec![0u8; 24];
-                match &row.kind {
-                    RowKind::Binary { cols } => {
-                        for &c in cols {
-                            gf256::xor_assign(&mut acc, enc.intermediate(c as usize));
+            for enc in both(&data(k * 24 - 5), 24) {
+                let params = enc.block_params();
+                let mut rows = ldpc_rows(&params, 24);
+                rows.extend(hdpc_rows(&params, 24));
+                for (ri, row) in rows.iter().enumerate() {
+                    let mut acc = vec![0u8; 24];
+                    match &row.kind {
+                        RowKind::Binary { cols } => {
+                            for &c in cols {
+                                enc.column(c as usize).xor_into(&mut acc);
+                            }
+                        }
+                        RowKind::Dense { coefs } => {
+                            for (j, &coef) in coefs.iter().enumerate() {
+                                gf256::addmul(&mut acc, &intermediate(&enc, j), coef);
+                            }
                         }
                     }
-                    RowKind::Dense { coefs } => {
-                        for (j, &coef) in coefs.iter().enumerate() {
-                            gf256::addmul(&mut acc, enc.intermediate(j), coef);
-                        }
-                    }
+                    assert!(
+                        acc.iter().all(|&b| b == 0),
+                        "k={k}: precode row {ri} not satisfied"
+                    );
                 }
-                assert!(
-                    acc.iter().all(|&b| b == 0),
-                    "k={k}: precode row {ri} not satisfied"
-                );
             }
         }
     }

@@ -201,6 +201,11 @@ fn late_sender_rebuilds_the_shared_encoder() {
     let (a, from_a) = emit(replicas[0], 14);
     let (b, from_b) = emit(replicas[1], 13);
     assert!(spec.encoder_live(), "started senders hold the encoder");
+    // The object is the replica's; its encoder holds only the parity.
+    let encoder = from_a[0].2.as_ref().expect("a body").encoder();
+    let bp = encoder.block_params();
+    assert_eq!(encoder.storage_bytes(), (bp.s + bp.h) * cfg.symbol_size);
+    assert!(encoder.storage_bytes() < bp.k * cfg.symbol_size);
     let mut done = false;
     for (idx, esi, body) in from_a.into_iter().chain(from_b.into_iter().skip(1)) {
         assert!(body.is_some(), "real-oracle symbols carry bytes");
