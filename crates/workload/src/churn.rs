@@ -17,16 +17,12 @@
 //! process, spraying), so a churn soak is byte-identical per seed like
 //! every other experiment in this repo.
 
-use netsim::{FabricStats, FaultMix, FaultPlan, FaultProcess, Pcg32, SimTime, Topology};
+use netsim::{FaultMix, FaultPlan, FaultProcess, Topology};
 use polyraptor::{host_fail_token, host_up_token};
 
-use crate::fault::{RecoveryStats, REROUTE_DELAY_NS};
-use crate::runner::{
-    build_rq_specs, build_tcp_conns, collect_rq_results, collect_tcp_results, install_rq,
-    install_tcp, op_results, tcp_timeouts, Fabric, RqRunOptions, TcpRunOptions, TransferResult,
-};
+use crate::fault::REROUTE_DELAY_NS;
+use crate::runner::{run, Fabric, RqRunOptions, Run, RunReport, TcpRunOptions, Transport};
 use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
-use crate::telemetry::{gather_rq_spans, take_run_telemetry, RunTelemetry};
 
 /// Parameters of a churn soak: the storage fetch workload plus the
 /// Poisson fault process sustained over it.
@@ -116,151 +112,56 @@ impl ChurnScenario {
         .seed(self.seed ^ 0xC4_0A_11)
         .compile(topo, first, self.fault_events)
     }
-}
 
-/// Everything a churn run reports.
-#[derive(Debug, Clone)]
-pub struct ChurnReport {
-    /// Per-session transfer results (one per fetch client).
-    pub flows: Vec<TransferResult>,
-    /// Fabric counters — `flaps_coalesced`, `restores_incremental`,
-    /// `reroutes`, `lost_to_fault`, …
-    pub fabric: FabricStats,
-    /// Down-events of the executed plan (failure instants, all classes).
-    pub fault_instants: Vec<SimTime>,
-    /// Host failures the plan scripted.
-    pub host_failures: usize,
-    /// (session, dead sender) strandings observed across all clients.
-    pub stranded_sessions: u64,
-    /// Strandings re-targeted at a surviving replica.
-    pub retargeted_sessions: u64,
-    /// Strandings undone by a host-revival notification: the revived
-    /// sender was re-admitted to a still-open session (no credit is
-    /// minted across the strand/revive boundary).
-    pub unstranded_sessions: u64,
-    /// Symbols re-pulled from survivors on re-target, summed over all
-    /// sessions (each bounded by its decode's remaining need).
-    pub retarget_symbols: u64,
-    /// Sender retransmission timeouts (structurally 0 for Polyraptor —
-    /// recovery is pull-paced, never timer-paced; kept explicit so the
-    /// soak can assert it).
-    pub timeouts: u64,
-    /// Recorded telemetry, when the run options enabled it.
-    pub telemetry: Option<RunTelemetry>,
-}
-
-impl ChurnReport {
-    /// Completion-time percentiles over every fetch.
-    pub fn completion(&self) -> RecoveryStats {
-        RecoveryStats::from_latencies(
-            self.flows
-                .iter()
-                .map(|f| f.finish.as_nanos() - f.start.as_nanos())
-                .collect(),
-        )
-        .expect("churn run has flows")
-    }
-
-    /// Recovery percentiles: for every fault instant and every fetch in
-    /// flight at it, the time from the fault to that fetch's completion.
-    /// `None` when no fetch ever spanned a fault.
-    pub fn recovery(&self) -> Option<RecoveryStats> {
-        let mut lat = Vec::new();
-        for &at in &self.fault_instants {
-            for f in &self.flows {
-                if f.start < at && f.finish > at {
-                    lat.push(f.finish.as_nanos() - at.as_nanos());
+    /// The soak's run on `fabric` under `transport`. A Polyraptor run
+    /// also gets the control plane's host-failure notices: every client
+    /// fetching from a host the plan kills learns of the death one
+    /// convergence window after it strikes (or after its own session
+    /// starts, for fetches that begin mid-outage) — the same lag the
+    /// fabric's reroute pays — and of the revival one window after the
+    /// scripted repair, re-admitting the replica to its still-open
+    /// sessions. Failures already repaired by the first notice were
+    /// transient; the keep-alive sweep alone covers those. TCP has no
+    /// re-target, so its run gets no notices.
+    pub fn build(&self, fabric: &Fabric, transport: Transport) -> Run {
+        assert!(self.replicas >= 2, "churn needs a survivor to re-target");
+        let topo = fabric.build_with_policy(transport.policy());
+        let sessions = self.storage().generate(&topo);
+        let faults = self.plan(&topo, &sessions);
+        let mut notices = Vec::new();
+        if let Transport::Rq(_) = transport {
+            for f in &faults.host_failures(&topo) {
+                for ls in sessions.iter().filter(|ls| ls.replicas.contains(&f.host)) {
+                    let notify = f.at.max(ls.start) + REROUTE_DELAY_NS;
+                    if f.repaired_at.is_some_and(|up| up <= notify) {
+                        continue;
+                    }
+                    notices.push((ls.client, notify, host_fail_token(f.host)));
+                    if let Some(up) = f.repaired_at {
+                        let renotify = up.max(ls.start) + REROUTE_DELAY_NS;
+                        notices.push((ls.client, renotify, host_up_token(f.host)));
+                    }
                 }
             }
         }
-        RecoveryStats::from_latencies(lat)
+        Run {
+            faults,
+            reroute_delay_ns: REROUTE_DELAY_NS,
+            notices,
+            ..Run::healthy(topo, sessions, Pattern::Read, self.seed, 0xC0_17, transport)
+        }
     }
 }
+
+/// Everything a churn run reports.
+pub type ChurnReport = RunReport;
 
 /// Run the churn scenario under Polyraptor. Every fetch must complete —
 /// sustained churn with repair is survivable by construction (path
 /// redundancy for the fabric, data redundancy for the replicas) — or
-/// the collector panics.
+/// [`run`] panics.
 pub fn run_churn_rq(sc: &ChurnScenario, fabric: &Fabric, opts: &RqRunOptions) -> ChurnReport {
-    assert!(sc.replicas >= 2, "churn needs a survivor to re-target");
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = sc.storage().generate(&topo);
-    let plan = sc.plan(&topo, &sessions);
-    let mut sim = opts.simulator(
-        topo,
-        sc.seed ^ 0xC0_17,
-        &mut Pcg32::new(sc.seed ^ 0xA6E27),
-        REROUTE_DELAY_NS,
-        opts.telemetry.recorder(),
-    );
-    let specs = build_rq_specs(&mut sim, &sessions, Pattern::Read);
-    for spec in &specs {
-        install_rq(&mut sim, spec);
-    }
-    sim.schedule_faults(&plan);
-
-    // Control-plane host-failure notifications: every client fetching
-    // from a host the plan kills learns of the death one convergence
-    // window after it strikes (or after its own session starts, for
-    // fetches that begin mid-outage) — the same lag the fabric's reroute
-    // pays. Failures already repaired by then were transient; the
-    // keep-alive sweep alone covers those.
-    let host_failures = plan.host_failures(sim.topology());
-    for f in &host_failures {
-        for ls in &sessions {
-            if !ls.replicas.contains(&f.host) {
-                continue;
-            }
-            let notify = f.at.max(ls.start) + REROUTE_DELAY_NS;
-            if f.repaired_at.is_some_and(|up| up <= notify) {
-                continue;
-            }
-            sim.schedule_timer(ls.client, notify, host_fail_token(f.host));
-            // The matching revival notification, one convergence window
-            // after the scripted repair: the client re-admits the
-            // revived replica to its still-open sessions and the
-            // keep-alive sweep's probing takes it from there.
-            if let Some(up) = f.repaired_at {
-                let renotify = up.max(ls.start) + REROUTE_DELAY_NS;
-                sim.schedule_timer(ls.client, renotify, host_up_token(f.host));
-            }
-        }
-    }
-
-    sim.run_to_completion();
-    let flows = collect_rq_results(&sim, &sessions, Pattern::Read);
-    let (mut stranded, mut retargeted, mut retarget_symbols) = (0u64, 0u64, 0u64);
-    let mut unstranded = 0u64;
-    for (_, agent) in sim.agents() {
-        stranded += agent.stranded_sessions;
-        retargeted += agent.retargeted_sessions;
-        unstranded += agent.unstranded_sessions;
-        retarget_symbols += agent
-            .records
-            .iter()
-            .map(|r| r.retarget_symbols)
-            .sum::<u64>();
-    }
-    if stranded > 0 {
-        // A stranding is survivable (that's the re-target claim) but
-        // still anomalous fabric-level history worth a flight dump.
-        sim.note_anomaly(netsim::AnomalyKind::StrandedSession);
-    }
-    let spans = gather_rq_spans(&sim);
-    let telemetry = take_run_telemetry(&mut sim, spans);
-    let fault_instants = plan.down_instants();
-    ChurnReport {
-        flows,
-        fabric: sim.stats(),
-        fault_instants,
-        host_failures: host_failures.len(),
-        stranded_sessions: stranded,
-        retargeted_sessions: retargeted,
-        unstranded_sessions: unstranded,
-        retarget_symbols,
-        timeouts: 0,
-        telemetry,
-    }
+    run(sc.build(fabric, Transport::Rq(*opts))).into_ops(sc.object_bytes)
 }
 
 /// Run the identical churn scenario under the TCP baseline: one
@@ -270,44 +171,11 @@ pub fn run_churn_rq(sc: &ChurnScenario, fabric: &Fabric, opts: &RqRunOptions) ->
 /// repair revives the host and the retransmission machinery grinds
 /// through — so the report's `stranded_sessions`/`retargeted_sessions`
 /// are structurally 0 and `timeouts` carries the RTO count that
-/// explains the tail the comparison figure shows. Per-stripe flows are
-/// collapsed to op level (a fetch completes when its *last* stripe
-/// does), so `flows` is one result per session exactly like the
-/// Polyraptor report's.
+/// explains the tail the comparison figure shows. Both runners collapse
+/// flows to op level (a fetch completes when its *last* stripe does),
+/// so `flows` is one result per session for either transport.
 pub fn run_churn_tcp(sc: &ChurnScenario, fabric: &Fabric, opts: &TcpRunOptions) -> ChurnReport {
-    assert!(sc.replicas >= 2, "churn needs a survivor to re-target");
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = sc.storage().generate(&topo);
-    let plan = sc.plan(&topo, &sessions);
-    let mut sim = opts.simulator(
-        topo,
-        sc.seed ^ 0xC0_17,
-        REROUTE_DELAY_NS,
-        opts.telemetry.recorder(),
-    );
-    let conns = build_tcp_conns(&sessions, Pattern::Read);
-    install_tcp(&mut sim, &conns);
-    sim.schedule_faults(&plan);
-    sim.run_to_completion();
-    let timeouts = tcp_timeouts(&sim, &conns);
-    if timeouts > 0 {
-        sim.note_anomaly(netsim::AnomalyKind::Timeout);
-    }
-    let flows = op_results(&collect_tcp_results(&sim, &sessions), sc.object_bytes);
-    let telemetry = take_run_telemetry(&mut sim, Vec::new());
-    let fault_instants = plan.down_instants();
-    ChurnReport {
-        host_failures: plan.host_failures(sim.topology()).len(),
-        flows,
-        fabric: sim.stats(),
-        fault_instants,
-        stranded_sessions: 0,
-        retargeted_sessions: 0,
-        unstranded_sessions: 0,
-        retarget_symbols: 0,
-        timeouts,
-        telemetry,
-    }
+    run(sc.build(fabric, Transport::Tcp(*opts))).into_ops(sc.object_bytes)
 }
 
 #[cfg(test)]

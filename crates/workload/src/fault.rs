@@ -16,15 +16,14 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
-use netsim::{FaultPlan, NodeId, Pcg32, SimTime, Topology};
+use netsim::{FaultPlan, NodeId, SimTime, Topology};
 
 use crate::runner::{
-    build_rq_specs, build_tcp_conns, collect_rq_results, collect_tcp_results, install_rq,
-    install_tcp, tcp_timeouts, Fabric, RqRunOptions, TcpRunOptions, TransferResult,
+    build_tcp_conns, run, Fabric, RqRunOptions, Run, RunReport, TcpRunOptions, Transport,
 };
 use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
-use crate::telemetry::{gather_rq_spans, take_run_telemetry, RunTelemetry};
 
 /// Control-plane convergence after a detected failure: 25 ms covers
 /// failure detection plus route recomputation on a data-centre fabric.
@@ -95,11 +94,7 @@ impl FaultScenario {
     /// session's arrival plus `fail_after_frac` of the ideal transfer
     /// time. Deterministic — both transport runs and the victim choice
     /// use the same value.
-    pub fn fault_time(&self, topo: &Topology) -> Option<SimTime> {
-        self.fault_time_of(topo, &self.storage().generate(topo))
-    }
-
-    fn fault_time_of(&self, topo: &Topology, sessions: &[LogicalSession]) -> Option<SimTime> {
+    fn fault_time(&self, topo: &Topology, sessions: &[LogicalSession]) -> Option<SimTime> {
         let frac = self.fail_after_frac?;
         assert!(frac > 0.0, "failure must strike after traffic starts");
         let first = sessions
@@ -133,7 +128,7 @@ impl FaultScenario {
     /// lowest switch id; a healthy scenario weighs every flow.
     pub fn victim_core(&self, topo: &Topology) -> NodeId {
         let sessions = self.storage().generate(topo);
-        let fault_time = self.fault_time_of(topo, &sessions);
+        let fault_time = self.fault_time(topo, &sessions);
         self.victim_core_of(topo, &sessions, fault_time)
     }
 
@@ -188,11 +183,7 @@ impl FaultScenario {
     }
 
     /// The fault plan aimed at `victim` on a given fabric.
-    pub fn plan(&self, topo: &Topology, victim: NodeId) -> FaultPlan {
-        self.plan_at(topo, victim, self.fault_time(topo))
-    }
-
-    fn plan_at(&self, topo: &Topology, victim: NodeId, fault_time: Option<SimTime>) -> FaultPlan {
+    fn plan(&self, topo: &Topology, victim: NodeId, fault_time: Option<SimTime>) -> FaultPlan {
         let mut plan = FaultPlan::new();
         if let Some(at) = fault_time {
             plan = plan.switch_down(at, victim);
@@ -206,137 +197,54 @@ impl FaultScenario {
     }
 }
 
-/// Everything a fault run reports: per-flow results plus the fabric's
-/// fault accounting (and, for TCP, the timeout count that explains the
-/// tail).
+/// A fault run's report: the [`RunReport`] (flows, fabric fault
+/// accounting and, for TCP, the timeout count that explains the tail),
+/// reached through `Deref`, plus the failure the run was built around.
 #[derive(Debug, Clone)]
 pub struct FaultRunReport {
-    /// Per-flow transfer results (one per replica for writes).
-    pub flows: Vec<TransferResult>,
-    /// Fabric counters: `lost_to_fault`, `reroutes`, `trees_repaired`…
-    pub fabric: netsim::FabricStats,
-    /// Total sender retransmission timeouts (TCP runs; 0 for Polyraptor,
-    /// which has no timeout-driven recovery to count).
-    pub timeouts: u64,
     /// The failed core switch.
     pub victim: NodeId,
     /// The absolute failure instant (`None` for healthy runs).
     pub fail_at: Option<SimTime>,
-    /// Recorded telemetry, when the run options enabled it.
-    pub telemetry: Option<RunTelemetry>,
+    /// Everything [`run`] reports.
+    pub run: RunReport,
 }
 
-impl FaultRunReport {
-    /// When the last flow finished.
-    pub fn makespan(&self) -> SimTime {
-        self.flows
-            .iter()
-            .map(|f| f.finish)
-            .max()
-            .expect("at least one flow")
-    }
+impl Deref for FaultRunReport {
+    type Target = RunReport;
 
-    /// Flows spanning `at` (in flight when the failure struck).
-    pub fn in_flight_at(&self, at: SimTime) -> usize {
-        self.flows
-            .iter()
-            .filter(|f| f.start < at && f.finish > at)
-            .count()
-    }
-
-    /// Per-flow recovery latencies: for every flow in flight at the
-    /// failure instant, the time from the failure to that flow's
-    /// completion, sorted ascending. Empty for healthy runs (or when
-    /// nothing spanned the failure).
-    pub fn recovery_latencies_ns(&self) -> Vec<u64> {
-        let Some(at) = self.fail_at else {
-            return Vec::new();
-        };
-        let mut lat: Vec<u64> = self
-            .flows
-            .iter()
-            .filter(|f| f.start < at && f.finish > at)
-            .map(|f| f.finish.as_nanos() - at.as_nanos())
-            .collect();
-        lat.sort_unstable();
-        lat
-    }
-
-    /// Summary of the post-fault completion tail, or `None` for healthy
-    /// runs. This is the headline fast-recovery metric: with batched
-    /// sweep re-pulls the max is bounded by the control-plane
-    /// convergence window plus a near-healthy transfer remainder.
-    pub fn recovery(&self) -> Option<RecoveryStats> {
-        RecoveryStats::from_latencies(self.recovery_latencies_ns())
+    fn deref(&self) -> &RunReport {
+        &self.run
     }
 }
 
-/// Percentiles of the post-fault recovery latency (failure instant →
-/// flow completion) over the flows the failure caught in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Flows in flight when the failure struck.
-    pub flows: usize,
-    /// Median recovery latency in nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile recovery latency in nanoseconds.
-    pub p99_ns: u64,
-    /// Worst-case recovery latency (the post-fault completion tail).
-    pub max_ns: u64,
-}
-
-impl RecoveryStats {
-    /// Summarize a latency (or duration) sample into p50/p99/max;
-    /// `None` for an empty sample. Sorts in place — callers need not
-    /// pre-sort. Shared by the single-fault and churn reports.
-    pub fn from_latencies(mut lat: Vec<u64>) -> Option<Self> {
-        if lat.is_empty() {
-            return None;
+impl FaultScenario {
+    /// Build the run on `fabric` under `transport`, aimed at the victim
+    /// it chooses there, and execute it.
+    fn report(&self, fabric: &Fabric, transport: Transport) -> FaultRunReport {
+        let topo = fabric.build_with_policy(transport.policy());
+        let sessions = self.storage().generate(&topo);
+        let fail_at = self.fault_time(&topo, &sessions);
+        let victim = self.victim_core_of(&topo, &sessions, fail_at);
+        let faults = self.plan(&topo, victim, fail_at);
+        let run = run(Run {
+            faults,
+            reroute_delay_ns: REROUTE_DELAY_NS,
+            ..Run::healthy(topo, sessions, Pattern::Write, self.seed, 0xFA17, transport)
+        });
+        FaultRunReport {
+            victim,
+            fail_at,
+            run,
         }
-        lat.sort_unstable();
-        let pick = |p: f64| polyraptor::metrics::percentile_sorted(&lat, p);
-        Some(Self {
-            flows: lat.len(),
-            p50_ns: pick(50.0),
-            p99_ns: pick(99.0),
-            max_ns: *lat.last().expect("non-empty"),
-        })
     }
 }
 
 /// Run the fault scenario under Polyraptor (multicast replication,
 /// sprayed symbols). Every session must complete — rerouting plus coded
-/// repair is the claim under test — or the collector panics.
+/// repair is the claim under test — or [`run`] panics.
 pub fn run_fault_rq(sc: &FaultScenario, fabric: &Fabric, opts: &RqRunOptions) -> FaultRunReport {
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = sc.storage().generate(&topo);
-    let fail_at = sc.fault_time_of(&topo, &sessions);
-    let victim = sc.victim_core_of(&topo, &sessions, fail_at);
-    let plan = sc.plan_at(&topo, victim, fail_at);
-    let mut sim = opts.simulator(
-        topo,
-        sc.seed ^ 0xFA17,
-        &mut Pcg32::new(sc.seed ^ 0xA6E27),
-        REROUTE_DELAY_NS,
-        opts.telemetry.recorder(),
-    );
-    let specs = build_rq_specs(&mut sim, &sessions, Pattern::Write);
-    for spec in &specs {
-        install_rq(&mut sim, spec);
-    }
-    sim.schedule_faults(&plan);
-    sim.run_to_completion();
-    let flows = collect_rq_results(&sim, &sessions, Pattern::Write);
-    let spans = gather_rq_spans(&sim);
-    let telemetry = take_run_telemetry(&mut sim, spans);
-    FaultRunReport {
-        flows,
-        fabric: sim.stats(),
-        timeouts: 0,
-        victim,
-        fail_at,
-        telemetry,
-    }
+    sc.report(fabric, Transport::Rq(*opts))
 }
 
 /// Run the fault scenario under the TCP multi-unicast baseline: one
@@ -344,37 +252,7 @@ pub fn run_fault_rq(sc: &FaultScenario, fabric: &Fabric, opts: &RqRunOptions) ->
 /// recover by retransmission timeout, which is exactly the tail the
 /// report's `timeouts`/`makespan` expose.
 pub fn run_fault_tcp(sc: &FaultScenario, fabric: &Fabric, opts: &TcpRunOptions) -> FaultRunReport {
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = sc.storage().generate(&topo);
-    let fail_at = sc.fault_time_of(&topo, &sessions);
-    let victim = sc.victim_core_of(&topo, &sessions, fail_at);
-    let plan = sc.plan_at(&topo, victim, fail_at);
-    let mut sim = opts.simulator(
-        topo,
-        sc.seed ^ 0xFA17,
-        REROUTE_DELAY_NS,
-        opts.telemetry.recorder(),
-    );
-    let conns = build_tcp_conns(&sessions, Pattern::Write);
-    install_tcp(&mut sim, &conns);
-    sim.schedule_faults(&plan);
-    sim.run_to_completion();
-    let timeouts = tcp_timeouts(&sim, &conns);
-    if timeouts > 0 {
-        // Timeouts mean work the fabric failed to carry — flag the
-        // anomaly so the flight recorder freezes the lead-up events.
-        sim.note_anomaly(netsim::AnomalyKind::Timeout);
-    }
-    let flows = collect_tcp_results(&sim, &sessions);
-    let telemetry = take_run_telemetry(&mut sim, Vec::new());
-    FaultRunReport {
-        flows,
-        fabric: sim.stats(),
-        timeouts,
-        victim,
-        fail_at,
-        telemetry,
-    }
+    sc.report(fabric, Transport::Tcp(*opts))
 }
 
 #[cfg(test)]
@@ -444,45 +322,6 @@ mod tests {
         // Healthy runs have no failure instant, hence no recovery tail.
         let healthy = run_fault_rq(&sc.healthy(), &Fabric::small(), &RqRunOptions::default());
         assert!(healthy.recovery().is_none());
-    }
-
-    #[test]
-    fn both_fault_runners_honour_shards() {
-        // One shard and two are the same driver replaying one
-        // schedule, so the only visible difference is the runner's own
-        // counters — which must show that the option reached the
-        // simulator.
-        let timing = |rep: &FaultRunReport| -> Vec<(u32, SimTime, SimTime)> {
-            rep.flows
-                .iter()
-                .map(|f| (f.session, f.start, f.finish))
-                .collect()
-        };
-        let sc = small_scenario();
-        let rq = |shards| {
-            let opts = RqRunOptions {
-                shards,
-                ..Default::default()
-            };
-            run_fault_rq(&sc, &Fabric::small(), &opts)
-        };
-        let tcp = |shards| {
-            let opts = TcpRunOptions {
-                shards,
-                ..Default::default()
-            };
-            run_fault_tcp(&sc, &Fabric::small(), &opts)
-        };
-        for (serial, sharded) in [(rq(1), rq(2)), (tcp(1), tcp(2))] {
-            assert_eq!(serial.fabric.shard_epochs, 0);
-            assert!(sharded.fabric.shard_epochs > 0, "shards: 2 ran as one");
-            assert_eq!(timing(&serial), timing(&sharded));
-            assert_eq!(
-                serial.fabric.shard_invariant(),
-                sharded.fabric.shard_invariant()
-            );
-            assert_eq!(serial.timeouts, sharded.timeouts);
-        }
     }
 
     #[test]

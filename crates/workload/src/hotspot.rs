@@ -8,10 +8,10 @@
 //! them for their whole lifetime — the "embracing path redundancy"
 //! claim, made measurable.
 
-use netsim::{FaultAction, FaultPlan, NoTelemetry, NodeKind, Pcg32, SimTime};
-use polyraptor::{SessionId, SessionSpec};
+use netsim::{FaultAction, FaultPlan, NodeId, NodeKind, Pcg32, SimTime};
 
-use crate::runner::{install_rq, Fabric, RqRunOptions, TransferResult};
+use crate::runner::{run, Fabric, RqRunOptions, Run, TransferResult, Transport};
+use crate::scenario::{LogicalSession, Pattern};
 
 /// Hotspot scenario parameters.
 #[derive(Debug, Clone, Copy)]
@@ -31,6 +31,88 @@ pub struct HotspotScenario {
     pub seed: u64,
 }
 
+impl HotspotScenario {
+    /// The run on `fabric` under `transport`: disjoint random host
+    /// pairs, all starting together (worst case for pinned paths: no
+    /// chance to average over flows), over a fabric whose degraded links
+    /// are a [`FaultPlan`] at t = 0 — the single rate-override code path
+    /// shared with the fault scenarios. A zero target rate becomes a
+    /// *detected* `LinkDown` (flush + reroute); anything else a silent
+    /// `RateChange` (both act on both directions of the link).
+    pub fn build(&self, fabric: &Fabric, transport: Transport) -> Run {
+        let topo = fabric.build_with_policy(transport.policy());
+        let hosts = topo.hosts().to_vec();
+        assert!(
+            hosts.len() >= 2 * self.transfers,
+            "need disjoint host pairs"
+        );
+        // One stream seeds the agents (one draw per host), then draws
+        // the degraded links and the host pairs.
+        let mut rng = Pcg32::new(self.seed ^ 0x5077);
+        let agent_seeds = rng.clone();
+        for _ in &hosts {
+            rng.next_u64();
+        }
+        let mut faults = FaultPlan::new();
+        let mut degraded = 0usize;
+        let mut total_fabric_links = 0usize;
+        for n in 0..topo.node_count() as u32 {
+            let node = NodeId(n);
+            if topo.kind(node) != NodeKind::Switch {
+                continue;
+            }
+            for (p, port) in topo.node_ports(node).iter().enumerate() {
+                // Count each undirected link once (lower node id owns
+                // it) and only switch-switch links (host links are the
+                // flows' own bottleneck, not a "hotspot").
+                if topo.kind(port.peer) != NodeKind::Switch || port.peer.0 < n {
+                    continue;
+                }
+                total_fabric_links += 1;
+                if rng.f64() < self.degraded_frac {
+                    let action = if self.degraded_rate_frac == 0.0 {
+                        FaultAction::LinkDown {
+                            node,
+                            port: p as u16,
+                        }
+                    } else {
+                        FaultAction::RateChange {
+                            node,
+                            port: p as u16,
+                            rate_bps: (port.rate_bps as f64 * self.degraded_rate_frac) as u64,
+                        }
+                    };
+                    faults.push(SimTime::ZERO, action);
+                    degraded += 1;
+                }
+            }
+        }
+        assert!(
+            degraded > 0 || self.degraded_frac == 0.0,
+            "degraded_frac {} selected none of {} fabric links",
+            self.degraded_frac,
+            total_fabric_links
+        );
+        let mut shuffled = hosts;
+        rng.shuffle(&mut shuffled);
+        let sessions = (0..self.transfers)
+            .map(|i| LogicalSession {
+                index: i as u32,
+                client: shuffled[2 * i],
+                replicas: vec![shuffled[2 * i + 1]],
+                bytes: self.object_bytes,
+                start: SimTime::ZERO,
+                background: false,
+            })
+            .collect();
+        Run {
+            faults,
+            agent_seeds,
+            ..Run::healthy(topo, sessions, Pattern::Write, self.seed, 0x407, transport)
+        }
+    }
+}
+
 /// Run the hotspot scenario under Polyraptor with the given options;
 /// returns per-transfer results.
 pub fn run_hotspot_rq(
@@ -38,103 +120,7 @@ pub fn run_hotspot_rq(
     fabric: &Fabric,
     opts: &RqRunOptions,
 ) -> Vec<TransferResult> {
-    let topo = fabric.build_with_policy(opts.policy);
-    let hosts = topo.hosts().to_vec();
-    assert!(
-        hosts.len() >= 2 * scenario.transfers,
-        "need disjoint host pairs"
-    );
-    // One stream seeds the agents, then draws the degraded links and
-    // the host pairs below.
-    let mut rng = Pcg32::new(scenario.seed ^ 0x5077);
-    let mut sim = opts.simulator(topo, scenario.seed ^ 0x407, &mut rng, 0, NoTelemetry);
-
-    // Degrade a random subset of inter-switch links, expressed as a
-    // FaultPlan applied at t = 0 — the single rate-override code path
-    // shared with the fault scenarios. A zero target rate becomes a
-    // *detected* LinkDown (flush + reroute); anything else a silent
-    // RateChange (both act on both directions of the link).
-    let node_count = sim.topology().node_count();
-    let mut plan = FaultPlan::new();
-    let mut degraded = 0usize;
-    let mut total_fabric_links = 0usize;
-    for n in 0..node_count as u32 {
-        let node = netsim::NodeId(n);
-        if sim.topology().kind(node) != NodeKind::Switch {
-            continue;
-        }
-        for (p, port) in sim.topology().node_ports(node).iter().enumerate() {
-            // Count each undirected link once (lower node id owns it)
-            // and only switch-switch links (host links are the flows'
-            // own bottleneck, not a "hotspot").
-            if sim.topology().kind(port.peer) != NodeKind::Switch || port.peer.0 < n {
-                continue;
-            }
-            total_fabric_links += 1;
-            if rng.f64() < scenario.degraded_frac {
-                let action = if scenario.degraded_rate_frac == 0.0 {
-                    FaultAction::LinkDown {
-                        node,
-                        port: p as u16,
-                    }
-                } else {
-                    FaultAction::RateChange {
-                        node,
-                        port: p as u16,
-                        rate_bps: (port.rate_bps as f64 * scenario.degraded_rate_frac) as u64,
-                    }
-                };
-                plan.push(SimTime::ZERO, action);
-                degraded += 1;
-            }
-        }
-    }
-    assert!(
-        degraded > 0 || scenario.degraded_frac == 0.0,
-        "degraded_frac {} selected none of {} fabric links",
-        scenario.degraded_frac,
-        total_fabric_links
-    );
-    sim.schedule_faults(&plan);
-
-    // Disjoint random pairs, all starting together (worst case for
-    // pinned paths: no chance to average over flows).
-    let mut shuffled = hosts.clone();
-    rng.shuffle(&mut shuffled);
-    let mut specs = Vec::new();
-    for i in 0..scenario.transfers {
-        let spec = SessionSpec::unicast(
-            SessionId(i as u32),
-            scenario.object_bytes,
-            shuffled[2 * i],
-            shuffled[2 * i + 1],
-            SimTime::ZERO,
-        );
-        specs.push(spec);
-    }
-    for spec in &specs {
-        install_rq(&mut sim, spec);
-    }
-    sim.run_to_completion();
-
-    specs
-        .iter()
-        .map(|spec| {
-            let rec = sim
-                .agent(spec.receivers[0])
-                .records
-                .iter()
-                .find(|r| r.session == spec.id)
-                .expect("transfer completed");
-            TransferResult {
-                session: spec.id.0,
-                bytes: rec.data_len,
-                start: rec.start,
-                finish: rec.finish,
-                background: false,
-            }
-        })
-        .collect()
+    run(scenario.build(fabric, Transport::Rq(*opts))).flows
 }
 
 #[cfg(test)]
@@ -180,21 +166,6 @@ mod tests {
             spray_worst > ecmp_worst,
             "spraying should protect the tail: spray worst {spray_worst} vs ecmp worst {ecmp_worst}"
         );
-    }
-
-    #[test]
-    fn sharded_run_returns_the_serial_flows() {
-        let timing = |shards| -> Vec<(u32, SimTime, SimTime)> {
-            let opts = RqRunOptions {
-                shards,
-                ..Default::default()
-            };
-            run_hotspot_rq(&scenario(0.3), &Fabric::small(), &opts)
-                .iter()
-                .map(|r| (r.session, r.start, r.finish))
-                .collect()
-        };
-        assert_eq!(timing(1), timing(2));
     }
 
     #[test]

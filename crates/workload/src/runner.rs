@@ -1,18 +1,22 @@
-//! Experiment runners: map logical scenarios onto Polyraptor or TCP
-//! simulations, run them to completion, and aggregate per-session
-//! goodput the way the paper plots it.
+//! The run path: the simulated fabric, the two transports' knobs, and
+//! the one run function, [`run`], that executes a [`Run`] — a scenario's
+//! sessions, faults and notices over one transport — and returns a
+//! [`RunReport`]. Every `run_*` function in the crate is a one-line
+//! wrapper over it, so the Polyraptor and TCP halves of an experiment
+//! differ only in [`Transport`].
 
 use std::collections::BTreeMap;
 
 use netsim::{
-    LayerAssign, NoTelemetry, NodeId, Pcg32, QueueConfig, RouteMode, RoutingPolicy, SimConfig,
-    SimTime, Simulator, TelemetrySink, Topology,
+    Agent, AnomalyKind, FabricStats, FaultPlan, FlowSpanEvent, LayerAssign, NodeId, Pcg32,
+    QueueConfig, Recorder, RouteMode, RoutingPolicy, SimConfig, SimPayload, SimTime, Simulator,
+    TelemetrySink, Topology,
 };
 use polyraptor::{start_token, PolyraptorAgent, PrConfig, PrPayload, SessionId, SessionSpec};
 use tcpsim::{conn_start_token, ConnId, ConnSpec, TcpAgent, TcpConfig, TcpPayload};
 
 use crate::scenario::{IncastScenario, LogicalSession, Pattern, StorageScenario};
-use crate::telemetry::TelemetryOptions;
+use crate::telemetry::{gather_rq_spans, take_run_telemetry, RunTelemetry, TelemetryOptions};
 
 /// The simulated fabric: shape plus link parameters. The paper
 /// evaluates on a fat-tree; leaf–spine and Jellyfish variants exist so
@@ -270,8 +274,42 @@ pub fn op_results(flows: &[TransferResult], object_bytes: usize) -> Vec<Transfer
     ops.into_values().collect()
 }
 
+/// Percentiles of a latency sample: the post-fault recovery latencies
+/// (failure instant → flow completion) of [`RunReport::recovery`], or
+/// the completion times of [`RunReport::completion`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Flows in the sample.
+    pub flows: usize,
+    /// Median latency in nanoseconds.
+    pub p50_ns: u64,
+    /// 99th-percentile latency in nanoseconds.
+    pub p99_ns: u64,
+    /// Worst-case latency (the completion tail).
+    pub max_ns: u64,
+}
+
+impl RecoveryStats {
+    /// Summarize a latency (or duration) sample into p50/p99/max;
+    /// `None` for an empty sample. Sorts in place — callers need not
+    /// pre-sort.
+    pub fn from_latencies(mut lat: Vec<u64>) -> Option<Self> {
+        if lat.is_empty() {
+            return None;
+        }
+        lat.sort_unstable();
+        let pick = |p: f64| polyraptor::metrics::percentile_sorted(&lat, p);
+        Some(Self {
+            flows: lat.len(),
+            p50_ns: pick(50.0),
+            p99_ns: pick(99.0),
+            max_ns: *lat.last().expect("non-empty"),
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Polyraptor runner
+// Transports
 // ---------------------------------------------------------------------------
 
 /// Polyraptor-side knobs for a run.
@@ -291,9 +329,9 @@ pub struct RqRunOptions {
     /// Flow→layer assignment strategy (default hash-per-flow; only
     /// meaningful with a multi-layer policy).
     pub layer_assign: LayerAssign,
-    /// Telemetry recording (default off). Honoured by the fault and
-    /// churn runners, which attach a [`crate::RunTelemetry`] to their
-    /// reports; enabling it also turns on the agents' flow spans.
+    /// Telemetry recording (default off). Every runner honours it and
+    /// returns a [`crate::RunTelemetry`] in its [`RunReport`]; enabling
+    /// it also turns on the agents' flow spans.
     pub telemetry: TelemetryOptions,
     /// Accepted and ignored — route columns are rebuilt on the calling
     /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
@@ -322,21 +360,18 @@ impl Default for RqRunOptions {
 }
 
 impl RqRunOptions {
-    /// The simulator every Polyraptor runner drives: an NDP fabric over
-    /// `topo` configured from these options — the one place they become
-    /// a [`SimConfig`] — with an agent on every host, seeded in host
-    /// order from `agent_seeds`. `sink` is the runner's telemetry sink
-    /// ([`NoTelemetry`], or `self.telemetry.recorder()` where a report
-    /// carries the recording); a recording sink also turns on the
-    /// agents' flow spans.
-    pub(crate) fn simulator<T: TelemetrySink>(
+    /// The Polyraptor arm of [`run`]: an NDP fabric over `topo`
+    /// configured from these options — the one place they become a
+    /// [`SimConfig`] — with an agent on every host, seeded in host order
+    /// from `agent_seeds`. A recording sink also turns on the agents'
+    /// flow spans.
+    fn simulator(
         &self,
         topo: Topology,
         sim_seed: u64,
         agent_seeds: &mut Pcg32,
         reroute_delay_ns: u64,
-        sink: T,
-    ) -> Simulator<PrPayload, PolyraptorAgent, T> {
+    ) -> Simulator<PrPayload, PolyraptorAgent, Option<Recorder>> {
         let mut cfg = SimConfig::ndp(sim_seed);
         cfg.switch_queue = self.switch_queue;
         cfg.route = self.route;
@@ -344,6 +379,7 @@ impl RqRunOptions {
         cfg.reroute_delay_ns = reroute_delay_ns;
         cfg.parallelism = self.parallelism;
         cfg.shards = self.shards;
+        let sink = self.telemetry.recorder();
         let mut pr = self.pr;
         pr.record_spans |= sink.enabled();
         let mut sim = Simulator::with_telemetry(topo, cfg, sink);
@@ -355,30 +391,86 @@ impl RqRunOptions {
     }
 }
 
-/// Run a storage scenario under Polyraptor and aggregate per-session
-/// results. `pattern` Write ⇒ multicast replication; Read ⇒ multi-source
-/// fetch. Background sessions are unicast writes to the session's first
-/// replica.
-pub fn run_storage_rq(
-    scenario: &StorageScenario,
-    fabric: &Fabric,
-    opts: &RqRunOptions,
-) -> Vec<TransferResult> {
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = scenario.generate(&topo);
-    let mut sim = opts.simulator(
-        topo,
-        scenario.seed ^ 0xFAB,
-        &mut Pcg32::new(scenario.seed ^ 0xA6E27),
-        0,
-        NoTelemetry,
-    );
-    let specs = build_rq_specs(&mut sim, &sessions, scenario.pattern);
-    for spec in &specs {
-        install_rq(&mut sim, spec);
+/// TCP-side knobs for a run.
+#[derive(Debug, Clone, Copy)]
+pub struct TcpRunOptions {
+    /// TCP parameters.
+    pub tcp: TcpConfig,
+    /// Switch queue (default deep drop-tail).
+    pub switch_queue: QueueConfig,
+    /// Path selection (default per-flow ECMP).
+    pub route: RouteMode,
+    /// Layered routing policy (default single-layer minimal/ECMP).
+    pub policy: RoutingPolicy,
+    /// Telemetry recording (default off). Every runner honours it and
+    /// returns a [`crate::RunTelemetry`] in its [`RunReport`].
+    pub telemetry: TelemetryOptions,
+    /// Accepted and ignored — route columns are rebuilt on the calling
+    /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
+    /// 2(b)).
+    pub parallelism: usize,
+    /// Event-loop shards (0 = available cores, 1 = one shard, inline
+    /// on the calling thread, the default). Byte-identical per seed at
+    /// every setting.
+    pub shards: usize,
+}
+
+impl Default for TcpRunOptions {
+    fn default() -> Self {
+        Self {
+            tcp: TcpConfig::paper_default(),
+            switch_queue: QueueConfig::DROPTAIL_DEFAULT,
+            route: RouteMode::EcmpFlow,
+            policy: RoutingPolicy::minimal(),
+            telemetry: TelemetryOptions::default(),
+            parallelism: 1,
+            shards: 1,
+        }
     }
-    sim.run_to_completion();
-    collect_rq_results(&sim, &sessions, scenario.pattern)
+}
+
+impl TcpRunOptions {
+    /// The TCP arm of [`run`]: a classic fabric over `topo` configured
+    /// from these options — the one place they become a [`SimConfig`] —
+    /// with an agent on every host.
+    fn simulator(
+        &self,
+        topo: Topology,
+        sim_seed: u64,
+        reroute_delay_ns: u64,
+    ) -> Simulator<TcpPayload, TcpAgent, Option<Recorder>> {
+        let mut cfg = SimConfig::classic(sim_seed);
+        cfg.switch_queue = self.switch_queue;
+        cfg.route = self.route;
+        cfg.reroute_delay_ns = reroute_delay_ns;
+        cfg.parallelism = self.parallelism;
+        cfg.shards = self.shards;
+        let mut sim = Simulator::with_telemetry(topo, cfg, self.telemetry.recorder());
+        for h in sim.topology().hosts().to_vec() {
+            sim.set_agent(h, TcpAgent::new(h, self.tcp));
+        }
+        sim
+    }
+}
+
+/// The transport a [`Run`] carries its sessions over: the one thing
+/// that differs between the two halves of every paired experiment.
+#[derive(Debug, Clone, Copy)]
+pub enum Transport {
+    /// Polyraptor: multicast writes, multi-source reads.
+    Rq(RqRunOptions),
+    /// The TCP baseline: multi-unicast writes, partitioned reads.
+    Tcp(TcpRunOptions),
+}
+
+impl Transport {
+    /// The routing policy the run's fabric is built under.
+    pub(crate) fn policy(&self) -> RoutingPolicy {
+        match self {
+            Self::Rq(opts) => opts.policy,
+            Self::Tcp(opts) => opts.policy,
+        }
+    }
 }
 
 /// Trees registered per multicast session — symbols are sprayed across
@@ -386,7 +478,9 @@ pub fn run_storage_rq(
 pub const MULTICAST_TREES: usize = 8;
 
 /// Translate logical sessions into Polyraptor session specs (registering
-/// multicast groups as needed).
+/// multicast groups as needed). Write ⇒ multicast replication (unicast
+/// for one replica); Read ⇒ multi-source fetch. Background sessions are
+/// unicast writes to the session's first replica.
 pub fn build_rq_specs<A: netsim::Agent<polyraptor::PrPayload>, T: netsim::TelemetrySink>(
     sim: &mut Simulator<polyraptor::PrPayload, A, T>,
     sessions: &[LogicalSession],
@@ -447,144 +541,9 @@ pub fn install_rq<T: netsim::TelemetrySink>(
     }
 }
 
-pub(crate) fn collect_rq_results<T: netsim::TelemetrySink>(
-    sim: &Simulator<polyraptor::PrPayload, PolyraptorAgent, T>,
-    sessions: &[LogicalSession],
-    pattern: Pattern,
-) -> Vec<TransferResult> {
-    // One result per receiver-side record — the paper's "transport
-    // session (flow)" unit: each replica of a write is its own flow.
-    let mut flows: Vec<TransferResult> = Vec::new();
-    let mut per_session: BTreeMap<u32, usize> = BTreeMap::new();
-    for (_, agent) in sim.agents() {
-        for rec in &agent.records {
-            *per_session.entry(rec.session.0).or_insert(0) += 1;
-            flows.push(TransferResult {
-                session: rec.session.0,
-                bytes: rec.data_len,
-                start: rec.start,
-                finish: rec.finish,
-                background: rec.background,
-            });
-        }
-    }
-    // Every session must have completed at every endpoint.
-    for ls in sessions {
-        let expected = expected_rq_records(ls, pattern);
-        let got = per_session.get(&ls.index).copied().unwrap_or(0);
-        assert_eq!(
-            got, expected,
-            "session {} incomplete ({got}/{expected})",
-            ls.index
-        );
-    }
-    assert_finish_after_start(&flows);
-    flows.sort_by_key(|f| f.session);
-    flows
-}
-
-/// Completion check shared by both collectors: a flow that finished at
-/// or before its own start is a transport bug (and would underflow
-/// [`TransferResult::goodput_gbps`]), never a result.
-fn assert_finish_after_start(flows: &[TransferResult]) {
-    for f in flows {
-        assert!(
-            f.finish > f.start,
-            "session {} finished at {:?}, not after its start {:?}",
-            f.session,
-            f.finish,
-            f.start
-        );
-    }
-}
-
-fn expected_rq_records(ls: &LogicalSession, pattern: Pattern) -> usize {
-    if ls.background {
-        return 1;
-    }
-    match pattern {
-        // Write: one record per replica receiver.
-        Pattern::Write => ls.replicas.len(),
-        // Read: the client is the only receiver.
-        Pattern::Read => 1,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TCP runner
-// ---------------------------------------------------------------------------
-
-/// TCP-side knobs for a run.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpRunOptions {
-    /// TCP parameters.
-    pub tcp: TcpConfig,
-    /// Switch queue (default deep drop-tail).
-    pub switch_queue: QueueConfig,
-    /// Path selection (default per-flow ECMP).
-    pub route: RouteMode,
-    /// Layered routing policy (default single-layer minimal/ECMP).
-    pub policy: RoutingPolicy,
-    /// Telemetry recording (default off). Honoured by the fault and
-    /// churn runners, which attach a [`crate::RunTelemetry`] to their
-    /// reports.
-    pub telemetry: TelemetryOptions,
-    /// Accepted and ignored — route columns are rebuilt on the calling
-    /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
-    /// 2(b)).
-    pub parallelism: usize,
-    /// Event-loop shards (0 = available cores, 1 = one shard, inline
-    /// on the calling thread, the default). Byte-identical per seed at
-    /// every setting.
-    pub shards: usize,
-}
-
-impl Default for TcpRunOptions {
-    fn default() -> Self {
-        Self {
-            tcp: TcpConfig::paper_default(),
-            switch_queue: QueueConfig::DROPTAIL_DEFAULT,
-            route: RouteMode::EcmpFlow,
-            policy: RoutingPolicy::minimal(),
-            telemetry: TelemetryOptions::default(),
-            parallelism: 1,
-            shards: 1,
-        }
-    }
-}
-
-impl TcpRunOptions {
-    /// The simulator every TCP runner drives: a classic fabric over
-    /// `topo` configured from these options — the one place they become
-    /// a [`SimConfig`] — with an agent on every host. `sink` as for
-    /// [`RqRunOptions::simulator`].
-    pub(crate) fn simulator<T: TelemetrySink>(
-        &self,
-        topo: Topology,
-        sim_seed: u64,
-        reroute_delay_ns: u64,
-        sink: T,
-    ) -> Simulator<TcpPayload, TcpAgent, T> {
-        let mut cfg = SimConfig::classic(sim_seed);
-        cfg.switch_queue = self.switch_queue;
-        cfg.route = self.route;
-        cfg.reroute_delay_ns = reroute_delay_ns;
-        cfg.parallelism = self.parallelism;
-        cfg.shards = self.shards;
-        let mut sim = Simulator::with_telemetry(topo, cfg, sink);
-        for h in sim.topology().hosts().to_vec() {
-            sim.set_agent(h, TcpAgent::new(h, self.tcp));
-        }
-        sim
-    }
-}
-
 /// Install every connection at both of its ends and schedule its start
 /// timer at the sender.
-pub(crate) fn install_tcp<T: TelemetrySink>(
-    sim: &mut Simulator<TcpPayload, TcpAgent, T>,
-    conns: &[ConnSpec],
-) {
+fn install_tcp<T: TelemetrySink>(sim: &mut Simulator<TcpPayload, TcpAgent, T>, conns: &[ConnSpec]) {
     for c in conns {
         sim.agent_mut(c.sender).install(c.clone());
         sim.agent_mut(c.receiver).install(c.clone());
@@ -592,36 +551,11 @@ pub(crate) fn install_tcp<T: TelemetrySink>(
     }
 }
 
-/// Sender retransmission timeouts summed over `conns`, after a run.
-pub(crate) fn tcp_timeouts<T: TelemetrySink>(
-    sim: &Simulator<TcpPayload, TcpAgent, T>,
-    conns: &[ConnSpec],
-) -> u64 {
-    conns
-        .iter()
-        .map(|c| sim.agent(c.sender).sender(c.id).map_or(0, |s| s.timeouts))
-        .sum()
-}
-
-/// Run a storage scenario under TCP, emulating the paper's baselines:
-/// Write ⇒ multi-unicast (the client sends one full copy per replica);
-/// Read ⇒ partitioned fetch (each replica returns `1/R` of the object,
-/// no coordination). Background sessions are single connections.
-pub fn run_storage_tcp(
-    scenario: &StorageScenario,
-    fabric: &Fabric,
-    opts: &TcpRunOptions,
-) -> Vec<TransferResult> {
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = scenario.generate(&topo);
-    let mut sim = opts.simulator(topo, scenario.seed ^ 0xFAB, 0, NoTelemetry);
-    let conns = build_tcp_conns(&sessions, scenario.pattern);
-    install_tcp(&mut sim, &conns);
-    sim.run_to_completion();
-    collect_tcp_results(&sim, &sessions)
-}
-
-/// Translate logical sessions into TCP connection sets.
+/// Translate logical sessions into TCP connection sets, emulating the
+/// paper's baselines: Write ⇒ multi-unicast (the client sends one full
+/// copy per replica); Read ⇒ partitioned fetch (each replica returns
+/// `1/R` of the object, no coordination). Background sessions are
+/// single connections.
 pub fn build_tcp_conns(sessions: &[LogicalSession], pattern: Pattern) -> Vec<ConnSpec> {
     let mut conns = Vec::new();
     let mut next_id = 0u32;
@@ -669,103 +603,342 @@ pub fn stripe(bytes: u64, n: usize) -> Vec<u64> {
     (0..n).map(|i| base + u64::from(i < extra)).collect()
 }
 
-pub(crate) fn collect_tcp_results<T: netsim::TelemetrySink>(
-    sim: &Simulator<tcpsim::TcpPayload, TcpAgent, T>,
-    sessions: &[LogicalSession],
-) -> Vec<TransferResult> {
-    // One result per connection — each copy/stripe is its own flow,
-    // mirroring the Polyraptor accounting.
-    let mut flows: Vec<TransferResult> = Vec::new();
-    let mut per_session: BTreeMap<u32, usize> = BTreeMap::new();
-    for (_, agent) in sim.agents() {
-        for rec in &agent.records {
-            *per_session.entry(rec.session).or_insert(0) += 1;
-            flows.push(TransferResult {
-                session: rec.session,
-                bytes: rec.bytes as usize,
-                start: rec.start,
-                finish: rec.finish,
-                background: rec.background,
-            });
+// ---------------------------------------------------------------------------
+// The run path
+// ---------------------------------------------------------------------------
+
+/// One simulation, fully described. Each scenario builds one per
+/// transport, identical except for [`Run::transport`], and [`run`]
+/// executes it.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The routed fabric.
+    pub topo: Topology,
+    /// The logical sessions.
+    pub sessions: Vec<LogicalSession>,
+    /// How the sessions map onto the transport ([`build_rq_specs`],
+    /// [`build_tcp_conns`]).
+    pub pattern: Pattern,
+    /// Scripted faults.
+    pub faults: FaultPlan,
+    /// Control-plane convergence after a detected fault.
+    pub reroute_delay_ns: u64,
+    /// Agent timers `(host, at, token)` scheduled after the sessions:
+    /// the churn scenario's host-failure and revival notices.
+    pub notices: Vec<(NodeId, SimTime, u64)>,
+    /// The simulator's seed.
+    pub sim_seed: u64,
+    /// Polyraptor agent seeds, one draw per host in host order.
+    pub agent_seeds: Pcg32,
+    /// The transport and its knobs.
+    pub transport: Transport,
+}
+
+impl Run {
+    /// A run without faults or notices: the simulator seeded from
+    /// `seed ^ sim_salt`, the agents from `seed ^ 0xA6E27`.
+    pub(crate) fn healthy(
+        topo: Topology,
+        sessions: Vec<LogicalSession>,
+        pattern: Pattern,
+        seed: u64,
+        sim_salt: u64,
+        transport: Transport,
+    ) -> Self {
+        Self {
+            topo,
+            sessions,
+            pattern,
+            faults: FaultPlan::new(),
+            reroute_delay_ns: 0,
+            notices: Vec::new(),
+            sim_seed: seed ^ sim_salt,
+            agent_seeds: Pcg32::new(seed ^ 0xA6E27),
+            transport,
         }
     }
-    for ls in sessions {
-        assert!(
-            per_session.get(&ls.index).copied().unwrap_or(0) > 0,
-            "TCP session {} never completed",
-            ls.index
-        );
+}
+
+/// Everything a run reports, for either transport. A counter the
+/// transport or the scenario has no use for stays 0.
+#[derive(Debug, Clone, Default)]
+pub struct RunReport {
+    /// Per-flow results, sorted by session: one per replica of a write
+    /// and one per stripe of a TCP read — the paper's "transport session
+    /// (flow)" unit — and one per Polyraptor read.
+    pub flows: Vec<TransferResult>,
+    /// Fabric counters: packet fates, `reroutes`, `trees_repaired`…
+    pub fabric: FabricStats,
+    /// TCP sender retransmission timeouts (structurally 0 for
+    /// Polyraptor — recovery is pull-paced, never timer-paced).
+    pub timeouts: u64,
+    /// (session, dead sender) strandings observed across all
+    /// Polyraptor clients.
+    pub stranded_sessions: u64,
+    /// Strandings re-targeted at a surviving replica.
+    pub retargeted_sessions: u64,
+    /// Strandings undone by a host-revival notice: the revived sender
+    /// was re-admitted to a still-open session (no credit is minted
+    /// across the strand/revive boundary).
+    pub unstranded_sessions: u64,
+    /// Symbols re-pulled from survivors on re-target, summed over all
+    /// sessions (each bounded by its decode's remaining need).
+    pub retarget_symbols: u64,
+    /// Down-events of the run's fault plan (failure instants, all
+    /// classes).
+    pub fault_instants: Vec<SimTime>,
+    /// Host failures the plan scripted.
+    pub host_failures: usize,
+    /// Recorded telemetry, when the transport's options enabled it.
+    pub telemetry: Option<RunTelemetry>,
+}
+
+impl RunReport {
+    /// When the last flow finished.
+    pub fn makespan(&self) -> SimTime {
+        self.flows
+            .iter()
+            .map(|f| f.finish)
+            .max()
+            .expect("at least one flow")
     }
-    assert_finish_after_start(&flows);
-    flows.sort_by_key(|f| f.session);
-    flows
+
+    /// Flows spanning `at` (in flight when a failure struck).
+    pub fn in_flight_at(&self, at: SimTime) -> usize {
+        self.flows
+            .iter()
+            .filter(|f| f.start < at && f.finish > at)
+            .count()
+    }
+
+    /// Per-flow recovery latencies: for every fault instant and every
+    /// flow in flight at it, the time from the fault to that flow's
+    /// completion, sorted ascending. Empty when no flow spanned a fault.
+    pub fn recovery_latencies_ns(&self) -> Vec<u64> {
+        let mut lat: Vec<u64> = self
+            .fault_instants
+            .iter()
+            .flat_map(|&at| {
+                self.flows
+                    .iter()
+                    .filter(move |f| f.start < at && f.finish > at)
+                    .map(move |f| f.finish.as_nanos() - at.as_nanos())
+            })
+            .collect();
+        lat.sort_unstable();
+        lat
+    }
+
+    /// Summary of the post-fault completion tail, or `None` when no
+    /// flow spanned a fault. This is the headline fast-recovery metric:
+    /// with batched sweep re-pulls the max is bounded by the
+    /// control-plane convergence window plus a near-healthy transfer
+    /// remainder.
+    pub fn recovery(&self) -> Option<RecoveryStats> {
+        RecoveryStats::from_latencies(self.recovery_latencies_ns())
+    }
+
+    /// Completion-time percentiles over every flow.
+    pub fn completion(&self) -> RecoveryStats {
+        RecoveryStats::from_latencies(
+            self.flows
+                .iter()
+                .map(|f| f.finish.as_nanos() - f.start.as_nanos())
+                .collect(),
+        )
+        .expect("run has flows")
+    }
+
+    /// The report with its flows collapsed to one per session
+    /// ([`op_results`]): a fetch completes when its last stripe does.
+    pub fn into_ops(self, object_bytes: usize) -> Self {
+        Self {
+            flows: op_results(&self.flows, object_bytes),
+            ..self
+        }
+    }
+
+    /// Goodput in Gbit/s of a run that is one session (an incast
+    /// exchange): its bytes over the time from the first flow's start
+    /// to the last flow's finish.
+    pub fn incast_goodput_gbps(&self) -> f64 {
+        let bytes = self.flows.iter().map(|f| f.bytes).sum();
+        match &op_results(&self.flows, bytes)[..] {
+            [op] => op.goodput_gbps(),
+            ops => panic!("an incast run is one session, not {}", ops.len()),
+        }
+    }
+}
+
+/// Execute a run: build the transport's simulator, install the
+/// sessions, schedule the faults and notices, run to completion and
+/// collect. The recording, when enabled, carries a `Timeout` anomaly
+/// when a TCP sender timed out and a `StrandedSession` one when a
+/// Polyraptor client lost a replica.
+///
+/// # Panics
+/// When a session's receiver never completed, or a flow finished at or
+/// before its own start — a transport bug, never a result.
+pub fn run(run: Run) -> RunReport {
+    let Run {
+        topo,
+        sessions,
+        pattern,
+        faults,
+        reroute_delay_ns,
+        notices,
+        sim_seed,
+        mut agent_seeds,
+        transport,
+    } = run;
+    match transport {
+        Transport::Rq(opts) => {
+            let mut sim = opts.simulator(topo, sim_seed, &mut agent_seeds, reroute_delay_ns);
+            let specs = build_rq_specs(&mut sim, &sessions, pattern);
+            for spec in &specs {
+                install_rq(&mut sim, spec);
+            }
+            let receivers = specs
+                .iter()
+                .flat_map(|s| s.receivers.iter().map(|_| s.id.0));
+            execute(sim, &faults, &notices, receivers, |sim, report| {
+                for (_, agent) in sim.agents() {
+                    report.stranded_sessions += agent.stranded_sessions;
+                    report.retargeted_sessions += agent.retargeted_sessions;
+                    report.unstranded_sessions += agent.unstranded_sessions;
+                    for rec in &agent.records {
+                        report.retarget_symbols += rec.retarget_symbols;
+                        report.flows.push(TransferResult {
+                            session: rec.session.0,
+                            bytes: rec.data_len,
+                            start: rec.start,
+                            finish: rec.finish,
+                            background: rec.background,
+                        });
+                    }
+                }
+                gather_rq_spans(sim)
+            })
+        }
+        Transport::Tcp(opts) => {
+            let mut sim = opts.simulator(topo, sim_seed, reroute_delay_ns);
+            let conns = build_tcp_conns(&sessions, pattern);
+            install_tcp(&mut sim, &conns);
+            let receivers = conns.iter().map(|c| c.session);
+            execute(sim, &faults, &notices, receivers, |sim, report| {
+                for (_, agent) in sim.agents() {
+                    report
+                        .flows
+                        .extend(agent.records.iter().map(|rec| TransferResult {
+                            session: rec.session,
+                            bytes: rec.bytes as usize,
+                            start: rec.start,
+                            finish: rec.finish,
+                            background: rec.background,
+                        }));
+                }
+                report.timeouts = conns
+                    .iter()
+                    .map(|c| sim.agent(c.sender).sender(c.id).map_or(0, |s| s.timeouts))
+                    .sum();
+                Vec::new()
+            })
+        }
+    }
+}
+
+/// The transport-independent rest of [`run`], from an installed
+/// simulator. `receivers` names the session of every flow that must
+/// complete; `collect` fills the report's flows and transport counters
+/// from the finished simulator and returns the agents' flow spans.
+fn execute<P, A>(
+    mut sim: Simulator<P, A, Option<Recorder>>,
+    faults: &FaultPlan,
+    notices: &[(NodeId, SimTime, u64)],
+    receivers: impl Iterator<Item = u32>,
+    collect: impl FnOnce(&Simulator<P, A, Option<Recorder>>, &mut RunReport) -> Vec<FlowSpanEvent>,
+) -> RunReport
+where
+    P: SimPayload + Send,
+    A: Agent<P> + Send,
+{
+    sim.schedule_faults(faults);
+    for &(host, at, token) in notices {
+        sim.schedule_timer(host, at, token);
+    }
+    sim.run_to_completion();
+    let mut report = RunReport {
+        fault_instants: faults.down_instants(),
+        host_failures: faults.host_failures(sim.topology()).len(),
+        ..RunReport::default()
+    };
+    let spans = collect(&sim, &mut report);
+    if report.timeouts > 0 {
+        // Work the fabric failed to carry: the flight recorder freezes
+        // the lead-up events.
+        sim.note_anomaly(AnomalyKind::Timeout);
+    }
+    if report.stranded_sessions > 0 {
+        // Survivable (that is the re-target claim), but still anomalous
+        // fabric-level history worth a flight dump.
+        sim.note_anomaly(AnomalyKind::StrandedSession);
+    }
+    let mut missing: BTreeMap<u32, isize> = BTreeMap::new();
+    for session in receivers {
+        *missing.entry(session).or_default() += 1;
+    }
+    for f in &report.flows {
+        assert!(
+            f.finish > f.start,
+            "session {} finished at {:?}, not after its start {:?}",
+            f.session,
+            f.finish,
+            f.start
+        );
+        *missing.entry(f.session).or_default() -= 1;
+    }
+    for (session, n) in missing {
+        assert_eq!(n, 0, "session {session} incomplete ({n} flows missing)");
+    }
+    report.flows.sort_by_key(|f| f.session);
+    report.telemetry = take_run_telemetry(&mut sim, spans);
+    report.fabric = sim.stats();
+    report
 }
 
 // ---------------------------------------------------------------------------
-// Incast runners (Figure 1c)
+// Storage and incast runners (Figure 1)
 // ---------------------------------------------------------------------------
+
+/// Run a storage scenario under Polyraptor; per-flow results.
+pub fn run_storage_rq(
+    scenario: &StorageScenario,
+    fabric: &Fabric,
+    opts: &RqRunOptions,
+) -> Vec<TransferResult> {
+    run(scenario.build(fabric, Transport::Rq(*opts))).flows
+}
+
+/// Run a storage scenario under TCP; per-flow results.
+pub fn run_storage_tcp(
+    scenario: &StorageScenario,
+    fabric: &Fabric,
+    opts: &TcpRunOptions,
+) -> Vec<TransferResult> {
+    run(scenario.build(fabric, Transport::Tcp(*opts))).flows
+}
 
 /// Run one Incast exchange under Polyraptor: a single multi-source
 /// session striped over `senders` hosts. Returns goodput in Gbit/s.
 pub fn run_incast_rq(scenario: &IncastScenario, fabric: &Fabric, opts: &RqRunOptions) -> f64 {
-    let topo = fabric.build_with_policy(opts.policy);
-    let (client, senders) = scenario.place(&topo);
-    let mut sim = opts.simulator(
-        topo,
-        scenario.seed ^ 0x1C,
-        &mut Pcg32::new(scenario.seed ^ 0xA6E27),
-        0,
-        NoTelemetry,
-    );
-    let spec = SessionSpec::multi_source(
-        SessionId(0),
-        scenario.block_bytes,
-        senders,
-        client,
-        SimTime::ZERO,
-    );
-    install_rq(&mut sim, &spec);
-    sim.run_to_completion();
-    let rec = sim
-        .agent(client)
-        .records
-        .first()
-        .expect("incast session must complete");
-    rec.goodput_gbps()
+    run(scenario.build(fabric, Transport::Rq(*opts))).incast_goodput_gbps()
 }
 
 /// Run one Incast exchange under TCP: `senders` synchronized connections
 /// each carrying one stripe. Returns goodput in Gbit/s over the whole
 /// exchange (finish = last stripe).
 pub fn run_incast_tcp(scenario: &IncastScenario, fabric: &Fabric, opts: &TcpRunOptions) -> f64 {
-    let topo = fabric.build_with_policy(opts.policy);
-    let (client, senders) = scenario.place(&topo);
-    let mut sim = opts.simulator(topo, scenario.seed ^ 0x1C, 0, NoTelemetry);
-    let shares = stripe(scenario.block_bytes as u64, senders.len());
-    let conns: Vec<ConnSpec> = senders
-        .iter()
-        .zip(&shares)
-        .enumerate()
-        .map(|(i, (&s, &sh))| ConnSpec {
-            id: ConnId(i as u32),
-            session: 0,
-            bytes: sh,
-            sender: s,
-            receiver: client,
-            start: SimTime::ZERO,
-            background: false,
-        })
-        .collect();
-    install_tcp(&mut sim, &conns);
-    sim.run_to_completion();
-    let finish = sim
-        .agent(client)
-        .records
-        .iter()
-        .map(|r| r.finish)
-        .max()
-        .expect("incast connections must complete");
-    (scenario.block_bytes as f64 * 8.0) / (finish - SimTime::ZERO) as f64
+    run(scenario.build(fabric, Transport::Tcp(*opts))).incast_goodput_gbps()
 }
 
 #[cfg(test)]

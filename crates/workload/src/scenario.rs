@@ -11,6 +11,8 @@
 
 use netsim::{NodeId, Pcg32, SimTime, Topology};
 
+use crate::runner::{Fabric, Run, Transport};
+
 /// One-to-many or many-to-one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
@@ -174,6 +176,13 @@ impl StorageScenario {
         }
         out
     }
+
+    /// The run of this workload on `fabric` under `transport`.
+    pub fn build(&self, fabric: &Fabric, transport: Transport) -> Run {
+        let topo = fabric.build_with_policy(transport.policy());
+        let sessions = self.generate(&topo);
+        Run::healthy(topo, sessions, self.pattern, self.seed, 0xFAB, transport)
+    }
 }
 
 /// Draw a replica outside the client's rack (the paper's rule), not
@@ -238,6 +247,30 @@ impl IncastScenario {
             }
         }
         (client, senders)
+    }
+
+    /// The exchange on `fabric` under `transport`: one fetch of the
+    /// block at t = 0, served by every sender (Polyraptor: one
+    /// multi-source session; TCP: one stripe per sender).
+    pub fn build(&self, fabric: &Fabric, transport: Transport) -> Run {
+        let topo = fabric.build_with_policy(transport.policy());
+        let (client, senders) = self.place(&topo);
+        let session = LogicalSession {
+            index: 0,
+            client,
+            replicas: senders,
+            bytes: self.block_bytes,
+            start: SimTime::ZERO,
+            background: false,
+        };
+        Run::healthy(
+            topo,
+            vec![session],
+            Pattern::Read,
+            self.seed,
+            0x1C,
+            transport,
+        )
     }
 }
 

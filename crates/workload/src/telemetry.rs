@@ -4,9 +4,10 @@
 //! and a Chrome-trace ("Trace Event Format") JSON that loads in
 //! Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 //!
-//! Recording is off by default ([`TelemetryOptions::default`]); the
-//! fault and churn runners honour the options and attach a
-//! [`RunTelemetry`] to their reports when enabled. Enabling telemetry
+//! Recording is off by default ([`TelemetryOptions::default`]); every
+//! run honours the options — [`crate::run`] is the one place they
+//! take effect — and returns a [`RunTelemetry`] in its
+//! [`crate::RunReport`] when enabled. Enabling telemetry
 //! never perturbs a run: the recorder consumes no randomness and pushes
 //! no events into the simulator's queue (see `netsim::telemetry`), and
 //! flow spans are plain appends on session-rare agent paths — the
@@ -26,9 +27,10 @@ use polyraptor::{PolyraptorAgent, PrPayload};
 const FABRIC_PID: u32 = 0;
 
 /// Opt-in telemetry knobs for a run, carried by
-/// [`crate::RqRunOptions`] / [`crate::TcpRunOptions`]. Honoured by the
-/// fault and churn runners (which have a report to attach the data to);
-/// the plain storage/incast runners ignore it.
+/// [`crate::RqRunOptions`] / [`crate::TcpRunOptions`] and honoured by
+/// every run. A runner whose public result is not a report (storage,
+/// incast, hotspot) drops the recording; build the scenario's
+/// [`crate::Run`] and call [`crate::run`] to keep it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryOptions {
     /// Record this run (default `false`: the runner installs the

@@ -1,6 +1,6 @@
 //! Run-path pins: one row per public runner, each on the 16-host
 //! fat-tree at a fixed seed, pinned to constants recorded from the nine
-//! runner bodies as they stood before they shared one driver.
+//! runner bodies as they stood before they shared one run path.
 //!
 //! A row hashes every flow's `(session, start, finish)` in report order
 //! together with the runner's own scalars (incast goodput bits, TCP
@@ -10,20 +10,21 @@
 //! four runs must match the row: a shard count or a recorder that moved
 //! one simulated nanosecond would show here.
 //!
-//! Where a runner reports its fabric counters, each run must also show
-//! that the options reached the simulator (no shard epochs at one
-//! shard, some at two; a recording exactly when one was asked for), and
-//! the counters must not depend on how the run was executed.
-//! The storage, incast and hotspot runners returned no fabric counters
-//! when the constants were recorded, so their fates were read from
-//! those runners' simulators at that commit.
+//! Each run must also show that the options reached the simulator (no
+//! shard epochs at one shard, some at two; a recording exactly when one
+//! was asked for), and the fabric counters must not depend on how the
+//! run was executed. The runners whose public result carries no report
+//! (storage, incast, hotspot) are also run through [`run`], which must
+//! agree with them. Those runners returned no fabric counters when the
+//! constants were recorded, so their fates were read from the runners'
+//! simulators at that commit.
 
 use polyraptor_repro::netsim::{FabricStats, SimTime};
 use polyraptor_repro::workload::{
-    run_churn_rq, run_churn_tcp, run_fault_rq, run_fault_tcp, run_hotspot_rq, run_incast_rq,
+    run, run_churn_rq, run_churn_tcp, run_fault_rq, run_fault_tcp, run_hotspot_rq, run_incast_rq,
     run_incast_tcp, run_storage_rq, run_storage_tcp, ChurnReport, ChurnScenario, Fabric,
     FaultRunReport, FaultScenario, HotspotScenario, IncastScenario, Pattern, RqRunOptions,
-    StorageScenario, TcpRunOptions, TelemetryOptions, TransferResult,
+    RunReport, StorageScenario, TcpRunOptions, TelemetryOptions, TransferResult, Transport,
 };
 
 /// FNV-1a over 64-bit words.
@@ -73,16 +74,15 @@ impl Variant {
     }
 }
 
-/// What one run of a row showed.
+/// What one run of a row showed: the hash of what its public runner
+/// returned, and the report [`run`] returned for the same run.
 struct Observed {
-    /// Hash of the flows in report order, then the runner's scalars.
     hash: u64,
-    /// The fabric counters and whether a recording came back, where the
-    /// runner reports them.
-    fabric: Option<(FabricStats, bool)>,
+    report: RunReport,
 }
 
-fn observe(flows: &[TransferResult], scalars: &[u64]) -> Observed {
+/// Hash of the flows in report order, then the runner's scalars.
+fn fingerprint(flows: &[TransferResult], scalars: &[u64]) -> u64 {
     let mut h = Fnv::new();
     h.word(flows.len() as u64);
     for f in flows {
@@ -93,9 +93,16 @@ fn observe(flows: &[TransferResult], scalars: &[u64]) -> Observed {
     for &s in scalars {
         h.word(s);
     }
+    h.0
+}
+
+/// A runner whose public result is not a report, beside the report
+/// [`run`] returned for the same run: both must hash alike.
+fn beside(public: u64, via_run: u64, report: RunReport) -> Observed {
+    assert_eq!(public, via_run, "the public runner and `run` disagree");
     Observed {
-        hash: h.0,
-        fabric: None,
+        hash: public,
+        report,
     }
 }
 
@@ -103,8 +110,8 @@ fn fault_observed(rep: FaultRunReport) -> Observed {
     let fail_at = rep.fail_at.map_or(u64::MAX, SimTime::as_nanos);
     let scalars = [rep.timeouts, u64::from(rep.victim.0), fail_at];
     Observed {
-        fabric: Some((rep.fabric, rep.telemetry.is_some())),
-        ..observe(&rep.flows, &scalars)
+        hash: fingerprint(&rep.flows, &scalars),
+        report: rep.run,
     }
 }
 
@@ -118,8 +125,8 @@ fn churn_observed(rep: ChurnReport) -> Observed {
         rep.host_failures as u64,
     ];
     Observed {
-        fabric: Some((rep.fabric, rep.telemetry.is_some())),
-        ..observe(&rep.flows, &scalars)
+        hash: fingerprint(&rep.flows, &scalars),
+        report: rep,
     }
 }
 
@@ -182,15 +189,12 @@ fn check(name: &str, hash: u64, fates: [u64; 4], row: impl Fn(Variant) -> Observ
     for shards in [1, 2] {
         for record in [false, true] {
             let v = Variant { shards, record };
-            let o = row(v);
+            let Observed { hash: got, report } = row(v);
             assert_eq!(
-                o.hash, hash,
-                "{name} {v:?}: hash {:#018x} differs from the pinned runner's",
-                o.hash
+                got, hash,
+                "{name} {v:?}: hash {got:#018x} differs from the pinned runner's"
             );
-            let Some((stats, recorded)) = o.fabric else {
-                continue;
-            };
+            let stats = report.fabric;
             let got = [
                 stats.delivered,
                 stats.trimmed,
@@ -199,7 +203,15 @@ fn check(name: &str, hash: u64, fates: [u64; 4], row: impl Fn(Variant) -> Observ
             ];
             assert_eq!(got, fates, "{name} {v:?}: packet fates");
             assert_eq!(stats.shard_epochs == 0, shards == 1, "{name} {v:?}: shards");
-            assert_eq!(recorded, record, "{name} {v:?}: recording");
+            match &report.telemetry {
+                Some(t) => assert!(!t.recorder.buckets().is_empty(), "{name} {v:?}: buckets"),
+                None => assert!(!record, "{name} {v:?}: no recording came back"),
+            }
+            assert_eq!(
+                report.telemetry.is_some(),
+                record,
+                "{name} {v:?}: recording"
+            );
             // Every counter is the same at one shard, recorded or not;
             // at two only the shard machinery's own counters may move.
             let first = *first.get_or_insert(stats);
@@ -221,7 +233,11 @@ fn storage_rq() {
         "storage_rq",
         0x6691_CF97_9FE0_BF3D,
         [8441, 1232, 0, 0],
-        |v| observe(&run_storage_rq(&storage(), &Fabric::small(), &v.rq()), &[]),
+        |v| {
+            let rep = run(storage().build(&Fabric::small(), Transport::Rq(v.rq())));
+            let flows = run_storage_rq(&storage(), &Fabric::small(), &v.rq());
+            beside(fingerprint(&flows, &[]), fingerprint(&rep.flows, &[]), rep)
+        },
     );
 }
 
@@ -232,10 +248,9 @@ fn storage_tcp() {
         0x5785_8B46_E9E7_2819,
         [5565, 0, 71, 0],
         |v| {
-            observe(
-                &run_storage_tcp(&storage(), &Fabric::small(), &v.tcp()),
-                &[],
-            )
+            let rep = run(storage().build(&Fabric::small(), Transport::Tcp(v.tcp())));
+            let flows = run_storage_tcp(&storage(), &Fabric::small(), &v.tcp());
+            beside(fingerprint(&flows, &[]), fingerprint(&rep.flows, &[]), rep)
         },
     );
 }
@@ -243,16 +258,28 @@ fn storage_tcp() {
 #[test]
 fn incast_rq() {
     check("incast_rq", 0x3DE5_D1F0_37B6_34F0, [414, 6, 0, 0], |v| {
+        let rep = run(incast().build(&Fabric::small(), Transport::Rq(v.rq())));
         let g = run_incast_rq(&incast(), &Fabric::small(), &v.rq());
-        observe(&[], &[g.to_bits()])
+        let via_run = rep.incast_goodput_gbps().to_bits();
+        beside(
+            fingerprint(&[], &[g.to_bits()]),
+            fingerprint(&[], &[via_run]),
+            rep,
+        )
     });
 }
 
 #[test]
 fn incast_tcp() {
     check("incast_tcp", 0x521D_9062_4943_035E, [408, 0, 34, 0], |v| {
+        let rep = run(incast().build(&Fabric::small(), Transport::Tcp(v.tcp())));
         let g = run_incast_tcp(&incast(), &Fabric::small(), &v.tcp());
-        observe(&[], &[g.to_bits()])
+        let via_run = rep.incast_goodput_gbps().to_bits();
+        beside(
+            fingerprint(&[], &[g.to_bits()]),
+            fingerprint(&[], &[via_run]),
+            rep,
+        )
     });
 }
 
@@ -293,6 +320,10 @@ fn hotspot_rq() {
         "hotspot_rq",
         0xF0A1_6BB8_FC75_7BEE,
         [2751, 242, 0, 0],
-        |v| observe(&run_hotspot_rq(&hotspot(), &Fabric::small(), &v.rq()), &[]),
+        |v| {
+            let rep = run(hotspot().build(&Fabric::small(), Transport::Rq(v.rq())));
+            let flows = run_hotspot_rq(&hotspot(), &Fabric::small(), &v.rq());
+            beside(fingerprint(&flows, &[]), fingerprint(&rep.flows, &[]), rep)
+        },
     );
 }

@@ -8,12 +8,13 @@
 //! exact churn runner the `fabric_faults --churn --telemetry` example
 //! uses. It also checks the recorded artefacts have the advertised
 //! shape: fault + reroute annotations, per-session open/close spans,
-//! time-series buckets, and exporters that actually emit them.
+//! time-series buckets, and exporters that actually emit them. The same
+//! identity for every other runner, TCP included, is a row of
+//! `tests/run_paths.rs`.
 
 use polyraptor_repro::netsim::SpanMark;
 use polyraptor_repro::workload::{
-    run_churn_rq, run_churn_tcp, ChurnReport, ChurnScenario, Fabric, RqRunOptions, TcpRunOptions,
-    TelemetryOptions,
+    run_churn_rq, ChurnReport, ChurnScenario, Fabric, RqRunOptions, TelemetryOptions,
 };
 
 fn scenario(seed: u64) -> ChurnScenario {
@@ -58,21 +59,6 @@ fn recorder_on_is_byte_identical_to_recorder_off_across_seeds() {
             "recording perturbed the run for seed {seed}"
         );
     }
-}
-
-#[test]
-fn tcp_runner_is_also_unperturbed_by_recording() {
-    let fabric = Fabric::small();
-    let sc = scenario(2);
-    let off = run_churn_tcp(&sc, &fabric, &TcpRunOptions::default());
-    let opts = TcpRunOptions {
-        telemetry: TelemetryOptions::enabled_default(),
-        ..Default::default()
-    };
-    let on = run_churn_tcp(&sc, &fabric, &opts);
-    assert_eq!(fingerprint(&off), fingerprint(&on));
-    let t = on.telemetry.expect("enabled run records");
-    assert!(!t.recorder.buckets().is_empty());
 }
 
 #[test]
