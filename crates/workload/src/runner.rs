@@ -274,42 +274,8 @@ pub fn op_results(flows: &[TransferResult], object_bytes: usize) -> Vec<Transfer
     ops.into_values().collect()
 }
 
-/// Percentiles of a latency sample: the post-fault recovery latencies
-/// (failure instant → flow completion) of [`RunReport::recovery`], or
-/// the completion times of [`RunReport::completion`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Flows in the sample.
-    pub flows: usize,
-    /// Median latency in nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile latency in nanoseconds.
-    pub p99_ns: u64,
-    /// Worst-case latency (the completion tail).
-    pub max_ns: u64,
-}
-
-impl RecoveryStats {
-    /// Summarize a latency (or duration) sample into p50/p99/max;
-    /// `None` for an empty sample. Sorts in place — callers need not
-    /// pre-sort.
-    pub fn from_latencies(mut lat: Vec<u64>) -> Option<Self> {
-        if lat.is_empty() {
-            return None;
-        }
-        lat.sort_unstable();
-        let pick = |p: f64| polyraptor::metrics::percentile_sorted(&lat, p);
-        Some(Self {
-            flows: lat.len(),
-            p50_ns: pick(50.0),
-            p99_ns: pick(99.0),
-            max_ns: *lat.last().expect("non-empty"),
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Transports
+// Polyraptor runner
 // ---------------------------------------------------------------------------
 
 /// Polyraptor-side knobs for a run.
@@ -391,88 +357,6 @@ impl RqRunOptions {
     }
 }
 
-/// TCP-side knobs for a run.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpRunOptions {
-    /// TCP parameters.
-    pub tcp: TcpConfig,
-    /// Switch queue (default deep drop-tail).
-    pub switch_queue: QueueConfig,
-    /// Path selection (default per-flow ECMP).
-    pub route: RouteMode,
-    /// Layered routing policy (default single-layer minimal/ECMP).
-    pub policy: RoutingPolicy,
-    /// Telemetry recording (default off). Every runner honours it and
-    /// returns a [`crate::RunTelemetry`] in its [`RunReport`].
-    pub telemetry: TelemetryOptions,
-    /// Accepted and ignored — route columns are rebuilt on the calling
-    /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
-    /// 2(b)).
-    pub parallelism: usize,
-    /// Event-loop shards (0 = available cores, 1 = one shard, inline
-    /// on the calling thread, the default). Byte-identical per seed at
-    /// every setting.
-    pub shards: usize,
-}
-
-impl Default for TcpRunOptions {
-    fn default() -> Self {
-        Self {
-            tcp: TcpConfig::paper_default(),
-            switch_queue: QueueConfig::DROPTAIL_DEFAULT,
-            route: RouteMode::EcmpFlow,
-            policy: RoutingPolicy::minimal(),
-            telemetry: TelemetryOptions::default(),
-            parallelism: 1,
-            shards: 1,
-        }
-    }
-}
-
-impl TcpRunOptions {
-    /// The TCP arm of [`run`]: a classic fabric over `topo` configured
-    /// from these options — the one place they become a [`SimConfig`] —
-    /// with an agent on every host.
-    fn simulator(
-        &self,
-        topo: Topology,
-        sim_seed: u64,
-        reroute_delay_ns: u64,
-    ) -> Simulator<TcpPayload, TcpAgent, Option<Recorder>> {
-        let mut cfg = SimConfig::classic(sim_seed);
-        cfg.switch_queue = self.switch_queue;
-        cfg.route = self.route;
-        cfg.reroute_delay_ns = reroute_delay_ns;
-        cfg.parallelism = self.parallelism;
-        cfg.shards = self.shards;
-        let mut sim = Simulator::with_telemetry(topo, cfg, self.telemetry.recorder());
-        for h in sim.topology().hosts().to_vec() {
-            sim.set_agent(h, TcpAgent::new(h, self.tcp));
-        }
-        sim
-    }
-}
-
-/// The transport a [`Run`] carries its sessions over: the one thing
-/// that differs between the two halves of every paired experiment.
-#[derive(Debug, Clone, Copy)]
-pub enum Transport {
-    /// Polyraptor: multicast writes, multi-source reads.
-    Rq(RqRunOptions),
-    /// The TCP baseline: multi-unicast writes, partitioned reads.
-    Tcp(TcpRunOptions),
-}
-
-impl Transport {
-    /// The routing policy the run's fabric is built under.
-    pub(crate) fn policy(&self) -> RoutingPolicy {
-        match self {
-            Self::Rq(opts) => opts.policy,
-            Self::Tcp(opts) => opts.policy,
-        }
-    }
-}
-
 /// Trees registered per multicast session — symbols are sprayed across
 /// them, the multicast analogue of NDP's per-packet multipath.
 pub const MULTICAST_TREES: usize = 8;
@@ -538,6 +422,72 @@ pub fn install_rq<T: netsim::TelemetrySink>(
     for &h in spec.senders.iter().chain(&spec.receivers) {
         sim.agent_mut(h).install(spec.clone());
         sim.schedule_timer(h, spec.start, start_token(spec.id));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// TCP runner
+// ---------------------------------------------------------------------------
+
+/// TCP-side knobs for a run.
+#[derive(Debug, Clone, Copy)]
+pub struct TcpRunOptions {
+    /// TCP parameters.
+    pub tcp: TcpConfig,
+    /// Switch queue (default deep drop-tail).
+    pub switch_queue: QueueConfig,
+    /// Path selection (default per-flow ECMP).
+    pub route: RouteMode,
+    /// Layered routing policy (default single-layer minimal/ECMP).
+    pub policy: RoutingPolicy,
+    /// Telemetry recording (default off). Every runner honours it and
+    /// returns a [`crate::RunTelemetry`] in its [`RunReport`].
+    pub telemetry: TelemetryOptions,
+    /// Accepted and ignored — route columns are rebuilt on the calling
+    /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
+    /// 2(b)).
+    pub parallelism: usize,
+    /// Event-loop shards (0 = available cores, 1 = one shard, inline
+    /// on the calling thread, the default). Byte-identical per seed at
+    /// every setting.
+    pub shards: usize,
+}
+
+impl Default for TcpRunOptions {
+    fn default() -> Self {
+        Self {
+            tcp: TcpConfig::paper_default(),
+            switch_queue: QueueConfig::DROPTAIL_DEFAULT,
+            route: RouteMode::EcmpFlow,
+            policy: RoutingPolicy::minimal(),
+            telemetry: TelemetryOptions::default(),
+            parallelism: 1,
+            shards: 1,
+        }
+    }
+}
+
+impl TcpRunOptions {
+    /// The TCP arm of [`run`]: a classic fabric over `topo` configured
+    /// from these options — the one place they become a [`SimConfig`] —
+    /// with an agent on every host.
+    fn simulator(
+        &self,
+        topo: Topology,
+        sim_seed: u64,
+        reroute_delay_ns: u64,
+    ) -> Simulator<TcpPayload, TcpAgent, Option<Recorder>> {
+        let mut cfg = SimConfig::classic(sim_seed);
+        cfg.switch_queue = self.switch_queue;
+        cfg.route = self.route;
+        cfg.reroute_delay_ns = reroute_delay_ns;
+        cfg.parallelism = self.parallelism;
+        cfg.shards = self.shards;
+        let mut sim = Simulator::with_telemetry(topo, cfg, self.telemetry.recorder());
+        for h in sim.topology().hosts().to_vec() {
+            sim.set_agent(h, TcpAgent::new(h, self.tcp));
+        }
+        sim
     }
 }
 
@@ -607,6 +557,26 @@ pub fn stripe(bytes: u64, n: usize) -> Vec<u64> {
 // The run path
 // ---------------------------------------------------------------------------
 
+/// The transport a [`Run`] carries its sessions over: the one thing
+/// that differs between the two halves of every paired experiment.
+#[derive(Debug, Clone, Copy)]
+pub enum Transport {
+    /// Polyraptor: multicast writes, multi-source reads.
+    Rq(RqRunOptions),
+    /// The TCP baseline: multi-unicast writes, partitioned reads.
+    Tcp(TcpRunOptions),
+}
+
+impl Transport {
+    /// The routing policy the run's fabric is built under.
+    pub(crate) fn policy(&self) -> RoutingPolicy {
+        match self {
+            Self::Rq(opts) => opts.policy,
+            Self::Tcp(opts) => opts.policy,
+        }
+    }
+}
+
 /// One simulation, fully described. Each scenario builds one per
 /// transport, identical except for [`Run::transport`], and [`run`]
 /// executes it.
@@ -656,6 +626,40 @@ impl Run {
             agent_seeds: Pcg32::new(seed ^ 0xA6E27),
             transport,
         }
+    }
+}
+
+/// Percentiles of a latency sample: the post-fault recovery latencies
+/// (failure instant → flow completion) of [`RunReport::recovery`], or
+/// the completion times of [`RunReport::completion`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Flows in the sample.
+    pub flows: usize,
+    /// Median latency in nanoseconds.
+    pub p50_ns: u64,
+    /// 99th-percentile latency in nanoseconds.
+    pub p99_ns: u64,
+    /// Worst-case latency (the completion tail).
+    pub max_ns: u64,
+}
+
+impl RecoveryStats {
+    /// Summarize a latency (or duration) sample into p50/p99/max;
+    /// `None` for an empty sample. Sorts in place — callers need not
+    /// pre-sort.
+    pub fn from_latencies(mut lat: Vec<u64>) -> Option<Self> {
+        if lat.is_empty() {
+            return None;
+        }
+        lat.sort_unstable();
+        let pick = |p: f64| polyraptor::metrics::percentile_sorted(&lat, p);
+        Some(Self {
+            flows: lat.len(),
+            p50_ns: pick(50.0),
+            p99_ns: pick(99.0),
+            max_ns: *lat.last().expect("non-empty"),
+        })
     }
 }
 
