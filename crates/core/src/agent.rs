@@ -243,16 +243,6 @@ impl PolyraptorAgent {
         }
     }
 
-    /// Number of still-active receiver sessions (incomplete transfers).
-    pub fn active_receives(&self) -> usize {
-        self.active_recv
-    }
-
-    /// Access a sender session (tests/diagnostics).
-    pub fn sender_session(&self, id: SessionId) -> Option<&SenderSession> {
-        self.send_sessions.get(&id)
-    }
-
     /// Access a receiver session, finished ones included
     /// (tests/diagnostics).
     pub fn receiver_session(&self, id: SessionId) -> Option<&ReceiverSession> {

@@ -19,7 +19,7 @@
 //! union of any senders' emissions is duplicate-free — each replica's
 //! stream is fully useful to the receiver.
 
-use netsim::{Ctx, Dest, FlowId, NodeId, Packet, SimTime};
+use netsim::{Ctx, Dest, FlowId, NodeId, Packet};
 
 use crate::config::{MulticastPull, OracleMode, PrConfig};
 use crate::session::SessionSpec;
@@ -379,11 +379,6 @@ impl SenderSession {
         self.complete
     }
 
-    /// Diagnostic: per-receiver cumulative arrival reports.
-    pub fn latest_reports(&self) -> &[u64] {
-        &self.latest
-    }
-
     /// Diagnostic: which receivers are detached.
     pub fn detached(&self) -> &[bool] {
         &self.detached
@@ -393,17 +388,13 @@ impl SenderSession {
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
-
-    /// Start time convenience (for scheduling assertions).
-    pub fn start_time(&self) -> SimTime {
-        self.spec.start
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::SessionId;
+    use netsim::SimTime;
 
     fn cfg() -> PrConfig {
         PrConfig::paper_default()

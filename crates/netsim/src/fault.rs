@@ -115,12 +115,6 @@ impl FaultMask {
             .collect()
     }
 
-    /// Whether `self` restores anything that `earlier` had failed.
-    pub fn restores_since(&self, earlier: &FaultMask) -> bool {
-        earlier.links.difference(&self.links).next().is_some()
-            || earlier.nodes.difference(&self.nodes).next().is_some()
-    }
-
     /// Directed `(node, port)` link entries failed in `earlier` but no
     /// longer in `self` — the link half of a restoration delta, which
     /// [`Topology::repair_routes`](crate::topology::Topology::repair_routes)

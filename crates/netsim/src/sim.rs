@@ -916,15 +916,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         }
     }
 
-    /// Current effective rate of a port (honouring overrides).
-    pub fn effective_rate(&self, node: NodeId, port: u16) -> u64 {
-        self.control
-            .rate_overrides
-            .get(&(node.0, port))
-            .copied()
-            .unwrap_or_else(|| self.topo.port(node, port).rate_bps)
-    }
-
     /// The topology (read-only).
     pub fn topology(&self) -> &Topology {
         &self.topo
@@ -1084,11 +1075,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 GlobalEvent::Fault(ev.action),
             );
         }
-    }
-
-    /// The live fault mask (what is currently failed).
-    pub fn fault_mask(&self) -> &FaultMask {
-        &self.control.mask
     }
 
     /// Schedule a timer for a host agent (used by workloads to start

@@ -15,7 +15,7 @@
 //! into the simulator's event queue and no RNG is consumed, so enabling
 //! telemetry cannot perturb event ordering, sequence numbers, or random
 //! draws — byte-identical-per-seed results are preserved structurally,
-//! not by luck (property-tested in `tests/telemetry.rs`). Buckets are
+//! not by luck (property-tested in `tests/identity.rs`). Buckets are
 //! closed lazily: when the event loop is about to dispatch an event at
 //! or past the open bucket's boundary, the simulator snapshots its
 //! counters first. Counters only change at events, so the lazy snapshot
@@ -263,11 +263,6 @@ impl Bucket {
     /// Window length in nanoseconds (never zero).
     pub fn width_ns(&self) -> u64 {
         self.end.since(self.start).max(1)
-    }
-
-    /// Total trims in the bucket per second of sim time.
-    pub fn trim_rate(&self) -> f64 {
-        self.trimmed as f64 * 1e9 / self.width_ns() as f64
     }
 
     /// Total queue depth (packets) across sampled ports at the closing

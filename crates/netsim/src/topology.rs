@@ -1415,14 +1415,6 @@ impl Topology {
             })
             .collect()
     }
-
-    /// Partition this topology into up to `shards` event-loop shards
-    /// (see [`crate::shard::ShardPlan::build`]) — a convenience for
-    /// inspecting the partition a sharded [`crate::SimConfig`] would
-    /// run under.
-    pub fn shard_plan(&self, shards: usize) -> crate::shard::ShardPlan {
-        crate::shard::ShardPlan::build(self, shards)
-    }
 }
 
 /// Reusable scratch for [`compute_column`], so per-column searches

@@ -31,13 +31,6 @@ pub struct ObjectParams {
     pub blocks: Vec<CodeParams>,
 }
 
-impl ObjectParams {
-    /// Total number of source symbols across all blocks.
-    pub fn total_source_symbols(&self) -> usize {
-        self.blocks.iter().map(|b| b.k).sum()
-    }
-}
-
 /// Encoder for an object of arbitrary size.
 pub struct ObjectEncoder {
     params: ObjectParams,

@@ -115,12 +115,6 @@ pub fn add(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
-/// `α^i` for arbitrary exponent.
-#[inline]
-pub fn alpha_pow(i: usize) -> u8 {
-    EXP[i % 255]
-}
-
 /// XOR `src` into `dst` (symbol addition). Both slices must be the same
 /// length; this is an invariant of symbol storage, so it is asserted.
 #[inline]
@@ -182,14 +176,6 @@ pub fn mul_slice(dst: &mut [u8], c: u8) {
             }
         }
     }
-}
-
-/// Fused multiply-accumulate on symbols: `dst[i] ^= c · src[i]`.
-///
-/// Alias for [`addmul`], kept for the solver's historical vocabulary.
-#[inline]
-pub fn fma(dst: &mut [u8], src: &[u8], c: u8) {
-    addmul(dst, src, c);
 }
 
 /// Scale a symbol in place: `dst[i] = c · dst[i]`.
@@ -418,12 +404,12 @@ mod tests {
     }
 
     #[test]
-    fn fma_matches_scalar() {
+    fn addmul_matches_scalar() {
         let src: Vec<u8> = (0..100).map(|i| (i * 17) as u8).collect();
         for c in [0u8, 1, 2, 37, 255] {
             let mut dst: Vec<u8> = (0..100).map(|i| (i * 29 + 3) as u8).collect();
             let orig = dst.clone();
-            fma(&mut dst, &src, c);
+            addmul(&mut dst, &src, c);
             for i in 0..100 {
                 assert_eq!(dst[i], orig[i] ^ mul(c, src[i]));
             }

@@ -305,11 +305,6 @@ impl TcpSender {
         self.rto_deadline = Some(now + backed_off);
     }
 
-    /// Congestion window in bytes (diagnostics).
-    pub fn cwnd_bytes(&self) -> f64 {
-        self.cwnd
-    }
-
     /// Next unacknowledged byte (diagnostics).
     pub fn snd_una(&self) -> u64 {
         self.snd_una

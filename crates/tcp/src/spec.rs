@@ -42,16 +42,6 @@ impl TcpConfig {
         }
     }
 
-    /// A data-centre-tuned variant (ablation: how much of the collapse
-    /// is RTOmin and the small advertised window?).
-    pub fn dc_tuned() -> Self {
-        Self {
-            rto_min_ns: 1_000_000, // 1 ms
-            recv_window_segs: 1 << 20,
-            ..Self::paper_default()
-        }
-    }
-
     /// Wire size of a full data segment.
     pub fn data_packet_bytes(&self) -> u32 {
         self.mss as u32 + netsim::HEADER_BYTES

@@ -15,7 +15,7 @@
 //!
 //! The whole run is seeded end to end (arrivals, placement, fault
 //! process, spraying), so a churn soak is byte-identical per seed like
-//! every other experiment in this repo.
+//! every other experiment in this repo (`tests/identity.rs`).
 
 use netsim::{FaultMix, FaultPlan, FaultProcess, Topology};
 use polyraptor::{host_fail_token, host_up_token};
@@ -198,77 +198,17 @@ mod tests {
     }
 
     #[test]
-    fn churn_tcp_baseline_completes_and_is_deterministic() {
+    fn churn_tcp_baseline_completes() {
         let sc = small();
         let a = run_churn_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
         assert_eq!(a.flows.len(), 6, "stripes collapse to one op per session");
         assert_eq!(a.stranded_sessions + a.retargeted_sessions, 0);
         assert!(a.fabric.reroutes >= 1, "churn must reroute");
-        let b = run_churn_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
-        assert_eq!(a.fabric, b.fabric);
-        assert_eq!(a.timeouts, b.timeouts);
         // Same seeded plan as the Polyraptor run: the comparison is on
         // identical fault schedules.
         let rq = run_churn_rq(&sc, &Fabric::small(), &RqRunOptions::default());
         assert_eq!(a.fault_instants, rq.fault_instants);
         assert_eq!(a.host_failures, rq.host_failures);
-    }
-
-    #[test]
-    fn churn_is_deterministic_per_seed() {
-        let a = run_churn_rq(&small(), &Fabric::small(), &RqRunOptions::default());
-        let b = run_churn_rq(&small(), &Fabric::small(), &RqRunOptions::default());
-        assert_eq!(a.fabric, b.fabric);
-        assert_eq!(a.stranded_sessions, b.stranded_sessions);
-        let fp = |r: &ChurnReport| -> Vec<(u32, u64, u64)> {
-            r.flows
-                .iter()
-                .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos()))
-                .collect()
-        };
-        assert_eq!(fp(&a), fp(&b));
-    }
-
-    #[test]
-    fn churn_telemetry_records_without_perturbing() {
-        use crate::telemetry::TelemetryOptions;
-        use netsim::SpanMark;
-        let sc = small();
-        let base = run_churn_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        assert!(base.telemetry.is_none(), "off by default");
-        let opts = RqRunOptions {
-            telemetry: TelemetryOptions::enabled_default(),
-            ..Default::default()
-        };
-        let rec = run_churn_rq(&sc, &Fabric::small(), &opts);
-        // Recording must not perturb the run: identical fabric counters
-        // and identical per-flow results.
-        assert_eq!(base.fabric, rec.fabric);
-        let fp = |r: &ChurnReport| -> Vec<(u32, u64, u64)> {
-            r.flows
-                .iter()
-                .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos()))
-                .collect()
-        };
-        assert_eq!(fp(&base), fp(&rec));
-        let t = rec.telemetry.expect("enabled run records");
-        assert!(!t.recorder.buckets().is_empty(), "buckets sampled");
-        let cats: Vec<&str> = t
-            .recorder
-            .annotations()
-            .iter()
-            .map(|a| a.event.category())
-            .collect();
-        assert!(cats.contains(&"fault"), "churn annotates faults");
-        assert!(cats.contains(&"reroute"), "churn annotates reroutes");
-        // Every fetch session opened and closed a span at its client.
-        let opens = t.spans.iter().filter(|s| s.mark == SpanMark::Open).count();
-        let closes = t.spans.iter().filter(|s| s.mark == SpanMark::Close).count();
-        assert_eq!(opens, sc.sessions);
-        assert_eq!(closes, sc.sessions);
-        // Exporters produce non-trivial artefacts.
-        assert!(t.fabric_series_csv().lines().count() > 1);
-        assert!(t.trace_json().contains("\"cat\":\"reroute\""));
     }
 
     #[test]

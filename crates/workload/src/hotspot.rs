@@ -8,7 +8,7 @@
 //! them for their whole lifetime — the "embracing path redundancy"
 //! claim, made measurable.
 
-use netsim::{FaultAction, FaultPlan, NodeId, NodeKind, Pcg32, SimTime};
+use netsim::{FaultAction, FaultMask, FaultPlan, NodeId, NodeKind, Pcg32, SimTime, Topology};
 
 use crate::runner::{run, Fabric, RqRunOptions, Run, TransferResult, Transport};
 use crate::scenario::{LogicalSession, Pattern};
@@ -20,7 +20,9 @@ pub struct HotspotScenario {
     pub transfers: usize,
     /// Object size per transfer.
     pub object_bytes: usize,
-    /// Fraction of switch-to-switch links degraded (0..1).
+    /// Fraction of switch-to-switch links degraded (0..1). For link-down
+    /// runs it is an upper bound: a drawn link whose loss would
+    /// disconnect the switch graph stays healthy.
     pub degraded_frac: f64,
     /// Degraded links run at this fraction of line rate. Zero means the
     /// selected links suffer *detected* link-down faults (the fabric
@@ -37,8 +39,9 @@ impl HotspotScenario {
     /// chance to average over flows), over a fabric whose degraded links
     /// are a [`FaultPlan`] at t = 0 — the single rate-override code path
     /// shared with the fault scenarios. A zero target rate becomes a
-    /// *detected* `LinkDown` (flush + reroute); anything else a silent
-    /// `RateChange` (both act on both directions of the link).
+    /// *detected* `LinkDown` (flush + reroute), skipped where it would cut
+    /// the switch graph in two; anything else a silent `RateChange` (both
+    /// act on both directions of the link).
     pub fn build(&self, fabric: &Fabric, transport: Transport) -> Run {
         let topo = fabric.build_with_policy(transport.policy());
         let hosts = topo.hosts().to_vec();
@@ -54,6 +57,7 @@ impl HotspotScenario {
             rng.next_u64();
         }
         let mut faults = FaultPlan::new();
+        let mut down = FaultMask::new();
         let mut degraded = 0usize;
         let mut total_fabric_links = 0usize;
         for n in 0..topo.node_count() as u32 {
@@ -71,6 +75,14 @@ impl HotspotScenario {
                 total_fabric_links += 1;
                 if rng.f64() < self.degraded_frac {
                     let action = if self.degraded_rate_frac == 0.0 {
+                        // A dead link that splits the fabric would leave
+                        // some host pair with no path, and its transfer
+                        // would never finish: keep that link healthy.
+                        down.fail_link(&topo, node, p as u16);
+                        if !switches_connected(&topo, &down) {
+                            down.restore_link(&topo, node, p as u16);
+                            continue;
+                        }
                         FaultAction::LinkDown {
                             node,
                             port: p as u16,
@@ -89,7 +101,7 @@ impl HotspotScenario {
         }
         assert!(
             degraded > 0 || self.degraded_frac == 0.0,
-            "degraded_frac {} selected none of {} fabric links",
+            "degraded_frac {} degraded none of {} fabric links",
             self.degraded_frac,
             total_fabric_links
         );
@@ -113,6 +125,32 @@ impl HotspotScenario {
     }
 }
 
+/// Whether every switch reaches every other over the switch-to-switch
+/// links `mask` leaves up. Every host hangs off one switch, so this is
+/// what keeps every host pair connected.
+fn switches_connected(topo: &Topology, mask: &FaultMask) -> bool {
+    let is_switch = |n: NodeId| topo.kind(n) == NodeKind::Switch;
+    let mut switches = (0..topo.node_count() as u32)
+        .map(NodeId)
+        .filter(|&n| is_switch(n));
+    let Some(first) = switches.next() else {
+        return true;
+    };
+    let mut seen = vec![false; topo.node_count()];
+    seen[first.0 as usize] = true;
+    let mut frontier = vec![first];
+    while let Some(n) = frontier.pop() {
+        for (p, port) in topo.node_ports(n).iter().enumerate() {
+            let peer = port.peer;
+            if is_switch(peer) && !seen[peer.0 as usize] && mask.port_is_up(topo, n, p as u16) {
+                seen[peer.0 as usize] = true;
+                frontier.push(peer);
+            }
+        }
+    }
+    switches.all(|n| seen[n.0 as usize])
+}
+
 /// Run the hotspot scenario under Polyraptor with the given options;
 /// returns per-transfer results.
 pub fn run_hotspot_rq(
@@ -126,8 +164,9 @@ pub fn run_hotspot_rq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::TcpRunOptions;
     use crate::stats::RankCurve;
-    use netsim::RouteMode;
+    use netsim::{RouteMode, RoutingPolicy};
 
     fn scenario(frac: f64) -> HotspotScenario {
         HotspotScenario {
@@ -188,6 +227,62 @@ mod tests {
         );
         for r in &res {
             assert!(r.goodput_gbps() > 0.0);
+        }
+    }
+
+    fn link_down(degraded_frac: f64, seed: u64) -> HotspotScenario {
+        HotspotScenario {
+            transfers: 4,
+            object_bytes: 64 << 10,
+            degraded_frac,
+            degraded_rate_frac: 0.0,
+            seed,
+        }
+    }
+
+    #[test]
+    fn link_down_plans_keep_the_switch_graph_connected() {
+        // Without the connectivity check, 40 of these 200 draws at 0.15
+        // and 125 at 0.3 split the k = 4 fat-tree's switch graph. Seed
+        // 103 at 0.15 draws none of the 32 links, which `build` refuses.
+        let transport = Transport::Rq(RqRunOptions::default());
+        for frac in [0.15, 0.3] {
+            for seed in (0..200).filter(|&s| (frac, s) != (0.15, 103)) {
+                let run = link_down(frac, seed).build(&Fabric::small(), transport);
+                let mut mask = FaultMask::new();
+                for ev in run.faults.events() {
+                    let FaultAction::LinkDown { node, port } = ev.action else {
+                        panic!("a link-down run scripts only link-downs");
+                    };
+                    mask.fail_link(&run.topo, node, port);
+                }
+                assert!(
+                    switches_connected(&run.topo, &mask),
+                    "seed {seed} at {frac} splits the fabric"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn draws_that_used_to_split_the_fabric_complete() {
+        // Each of these once disconnected a host pair: the run spun until
+        // simulated time overflowed.
+        for (frac, seed) in [(0.3, 945), (0.15, 597)] {
+            let sc = link_down(frac, seed);
+            let policy = RoutingPolicy::layered(2, seed);
+            let rq = RqRunOptions {
+                policy,
+                ..Default::default()
+            };
+            let tcp = TcpRunOptions {
+                policy,
+                ..Default::default()
+            };
+            for transport in [Transport::Rq(rq), Transport::Tcp(tcp)] {
+                let rep = run(sc.build(&Fabric::small(), transport));
+                assert_eq!(rep.flows.len(), 4, "seed {seed} at {frac}");
+            }
         }
     }
 }

@@ -11,7 +11,7 @@
 //! never perturbs a run: the recorder consumes no randomness and pushes
 //! no events into the simulator's queue (see `netsim::telemetry`), and
 //! flow spans are plain appends on session-rare agent paths — the
-//! byte-identity property is tested in `tests/telemetry.rs`.
+//! byte-identity property is tested in `tests/identity.rs`.
 
 use std::collections::BTreeMap;
 use std::io;

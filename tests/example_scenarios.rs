@@ -1,8 +1,8 @@
 //! Smoke tests for the `examples/` scenarios: every example's core path
-//! (one small transfer per scenario type) must complete — and complete
-//! deterministically — under the facade crate. Scales are reduced so
-//! the whole file runs in seconds; the examples themselves remain the
-//! human-readable, paper-scale versions.
+//! (one small transfer per scenario type) must complete under the
+//! facade crate, and the hand-staged ones deterministically. Scales are
+//! reduced so the whole file runs in seconds; the examples themselves
+//! remain the human-readable, paper-scale versions.
 
 use polyraptor_repro::netsim::{NodeKind, SimConfig, SimTime, Simulator, Topology};
 use polyraptor_repro::polyraptor::{
@@ -74,7 +74,7 @@ fn quickstart_unicast_transfer_is_deterministic() {
 /// `examples/distributed_storage.rs`: replicated writes under
 /// background traffic, at 6-session scale.
 #[test]
-fn distributed_storage_write_completes_deterministically() {
+fn distributed_storage_write_completes() {
     let sc = StorageScenario {
         sessions: 6,
         object_bytes: 128 << 10,
@@ -90,14 +90,6 @@ fn distributed_storage_write_completes_deterministically() {
     assert!(!a.is_empty());
     for r in &a {
         assert!(r.finish > r.start, "session {} never finished", r.session);
-    }
-    let b = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(
-            (x.session, x.start, x.finish),
-            (y.session, y.start, y.finish)
-        );
     }
 }
 
@@ -134,37 +126,25 @@ fn multi_source_fetch_is_deterministic() {
 /// `examples/incast.rs`: synchronized many-to-one burst; Polyraptor
 /// must stay near line rate at small scale too.
 #[test]
-fn incast_burst_completes_deterministically() {
+fn incast_burst_completes() {
     let sc = IncastScenario {
         senders: 4,
         block_bytes: 64 << 10,
         seed: 2,
     };
-    let a = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    assert!(a > 0.5, "incast goodput {a}");
-    let b = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    assert_eq!(a.to_bits(), b.to_bits(), "incast run must be bit-identical");
+    let g = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    assert!(g > 0.5, "incast goodput {g}");
 }
 
 /// `examples/fabric_faults.rs`: a core switch dies mid-transfer;
-/// Polyraptor reroutes, repairs its trees, and completes every session,
-/// bit-identically across runs.
+/// Polyraptor reroutes, repairs its trees, and completes every session.
 #[test]
-fn fabric_faults_scenario_completes_deterministically() {
+fn fabric_faults_scenario_completes() {
     let sc = FaultScenario::fig1_failure(3, 64 << 10, 7);
-    let a = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    assert_eq!(a.flows.len(), 3 * 3, "one flow per replica, all complete");
-    assert_eq!(a.fabric.reroutes, 1);
-    assert!(a.fabric.trees_repaired > 0);
-    let b = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    assert_eq!(a.victim, b.victim);
-    assert_eq!(a.fabric, b.fabric, "same seed ⇒ identical fabric stats");
-    for (x, y) in a.flows.iter().zip(&b.flows) {
-        assert_eq!(
-            (x.session, x.start, x.finish, x.bytes),
-            (y.session, y.start, y.finish, y.bytes)
-        );
-    }
+    let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    assert_eq!(rep.flows.len(), 3 * 3, "one flow per replica, all complete");
+    assert_eq!(rep.fabric.reroutes, 1);
+    assert!(rep.fabric.trees_repaired > 0);
 }
 
 /// The new topology generators carry real workloads: replicated writes
@@ -195,7 +175,7 @@ fn storage_writes_complete_on_leaf_spine_and_jellyfish() {
 /// `examples/hotspot.rs`: transfers over a partially degraded fabric
 /// with sprayed routing.
 #[test]
-fn hotspot_transfers_complete_deterministically() {
+fn hotspot_transfers_complete() {
     let sc = HotspotScenario {
         transfers: 4,
         object_bytes: 128 << 10,
@@ -203,13 +183,9 @@ fn hotspot_transfers_complete_deterministically() {
         degraded_rate_frac: 0.1,
         seed: 11,
     };
-    let a = run_hotspot_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    assert_eq!(a.len(), 4);
-    for r in &a {
+    let res = run_hotspot_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    assert_eq!(res.len(), 4);
+    for r in &res {
         assert!(r.goodput_gbps() > 0.0);
-    }
-    let b = run_hotspot_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.goodput_gbps().to_bits(), y.goodput_gbps().to_bits());
     }
 }

@@ -3,13 +3,11 @@
 //!
 //! Polyraptor must complete every session (reroute + coded repair,
 //! zero timeouts) while the TCP baseline shows timeout-driven tail
-//! inflation; and the whole experiment must be byte-identical across
-//! runs with the same seed. Mirrors `examples/fabric_faults.rs` at a
-//! test-friendly object size.
+//! inflation. Mirrors `examples/fabric_faults.rs` at a test-friendly
+//! object size.
 
 use polyraptor_repro::workload::{
-    op_results, run_fault_rq, run_fault_tcp, Fabric, FaultRunReport, FaultScenario, RqRunOptions,
-    TcpRunOptions,
+    op_results, run_fault_rq, run_fault_tcp, Fabric, FaultScenario, RqRunOptions, TcpRunOptions,
 };
 
 const SESSIONS: usize = 6;
@@ -88,32 +86,4 @@ fn core_failure_polyraptor_completes_while_tcp_tail_inflates() {
         tcp.makespan() > rq.makespan(),
         "Polyraptor must beat the timeout-bound baseline through the failure"
     );
-}
-
-#[test]
-fn fault_experiment_is_byte_identical_across_runs() {
-    let fabric = paper_fabric();
-    let sc = scenario();
-    let fingerprint = |rep: &FaultRunReport| -> Vec<(u32, u64, u64, usize)> {
-        rep.flows
-            .iter()
-            .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos(), f.bytes))
-            .collect()
-    };
-
-    let a = run_fault_rq(&sc, &fabric, &RqRunOptions::default());
-    let b = run_fault_rq(&sc, &fabric, &RqRunOptions::default());
-    assert_eq!(a.victim, b.victim);
-    assert_eq!(a.fail_at, b.fail_at);
-    assert_eq!(
-        a.fabric, b.fabric,
-        "identical fabric stats, field for field"
-    );
-    assert_eq!(fingerprint(&a), fingerprint(&b), "identical per-flow stats");
-
-    let ta = run_fault_tcp(&sc, &fabric, &TcpRunOptions::default());
-    let tb = run_fault_tcp(&sc, &fabric, &TcpRunOptions::default());
-    assert_eq!(ta.timeouts, tb.timeouts);
-    assert_eq!(ta.fabric, tb.fabric);
-    assert_eq!(fingerprint(&ta), fingerprint(&tb));
 }

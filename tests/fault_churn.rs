@@ -7,8 +7,9 @@
 //! with zero timeouts (Polyraptor's recovery is pull-paced — the sweep
 //! re-pulls written-off loss, and a dead replica's remaining share is
 //! re-targeted at a survivor), flapping links coalesce instead of
-//! paying full route recomputes, restorations repair incrementally, and
-//! the whole run is byte-identical per seed.
+//! paying full route recomputes, and restorations repair incrementally.
+//! That the run is the same at every shard count, recorded or not, is
+//! `tests/identity.rs`.
 
 use polyraptor_repro::netsim::FaultAction;
 use polyraptor_repro::workload::{run_churn_rq, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
@@ -88,6 +89,16 @@ fn churn_soak_completes_everything_and_retargets_all_stranded() {
     // exist and are ordered).
     let rec = rep.recovery().expect("faults struck mid-fetch");
     assert!(rec.p50_ns <= rec.p99_ns && rec.p99_ns <= rec.max_ns);
+
+    // A different seed produces a different run (the soak is not
+    // accidentally fault-free or schedule-independent).
+    let other = run_churn_rq(
+        &ChurnScenario { seed: 3, ..sc },
+        &fabric,
+        &Default::default(),
+    );
+    let finishes = |r: &ChurnReport| r.flows.iter().map(|f| f.finish).collect::<Vec<_>>();
+    assert_ne!(finishes(&rep), finishes(&other));
 }
 
 #[test]
@@ -117,34 +128,6 @@ fn links_only_churn_never_pays_a_full_recompute() {
         rep.fabric.reroutes, rep.fabric.reroutes_incremental,
         "links-only churn must never fall back to a full route recompute"
     );
-}
-
-#[test]
-fn churn_soak_is_byte_identical_per_seed() {
-    let sc = scenario();
-    let fabric = Fabric::small();
-    let fingerprint = |rep: &ChurnReport| -> Vec<(u32, u64, u64, usize)> {
-        rep.flows
-            .iter()
-            .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos(), f.bytes))
-            .collect()
-    };
-    let a = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
-    let b = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
-    assert_eq!(a.fabric, b.fabric, "identical fabric stats field for field");
-    assert_eq!(fingerprint(&a), fingerprint(&b), "identical per-flow stats");
-    assert_eq!(a.stranded_sessions, b.stranded_sessions);
-    assert_eq!(a.retargeted_sessions, b.retargeted_sessions);
-    assert_eq!(a.unstranded_sessions, b.unstranded_sessions);
-    assert_eq!(a.retarget_symbols, b.retarget_symbols);
-    assert_eq!(a.fault_instants, b.fault_instants);
-
-    // A different seed produces a different run (the soak is not
-    // accidentally fault-free or schedule-independent).
-    let mut other = sc;
-    other.seed = 3;
-    let c = run_churn_rq(&other, &fabric, &RqRunOptions::default());
-    assert_ne!(fingerprint(&a), fingerprint(&c));
 }
 
 #[test]
