@@ -71,10 +71,12 @@
 
 mod evq;
 pub mod fault;
+#[cfg(test)]
+mod fixtures;
 pub mod packet;
 pub mod queue;
 pub mod rng;
-pub mod shard;
+mod shard;
 pub mod sim;
 pub mod telemetry;
 pub mod time;
@@ -86,7 +88,6 @@ pub use fault::{
 pub use packet::{Dest, FlowId, GroupId, Packet, SimPayload, HEADER_BYTES};
 pub use queue::{Enqueued, PortQueue, QueueConfig, QueueStats};
 pub use rng::Pcg32;
-pub use shard::ShardPlan;
 pub use sim::{
     ecmp_choice, layer_choice, Agent, Ctx, FabricStats, LayerAssign, RouteMode, SimConfig,
     Simulator,

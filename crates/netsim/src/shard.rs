@@ -73,22 +73,22 @@ type WorkerResult<P> = (ShardQueue<P>, Lane<P>, u64, u64);
 /// docs). Built once per simulator; purely a wall-clock knob — the
 /// plan never influences simulated results.
 #[derive(Debug, Clone)]
-pub struct ShardPlan {
+pub(crate) struct ShardPlan {
     /// Number of shards (≥ 1). One shard — asked for, or what a request
     /// collapses to on a fabric too small to split — is the whole
     /// fabric in node-id order with an unbounded lookahead.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Shard of every node, indexed by node id. Hosts always share
     /// their access switch's shard, so host↔ToR traffic never crosses
     /// a shard boundary.
-    pub shard_of: Vec<u32>,
+    pub(crate) shard_of: Vec<u32>,
     /// The conservative lookahead: the minimum propagation delay over
     /// links whose endpoints live in different shards (≥ 1 ns), or
     /// `u64::MAX` when no link crosses shards — nothing a shard does
     /// can then reach another, so no window ever has to close for it.
     /// Within one epoch every shard may run `lookahead_ns` past the
     /// globally slowest shard without missing a cross-shard arrival.
-    pub lookahead_ns: u64,
+    pub(crate) lookahead_ns: u64,
     /// Cell storage order: `order[slot]` is the node stored at `slot`,
     /// grouped by shard (ascending node id within each shard).
     pub(crate) order: Vec<u32>,
@@ -110,7 +110,7 @@ impl ShardPlan {
     /// is exhausted, keeping shards balanced and connected. Hosts
     /// follow their access switch. Fully deterministic: same topology
     /// and count ⇒ same plan.
-    pub fn build(topo: &Topology, shards: usize) -> ShardPlan {
+    pub(crate) fn build(topo: &Topology, shards: usize) -> ShardPlan {
         let n = topo.node_count();
         if shards <= 1 {
             return ShardPlan {
@@ -752,86 +752,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
-    use crate::packet::{Dest, FlowId, Packet};
-    use crate::sim::Ctx;
+    use crate::fixtures::{probe_sim, Probe, P};
     use crate::telemetry::{NoTelemetry, Recorder, TelemetryConfig};
     use std::thread::ThreadId;
 
-    #[derive(Debug, Clone)]
-    struct Pkt;
-
-    impl SimPayload for Pkt {
-        fn is_control(&self) -> bool {
-            false
-        }
-        fn trim(&self) -> Option<Self> {
-            Some(Pkt)
-        }
-    }
-
-    /// On its timer: sends a burst to `peer` (token 0) or panics (any
-    /// other token). Notes the thread of every callback.
-    struct Probe {
-        peer: NodeId,
-        threads: Vec<ThreadId>,
-    }
-
-    impl Agent<Pkt> for Probe {
-        fn on_packet(&mut self, _: Packet<Pkt>, _: &mut Ctx<Pkt>) {
-            self.threads.push(std::thread::current().id());
-        }
-        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<Pkt>) {
-            assert_eq!(token, 0, "probe blew up on purpose");
-            self.threads.push(std::thread::current().id());
-            for _ in 0..30 {
-                ctx.send(Packet {
-                    src: ctx.node,
-                    dst: Dest::Host(self.peer),
-                    flow: FlowId(ctx.node.0 as u64),
-                    size: 1500,
-                    payload: Pkt,
-                });
-            }
-        }
-    }
-
     const GLOBAL_EVENTS: u64 = 4;
 
-    /// k = 4 fat-tree, every host bursting to a host in another pod,
-    /// through an aggregation-switch failure and repair with a 50 µs
-    /// convergence delay: two faults and two reroutes.
-    fn fat_tree_sim<T: TelemetrySink>(shards: usize, telemetry: T) -> Simulator<Pkt, Probe, T> {
-        let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
-        let hosts = t.hosts().to_vec();
-        let agg = t
-            .node_ports(t.edge_switch(hosts[0]))
-            .iter()
-            .map(|p| p.peer)
-            .find(|&n| t.kind(n) == NodeKind::Switch)
-            .expect("edge switch has aggregation uplinks");
-        let mut cfg = SimConfig::ndp(9);
-        cfg.shards = shards;
-        cfg.reroute_delay_ns = 50_000;
-        let mut sim = Simulator::with_telemetry(t, cfg, telemetry);
-        for (i, &h) in hosts.iter().enumerate() {
-            sim.set_agent(
-                h,
-                Probe {
-                    peer: hosts[(i + 5) % hosts.len()],
-                    threads: vec![],
-                },
-            );
-            sim.schedule_timer(h, SimTime::ZERO, 0);
-        }
-        let plan = FaultPlan::new()
-            .switch_down(SimTime::from_micros(80), agg)
-            .switch_up(SimTime::from_micros(500), agg);
-        sim.schedule_faults(&plan);
-        sim
-    }
-
-    fn callback_threads<T: TelemetrySink>(sim: &Simulator<Pkt, Probe, T>) -> Vec<ThreadId> {
+    fn callback_threads<T: TelemetrySink>(sim: &Simulator<P, Probe, T>) -> Vec<ThreadId> {
         sim.agents()
             .flat_map(|(_, a)| a.threads.iter().copied())
             .collect()
@@ -862,7 +789,7 @@ mod tests {
             let n = topo.node_count();
             let mut cfg = SimConfig::ndp(7);
             cfg.shards = request;
-            let sim: Simulator<Pkt, Probe> = Simulator::new(topo.clone(), cfg);
+            let sim: Simulator<P, Probe> = Simulator::new(topo.clone(), cfg);
             assert_eq!(sim.plan.shards, 1);
             assert_eq!(sim.plan.lookahead_ns, u64::MAX);
             assert_eq!(sim.plan.ranges, [(0, n)]);
@@ -872,12 +799,12 @@ mod tests {
         assert_eq!(ShardPlan::build(&fat, 2).lookahead_ns, 10_000);
 
         let here = std::thread::current().id();
-        let mut one = fat_tree_sim(1, NoTelemetry);
+        let mut one = probe_sim(1, NoTelemetry);
         one.run_to_completion();
         let threads = callback_threads(&one);
         assert!(threads.len() > 16, "timers and deliveries");
         assert!(threads.iter().all(|&t| t == here), "one shard is inline");
-        let mut two = fat_tree_sim(2, NoTelemetry);
+        let mut two = probe_sim(2, NoTelemetry);
         two.run_to_completion();
         let threads = callback_threads(&two);
         assert!(threads.iter().all(|&t| t != here), "two shards are spawned");
@@ -891,7 +818,7 @@ mod tests {
     #[test]
     fn one_shard_run_opens_a_window_per_global_point_and_counts_no_shard_machinery() {
         let before = WINDOWS.get();
-        let mut off = fat_tree_sim(1, NoTelemetry);
+        let mut off = probe_sim(1, NoTelemetry);
         let events = off.run_to_completion();
         let windows = WINDOWS.get() - before;
         assert!(events > 16 * 30 * 6);
@@ -905,7 +832,7 @@ mod tests {
             ring_capacity: 8,
         });
         let before = WINDOWS.get();
-        let mut on = fat_tree_sim(1, rec);
+        let mut on = probe_sim(1, rec);
         on.run_to_completion();
         let windows = WINDOWS.get() - before;
         let buckets = on.telemetry().buckets().len() as u64;
@@ -924,7 +851,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "probe blew up on purpose")]
     fn panicking_agent_at_one_shard_unwinds_with_its_own_message() {
-        let mut sim = fat_tree_sim(1, NoTelemetry);
+        let mut sim = probe_sim(1, NoTelemetry);
         let host = sim.topology().hosts()[3];
         sim.schedule_timer(host, SimTime::from_micros(40), 1);
         sim.run_to_completion();
@@ -938,7 +865,7 @@ mod tests {
     fn shard_speedup_ceiling_is_exact_and_bounded_by_the_shard_count() {
         for shards in [2u64, 4] {
             let run = || {
-                let mut sim = fat_tree_sim(shards as usize, NoTelemetry);
+                let mut sim = probe_sim(shards as usize, NoTelemetry);
                 sim.run_to_completion();
                 sim.stats()
             };

@@ -1,0 +1,722 @@
+use super::*;
+use crate::rng::Pcg32;
+
+#[test]
+fn fat_tree_counts() {
+    // k=4: 16 hosts, 4 pods × (2+2) switches + 4 cores = 20 switches.
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    assert_eq!(t.hosts().len(), 16);
+    assert_eq!(t.node_count(), 16 + 8 + 8 + 4);
+    // k=10: the paper's 250-server fabric.
+    let t10 = Topology::fat_tree(10, 1_000_000_000, 10_000);
+    assert_eq!(t10.hosts().len(), 250);
+    assert_eq!(t10.node_count(), 250 + 50 + 50 + 25);
+}
+
+#[test]
+fn fat_tree_symmetric_ports() {
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    for n in 0..t.node_count() as u32 {
+        for (i, p) in t.node_ports(NodeId(n)).iter().enumerate() {
+            let back = t.port(p.peer, p.peer_port);
+            assert_eq!(back.peer, NodeId(n));
+            assert_eq!(back.peer_port as usize, i);
+        }
+    }
+}
+
+#[test]
+fn hosts_have_one_port_switches_k() {
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    for &h in t.hosts() {
+        assert_eq!(t.node_ports(h).len(), 1);
+    }
+    for n in 0..t.node_count() as u32 {
+        if t.kind(NodeId(n)) == NodeKind::Switch {
+            assert_eq!(t.node_ports(NodeId(n)).len(), 4, "switch degree");
+        }
+    }
+}
+
+#[test]
+fn path_hops_structure() {
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let hosts = t.hosts().to_vec();
+    // Same rack: 2 hops (host→edge→host).
+    assert_eq!(t.path_hops(hosts[0], hosts[1]), 2);
+    // Same pod, different rack: 4 hops.
+    assert_eq!(t.path_hops(hosts[0], hosts[2]), 4);
+    // Different pod: 6 hops.
+    assert_eq!(t.path_hops(hosts[0], hosts[15]), 6);
+}
+
+#[test]
+fn multipath_counts() {
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let hosts = t.hosts().to_vec();
+    let (src, dst) = (hosts[0], hosts[15]);
+    // At the source edge switch there are k/2 = 2 equal-cost uplinks.
+    let edge = t.edge_switch(src);
+    assert_eq!(t.next_ports(edge, dst).len(), 2);
+    // At the host there is exactly one way out.
+    assert_eq!(t.next_ports(src, dst).len(), 1);
+}
+
+#[test]
+fn same_rack_detection() {
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let hosts = t.hosts().to_vec();
+    assert!(t.same_rack(hosts[0], hosts[1]));
+    assert!(!t.same_rack(hosts[0], hosts[2]));
+}
+
+#[test]
+#[should_panic(expected = "self-links")]
+fn self_link_panics() {
+    let mut t = Topology::new();
+    let a = t.add_node(NodeKind::Host);
+    t.connect(a, a, 1, 1);
+}
+
+#[test]
+fn leaf_spine_structure_and_oversub() {
+    // 4 leaves x 4 hosts, 2 spines, 2:1 oversubscription.
+    let t = Topology::leaf_spine(4, 2, 4, 2.0, 1_000_000_000, 10_000);
+    assert_eq!(t.hosts().len(), 16);
+    assert_eq!(t.node_count(), 16 + 4 + 2);
+    // Uplink rate = 4 x 1G / (2 spines x 2.0) = 1 Gbps... per uplink.
+    let leaf = t.edge_switch(t.hosts()[0]);
+    let uplink = t
+        .node_ports(leaf)
+        .iter()
+        .find(|p| t.kind(p.peer) == NodeKind::Switch)
+        .unwrap();
+    assert_eq!(uplink.rate_bps, 1_000_000_000);
+    // Inter-leaf paths go host-leaf-spine-leaf-host = 4 hops with 2
+    // equal-cost spine choices at the leaf.
+    let (a, b) = (t.hosts()[0], t.hosts()[15]);
+    assert_eq!(t.path_hops(a, b), 4);
+    assert_eq!(t.next_ports(t.edge_switch(a), b).len(), 2);
+    // Spines are the core layer.
+    assert_eq!(t.core_switches().len(), 2);
+}
+
+#[test]
+fn jellyfish_regular_connected_deterministic() {
+    let t = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 7);
+    assert_eq!(t.hosts().len(), 16);
+    assert_eq!(t.node_count(), 16 + 8);
+    for n in 0..8u32 {
+        assert_eq!(t.kind(NodeId(n)), NodeKind::Switch);
+        assert_eq!(t.node_ports(NodeId(n)).len(), 3 + 2, "switch degree");
+    }
+    // All pairs reachable.
+    for &a in t.hosts() {
+        for &b in t.hosts() {
+            if a != b {
+                assert!(t.path_hops(a, b) >= 2);
+            }
+        }
+    }
+    // Same seed => identical wiring; different seed => different.
+    let t2 = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 7);
+    let t3 = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 8);
+    let wiring = |t: &Topology| -> Vec<Vec<u32>> {
+        (0..t.node_count() as u32)
+            .map(|n| t.node_ports(NodeId(n)).iter().map(|p| p.peer.0).collect())
+            .collect()
+    };
+    assert_eq!(wiring(&t), wiring(&t2));
+    assert_ne!(wiring(&t), wiring(&t3));
+}
+
+#[test]
+fn layered_policy_widens_path_set_and_stays_loop_free() {
+    let mut t = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3);
+    let minimal: usize = count_advertised(&t, 0);
+    t.set_policy(RoutingPolicy::layered(3, 7));
+    t.compute_routes();
+    assert_eq!(t.layer_count(), 3);
+    // Layer 0 is bit-identical to plain minimal routing.
+    assert_eq!(count_advertised(&t, 0), minimal);
+    // The union of layers advertises paths minimal routing lacks:
+    // some (node, dst) pair must advertise a port on a non-minimal
+    // layer that layer 0 does not.
+    let mut widened = false;
+    for layer in 1..t.layer_count() {
+        for n in 0..t.node_count() as u32 {
+            for &h in t.hosts() {
+                if NodeId(n) == h {
+                    continue;
+                }
+                let min_ports = t.try_next_ports_on(0, NodeId(n), h);
+                if t.try_next_ports_on(layer, NodeId(n), h)
+                    .iter()
+                    .any(|p| !min_ports.contains(p))
+                {
+                    widened = true;
+                }
+            }
+        }
+    }
+    assert!(widened, "extra layers must expose non-minimal paths");
+    // Any walk over a layer's advertised ports terminates within the
+    // 2x stretch bound (the weighted distance strictly decreases).
+    let hosts = t.hosts().to_vec();
+    let mut rng = Pcg32::new(99);
+    for layer in 0..t.layer_count() {
+        for _ in 0..100 {
+            let a = hosts[rng.below(hosts.len() as u64) as usize];
+            let b = hosts[rng.below(hosts.len() as u64) as usize];
+            if a == b {
+                continue;
+            }
+            let bound = 2 * t.path_hops(a, b) as usize;
+            let mut at = a;
+            let mut steps = 0;
+            while at != b {
+                let choices = t.try_next_ports_on(layer, at, b);
+                assert!(!choices.is_empty(), "layer {layer} lost {}->{}", a.0, b.0);
+                at = t
+                    .port(at, choices[rng.below(choices.len() as u64) as usize])
+                    .peer;
+                steps += 1;
+                assert!(steps <= bound, "layer {layer} walk exceeded 2x stretch");
+            }
+        }
+    }
+    // next_ports[0] still walks a minimal path.
+    let (a, b) = (hosts[0], hosts[7]);
+    let minimal_t = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3);
+    assert_eq!(t.path_hops(a, b), minimal_t.path_hops(a, b));
+}
+
+fn count_advertised(t: &Topology, layer: usize) -> usize {
+    let mut total = 0;
+    for n in 0..t.node_count() as u32 {
+        for &h in t.hosts() {
+            if NodeId(n) != h {
+                total += t.try_next_ports_on(layer, NodeId(n), h).len();
+            }
+        }
+    }
+    total
+}
+
+#[test]
+fn masked_recompute_routes_around_core_failure() {
+    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let core = t.core_switches()[0];
+    let mut mask = FaultMask::new();
+    mask.fail_node(core);
+    t.compute_routes_masked(&mask);
+    let hosts = t.hosts().to_vec();
+    for &a in &hosts {
+        for &b in &hosts {
+            if a == b {
+                continue;
+            }
+            // Every pair still routable, never through the dead core.
+            let mut at = a;
+            let mut steps = 0;
+            while at != b {
+                let p = t.next_ports(at, b)[0];
+                at = t.port(at, p).peer;
+                assert_ne!(at, core, "path crosses the failed core");
+                steps += 1;
+                assert!(steps <= 6);
+            }
+        }
+    }
+    // Restoring the mask restores the full path set.
+    t.compute_routes();
+    let edge = t.edge_switch(hosts[0]);
+    assert_eq!(t.next_ports(edge, hosts[15]).len(), 2);
+}
+
+/// Full snapshot of every layer's advertised route tables, for
+/// equivalence checks between incremental repair and full
+/// recomputation.
+fn route_tables(t: &Topology) -> Vec<Vec<Vec<Vec<u16>>>> {
+    (0..t.layer_count())
+        .map(|layer| {
+            (0..t.node_count() as u32)
+                .map(|n| {
+                    t.hosts()
+                        .iter()
+                        .map(|&h| t.try_next_ports_on(layer, NodeId(n), h).to_vec())
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every layer's weight table, via the public accessor — the
+/// representation the cache-reuse test snapshots.
+fn weight_snapshot(t: &Topology) -> Vec<Vec<u8>> {
+    (0..t.layer_count())
+        .map(|layer| {
+            (0..t.node_count() as u32)
+                .flat_map(|n| {
+                    (0..t.node_ports(NodeId(n)).len() as u16)
+                        .map(move |p| (NodeId(n), p))
+                        .collect::<Vec<_>>()
+                })
+                .map(|(n, p)| t.layer_link_weight(layer, n, p))
+                .collect()
+        })
+        .collect()
+}
+
+/// Mid-run masked recomputes and repairs reuse the cached weight
+/// arenas: the tables depend only on (policy, frozen graph), never
+/// the fault mask, so fault events must not re-derive one seeded
+/// hash per inter-switch link — and the cached tables must be
+/// bit-identical to freshly derived ones.
+#[test]
+fn weight_tables_cached_across_masked_recomputes() {
+    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    t.set_policy(RoutingPolicy::layered(3, 9));
+    t.compute_routes();
+    let builds = t.weight_builds();
+    let snapshot = weight_snapshot(&t);
+    let mut mask = FaultMask::new();
+    mask.fail_node(t.core_switches()[0]);
+    t.compute_routes_masked(&mask);
+    mask.fail_link(&t, t.hosts()[0], 0);
+    t.repair_routes(&mask);
+    mask.restore_node(t.core_switches()[0]);
+    t.repair_routes(&mask);
+    assert_eq!(
+        t.weight_builds(),
+        builds,
+        "fault events rebuilt mask-independent weight tables"
+    );
+    assert_eq!(weight_snapshot(&t), snapshot, "cached tables diverged");
+    // A policy change invalidates the cache; flipping back rebuilds
+    // tables identical to the originally cached ones (the tables
+    // are a pure function of policy + graph).
+    t.set_policy(RoutingPolicy::layered(3, 10));
+    t.compute_routes();
+    assert_eq!(t.weight_builds(), builds + 1, "policy change must rebuild");
+    t.set_policy(RoutingPolicy::layered(3, 9));
+    t.compute_routes();
+    assert_eq!(weight_snapshot(&t), snapshot);
+}
+
+#[test]
+fn repair_single_link_matches_full_and_rebuilds_few() {
+    // Fail one agg–core link on a k=4 fat-tree: only the core's
+    // single path into the agg's pod empties, so just that pod's
+    // edge switches (2 of 8) need a BFS rebuild. The true core layer is the
+    // last-added (k/2)² nodes (`core_switches()` includes aggs).
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let core = NodeId(pristine.node_count() as u32 - 1);
+    let mut mask = FaultMask::new();
+    mask.fail_link(&pristine, core, 0);
+
+    let mut full = pristine.clone();
+    full.compute_routes_masked(&mask);
+    let mut repaired = pristine.clone();
+    let outcome = repaired.repair_routes(&mask);
+    assert!(!outcome.full, "single link failure must repair in place");
+    assert!(
+        outcome.dests_rebuilt <= 2,
+        "at most one pod's edge-switch columns rebuilt (got {})",
+        outcome.dests_rebuilt
+    );
+    assert!(outcome.dests_touched > 0, "surgery must remove dead ports");
+    assert_eq!(
+        route_tables(&full),
+        route_tables(&repaired),
+        "repair must be exact"
+    );
+}
+
+#[test]
+fn repair_core_switch_is_pure_surgery() {
+    // Killing a whole core-layer switch changes no distances on a
+    // fat-tree (every agg keeps an equal-cost sibling core), so the
+    // repair is pure port-list surgery: zero BFS rebuilds. Note
+    // `core_switches()` also returns aggs (any host-free switch);
+    // the true core layer is the last-added (k/2)² nodes.
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let core = NodeId(pristine.node_count() as u32 - 1);
+    let mut mask = FaultMask::new();
+    mask.fail_node(core);
+    let mut full = pristine.clone();
+    full.compute_routes_masked(&mask);
+    let mut repaired = pristine.clone();
+    let outcome = repaired.repair_routes(&mask);
+    assert!(!outcome.full);
+    assert_eq!(outcome.dests_rebuilt, 0, "no distance changed");
+    assert_eq!(route_tables(&full), route_tables(&repaired));
+}
+
+#[test]
+fn repair_sequential_faults_track_full_recompute() {
+    // Grow the mask one failure at a time; each repair must leave the
+    // tables identical to a from-scratch recomputation of the
+    // accumulated mask.
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let cores = pristine.core_switches();
+    let mut mask = FaultMask::new();
+    let mut repaired = pristine.clone();
+    for (step, &victim) in cores.iter().take(2).enumerate() {
+        mask.fail_node(victim);
+        repaired.repair_routes(&mask);
+        let mut full = pristine.clone();
+        full.compute_routes_masked(&mask);
+        assert_eq!(
+            route_tables(&full),
+            route_tables(&repaired),
+            "divergence after step {step}"
+        );
+    }
+}
+
+#[test]
+fn repair_restores_incrementally_on_every_layer() {
+    // The true core layer is the last-added (k/2)² nodes
+    // (`core_switches()` also returns aggs).
+    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let core = NodeId(t.node_count() as u32 - 1);
+    let mut mask = FaultMask::new();
+    mask.fail_node(core);
+    assert!(!t.repair_routes(&mask).full);
+    // Restoring the core re-adds equal-cost capacity without
+    // changing any distance on a fat-tree: pure restore surgery.
+    mask.restore_node(core);
+    let outcome = t.repair_routes(&mask);
+    assert!(!outcome.full, "restoration must repair incrementally");
+    assert_eq!(outcome.restored, 1);
+    assert_eq!(outcome.dests_rebuilt, 0, "no distance shrank");
+    let healthy = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    assert_eq!(route_tables(&t), route_tables(&healthy));
+    // An aggregation switch's death cuts its group's cores off from
+    // the pod; the restoration must rebuild exactly that pod's two
+    // edge-switch columns (where distances genuinely changed) and
+    // still match.
+    let mut t2 = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let agg = t2.core_switches()[0]; // host-free ⇒ agg or core; [0] is an agg
+    let mut m2 = FaultMask::new();
+    m2.fail_node(agg);
+    t2.repair_routes(&m2);
+    m2.restore_node(agg);
+    let o2 = t2.repair_routes(&m2);
+    assert!(!o2.full, "agg restoration must repair incrementally");
+    assert_eq!(o2.dests_rebuilt, 2, "one pod's edge-switch columns rebuilt");
+    assert_eq!(route_tables(&t2), route_tables(&healthy));
+    // Layered policies repair incrementally too. A host-link flap
+    // on a 3-layer Jellyfish is a bit flip on every layer at once —
+    // no column rebuilt or touched either way — and lands exactly
+    // on the from-scratch tables.
+    let mut lt = Topology::jellyfish(12, 3, 2, 1_000_000_000, 10_000, 3);
+    lt.set_policy(RoutingPolicy::layered(3, 11));
+    lt.compute_routes();
+    let layered_pristine = lt.clone();
+    let victim_host = lt.hosts()[0];
+    let mut m3 = FaultMask::new();
+    m3.fail_link(&lt, victim_host, 0);
+    let fail_outcome = lt.repair_routes(&m3);
+    assert_eq!(
+        (
+            fail_outcome.full,
+            fail_outcome.dests_rebuilt,
+            fail_outcome.dests_touched
+        ),
+        (false, 0, 0),
+        "layered host-link failure is a bit flip"
+    );
+    let mut layered_full = layered_pristine.clone();
+    layered_full.compute_routes_masked(&m3);
+    assert_eq!(route_tables(&lt), route_tables(&layered_full));
+    m3.restore_link(&lt, victim_host, 0);
+    let o3 = lt.repair_routes(&m3);
+    assert!(!o3.full, "layered restoration must repair incrementally");
+    assert_eq!(o3.restored, 1);
+    assert_eq!(o3.dests_rebuilt + o3.dests_touched, 0, "bit flip back");
+    assert_eq!(route_tables(&lt), route_tables(&layered_pristine));
+    // An inter-switch link's blast radius on a weighted layer can
+    // legitimately exceed the mass-delta threshold (weighted columns
+    // often advertise a single port) — but fallback or surgery, the
+    // repaired tables must equal a from-scratch recompute.
+    let mut sw = layered_pristine.clone();
+    let mut m4 = FaultMask::new();
+    m4.fail_link(&sw, NodeId(0), 0);
+    sw.repair_routes(&m4);
+    let mut sw_full = layered_pristine.clone();
+    sw_full.compute_routes_masked(&m4);
+    assert_eq!(route_tables(&sw), route_tables(&sw_full));
+    m4.restore_link(&sw, NodeId(0), 0);
+    sw.repair_routes(&m4);
+    assert_eq!(route_tables(&sw), route_tables(&layered_pristine));
+}
+
+#[test]
+fn restore_repair_link_and_host_cases() {
+    // A host link flaps down and up: the cut bit flips and flips
+    // back; no column is rebuilt either way.
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let victim = pristine.hosts()[0];
+    let mut t = pristine.clone();
+    let mut mask = FaultMask::new();
+    mask.fail_link(&t, victim, 0);
+    assert!(!t.repair_routes(&mask).full);
+    mask.restore_link(&t, victim, 0);
+    let outcome = t.repair_routes(&mask);
+    assert!(!outcome.full, "link restoration must repair in place");
+    assert_eq!(outcome.restored, 1);
+    assert_eq!(outcome.dests_rebuilt, 0, "no column behind a host link");
+    assert_eq!(route_tables(&t), route_tables(&pristine));
+
+    // A whole host (node) dies and revives: same exactness.
+    let mut t2 = pristine.clone();
+    let mut m2 = FaultMask::new();
+    m2.fail_node(victim);
+    assert!(!t2.repair_routes(&m2).full);
+    m2.restore_node(victim);
+    let o2 = t2.repair_routes(&m2);
+    assert!(!o2.full, "host restoration must repair in place");
+    assert_eq!((o2.restored, o2.dests_rebuilt), (1, 0));
+    assert_eq!(route_tables(&t2), route_tables(&pristine));
+}
+
+#[test]
+fn restore_repair_rebuilds_on_distance_shrink() {
+    // A triangle a—b—c with hosts at a and c plus ballast hosts at b
+    // (so two dirty columns stay under the mass-delta threshold).
+    // Failing the a—c shortcut forces the long way; restoring it
+    // must shrink distances back, which only a BFS rebuild can do.
+    let mut t = Topology::new();
+    let h0 = t.add_node(NodeKind::Host);
+    let a = t.add_node(NodeKind::Switch);
+    let b = t.add_node(NodeKind::Switch);
+    let c = t.add_node(NodeKind::Switch);
+    let h1 = t.add_node(NodeKind::Host);
+    t.connect(h0, a, 1_000_000_000, 10_000);
+    t.connect(a, b, 1_000_000_000, 10_000);
+    t.connect(b, c, 1_000_000_000, 10_000);
+    t.connect(a, c, 1_000_000_000, 10_000); // the shortcut
+    t.connect(c, h1, 1_000_000_000, 10_000);
+    for _ in 0..6 {
+        let hb = t.add_node(NodeKind::Host);
+        t.connect(hb, b, 1_000_000_000, 10_000);
+    }
+    t.compute_routes();
+    let pristine = t.clone();
+    assert_eq!(t.path_hops(h0, h1), 3, "shortcut path");
+    let mut mask = FaultMask::new();
+    // Port 2 on a is the a—c shortcut (ports: h0, b, c).
+    mask.fail_link(&t, a, 2);
+    t.repair_routes(&mask);
+    assert_eq!(t.path_hops(h0, h1), 4, "detour through b");
+    mask.restore_link(&t, a, 2);
+    let outcome = t.repair_routes(&mask);
+    assert!(!outcome.full);
+    assert!(
+        outcome.dests_rebuilt >= 1,
+        "shrinking distances need a BFS rebuild"
+    );
+    assert_eq!(route_tables(&t), route_tables(&pristine));
+    assert_eq!(t.path_hops(h0, h1), 3, "shortcut back in use");
+}
+
+#[test]
+fn repair_after_policy_change_takes_full_fallback() {
+    // Changing the policy (even just its seed) without recomputing
+    // invalidates the weight tables surgery would run against; the
+    // next repair must fall back to a full recompute under the new
+    // policy and land exactly on its from-scratch tables.
+    let mut t = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3);
+    t.set_policy(RoutingPolicy::layered(2, 1));
+    t.compute_routes();
+    t.set_policy(RoutingPolicy::layered(2, 2)); // same count, new seed
+    let mut mask = FaultMask::new();
+    mask.fail_link(&t, NodeId(0), 0);
+    assert!(t.repair_routes(&mask).full, "stale weights force fallback");
+    let mut fresh = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3);
+    fresh.set_policy(RoutingPolicy::layered(2, 2));
+    fresh.compute_routes_masked(&mask);
+    assert_eq!(route_tables(&t), route_tables(&fresh));
+    // With the policy stable again, the next delta repairs in place.
+    mask.restore_link(&t, NodeId(0), 0);
+    assert!(!t.repair_routes(&mask).full);
+}
+
+#[test]
+fn repair_with_no_delta_is_a_noop() {
+    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let before = route_tables(&t);
+    let outcome = t.repair_routes(&FaultMask::new());
+    assert!(!outcome.full);
+    assert_eq!(outcome.dests_rebuilt + outcome.dests_touched, 0);
+    assert_eq!(route_tables(&t), before);
+}
+
+#[test]
+fn repair_host_link_rebuilds_only_that_host() {
+    // A dying host uplink cuts exactly one destination, and does it
+    // with a bit flip: hosts are leaves nothing routes through, so
+    // no column is rebuilt or even touched.
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let victim = pristine.hosts()[0];
+    let mut mask = FaultMask::new();
+    mask.fail_link(&pristine, victim, 0);
+    let mut full = pristine.clone();
+    full.compute_routes_masked(&mask);
+    let mut repaired = pristine.clone();
+    let outcome = repaired.repair_routes(&mask);
+    assert!(!outcome.full);
+    assert_eq!((outcome.dests_rebuilt, outcome.dests_touched), (0, 0));
+    assert_eq!(route_tables(&full), route_tables(&repaired));
+    let (neighbour, edge) = (pristine.hosts()[1], pristine.edge_switch(victim));
+    assert!(repaired.try_next_ports_on(0, neighbour, victim).is_empty());
+    assert!(repaired.try_next_ports_on(0, edge, victim).is_empty());
+    assert_eq!(repaired.layer_distance(0, edge, victim), None);
+    // The rack-mate behind the same ToR keeps its last hop.
+    assert_eq!(repaired.try_next_ports_on(0, edge, neighbour).len(), 1);
+    assert_eq!(repaired.layer_distance(0, victim, neighbour), None);
+    assert_eq!(
+        repaired.layer_distance(0, pristine.hosts()[2], neighbour),
+        Some(4)
+    );
+}
+
+#[test]
+#[should_panic(expected = "host 0 has 2 ports")]
+fn multi_homed_host_is_rejected() {
+    let mut t = Topology::new();
+    let h = t.add_node(NodeKind::Host);
+    let a = t.add_node(NodeKind::Switch);
+    let b = t.add_node(NodeKind::Switch);
+    t.connect(h, a, 1_000_000_000, 10_000);
+    t.connect(h, b, 1_000_000_000, 10_000);
+    t.connect(a, b, 1_000_000_000, 10_000);
+    t.compute_routes();
+}
+
+#[test]
+#[should_panic(expected = "host 0 is attached to non-switch node 1")]
+fn host_to_host_link_is_rejected() {
+    let mut t = Topology::new();
+    let a = t.add_node(NodeKind::Host);
+    let b = t.add_node(NodeKind::Host);
+    t.connect(a, b, 1_000_000_000, 10_000);
+    t.compute_routes();
+}
+
+/// Route tables scale with access switches × switch-to-switch
+/// ports: the 5 000-host Jellyfish's tables, exactly. (One column
+/// per host took ≈ 575 MB under two layers; node-keyed rows with
+/// host-port room in every cell, 28 849 328 B.)
+#[test]
+fn jellyfish_5000_route_table_bytes() {
+    let mut t = Topology::jellyfish(250, 12, 20, 1_000_000_000, 10_000, 7);
+    assert_eq!(t.hosts().len(), 5000);
+    assert_eq!(t.route_table_bytes(), 2_017_332, "one layer");
+    t.set_policy(RoutingPolicy::layered(2, 7));
+    t.compute_routes();
+    assert_eq!(t.route_table_bytes(), 3_892_332, "two layers");
+    assert!(t.route_table_bytes() <= 4_000_000);
+}
+
+/// The same count at RNG scale (flat fabrics of 10⁴+ racks): a
+/// 20 000-host, 1 000-switch Jellyfish under two layers.
+#[test]
+#[ignore = "20 000-host build; run in release"]
+fn jellyfish_20000_route_tables_fit_in_64_mb() {
+    let mut t = Topology::jellyfish(1000, 12, 20, 1_000_000_000, 10_000, 7);
+    t.set_policy(RoutingPolicy::layered(2, 7));
+    t.compute_routes();
+    assert_eq!(t.hosts().len(), 20_000);
+    assert_eq!(t.route_table_bytes(), 60_569_316);
+    assert!(t.route_table_bytes() <= 64 << 20);
+}
+
+#[test]
+fn masked_recompute_leaves_cut_hosts_unroutable() {
+    let mut t = Topology::leaf_spine(2, 2, 2, 1.0, 1_000_000_000, 10_000);
+    let hosts = t.hosts().to_vec();
+    let leaf = t.edge_switch(hosts[0]);
+    let mut mask = FaultMask::new();
+    mask.fail_node(leaf);
+    t.compute_routes_masked(&mask);
+    // Hosts behind the dead leaf are unreachable...
+    assert!(t.try_next_ports_on(0, hosts[2], hosts[0]).is_empty());
+    // ...but the other leaf's hosts still reach each other.
+    assert!(!t.try_next_ports_on(0, hosts[2], hosts[3]).is_empty());
+}
+
+/// The switch index on every family, before and after repair. The
+/// Jellyfish numbers its switches first (row = id), so a row/id
+/// mix-up would pass there; the fat-tree and the leaf–spine
+/// interleave switches with hosts (leaf, its hosts, next leaf, …,
+/// spines), so there it cannot.
+#[test]
+fn csr_invariants_hold_after_build_and_repair() {
+    let leaf_spine = Topology::leaf_spine(3, 2, 2, 1.0, 1_000_000_000, 10_000);
+    assert_eq!(leaf_spine.switches.rows[3].row, 1, "second leaf, id 3");
+    let mut jelly = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 7);
+    jelly.set_policy(RoutingPolicy::layered(2, 5));
+    jelly.compute_routes();
+    for mut t in [
+        Topology::fat_tree(4, 1_000_000_000, 10_000),
+        leaf_spine,
+        jelly,
+    ] {
+        t.check_csr_invariants();
+        // The last switch dies, and the first rack's first fabric
+        // link with it.
+        let victim = (0..t.node_count() as u32)
+            .rev()
+            .map(NodeId)
+            .find(|&n| t.kind(n) == NodeKind::Switch)
+            .unwrap();
+        let edge = t.edge_switch(t.hosts()[0]);
+        let uplink = t
+            .node_ports(edge)
+            .iter()
+            .position(|p| t.kind(p.peer) == NodeKind::Switch)
+            .unwrap() as u16;
+        let mut mask = FaultMask::new();
+        mask.fail_node(victim);
+        mask.fail_link(&t, edge, uplink);
+        t.repair_routes(&mask);
+        t.check_csr_invariants();
+        mask.restore_node(victim);
+        t.repair_routes(&mask);
+        t.check_csr_invariants();
+    }
+}
+
+/// One switch and two hosts: no switch-to-switch port, so every
+/// `buf` column is zero-width — yet the column's one row must still
+/// give the root distance 0, or the two hosts could never reach
+/// each other. Holds through a host-link failure and its repair.
+#[test]
+fn lone_switch_routes_through_a_zero_width_column() {
+    let mut t = Topology::new();
+    let a = t.add_node(NodeKind::Host);
+    let s = t.add_node(NodeKind::Switch);
+    let b = t.add_node(NodeKind::Host);
+    t.connect(a, s, 1_000_000_000, 10_000);
+    t.connect(b, s, 1_000_000_000, 10_000);
+    t.compute_routes();
+    t.check_csr_invariants();
+    let routed = |t: &Topology| {
+        assert_eq!(t.next_ports(a, b), [0]);
+        assert_eq!(t.next_ports(s, b), [1], "the switch's access port to b");
+        assert_eq!(t.path_hops(a, b), 2);
+    };
+    routed(&t);
+    let mut mask = FaultMask::new();
+    mask.fail_link(&t, b, 0);
+    t.repair_routes(&mask);
+    assert!(t.try_next_ports_on(0, a, b).is_empty());
+    mask.restore_link(&t, b, 0);
+    t.repair_routes(&mask);
+    t.check_csr_invariants();
+    routed(&t);
+}

@@ -392,7 +392,7 @@ proptest! {
             for &h in &hosts {
                 prop_assert_eq!(
                     t.try_next_ports_on(0, NodeId(n), h),
-                    minimal.try_next_ports(NodeId(n), h),
+                    minimal.try_next_ports_on(0, NodeId(n), h),
                     "{}: layer 0 diverged from minimal at node {}", label, n
                 );
             }
@@ -463,8 +463,8 @@ proptest! {
             for n in 0..pristine.node_count() as u32 {
                 for &h in pristine.hosts() {
                     prop_assert_eq!(
-                        repaired.try_next_ports(NodeId(n), h),
-                        full.try_next_ports(NodeId(n), h),
+                        repaired.try_next_ports_on(0, NodeId(n), h),
+                        full.try_next_ports_on(0, NodeId(n), h),
                         "{}: node {} dest {} diverged at step {}", label, n, h.0, step
                     );
                 }
@@ -565,7 +565,7 @@ proptest! {
             for &b in &hosts {
                 if a != b {
                     prop_assert!(
-                        !t.try_next_ports(a, b).is_empty(),
+                        !t.try_next_ports_on(0, a, b).is_empty(),
                         "pair {}->{} unroutable after single failure", a.0, b.0
                     );
                     random_walk(&t, &mut rng, a, b, t.node_count())?;

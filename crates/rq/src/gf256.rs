@@ -97,18 +97,6 @@ pub fn inv(a: u8) -> u8 {
     EXP[255 - LOG[a as usize] as usize]
 }
 
-/// Divide `a` by `b`. Panics if `b == 0`.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    if a == 0 {
-        0
-    } else {
-        assert!(b != 0, "gf256: division by zero");
-        let diff = 255 + LOG[a as usize] as usize - LOG[b as usize] as usize;
-        EXP[diff]
-    }
-}
-
 /// Addition (= subtraction) in GF(2^8) is XOR.
 #[inline]
 pub fn add(a: u8, b: u8) -> u8 {
@@ -367,7 +355,6 @@ mod tests {
     fn inverse_law() {
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a)), 1);
-            assert_eq!(div(a, a), 1);
         }
     }
 
@@ -375,15 +362,6 @@ mod tests {
     #[should_panic(expected = "inverse of zero")]
     fn inverse_of_zero_panics() {
         inv(0);
-    }
-
-    #[test]
-    fn div_matches_mul_inv() {
-        for a in (0..=255u8).step_by(3) {
-            for b in 1..=255u8 {
-                assert_eq!(div(a, b), mul(a, inv(b)));
-            }
-        }
     }
 
     #[test]

@@ -155,9 +155,10 @@ impl Agent<TcpPayload> for TcpAgent {
 
 /// Convenience: install a connection at both endpoints and schedule its
 /// start timer.
-pub fn install_connection<S>(sim: &mut netsim::Simulator<TcpPayload, S>, spec: &ConnSpec)
+pub fn install_connection<S, T>(sim: &mut netsim::Simulator<TcpPayload, S, T>, spec: &ConnSpec)
 where
     S: netsim::Agent<TcpPayload> + AsMut<TcpAgent>,
+    T: netsim::TelemetrySink,
 {
     let start = spec.start;
     let (snd, id) = (spec.sender, spec.id);

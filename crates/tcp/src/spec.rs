@@ -41,11 +41,6 @@ impl TcpConfig {
             recv_window_segs: 14,       // INET advertisedWindow default
         }
     }
-
-    /// Wire size of a full data segment.
-    pub fn data_packet_bytes(&self) -> u32 {
-        self.mss as u32 + netsim::HEADER_BYTES
-    }
 }
 
 impl Default for TcpConfig {
@@ -127,7 +122,7 @@ mod tests {
     #[test]
     fn config_wire_parity_with_polyraptor() {
         let c = TcpConfig::paper_default();
-        assert_eq!(c.data_packet_bytes(), 1504);
+        assert_eq!(c.mss as u32 + netsim::HEADER_BYTES, 1504);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use netsim::{
     TelemetrySink, Topology,
 };
 use polyraptor::{start_token, PolyraptorAgent, PrConfig, PrPayload, SessionId, SessionSpec};
-use tcpsim::{conn_start_token, ConnId, ConnSpec, TcpAgent, TcpConfig, TcpPayload};
+use tcpsim::{install_connection, ConnId, ConnSpec, TcpAgent, TcpConfig, TcpPayload};
 
 use crate::scenario::{IncastScenario, LogicalSession, Pattern, StorageScenario};
 use crate::telemetry::{gather_rq_spans, take_run_telemetry, RunTelemetry, TelemetryOptions};
@@ -491,16 +491,6 @@ impl TcpRunOptions {
     }
 }
 
-/// Install every connection at both of its ends and schedule its start
-/// timer at the sender.
-fn install_tcp<T: TelemetrySink>(sim: &mut Simulator<TcpPayload, TcpAgent, T>, conns: &[ConnSpec]) {
-    for c in conns {
-        sim.agent_mut(c.sender).install(c.clone());
-        sim.agent_mut(c.receiver).install(c.clone());
-        sim.schedule_timer(c.sender, c.start, conn_start_token(c.id));
-    }
-}
-
 /// Translate logical sessions into TCP connection sets, emulating the
 /// paper's baselines: Write ⇒ multi-unicast (the client sends one full
 /// copy per replica); Read ⇒ partitioned fetch (each replica returns
@@ -827,7 +817,9 @@ pub fn run(run: Run) -> RunReport {
         Transport::Tcp(opts) => {
             let mut sim = opts.simulator(topo, sim_seed, reroute_delay_ns);
             let conns = build_tcp_conns(&sessions, pattern);
-            install_tcp(&mut sim, &conns);
+            for c in &conns {
+                install_connection(&mut sim, c);
+            }
             let receivers = conns.iter().map(|c| c.session);
             execute(sim, &faults, &notices, receivers, |sim, report| {
                 for (_, agent) in sim.agents() {

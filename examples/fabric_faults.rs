@@ -39,7 +39,7 @@
 
 use std::path::Path;
 
-use polyraptor_repro::netsim::{FabricStats, FaultMask, NodeKind, Topology};
+use polyraptor_repro::netsim::{FabricStats, FaultMask, NodeKind, RouteRepair, Topology};
 use polyraptor_repro::workload::{
     run_churn_rq, run_churn_tcp, run_fault_rq, run_fault_tcp, ChurnReport, ChurnScenario, Fabric,
     FaultScenario, RankCurve, RqRunOptions, RunTelemetry, TcpRunOptions, TelemetryOptions,
@@ -99,9 +99,9 @@ fn write_telemetry(t: &RunTelemetry, prefix: &str) {
 }
 
 /// Wall-clock the control-plane bill of one link failure on `fabric`:
-/// a full masked recomputation vs. the incremental repair — and the
-/// bytes of route table they maintain.
-fn time_reroute(fabric: &Fabric) -> (f64, f64, usize) {
+/// a full masked recomputation vs. the incremental repair (and what it
+/// rebuilt) — and the bytes of route table they maintain.
+fn time_reroute(fabric: &Fabric) -> (f64, f64, RouteRepair, usize) {
     let pristine = fabric.build();
     // Victim: the first switch-switch link (an edge/leaf uplink).
     let (node, port) = (0..pristine.node_count() as u32)
@@ -124,10 +124,11 @@ fn time_reroute(fabric: &Fabric) -> (f64, f64, usize) {
         start.elapsed().as_secs_f64() * 1e3
     };
     let full_ms = wall(&mut |t| t.compute_routes_masked(&mask));
-    let repair_ms = wall(&mut |t| {
-        t.repair_routes(&mask);
-    });
-    (full_ms, repair_ms, pristine.route_table_bytes())
+    let mut repair = None;
+    let repair_ms = wall(&mut |t| repair = Some(t.repair_routes(&mask)));
+    let repair = repair.expect("the repair ran");
+    assert!(!repair.full, "one link failure repairs in place");
+    (full_ms, repair_ms, repair, pristine.route_table_bytes())
 }
 
 fn churn_line(label: &str, rep: &ChurnReport) {
@@ -256,7 +257,7 @@ fn run_churn(smoke: bool, telemetry: bool) {
         };
         let rep = run_churn_rq(&big, &fabric, &big_opts);
         let c = rep.completion();
-        let (full_ms, repair_ms, table_bytes) = time_reroute(&fabric);
+        let (full_ms, repair_ms, _, table_bytes) = time_reroute(&fabric);
         println!(
             "large-fabric churn: {}: completion p99 {:.2} ms, {} reroutes \
              ({} incremental, {} restore-incremental), {} timeouts; \
@@ -350,10 +351,11 @@ fn main() {
 
     // Incremental route repair, isolated: the control-plane bill of one
     // link failure on this fabric.
-    let (full_ms, repair_ms, rebuilt) = time_reroute(&fabric);
+    let (full_ms, repair_ms, repair, _) = time_reroute(&fabric);
     println!(
-        "\nincremental route repair: {repair_ms:.3} ms ({rebuilt} destination trees rebuilt) \
+        "\nincremental route repair: {repair_ms:.3} ms ({} route columns rebuilt) \
          vs {full_ms:.3} ms full recompute ({:.1}x)",
+        repair.dests_rebuilt,
         full_ms / repair_ms,
     );
 
