@@ -4,88 +4,33 @@
 //! 20 % background, permutation traffic matrix; four configurations:
 //! {1, 3} replicas × {Polyraptor (RQ), TCP multi-unicast}.
 //!
-//! Run `cargo run --release -p polyraptor-bench --bin fig1a -- --full`
+//! Run `cargo run --release -p polyraptor_bench --bin fig1a -- --full`
 //! for the paper's exact scale, or with no flags for a faster default.
 
-use polyraptor_bench::{average_rank_curves, print_series_table, run_parallel, FigOptions};
-use workload::{
-    foreground_goodputs, run_storage_rq, run_storage_tcp, RankCurve, RqRunOptions, StorageScenario,
-    TcpRunOptions,
-};
+use polyraptor_bench::{rank_curve_figure, FigOptions};
+use workload::{RqRunOptions, StorageScenario, TcpRunOptions, Transport};
 
 fn main() {
     let o = FigOptions::parse(std::env::args().skip(1));
-    std::fs::create_dir_all(&o.out).expect("create out dir");
-    eprintln!(
-        "fig1a: {} sessions x {} seeds on {}",
-        o.sessions,
-        o.seeds.len(),
-        o.fabric.describe()
+    let (rq, tcp) = (
+        Transport::Rq(RqRunOptions::default()),
+        Transport::Tcp(TcpRunOptions::default()),
     );
-
-    // (label, replicas, rq?) — the four curves of the figure.
-    let configs: [(&str, usize, bool); 4] = [
-        ("RQ-1rep", 1, true),
-        ("RQ-3rep", 3, true),
-        ("TCP-1rep", 1, false),
-        ("TCP-3rep", 3, false),
+    // (label, replicas, transport) — the four curves of the figure.
+    let series = [
+        ("RQ-1rep", 1, rq),
+        ("RQ-3rep", 3, rq),
+        ("TCP-1rep", 1, tcp),
+        ("TCP-3rep", 3, tcp),
     ];
-
-    let mut jobs: Vec<Box<dyn FnOnce() -> (usize, RankCurve) + Send>> = Vec::new();
-    for (ci, &(_, replicas, rq)) in configs.iter().enumerate() {
-        for &seed in &o.seeds {
-            let sessions = o.sessions;
-            let fabric = o.fabric;
-            jobs.push(Box::new(move || {
-                let sc = StorageScenario::fig1a(sessions, replicas, seed);
-                let results = if rq {
-                    run_storage_rq(&sc, &fabric, &RqRunOptions::default())
-                } else {
-                    run_storage_tcp(&sc, &fabric, &TcpRunOptions::default())
-                };
-                (ci, RankCurve::new(foreground_goodputs(&results)))
-            }));
-        }
-    }
-    let outputs = run_parallel(jobs);
-
-    let mut per_config: Vec<Vec<RankCurve>> = (0..configs.len()).map(|_| Vec::new()).collect();
-    for (ci, curve) in outputs {
-        per_config[ci].push(curve);
-    }
-
-    // Averaged sampled curves, one column per configuration.
-    let sampled: Vec<Vec<(f64, f64)>> = per_config
-        .iter()
-        .map(|curves| average_rank_curves(curves, o.points))
-        .collect();
-    let rows: Vec<Vec<f64>> = (0..o.points)
-        .map(|i| {
-            let mut row = vec![sampled[0][i].0];
-            for s in &sampled {
-                row.push(s[i].1);
-            }
-            row
-        })
-        .collect();
-    let labels: Vec<&str> = configs.iter().map(|c| c.0).collect();
-    print_series_table(
+    rank_curve_figure(
+        &o,
+        "fig1a",
         "Figure 1a — Multicast: goodput (Gbps) vs rank of transport session",
-        "rank",
-        &labels,
-        &rows,
+        &series.map(|s| s.0),
+        |i, seed| {
+            let (_, replicas, transport) = series[i];
+            StorageScenario::fig1a(o.sessions, replicas, seed).build(&o.fabric, transport)
+        },
     );
-
-    // Persist the full curves.
-    let mut header = vec!["rank"];
-    header.extend(&labels);
-    workload::csv::write_csv(&o.out.join("fig1a.csv"), &header, rows.clone())
-        .expect("write fig1a.csv");
-    eprintln!("wrote {}", o.out.join("fig1a.csv").display());
-
-    // Headline summary (medians) for EXPERIMENTS.md.
-    for (c, curves) in configs.iter().zip(&per_config) {
-        let med = workload::mean(&curves.iter().map(|c| c.median()).collect::<Vec<_>>());
-        println!("# median {}: {:.3} Gbps", c.0, med);
-    }
 }

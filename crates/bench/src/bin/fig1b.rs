@@ -5,78 +5,30 @@
 //! once; TCP fetches one partition from each replica without
 //! coordination. Same fabric and arrival process as Figure 1a.
 
-use polyraptor_bench::{average_rank_curves, print_series_table, run_parallel, FigOptions};
-use workload::{
-    foreground_goodputs, run_storage_rq, run_storage_tcp, RankCurve, RqRunOptions, StorageScenario,
-    TcpRunOptions,
-};
+use polyraptor_bench::{rank_curve_figure, FigOptions};
+use workload::{RqRunOptions, StorageScenario, TcpRunOptions, Transport};
 
 fn main() {
     let o = FigOptions::parse(std::env::args().skip(1));
-    std::fs::create_dir_all(&o.out).expect("create out dir");
-    eprintln!(
-        "fig1b: {} sessions x {} seeds on {}",
-        o.sessions,
-        o.seeds.len(),
-        o.fabric.describe()
+    let (rq, tcp) = (
+        Transport::Rq(RqRunOptions::default()),
+        Transport::Tcp(TcpRunOptions::default()),
     );
-
-    let configs: [(&str, usize, bool); 4] = [
-        ("RQ-1snd", 1, true),
-        ("RQ-3snd", 3, true),
-        ("TCP-1snd", 1, false),
-        ("TCP-3snd", 3, false),
+    // (label, senders, transport) — the four curves of the figure.
+    let series = [
+        ("RQ-1snd", 1, rq),
+        ("RQ-3snd", 3, rq),
+        ("TCP-1snd", 1, tcp),
+        ("TCP-3snd", 3, tcp),
     ];
-
-    let mut jobs: Vec<Box<dyn FnOnce() -> (usize, RankCurve) + Send>> = Vec::new();
-    for (ci, &(_, senders, rq)) in configs.iter().enumerate() {
-        for &seed in &o.seeds {
-            let sessions = o.sessions;
-            let fabric = o.fabric;
-            jobs.push(Box::new(move || {
-                let sc = StorageScenario::fig1b(sessions, senders, seed);
-                let results = if rq {
-                    run_storage_rq(&sc, &fabric, &RqRunOptions::default())
-                } else {
-                    run_storage_tcp(&sc, &fabric, &TcpRunOptions::default())
-                };
-                (ci, RankCurve::new(foreground_goodputs(&results)))
-            }));
-        }
-    }
-    let outputs = run_parallel(jobs);
-
-    let mut per_config: Vec<Vec<RankCurve>> = (0..configs.len()).map(|_| Vec::new()).collect();
-    for (ci, curve) in outputs {
-        per_config[ci].push(curve);
-    }
-    let sampled: Vec<Vec<(f64, f64)>> = per_config
-        .iter()
-        .map(|curves| average_rank_curves(curves, o.points))
-        .collect();
-    let rows: Vec<Vec<f64>> = (0..o.points)
-        .map(|i| {
-            let mut row = vec![sampled[0][i].0];
-            for s in &sampled {
-                row.push(s[i].1);
-            }
-            row
-        })
-        .collect();
-    let labels: Vec<&str> = configs.iter().map(|c| c.0).collect();
-    print_series_table(
+    rank_curve_figure(
+        &o,
+        "fig1b",
         "Figure 1b — Multi-source: goodput (Gbps) vs rank of transport session",
-        "rank",
-        &labels,
-        &rows,
+        &series.map(|s| s.0),
+        |i, seed| {
+            let (_, senders, transport) = series[i];
+            StorageScenario::fig1b(o.sessions, senders, seed).build(&o.fabric, transport)
+        },
     );
-    let mut header = vec!["rank"];
-    header.extend(&labels);
-    workload::csv::write_csv(&o.out.join("fig1b.csv"), &header, rows.clone())
-        .expect("write fig1b.csv");
-    eprintln!("wrote {}", o.out.join("fig1b.csv").display());
-    for (c, curves) in configs.iter().zip(&per_config) {
-        let med = workload::mean(&curves.iter().map(|c| c.median()).collect::<Vec<_>>());
-        println!("# median {}: {:.3} Gbps", c.0, med);
-    }
 }

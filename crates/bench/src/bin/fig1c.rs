@@ -6,10 +6,8 @@
 //! Polyraptor (trimming + rateless pulls) should stay near line rate;
 //! TCP collapses as N grows (RTOmin-driven Incast).
 
-use polyraptor_bench::{print_series_table, run_parallel, FigOptions};
-use workload::{
-    mean_ci95, run_incast_rq, run_incast_tcp, IncastScenario, RqRunOptions, TcpRunOptions,
-};
+use polyraptor_bench::{print_series_table, run_all, FigOptions};
+use workload::{mean_ci95, IncastScenario, RqRunOptions, TcpRunOptions, Transport};
 
 fn main() {
     let mut o = FigOptions::parse(std::env::args().skip(1));
@@ -29,49 +27,33 @@ fn main() {
         o.fabric.describe()
     );
 
-    // Jobs: (config, senders, seed) → goodput.
-    #[allow(clippy::type_complexity)]
-    let mut jobs: Vec<Box<dyn FnOnce() -> (usize, usize, f64) + Send>> = Vec::new();
+    // configs: 0 = RQ 256KB, 1 = TCP 256KB, 2 = RQ 70KB, 3 = TCP 70KB.
+    let transports = [
+        Transport::Rq(RqRunOptions::default()),
+        Transport::Tcp(TcpRunOptions::default()),
+    ];
+    let mut slots = Vec::new();
+    let mut runs = Vec::new();
     for (bi, &(_, block)) in blocks.iter().enumerate() {
         for (ni, &n) in sender_counts.iter().enumerate() {
             for &seed in &o.seeds {
-                let fabric = o.fabric;
-                // RQ job.
-                jobs.push(Box::new(move || {
+                for (ti, &transport) in transports.iter().enumerate() {
                     let sc = IncastScenario {
                         senders: n,
                         block_bytes: block,
                         seed,
                     };
-                    (
-                        bi * 2,
-                        ni,
-                        run_incast_rq(&sc, &fabric, &RqRunOptions::default()),
-                    )
-                }));
-                // TCP job.
-                jobs.push(Box::new(move || {
-                    let sc = IncastScenario {
-                        senders: n,
-                        block_bytes: block,
-                        seed,
-                    };
-                    (
-                        bi * 2 + 1,
-                        ni,
-                        run_incast_tcp(&sc, &fabric, &TcpRunOptions::default()),
-                    )
-                }));
+                    slots.push((bi * 2 + ti, ni));
+                    runs.push(sc.build(&o.fabric, transport));
+                }
             }
         }
     }
-    let outputs = run_parallel(jobs);
 
-    // configs: 0 = RQ 256KB, 1 = TCP 256KB, 2 = RQ 70KB, 3 = TCP 70KB.
     let labels = ["RQ 256KB", "TCP 256KB", "RQ 70KB", "TCP 70KB"];
     let mut acc: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); sender_counts.len()]; 4];
-    for (ci, ni, g) in outputs {
-        acc[ci][ni].push(g);
+    for ((ci, ni), report) in slots.into_iter().zip(run_all(runs)) {
+        acc[ci][ni].push(report.incast_goodput_gbps());
     }
 
     let mut rows: Vec<Vec<f64>> = Vec::new();

@@ -3,8 +3,8 @@
 //! Shared machinery for the figure-regeneration binaries
 //! (`fig1a`, `fig1b`, `fig1c`; `ablations` prints its own):
 //! command-line parsing, parallel execution of independent
-//! (configuration × seed) runs across CPU cores, rank-curve averaging,
-//! and CSV emission.
+//! (configuration × seed) [`Run`]s across CPU cores, and the one
+//! rank-curve driver behind Figures 1a and 1b.
 //!
 //! Binaries accept `--sessions`, `--seeds`, `--k`, `--out` and a
 //! `--full` flag that switches to the paper's exact scale (10,000
@@ -15,7 +15,7 @@
 
 use std::path::PathBuf;
 
-use workload::{Fabric, RankCurve};
+use workload::{foreground_goodputs, Fabric, RankCurve, Run, RunReport};
 
 /// Common options of the figure binaries.
 #[derive(Debug, Clone)]
@@ -122,6 +122,68 @@ where
         .into_iter()
         .map(|s| s.expect("every job reports"))
         .collect()
+}
+
+/// Execute `runs` with [`run_parallel`]; the reports come back in
+/// input order.
+pub fn run_all(runs: Vec<Run>) -> Vec<RunReport> {
+    run_parallel(runs.into_iter().map(|r| move || workload::run(r)).collect())
+}
+
+/// Figures 1a and 1b: one rank curve per series, each the pointwise
+/// average over `o.seeds` of the foreground goodputs of
+/// `build(series, seed)`. Prints the table and each series' median,
+/// and writes `<name>.csv` into `o.out`.
+pub fn rank_curve_figure(
+    o: &FigOptions,
+    name: &str,
+    title: &str,
+    labels: &[&str],
+    build: impl Fn(usize, u64) -> Run,
+) {
+    std::fs::create_dir_all(&o.out).expect("create out dir");
+    eprintln!(
+        "{name}: {} sessions x {} seeds on {}",
+        o.sessions,
+        o.seeds.len(),
+        o.fabric.describe()
+    );
+    let runs = (0..labels.len())
+        .flat_map(|series| o.seeds.iter().map(move |&seed| (series, seed)))
+        .map(|(series, seed)| build(series, seed))
+        .collect();
+    let curves: Vec<RankCurve> = run_all(runs)
+        .iter()
+        .map(|r| RankCurve::new(foreground_goodputs(&r.flows)))
+        .collect();
+    let per_series: Vec<&[RankCurve]> = curves.chunks(o.seeds.len()).collect();
+
+    // Averaged sampled curves, one column per series.
+    let sampled: Vec<Vec<(f64, f64)>> = per_series
+        .iter()
+        .map(|curves| average_rank_curves(curves, o.points))
+        .collect();
+    let rows: Vec<Vec<f64>> = (0..o.points)
+        .map(|i| {
+            let mut row = vec![sampled[0][i].0];
+            for s in &sampled {
+                row.push(s[i].1);
+            }
+            row
+        })
+        .collect();
+    print_series_table(title, "rank", labels, &rows);
+
+    let path = o.out.join(format!("{name}.csv"));
+    let mut header = vec!["rank"];
+    header.extend(labels);
+    workload::csv::write_csv(&path, &header, rows).expect("write figure CSV");
+    eprintln!("wrote {}", path.display());
+
+    for (label, curves) in labels.iter().zip(&per_series) {
+        let med = workload::mean(&curves.iter().map(|c| c.median()).collect::<Vec<_>>());
+        println!("# median {label}: {med:.3} Gbps");
+    }
 }
 
 /// Average rank curves pointwise across seeds (the paper averages 5

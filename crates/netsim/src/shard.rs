@@ -48,7 +48,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::{Condvar, Mutex, RwLock};
 
 use crate::evq::{Ev, EventQueue};
 use crate::packet::SimPayload;
@@ -309,6 +309,84 @@ pub(crate) fn resolve(shards: usize) -> usize {
     }
 }
 
+/// A sibling unwound: the run is over, and `run` resumes its panic.
+#[derive(Debug)]
+struct Poisoned;
+
+/// The workers' meeting point: a barrier that a panicking worker
+/// poisons, so its siblings return [`Poisoned`] instead of waiting for
+/// it forever.
+struct EpochBarrier {
+    workers: usize,
+    state: Mutex<BarrierState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    /// The first worker that unwound.
+    poisoned_by: Option<usize>,
+}
+
+impl EpochBarrier {
+    fn new(workers: usize) -> Self {
+        Self {
+            workers,
+            state: Mutex::new(BarrierState::default()),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, BarrierState> {
+        // The state is never left half-written, so a poisoned mutex
+        // holds a valid one.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Block until every worker has arrived, or until one unwinds.
+    fn wait(&self) -> Result<(), Poisoned> {
+        let mut s = self.lock();
+        if s.poisoned_by.is_some() {
+            return Err(Poisoned);
+        }
+        s.arrived += 1;
+        if s.arrived == self.workers {
+            s.arrived = 0;
+            s.generation += 1;
+            self.cv.notify_all();
+            return Ok(());
+        }
+        let generation = s.generation;
+        while s.generation == generation && s.poisoned_by.is_none() {
+            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
+        }
+        if s.generation == generation {
+            Err(Poisoned)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Worker `w` is unwinding: release every waiter, now and later.
+    fn poison(&self, w: usize) {
+        self.lock().poisoned_by.get_or_insert(w);
+        self.cv.notify_all();
+    }
+}
+
+/// Poisons the barrier if its worker's thread unwinds past it.
+struct PoisonOnPanic<'a>(&'a EpochBarrier, usize);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison(self.1);
+        }
+    }
+}
+
 /// What each shard contributes to the synchronisation points: buffered
 /// telemetry notes every epoch, plus (at bucket boundaries) a
 /// cumulative stats snapshot and this shard's switch-port probes.
@@ -355,7 +433,7 @@ struct Epochs<'a, P, T> {
     did_pub: Vec<AtomicU64>,
     tg_pub: AtomicU64,
     tb_pub: AtomicU64,
-    barrier: Barrier,
+    barrier: EpochBarrier,
     deadline_ns: u64,
     tele_on: bool,
     entry_now: SimTime,
@@ -446,7 +524,7 @@ where
         did_pub: (0..k).map(|_| AtomicU64::new(0)).collect(),
         tg_pub: AtomicU64::new(u64::MAX),
         tb_pub: AtomicU64::new(u64::MAX),
-        barrier: Barrier::new(k),
+        barrier: EpochBarrier::new(k),
         deadline_ns: deadline.as_nanos(),
         tele_on,
         entry_now,
@@ -456,21 +534,36 @@ where
     let results: Vec<WorkerResult<P>> = if k == 1 {
         // No thread: an agent's panic unwinds to the caller as itself.
         seats
-            .map(|(w, ((queue, lane), cells))| worker(&epochs, w, queue, lane, cells))
+            .map(|(w, ((queue, lane), cells))| {
+                worker(&epochs, w, queue, lane, cells).expect("a lone worker has no sibling")
+            })
             .collect()
     } else {
-        std::thread::scope(|scope| {
+        let joined: Vec<_> = std::thread::scope(|scope| {
             let epochs = &epochs;
             let handles: Vec<_> = seats
                 .map(|(w, ((queue, lane), cells))| {
                     scope.spawn(move || worker(epochs, w, queue, lane, cells))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        // A worker that unwound poisoned the barrier, and its siblings
+        // left at their next wait: its panic is the run's.
+        if let Some(w) = epochs.barrier.lock().poisoned_by {
+            let mut joined = joined;
+            match joined.swap_remove(w) {
+                Err(payload) => std::panic::resume_unwind(payload),
+                Ok(_) => unreachable!("worker {w} poisoned the barrier without unwinding"),
+            }
+        }
+        joined
+            .into_iter()
+            .map(|r| {
+                r.expect("no worker unwound")
+                    .expect("an unpoisoned barrier never fails")
+            })
+            .collect()
     };
 
     // Reassemble: the notes still in the bins to the sink (a worker
@@ -514,7 +607,7 @@ fn worker<P, A, T>(
     mut queue: ShardQueue<P>,
     mut lane: Lane<P>,
     cells_w: &mut [NodeCell<P, A>],
-) -> WorkerResult<P>
+) -> Result<WorkerResult<P>, Poisoned>
 where
     P: SimPayload,
     A: Agent<P>,
@@ -536,6 +629,7 @@ where
         tele_on,
         entry_now,
     } = run;
+    let _poison = PoisonOnPanic(barrier, w);
     let slot_base = plan.ranges[w].0;
     // The shard-machinery counters describe workers meeting at a
     // barrier: with one worker there is nothing to count.
@@ -564,7 +658,7 @@ where
             tg_pub.store(tg, Ordering::SeqCst);
             tb_pub.store(g.telemetry.next_boundary().as_nanos(), Ordering::SeqCst);
         }
-        barrier.wait();
+        barrier.wait()?;
         // Phase 2: every worker computes the same branch from the
         // published clocks.
         let t_node = run
@@ -599,7 +693,7 @@ where
                 bin.probes.clear();
                 probe_cells(g.topo, cells_w.iter(), &mut bin.probes);
             }
-            barrier.wait();
+            barrier.wait()?;
             if w == 0 {
                 let mut g = shared.write().expect("shared write");
                 let sh = &mut *g;
@@ -649,7 +743,7 @@ where
                     lane.stats.shard_critical_events += 1;
                 }
             }
-            barrier.wait();
+            barrier.wait()?;
             {
                 let g = shared.read().expect("shared read");
                 let at = g.ops_at;
@@ -726,7 +820,7 @@ where
             }
             did_pub[w].store(did, Ordering::SeqCst);
         }
-        barrier.wait();
+        barrier.wait()?;
         // Epoch close: the window cost its busiest shard's events (the
         // next publish is behind the next barrier, so this read cannot
         // race), and the neighbours' mail comes in.
@@ -746,7 +840,7 @@ where
         }
     }
     lane.stats.events += processed;
-    (queue, lane, processed, last_at)
+    Ok((queue, lane, processed, last_at))
 }
 
 #[cfg(test)]
@@ -848,13 +942,47 @@ mod tests {
         assert_eq!(off.stats(), on.stats());
     }
 
-    #[test]
-    #[should_panic(expected = "probe blew up on purpose")]
-    fn panicking_agent_at_one_shard_unwinds_with_its_own_message() {
-        let mut sim = probe_sim(1, NoTelemetry);
+    /// Run the probe fabric at `shards` with one agent primed to panic
+    /// on its next timer.
+    fn blow_up(shards: usize) {
+        let mut sim = probe_sim(shards, NoTelemetry);
         let host = sim.topology().hosts()[3];
         sim.schedule_timer(host, SimTime::from_micros(40), 1);
         sim.run_to_completion();
+    }
+
+    #[test]
+    #[should_panic(expected = "probe blew up on purpose")]
+    fn panicking_agent_at_one_shard_unwinds_with_its_own_message() {
+        blow_up(1);
+    }
+
+    /// With more shards the panic is a worker thread's. It must still
+    /// reach the caller with its own message, and promptly: its siblings
+    /// leave the barrier instead of waiting for it forever.
+    #[test]
+    fn panicking_agent_at_two_and_four_shards_unwinds_with_its_own_message_within_a_second() {
+        for shards in [2, 4] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(|| blow_up(shards));
+                tx.send(outcome.map_err(|payload| {
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default()
+                }))
+                .expect("the test waits");
+            });
+            let outcome = rx
+                .recv_timeout(std::time::Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("{shards} shards: still running after 1 s"));
+            let message = outcome.expect_err("the probe panics");
+            assert!(
+                message.contains("probe blew up on purpose"),
+                "{shards} shards: {message:?}"
+            );
+        }
     }
 
     /// The speed-up ceiling `events ÷ shard_critical_events` is counted,

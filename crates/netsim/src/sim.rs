@@ -181,14 +181,16 @@ pub enum LayerAssign {
     FlowHash,
 }
 
+/// Queue discipline on every host NIC: deep drop-tail, because host
+/// memory is plentiful and the transports self-limit.
+pub(crate) const HOST_QUEUE: QueueConfig = QueueConfig::DropTail { cap_pkts: 100_000 };
+
 /// Simulator-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Queue discipline on switch ports.
+    /// Queue discipline on switch ports (host NICs always run a deep
+    /// drop-tail queue).
     pub switch_queue: QueueConfig,
-    /// Queue discipline on host NICs (deep drop-tail by default: host
-    /// memory is plentiful; transports self-limit).
-    pub host_queue: QueueConfig,
     /// Path selection policy (within the assigned layer).
     pub route: RouteMode,
     /// Flow→layer assignment strategy (irrelevant under a single-layer
@@ -220,7 +222,6 @@ impl SimConfig {
     pub fn ndp(seed: u64) -> Self {
         Self {
             switch_queue: QueueConfig::NDP_DEFAULT,
-            host_queue: QueueConfig::DropTail { cap_pkts: 100_000 },
             route: RouteMode::Spray,
             layer_assign: LayerAssign::FlowHash,
             reroute_delay_ns: 0,
@@ -234,7 +235,6 @@ impl SimConfig {
     pub fn classic(seed: u64) -> Self {
         Self {
             switch_queue: QueueConfig::DROPTAIL_DEFAULT,
-            host_queue: QueueConfig::DropTail { cap_pkts: 100_000 },
             route: RouteMode::EcmpFlow,
             layer_assign: LayerAssign::FlowHash,
             reroute_delay_ns: 0,
@@ -482,7 +482,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         for &node in &plan.order {
             let node = NodeId(node);
             let qc = match topo.kind(node) {
-                NodeKind::Host => config.host_queue,
+                NodeKind::Host => HOST_QUEUE,
                 NodeKind::Switch => config.switch_queue,
             };
             let ports = topo.node_ports(node).len();

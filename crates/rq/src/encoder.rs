@@ -48,8 +48,7 @@ impl CodeParams {
 pub enum EncodeError {
     /// The input was empty; a block must carry at least one byte.
     EmptyData,
-    /// `k` would exceed [`crate::params::MAX_K`]; split the object into
-    /// blocks (see [`crate::block`]).
+    /// `k` would exceed [`crate::params::MAX_K`]: use larger symbols.
     BlockTooLarge {
         /// The number of source symbols the data would need.
         k: usize,
@@ -63,7 +62,7 @@ impl std::fmt::Display for EncodeError {
             EncodeError::BlockTooLarge { k } => {
                 write!(
                     f,
-                    "block needs K={k} symbols, above MAX_K; use ObjectEncoder"
+                    "block needs K={k} symbols, above MAX_K; use larger symbols"
                 )
             }
         }

@@ -17,8 +17,6 @@
 //!   quoted in the paper, validated empirically in
 //!   `tests/systematic_battery.rs::loss_sweep_overhead_envelope` and
 //!   the benchmark's `rq.decode_fail_share`);
-//! * an **object layer** that splits arbitrarily large objects into
-//!   blocks (RFC 6330 §4.4.1 partitioning);
 //! * a plain **LT code** baseline for ablations.
 //!
 //! ## Quickstart
@@ -55,7 +53,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod block;
 pub mod decoder;
 pub mod degree;
 pub mod encoder;
@@ -68,7 +65,6 @@ pub mod rand;
 pub mod solver;
 pub mod tuple;
 
-pub use block::{ObjectDecoder, ObjectEncoder, ObjectParams, PayloadId};
 pub use decoder::{DecodeError, DecodeStats, Decoded, Decoder};
 pub use encoder::{CodeParams, EncodeError, Encoder};
 pub use params::{BlockParams, CodeMode};

@@ -16,8 +16,8 @@
 
 /// Hard upper bound on the number of source symbols in one block.
 ///
-/// Keeps solver memory and time bounded; larger objects are split into
-/// blocks by [`crate::block`].
+/// Keeps solver memory and time bounded. Every object in this repo is
+/// one block: the paper's 4 MiB at 1 440-byte symbols is K = 2 913.
 pub const MAX_K: usize = 16_384;
 
 /// Number of dense GF(256) HDPC constraint rows.

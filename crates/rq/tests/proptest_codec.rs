@@ -2,7 +2,7 @@
 //! under arbitrary data, sizes, and loss patterns.
 
 use proptest::prelude::*;
-use rq::{Decoder, Encoder, ObjectDecoder, ObjectEncoder, PayloadId};
+use rq::{Decoder, Encoder};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -76,25 +76,6 @@ proptest! {
                 }
             }
             j += 1;
-        }
-        prop_assert_eq!(dec.try_decode().unwrap(), data);
-    }
-
-    /// The object layer (block partitioning) round-trips arbitrary
-    /// objects, including multi-block ones.
-    #[test]
-    fn object_layer_roundtrip(
-        len in 1usize..60_000,
-        symbol_size in 1usize..16,
-    ) {
-        let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
-        let enc = ObjectEncoder::new(&data, symbol_size).unwrap();
-        let mut dec = ObjectDecoder::new(enc.params().clone());
-        for (sbn, block) in enc.params().blocks.clone().iter().enumerate() {
-            for esi in 0..block.k as u32 {
-                let id = PayloadId { sbn: sbn as u8, esi };
-                dec.push(id, enc.symbol(id));
-            }
         }
         prop_assert_eq!(dec.try_decode().unwrap(), data);
     }

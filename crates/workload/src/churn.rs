@@ -21,7 +21,7 @@ use netsim::{FaultMix, FaultPlan, FaultProcess, Topology};
 use polyraptor::{host_fail_token, host_up_token};
 
 use crate::fault::REROUTE_DELAY_NS;
-use crate::runner::{run, Fabric, RqRunOptions, Run, RunReport, TcpRunOptions, Transport};
+use crate::runner::{run, Fabric, RqRunOptions, Run, RunReport, Transport};
 use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
 
 /// Parameters of a churn soak: the storage fetch workload plus the
@@ -153,42 +153,29 @@ impl ChurnScenario {
     }
 }
 
-/// Everything a churn run reports.
-pub type ChurnReport = RunReport;
-
-/// Run the churn scenario under Polyraptor. Every fetch must complete —
-/// sustained churn with repair is survivable by construction (path
-/// redundancy for the fabric, data redundancy for the replicas) — or
-/// [`run`] panics.
-pub fn run_churn_rq(sc: &ChurnScenario, fabric: &Fabric, opts: &RqRunOptions) -> ChurnReport {
+/// [`ChurnScenario::build`] under Polyraptor, run and collapsed to one
+/// flow per fetch. Kept only because `bench_e2e` calls it; ROADMAP item
+/// 12 deletes it.
+pub fn run_churn_rq(sc: &ChurnScenario, fabric: &Fabric, opts: &RqRunOptions) -> RunReport {
     run(sc.build(fabric, Transport::Rq(*opts))).into_ops(sc.object_bytes)
-}
-
-/// Run the identical churn scenario under the TCP baseline: one
-/// ECMP-pinned connection per replica stripe, the same seeded Poisson
-/// fault plan, the same convergence window. TCP has no session
-/// re-target — a dead replica's stripe simply stalls until the scripted
-/// repair revives the host and the retransmission machinery grinds
-/// through — so the report's `stranded_sessions`/`retargeted_sessions`
-/// are structurally 0 and `timeouts` carries the RTO count that
-/// explains the tail the comparison figure shows. Both runners collapse
-/// flows to op level (a fetch completes when its *last* stripe does),
-/// so `flows` is one result per session for either transport.
-pub fn run_churn_tcp(sc: &ChurnScenario, fabric: &Fabric, opts: &TcpRunOptions) -> ChurnReport {
-    run(sc.build(fabric, Transport::Tcp(*opts))).into_ops(sc.object_bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::TcpRunOptions;
 
     fn small() -> ChurnScenario {
         ChurnScenario::ten_event(6, 128 << 10, 3)
     }
 
+    fn rq(sc: &ChurnScenario) -> RunReport {
+        run(sc.build(&Fabric::small(), Transport::Rq(RqRunOptions::default())))
+    }
+
     #[test]
     fn churn_run_completes_every_fetch() {
-        let rep = run_churn_rq(&small(), &Fabric::small(), &RqRunOptions::default());
+        let rep = rq(&small());
         // The collector asserts per-endpoint completion; check shape.
         assert_eq!(rep.flows.len(), 6, "one fetch record per session");
         assert!(rep.fabric.reroutes >= 1, "churn must reroute");
@@ -200,15 +187,16 @@ mod tests {
     #[test]
     fn churn_tcp_baseline_completes() {
         let sc = small();
-        let a = run_churn_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+        let tcp = Transport::Tcp(TcpRunOptions::default());
+        let a = run(sc.build(&Fabric::small(), tcp)).into_ops(sc.object_bytes);
         assert_eq!(a.flows.len(), 6, "stripes collapse to one op per session");
         assert_eq!(a.stranded_sessions + a.retargeted_sessions, 0);
         assert!(a.fabric.reroutes >= 1, "churn must reroute");
         // Same seeded plan as the Polyraptor run: the comparison is on
         // identical fault schedules.
-        let rq = run_churn_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        assert_eq!(a.fault_instants, rq.fault_instants);
-        assert_eq!(a.host_failures, rq.host_failures);
+        let b = rq(&sc);
+        assert_eq!(a.fault_instants, b.fault_instants);
+        assert_eq!(a.host_failures, b.host_failures);
     }
 
     #[test]

@@ -16,13 +16,10 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::ops::Deref;
 
 use netsim::{FaultPlan, NodeId, SimTime, Topology};
 
-use crate::runner::{
-    build_tcp_conns, run, Fabric, RqRunOptions, Run, RunReport, TcpRunOptions, Transport,
-};
+use crate::runner::{build_tcp_conns, Fabric, Run, Transport};
 use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
 
 /// Control-plane convergence after a detected failure: 25 ms covers
@@ -195,72 +192,43 @@ impl FaultScenario {
         }
         plan
     }
-}
 
-/// A fault run's report: the [`RunReport`] (flows, fabric fault
-/// accounting and, for TCP, the timeout count that explains the tail),
-/// reached through `Deref`, plus the failure the run was built around.
-#[derive(Debug, Clone)]
-pub struct FaultRunReport {
-    /// The failed core switch.
-    pub victim: NodeId,
-    /// The absolute failure instant (`None` for healthy runs).
-    pub fail_at: Option<SimTime>,
-    /// Everything [`run`] reports.
-    pub run: RunReport,
-}
-
-impl Deref for FaultRunReport {
-    type Target = RunReport;
-
-    fn deref(&self) -> &RunReport {
-        &self.run
-    }
-}
-
-impl FaultScenario {
-    /// Build the run on `fabric` under `transport`, aimed at the victim
-    /// it chooses there, and execute it.
-    fn report(&self, fabric: &Fabric, transport: Transport) -> FaultRunReport {
+    /// The run on `fabric` under `transport`, aimed at the victim it
+    /// chooses there ([`FaultScenario::victim_core`] of the run's
+    /// topology). The report's first fault instant is the failure.
+    /// Every Polyraptor session must complete — rerouting plus coded
+    /// repair is the claim under test — while TCP's ECMP-pinned flows
+    /// crossing the dead core recover by retransmission timeout, the
+    /// tail the report's `timeouts` and `makespan` expose.
+    pub fn build(&self, fabric: &Fabric, transport: Transport) -> Run {
         let topo = fabric.build_with_policy(transport.policy());
         let sessions = self.storage().generate(&topo);
         let fail_at = self.fault_time(&topo, &sessions);
         let victim = self.victim_core_of(&topo, &sessions, fail_at);
         let faults = self.plan(&topo, victim, fail_at);
-        let run = run(Run {
+        Run {
             faults,
             reroute_delay_ns: REROUTE_DELAY_NS,
             ..Run::healthy(topo, sessions, Pattern::Write, self.seed, 0xFA17, transport)
-        });
-        FaultRunReport {
-            victim,
-            fail_at,
-            run,
         }
     }
-}
-
-/// Run the fault scenario under Polyraptor (multicast replication,
-/// sprayed symbols). Every session must complete — rerouting plus coded
-/// repair is the claim under test — or [`run`] panics.
-pub fn run_fault_rq(sc: &FaultScenario, fabric: &Fabric, opts: &RqRunOptions) -> FaultRunReport {
-    sc.report(fabric, Transport::Rq(*opts))
-}
-
-/// Run the fault scenario under the TCP multi-unicast baseline: one
-/// ECMP-pinned connection per replica. Flows crossing the dead core
-/// recover by retransmission timeout, which is exactly the tail the
-/// report's `timeouts`/`makespan` expose.
-pub fn run_fault_tcp(sc: &FaultScenario, fabric: &Fabric, opts: &TcpRunOptions) -> FaultRunReport {
-    sc.report(fabric, Transport::Tcp(*opts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run, RqRunOptions, RunReport, TcpRunOptions};
 
     fn small_scenario() -> FaultScenario {
         FaultScenario::fig1_failure(4, 128 << 10, 11)
+    }
+
+    fn rq(sc: &FaultScenario) -> RunReport {
+        run(sc.build(&Fabric::small(), Transport::Rq(RqRunOptions::default())))
+    }
+
+    fn tcp(sc: &FaultScenario) -> RunReport {
+        run(sc.build(&Fabric::small(), Transport::Tcp(TcpRunOptions::default())))
     }
 
     #[test]
@@ -276,7 +244,7 @@ mod tests {
     #[test]
     fn rq_survives_core_failure_on_small_fabric() {
         let sc = small_scenario();
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let rep = rq(&sc);
         // The collector asserts completion; spot-check the accounting.
         assert!(rep.fabric.reroutes >= 1, "failure must trigger a reroute");
         assert_eq!(rep.flows.len(), 4 * 3, "one flow per replica");
@@ -288,7 +256,7 @@ mod tests {
     #[test]
     fn healthy_variant_runs_without_faults() {
         let sc = small_scenario().healthy();
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let rep = rq(&sc);
         assert_eq!(rep.fabric.reroutes, 0);
         assert_eq!(rep.fabric.lost_to_fault, 0);
     }
@@ -296,8 +264,8 @@ mod tests {
     #[test]
     fn tcp_counts_timeouts_under_failure() {
         let sc = small_scenario();
-        let faulted = run_fault_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
-        let healthy = run_fault_tcp(&sc.healthy(), &Fabric::small(), &TcpRunOptions::default());
+        let faulted = tcp(&sc);
+        let healthy = tcp(&sc.healthy());
         assert!(
             faulted.timeouts > healthy.timeouts,
             "core failure must cost the pinned baseline timeouts ({} vs {})",
@@ -310,9 +278,9 @@ mod tests {
     #[test]
     fn recovery_stats_cover_in_flight_flows() {
         let sc = small_scenario();
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let rep = rq(&sc);
         let stats = rep.recovery().expect("faulted run has recovery stats");
-        assert_eq!(stats.flows, rep.in_flight_at(rep.fail_at.unwrap()));
+        assert_eq!(stats.flows, rep.in_flight_at(rep.fault_instants[0]));
         assert!(stats.p50_ns <= stats.p99_ns && stats.p99_ns <= stats.max_ns);
         assert_eq!(
             stats.max_ns,
@@ -320,7 +288,7 @@ mod tests {
             "max is the completion tail"
         );
         // Healthy runs have no failure instant, hence no recovery tail.
-        let healthy = run_fault_rq(&sc.healthy(), &Fabric::small(), &RqRunOptions::default());
+        let healthy = rq(&sc.healthy());
         assert!(healthy.recovery().is_none());
     }
 
@@ -330,15 +298,15 @@ mod tests {
         // Recover well after the convergence window so the down and up
         // events trigger two distinct recomputations.
         sc.recover_after_frac = Some(30.0);
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let rep = rq(&sc);
         assert_eq!(rep.fabric.reroutes, 2, "down and up both reroute");
     }
 
     #[test]
     fn failure_strikes_mid_transfer() {
         let sc = small_scenario();
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        let at = rep.fail_at.expect("faulted run");
+        let rep = rq(&sc);
+        let at = *rep.fault_instants.first().expect("faulted run");
         assert!(
             rep.in_flight_at(at) >= 1,
             "at least the first session must span the failure instant"

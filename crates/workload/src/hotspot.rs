@@ -10,7 +10,7 @@
 
 use netsim::{FaultAction, FaultMask, FaultPlan, NodeId, NodeKind, Pcg32, SimTime, Topology};
 
-use crate::runner::{run, Fabric, RqRunOptions, Run, TransferResult, Transport};
+use crate::runner::{Fabric, Run, Transport};
 use crate::scenario::{LogicalSession, Pattern};
 
 /// Hotspot scenario parameters.
@@ -151,20 +151,10 @@ fn switches_connected(topo: &Topology, mask: &FaultMask) -> bool {
     switches.all(|n| seen[n.0 as usize])
 }
 
-/// Run the hotspot scenario under Polyraptor with the given options;
-/// returns per-transfer results.
-pub fn run_hotspot_rq(
-    scenario: &HotspotScenario,
-    fabric: &Fabric,
-    opts: &RqRunOptions,
-) -> Vec<TransferResult> {
-    run(scenario.build(fabric, Transport::Rq(*opts))).flows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::TcpRunOptions;
+    use crate::runner::{run, RqRunOptions, TcpRunOptions, TransferResult};
     use crate::stats::RankCurve;
     use netsim::{RouteMode, RoutingPolicy};
 
@@ -178,9 +168,13 @@ mod tests {
         }
     }
 
+    fn rq(sc: &HotspotScenario, opts: RqRunOptions) -> Vec<TransferResult> {
+        run(sc.build(&Fabric::small(), Transport::Rq(opts))).flows
+    }
+
     #[test]
     fn healthy_fabric_baseline() {
-        let res = run_hotspot_rq(&scenario(0.0), &Fabric::small(), &RqRunOptions::default());
+        let res = rq(&scenario(0.0), RqRunOptions::default());
         let c = RankCurve::new(res.iter().map(|r| r.goodput_gbps()).collect());
         assert!(c.median() > 0.7, "healthy fabric median {}", c.median());
     }
@@ -189,7 +183,7 @@ mod tests {
     fn spray_routes_around_hotspots() {
         // 30% of fabric links at 10% rate: sprayed transfers degrade
         // gracefully (bounded by the average path capacity)…
-        let spray = run_hotspot_rq(&scenario(0.3), &Fabric::small(), &RqRunOptions::default());
+        let spray = rq(&scenario(0.3), RqRunOptions::default());
         let spray_curve = RankCurve::new(spray.iter().map(|r| r.goodput_gbps()).collect());
         // …while per-flow ECMP pins some flows onto slow paths for their
         // whole lifetime, cratering the tail.
@@ -197,7 +191,7 @@ mod tests {
             route: RouteMode::EcmpFlow,
             ..Default::default()
         };
-        let ecmp = run_hotspot_rq(&scenario(0.3), &Fabric::small(), &ecmp_opts);
+        let ecmp = rq(&scenario(0.3), ecmp_opts);
         let ecmp_curve = RankCurve::new(ecmp.iter().map(|r| r.goodput_gbps()).collect());
         let spray_worst = spray_curve.at(spray_curve.len() - 1);
         let ecmp_worst = ecmp_curve.at(ecmp_curve.len() - 1);
@@ -219,7 +213,7 @@ mod tests {
             degraded_rate_frac: 0.0,
             seed: 3,
         };
-        let res = run_hotspot_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let res = rq(&sc, RqRunOptions::default());
         assert_eq!(
             res.len(),
             4,

@@ -4,11 +4,11 @@
 //! Everything the paper's §3 evaluation needs around the transports:
 //!
 //! * [`runner`] — the fabric, the two transports' options and the one
-//!   run path: a scenario builds a [`Run`] (fabric, sessions, faults,
-//!   notices, seeds, [`Transport`]), [`run`] executes it and returns a
-//!   [`RunReport`] — per-flow results, fabric counters, transport
-//!   counters and, when enabled, telemetry — for every scenario and
-//!   both transports alike;
+//!   run path: every scenario type's `build(&Fabric, Transport)` makes
+//!   a [`Run`] (fabric, sessions, faults, notices, seeds,
+//!   [`Transport`]), [`run`] executes it and returns a [`RunReport`] —
+//!   per-flow results, fabric counters, transport counters and, when
+//!   enabled, telemetry — for every scenario and both transports alike;
 //! * [`scenario`] — seeded logical workload generation (Poisson arrivals
 //!   with λ = 2560 s⁻¹, permutation traffic matrix, 20 % background
 //!   sessions, replica placement outside the client's rack, synchronized
@@ -29,8 +29,9 @@
 //!   event annotations, flow spans, flight-recorder dumps) with CSV and
 //!   Perfetto-loadable Chrome-trace exporters.
 //!
-//! The `run_*` functions are one-line wrappers over [`run`], kept for
-//! their callers.
+//! Three one-line wrappers over [`run`] remain — `run_storage_rq`,
+//! `run_storage_tcp` and `run_churn_rq` — only because `bench_e2e`
+//! calls them (ROADMAP item 12).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,13 +45,13 @@ pub mod scenario;
 pub mod stats;
 pub mod telemetry;
 
-pub use churn::{run_churn_rq, run_churn_tcp, ChurnReport, ChurnScenario};
-pub use fault::{run_fault_rq, run_fault_tcp, FaultRunReport, FaultScenario};
-pub use hotspot::{run_hotspot_rq, HotspotScenario};
+pub use churn::{run_churn_rq, ChurnScenario};
+pub use fault::FaultScenario;
+pub use hotspot::HotspotScenario;
 pub use runner::{
     build_rq_specs, build_tcp_conns, foreground_goodputs, install_rq, op_results, run,
-    run_incast_rq, run_incast_tcp, run_storage_rq, run_storage_tcp, stripe, Fabric, RecoveryStats,
-    RqRunOptions, Run, RunReport, TcpRunOptions, TransferResult, Transport,
+    run_storage_rq, run_storage_tcp, stripe, Fabric, RecoveryStats, RqRunOptions, Run, RunReport,
+    TcpRunOptions, TransferResult, Transport,
 };
 pub use scenario::{IncastScenario, LogicalSession, Pattern, StorageScenario};
 pub use stats::{mean, mean_ci95, std_dev, RankCurve};

@@ -1,9 +1,9 @@
 //! The run path: the simulated fabric, the two transports' knobs, and
 //! the one run function, [`run`], that executes a [`Run`] — a scenario's
 //! sessions, faults and notices over one transport — and returns a
-//! [`RunReport`]. Every `run_*` function in the crate is a one-line
-//! wrapper over it, so the Polyraptor and TCP halves of an experiment
-//! differ only in [`Transport`].
+//! [`RunReport`]. Every scenario type builds its [`Run`] with
+//! `build(&Fabric, Transport)`, so the Polyraptor and TCP halves of an
+//! experiment differ only in [`Transport`].
 
 use std::collections::BTreeMap;
 
@@ -15,7 +15,7 @@ use netsim::{
 use polyraptor::{start_token, PolyraptorAgent, PrConfig, PrPayload, SessionId, SessionSpec};
 use tcpsim::{install_connection, ConnId, ConnSpec, TcpAgent, TcpConfig, TcpPayload};
 
-use crate::scenario::{IncastScenario, LogicalSession, Pattern, StorageScenario};
+use crate::scenario::{LogicalSession, Pattern, StorageScenario};
 use crate::telemetry::{gather_rq_spans, take_run_telemetry, RunTelemetry, TelemetryOptions};
 
 /// The simulated fabric: shape plus link parameters. The paper
@@ -903,10 +903,11 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Storage and incast runners (Figure 1)
+// The benchmark's runners
 // ---------------------------------------------------------------------------
 
-/// Run a storage scenario under Polyraptor; per-flow results.
+/// [`StorageScenario::build`] under Polyraptor, run; per-flow results.
+/// Kept only because `bench_e2e` calls it; ROADMAP item 12 deletes it.
 pub fn run_storage_rq(
     scenario: &StorageScenario,
     fabric: &Fabric,
@@ -915,7 +916,8 @@ pub fn run_storage_rq(
     run(scenario.build(fabric, Transport::Rq(*opts))).flows
 }
 
-/// Run a storage scenario under TCP; per-flow results.
+/// [`StorageScenario::build`] under TCP, run; per-flow results. Kept
+/// only because `bench_e2e` calls it; ROADMAP item 12 deletes it.
 pub fn run_storage_tcp(
     scenario: &StorageScenario,
     fabric: &Fabric,
@@ -924,22 +926,14 @@ pub fn run_storage_tcp(
     run(scenario.build(fabric, Transport::Tcp(*opts))).flows
 }
 
-/// Run one Incast exchange under Polyraptor: a single multi-source
-/// session striped over `senders` hosts. Returns goodput in Gbit/s.
-pub fn run_incast_rq(scenario: &IncastScenario, fabric: &Fabric, opts: &RqRunOptions) -> f64 {
-    run(scenario.build(fabric, Transport::Rq(*opts))).incast_goodput_gbps()
-}
-
-/// Run one Incast exchange under TCP: `senders` synchronized connections
-/// each carrying one stripe. Returns goodput in Gbit/s over the whole
-/// exchange (finish = last stripe).
-pub fn run_incast_tcp(scenario: &IncastScenario, fabric: &Fabric, opts: &TcpRunOptions) -> f64 {
-    run(scenario.build(fabric, Transport::Tcp(*opts))).incast_goodput_gbps()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::IncastScenario;
+
+    fn rq(sc: &StorageScenario) -> Vec<TransferResult> {
+        run(sc.build(&Fabric::small(), Transport::Rq(RqRunOptions::default()))).flows
+    }
 
     #[test]
     fn stripe_sums_and_balances() {
@@ -965,7 +959,7 @@ mod tests {
             pattern: Pattern::Write,
             seed: 7,
         };
-        let results = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let results = rq(&sc);
         // One flow per replica receiver + one per background session.
         assert!(
             results.len() >= 30,
@@ -994,7 +988,7 @@ mod tests {
             pattern: Pattern::Read,
             seed: 8,
         };
-        let results = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let results = rq(&sc);
         assert_eq!(results.len(), 30);
         assert!(foreground_goodputs(&results).iter().all(|&g| g > 0.0));
     }
@@ -1012,7 +1006,8 @@ mod tests {
             pattern: Pattern::Write,
             seed: 7,
         };
-        let results = run_storage_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+        let tcp = Transport::Tcp(TcpRunOptions::default());
+        let results = run(sc.build(&Fabric::small(), tcp)).flows;
         assert!(results.len() >= 30);
         // Multi-unicast replication: 3 copies share the 1 Gbps uplink, so
         // no flow of a foreground op can beat ~1/3 Gbps by much.
@@ -1032,8 +1027,9 @@ mod tests {
             block_bytes: 256 << 10,
             seed: 3,
         };
-        let g_rq = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        let g_tcp = run_incast_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+        let goodput = |transport| run(sc.build(&Fabric::small(), transport)).incast_goodput_gbps();
+        let g_rq = goodput(Transport::Rq(RqRunOptions::default()));
+        let g_tcp = goodput(Transport::Tcp(TcpRunOptions::default()));
         assert!(g_rq > 0.0 && g_rq <= 1.0);
         assert!(g_tcp > 0.0 && g_tcp <= 1.0);
     }

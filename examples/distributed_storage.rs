@@ -11,8 +11,8 @@
 //! ```
 
 use polyraptor_repro::workload::{
-    foreground_goodputs, run_storage_rq, run_storage_tcp, Fabric, Pattern, RankCurve, RqRunOptions,
-    StorageScenario, TcpRunOptions,
+    foreground_goodputs, run, Fabric, Pattern, RankCurve, RqRunOptions, StorageScenario,
+    TcpRunOptions, Transport,
 };
 
 fn main() {
@@ -34,11 +34,12 @@ fn main() {
         16
     );
 
-    let rq = run_storage_rq(&scenario, &fabric, &RqRunOptions::default());
-    let rq_curve = RankCurve::new(foreground_goodputs(&rq));
-
-    let tcp = run_storage_tcp(&scenario, &fabric, &TcpRunOptions::default());
-    let tcp_curve = RankCurve::new(foreground_goodputs(&tcp));
+    let curve = |transport| {
+        let rep = run(scenario.build(&fabric, transport));
+        RankCurve::new(foreground_goodputs(&rep.flows))
+    };
+    let rq_curve = curve(Transport::Rq(RqRunOptions::default()));
+    let tcp_curve = curve(Transport::Tcp(TcpRunOptions::default()));
 
     println!("\nper-replica-flow goodput (Gbps):");
     println!("              best   median    worst");

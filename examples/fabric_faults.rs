@@ -41,8 +41,8 @@ use std::path::Path;
 
 use polyraptor_repro::netsim::{FabricStats, FaultMask, NodeKind, RouteRepair, Topology};
 use polyraptor_repro::workload::{
-    run_churn_rq, run_churn_tcp, run_fault_rq, run_fault_tcp, ChurnReport, ChurnScenario, Fabric,
-    FaultScenario, RankCurve, RqRunOptions, RunTelemetry, TcpRunOptions, TelemetryOptions,
+    run, ChurnScenario, Fabric, FaultScenario, RankCurve, RqRunOptions, RunReport, RunTelemetry,
+    TcpRunOptions, TelemetryOptions, Transport,
 };
 
 /// Where `--telemetry` artefacts land.
@@ -131,7 +131,7 @@ fn time_reroute(fabric: &Fabric) -> (f64, f64, RouteRepair, usize) {
     (full_ms, repair_ms, repair, pristine.route_table_bytes())
 }
 
-fn churn_line(label: &str, rep: &ChurnReport) {
+fn churn_line(label: &str, rep: &RunReport) {
     let c = rep.completion();
     println!(
         "  {label:<14} completion p50 {:.2} p99 {:.2} max {:.2} ms \
@@ -197,7 +197,7 @@ fn run_churn(smoke: bool, telemetry: bool) {
     if telemetry {
         opts.telemetry = TelemetryOptions::enabled_default();
     }
-    let rep = run_churn_rq(&sc, &fabric, &opts);
+    let rep = run(sc.build(&fabric, Transport::Rq(opts)));
     churn_line("default", &rep);
     let (events, critical) = (rep.fabric.events, rep.fabric.shard_critical_events);
     if critical > 0 {
@@ -212,15 +212,16 @@ fn run_churn(smoke: bool, telemetry: bool) {
     }
     let mut spread = sc;
     spread.shared_risk_placement = true;
-    let rep_spread = run_churn_rq(&spread, &fabric, &RqRunOptions::default());
+    let rep_spread = run(spread.build(&fabric, Transport::Rq(RqRunOptions::default())));
     println!();
     churn_line("shared-risk", &rep_spread);
     // The TCP baseline under the identical seeded fault plan: one
     // ECMP-pinned connection per replica stripe, no re-target — a dead
     // replica's stripe stalls until the scripted repair and the
     // retransmission machinery, which is exactly the RTO-driven tail
-    // the comparison shows.
-    let tcp = run_churn_tcp(&sc, &fabric, &TcpRunOptions::default());
+    // the comparison shows. A fetch completes when its last stripe does.
+    let tcp =
+        run(sc.build(&fabric, Transport::Tcp(TcpRunOptions::default()))).into_ops(sc.object_bytes);
     println!();
     churn_line("tcp", &tcp);
     let (p, t) = (rep.completion(), tcp.completion());
@@ -255,7 +256,7 @@ fn run_churn(smoke: bool, telemetry: bool) {
             shards: shards_flag(),
             ..Default::default()
         };
-        let rep = run_churn_rq(&big, &fabric, &big_opts);
+        let rep = run(big.build(&fabric, Transport::Rq(big_opts)));
         let c = rep.completion();
         let (full_ms, repair_ms, _, table_bytes) = time_reroute(&fabric);
         println!(
@@ -301,15 +302,25 @@ fn main() {
     if telemetry {
         rq_opts.telemetry = TelemetryOptions::enabled_default();
     }
-    let rq = run_fault_rq(&sc, &fabric, &rq_opts);
-    let rq_healthy = run_fault_rq(&sc.healthy(), &fabric, &RqRunOptions::default());
-    let tcp = run_fault_tcp(&sc, &fabric, &TcpRunOptions::default());
-    let tcp_healthy = run_fault_tcp(&sc.healthy(), &fabric, &TcpRunOptions::default());
+    let rq_run = sc.build(&fabric, Transport::Rq(rq_opts));
+    let victim = sc.victim_core(&rq_run.topo);
+    let rq = run(rq_run);
+    let (rq_default, tcp_default) = (
+        Transport::Rq(RqRunOptions::default()),
+        Transport::Tcp(TcpRunOptions::default()),
+    );
+    let rq_healthy = run(sc.healthy().build(&fabric, rq_default));
+    let tcp = run(sc.build(&fabric, tcp_default));
+    let tcp_healthy = run(sc.healthy().build(&fabric, tcp_default));
 
     println!(
         "victim: core switch {} down at t = {:.2} ms\n",
-        rq.victim.0,
-        rq.fail_at.expect("faulted run").as_secs_f64() * 1e3
+        victim.0,
+        rq.fault_instants
+            .first()
+            .expect("faulted run")
+            .as_secs_f64()
+            * 1e3
     );
     for (label, faulted, healthy) in [
         ("Polyraptor", &rq, &rq_healthy),

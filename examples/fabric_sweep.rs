@@ -36,8 +36,8 @@ use std::path::PathBuf;
 
 use polyraptor_repro::netsim::{FaultMix, RoutingPolicy};
 use polyraptor_repro::workload::{
-    csv, run_churn_rq, run_fault_rq, run_fault_tcp, ChurnScenario, Fabric, FaultScenario,
-    RqRunOptions, TcpRunOptions, TelemetryOptions,
+    csv, run, ChurnScenario, Fabric, FaultScenario, RqRunOptions, TcpRunOptions, TelemetryOptions,
+    Transport,
 };
 
 /// The Jellyfish layer sweep's fault scenario: links-only churn (link
@@ -114,8 +114,8 @@ fn main() {
             shards,
             ..Default::default()
         };
-        let rq = run_fault_rq(&sc, &fabric, &rq_opts);
-        let tcp = run_fault_tcp(&sc, &fabric, &tcp_opts);
+        let rq = run(sc.build(&fabric, Transport::Rq(rq_opts)));
+        let tcp = run(sc.build(&fabric, Transport::Tcp(tcp_opts)));
         rows.push(vec![
             oversub,
             rq.makespan().as_secs_f64() * 1e3,
@@ -158,14 +158,12 @@ fn main() {
             prop_ns: 10_000,
             seed: 1,
         };
-        let rep = run_churn_rq(
-            &link_churn(jf_sessions, jf_bytes, jf_events, 1),
-            &fabric,
-            &RqRunOptions {
-                shards,
-                ..Default::default()
-            },
-        );
+        let opts = RqRunOptions {
+            shards,
+            ..Default::default()
+        };
+        let sc = link_churn(jf_sessions, jf_bytes, jf_events, 1);
+        let rep = run(sc.build(&fabric, Transport::Rq(opts)));
         let c = rep.completion();
         rows.push(vec![
             degree as f64,
@@ -231,11 +229,8 @@ fn main() {
             },
             ..Default::default()
         };
-        let rep = run_churn_rq(
-            &link_churn(ls_sessions, ls_bytes, ls_events, ls_seed),
-            &fabric,
-            &opts,
-        );
+        let sc = link_churn(ls_sessions, ls_bytes, ls_events, ls_seed);
+        let rep = run(sc.build(&fabric, Transport::Rq(opts)));
         if let Some(t) = &rep.telemetry {
             let dir = out
                 .clone()

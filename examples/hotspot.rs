@@ -13,7 +13,7 @@
 
 use polyraptor_repro::netsim::RouteMode;
 use polyraptor_repro::workload::{
-    run_hotspot_rq, Fabric, HotspotScenario, RankCurve, RqRunOptions,
+    run, Fabric, HotspotScenario, RankCurve, RqRunOptions, Transport,
 };
 
 fn main() {
@@ -33,8 +33,8 @@ fn main() {
             route,
             ..Default::default()
         };
-        let res = run_hotspot_rq(&sc, &Fabric::small(), &opts);
-        let curve = RankCurve::new(res.iter().map(|r| r.goodput_gbps()).collect());
+        let rep = run(sc.build(&Fabric::small(), Transport::Rq(opts)));
+        let curve = RankCurve::new(rep.flows.iter().map(|r| r.goodput_gbps()).collect());
         println!(
             "  {label:<20} best {:.3}  median {:.3}  worst {:.3} Gbps",
             curve.at(0),

@@ -11,7 +11,7 @@
 //! ```
 
 use polyraptor_repro::workload::{
-    run_incast_rq, run_incast_tcp, Fabric, IncastScenario, RqRunOptions, TcpRunOptions,
+    run, Fabric, IncastScenario, RqRunOptions, TcpRunOptions, Transport,
 };
 
 fn main() {
@@ -24,8 +24,9 @@ fn main() {
             block_bytes: 256 << 10,
             seed: 1,
         };
-        let rq = run_incast_rq(&sc, &fabric, &RqRunOptions::default());
-        let tcp = run_incast_tcp(&sc, &fabric, &TcpRunOptions::default());
+        let goodput = |transport| run(sc.build(&fabric, transport)).incast_goodput_gbps();
+        let rq = goodput(Transport::Rq(RqRunOptions::default()));
+        let tcp = goodput(Transport::Tcp(TcpRunOptions::default()));
         println!("  {senders:>9}   {rq:>17.3}   {tcp:>10.3}");
     }
     println!(

@@ -7,9 +7,8 @@ use polyraptor_repro::polyraptor::{
     SenderSession, SessionId, SessionSpec,
 };
 use polyraptor_repro::workload::{
-    build_rq_specs, foreground_goodputs, install_rq, op_results, run_incast_rq, run_incast_tcp,
-    run_storage_rq, run_storage_tcp, Fabric, IncastScenario, Pattern, RankCurve, RqRunOptions,
-    StorageScenario, TcpRunOptions,
+    build_rq_specs, foreground_goodputs, install_rq, op_results, run, Fabric, IncastScenario,
+    Pattern, RankCurve, RqRunOptions, StorageScenario, TcpRunOptions, TransferResult, Transport,
 };
 
 fn small_scenario(pattern: Pattern, replicas: usize, seed: u64) -> StorageScenario {
@@ -24,6 +23,17 @@ fn small_scenario(pattern: Pattern, replicas: usize, seed: u64) -> StorageScenar
         normalize_load: true,
         shared_risk_placement: false,
     }
+}
+
+/// The scenario's flows on the 16-host fat-tree under Polyraptor.
+fn rq_flows(sc: &StorageScenario, opts: RqRunOptions) -> Vec<TransferResult> {
+    run(sc.build(&Fabric::small(), Transport::Rq(opts))).flows
+}
+
+/// The scenario's flows on the 16-host fat-tree under TCP.
+fn tcp_flows(sc: &StorageScenario) -> Vec<TransferResult> {
+    let tcp = Transport::Tcp(TcpRunOptions::default());
+    run(sc.build(&Fabric::small(), tcp)).flows
 }
 
 /// A real-decoder (no counting shortcut) multicast write on a fat-tree:
@@ -91,7 +101,7 @@ fn real_oracle_multi_source_fetch() {
     assert!(rec.goodput_gbps() > 0.4);
 }
 
-/// `run_storage_rq` on a seeded 3-replica read scenario, staged by hand
+/// A seeded 3-replica read scenario under Polyraptor, staged by hand
 /// so the agents can be inspected afterwards: per-flow `(session, start,
 /// finish)` and the sum of `objects_encoded` over all hosts.
 fn staged_read(oracle: OracleMode, shards: usize) -> (Vec<(u32, SimTime, SimTime)>, u64) {
@@ -242,15 +252,13 @@ fn late_sender_rebuilds_the_shared_encoder() {
 /// equal runs is `tests/identity.rs`).
 #[test]
 fn different_seeds_differ() {
-    let a = run_storage_rq(
+    let a = rq_flows(
         &small_scenario(Pattern::Write, 3, 1),
-        &Fabric::small(),
-        &RqRunOptions::default(),
+        RqRunOptions::default(),
     );
-    let b = run_storage_rq(
+    let b = rq_flows(
         &small_scenario(Pattern::Write, 3, 2),
-        &Fabric::small(),
-        &RqRunOptions::default(),
+        RqRunOptions::default(),
     );
     assert!(a.iter().zip(&b).any(|(x, y)| x.finish != y.finish));
 }
@@ -260,16 +268,8 @@ fn different_seeds_differ() {
 #[test]
 fn fig1a_shape_holds_at_small_scale() {
     let sc = small_scenario(Pattern::Write, 3, 5);
-    let rq = RankCurve::new(foreground_goodputs(&run_storage_rq(
-        &sc,
-        &Fabric::small(),
-        &RqRunOptions::default(),
-    )));
-    let tcp = RankCurve::new(foreground_goodputs(&run_storage_tcp(
-        &sc,
-        &Fabric::small(),
-        &TcpRunOptions::default(),
-    )));
+    let rq = RankCurve::new(foreground_goodputs(&rq_flows(&sc, RqRunOptions::default())));
+    let tcp = RankCurve::new(foreground_goodputs(&tcp_flows(&sc)));
     assert!(
         rq.median() > 1.5 * tcp.median(),
         "RQ median {} should clearly beat TCP multi-unicast median {}",
@@ -291,8 +291,9 @@ fn incast_eliminated_for_rq_only() {
         block_bytes: 256 << 10,
         seed: 3,
     };
-    let rq = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    let tcp = run_incast_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+    let goodput = |transport| run(sc.build(&Fabric::small(), transport)).incast_goodput_gbps();
+    let rq = goodput(Transport::Rq(RqRunOptions::default()));
+    let tcp = goodput(Transport::Tcp(TcpRunOptions::default()));
     assert!(rq > 0.7, "RQ incast goodput {rq}");
     assert!(tcp < 0.2, "TCP should collapse, got {tcp}");
 }
@@ -331,10 +332,10 @@ fn ndp_fabric_never_drops() {
 #[test]
 fn multicast_policies_both_complete() {
     let sc = small_scenario(Pattern::Write, 3, 9);
-    let any = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let any = rq_flows(&sc, RqRunOptions::default());
     let mut strict_opts = RqRunOptions::default();
     strict_opts.pr.multicast = MulticastPull::All;
-    let all = run_storage_rq(&sc, &Fabric::small(), &strict_opts);
+    let all = rq_flows(&sc, strict_opts);
     let any_ops = op_results(&any, sc.object_bytes);
     let all_ops = op_results(&all, sc.object_bytes);
     assert_eq!(any_ops.len(), all_ops.len());
@@ -355,7 +356,7 @@ fn multicast_policies_both_complete() {
 #[test]
 fn tcp_partitioned_fetch_completes() {
     let sc = small_scenario(Pattern::Read, 3, 4);
-    let res = run_storage_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+    let res = tcp_flows(&sc);
     let fg: Vec<_> = res.iter().filter(|r| !r.background).collect();
     // Each foreground op yields 3 stripe flows.
     let ops = op_results(&res, sc.object_bytes);

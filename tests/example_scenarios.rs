@@ -10,9 +10,14 @@ use polyraptor_repro::polyraptor::{
 };
 use polyraptor_repro::rq::{Decoder, Encoder};
 use polyraptor_repro::workload::{
-    run_fault_rq, run_hotspot_rq, run_incast_rq, run_storage_rq, Fabric, FaultScenario,
-    HotspotScenario, IncastScenario, Pattern, RqRunOptions, StorageScenario,
+    run, Fabric, FaultScenario, HotspotScenario, IncastScenario, Pattern, RqRunOptions,
+    StorageScenario, Transport,
 };
+
+/// Polyraptor at its defaults.
+fn rq() -> Transport {
+    Transport::Rq(RqRunOptions::default())
+}
 
 /// `examples/quickstart.rs` part 1: codec round-trip through 10% loss.
 #[test]
@@ -86,7 +91,7 @@ fn distributed_storage_write_completes() {
         normalize_load: true,
         shared_risk_placement: false,
     };
-    let a = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let a = run(sc.build(&Fabric::small(), rq())).flows;
     assert!(!a.is_empty());
     for r in &a {
         assert!(r.finish > r.start, "session {} never finished", r.session);
@@ -132,7 +137,7 @@ fn incast_burst_completes() {
         block_bytes: 64 << 10,
         seed: 2,
     };
-    let g = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let g = run(sc.build(&Fabric::small(), rq())).incast_goodput_gbps();
     assert!(g > 0.5, "incast goodput {g}");
 }
 
@@ -141,7 +146,7 @@ fn incast_burst_completes() {
 #[test]
 fn fabric_faults_scenario_completes() {
     let sc = FaultScenario::fig1_failure(3, 64 << 10, 7);
-    let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let rep = run(sc.build(&Fabric::small(), rq()));
     assert_eq!(rep.flows.len(), 3 * 3, "one flow per replica, all complete");
     assert_eq!(rep.fabric.reroutes, 1);
     assert!(rep.fabric.trees_repaired > 0);
@@ -164,7 +169,7 @@ fn storage_writes_complete_on_leaf_spine_and_jellyfish() {
         shared_risk_placement: false,
     };
     for fabric in [Fabric::small_leaf_spine(), Fabric::small_jellyfish()] {
-        let results = run_storage_rq(&sc, &fabric, &RqRunOptions::default());
+        let results = run(sc.build(&fabric, rq())).flows;
         assert_eq!(results.len(), 18, "all replicas complete on {fabric:?}");
         for r in &results {
             assert!(r.goodput_gbps() > 0.0);
@@ -183,7 +188,7 @@ fn hotspot_transfers_complete() {
         degraded_rate_frac: 0.1,
         seed: 11,
     };
-    let res = run_hotspot_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let res = run(sc.build(&Fabric::small(), rq())).flows;
     assert_eq!(res.len(), 4);
     for r in &res {
         assert!(r.goodput_gbps() > 0.0);

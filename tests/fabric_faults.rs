@@ -7,7 +7,7 @@
 //! object size.
 
 use polyraptor_repro::workload::{
-    op_results, run_fault_rq, run_fault_tcp, Fabric, FaultScenario, RqRunOptions, TcpRunOptions,
+    op_results, run, Fabric, FaultScenario, RqRunOptions, TcpRunOptions, Transport,
 };
 
 const SESSIONS: usize = 6;
@@ -28,9 +28,12 @@ fn core_failure_polyraptor_completes_while_tcp_tail_inflates() {
     let fabric = paper_fabric();
     let sc = scenario();
 
-    let rq = run_fault_rq(&sc, &fabric, &RqRunOptions::default());
+    let rq = run(sc.build(&fabric, Transport::Rq(RqRunOptions::default())));
     // The failure really struck mid-transfer...
-    let fail_at = rq.fail_at.expect("faulted run has a failure instant");
+    let fail_at = *rq
+        .fault_instants
+        .first()
+        .expect("faulted run has a failure instant");
     assert!(
         rq.in_flight_at(fail_at) >= 1,
         "failure must catch at least one session mid-transfer"
@@ -57,8 +60,9 @@ fn core_failure_polyraptor_completes_while_tcp_tail_inflates() {
         recovery.max_ns as f64 / 1e6
     );
 
-    let tcp = run_fault_tcp(&sc, &fabric, &TcpRunOptions::default());
-    let tcp_healthy = run_fault_tcp(&sc.healthy(), &fabric, &TcpRunOptions::default());
+    let tcp_opts = Transport::Tcp(TcpRunOptions::default());
+    let tcp = run(sc.build(&fabric, tcp_opts));
+    let tcp_healthy = run(sc.healthy().build(&fabric, tcp_opts));
     assert!(
         tcp.timeouts > tcp_healthy.timeouts,
         "blackholed ECMP-pinned flows must eat retransmission timeouts \

@@ -12,7 +12,13 @@
 //! `tests/identity.rs`.
 
 use polyraptor_repro::netsim::FaultAction;
-use polyraptor_repro::workload::{run_churn_rq, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
+use polyraptor_repro::workload::{run, ChurnScenario, Fabric, RqRunOptions, RunReport, Transport};
+
+/// The churn scenario's run under Polyraptor at its defaults: one
+/// fetch record per session.
+fn rq(sc: &ChurnScenario, fabric: &Fabric) -> RunReport {
+    run(sc.build(fabric, Transport::Rq(RqRunOptions::default())))
+}
 
 /// Seed 2 at this scale draws all four event classes and strands live
 /// sessions (verified by the plan assertions below, so a regression in
@@ -49,7 +55,7 @@ fn churn_soak_completes_everything_and_retargets_all_stranded() {
         "soak needs a host failure"
     );
 
-    let rep = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
+    let rep = rq(&sc, &fabric);
     // Every fetch completed (the collector asserts per-endpoint
     // completion; the count pins the shape) with zero timeouts.
     assert_eq!(rep.flows.len(), 6, "one completed fetch per session");
@@ -92,12 +98,8 @@ fn churn_soak_completes_everything_and_retargets_all_stranded() {
 
     // A different seed produces a different run (the soak is not
     // accidentally fault-free or schedule-independent).
-    let other = run_churn_rq(
-        &ChurnScenario { seed: 3, ..sc },
-        &fabric,
-        &Default::default(),
-    );
-    let finishes = |r: &ChurnReport| r.flows.iter().map(|f| f.finish).collect::<Vec<_>>();
+    let other = rq(&ChurnScenario { seed: 3, ..sc }, &fabric);
+    let finishes = |r: &RunReport| r.flows.iter().map(|f| f.finish).collect::<Vec<_>>();
     assert_ne!(finishes(&rep), finishes(&other));
 }
 
@@ -113,7 +115,7 @@ fn links_only_churn_never_pays_a_full_recompute() {
     sc.fault_rate_per_sec = 120.0;
     sc.repair_delay_ns = 12_000_000;
     sc.mix = polyraptor_repro::netsim::FaultMix::links_only();
-    let rep = run_churn_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let rep = rq(&sc, &Fabric::small());
     assert_eq!(rep.flows.len(), 6, "every fetch completes");
     assert!(
         rep.fabric.flaps_coalesced >= 1,
@@ -140,8 +142,8 @@ fn shared_risk_placement_compares_under_identical_churn() {
     let mut spread = sc;
     spread.shared_risk_placement = true;
     let fabric = Fabric::small();
-    let a = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
-    let b = run_churn_rq(&spread, &fabric, &RqRunOptions::default());
+    let a = rq(&sc, &fabric);
+    let b = rq(&spread, &fabric);
     assert_eq!(a.flows.len(), b.flows.len());
     assert_eq!(a.timeouts + b.timeouts, 0);
     assert_eq!(
@@ -158,7 +160,7 @@ fn host_failure_never_pulls_a_session_before_its_start_timer() {
     // for their start timer — re-targeting them on the spot used to
     // finish them before they began.
     let sc = ChurnScenario::ten_event(600, 1 << 20, 1);
-    let rep = run_churn_rq(&sc, &Fabric::paper(), &RqRunOptions::default());
+    let rep = rq(&sc, &Fabric::paper());
     assert!(rep.host_failures >= 1 && rep.stranded_sessions >= 1);
     assert_eq!(rep.flows.len(), 600);
     for f in &rep.flows {

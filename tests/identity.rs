@@ -10,12 +10,12 @@
 //! and `tests/run_paths.rs` pin history (constants recorded from older
 //! loops); this file pins consistency.
 
-use polyraptor_repro::netsim::{FaultMix, NodeId, RoutingPolicy, SimTime};
+use polyraptor_repro::netsim::{FaultMix, RoutingPolicy};
 use polyraptor_repro::polyraptor::{OracleMode, PrConfig};
 use polyraptor_repro::workload::{
-    run, run_churn_rq, run_fault_rq, run_fault_tcp, ChurnScenario, Fabric, FaultScenario,
-    HotspotScenario, IncastScenario, Pattern, RqRunOptions, RunReport, RunTelemetry,
-    StorageScenario, TcpRunOptions, TelemetryOptions, Transport,
+    run, ChurnScenario, Fabric, FaultScenario, HotspotScenario, IncastScenario, Pattern,
+    RqRunOptions, Run, RunReport, RunTelemetry, StorageScenario, TcpRunOptions, TelemetryOptions,
+    Transport,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -41,6 +41,18 @@ enum Scenario {
     Fault(FaultScenario),
     Churn(ChurnScenario),
     Hotspot(HotspotScenario),
+}
+
+impl Scenario {
+    fn build(&self, fabric: &Fabric, transport: Transport) -> Run {
+        match self {
+            Self::Storage(sc) => sc.build(fabric, transport),
+            Self::Incast(sc) => sc.build(fabric, transport),
+            Self::Fault(sc) => sc.build(fabric, transport),
+            Self::Churn(sc) => sc.build(fabric, transport),
+            Self::Hotspot(sc) => sc.build(fabric, transport),
+        }
+    }
 }
 
 /// The transport, and Polyraptor's oracle.
@@ -179,9 +191,8 @@ fn draw() -> impl Strategy<Value = Draw> {
 }
 
 impl Draw {
-    /// The draw's run at `shards`, recorded or not: the report, and the
-    /// core failure's victim and instant.
-    fn run(&self, shards: usize, record: bool) -> (RunReport, Option<(NodeId, Option<SimTime>)>) {
+    /// The draw's run at `shards`, recorded or not.
+    fn run(&self, shards: usize, record: bool) -> RunReport {
         let telemetry = TelemetryOptions {
             enabled: record,
             ..Default::default()
@@ -204,25 +215,13 @@ impl Draw {
                 ..Default::default()
             }),
         };
-        let fabric = &self.fabric;
-        match self.scenario {
-            Scenario::Storage(sc) => (run(sc.build(fabric, transport)), None),
-            Scenario::Incast(sc) => (run(sc.build(fabric, transport)), None),
-            Scenario::Churn(sc) => (run(sc.build(fabric, transport)), None),
-            Scenario::Hotspot(sc) => (run(sc.build(fabric, transport)), None),
-            Scenario::Fault(sc) => {
-                let rep = match transport {
-                    Transport::Rq(opts) => run_fault_rq(&sc, fabric, &opts),
-                    Transport::Tcp(opts) => run_fault_tcp(&sc, fabric, &opts),
-                };
-                (rep.run, Some((rep.victim, rep.fail_at)))
-            }
-        }
+        run(self.scenario.build(&self.fabric, transport))
     }
 }
 
 /// Everything a run reports about the simulated experiment: flows in
-/// report order, then the transport and fault counters.
+/// report order, then the transport and fault counters and the fault
+/// instants.
 fn outcome(rep: &RunReport) -> impl PartialEq + Debug {
     let flows: Vec<_> = rep
         .flows
@@ -253,21 +252,20 @@ fn exports(t: &RunTelemetry) -> (String, String, String, usize) {
 
 /// Run `draw` at one shard unrecorded, then at all six settings (that
 /// one again included), and check each run against the first: the same
-/// flows, counters and failure; the same fabric counters at one shard,
+/// flows, counters and fault instants; the same fabric counters at one shard,
 /// and the same shard-invariant ones at any count; the shard machinery
 /// working exactly when there is more than one shard; a recording
 /// exactly when one was asked for, exporting the same series, trace and
 /// flight dumps at every shard count.
 fn check(draw: &Draw) {
-    let (base, failure) = draw.run(1, false);
+    let base = draw.run(1, false);
     let base_outcome = outcome(&base);
     let mut recorded = None;
     for shards in [1usize, 2, 4] {
         for record in [false, true] {
             let at = format!("{shards} shards, recording {record}");
-            let (rep, fail) = draw.run(shards, record);
+            let rep = draw.run(shards, record);
             assert_eq!(outcome(&rep), base_outcome, "{at}: outcome");
-            assert_eq!(fail, failure, "{at}: victim and failure instant");
             let stats = rep.fabric;
             if shards == 1 {
                 assert_eq!(stats, base.fabric, "{at}: fabric counters");
@@ -369,7 +367,7 @@ fn churn_dense_k10_speedup_ceiling_at_four_shards_is_3_013() {
         shards: 4,
         ..Default::default()
     };
-    let stats = run_churn_rq(&sc, &Fabric::paper(), &opts).fabric;
+    let stats = run(sc.build(&Fabric::paper(), Transport::Rq(opts))).fabric;
     assert_eq!(stats.events, 6_699_977);
     assert_eq!(stats.shard_critical_events, 2_223_483);
 }

@@ -4,7 +4,7 @@
 //! fabric accounting.
 
 use polyraptor_repro::netsim::{FaultMix, RoutingPolicy};
-use polyraptor_repro::workload::{run_churn_rq, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
+use polyraptor_repro::workload::{ChurnScenario, Fabric, RqRunOptions, RunReport, Transport};
 
 /// The sweep example's smoke shape (deg-4 Jellyfish) at a seed pair
 /// whose links-only fault draw severs minimal-unique paths of
@@ -30,7 +30,7 @@ fn link_churn() -> ChurnScenario {
     sc
 }
 
-fn run(layers: usize) -> ChurnReport {
+fn run(layers: usize) -> RunReport {
     let opts = RqRunOptions {
         policy: if layers == 1 {
             RoutingPolicy::minimal()
@@ -39,7 +39,7 @@ fn run(layers: usize) -> ChurnReport {
         },
         ..Default::default()
     };
-    run_churn_rq(&link_churn(), &jellyfish(), &opts)
+    polyraptor_repro::workload::run(link_churn().build(&jellyfish(), Transport::Rq(opts)))
 }
 
 #[test]

@@ -1,6 +1,8 @@
-//! Run-path pins: one row per public runner, each on the 16-host
-//! fat-tree at a fixed seed, pinned to constants recorded from the nine
-//! runner bodies as they stood before they shared one run path.
+//! Run-path pins: one row per scenario and transport, each on the
+//! 16-host fat-tree at a fixed seed, pinned to constants recorded from
+//! the nine runner bodies as they stood before they shared one run path.
+//! Six of those runners are gone; their rows run `run(sc.build(..))`
+//! and hash the same scalars the runner returned.
 //!
 //! A row hashes every flow's `(session, start, finish)` in report order
 //! together with the runner's own scalars (incast goodput bits, TCP
@@ -13,18 +15,18 @@
 //! Each run must also show that the options reached the simulator (no
 //! shard epochs at one shard, some at two; a recording exactly when one
 //! was asked for), and the fabric counters must not depend on how the
-//! run was executed. The runners whose public result carries no report
-//! (storage, incast, hotspot) are also run through [`run`], which must
-//! agree with them. Those runners returned no fabric counters when the
-//! constants were recorded, so their fates were read from the runners'
-//! simulators at that commit.
+//! run was executed. The three runners that remain (`run_storage_rq`,
+//! `run_storage_tcp`, `run_churn_rq`) are the benchmark's; the storage
+//! ones return no report, so they are also run through [`run`], which
+//! must agree with them. The storage, incast and hotspot runners
+//! returned no fabric counters when the constants were recorded, so
+//! their fates were read from the runners' simulators at that commit.
 
-use polyraptor_repro::netsim::{FabricStats, SimTime};
+use polyraptor_repro::netsim::FabricStats;
 use polyraptor_repro::workload::{
-    run, run_churn_rq, run_churn_tcp, run_fault_rq, run_fault_tcp, run_hotspot_rq, run_incast_rq,
-    run_incast_tcp, run_storage_rq, run_storage_tcp, ChurnReport, ChurnScenario, Fabric,
-    FaultRunReport, FaultScenario, HotspotScenario, IncastScenario, Pattern, RqRunOptions,
-    RunReport, StorageScenario, TcpRunOptions, TelemetryOptions, TransferResult, Transport,
+    run, run_churn_rq, run_storage_rq, run_storage_tcp, ChurnScenario, Fabric, FaultScenario,
+    HotspotScenario, IncastScenario, Pattern, RqRunOptions, RunReport, StorageScenario,
+    TcpRunOptions, TelemetryOptions, TransferResult, Transport,
 };
 
 /// FNV-1a over 64-bit words.
@@ -74,8 +76,8 @@ impl Variant {
     }
 }
 
-/// What one run of a row showed: the hash of what its public runner
-/// returned, and the report [`run`] returned for the same run.
+/// What one run of a row showed: the hash of what its runner returned,
+/// and the report [`run`] returned for the same run.
 struct Observed {
     hash: u64,
     report: RunReport,
@@ -106,16 +108,40 @@ fn beside(public: u64, via_run: u64, report: RunReport) -> Observed {
     }
 }
 
-fn fault_observed(rep: FaultRunReport) -> Observed {
-    let fail_at = rep.fail_at.map_or(u64::MAX, SimTime::as_nanos);
-    let scalars = [rep.timeouts, u64::from(rep.victim.0), fail_at];
+/// A report hashed with no scalars of its own.
+fn flows_observed(rep: RunReport) -> Observed {
     Observed {
-        hash: fingerprint(&rep.flows, &scalars),
-        report: rep.run,
+        hash: fingerprint(&rep.flows, &[]),
+        report: rep,
     }
 }
 
-fn churn_observed(rep: ChurnReport) -> Observed {
+/// An incast report hashed as the goodput bits its runner returned.
+fn incast_observed(rep: RunReport) -> Observed {
+    Observed {
+        hash: fingerprint(&[], &[rep.incast_goodput_gbps().to_bits()]),
+        report: rep,
+    }
+}
+
+/// The fault scenario's run under `transport`, hashed with the timeouts,
+/// the victim and the failure instant its runner returned.
+fn fault_observed(transport: Transport) -> Observed {
+    let built = fault().build(&Fabric::small(), transport);
+    let victim = fault().victim_core(&built.topo);
+    let rep = run(built);
+    let fail_at = rep
+        .fault_instants
+        .first()
+        .map_or(u64::MAX, |at| at.as_nanos());
+    let scalars = [rep.timeouts, u64::from(victim.0), fail_at];
+    Observed {
+        hash: fingerprint(&rep.flows, &scalars),
+        report: rep,
+    }
+}
+
+fn churn_observed(rep: RunReport) -> Observed {
     let scalars = [
         rep.timeouts,
         rep.stranded_sessions,
@@ -258,42 +284,30 @@ fn storage_tcp() {
 #[test]
 fn incast_rq() {
     check("incast_rq", 0x3DE5_D1F0_37B6_34F0, [414, 6, 0, 0], |v| {
-        let rep = run(incast().build(&Fabric::small(), Transport::Rq(v.rq())));
-        let g = run_incast_rq(&incast(), &Fabric::small(), &v.rq());
-        let via_run = rep.incast_goodput_gbps().to_bits();
-        beside(
-            fingerprint(&[], &[g.to_bits()]),
-            fingerprint(&[], &[via_run]),
-            rep,
-        )
+        incast_observed(run(incast().build(&Fabric::small(), Transport::Rq(v.rq()))))
     });
 }
 
 #[test]
 fn incast_tcp() {
     check("incast_tcp", 0x521D_9062_4943_035E, [408, 0, 34, 0], |v| {
-        let rep = run(incast().build(&Fabric::small(), Transport::Tcp(v.tcp())));
-        let g = run_incast_tcp(&incast(), &Fabric::small(), &v.tcp());
-        let via_run = rep.incast_goodput_gbps().to_bits();
-        beside(
-            fingerprint(&[], &[g.to_bits()]),
-            fingerprint(&[], &[via_run]),
-            rep,
-        )
+        incast_observed(run(
+            incast().build(&Fabric::small(), Transport::Tcp(v.tcp()))
+        ))
     });
 }
 
 #[test]
 fn fault_rq() {
     check("fault_rq", 0xA64F_6C4A_EA60_A5E4, [3433, 0, 0, 301], |v| {
-        fault_observed(run_fault_rq(&fault(), &Fabric::small(), &v.rq()))
+        fault_observed(Transport::Rq(v.rq()))
     });
 }
 
 #[test]
 fn fault_tcp() {
     check("fault_tcp", 0xC549_D2A6_5B8A_65EB, [3342, 0, 0, 27], |v| {
-        fault_observed(run_fault_tcp(&fault(), &Fabric::small(), &v.tcp()))
+        fault_observed(Transport::Tcp(v.tcp()))
     });
 }
 
@@ -310,7 +324,8 @@ fn churn_rq() {
 #[test]
 fn churn_tcp() {
     check("churn_tcp", 0x0B9B_EAD6_F9E9_9B69, [8776, 0, 0, 23], |v| {
-        churn_observed(run_churn_tcp(&churn(), &Fabric::small(), &v.tcp()))
+        let rep = run(churn().build(&Fabric::small(), Transport::Tcp(v.tcp())));
+        churn_observed(rep.into_ops(churn().object_bytes))
     });
 }
 
@@ -320,10 +335,6 @@ fn hotspot_rq() {
         "hotspot_rq",
         0xF0A1_6BB8_FC75_7BEE,
         [2751, 242, 0, 0],
-        |v| {
-            let rep = run(hotspot().build(&Fabric::small(), Transport::Rq(v.rq())));
-            let flows = run_hotspot_rq(&hotspot(), &Fabric::small(), &v.rq());
-            beside(fingerprint(&flows, &[]), fingerprint(&rep.flows, &[]), rep)
-        },
+        |v| flows_observed(run(hotspot().build(&Fabric::small(), Transport::Rq(v.rq())))),
     );
 }

@@ -7,7 +7,7 @@
 
 use polyraptor_repro::netsim::SpanMark;
 use polyraptor_repro::workload::{
-    run_churn_rq, ChurnScenario, Fabric, RqRunOptions, TelemetryOptions,
+    run, ChurnScenario, Fabric, RqRunOptions, TelemetryOptions, Transport,
 };
 
 #[test]
@@ -21,7 +21,7 @@ fn recorded_churn_has_annotations_spans_and_exportable_series() {
         telemetry: TelemetryOptions::enabled_default(),
         ..Default::default()
     };
-    let rep = run_churn_rq(&sc, &fabric, &opts);
+    let rep = run(sc.build(&fabric, Transport::Rq(opts)));
     let t = rep.telemetry.expect("enabled run records");
 
     // Time series: buckets cover the run and the CSV exporter emits
