@@ -1,11 +1,12 @@
-//! Ablations over the design choices DESIGN.md calls out (§4):
+//! Ablations over Polyraptor's design choices:
 //!
 //! * packet trimming vs drop-tail under Polyraptor;
 //! * per-packet spraying vs per-flow ECMP;
 //! * multicast pull policy: strict aggregation (paper §2 text) vs pull
 //!   coalescing (`Any`, the default) — and straggler detach under strict;
 //! * initial window sizing;
-//! * RaptorQ-family code vs plain LT (reception overhead).
+//! * trimming vs drop-tail under incast, and spraying vs ECMP around
+//!   degraded links.
 //!
 //! Each ablation prints its headline comparison — simulated results,
 //! not timings: `cargo run --release --bin ablations`.
@@ -28,39 +29,6 @@ fn writes(replicas: usize, opts: RqRunOptions) -> Run {
 /// Median foreground goodput of a run.
 fn median(r: &RunReport) -> f64 {
     RankCurve::new(foreground_goodputs(&r.flows)).median()
-}
-
-fn ablation_lt_overhead() {
-    // Reception overhead: symbols needed beyond k to decode. The
-    // precoded RaptorQ-family code needs ~0-2; plain LT needs Θ(√k·ln²k).
-    let k = 100usize;
-    let data: Vec<u8> = (0..k * 64).map(|i| i as u8).collect();
-    let enc = rq::Encoder::new(&data, 64).unwrap();
-    let mut dec = rq::Decoder::new(enc.params());
-    let mut needed_rq = 0;
-    for i in 0.. {
-        let esi = k as u32 + i; // repair-only (worst case)
-        dec.push(esi, enc.symbol(esi));
-        needed_rq += 1;
-        if dec.try_decode().is_ok() {
-            break;
-        }
-    }
-    let lt = rq::lt::LtEncoder::new(&data, 64, 7);
-    let mut ldec = rq::lt::LtDecoder::new(k, 64, data.len(), 7);
-    let mut needed_lt = 0;
-    for esi in 0.. {
-        ldec.push(esi, lt.symbol(esi));
-        needed_lt += 1;
-        if ldec.try_decode().is_some() {
-            break;
-        }
-    }
-    println!(
-        "# ablation code family (k={k}): RQ decoded at k+{} vs plain LT at k+{}",
-        needed_rq - k,
-        needed_lt - k
-    );
 }
 
 fn main() {
@@ -137,7 +105,6 @@ fn main() {
         incast_droptail.incast_goodput_gbps(),
     );
     println!("# ablation incast queue: trimming {ndp:.3} vs drop-tail {droptail:.3} Gbps");
-    ablation_lt_overhead();
     let curve = |r: &RunReport| RankCurve::new(r.flows.iter().map(|t| t.goodput_gbps()).collect());
     let (s, e) = (curve(&spray_hot), curve(&ecmp_hot));
     println!(

@@ -21,7 +21,10 @@ use std::collections::{BTreeMap, VecDeque};
 
 use netsim::{Agent, Ctx, Dest, FlowId, FlowSpanEvent, NodeId, Packet, SimTime, SpanMark};
 
-use crate::config::PrConfig;
+use crate::config::{
+    PrConfig, PULL_QUEUE_CAP, PULL_SPACING_NS, REPULL_SPACING_NS, RETRANSMIT_TIMEOUT_NS,
+    SWEEP_INTERVAL_NS,
+};
 use crate::metrics::SessionRecord;
 use crate::receiver::ReceiverSession;
 use crate::sender::SenderSession;
@@ -97,27 +100,19 @@ enum PullClass {
 /// so no session can head-of-line-block another, with a per-session cap —
 /// beyond one window's worth, queued pulls carry no extra information
 /// (each just asks for "one more fresh symbol").
+#[derive(Default)]
 struct PullScheduler {
     per_session: BTreeMap<SessionId, VecDeque<(NodeId, PullClass)>>,
     rotation: VecDeque<SessionId>,
-    cap: usize,
 }
 
 impl PullScheduler {
-    fn new(cap: usize) -> Self {
-        Self {
-            per_session: BTreeMap::new(),
-            rotation: VecDeque::new(),
-            cap,
-        }
-    }
-
     /// Queue a pull towards `target`; silently coalesced when the
     /// session already has a full window of pending pulls (harmless:
     /// pulls carry cumulative counts read at transmission time).
     fn enqueue(&mut self, session: SessionId, target: NodeId, class: PullClass) {
         let q = self.per_session.entry(session).or_default();
-        if q.len() >= self.cap {
+        if q.len() >= PULL_QUEUE_CAP {
             return;
         }
         if q.is_empty() {
@@ -197,7 +192,7 @@ impl PolyraptorAgent {
             seed,
             send_sessions: BTreeMap::new(),
             recv_sessions: BTreeMap::new(),
-            pulls: PullScheduler::new(cfg.pull_queue_cap),
+            pulls: PullScheduler::default(),
             pacer_armed: false,
             sweep_armed: false,
             active_recv: 0,
@@ -324,8 +319,8 @@ impl PolyraptorAgent {
             // re-pulls can each trigger a window-sized refill burst, so
             // they re-arm with the wider recovery spacing.
             let spacing = match class {
-                PullClass::Credit => self.cfg.pull_spacing_ns,
-                PullClass::Recover | PullClass::Retarget => self.cfg.repull_spacing_ns,
+                PullClass::Credit => PULL_SPACING_NS,
+                PullClass::Recover | PullClass::Retarget => REPULL_SPACING_NS,
             };
             ctx.timer_after(spacing, pacer_token());
             return;
@@ -401,7 +396,7 @@ impl PolyraptorAgent {
     fn arm_sweep(&mut self, ctx: &mut Ctx<PrPayload>) {
         if !self.sweep_armed && self.active_recv > 0 {
             self.sweep_armed = true;
-            ctx.timer_after(self.cfg.sweep_interval_ns, sweep_token());
+            ctx.timer_after(SWEEP_INTERVAL_NS, sweep_token());
         }
     }
 
@@ -411,11 +406,11 @@ impl PolyraptorAgent {
             return;
         }
         let now = ctx.now;
-        let rto = self.cfg.retransmit_timeout_ns;
         let mut rounds: Vec<SessionId> = Vec::new();
         let mut repulls: Vec<(SessionId, NodeId)> = Vec::new();
         for (sid, rs) in self.recv_sessions.iter_mut() {
-            if rs.done || now.since(rs.last_activity) < rto || now < rs.spec.start {
+            if rs.done || now.since(rs.last_activity) < RETRANSMIT_TIMEOUT_NS || now < rs.spec.start
+            {
                 continue;
             }
             // Quiet session: nothing is left in flight, so the stranded

@@ -2,6 +2,8 @@
 
 use netsim::serialization_ns;
 
+use crate::wire::symbol_packet_bytes;
+
 /// How a multicast sender converts receiver pulls into group emissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MulticastPull {
@@ -17,9 +19,10 @@ pub enum MulticastPull {
     /// so the group is paced by the *fastest* receiver. Receivers whose
     /// access links can't keep up lose the excess to packet trimming and
     /// complete at their own pace — ratelessness makes the lost symbols
-    /// free to replace. This is the only mode that reproduces Figure
-    /// 1a's near-equal 1-/3-replica curves (see EXPERIMENTS.md), so it
-    /// is the default.
+    /// free to replace. It is the default. The `ablations` binary runs
+    /// it against [`MulticastPull::All`] on 3-replica writes over the
+    /// 16-host fat-tree: median goodput 0.539 vs 0.526 Gbps, and 0.648
+    /// for `All` with straggler detach.
     Any,
 }
 
@@ -30,49 +33,60 @@ pub enum OracleMode {
     /// (succeed at `k+o` extra symbols with failure probability
     /// `10^-(2(o+1))`). This is what packet-level evaluations — including
     /// the paper's OMNeT++ model — measure; decode CPU cost is explicitly
-    /// out of the paper's scope. Substitution S2 in DESIGN.md.
+    /// out of the paper's scope.
     Counting,
     /// Run the real `rq` decoder on actual symbol bytes. Used by tests
     /// and examples to validate the counting model end-to-end.
     Real,
 }
 
-/// Polyraptor protocol parameters.
+/// Symbol (payload) size in bytes: with the 64-byte header a full
+/// symbol packet is 1504 bytes, the fabric MTU, the same as a full TCP
+/// segment.
+pub const SYMBOL_SIZE: usize = 1440;
+
+/// The access-link rate the receiver's pacing assumes: the paper's
+/// 1 Gbps. Runs check that every host's link runs at it.
+pub const LINK_RATE_BPS: u64 = 1_000_000_000;
+
+/// Receiver pull pacing: one pull per full symbol packet's serialization
+/// time at [`LINK_RATE_BPS`] keeps aggregate arrivals at link capacity.
+pub const PULL_SPACING_NS: u64 = serialization_ns(symbol_packet_bytes(SYMBOL_SIZE), LINK_RATE_BPS);
+
+/// Pacer spacing after a batched recovery re-pull leaves the host:
+/// each re-pull can trigger up to a window of emissions, so consecutive
+/// re-pulls — e.g. to the several replicas of a multi-source session —
+/// are spread out to keep the recovery burst access-link-shaped.
+pub const REPULL_SPACING_NS: u64 = 4 * PULL_SPACING_NS;
+
+/// Re-pull a quiet session after this long (loss of all in-flight
+/// anchors is rare but must not wedge a session): 2 ms.
+pub const RETRANSMIT_TIMEOUT_NS: u64 = 2_000_000;
+
+/// How often the keep-alive sweep runs: 1 ms.
+pub const SWEEP_INTERVAL_NS: u64 = 1_000_000;
+
+/// Cap on queued pulls per session at a receiver: beyond one window's
+/// worth, extra pulls carry no information (every pull requests "one
+/// more fresh symbol").
+pub const PULL_QUEUE_CAP: usize = 32;
+
+/// Polyraptor protocol parameters: the ones the ablations and the
+/// runners vary. The rest of the protocol's numbers are the constants
+/// above.
 #[derive(Debug, Clone, Copy)]
 pub struct PrConfig {
-    /// Symbol (payload) size in bytes. With a 64-byte header this should
-    /// keep full symbol packets at or under the fabric MTU.
-    pub symbol_size: usize,
     /// Initial window: symbols pushed blind at line rate during the
     /// first RTT before pulls take over (NDP-style).
     pub initial_window: u32,
-    /// Receiver pull pacing interval in nanoseconds: one pull per
-    /// full-symbol serialization time keeps aggregate arrivals at link
-    /// capacity.
-    pub pull_spacing_ns: u64,
     /// Oracle mode (see [`OracleMode`]).
     pub oracle: OracleMode,
-    /// Re-pull a quiet session after this many nanoseconds (loss of all
-    /// in-flight anchors is rare but must not wedge a session).
-    pub retransmit_timeout_ns: u64,
-    /// How often the keep-alive sweep runs.
-    pub sweep_interval_ns: u64,
     /// Multicast straggler detection (the paper's "current work"
     /// extension): detach a receiver whose pull count lags the fastest
     /// receiver by more than this many symbols. `None` disables.
     pub straggler_lag: Option<u64>,
     /// Multicast pull-to-emission policy (see [`MulticastPull`]).
     pub multicast: MulticastPull,
-    /// Cap on queued pulls per session at a receiver: beyond one
-    /// window's worth, extra pulls carry no information (every pull
-    /// requests "one more fresh symbol").
-    pub pull_queue_cap: usize,
-    /// Pacer spacing after a batched recovery re-pull leaves the host
-    /// (regular pulls use [`PrConfig::pull_spacing_ns`]): each re-pull
-    /// can trigger up to a window of emissions, so consecutive re-pulls
-    /// — e.g. to the several replicas of a multi-source session — are
-    /// spread out to keep the recovery burst access-link-shaped.
-    pub repull_spacing_ns: u64,
     /// Record per-session flow spans (open/close plus pull-round,
     /// re-pull, re-target, and stranding marks) into
     /// [`crate::agent::PolyraptorAgent::spans`] for telemetry export.
@@ -84,26 +98,15 @@ pub struct PrConfig {
 
 impl PrConfig {
     /// Defaults matching the paper's evaluation fabric (1 Gbps links,
-    /// 10 µs delay, 250-host fat-tree):
-    ///
-    /// * 1440-byte symbols → 1504-byte symbol packets;
-    /// * initial window of one inter-pod BDP (≈16 symbol packets);
-    /// * pulls paced at one per symbol serialization time.
+    /// 10 µs delay, 250-host fat-tree): an initial window of one
+    /// inter-pod BDP (≈16 symbol packets), the counting oracle, and
+    /// pull coalescing for multicast.
     pub fn paper_default() -> Self {
-        let symbol_size = 1440usize;
-        let rate = 1_000_000_000u64;
-        let pkt = crate::wire::symbol_packet_bytes(symbol_size);
         Self {
-            symbol_size,
             initial_window: 16,
-            pull_spacing_ns: serialization_ns(pkt, rate),
             oracle: OracleMode::Counting,
-            retransmit_timeout_ns: 2_000_000, // 2 ms
-            sweep_interval_ns: 1_000_000,     // 1 ms
             straggler_lag: None,
             multicast: MulticastPull::Any,
-            pull_queue_cap: 32,
-            repull_spacing_ns: 4 * serialization_ns(pkt, rate),
             record_spans: false,
         }
     }
@@ -120,7 +123,7 @@ impl PrConfig {
     /// Number of source symbols for an object of `len` bytes.
     pub fn k_for(&self, len: usize) -> usize {
         assert!(len > 0, "empty objects cannot be transferred");
-        len.div_ceil(self.symbol_size)
+        len.div_ceil(SYMBOL_SIZE)
     }
 
     /// The per-sender in-flight window of a session: each of `n_senders`
@@ -148,10 +151,10 @@ mod tests {
 
     #[test]
     fn paper_default_values() {
-        let c = PrConfig::paper_default();
-        assert_eq!(c.symbol_size, 1440);
+        assert_eq!(SYMBOL_SIZE, 1440);
         // 1504 bytes at 1 Gbps = 12.032 µs per pull.
-        assert_eq!(c.pull_spacing_ns, 12_032);
+        assert_eq!(PULL_SPACING_NS, 12_032);
+        assert_eq!(REPULL_SPACING_NS, 48_128);
     }
 
     #[test]

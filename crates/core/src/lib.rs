@@ -66,7 +66,7 @@ pub mod session;
 pub mod wire;
 
 pub use agent::{host_fail_token, host_up_token, start_token, PolyraptorAgent};
-pub use config::{MulticastPull, OracleMode, PrConfig};
+pub use config::{MulticastPull, OracleMode, PrConfig, LINK_RATE_BPS, SYMBOL_SIZE};
 pub use metrics::SessionRecord;
 pub use oracle::{required_overhead, session_object, Oracle};
 pub use receiver::ReceiverSession;

@@ -1,6 +1,6 @@
 //! Symbol-collection oracles: when has a receiver gathered enough?
 //!
-//! Two interchangeable models (DESIGN.md substitution S2):
+//! Two interchangeable models:
 //!
 //! * [`Oracle::Counting`] counts *distinct* ESIs and declares success per
 //!   the RaptorQ overhead-failure model: with `k + o` distinct symbols
@@ -332,8 +332,7 @@ fn session_object_matches_at(session: SessionId, at: usize, bytes: &[u8]) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SessionSpec;
-    use netsim::{NodeId, SimTime};
+    use crate::session::object_encoder;
     use rq::Encoder;
 
     #[test]
@@ -581,9 +580,7 @@ mod tests {
             // (odd `t`) up to a ragged tail (`n % t != 0`); it must send
             // what an encoder over a staged copy of the object sends.
             let session = SessionId(id);
-            let spec = SessionSpec::unicast(session, n, NodeId(0), NodeId(1), SimTime::ZERO);
-            let (sender, built) = spec.encoder(t);
-            prop_assert!(built);
+            let sender = object_encoder(session, n, t);
             let staged = Encoder::new(&session_object(session, n), t).unwrap();
             let bp = staged.block_params();
             prop_assert_eq!(sender.params(), staged.params());

@@ -17,7 +17,7 @@
 use netsim::{NodeId, SimTime};
 use rq::CodeMode;
 
-use crate::config::{OracleMode, PrConfig};
+use crate::config::{OracleMode, PrConfig, SYMBOL_SIZE};
 use crate::metrics::SessionRecord;
 use crate::oracle::Oracle;
 use crate::session::{SessionSpec, SessionState};
@@ -98,12 +98,9 @@ impl ReceiverSession {
             OracleMode::Counting => Oracle::counting(spec.id, k, seed),
             // Decoder storage is allocated as symbols arrive, so an
             // installed session that has not started costs a few words.
-            OracleMode::Real => Oracle::real(
-                spec.id,
-                spec.data_len,
-                cfg.symbol_size,
-                CodeMode::Systematic,
-            ),
+            OracleMode::Real => {
+                Oracle::real(spec.id, spec.data_len, SYMBOL_SIZE, CodeMode::Systematic)
+            }
         };
         let n_senders = spec.senders.len();
         let share = cfg.per_sender_window(spec.data_len, n_senders);
@@ -428,8 +425,7 @@ mod tests {
 
     #[test]
     fn completes_on_all_source_symbols() {
-        let cfg = PrConfig::paper_default();
-        let mut rs = recv_session(5 * cfg.symbol_size);
+        let mut rs = recv_session(5 * SYMBOL_SIZE);
         let mut done = false;
         for esi in 0..5u32 {
             done = rs.on_symbol(0, esi, None, SimTime::from_nanos(esi as u64));
@@ -446,7 +442,7 @@ mod tests {
         let cfg = PrConfig::real_oracle();
         let spec = SessionSpec::unicast(
             SessionId(8),
-            5 * cfg.symbol_size,
+            5 * SYMBOL_SIZE,
             NodeId(1),
             NodeId(0),
             SimTime::ZERO,
@@ -485,8 +481,7 @@ mod tests {
 
     #[test]
     fn trimmed_headers_count_as_arrivals_not_progress() {
-        let cfg = PrConfig::paper_default();
-        let mut rs = recv_session(5 * cfg.symbol_size);
+        let mut rs = recv_session(5 * SYMBOL_SIZE);
         rs.on_trimmed(0, 9, SimTime::from_micros(7));
         assert_eq!(rs.trimmed_seen, 1);
         assert_eq!(rs.symbols_received(), 0);
@@ -532,8 +527,8 @@ mod tests {
     #[test]
     fn estimator_zero_loss_reports_nothing_stranded() {
         let cfg = PrConfig::paper_default();
-        let mut rs = recv_session(100 * cfg.symbol_size);
-        let share = cfg.per_sender_window(100 * cfg.symbol_size, 1);
+        let mut rs = recv_session(100 * SYMBOL_SIZE);
+        let share = cfg.per_sender_window(100 * SYMBOL_SIZE, 1);
         assert_eq!(rs.stranded_estimate(0), share, "blind window outstanding");
         // The whole initial window arrives, plus a licensed pull cycle.
         for esi in 0..share as u32 {
@@ -549,8 +544,8 @@ mod tests {
     #[test]
     fn estimator_exact_loss_sizes_the_batch() {
         let cfg = PrConfig::paper_default();
-        let mut rs = recv_session(100 * cfg.symbol_size);
-        let share = cfg.per_sender_window(100 * cfg.symbol_size, 1);
+        let mut rs = recv_session(100 * SYMBOL_SIZE);
+        let share = cfg.per_sender_window(100 * SYMBOL_SIZE, 1);
         // Half the blind window arrives, the rest dies in the fabric.
         let arrived = share / 2;
         for esi in 0..arrived as u32 {
@@ -564,10 +559,9 @@ mod tests {
 
     #[test]
     fn estimator_over_estimate_capped_by_cap_and_need() {
-        let cfg = PrConfig::paper_default();
         // A 4-symbol object whose licensed count is inflated way past
         // what the decode could use.
-        let mut rs = recv_session(4 * cfg.symbol_size);
+        let mut rs = recv_session(4 * SYMBOL_SIZE);
         for _ in 0..100 {
             rs.note_pull_sent(0);
         }
@@ -592,8 +586,8 @@ mod tests {
         // receiver can see more arrivals than it ever licensed. The
         // ledger must clamp instead of underflowing.
         let cfg = PrConfig::paper_default();
-        let mut rs = recv_session(100 * cfg.symbol_size);
-        let share = cfg.per_sender_window(100 * cfg.symbol_size, 1);
+        let mut rs = recv_session(100 * SYMBOL_SIZE);
+        let share = cfg.per_sender_window(100 * SYMBOL_SIZE, 1);
         for esi in 0..(share as u32 + 20) {
             rs.on_symbol(0, esi, None, SimTime::ZERO);
         }
@@ -634,7 +628,7 @@ mod tests {
         let cfg = PrConfig::paper_default();
         let spec = SessionSpec::multi_source(
             SessionId(6),
-            64 * cfg.symbol_size,
+            64 * SYMBOL_SIZE,
             vec![NodeId(1), NodeId(2), NodeId(3)],
             NodeId(0),
             SimTime::ZERO,
@@ -689,8 +683,7 @@ mod tests {
 
     #[test]
     fn record_captures_counters() {
-        let cfg = PrConfig::paper_default();
-        let mut rs = recv_session(2 * cfg.symbol_size);
+        let mut rs = recv_session(2 * SYMBOL_SIZE);
         rs.on_symbol(0, 0, None, SimTime::from_micros(1));
         rs.on_trimmed(0, 1, SimTime::from_micros(2));
         rs.pulls_sent = 5;

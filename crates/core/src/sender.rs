@@ -21,7 +21,7 @@
 
 use netsim::{Ctx, Dest, FlowId, NodeId, Packet};
 
-use crate::config::{MulticastPull, OracleMode, PrConfig};
+use crate::config::{MulticastPull, OracleMode, PrConfig, SYMBOL_SIZE};
 use crate::session::SessionSpec;
 use crate::wire::{symbol_packet_bytes, PrPayload, SymbolBody};
 
@@ -123,7 +123,7 @@ impl SenderSession {
     }
 
     /// Emit one fresh symbol towards `dst`.
-    fn emit(&mut self, dst: Dest, node: NodeId, cfg: &PrConfig, ctx: &mut Ctx<PrPayload>) {
+    fn emit(&mut self, dst: Dest, node: NodeId, ctx: &mut Ctx<PrPayload>) {
         let esi = self.alloc_esi();
         let body = self.encoder.clone();
         self.symbols_sent += 1;
@@ -131,7 +131,7 @@ impl SenderSession {
             src: node,
             dst,
             flow: self.flow(),
-            size: symbol_packet_bytes(cfg.symbol_size),
+            size: symbol_packet_bytes(SYMBOL_SIZE),
             payload: PrPayload::Symbol {
                 session: self.spec.id,
                 esi,
@@ -143,10 +143,10 @@ impl SenderSession {
     }
 
     /// Emit one symbol to the whole group (or the single receiver).
-    fn emit_group(&mut self, node: NodeId, cfg: &PrConfig, ctx: &mut Ctx<PrPayload>) {
+    fn emit_group(&mut self, node: NodeId, ctx: &mut Ctx<PrPayload>) {
         self.emitted += 1;
         let dst = self.data_dest();
-        self.emit(dst, node, cfg, ctx);
+        self.emit(dst, node, ctx);
     }
 
     /// The destination data symbols flow to: one of the session's
@@ -185,12 +185,12 @@ impl SenderSession {
         }
         self.started = true;
         if cfg.oracle == OracleMode::Real {
-            let (encoder, built) = self.spec.encoder(cfg.symbol_size);
+            let (encoder, built) = self.spec.encoder();
             self.encoder = Some(SymbolBody::new(encoder));
             self.built_encoder = built;
         }
         for _ in 0..self.window(cfg) {
-            self.emit_group(node, cfg, ctx);
+            self.emit_group(node, ctx);
         }
     }
 
@@ -253,17 +253,17 @@ impl SenderSession {
             // (lost trimmed headers) makes progress even at batch 0...
             if self.detached[r] {
                 self.unicast_sent[r] += 1;
-                self.emit(Dest::Host(from), node, cfg, ctx);
+                self.emit(Dest::Host(from), node, ctx);
                 // ...then refill whatever window the write-off reopened.
                 if batch > 0 {
                     let w = self.window(cfg);
                     while self.in_flight(r) < w {
                         self.unicast_sent[r] += 1;
-                        self.emit(Dest::Host(from), node, cfg, ctx);
+                        self.emit(Dest::Host(from), node, ctx);
                     }
                 }
             } else {
-                self.emit_group(node, cfg, ctx);
+                self.emit_group(node, ctx);
                 if batch > 0 {
                     self.pump(node, cfg, ctx);
                 }
@@ -276,7 +276,7 @@ impl SenderSession {
             let w = self.window(cfg);
             while self.in_flight(r) < w {
                 self.unicast_sent[r] += 1;
-                self.emit(Dest::Host(from), node, cfg, ctx);
+                self.emit(Dest::Host(from), node, ctx);
             }
             return;
         }
@@ -322,7 +322,7 @@ impl SenderSession {
                 }
                 return;
             }
-            self.emit_group(node, cfg, ctx);
+            self.emit_group(node, ctx);
         }
     }
 

@@ -9,6 +9,7 @@ use std::sync::{Arc, Mutex, Weak};
 
 use netsim::{GroupId, NodeId, SimTime};
 
+use crate::config::SYMBOL_SIZE;
 use crate::oracle::write_session_object_at;
 use crate::wire::SessionId;
 
@@ -98,40 +99,19 @@ impl SessionSpec {
     /// of one another) share one encoder: the first caller builds it
     /// under the lock, later callers get the same `Arc` for as long as
     /// any of them still holds it. The encoded bytes are a pure function
-    /// of `(id, data_len, symbol_size)` and building takes no simulated
-    /// time, so who builds never shows in a run's results. A live
-    /// encoder built for another `symbol_size` — hosts configured
-    /// differently — is left alone and the caller gets a private one.
-    ///
-    /// The encoder keeps only the object's parity: like a replica's
-    /// store, the generator hands it the source bytes again whenever a
-    /// symbol needs them.
-    pub(crate) fn encoder(&self, symbol_size: usize) -> (Arc<rq::Encoder>, bool) {
-        let id = self.id;
-        let build = || {
-            Arc::new(
-                rq::Encoder::from_source(self.data_len, symbol_size, move |at, out| {
-                    write_session_object_at(id, at, out)
-                })
-                .expect("session object is non-empty and fits one block"),
-            )
-        };
+    /// of `(id, data_len)` and building takes no simulated time, so who
+    /// builds never shows in a run's results.
+    pub(crate) fn encoder(&self) -> (Arc<rq::Encoder>, bool) {
         let mut slot = self
             .encoder
             .lock()
             .expect("a sibling session panicked while encoding");
-        match slot.upgrade() {
-            Some(enc) if enc.params().symbol_size == symbol_size => (enc, false),
-            Some(_) => {
-                drop(slot);
-                (build(), true)
-            }
-            None => {
-                let enc = build();
-                *slot = Arc::downgrade(&enc);
-                (enc, true)
-            }
+        if let Some(enc) = slot.upgrade() {
+            return (enc, false);
         }
+        let enc = Arc::new(object_encoder(self.id, self.data_len, SYMBOL_SIZE));
+        *slot = Arc::downgrade(&enc);
+        (enc, true)
     }
 
     /// Whether some started sender currently holds this session's shared
@@ -256,6 +236,17 @@ impl SessionSpec {
             assert!(!self.receivers.contains(s), "host cannot send to itself");
         }
     }
+}
+
+/// An encoder over session `id`'s canonical object of `data_len` bytes
+/// in symbols of `symbol_size` bytes. It keeps only the object's parity:
+/// like a replica's store, the generator hands it the source bytes again
+/// whenever a symbol needs them.
+pub(crate) fn object_encoder(id: SessionId, data_len: usize, symbol_size: usize) -> rq::Encoder {
+    rq::Encoder::from_source(data_len, symbol_size, move |at, out| {
+        write_session_object_at(id, at, out)
+    })
+    .expect("session object is non-empty and fits one block")
 }
 
 #[cfg(test)]

@@ -157,7 +157,7 @@ impl SimPayload for PrPayload {
 }
 
 /// On-the-wire size of a full symbol packet.
-pub fn symbol_packet_bytes(symbol_size: usize) -> u32 {
+pub const fn symbol_packet_bytes(symbol_size: usize) -> u32 {
     HEADER_BYTES + symbol_size as u32
 }
 

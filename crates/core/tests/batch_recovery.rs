@@ -4,7 +4,7 @@
 //! sender-side write-off never mints credit beyond actual emissions.
 
 use netsim::{Ctx, NodeId, SimTime};
-use polyraptor::{PrConfig, ReceiverSession, SenderSession, SessionId, SessionSpec};
+use polyraptor::{PrConfig, ReceiverSession, SenderSession, SessionId, SessionSpec, SYMBOL_SIZE};
 use proptest::prelude::*;
 
 /// Replay an arbitrary arrival pattern into a receiver session and run
@@ -21,7 +21,7 @@ fn run_recovery_round(
     let cfg = PrConfig::paper_default();
     let spec = SessionSpec::multi_source(
         SessionId(77),
-        k_symbols * cfg.symbol_size,
+        k_symbols * SYMBOL_SIZE,
         (1..=n_senders as u32).map(NodeId).collect(),
         NodeId(0),
         SimTime::ZERO,
@@ -101,7 +101,7 @@ proptest! {
         let cfg = PrConfig::paper_default();
         let spec = SessionSpec::multi_source(
             SessionId(78),
-            k * cfg.symbol_size,
+            k * SYMBOL_SIZE,
             (1..=n_senders as u32).map(NodeId).collect(),
             NodeId(0),
             SimTime::ZERO,
@@ -163,7 +163,7 @@ proptest! {
         let cfg = PrConfig::paper_default();
         let spec = SessionSpec::multi_source(
             SessionId(79),
-            k * cfg.symbol_size,
+            k * SYMBOL_SIZE,
             (1..=n_senders as u32).map(NodeId).collect(),
             NodeId(0),
             SimTime::ZERO,
@@ -237,7 +237,7 @@ proptest! {
         let cfg = PrConfig::paper_default();
         let spec = SessionSpec::unicast(
             SessionId(9),
-            500 * cfg.symbol_size,
+            500 * SYMBOL_SIZE,
             NodeId(0),
             NodeId(1),
             SimTime::ZERO,

@@ -3,7 +3,7 @@
 //! PCG32 seeded through SplitMix64. Implemented locally (rather than via
 //! the `rand` crate) so that a simulation seed reproduces the identical
 //! event sequence regardless of dependency versions — determinism is part
-//! of the simulator's contract (results in EXPERIMENTS.md cite seeds).
+//! of the simulator's contract (the results in README cite their seeds).
 
 /// SplitMix64 step, used for seeding.
 fn splitmix64(state: &mut u64) -> u64 {

@@ -7,9 +7,11 @@
 //! simulator is *the same machine code* as before telemetry existed.
 //! The runtime-switchable sink is `Option<Recorder>`: `None` costs one
 //! always-false time comparison per event, `Some` records (`bench_e2e`
-//! reports the recording-on cost as `telemetry.on_wall_ratio`; the
-//! `None` sink runs its churn workloads, [`NoTelemetry`] its storage
-//! workloads).
+//! reports the recording-on cost as `telemetry.on_wall_ratio`).
+//! `workload::run` always installs `Option<Recorder>`; [`NoTelemetry`]
+//! remains in use where a simulator is built by hand, e.g. the staged
+//! replay in `bench_e2e/src/staged.rs`, which runs its storage
+//! workloads on it and its churn workloads on the `None` sink.
 //!
 //! Recording is **pull-free and event-free**: no probe events are pushed
 //! into the simulator's event queue and no RNG is consumed, so enabling

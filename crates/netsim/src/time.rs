@@ -92,8 +92,8 @@ impl fmt::Display for SimTime {
 
 /// Serialization delay of `bytes` at `rate_bps`, in nanoseconds
 /// (rounded up so a packet never finishes "early").
-pub fn serialization_ns(bytes: u32, rate_bps: u64) -> u64 {
-    let bits = u64::from(bytes) * 8;
+pub const fn serialization_ns(bytes: u32, rate_bps: u64) -> u64 {
+    let bits = bytes as u64 * 8;
     // ns = bits / (rate / 1e9) = bits * 1e9 / rate, rounding up.
     (bits * 1_000_000_000).div_ceil(rate_bps)
 }

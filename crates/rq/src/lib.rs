@@ -40,7 +40,7 @@
 //! assert_eq!(dec.try_decode().unwrap(), data);
 //! ```
 //!
-//! ## Relationship to RFC 6330 (substitution S1 in DESIGN.md)
+//! ## Relationship to RFC 6330
 //!
 //! The construction mirrors RFC 6330 structurally — LDPC rows, dense
 //! GF(256) HDPC rows, LT tuple walk modulo a prime, inactivation
@@ -58,7 +58,6 @@ pub mod degree;
 pub mod encoder;
 pub mod gf256;
 pub mod hdpc;
-pub mod lt;
 pub mod matrix;
 pub mod params;
 pub mod rand;

@@ -9,7 +9,7 @@
 //! * the `K` source symbols themselves, tied to the intermediates by the
 //!   systematic LT relation.
 //!
-//! **Substitution S1 (see DESIGN.md):** RFC 6330 ships a 477-entry table of
+//! **Derived, not tabulated:** RFC 6330 ships a 477-entry table of
 //! supported `K'` values with per-row constants. We instead *derive*
 //! `(S, H)` from any `K` with the same structural recipe and validate the
 //! overhead/failure contract empirically in tests and benches.

@@ -1,5 +1,5 @@
 //! Inactivation decoding: the linear solver behind the decoder's
-//! reduced solve (and the [`crate::lt`] baseline's).
+//! reduced solve.
 //!
 //! The solver runs the classic three-phase pipeline:
 //!

@@ -24,7 +24,6 @@ fn rto_token(conn: ConnId) -> u64 {
 
 /// Per-host TCP agent carrying any number of connections.
 pub struct TcpAgent {
-    cfg: TcpConfig,
     node: NodeId,
     senders: BTreeMap<ConnId, TcpSender>,
     receivers: BTreeMap<ConnId, TcpReceiver>,
@@ -33,10 +32,10 @@ pub struct TcpAgent {
 }
 
 impl TcpAgent {
-    /// New agent for `node`.
-    pub fn new(node: NodeId, cfg: TcpConfig) -> Self {
+    /// New agent for `node`. The [`TcpConfig`] has no fields (see its
+    /// documentation).
+    pub fn new(node: NodeId, _: TcpConfig) -> Self {
         Self {
-            cfg,
             node,
             senders: BTreeMap::new(),
             receivers: BTreeMap::new(),
@@ -49,7 +48,7 @@ impl TcpAgent {
     pub fn install(&mut self, spec: ConnSpec) {
         spec.validate();
         if spec.sender == self.node {
-            self.senders.insert(spec.id, TcpSender::new(spec, self.cfg));
+            self.senders.insert(spec.id, TcpSender::new(spec));
         } else if spec.receiver == self.node {
             self.receivers.insert(spec.id, TcpReceiver::new(spec));
         } else {

@@ -8,10 +8,10 @@
 //! classic Incast collapse of Figure 1c.
 //!
 //! Differences from a full TCP stack, all irrelevant to the measured
-//! behaviour and noted in DESIGN.md: no FIN teardown (the application
-//! knows the transfer length), immediate ACKs (no delayed-ACK timer),
-//! unbounded receive window (hosts have plentiful memory), byte-exact
-//! sequence space without wraparound.
+//! behaviour: no FIN teardown (the application knows the transfer
+//! length), immediate ACKs (no delayed-ACK timer), unbounded receive
+//! window (hosts have plentiful memory), byte-exact sequence space
+//! without wraparound.
 //!
 //! The paper's TCP *emulations* of Polyraptor's patterns — multi-unicast
 //! replication (one copy per replica through the sender's access link)
@@ -30,5 +30,5 @@ pub mod wire;
 pub use agent::{conn_start_token, install_connection, TcpAgent};
 pub use receiver::TcpReceiver;
 pub use sender::{SenderPhase, TcpSender};
-pub use spec::{ConnRecord, ConnSpec, TcpConfig};
+pub use spec::{ConnRecord, ConnSpec, TcpConfig, MSS};
 pub use wire::{ConnId, TcpPayload};

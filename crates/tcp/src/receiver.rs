@@ -51,7 +51,7 @@ impl TcpReceiver {
     }
 
     /// Handle a data segment; always answers with the current cumulative
-    /// ACK (immediate ACKing — no delayed-ACK timer, see DESIGN.md).
+    /// ACK (immediate ACKing — no delayed-ACK timer, see the crate docs).
     /// Returns `true` when the stream just completed.
     pub fn on_data(&mut self, seq: u64, len: u32, ctx: &mut Ctx<TcpPayload>) -> bool {
         let end = seq + u64::from(len);

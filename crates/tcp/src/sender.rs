@@ -9,7 +9,9 @@
 
 use netsim::{Ctx, Dest, FlowId, Packet, SimTime, HEADER_BYTES};
 
-use crate::spec::{ConnSpec, TcpConfig};
+use crate::spec::{
+    ConnSpec, INIT_CWND_SEGS, MSS, RECV_WINDOW_SEGS, RTO_INIT_NS, RTO_MAX_NS, RTO_MIN_NS,
+};
 use crate::wire::TcpPayload;
 
 /// Sender connection phase.
@@ -27,7 +29,6 @@ pub enum SenderPhase {
 pub struct TcpSender {
     /// The connection descriptor.
     pub spec: ConnSpec,
-    cfg: TcpConfig,
     /// Phase.
     pub phase: SenderPhase,
     snd_una: u64,
@@ -58,21 +59,20 @@ pub struct TcpSender {
 
 impl TcpSender {
     /// Fresh sender for `spec`.
-    pub fn new(spec: ConnSpec, cfg: TcpConfig) -> Self {
+    pub fn new(spec: ConnSpec) -> Self {
         spec.validate();
         Self {
-            cfg,
             phase: SenderPhase::SynSent,
             snd_una: 0,
             snd_nxt: 0,
-            cwnd: (cfg.init_cwnd_segs * cfg.mss) as f64,
+            cwnd: (INIT_CWND_SEGS * MSS) as f64,
             ssthresh: f64::INFINITY,
             dupacks: 0,
             in_recovery: false,
             recover: 0,
             srtt: None,
             rttvar: 0.0,
-            rto_ns: cfg.rto_init_ns,
+            rto_ns: RTO_INIT_NS,
             backoff: 0,
             rto_deadline: None,
             rto_timer: None,
@@ -133,7 +133,7 @@ impl TcpSender {
     }
 
     fn on_new_ack(&mut self, ack: u64, ctx: &mut Ctx<TcpPayload>) {
-        let mss = self.cfg.mss as f64;
+        let mss = MSS as f64;
         // RTT sample (Karn: `timed` is cleared on any retransmission).
         if let Some((covers, sent)) = self.timed {
             if ack >= covers {
@@ -178,7 +178,7 @@ impl TcpSender {
     }
 
     fn on_dup_ack(&mut self, ctx: &mut Ctx<TcpPayload>) {
-        let mss = self.cfg.mss as f64;
+        let mss = MSS as f64;
         if self.in_recovery {
             self.cwnd += mss; // inflation per extra dup
             return;
@@ -214,7 +214,7 @@ impl TcpSender {
             }
             SenderPhase::Established => {
                 self.timeouts += 1;
-                let mss = self.cfg.mss as f64;
+                let mss = MSS as f64;
                 let flight = (self.snd_nxt - self.snd_una) as f64;
                 self.ssthresh = (flight / 2.0).max(2.0 * mss);
                 self.cwnd = mss;
@@ -234,19 +234,18 @@ impl TcpSender {
     /// Transmit as much new data as the send window (min of cwnd and the
     /// receiver's advertised window) allows.
     fn try_send(&mut self, ctx: &mut Ctx<TcpPayload>) {
-        let mss = self.cfg.mss;
-        let rwnd = (self.cfg.recv_window_segs * mss) as f64;
+        let rwnd = (RECV_WINDOW_SEGS * MSS) as f64;
         loop {
             let inflight = self.snd_nxt - self.snd_una;
             if self.snd_nxt >= self.spec.bytes {
                 return;
             }
-            if (inflight + mss) as f64 > self.cwnd.min(rwnd) + (mss - 1) as f64 {
+            if (inflight + MSS) as f64 > self.cwnd.min(rwnd) + (MSS - 1) as f64 {
                 // window check with sub-MSS tolerance (send if a full MSS
                 // fits when rounding the window up to whole segments).
                 return;
             }
-            let len = mss.min(self.spec.bytes - self.snd_nxt) as u32;
+            let len = MSS.min(self.spec.bytes - self.snd_nxt) as u32;
             self.send_segment(self.snd_nxt, len, false, ctx);
             self.snd_nxt += u64::from(len);
             if self.rto_deadline.is_none() {
@@ -256,7 +255,7 @@ impl TcpSender {
     }
 
     fn retransmit_head(&mut self, ctx: &mut Ctx<TcpPayload>) {
-        let len = self.cfg.mss.min(self.spec.bytes - self.snd_una) as u32;
+        let len = MSS.min(self.spec.bytes - self.snd_una) as u32;
         self.timed = None; // Karn's rule
         self.send_segment(self.snd_una, len, true, ctx);
         self.arm_rto(ctx.now);
@@ -294,14 +293,14 @@ impl TcpSender {
             }
         }
         let rto = self.srtt.expect("just set") + 4.0 * self.rttvar;
-        self.rto_ns = (rto as u64).clamp(self.cfg.rto_min_ns, self.cfg.rto_max_ns);
+        self.rto_ns = (rto as u64).clamp(RTO_MIN_NS, RTO_MAX_NS);
     }
 
     fn arm_rto(&mut self, now: SimTime) {
         let backed_off = self
             .rto_ns
             .saturating_mul(1u64 << self.backoff.min(6))
-            .min(self.cfg.rto_max_ns);
+            .min(RTO_MAX_NS);
         self.rto_deadline = Some(now + backed_off);
     }
 

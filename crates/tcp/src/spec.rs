@@ -4,48 +4,42 @@ use netsim::{NodeId, SimTime};
 
 use crate::wire::ConnId;
 
-/// Configuration of the TCP model.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpConfig {
-    /// Maximum segment (payload) size in bytes. 1440 keeps full segments
-    /// at 1504 wire bytes — identical wire efficiency to Polyraptor's
-    /// symbol packets, so goodput comparisons are apples-to-apples.
-    pub mss: u64,
-    /// Initial congestion window in segments (IW10, RFC 6928).
-    pub init_cwnd_segs: u64,
-    /// Minimum retransmission timeout. The INET/Linux default of 200 ms
-    /// is orders of magnitude above data-centre RTTs — the root cause of
-    /// Incast collapse in Figure 1c.
-    pub rto_min_ns: u64,
-    /// Initial RTO before any RTT sample (SYN timeout).
-    pub rto_init_ns: u64,
-    /// RTO exponential-backoff cap.
-    pub rto_max_ns: u64,
-    /// Receiver advertised window in segments. INET's default is 14
-    /// segments — it bounds in-flight data regardless of cwnd, which is
-    /// what keeps the paper's long TCP flows from slow-start-overshooting
-    /// shallow switch buffers.
-    pub recv_window_segs: u64,
-}
+/// Maximum segment (payload) size in bytes: a full segment is 1504
+/// wire bytes, the same as a Polyraptor symbol packet, so goodput
+/// comparisons are apples-to-apples.
+pub const MSS: u64 = 1440;
+
+/// Initial congestion window in segments (IW10, RFC 6928).
+pub const INIT_CWND_SEGS: u64 = 10;
+
+/// Minimum retransmission timeout: the INET/Linux default of 200 ms,
+/// orders of magnitude above data-centre RTTs — the root cause of
+/// Incast collapse in Figure 1c.
+pub const RTO_MIN_NS: u64 = 200_000_000;
+
+/// Initial RTO before any RTT sample (SYN timeout): 1 s.
+pub const RTO_INIT_NS: u64 = 1_000_000_000;
+
+/// RTO exponential-backoff cap: 60 s.
+pub const RTO_MAX_NS: u64 = 60_000_000_000;
+
+/// Receiver advertised window in segments: INET's default of 14 bounds
+/// in-flight data regardless of cwnd, which is what keeps the paper's
+/// long TCP flows from slow-start-overshooting shallow switch buffers.
+pub const RECV_WINDOW_SEGS: u64 = 14;
+
+/// The TCP model's configuration. It has no fields: the baseline runs
+/// INET's defaults, the constants above. The type stays only because
+/// `bench_e2e` passes `TcpConfig::paper_default()` to
+/// [`crate::TcpAgent::new`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TcpConfig;
 
 impl TcpConfig {
     /// The baseline the paper compares against ("standard unicast data
     /// transport" via INET defaults).
     pub fn paper_default() -> Self {
-        Self {
-            mss: 1440,
-            init_cwnd_segs: 10,
-            rto_min_ns: 200_000_000,    // 200 ms
-            rto_init_ns: 1_000_000_000, // 1 s
-            rto_max_ns: 60_000_000_000, // 60 s
-            recv_window_segs: 14,       // INET advertisedWindow default
-        }
-    }
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        Self::paper_default()
+        Self
     }
 }
 
@@ -118,12 +112,6 @@ impl ConnRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_wire_parity_with_polyraptor() {
-        let c = TcpConfig::paper_default();
-        assert_eq!(c.mss as u32 + netsim::HEADER_BYTES, 1504);
-    }
 
     #[test]
     #[should_panic(expected = "empty TCP transfer")]

@@ -12,7 +12,9 @@ use netsim::{
     QueueConfig, Recorder, RouteMode, RoutingPolicy, SimConfig, SimPayload, SimTime, Simulator,
     TelemetrySink, Topology,
 };
-use polyraptor::{start_token, PolyraptorAgent, PrConfig, PrPayload, SessionId, SessionSpec};
+use polyraptor::{
+    start_token, PolyraptorAgent, PrConfig, PrPayload, SessionId, SessionSpec, LINK_RATE_BPS,
+};
 use tcpsim::{install_connection, ConnId, ConnSpec, TcpAgent, TcpConfig, TcpPayload};
 
 use crate::scenario::{LogicalSession, Pattern, StorageScenario};
@@ -338,6 +340,19 @@ impl RqRunOptions {
         agent_seeds: &mut Pcg32,
         reroute_delay_ns: u64,
     ) -> Simulator<PrPayload, PolyraptorAgent, Option<Recorder>> {
+        // Receivers pace one pull per symbol packet at LINK_RATE_BPS; on
+        // any other access rate the run would be silently mis-paced.
+        for &h in topo.hosts() {
+            for port in topo.node_ports(h) {
+                assert!(
+                    port.rate_bps == LINK_RATE_BPS,
+                    "host {} has a {} bps access link, but Polyraptor paces its pulls for {} bps",
+                    h.0,
+                    port.rate_bps,
+                    LINK_RATE_BPS
+                );
+            }
+        }
         let mut cfg = SimConfig::ndp(sim_seed);
         cfg.switch_queue = self.switch_queue;
         cfg.route = self.route;
@@ -432,8 +447,6 @@ pub fn install_rq<T: netsim::TelemetrySink>(
 /// TCP-side knobs for a run.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpRunOptions {
-    /// TCP parameters.
-    pub tcp: TcpConfig,
     /// Switch queue (default deep drop-tail).
     pub switch_queue: QueueConfig,
     /// Path selection (default per-flow ECMP).
@@ -456,7 +469,6 @@ pub struct TcpRunOptions {
 impl Default for TcpRunOptions {
     fn default() -> Self {
         Self {
-            tcp: TcpConfig::paper_default(),
             switch_queue: QueueConfig::DROPTAIL_DEFAULT,
             route: RouteMode::EcmpFlow,
             policy: RoutingPolicy::minimal(),
@@ -485,7 +497,7 @@ impl TcpRunOptions {
         cfg.shards = self.shards;
         let mut sim = Simulator::with_telemetry(topo, cfg, self.telemetry.recorder());
         for h in sim.topology().hosts().to_vec() {
-            sim.set_agent(h, TcpAgent::new(h, self.tcp));
+            sim.set_agent(h, TcpAgent::new(h, TcpConfig::paper_default()));
         }
         sim
     }
@@ -1018,6 +1030,34 @@ mod tests {
             );
         }
         assert_eq!(op_results(&results, sc.object_bytes).len(), 30);
+    }
+
+    #[test]
+    fn tcp_segments_and_symbol_packets_are_the_same_size() {
+        // The two transports' goodputs compare like for like only if a
+        // full TCP segment and a full symbol packet cost the same wire
+        // bytes.
+        let segment = tcpsim::MSS as u32 + netsim::HEADER_BYTES;
+        assert_eq!(
+            segment,
+            polyraptor::symbol_packet_bytes(polyraptor::SYMBOL_SIZE)
+        );
+        assert_eq!(segment, 1504);
+    }
+
+    #[test]
+    #[should_panic(expected = "has a 10000000000 bps access link")]
+    fn rq_runs_refuse_host_links_the_pacer_does_not_assume() {
+        let fabric = Fabric::LeafSpine {
+            leaves: 4,
+            spines: 2,
+            hosts_per_leaf: 4,
+            oversub: 2.0,
+            rate_bps: 10_000_000_000,
+            prop_ns: 10_000,
+        };
+        let sc = StorageScenario::fig1a(4, 3, 1);
+        run(sc.build(&fabric, Transport::Rq(RqRunOptions::default())));
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub struct StorageScenario {
     /// configurations. The paper's "λ = 2560" is stated per *flow*
     /// ("session (flow) scheduling…"), and only this reading keeps the
     /// 3-replica fabric below saturation — consistent with the near-equal
-    /// RQ 1-/3-replica curves it reports. See EXPERIMENTS.md; an
-    /// ablation covers the alternative reading.
+    /// RQ 1-/3-replica curves it reports. No binary measures the other
+    /// reading (`false`); tests use it to pin small runs.
     pub normalize_load: bool,
     /// Shared-risk-aware replica placement: in addition to the paper's
     /// outside-the-client's-rack rule, replicas of one session avoid

@@ -26,52 +26,32 @@ use polyraptor::{PolyraptorAgent, PrPayload};
 /// `node + 1` so node 0 never collides with the fabric track.
 const FABRIC_PID: u32 = 0;
 
-/// Opt-in telemetry knobs for a run, carried by
+/// Opt-in telemetry recording for a run, carried by
 /// [`crate::RqRunOptions`] / [`crate::TcpRunOptions`] and honoured by
-/// every run. A runner whose public result is not a report (storage,
-/// incast, hotspot) drops the recording; build the scenario's
-/// [`crate::Run`] and call [`crate::run`] to keep it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// every run. A runner whose public result is not a report
+/// (`run_storage_rq`, `run_storage_tcp`) drops the recording; build the
+/// scenario's [`crate::Run`] and call [`crate::run`] to keep it. The
+/// recorder runs at netsim's default window and ring capacity
+/// ([`TelemetryConfig::default`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryOptions {
     /// Record this run (default `false`: the runner installs the
     /// `None` sink, whose only cost is one always-false time comparison
     /// per event).
     pub enabled: bool,
-    /// Sampling bucket width in nanoseconds.
-    pub window_ns: u64,
-    /// Flight-recorder ring capacity in annotations.
-    pub ring_capacity: usize,
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> Self {
-        let cfg = TelemetryConfig::default();
-        Self {
-            enabled: false,
-            window_ns: cfg.window_ns,
-            ring_capacity: cfg.ring_capacity,
-        }
-    }
 }
 
 impl TelemetryOptions {
-    /// Recording on, at the default window and ring capacity.
+    /// Recording on.
     pub fn enabled_default() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
+        Self { enabled: true }
     }
 
     /// The sink to install on the simulator: `Some(recorder)` when
     /// enabled, `None` otherwise.
     pub fn recorder(&self) -> Option<Recorder> {
-        self.enabled.then(|| {
-            Recorder::new(TelemetryConfig {
-                window_ns: self.window_ns,
-                ring_capacity: self.ring_capacity,
-            })
-        })
+        self.enabled
+            .then(|| Recorder::new(TelemetryConfig::default()))
     }
 }
 

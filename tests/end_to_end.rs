@@ -4,7 +4,7 @@
 use polyraptor_repro::netsim::{Ctx, NodeId, Pcg32, SimConfig, SimTime, Simulator, Topology};
 use polyraptor_repro::polyraptor::{
     start_token, MulticastPull, OracleMode, PolyraptorAgent, PrConfig, PrPayload, ReceiverSession,
-    SenderSession, SessionId, SessionSpec,
+    SenderSession, SessionId, SessionSpec, SYMBOL_SIZE,
 };
 use polyraptor_repro::workload::{
     build_rq_specs, foreground_goodputs, install_rq, op_results, run, Fabric, IncastScenario,
@@ -173,7 +173,7 @@ fn late_sender_rebuilds_the_shared_encoder() {
     let (receiver, replicas) = (NodeId(0), [NodeId(1), NodeId(2), NodeId(3)]);
     let spec = SessionSpec::multi_source(
         SessionId(7),
-        40 * cfg.symbol_size - 100,
+        40 * SYMBOL_SIZE - 100,
         replicas.to_vec(),
         receiver,
         SimTime::ZERO,
@@ -214,8 +214,8 @@ fn late_sender_rebuilds_the_shared_encoder() {
     // The object is the replica's; its encoder holds only the parity.
     let encoder = from_a[0].2.as_ref().expect("a body").encoder();
     let bp = encoder.block_params();
-    assert_eq!(encoder.storage_bytes(), (bp.s + bp.h) * cfg.symbol_size);
-    assert!(encoder.storage_bytes() < bp.k * cfg.symbol_size);
+    assert_eq!(encoder.storage_bytes(), (bp.s + bp.h) * SYMBOL_SIZE);
+    assert!(encoder.storage_bytes() < bp.k * SYMBOL_SIZE);
     let mut done = false;
     for (idx, esi, body) in from_a.into_iter().chain(from_b.into_iter().skip(1)) {
         assert!(body.is_some(), "real-oracle symbols carry bytes");

@@ -193,10 +193,7 @@ fn draw() -> impl Strategy<Value = Draw> {
 impl Draw {
     /// The draw's run at `shards`, recorded or not.
     fn run(&self, shards: usize, record: bool) -> RunReport {
-        let telemetry = TelemetryOptions {
-            enabled: record,
-            ..Default::default()
-        };
+        let telemetry = TelemetryOptions { enabled: record };
         let transport = match self.stack {
             Stack::Rq(oracle) => Transport::Rq(RqRunOptions {
                 pr: PrConfig {
