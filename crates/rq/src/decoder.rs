@@ -393,11 +393,11 @@ impl Decoder {
                 }
             }
         }
-        let mut known = HdpcFold::new(t);
+        let mut known = HdpcFold::new(p.h, t);
         known.fold_all(
             (columns.iter().enumerate())
                 .filter(|&(c, _)| compact[c] == KNOWN)
-                .map(|(c, column)| (column, self.source(c))),
+                .map(|(c, column)| (&column[..], self.source(c))),
         );
         for (h, mut coefs) in hdpc_coefs.into_iter().enumerate() {
             coefs[compact[ks + h] as usize] = 1;

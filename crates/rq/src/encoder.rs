@@ -251,9 +251,10 @@ impl Encoder {
         }
         // HDPC parity: row h is `C[ks+h] + Σ coef_j · C[j] = 0` over
         // `j < K+S`, all of which are already constructed.
-        let mut fold = HdpcFold::new(t);
+        let mut fold = HdpcFold::new(params.h, t);
         let constructed = source.chunks_exact(t).chain(ldpc.chunks_exact(t));
-        fold.fold_all(hdpc_columns(params).iter().zip(constructed));
+        let columns = hdpc_columns(params);
+        fold.fold_all(columns.iter().map(|c| &c[..]).zip(constructed));
         for (h, sym) in hdpc.chunks_exact_mut(t).enumerate() {
             fold.write_row(h, sym);
         }

@@ -7,11 +7,44 @@
 //!
 //! Besides scalar arithmetic this module provides the *symbol* operations
 //! the codec is built from: XOR of whole symbols (`u64`-wide,
-//! autovectorizable) and table-driven multiply-accumulate / scaling over
-//! whole slices ([`addmul`], [`mul_slice`]) that index one 256-byte row of
-//! a compile-time 64 KiB product table per coefficient — branchless in the
-//! per-byte loop, which is what the solver's forward-elimination and dense
-//! phases spend their time in.
+//! autovectorizable) and multiply-accumulate / scaling over whole slices
+//! ([`addmul`], [`mul_slice`]), which the solver's elimination and dense
+//! phases spend their time in. On a CPU with AVX2 those two run 32 bytes
+//! per step through split-nibble `vpshufb` kernels (the private `avx2`
+//! module, also behind [`crate::hdpc::HdpcFold`]); anywhere else, and on
+//! a tail shorter than 32 bytes, they index one 256-byte row of a
+//! compile-time 64 KiB product table per coefficient — branchless in the
+//! per-byte loop. Both give the same bytes.
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+#[cfg(target_arch = "x86_64")]
+pub(crate) use avx2::Avx2;
+
+/// Stand-in for the AVX2 kernels where the architecture has none:
+/// [`Avx2::detect`] never finds them, so no value of this type exists.
+#[cfg(not(target_arch = "x86_64"))]
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Avx2 {}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl Avx2 {
+    pub(crate) fn detect() -> Option<Self> {
+        None
+    }
+
+    pub(crate) fn addmul(self, _: &mut [u8], _: &[u8], _: u8) {
+        match self {}
+    }
+
+    pub(crate) fn mul_slice(self, _: &mut [u8], _: u8) {
+        match self {}
+    }
+
+    pub(crate) fn fold<const N: usize>(self, _: &mut [u8], _: [(&[u8], &[u8]); N]) {
+        match self {}
+    }
+}
 
 /// The reduction polynomial, `x^8 + x^4 + x^3 + x^2 + 1`, as the low 9 bits.
 pub const POLY: u16 = 0x11D;
@@ -124,16 +157,15 @@ pub fn xor_assign(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Table-driven multiply-accumulate over whole symbol slices:
-/// `dst[i] ^= c · dst_len-matched src[i]`.
+/// Multiply-accumulate over whole symbol slices: `dst[i] ^= c · src[i]`.
 ///
-/// The per-byte loop is branchless — one row of [`MUL_TABLE`] is selected
-/// once, then every byte is a load + XOR with no data-dependent control
-/// flow (the old log/exp formulation branched on `src[i] == 0` and did two
-/// dependent lookups per byte). `c == 0` is a no-op and `c == 1`
-/// degenerates to [`xor_assign`] (which takes the `u64`-wide
-/// autovectorized path); both are common in the solver so they get
-/// dedicated paths.
+/// `c == 0` is a no-op and `c == 1` degenerates to [`xor_assign`] (which
+/// takes the `u64`-wide autovectorized path); both are common in the
+/// solver so they get dedicated paths. Any other `c` runs the AVX2
+/// kernel when the CPU has it, else [`MUL_TABLE`] row `c` byte by byte.
+///
+/// # Panics
+/// Panics if the slices differ in length.
 #[inline]
 pub fn addmul(dst: &mut [u8], src: &[u8], c: u8) {
     match c {
@@ -141,47 +173,53 @@ pub fn addmul(dst: &mut [u8], src: &[u8], c: u8) {
         1 => xor_assign(dst, src),
         _ => {
             assert_eq!(dst.len(), src.len(), "symbol length mismatch");
-            let row = &MUL_TABLE[c as usize];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d ^= row[*s as usize];
+            match Avx2::detect() {
+                Some(avx2) => avx2.addmul(dst, src, c),
+                None => addmul_table(dst, src, c),
             }
         }
     }
 }
 
-/// Table-driven in-place symbol scaling: `dst[i] = c · dst[i]`.
-///
-/// Branchless per-byte loop over one [`MUL_TABLE`] row, like [`addmul`].
+/// [`addmul`] through one [`MUL_TABLE`] row: one data-dependent load and
+/// an XOR per byte, no branch.
+fn addmul_table(dst: &mut [u8], src: &[u8], c: u8) {
+    let row = &MUL_TABLE[c as usize];
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= row[*s as usize];
+    }
+}
+
+/// In-place symbol scaling: `dst[i] = c · dst[i]`, by the AVX2 kernel
+/// when the CPU has it, like [`addmul`].
 #[inline]
 pub fn mul_slice(dst: &mut [u8], c: u8) {
     match c {
         0 => dst.fill(0),
         1 => {}
-        _ => {
-            let row = &MUL_TABLE[c as usize];
-            for d in dst.iter_mut() {
-                *d = row[*d as usize];
-            }
-        }
+        _ => match Avx2::detect() {
+            Some(avx2) => avx2.mul_slice(dst, c),
+            None => mul_slice_table(dst, c),
+        },
     }
 }
 
-/// Scale a symbol in place: `dst[i] = c · dst[i]`.
-///
-/// Alias for [`mul_slice`].
-#[inline]
-pub fn scale(dst: &mut [u8], c: u8) {
-    mul_slice(dst, c);
+/// [`mul_slice`] through one [`MUL_TABLE`] row.
+fn mul_slice_table(dst: &mut [u8], c: u8) {
+    let row = &MUL_TABLE[c as usize];
+    for d in dst.iter_mut() {
+        *d = row[*d as usize];
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Independent scalar reference: carry-less "Russian peasant"
     /// multiplication modulo [`POLY`], sharing no code (and no tables)
     /// with the implementations under test.
-    fn mul_ref(a: u8, b: u8) -> u8 {
+    pub(crate) fn mul_ref(a: u8, b: u8) -> u8 {
         let mut acc: u16 = 0;
         let mut aa = u16::from(a);
         let mut bb = b;
@@ -199,7 +237,7 @@ mod tests {
     }
 
     /// Deterministic byte stream for slice tests (no external RNG dep).
-    fn bytes(seed: u64, len: usize) -> Vec<u8> {
+    pub(crate) fn bytes(seed: u64, len: usize) -> Vec<u8> {
         let mut x = seed | 1;
         (0..len)
             .map(|_| {
@@ -394,14 +432,139 @@ mod tests {
         }
     }
 
+    /// Slice lengths around the 32-byte vector chunk, plus the wire
+    /// symbol and one byte past it. The kernel tests take their slices a
+    /// few bytes into a buffer, so no kernel sees them aligned.
+    pub(crate) const KERNEL_LENGTHS: [usize; 11] = [0, 1, 31, 32, 33, 63, 64, 65, 100, 1440, 1441];
+
+    /// The kernels to test: the table code always, AVX2 when the CPU
+    /// has it.
+    pub(crate) fn kernels() -> impl Iterator<Item = Option<Avx2>> {
+        [None].into_iter().chain(Avx2::detect().map(Some))
+    }
+
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn scale_matches_scalar() {
-        for c in [0u8, 1, 5, 128, 255] {
-            let mut dst: Vec<u8> = (0..64).map(|i| (i * 41 + 1) as u8).collect();
-            let orig = dst.clone();
-            scale(&mut dst, c);
-            for i in 0..64 {
-                assert_eq!(dst[i], mul(c, orig[i]));
+    fn nibble_tables_match_reference() {
+        for c in 0..=255u8 {
+            for i in 0..16u8 {
+                assert_eq!(
+                    avx2::NIB[c as usize][0][i as usize],
+                    mul_ref(c, i),
+                    "c={c} i={i}"
+                );
+                assert_eq!(
+                    avx2::NIB[c as usize][1][i as usize],
+                    mul_ref(c, i << 4),
+                    "c={c} i={i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn addmul_kernels_match_reference_at_unaligned_lengths() {
+        for kernel in kernels() {
+            for len in KERNEL_LENGTHS {
+                let (src_buf, base_buf) =
+                    (bytes(len as u64, 3 + len), bytes(!(len as u64), 1 + len));
+                let (src, base) = (&src_buf[3..], &base_buf[1..]);
+                for c in 0..=255u8 {
+                    let mut dst_buf = base_buf.clone();
+                    let dst = &mut dst_buf[1..];
+                    match kernel {
+                        Some(avx2) => avx2.addmul(dst, src, c),
+                        None => addmul_table(dst, src, c),
+                    }
+                    for i in 0..len {
+                        assert_eq!(
+                            dst[i],
+                            base[i] ^ mul_ref(c, src[i]),
+                            "{kernel:?} len={len} c={c} i={i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mul_slice_kernels_match_reference_at_unaligned_lengths() {
+        for kernel in kernels() {
+            for len in KERNEL_LENGTHS {
+                let base_buf = bytes(len as u64 + 7, 5 + len);
+                let base = &base_buf[5..];
+                for c in 0..=255u8 {
+                    let mut dst_buf = base_buf.clone();
+                    let dst = &mut dst_buf[5..];
+                    match kernel {
+                        Some(avx2) => avx2.mul_slice(dst, c),
+                        None => mul_slice_table(dst, c),
+                    }
+                    for i in 0..len {
+                        assert_eq!(
+                            dst[i],
+                            mul_ref(c, base[i]),
+                            "{kernel:?} len={len} c={c} i={i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_kernels_match_reference_at_unaligned_lengths() {
+        use crate::hdpc::{HdpcFold, MAX_ROWS};
+        use crate::params::H_HDPC;
+        // 16 columns × 16 rows: column j row h has coefficient 16·j + h,
+        // so every scalar appears once. The 12-row fold takes the first
+        // 12 coefficients of each column.
+        for kernel in kernels() {
+            for rows in [MAX_ROWS, H_HDPC] {
+                for len in KERNEL_LENGTHS {
+                    let buf: Vec<Vec<u8>> = (0..16)
+                        .map(|j| bytes(j * 131 + len as u64, 2 + len))
+                        .collect();
+                    let columns: Vec<(Vec<u8>, &[u8])> = (0..16)
+                        .map(|j| {
+                            (
+                                (0..rows).map(|h| (16 * j + h) as u8).collect(),
+                                &buf[j][2..],
+                            )
+                        })
+                        .collect();
+                    let mut single = HdpcFold::with_kernel(rows, len, kernel);
+                    for (coefs, symbol) in &columns {
+                        single.fold(coefs, symbol);
+                    }
+                    let mut paired = HdpcFold::with_kernel(rows, len, kernel);
+                    // 15 columns: seven pairs and a last one alone.
+                    paired.fold_all(
+                        columns[..15]
+                            .iter()
+                            .map(|(coefs, symbol)| (&coefs[..], *symbol)),
+                    );
+                    paired.fold(&columns[15].0, columns[15].1);
+                    for h in 0..rows {
+                        let expect: Vec<u8> = (0..len)
+                            .map(|i| {
+                                columns.iter().fold(0, |acc, (coefs, symbol)| {
+                                    acc ^ mul_ref(coefs[h], symbol[i])
+                                })
+                            })
+                            .collect();
+                        let mut row = vec![0x5Au8; len + 1];
+                        single.write_row(h, &mut row[1..]);
+                        assert_eq!(row[1..], expect, "{kernel:?} rows={rows} len={len} row {h}");
+                        paired.write_row(h, &mut row[1..]);
+                        assert_eq!(
+                            row[1..],
+                            expect,
+                            "{kernel:?} rows={rows} len={len} row {h}, paired"
+                        );
+                    }
+                }
             }
         }
     }

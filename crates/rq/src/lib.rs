@@ -16,8 +16,7 @@
 //!   decoding fails with probability on the order of 10⁻⁶ (the property
 //!   quoted in the paper, validated empirically in
 //!   `tests/systematic_battery.rs::loss_sweep_overhead_envelope` and
-//!   the benchmark's `rq.decode_fail_share`);
-//! * a plain **LT code** baseline for ablations.
+//!   the benchmark's `rq.decode_fail_share`).
 //!
 //! ## Quickstart
 //!
@@ -51,7 +50,9 @@
 //! paper relies on is, and is enforced by tests.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `gf256`'s private `avx2` module, the AVX2
+// kernels, is the one place that opts out.
+#![deny(unsafe_code)]
 
 pub mod decoder;
 pub mod degree;

@@ -14,8 +14,10 @@
 //!    structural phase purely combinatorial.
 //! 2. **Forward elimination + dense solve.** Replay the pivots in order,
 //!    now carrying symbol values and each row's dense projection onto the
-//!    inactivated columns; the never-selected rows (including the dense
-//!    GF(256) HDPC rows) end up as a small dense system over the
+//!    inactivated columns. A pivot's value is final once it has pivoted,
+//!    so the dense GF(256) rows take all pivot values in one
+//!    [`HdpcFold`] pass after the replay. The never-selected rows
+//!    (including the dense rows) end up as a small dense system over the
 //!    inactivated unknowns, solved by Gaussian elimination.
 //! 3. **Back-substitution.** Each pivot row is, by construction, `pivot
 //!    column + (inactive projection)`, so pivot unknowns fall out with one
@@ -24,7 +26,8 @@
 //! Failure surfaces as [`SolveError::Singular`]: the decoder responds by
 //! waiting for more symbols (the encoder never solves).
 
-use crate::gf256;
+use crate::gf256::{self, Avx2};
+use crate::hdpc::{HdpcFold, MAX_ROWS};
 use crate::matrix::{ConstraintRow, RowKind};
 
 /// Why a solve failed.
@@ -139,8 +142,6 @@ pub fn solve(
                     n_inactive += 1;
                 }
             }
-            active_remaining = 0;
-            let _ = active_remaining;
             break;
         };
         buckets[degree[r as usize] as usize].pop();
@@ -239,30 +240,34 @@ pub fn solve(
         .collect();
 
     for (&(prow, pcol), targets) in pivots.iter().zip(&elim_targets) {
-        // The pivot row is read-only below while targets are mutated, but
-        // they live in the same vectors; a clone of the (short) inactive
-        // projection and the symbol keeps the borrow checker honest.
-        let (p_inact, p_value) = (
-            bin_inact[prow as usize].clone(),
-            bin_values[prow as usize].clone(),
-        );
+        // The pivot row is read while its targets, in the same vectors,
+        // are written; it is never its own target, so it steps out of
+        // its slot meanwhile.
+        let p_value = std::mem::take(&mut bin_values[prow as usize]);
+        let p_inact = std::mem::take(&mut bin_inact[prow as usize]);
         for &t in targets {
             gf256::xor_assign(&mut bin_values[t as usize], &p_value);
             gf256::xor_assign(&mut bin_inact[t as usize], &p_inact);
         }
-        for (d_coefs, (d_inact, d_value)) in dense_coefs
-            .iter()
-            .zip(dense_inact.iter_mut().zip(dense_values.iter_mut()))
-        {
-            let beta = d_coefs[pcol as usize];
-            if beta != 0 {
-                gf256::addmul(d_value, &p_value, beta);
-                for (di, pi) in d_inact.iter_mut().zip(&p_inact) {
-                    *di ^= gf256::mul(beta, *pi);
-                }
-            }
+        for (d_coefs, d_inact) in dense_coefs.iter().zip(&mut dense_inact) {
+            gf256::addmul(d_inact, &p_inact, d_coefs[pcol as usize]);
         }
+        bin_values[prow as usize] = p_value;
+        bin_inact[prow as usize] = p_inact;
     }
+    // A pivot row's value is final once it has pivoted, and no dense
+    // coefficient changes, so the dense rows take every pivot's value in
+    // one fold after the replay instead of one `addmul` each.
+    let pivot_values = pivots
+        .iter()
+        .map(|&(prow, pcol)| (pcol, &bin_values[prow as usize][..]));
+    fold_pivots(
+        &dense_coefs,
+        &mut dense_values,
+        pivot_values,
+        symbol_size,
+        Avx2::detect(),
+    );
 
     // ---- Phase 3: dense solve over the inactive unknowns ----------------
     // Equations: never-selected binary rows (spares) + all dense rows.
@@ -300,6 +305,37 @@ pub fn solve(
 
     debug_assert!(out.iter().all(|s| s.len() == symbol_size));
     Ok(out)
+}
+
+/// Add `coefs[r][col] · value` of every `(col, value)` pivot to dense
+/// row `r`'s right-hand side `values[r]`: one [`HdpcFold`] pass per group
+/// of at most [`MAX_ROWS`] rows, with the AVX2 kernel or without it.
+fn fold_pivots<'a>(
+    coefs: &[Vec<u8>],
+    values: &mut [Vec<u8>],
+    pivots: impl Iterator<Item = (u32, &'a [u8])> + Clone,
+    symbol_size: usize,
+    avx2: Option<Avx2>,
+) {
+    let mut row = vec![0u8; symbol_size];
+    for (coefs, values) in coefs.chunks(MAX_ROWS).zip(values.chunks_mut(MAX_ROWS)) {
+        let mut columns = Vec::new();
+        for (col, value) in pivots.clone() {
+            let column: Vec<u8> = coefs.iter().map(|c| c[col as usize]).collect();
+            if column.iter().any(|&c| c != 0) {
+                columns.push((column, value));
+            }
+        }
+        if columns.is_empty() {
+            continue;
+        }
+        let mut fold = HdpcFold::with_kernel(coefs.len(), symbol_size, avx2);
+        fold.fold_all(columns.iter().map(|(column, value)| (&column[..], *value)));
+        for (h, value) in values.iter_mut().enumerate() {
+            fold.write_row(h, &mut row);
+            gf256::xor_assign(value, &row);
+        }
+    }
 }
 
 /// Dense Gaussian elimination over GF(256).
@@ -477,5 +513,49 @@ mod tests {
         }
         let solved = solve(n, rows, t).unwrap();
         assert_eq!(solved, secret);
+    }
+
+    #[test]
+    fn deferred_dense_fold_matches_reference_at_unaligned_lengths() {
+        use crate::gf256::tests::{bytes, kernels, mul_ref, KERNEL_LENGTHS};
+        // 20 dense rows (one fold of 16 rows and one of 4) and 14 pivots
+        // on columns 0..14. Row r has coefficient 13·r + c on column
+        // c < 13, so all 256 scalars occur; column 13 is zero in the
+        // second group, which skips it.
+        let (n_rows, n_pivots) = (20, 14);
+        let coefs: Vec<Vec<u8>> = (0..n_rows)
+            .map(|r| {
+                (0..n_pivots)
+                    .map(|c| match c {
+                        13 if r >= 16 => 0,
+                        _ => (13 * r + c) as u8,
+                    })
+                    .collect()
+            })
+            .collect();
+        for kernel in kernels() {
+            for len in KERNEL_LENGTHS {
+                let buffers: Vec<Vec<u8>> = (0..n_pivots)
+                    .map(|c| bytes(c as u64 * 31 + len as u64, len + 1))
+                    .collect();
+                let pivots = buffers
+                    .iter()
+                    .enumerate()
+                    .map(|(c, buf)| (c as u32, &buf[1..]));
+                let base: Vec<Vec<u8>> = (0..n_rows).map(|r| bytes(!(r as u64), len)).collect();
+                let mut values = base.clone();
+                fold_pivots(&coefs, &mut values, pivots.clone(), len, kernel);
+                for (r, (value, base)) in values.iter().zip(&base).enumerate() {
+                    let expect: Vec<u8> = (0..len)
+                        .map(|i| {
+                            pivots.clone().fold(base[i], |acc, (c, v)| {
+                                acc ^ mul_ref(coefs[r][c as usize], v[i])
+                            })
+                        })
+                        .collect();
+                    assert_eq!(value, &expect, "{kernel:?} len={len} row {r}");
+                }
+            }
+        }
     }
 }
