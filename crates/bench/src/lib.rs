@@ -3,7 +3,7 @@
 //! Shared machinery for the figure-regeneration binaries
 //! (`fig1a`, `fig1b`, `fig1c`; `ablations` prints its own):
 //! command-line parsing, parallel execution of independent
-//! (configuration × seed) [`Run`]s across CPU cores, and the one
+//! (configuration × seed) [`Run`]s, at most one per CPU core, and the one
 //! rank-curve driver behind Figures 1a and 1b.
 //!
 //! Binaries accept `--sessions`, `--seeds`, `--k`, `--out` and a
@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use workload::{foreground_goodputs, Fabric, RankCurve, Run, RunReport};
 
@@ -93,35 +94,39 @@ impl FigOptions {
     }
 }
 
-/// Run `jobs` closures in parallel across available cores and collect
-/// results in input order. Each job is independent (own simulator), so
-/// this is embarrassingly parallel; an mpsc channel carries results
-/// back to preserve determinism of the *output order*.
+/// Run `jobs` closures on at most `available_parallelism()` worker
+/// threads and collect results in input order. Each job is independent
+/// (own simulator), so each worker simply takes the next job index
+/// until none is left.
 pub fn run_parallel<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let n = jobs.len();
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for (i, job) in jobs.into_iter().enumerate() {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let out = job();
-                tx.send((i, out)).expect("collector alive");
-            });
-        }
-        drop(tx);
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(jobs.len());
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("no job runs under the lock").next();
+                        let Some((i, job)) = next else { break out };
+                        out.push((i, job()));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, v) in rx {
-        slots[i] = Some(v);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job reports"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, v)| v).collect()
 }
 
 /// Execute `runs` with [`run_parallel`]; the reports come back in
@@ -246,10 +251,27 @@ mod tests {
 
     #[test]
     fn run_parallel_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..16usize).map(|i| Box::new(move || i * i) as _).collect();
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let jobs: Vec<_> = (0..16usize)
+            .map(|i| {
+                let (live, peak) = (&live, &peak);
+                move || {
+                    peak.fetch_max(live.fetch_add(1, SeqCst) + 1, SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    live.fetch_sub(1, SeqCst);
+                    i * i
+                }
+            })
+            .collect();
         let out = run_parallel(jobs);
         assert_eq!(out, (0..16usize).map(|i| i * i).collect::<Vec<_>>());
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let peak = peak.into_inner();
+        assert!(
+            (1..=workers).contains(&peak),
+            "{peak} jobs ran at once on {workers} workers"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rq::CodeMode;
 use crate::config::{OracleMode, PrConfig, SYMBOL_SIZE};
 use crate::metrics::SessionRecord;
 use crate::oracle::Oracle;
-use crate::session::{SessionSpec, SessionState};
+use crate::session::{EsiLayout, SessionSpec, SessionState};
 use crate::wire::SymbolBody;
 
 /// Receiver-side state for one session.
@@ -54,10 +54,8 @@ pub struct ReceiverSession {
     /// see, e.g. group emissions a faster co-receiver pulled that died
     /// on this receiver's tree branch.
     emitted_seen: Vec<u64>,
-    /// Per-sender source partitions `[lo, hi)` (for the ESI inversion).
-    partitions: Vec<(u64, u64)>,
-    /// Source symbols in the object (for the ESI inversion).
-    k: u64,
+    /// Each sender's ESI layout (for the ESI inversion).
+    layouts: Vec<EsiLayout>,
     /// Write-off symbols already requested in the current recovery round
     /// (reset each sweep) — caps a round's total at what the decode
     /// still needs.
@@ -104,20 +102,15 @@ impl ReceiverSession {
         };
         let n_senders = spec.senders.len();
         let share = cfg.per_sender_window(spec.data_len, n_senders);
-        let partitions = (0..n_senders)
-            .map(|i| {
-                let (lo, hi) = crate::session::source_partition(k, n_senders, i);
-                (lo as u64, hi as u64)
-            })
-            .collect();
         Self {
             oracle,
             arrivals_from: vec![0; n_senders],
             granted: vec![share; n_senders],
             written_off: vec![0; n_senders],
             emitted_seen: vec![0; n_senders],
-            partitions,
-            k: k as u64,
+            layouts: (0..n_senders)
+                .map(|i| EsiLayout::new(k, n_senders, i))
+                .collect(),
             repull_round: 0,
             stranded: vec![false; n_senders],
             retargets: 0,
@@ -163,29 +156,15 @@ impl ReceiverSession {
         self.note_esi(sender_idx, esi);
     }
 
-    /// Invert an observed ESI to the sender's emission ordinal (senders
-    /// emit their source partition in order, then repairs strided by the
-    /// sender count) and raise that sender's high-water mark. ESIs
-    /// outside the sender's sequence (corruption would be a bug, not a
-    /// runtime condition) are ignored.
+    /// Invert an observed ESI to the sender's emission ordinal and
+    /// raise that sender's high-water mark. ESIs outside the sender's
+    /// sequence (corruption would be a bug, not a runtime condition)
+    /// are ignored.
     fn note_esi(&mut self, sender_idx: u8, esi: u32) {
-        let idx = usize::from(sender_idx).min(self.partitions.len() - 1);
-        let s = self.partitions.len() as u64;
-        let (lo, hi) = self.partitions[idx];
-        let esi = u64::from(esi);
-        let ordinal = if esi < self.k {
-            if esi < lo || esi >= hi {
-                return;
-            }
-            esi - lo + 1
-        } else {
-            let r = esi - self.k;
-            if r < idx as u64 || !(r - idx as u64).is_multiple_of(s) {
-                return;
-            }
-            (hi - lo) + (r - idx as u64) / s + 1
-        };
-        self.emitted_seen[idx] = self.emitted_seen[idx].max(ordinal);
+        let idx = usize::from(sender_idx);
+        if let Some(ordinal) = self.layouts.get(idx).and_then(|l| l.ordinal(esi)) {
+            self.emitted_seen[idx] = self.emitted_seen[idx].max(ordinal);
+        }
     }
 
     fn count_arrival(&mut self, sender_idx: u8) {
@@ -615,9 +594,9 @@ mod tests {
         // The other senders' shares arrive too (each sender emits its own
         // partition in order): nothing stranded, one round-robin nudge.
         for i in 1..3usize {
-            let (lo, _) = crate::session::source_partition(64, 3, i);
-            for off in 0..share as u32 {
-                rs.on_symbol(i as u8, lo as u32 + off, None, SimTime::ZERO);
+            let layout = EsiLayout::new(64, 3, i);
+            for n in 0..share {
+                rs.on_symbol(i as u8, layout.esi(n), None, SimTime::ZERO);
             }
         }
         assert_eq!(rs.recovery_targets().len(), 1, "quiet ⇒ single nudge");

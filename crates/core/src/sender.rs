@@ -15,14 +15,14 @@
 //!
 //! Multi-source sessions partition the source-symbol range across the
 //! `S` replicas (coordination-free: the count is known at establishment)
-//! and stride the repair ESI space (`esi ≡ sender_idx (mod S)`), so the
-//! union of any senders' emissions is duplicate-free — each replica's
-//! stream is fully useful to the receiver.
+//! and stride the repair ESI space ([`EsiLayout`]), so the union of any
+//! senders' emissions is duplicate-free — each replica's stream is
+//! fully useful to the receiver.
 
 use netsim::{Ctx, Dest, FlowId, NodeId, Packet};
 
 use crate::config::{MulticastPull, OracleMode, PrConfig, SYMBOL_SIZE};
-use crate::session::SessionSpec;
+use crate::session::{EsiLayout, SessionSpec};
 use crate::wire::{symbol_packet_bytes, PrPayload, SymbolBody};
 
 /// Sender-side state for one session.
@@ -30,14 +30,8 @@ pub struct SenderSession {
     /// The shared session descriptor.
     pub spec: SessionSpec,
     sender_idx: u8,
-    n_senders: u32,
-    k: u32,
-    /// Next source ESI to emit and the end of this sender's partition.
-    next_src: u32,
-    src_end: u32,
-    /// Repair counter: the j-th repair from this sender is
-    /// `k + sender_idx + j·S`.
-    next_repair: u64,
+    /// Where this sender's emissions land in the ESI space.
+    layout: EsiLayout,
     /// Group emissions so far (also: what every attached receiver has
     /// been sent).
     emitted: u64,
@@ -63,7 +57,8 @@ pub struct SenderSession {
     built_encoder: bool,
     /// All receivers have FINed; the agent can drop this state.
     pub complete: bool,
-    /// Symbols emitted (diagnostics).
+    /// Symbols emitted; also the number of the next emission in
+    /// `layout`.
     pub symbols_sent: u64,
 }
 
@@ -73,17 +68,10 @@ impl SenderSession {
         let idx = spec
             .sender_index(node)
             .expect("node is not a sender of this session");
-        let k = cfg.k_for(spec.data_len) as u32;
-        let s = spec.senders.len();
-        let (lo, hi) = crate::session::source_partition(k as usize, s, idx);
         let n_recv = spec.receivers.len();
         Self {
             sender_idx: idx as u8,
-            n_senders: s as u32,
-            k,
-            next_src: lo as u32,
-            src_end: hi as u32,
-            next_repair: 0,
+            layout: EsiLayout::new(cfg.k_for(spec.data_len), spec.senders.len(), idx),
             emitted: 0,
             latest: vec![0; n_recv],
             unicast_sent: vec![0; n_recv],
@@ -99,22 +87,6 @@ impl SenderSession {
         }
     }
 
-    /// Allocate the next fresh ESI: remaining source partition first
-    /// (systematic prefix), then this sender's repair stride.
-    fn alloc_esi(&mut self) -> u32 {
-        if self.next_src < self.src_end {
-            let esi = self.next_src;
-            self.next_src += 1;
-            esi
-        } else {
-            let esi = u64::from(self.k)
-                + u64::from(self.sender_idx)
-                + self.next_repair * u64::from(self.n_senders);
-            self.next_repair += 1;
-            u32::try_from(esi).expect("repair ESI space exhausted (u32)")
-        }
-    }
-
     fn flow(&self) -> FlowId {
         FlowId(rq::rand::hash2(
             u64::from(self.spec.id.0),
@@ -124,7 +96,7 @@ impl SenderSession {
 
     /// Emit one fresh symbol towards `dst`.
     fn emit(&mut self, dst: Dest, node: NodeId, ctx: &mut Ctx<PrPayload>) {
-        let esi = self.alloc_esi();
+        let esi = self.layout.esi(self.symbols_sent);
         let body = self.encoder.clone();
         self.symbols_sent += 1;
         ctx.send(Packet {
@@ -167,7 +139,7 @@ impl SenderSession {
     /// receiver's aggregate in-flight is one window. Short objects cap
     /// at `k + 2` (enough to finish in one RTT).
     fn window(&self, cfg: &PrConfig) -> u64 {
-        cfg.per_sender_window(self.spec.data_len, self.n_senders as usize)
+        cfg.per_sender_window(self.spec.data_len, self.spec.senders.len())
     }
 
     /// Symbols this sender believes are on the wire towards receiver
@@ -419,7 +391,8 @@ mod tests {
             let mut covered = vec![false; k];
             for i in 1..=s as u32 {
                 let ss = SenderSession::new(spec.clone(), NodeId(i), &c);
-                for e in ss.next_src..ss.src_end {
+                let sources = (0..).map(|n| ss.layout.esi(n));
+                for e in sources.take_while(|&e| (e as usize) < k) {
                     assert!(!covered[e as usize], "overlap at esi {e} (s={s})");
                     covered[e as usize] = true;
                 }
@@ -434,10 +407,10 @@ mod tests {
         let spec = spec_multi(3);
         let mut seen = std::collections::HashSet::new();
         for i in 1..=3u32 {
-            let mut ss = SenderSession::new(spec.clone(), NodeId(i), &c);
-            ss.next_src = ss.src_end; // exhaust sources; force repairs
-            for _ in 0..1000 {
-                assert!(seen.insert(ss.alloc_esi()), "repair ESI collision");
+            let ss = SenderSession::new(spec.clone(), NodeId(i), &c);
+            // Each sender's 971 sources (k = 2 913), then 1 029 repairs.
+            for n in 0..2_000 {
+                assert!(seen.insert(ss.layout.esi(n)), "ESI collision");
             }
         }
     }
@@ -447,8 +420,8 @@ mod tests {
         let c = cfg();
         let spec =
             SessionSpec::unicast(SessionId(1), 10 * 1440, NodeId(0), NodeId(1), SimTime::ZERO);
-        let mut ss = SenderSession::new(spec, NodeId(0), &c);
-        let esis: Vec<u32> = (0..12).map(|_| ss.alloc_esi()).collect();
+        let ss = SenderSession::new(spec, NodeId(0), &c);
+        let esis: Vec<u32> = (0..12).map(|n| ss.layout.esi(n)).collect();
         assert_eq!(&esis[..10], &(0..10).collect::<Vec<u32>>()[..]);
         assert!(esis[10] >= 10 && esis[11] > esis[10]);
     }

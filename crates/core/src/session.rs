@@ -16,15 +16,76 @@ use crate::wire::SessionId;
 /// The contiguous source-symbol range `[lo, hi)` that sender `idx` of
 /// `s` replicas owns, for an object of `k` source symbols: first `jl`
 /// parts of size `il`, then the rest of size `is` (RFC 6330 partition
-/// function). Senders emit their partition first (systematic prefix)
-/// and receivers invert emitted ESIs back to per-sender emission
-/// ordinals with the same bounds.
+/// function). [`EsiLayout`] puts it at the front of each sender's
+/// emission sequence (the systematic prefix).
 pub fn source_partition(k: usize, s: usize, idx: usize) -> (usize, usize) {
     let (il, is, jl, _js) = rq::params::partition(k, s);
     if idx < jl {
         (idx * il, (idx + 1) * il)
     } else {
         (jl * il + (idx - jl) * is, jl * il + (idx - jl + 1) * is)
+    }
+}
+
+/// One sender's share of a session's ESI space (the paper's §2
+/// multi-source layout): sender `index` of `senders` emits its
+/// [`source_partition`] in order, then the repair ESIs
+/// `k + index + j·senders` for `j = 0, 1, …`, so the union of any
+/// senders' emissions is duplicate-free. Senders allocate ESIs with
+/// [`EsiLayout::esi`]; receivers invert them with
+/// [`EsiLayout::ordinal`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EsiLayout {
+    k: u32,
+    senders: u32,
+    index: u32,
+    /// The source partition `[lo, hi)`.
+    lo: u32,
+    hi: u32,
+}
+
+impl EsiLayout {
+    /// Sender `index` of `senders`, for an object of `k` source symbols.
+    pub fn new(k: usize, senders: usize, index: usize) -> Self {
+        assert!(index < senders, "sender {index} of {senders}");
+        let (lo, hi) = source_partition(k, senders, index);
+        let fit = |v: usize| u32::try_from(v).expect("an ESI layout fits the u32 ESI space");
+        Self {
+            k: fit(k),
+            senders: fit(senders),
+            index: fit(index),
+            lo: fit(lo),
+            hi: fit(hi),
+        }
+    }
+
+    /// The ESI of this sender's emission number `n` (from 0).
+    ///
+    /// # Panics
+    /// Panics when the repair stride runs past the `u32` ESI space.
+    pub fn esi(&self, n: u64) -> u32 {
+        let sources = u64::from(self.hi - self.lo);
+        let esi = if n < sources {
+            u64::from(self.lo) + n
+        } else {
+            u64::from(self.k) + u64::from(self.index) + (n - sources) * u64::from(self.senders)
+        };
+        u32::try_from(esi).expect("repair ESI space exhausted (u32)")
+    }
+
+    /// How many emissions this sender had made once it sent `esi`
+    /// (`ordinal(esi(n)) == Some(n + 1)`), or `None` when `esi` is not
+    /// in this sender's sequence.
+    pub fn ordinal(&self, esi: u32) -> Option<u64> {
+        if esi < self.k {
+            (self.lo..self.hi)
+                .contains(&esi)
+                .then(|| u64::from(esi - self.lo) + 1)
+        } else {
+            let j = (esi - self.k).checked_sub(self.index)?;
+            j.is_multiple_of(self.senders)
+                .then(|| u64::from(self.hi - self.lo) + u64::from(j / self.senders) + 1)
+        }
     }
 }
 
@@ -295,5 +356,36 @@ mod tests {
         let s = SessionSpec::unicast(SessionId(1), 100, NodeId(0), NodeId(1), SimTime::ZERO)
             .background();
         assert!(s.background);
+    }
+
+    proptest::proptest! {
+        /// Each sender's layout inverts its own emissions — the whole
+        /// source partition and a few strides of repairs — and claims
+        /// none of another sender's.
+        #[test]
+        fn esi_layout_inverts_its_own_emissions_only(k in 1usize..3000, senders in 1usize..=8) {
+            use proptest::prelude::*;
+            let layouts: Vec<EsiLayout> =
+                (0..senders).map(|i| EsiLayout::new(k, senders, i)).collect();
+            for (i, layout) in layouts.iter().enumerate() {
+                let emissions = u64::from(layout.hi - layout.lo) + 3 * senders as u64 + 2;
+                for n in 0..emissions {
+                    let esi = layout.esi(n);
+                    prop_assert_eq!(
+                        layout.ordinal(esi),
+                        Some(n + 1),
+                        "k {} senders {} sender {} emission {}", k, senders, i, n
+                    );
+                    for (j, other) in layouts.iter().enumerate().filter(|&(j, _)| j != i) {
+                        prop_assert_eq!(
+                            other.ordinal(esi),
+                            None,
+                            "k {} senders {}: sender {} claims sender {}'s ESI {}",
+                            k, senders, j, i, esi
+                        );
+                    }
+                }
+            }
+        }
     }
 }

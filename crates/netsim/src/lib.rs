@@ -94,8 +94,7 @@ pub use sim::{
 };
 pub use telemetry::{
     Annotation, AnomalyKind, Bucket, FabricEvent, FlightDump, FlowSpanEvent, NoTelemetry,
-    PortProbe, PortSample, Recorder, RingBuffer, SpanMark, TelemetryConfig, TelemetrySink,
-    TraceBuilder,
+    PortProbe, PortSample, Recorder, SpanMark, TelemetryConfig, TelemetrySink, TraceBuilder,
 };
 pub use time::{serialization_ns, SimTime};
 pub use topology::{NodeId, NodeKind, Port, RouteRepair, RoutingPolicy, Topology};

@@ -926,10 +926,10 @@ mod tests {
             ring_capacity: 8,
         });
         let before = WINDOWS.get();
-        let mut on = probe_sim(1, rec);
+        let mut on = probe_sim(1, Some(rec));
         on.run_to_completion();
         let windows = WINDOWS.get() - before;
-        let buckets = on.telemetry().buckets().len() as u64;
+        let buckets = on.telemetry().as_ref().unwrap().buckets().len() as u64;
         assert!(buckets >= 10, "a ≥ 500 µs run in 50 µs buckets");
         assert!(
             windows > GLOBAL_EVENTS + 2 && windows <= GLOBAL_EVENTS + buckets + 2,

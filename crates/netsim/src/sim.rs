@@ -551,14 +551,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
             (port as usize) < self.topo.node_ports(node).len(),
             "no such port"
         );
-        if rate_bps == self.topo.port(node, port).rate_bps {
-            self.control.rate_overrides.remove(&(node.0, port));
-        } else {
-            self.control.rate_overrides.insert((node.0, port), rate_bps);
-        }
-        // Restoring a downed link must restart its transmit loop if
-        // packets queued up in the meantime.
-        if rate_bps > 0 {
+        if self.control.set_rate(&self.topo, node, port, rate_bps) {
             let now = self.now;
             if let Some(ev) = self.cell_mut(node).kick(now, port) {
                 self.nevents.push(ev);

@@ -54,6 +54,27 @@ pub(crate) struct Control {
     pub(crate) gseq: u64,
 }
 
+impl Control {
+    /// Serialize packets leaving `node` through `port` at `rate_bps`:
+    /// an override, unless that is the topology's own rate. Returns
+    /// whether the port needs a kick — at a positive rate, packets
+    /// parked while it was down (or slower) must get moving again.
+    pub(super) fn set_rate(
+        &mut self,
+        topo: &Topology,
+        node: NodeId,
+        port: u16,
+        rate_bps: u64,
+    ) -> bool {
+        if rate_bps == topo.port(node, port).rate_bps {
+            self.rate_overrides.remove(&(node.0, port));
+        } else {
+            self.rate_overrides.insert((node.0, port), rate_bps);
+        }
+        rate_bps > 0
+    }
+}
+
 /// The per-node slice of a global event's effect. The shared part of a
 /// fault/reroute (mask, tables, telemetry annotations) applies once;
 /// these ops touch individual cells and are applied by whichever
@@ -244,12 +265,7 @@ fn apply_fault_shared<T: TelemetrySink>(
             );
             let back = *topo.port(node, port);
             for (n, p) in [(node, port), (back.peer, back.peer_port)] {
-                if rate_bps == topo.port(n, p).rate_bps {
-                    control.rate_overrides.remove(&(n.0, p));
-                } else {
-                    control.rate_overrides.insert((n.0, p), rate_bps);
-                }
-                if rate_bps > 0 {
+                if control.set_rate(topo, n, p, rate_bps) {
                     ops.push(LocalOp::Kick(n, p));
                 }
             }

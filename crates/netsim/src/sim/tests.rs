@@ -729,6 +729,9 @@ fn recorder_on_is_byte_identical_to_off() {
     assert_eq!(a, c, "Option sink vs compiled-out sink: identical");
 }
 
+/// A flight dump is the tail of the annotation log: all of it while
+/// the log is shorter than `ring_capacity`, then the newest
+/// `ring_capacity` entries, oldest first, ending with the anomaly.
 #[test]
 fn note_anomaly_freezes_dump_with_recent_history() {
     let rec = Recorder::new(TelemetryConfig {
@@ -751,19 +754,37 @@ fn note_anomaly_freezes_dump_with_recent_history() {
         .link_down(SimTime::from_micros(10), NodeId(0), 0)
         .link_up(SimTime::from_micros(20), NodeId(0), 0);
     sim.schedule_faults(&plan);
+    sim.run_until(SimTime::from_micros(15));
+    sim.note_anomaly(AnomalyKind::StrandedSession);
     sim.run_to_completion();
     sim.note_anomaly(AnomalyKind::Timeout);
     let rec = sim.telemetry_mut().take().unwrap();
-    assert_eq!(rec.dumps().len(), 1);
-    let dump = &rec.dumps()[0];
-    // The ring held the fault/reroute history leading up to the
-    // anomaly (cap 4: the newest 4 of link-down, reroute, link-up,
-    // reroute, anomaly).
-    assert_eq!(dump.events.len(), 4);
-    assert!(matches!(
-        dump.events.last().unwrap().event,
-        FabricEvent::Anomaly(AnomalyKind::Timeout)
-    ));
+    let log = rec.annotations();
+    let events: Vec<FabricEvent> = log.iter().map(|a| a.event).collect();
+    assert!(
+        matches!(
+            events[..],
+            [
+                FabricEvent::LinkDown { .. },
+                FabricEvent::Reroute { .. },
+                FabricEvent::Anomaly(AnomalyKind::StrandedSession),
+                FabricEvent::LinkUp { .. },
+                FabricEvent::Reroute { .. },
+                FabricEvent::Anomaly(AnomalyKind::Timeout),
+            ]
+        ),
+        "{events:?}"
+    );
+    let [first, second] = rec.dumps() else {
+        panic!("one dump per anomaly, got {}", rec.dumps().len());
+    };
+    assert_eq!(first.anomaly, AnomalyKind::StrandedSession);
+    assert_eq!(second.anomaly, AnomalyKind::Timeout);
+    assert_eq!(second.at, log[5].at);
+    // Below capacity: the whole log so far, in insertion order.
+    assert_eq!(first.events, log[..3]);
+    // Past capacity: the newest 4 of the 6, oldest first.
+    assert_eq!(second.events, log[2..]);
 }
 
 /// The `(time, rank, seq)` key is a total order independent of push

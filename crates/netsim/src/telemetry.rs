@@ -1,13 +1,14 @@
 //! Fabric telemetry: time-series probes, event annotations, and a
 //! flight recorder — off by default with zero hot-path cost.
 //!
-//! The simulator is generic over a [`TelemetrySink`]. The default sink,
-//! [`NoTelemetry`], is a unit type whose methods are empty bodies: the
-//! compiler monomorphizes every hook to nothing, so a recorder-less
-//! simulator is *the same machine code* as before telemetry existed.
-//! The runtime-switchable sink is `Option<Recorder>`: `None` costs one
-//! always-false time comparison per event, `Some` records (`bench_e2e`
-//! reports the recording-on cost as `telemetry.on_wall_ratio`).
+//! The simulator is generic over a [`TelemetrySink`], and there are two
+//! sinks. The default, [`NoTelemetry`], is a unit type whose methods
+//! are empty bodies: the compiler monomorphizes every hook to nothing,
+//! so a recorder-less simulator is *the same machine code* as before
+//! telemetry existed. The other, `Option<Recorder>`, is the only one
+//! that records: `None` costs one always-false time comparison per
+//! event, `Some` records (`bench_e2e` reports the recording-on cost as
+//! `telemetry.on_wall_ratio`).
 //! `workload::run` always installs `Option<Recorder>`; [`NoTelemetry`]
 //! remains in use where a simulator is built by hand, e.g. the staged
 //! replay in `bench_e2e/src/staged.rs`, which runs its storage
@@ -31,9 +32,10 @@
 //!   trim/drop/tx deltas) for every switch port that was non-idle.
 //! - **Annotations** ([`Annotation`]): timestamped fabric events —
 //!   faults, restorations, reroutes, layer re-assignments, anomalies.
-//! - **Flight recorder**: a bounded ring of the most recent
-//!   annotations; an anomaly ([`AnomalyKind`]) freezes a copy of the
-//!   ring into [`Recorder::dumps`] for post-mortem debugging.
+//! - **Flight dumps** ([`FlightDump`]): an anomaly ([`AnomalyKind`])
+//!   freezes a copy of the annotation log's tail — its last
+//!   `ring_capacity` entries — into [`Recorder::dumps`] for post-mortem
+//!   debugging.
 //!
 //! Flow/session spans ([`FlowSpanEvent`]) are recorded by transport
 //! agents (gated by their own config), collected post-run, and merged
@@ -51,7 +53,8 @@ use crate::topology::RoutingPolicy;
 pub struct TelemetryConfig {
     /// Bucket width in nanoseconds (default 1 ms).
     pub window_ns: u64,
-    /// Flight-recorder capacity in annotations (default 256).
+    /// Annotations a flight dump keeps: the newest this many (default
+    /// 256).
     pub ring_capacity: usize,
 }
 
@@ -274,64 +277,6 @@ impl Bucket {
     }
 }
 
-/// A bounded ring of the most recent annotations — the flight
-/// recorder's storage.
-#[derive(Debug, Clone)]
-pub struct RingBuffer {
-    buf: Vec<Annotation>,
-    cap: usize,
-    /// Next write position once the ring is full.
-    head: usize,
-}
-
-impl RingBuffer {
-    /// An empty ring retaining at most `cap` annotations.
-    ///
-    /// # Panics
-    /// Panics if `cap` is zero.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "flight recorder needs capacity >= 1");
-        Self {
-            buf: Vec::with_capacity(cap.min(1024)),
-            cap,
-            head: 0,
-        }
-    }
-
-    /// Append, evicting the oldest entry once full.
-    pub fn push(&mut self, a: Annotation) {
-        if self.buf.len() < self.cap {
-            self.buf.push(a);
-        } else {
-            self.buf[self.head] = a;
-            self.head = (self.head + 1) % self.cap;
-        }
-    }
-
-    /// Entries currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Maximum entries retained.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// The retained annotations, oldest first.
-    pub fn snapshot(&self) -> Vec<Annotation> {
-        let mut v = Vec::with_capacity(self.buf.len());
-        v.extend_from_slice(&self.buf[self.head..]);
-        v.extend_from_slice(&self.buf[..self.head]);
-        v
-    }
-}
-
 /// A frozen flight-recorder snapshot, taken when an anomaly fired.
 #[derive(Debug, Clone)]
 pub struct FlightDump {
@@ -339,15 +284,15 @@ pub struct FlightDump {
     pub at: SimTime,
     /// What fired it.
     pub anomaly: AnomalyKind,
-    /// The ring contents at that instant, oldest first (includes the
-    /// anomaly annotation itself as the newest entry).
+    /// The last `ring_capacity` annotations at that instant, oldest
+    /// first (includes the anomaly annotation itself as the newest
+    /// entry).
     pub events: Vec<Annotation>,
 }
 
 /// The active telemetry sink: buckets, annotations, and the flight
 /// recorder. Construct with [`Recorder::new`] and install as
-/// `Option<Recorder>` on the simulator (or pass `Recorder` directly as
-/// the sink type for an always-on simulator).
+/// `Some(recorder)` on a simulator whose sink is `Option<Recorder>`.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     cfg: TelemetryConfig,
@@ -362,7 +307,6 @@ pub struct Recorder {
     prev_ports: HashMap<(u32, u16), (u64, u64, u64, u64)>,
     buckets: Vec<Bucket>,
     annotations: Vec<Annotation>,
-    ring: RingBuffer,
     dumps: Vec<FlightDump>,
     finished: bool,
 }
@@ -371,9 +315,11 @@ impl Recorder {
     /// A recorder with the given window and ring capacity.
     ///
     /// # Panics
-    /// Panics if the window is zero (the boundary would never advance).
+    /// Panics if the window is zero (the boundary would never advance)
+    /// or `ring_capacity` is zero (a dump could not hold the anomaly).
     pub fn new(cfg: TelemetryConfig) -> Self {
         assert!(cfg.window_ns > 0, "telemetry window must be positive");
+        assert!(cfg.ring_capacity > 0, "flight recorder needs capacity >= 1");
         Self {
             cfg,
             boundary_ns: cfg.window_ns,
@@ -381,7 +327,6 @@ impl Recorder {
             prev_ports: HashMap::new(),
             buckets: Vec::new(),
             annotations: Vec::new(),
-            ring: RingBuffer::new(cfg.ring_capacity),
             dumps: Vec::new(),
             finished: false,
         }
@@ -407,20 +352,10 @@ impl Recorder {
         &self.dumps
     }
 
-    /// The live flight-recorder ring.
-    pub fn ring(&self) -> &RingBuffer {
-        &self.ring
-    }
-
-    /// Close the bucket ending at the current boundary and open the
-    /// next one.
-    fn roll_bucket(&mut self, end: SimTime, stats: &FabricStats, ports: &[PortProbe]) {
+    /// Close the open bucket at `end`: push the counter deltas since
+    /// its start.
+    fn push_bucket(&mut self, end: SimTime, s: &FabricStats, ports: &[PortProbe]) {
         let start = SimTime::from_nanos(self.boundary_ns - self.cfg.window_ns);
-        self.push_bucket(start, end, stats, ports);
-        self.boundary_ns += self.cfg.window_ns;
-    }
-
-    fn push_bucket(&mut self, start: SimTime, end: SimTime, s: &FabricStats, ports: &[PortProbe]) {
         let p = &self.prev;
         let mut layer_forwarded = [0u64; RoutingPolicy::MAX_LAYERS];
         let mut layer_trimmed = [0u64; RoutingPolicy::MAX_LAYERS];
@@ -507,74 +442,50 @@ pub struct NoTelemetry;
 
 impl TelemetrySink for NoTelemetry {}
 
-impl TelemetrySink for Recorder {
-    fn next_boundary(&self) -> SimTime {
-        SimTime::from_nanos(self.boundary_ns)
-    }
-
-    fn close_bucket(&mut self, stats: &FabricStats, ports: &[PortProbe]) {
-        let end = SimTime::from_nanos(self.boundary_ns);
-        self.roll_bucket(end, stats, ports);
-    }
-
-    fn record(&mut self, at: SimTime, event: FabricEvent) {
-        let a = Annotation { at, event };
-        self.annotations.push(a);
-        self.ring.push(a);
-        if let FabricEvent::Anomaly(kind) = event {
-            self.dumps.push(FlightDump {
-                at,
-                anomaly: kind,
-                events: self.ring.snapshot(),
-            });
-        }
-    }
-
-    fn finish(&mut self, now: SimTime, stats: &FabricStats, ports: &[PortProbe]) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        // `now >= start` always holds (the event loop closes buckets
-        // before dispatching past them), but `now == start` is possible
-        // when the run's last event sat exactly on a boundary — its
-        // effects still belong to the final bucket, so emit it even
-        // zero-width.
-        let start = SimTime::from_nanos(self.boundary_ns - self.cfg.window_ns);
-        self.push_bucket(start, now, stats, ports);
-    }
-
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The runtime-switchable sink the workload runners use: `None` costs
-/// one always-false boundary comparison per event; `Some` records.
+/// The runtime-switchable sink, and the only recording one: `None`
+/// costs one always-false boundary comparison per event; `Some`
+/// records.
 impl TelemetrySink for Option<Recorder> {
     fn next_boundary(&self) -> SimTime {
         match self {
-            Some(r) => TelemetrySink::next_boundary(r),
+            Some(r) => SimTime::from_nanos(r.boundary_ns),
             None => SimTime::MAX,
         }
     }
 
     fn close_bucket(&mut self, stats: &FabricStats, ports: &[PortProbe]) {
         if let Some(r) = self {
-            TelemetrySink::close_bucket(r, stats, ports);
+            r.push_bucket(SimTime::from_nanos(r.boundary_ns), stats, ports);
+            r.boundary_ns += r.cfg.window_ns;
         }
     }
 
     fn record(&mut self, at: SimTime, event: FabricEvent) {
-        if let Some(r) = self {
-            TelemetrySink::record(r, at, event);
+        let Some(r) = self else { return };
+        r.annotations.push(Annotation { at, event });
+        if let FabricEvent::Anomaly(anomaly) = event {
+            // The flight recorder is the annotation log's tail.
+            let from = r.annotations.len().saturating_sub(r.cfg.ring_capacity);
+            r.dumps.push(FlightDump {
+                at,
+                anomaly,
+                events: r.annotations[from..].to_vec(),
+            });
         }
     }
 
     fn finish(&mut self, now: SimTime, stats: &FabricStats, ports: &[PortProbe]) {
-        if let Some(r) = self {
-            TelemetrySink::finish(r, now, stats, ports);
+        let Some(r) = self else { return };
+        if r.finished {
+            return;
         }
+        r.finished = true;
+        // `now >= start` always holds (the event loop closes buckets
+        // before dispatching past them), but `now == start` is possible
+        // when the run's last event sat exactly on a boundary — its
+        // effects still belong to the final bucket, so emit it even
+        // zero-width.
+        r.push_bucket(now, stats, ports);
     }
 
     fn enabled(&self) -> bool {
@@ -773,43 +684,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_wraps_and_snapshots_oldest_first() {
-        let mut ring = RingBuffer::new(4);
-        let at = |n: u64| SimTime::from_nanos(n);
-        for n in 0..6u64 {
-            ring.push(Annotation {
-                at: at(n),
-                event: FabricEvent::NodeDown { node: n as u32 },
-            });
-        }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.capacity(), 4);
-        let snap = ring.snapshot();
-        let order: Vec<u64> = snap.iter().map(|a| a.at.as_nanos()).collect();
-        // 0 and 1 were evicted; 2..=5 retained oldest-first.
-        assert_eq!(order, vec![2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn ring_below_capacity_keeps_insertion_order() {
-        let mut ring = RingBuffer::new(8);
-        for n in 0..3u64 {
-            ring.push(Annotation {
-                at: SimTime::from_nanos(n),
-                event: FabricEvent::NodeUp { node: 0 },
-            });
-        }
-        let order: Vec<u64> = ring.snapshot().iter().map(|a| a.at.as_nanos()).collect();
-        assert_eq!(order, vec![0, 1, 2]);
+    /// The recorder inside a recording sink.
+    fn on(sink: &Option<Recorder>) -> &Recorder {
+        sink.as_ref().expect("recording")
     }
 
     #[test]
     fn bucket_boundaries_align_to_windows() {
-        let mut r = Recorder::new(TelemetryConfig {
+        let mut r = Some(Recorder::new(TelemetryConfig {
             window_ns: 100,
             ring_capacity: 4,
-        });
+        }));
         // The simulator closes buckets before dispatching an event at or
         // past the boundary; emulate an event at t=250 (crosses two
         // boundaries) and a run ending at t=310.
@@ -822,7 +707,7 @@ mod tests {
         assert_eq!(TelemetrySink::next_boundary(&r), SimTime::from_nanos(300));
         stats.delivered = 9;
         TelemetrySink::finish(&mut r, SimTime::from_nanos(310), &stats, &[]);
-        let b = r.buckets();
+        let b = on(&r).buckets();
         assert_eq!(b.len(), 3);
         assert_eq!((b[0].start.as_nanos(), b[0].end.as_nanos()), (0, 100));
         assert_eq!((b[1].start.as_nanos(), b[1].end.as_nanos()), (100, 200));
@@ -834,35 +719,35 @@ mod tests {
         assert_eq!(b[2].delivered, 2);
         // finish() is idempotent: a second call adds nothing.
         TelemetrySink::finish(&mut r, SimTime::from_nanos(400), &stats, &[]);
-        assert_eq!(r.buckets().len(), 3);
+        assert_eq!(on(&r).buckets().len(), 3);
     }
 
     #[test]
     fn port_samples_are_deltas_and_sparse() {
-        let mut r = Recorder::new(TelemetryConfig {
+        let mut r = Some(Recorder::new(TelemetryConfig {
             window_ns: 100,
             ring_capacity: 4,
-        });
+        }));
         let stats = FabricStats::default();
         TelemetrySink::close_bucket(&mut r, &stats, &[probe(5, 1, 3, 2), probe(5, 2, 0, 0)]);
         // Port (5,2) had depth 0 but non-zero cumulative counters on its
         // first probe — it appears once, then goes quiet.
-        assert_eq!(r.buckets()[0].ports.len(), 2);
+        assert_eq!(on(&r).buckets()[0].ports.len(), 2);
         TelemetrySink::close_bucket(&mut r, &stats, &[probe(5, 1, 0, 2), probe(5, 2, 0, 0)]);
         // Second bucket: port 1's trim count did not move and its depth
         // is 0; port 2 likewise — only deltas appear, so nothing does.
-        assert!(r.buckets()[1].ports.is_empty());
-        let first = &r.buckets()[0].ports[0];
+        assert!(on(&r).buckets()[1].ports.is_empty());
+        let first = &on(&r).buckets()[0].ports[0];
         assert_eq!((first.node, first.port, first.depth), (5, 1, 3));
         assert_eq!(first.trimmed, 2);
     }
 
     #[test]
     fn anomaly_freezes_a_dump() {
-        let mut r = Recorder::new(TelemetryConfig {
+        let mut r = Some(Recorder::new(TelemetryConfig {
             window_ns: 1_000,
             ring_capacity: 3,
-        });
+        }));
         let at = SimTime::from_nanos;
         TelemetrySink::record(&mut r, at(1), FabricEvent::LinkDown { node: 9, port: 2 });
         TelemetrySink::record(
@@ -874,13 +759,13 @@ mod tests {
                 restored: 0,
             },
         );
-        assert!(r.dumps().is_empty());
+        assert!(on(&r).dumps().is_empty());
         TelemetrySink::record(&mut r, at(3), FabricEvent::Anomaly(AnomalyKind::Timeout));
-        assert_eq!(r.dumps().len(), 1);
-        let dump = &r.dumps()[0];
+        assert_eq!(on(&r).dumps().len(), 1);
+        let dump = &on(&r).dumps()[0];
         assert_eq!(dump.at, at(3));
         assert_eq!(dump.anomaly, AnomalyKind::Timeout);
-        // The dump holds the ring contents including the anomaly itself.
+        // The dump holds the log so far, including the anomaly itself.
         assert_eq!(dump.events.len(), 3);
         assert!(matches!(
             dump.events[2].event,

@@ -547,12 +547,18 @@ pub fn build_tcp_conns(sessions: &[LogicalSession], pattern: Pattern) -> Vec<Con
     conns
 }
 
-/// Split `bytes` into `n` near-equal positive stripes.
+/// Split `bytes` into `n` near-equal positive stripes, the way a
+/// multi-source session splits its source symbols
+/// ([`polyraptor::session::source_partition`]).
 pub fn stripe(bytes: u64, n: usize) -> Vec<u64> {
     assert!(n >= 1 && bytes >= n as u64, "stripe too small");
-    let base = bytes / n as u64;
-    let extra = (bytes % n as u64) as usize;
-    (0..n).map(|i| base + u64::from(i < extra)).collect()
+    let bytes = usize::try_from(bytes).expect("stripe larger than the address space");
+    (0..n)
+        .map(|i| {
+            let (lo, hi) = polyraptor::session::source_partition(bytes, n, i);
+            (hi - lo) as u64
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

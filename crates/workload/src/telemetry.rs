@@ -278,10 +278,10 @@ mod tests {
     use netsim::{AnomalyKind, FabricEvent, FabricStats, SimTime, TelemetrySink};
 
     fn sample_run() -> RunTelemetry {
-        let mut r = Recorder::new(TelemetryConfig {
+        let mut r = Some(Recorder::new(TelemetryConfig {
             window_ns: 1_000_000,
             ring_capacity: 8,
-        });
+        }));
         TelemetrySink::record(
             &mut r,
             SimTime::from_nanos(500),
@@ -323,7 +323,10 @@ mod tests {
                 mark: SpanMark::Close,
             },
         ];
-        RunTelemetry { recorder: r, spans }
+        RunTelemetry {
+            recorder: r.unwrap(),
+            spans,
+        }
     }
 
     #[test]
