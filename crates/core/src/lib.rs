@@ -71,5 +71,5 @@ pub use metrics::SessionRecord;
 pub use oracle::{required_overhead, session_object, Oracle};
 pub use receiver::ReceiverSession;
 pub use sender::SenderSession;
-pub use session::{Initiator, SessionSpec, SessionState};
+pub use session::{Initiator, SessionSpec};
 pub use wire::{symbol_packet_bytes, PrPayload, SessionId, SymbolBody, CONTROL_BYTES};

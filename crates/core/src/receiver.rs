@@ -20,7 +20,7 @@ use rq::CodeMode;
 use crate::config::{OracleMode, PrConfig, SYMBOL_SIZE};
 use crate::metrics::SessionRecord;
 use crate::oracle::Oracle;
-use crate::session::{EsiLayout, SessionSpec, SessionState};
+use crate::session::{EsiLayout, SessionSpec};
 use crate::wire::SymbolBody;
 
 /// Receiver-side state for one session.
@@ -290,17 +290,6 @@ impl ReceiverSession {
     }
 
     // ---- host-failure stranding and re-target ---------------------------
-
-    /// Where this session stands in the fault-churn lifecycle.
-    pub fn state(&self) -> SessionState {
-        if self.done {
-            SessionState::Complete
-        } else if self.stranded.iter().any(|&s| s) {
-            SessionState::Stranded
-        } else {
-            SessionState::Active
-        }
-    }
 
     /// The control plane reports the host at `dead` failed. If it is a
     /// live sender of this session, mark it stranded: write off
@@ -613,11 +602,11 @@ mod tests {
             SimTime::ZERO,
         );
         let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 1);
-        assert_eq!(rs.state(), SessionState::Active);
+        assert_eq!(rs.surviving_senders().len(), 3, "nobody stranded yet");
         assert!(rs.mark_sender_stranded(NodeId(2)));
         assert!(!rs.mark_sender_stranded(NodeId(2)), "idempotent");
         assert!(!rs.mark_sender_stranded(NodeId(9)), "not a sender");
-        assert_eq!(rs.state(), SessionState::Stranded);
+        assert!(rs.sender_stranded(1), "NodeId(2) is sender index 1");
         assert_eq!(
             rs.stranded_estimate(1),
             0,

@@ -89,24 +89,6 @@ impl EsiLayout {
     }
 }
 
-/// Lifecycle of a receiver-side session as the fault-churn machinery
-/// sees it (see `ReceiverSession::state`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionState {
-    /// Transfer in progress, every sender believed alive.
-    Active,
-    /// At least one sender is known dead (host failure): its remaining
-    /// share has been written off and — when a surviving replica exists
-    /// — re-targeted there. The session still completes; the state
-    /// records that it needed the paper's data redundancy to do so.
-    /// Not terminal: a `HostUp` notification re-admits the revived
-    /// sender (`ReceiverSession::unstrand_sender`) and the state flows
-    /// back to [`SessionState::Active`].
-    Stranded,
-    /// Object recovered; FINs sent.
-    Complete,
-}
-
 /// Which side initiates the transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Initiator {

@@ -1,6 +1,6 @@
 //! Polyraptor wire format.
 //!
-//! Five packet types ride the fabric:
+//! Four packet types ride the fabric:
 //!
 //! * [`PrPayload::Symbol`] — one encoding symbol (data class). The only
 //!   packet type that can be *trimmed*: the switch drops the symbol body

@@ -438,19 +438,7 @@ impl FaultProcess {
     /// hosts = all hosts. Classes with zero weight or no candidates are
     /// never drawn; panics if that leaves no class at all.
     pub fn compile(&self, topo: &Topology, start: SimTime, events: usize) -> FaultPlan {
-        use crate::topology::NodeKind;
-        let mut links: Vec<(NodeId, u16)> = Vec::new();
-        for n in 0..topo.node_count() as u32 {
-            let node = NodeId(n);
-            if topo.kind(node) != NodeKind::Switch {
-                continue;
-            }
-            for (pi, p) in topo.node_ports(node).iter().enumerate() {
-                if topo.kind(p.peer) == NodeKind::Switch && p.peer.0 > n {
-                    links.push((node, pi as u16));
-                }
-            }
-        }
+        let links: Vec<(NodeId, u16)> = topo.switch_links().collect();
         let switches = topo.core_switches();
         let hosts = topo.hosts().to_vec();
         // (weight, class) pairs that can actually fire on this fabric.
@@ -478,16 +466,8 @@ impl FaultProcess {
         // mask is a set, so the *first* scheduled repair would revive it
         // and silently truncate the second outage. Victims are redrawn
         // (bounded, deterministic) until one is up at the event instant.
-        let mut down_until: std::collections::BTreeMap<DownKey, u64> =
+        let mut down_until: std::collections::BTreeMap<ElementKey, u64> =
             std::collections::BTreeMap::new();
-        let link_key = |n: NodeId, p: u16| -> DownKey {
-            let back = topo.port(n, p);
-            if (n.0, p) <= (back.peer.0, back.peer_port) {
-                DownKey::Link(n.0, p)
-            } else {
-                DownKey::Link(back.peer.0, back.peer_port)
-            }
-        };
         for _ in 0..events {
             t += rng.exp(mean_gap_ns);
             let at = SimTime::from_nanos(t as u64);
@@ -510,12 +490,12 @@ impl FaultProcess {
                 0 | 3 => {
                     let Some((node, port)) = draw_up_victim(&mut rng, &links, |&(n, p)| {
                         down_until
-                            .get(&link_key(n, p))
+                            .get(&ElementKey::link(topo, n, p))
                             .is_none_or(|&u| u <= at.as_nanos())
                     }) else {
                         continue; // every candidate is down right now
                     };
-                    down_until.insert(link_key(node, port), until);
+                    down_until.insert(ElementKey::link(topo, node, port), until);
                     plan.push(at, FaultAction::LinkDown { node, port });
                     if let Some(d) = up_delay {
                         plan.push(at + d, FaultAction::LinkUp { node, port });
@@ -525,12 +505,12 @@ impl FaultProcess {
                     let candidates = if class == 1 { &switches } else { &hosts };
                     let Some(victim) = draw_up_victim(&mut rng, candidates, |&n| {
                         down_until
-                            .get(&DownKey::Node(n.0))
+                            .get(&ElementKey::Node(n.0))
                             .is_none_or(|&u| u <= at.as_nanos())
                     }) else {
                         continue;
                     };
-                    down_until.insert(DownKey::Node(victim.0), until);
+                    down_until.insert(ElementKey::Node(victim.0), until);
                     plan.push(at, FaultAction::SwitchDown { switch: victim });
                     if let Some(d) = self.repair_delay_ns {
                         plan.push(at + d, FaultAction::SwitchUp { switch: victim });
@@ -543,12 +523,23 @@ impl FaultProcess {
     }
 }
 
-/// Canonical identity of a failable element during plan compilation.
+/// Canonical identity of a failable element — the key plan compilation
+/// tracks outage windows by and the control plane coalesces flaps by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum DownKey {
-    /// Lower endpoint's (node, port) of a link.
+pub(crate) enum ElementKey {
+    /// A link, by the lower of its two directed `(node, port)` entries.
     Link(u32, u16),
     Node(u32),
+}
+
+impl ElementKey {
+    /// The key of the link behind the directed entry `(node, port)`:
+    /// the same from either end.
+    pub(crate) fn link(topo: &Topology, node: NodeId, port: u16) -> Self {
+        let back = topo.port(node, port);
+        let (n, p) = (node.0, port).min((back.peer.0, back.peer_port));
+        Self::Link(n, p)
+    }
 }
 
 /// Draw a victim uniformly from `candidates`, redrawing (bounded,

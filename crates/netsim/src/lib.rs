@@ -88,10 +88,7 @@ pub use fault::{
 pub use packet::{Dest, FlowId, GroupId, Packet, SimPayload, HEADER_BYTES};
 pub use queue::{Enqueued, PortQueue, QueueConfig, QueueStats};
 pub use rng::Pcg32;
-pub use sim::{
-    ecmp_choice, layer_choice, Agent, Ctx, FabricStats, LayerAssign, RouteMode, SimConfig,
-    Simulator,
-};
+pub use sim::{Agent, Ctx, FabricStats, LayerAssign, RouteMode, SimConfig, Simulator};
 pub use telemetry::{
     Annotation, AnomalyKind, Bucket, FabricEvent, FlightDump, FlowSpanEvent, NoTelemetry,
     PortProbe, PortSample, Recorder, SpanMark, TelemetryConfig, TelemetrySink, TraceBuilder,

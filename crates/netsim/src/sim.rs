@@ -61,8 +61,8 @@ mod net;
 mod tests;
 
 pub(crate) use control::{apply_global_event, apply_local_op, Control, LocalOp};
-pub use layer::layer_choice;
-pub use net::ecmp_choice;
+pub(crate) use layer::layer_choice;
+pub(crate) use net::ecmp_choice;
 pub(crate) use net::{dispatch_node, probe_cells, target_of, Env, Lane, NodeCell};
 
 use control::push_global_event;
@@ -206,7 +206,7 @@ pub struct SimConfig {
     pub seed: u64,
     /// Accepted and ignored — route columns are rebuilt on the calling
     /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
-    /// 2(b)).
+    /// item 12).
     pub parallelism: usize,
     /// Event-loop shards (see `crate::shard`): 1 = one shard, inline
     /// on the calling thread (the default), 0 = one shard per available
@@ -423,8 +423,8 @@ impl FabricStats {
 ///
 /// The third type parameter is the telemetry sink (see
 /// [`crate::telemetry`]): the default [`NoTelemetry`] monomorphizes
-/// every hook to nothing, `Option<Recorder>` is the runtime-switchable
-/// sink, and a bare `Recorder` is always-on. Enabling telemetry never
+/// every hook to nothing and `Option<Recorder>` is the one recording
+/// sink, switchable at run time. Enabling telemetry never
 /// perturbs results: no probe events enter the queues and no RNG is
 /// consumed, so event order and every random draw are unchanged.
 pub struct Simulator<P: SimPayload, A: Agent<P>, T: TelemetrySink = NoTelemetry> {

@@ -5,7 +5,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::evq::{Ev, EventQueue};
-use crate::fault::{FaultAction, FaultMask};
+use crate::fault::{ElementKey, FaultAction, FaultMask};
 use crate::packet::{GroupId, SimPayload};
 use crate::telemetry::{AnomalyKind, FabricEvent, TelemetrySink};
 use crate::time::SimTime;
@@ -15,14 +15,6 @@ use super::layer::clear_memos;
 use super::mcast::{build_tree, group_crosses_fault, Group};
 use super::net::NodeCell;
 use super::{FabricStats, GlobalEvent, NodeEvent, GLOBAL_RANK};
-
-/// Canonical identity of a failable element, for flap tracking: links
-/// are keyed by the lower of their two directed `(node, port)` entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(super) enum FaultKey {
-    Link(u32, u16),
-    Node(u32),
-}
 
 /// Fabric-global mutable state: the fault mask, route/reroute
 /// bookkeeping, multicast groups, and the control plane's own stats
@@ -38,7 +30,7 @@ pub(crate) struct Control {
     /// Elements that went down since the last applied reroute — an Up
     /// for one of these inside the same convergence window is a
     /// coalesced flap (the pair cancels out of the pending delta).
-    pub(super) pending_down: std::collections::BTreeSet<FaultKey>,
+    pub(super) pending_down: std::collections::BTreeSet<ElementKey>,
     /// Per-port rate overrides (hotspot/failure injection); keyed by
     /// (node, port), in bits per second. Zero means the link is down.
     pub(super) rate_overrides: HashMap<(u32, u16), u64>,
@@ -173,14 +165,6 @@ pub(crate) fn apply_local_op<P: SimPayload, A>(
     }
 }
 
-/// Canonical flap-tracking key of a link (the lower directed entry).
-fn link_key(topo: &Topology, node: NodeId, port: u16) -> FaultKey {
-    let back = topo.port(node, port);
-    let (a, b) = ((node.0, port), (back.peer.0, back.peer_port));
-    let (n, p) = a.min(b);
-    FaultKey::Link(n, p)
-}
-
 /// The shared part of a fault event: telemetry annotation, fault mask,
 /// flap bookkeeping, and rate overrides. Per-node effects (queue
 /// flushes, transmit kicks) come back as [`LocalOp`]s in deterministic
@@ -206,7 +190,8 @@ fn apply_fault_shared<T: TelemetrySink>(
             telemetry.record(now, FabricEvent::LinkDown { node: node.0, port });
             let back = *topo.port(node, port);
             control.mask.fail_link(topo, node, port);
-            control.pending_down.insert(link_key(topo, node, port));
+            let key = ElementKey::link(topo, node, port);
+            control.pending_down.insert(key);
             ops.push(LocalOp::Flush(node, port));
             ops.push(LocalOp::Flush(back.peer, back.peer_port));
         }
@@ -214,7 +199,8 @@ fn apply_fault_shared<T: TelemetrySink>(
             telemetry.record(now, FabricEvent::LinkUp { node: node.0, port });
             let back = *topo.port(node, port);
             control.mask.restore_link(topo, node, port);
-            if control.pending_down.remove(&link_key(topo, node, port)) {
+            let key = ElementKey::link(topo, node, port);
+            if control.pending_down.remove(&key) {
                 // Down and up inside one convergence window: the
                 // pair cancels out of the pending reroute's delta.
                 control.stats.flaps_coalesced += 1;
@@ -228,7 +214,7 @@ fn apply_fault_shared<T: TelemetrySink>(
             // queued traffic is lost, exactly like a switch victim.
             telemetry.record(now, FabricEvent::NodeDown { node: switch.0 });
             control.mask.fail_node(switch);
-            control.pending_down.insert(FaultKey::Node(switch.0));
+            control.pending_down.insert(ElementKey::Node(switch.0));
             for p in 0..topo.node_ports(switch).len() as u16 {
                 ops.push(LocalOp::Flush(switch, p));
             }
@@ -236,7 +222,7 @@ fn apply_fault_shared<T: TelemetrySink>(
         FaultAction::SwitchUp { switch } => {
             telemetry.record(now, FabricEvent::NodeUp { node: switch.0 });
             control.mask.restore_node(switch);
-            if control.pending_down.remove(&FaultKey::Node(switch.0)) {
+            if control.pending_down.remove(&ElementKey::Node(switch.0)) {
                 control.stats.flaps_coalesced += 1;
             }
             // Neighbours may have queued towards the repaired node

@@ -144,9 +144,9 @@ fn layer_path_live(
 /// The routing layer [`LayerAssign::FlowHash`] assigns a flow to: a
 /// deterministic hash of the flow id alone, so every switch agrees on
 /// the flow's layer without per-packet state — equivalent to the source
-/// stamping the layer in the packet header, as FatPaths does. Exposed
-/// so experiment code can predict a flow's layer.
-pub fn layer_choice(flow: crate::packet::FlowId, n_layers: usize) -> usize {
+/// stamping the layer in the packet header, as FatPaths does
+/// ([`Topology::pinned_path`](crate::Topology::pinned_path) replays it).
+pub(crate) fn layer_choice(flow: crate::packet::FlowId, n_layers: usize) -> usize {
     if n_layers <= 1 {
         return 0;
     }

@@ -503,10 +503,9 @@ fn transmit_next<P: SimPayload, A: Agent<P>>(
 
 /// The equal-cost choice per-flow ECMP makes at `node`: a deterministic
 /// hash of (flow, switch), so consecutive switches pick independently
-/// but per-flow-stably. Exposed so experiment code can predict a flow's
-/// pinned path (e.g. to aim a fault event at a switch the baseline
-/// traffic actually crosses).
-pub fn ecmp_choice(flow: crate::packet::FlowId, node: NodeId, n_choices: usize) -> usize {
+/// but per-flow-stably ([`Topology::pinned_path`](crate::Topology::pinned_path)
+/// replays it).
+pub(crate) fn ecmp_choice(flow: crate::packet::FlowId, node: NodeId, n_choices: usize) -> usize {
     let h = crate::rng::Pcg32::new(flow.0 ^ (u64::from(node.0) << 40)).next_u32();
     h as usize % n_choices
 }

@@ -29,6 +29,8 @@
 //! in Singla et al.'s Jellyfish).
 
 use crate::fault::FaultMask;
+use crate::packet::FlowId;
+use crate::sim::{ecmp_choice, layer_choice};
 
 mod build;
 mod repair;
@@ -234,7 +236,7 @@ impl Topology {
 
     /// Accepted and ignored — route columns are rebuilt on the calling
     /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
-    /// 2(b)).
+    /// item 12).
     pub fn set_parallelism(&mut self, _parallelism: usize) {}
 
     /// Diagnostic counter: how many times the per-layer link-weight
@@ -507,6 +509,31 @@ impl Topology {
         tab.advertised(ix, at, col)
     }
 
+    /// The nodes a per-flow-ECMP packet of `flow` crosses from `src` to
+    /// `dst` on the current tables, both ends included: the layer the
+    /// flow hash assigns, then at every hop the equal-cost port the
+    /// (flow, node) hash picks — the choices forwarding itself makes
+    /// while the layer is live. Experiment code uses it to aim a fault
+    /// at the switch pinned traffic actually crosses.
+    ///
+    /// # Panics
+    /// Panics if `dst` is unreachable on the flow's layer or the walk
+    /// exceeds 64 hops.
+    pub fn pinned_path(&self, flow: FlowId, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+        let layer = layer_choice(flow, self.layer_count());
+        let mut path = vec![src];
+        let mut at = src;
+        while at != dst {
+            let choices = self.try_next_ports_on(layer, at, dst);
+            at = self
+                .port(at, choices[ecmp_choice(flow, at, choices.len())])
+                .peer;
+            path.push(at);
+            assert!(path.len() <= 64, "ECMP walk exceeded 64 hops");
+        }
+        path
+    }
+
     /// A layer's weighted distance from `node` to `dst` (`None` =
     /// unreachable under the mask the routes were computed with). On
     /// layer 0 the weighted distance is the plain hop count. Derived:
@@ -586,6 +613,23 @@ impl Topology {
                         .all(|p| self.kind(p.peer) == NodeKind::Switch)
             })
             .collect()
+    }
+
+    /// Every undirected switch–switch link once, as its lower node and
+    /// that node's port, in ascending order — the one enumeration fault
+    /// victims, hotspots and layer weights draw from (so a seeded draw
+    /// over it is fabric-stable).
+    pub fn switch_links(&self) -> impl Iterator<Item = (NodeId, u16)> + '_ {
+        (0..self.node_count() as u32)
+            .map(NodeId)
+            .filter(|&n| self.kind(n) == NodeKind::Switch)
+            .flat_map(move |n| {
+                self.node_ports(n)
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, p)| self.kind(p.peer) == NodeKind::Switch && p.peer.0 > n.0)
+                    .map(move |(pi, _)| (n, pi as u16))
+            })
     }
 }
 

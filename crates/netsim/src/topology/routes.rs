@@ -344,31 +344,18 @@ impl Topology {
         if layer == 0 {
             return w;
         }
-        for n in 0..self.node_count() {
-            if self.kinds[n] == NodeKind::Host {
-                continue;
-            }
-            let base = self.port_off[n] as usize;
-            let deg = self.port_off[n + 1] as usize - base;
-            for pi in 0..deg {
-                let p = self.ports[base + pi];
-                if self.kinds[p.peer.0 as usize] == NodeKind::Host {
-                    continue;
-                }
-                // Canonical direction only; mirror to both.
-                if (n as u32, pi as u16) > (p.peer.0, p.peer_port) {
-                    continue;
-                }
-                let link_id = ((n as u64) << 16) | pi as u64;
-                let mut rng = Pcg32::new(
-                    self.policy.seed
-                        ^ (layer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ link_id.wrapping_mul(0xD1B5_4A32_D192_ED03),
-                );
-                let weight = if rng.below(2) == 0 { 1 } else { 2 };
-                w[base + pi] = weight;
-                w[self.port_off[p.peer.0 as usize] as usize + p.peer_port as usize] = weight;
-            }
+        // Drawn once per link, from its lower end; mirrored to both.
+        for (node, port) in self.switch_links() {
+            let link_id = (u64::from(node.0) << 16) | u64::from(port);
+            let mut rng = Pcg32::new(
+                self.policy.seed
+                    ^ (layer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ link_id.wrapping_mul(0xD1B5_4A32_D192_ED03),
+            );
+            let weight = if rng.below(2) == 0 { 1 } else { 2 };
+            let back = self.port(node, port);
+            w[self.port_off[node.0 as usize] as usize + port as usize] = weight;
+            w[self.port_off[back.peer.0 as usize] as usize + back.peer_port as usize] = weight;
         }
         w
     }

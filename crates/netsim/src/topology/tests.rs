@@ -720,3 +720,87 @@ fn lone_switch_routes_through_a_zero_width_column() {
     t.check_csr_invariants();
     routed(&t);
 }
+
+/// `switch_links` lists every switch–switch link exactly once, lower
+/// end first, in ascending order, on every generator family; the fault
+/// key of a link is that entry whichever end names it.
+#[test]
+fn switch_links_list_each_link_once_lower_end_first() {
+    use crate::fault::ElementKey;
+    for t in [
+        Topology::fat_tree(4, 1_000_000_000, 10_000),
+        Topology::leaf_spine(4, 3, 2, 2.0, 1_000_000_000, 10_000),
+        Topology::jellyfish(12, 4, 2, 1_000_000_000, 10_000, 5),
+    ] {
+        let is_switch = |n: NodeId| t.kind(n) == NodeKind::Switch;
+        let mut keyed = std::collections::BTreeSet::new();
+        for n in (0..t.node_count() as u32)
+            .map(NodeId)
+            .filter(|&n| is_switch(n))
+        {
+            for (p, port) in t.node_ports(n).iter().enumerate() {
+                if is_switch(port.peer) {
+                    let key = ElementKey::link(&t, n, p as u16);
+                    assert_eq!(key, ElementKey::link(&t, port.peer, port.peer_port));
+                    keyed.insert(key);
+                }
+            }
+        }
+        let listed: Vec<ElementKey> = t
+            .switch_links()
+            .inspect(|&(n, p)| assert!(n < t.port(n, p).peer, "lower end first"))
+            .map(|(n, p)| ElementKey::Link(n.0, p))
+            .collect();
+        assert_eq!(listed, Vec::from_iter(keyed), "each link once, ascending");
+    }
+}
+
+/// `pinned_path` is what forwarding does: one per-flow-ECMP packet
+/// transmits on exactly the switch ports the replay's hops name, on a
+/// minimal fat-tree and on a two-layer Jellyfish (where half the flows
+/// ride layer 1, so a replay of layer 0 alone would be caught).
+#[test]
+fn pinned_path_is_the_path_ecmp_forwarding_takes() {
+    use crate::fixtures::{data_pkt, echo_sim};
+    use crate::{FlowId, Packet, Recorder, SimConfig, SimTime, TelemetryConfig};
+    let mut jelly = Topology::jellyfish(12, 4, 2, 1_000_000_000, 10_000, 5);
+    jelly.set_policy(RoutingPolicy::layered(2, 9));
+    jelly.compute_routes();
+    for t in [Topology::fat_tree(4, 1_000_000_000, 10_000), jelly] {
+        let hosts = t.hosts();
+        for i in 0..40 {
+            let (src, dst) = (hosts[i % hosts.len()], hosts[(3 * i + 5) % hosts.len()]);
+            let flow = FlowId(1_000 + 77 * i as u64);
+            let path = t.pinned_path(flow, src, dst);
+            assert_eq!((path[0], path[path.len() - 1]), (src, dst));
+            let mut hops: Vec<(u32, u16)> = path
+                .windows(2)
+                .filter(|hop| t.kind(hop[0]) == NodeKind::Switch)
+                .map(|hop| {
+                    let p = t.node_ports(hop[0]).iter().position(|p| p.peer == hop[1]);
+                    (hop[0].0, p.unwrap() as u16)
+                })
+                .collect();
+            let recorder = Some(Recorder::new(TelemetryConfig::default()));
+            let mut sim = echo_sim(t.clone(), SimConfig::classic(1), recorder);
+            let pkt = Packet {
+                flow,
+                ..data_pkt(src, dst, 0)
+            };
+            sim.agent_mut(src).to_send.push(pkt);
+            sim.schedule_timer(src, SimTime::ZERO, 0);
+            sim.run_to_completion();
+            sim.finish_telemetry();
+            assert_eq!(sim.agent(dst).received.len(), 1, "the packet arrives");
+            let buckets = sim.telemetry().as_ref().unwrap().buckets();
+            let ports = buckets
+                .iter()
+                .flat_map(|b| &b.ports)
+                .filter(|s| s.enqueued > 0);
+            let mut sent: Vec<(u32, u16)> = ports.map(|s| (s.node, s.port)).collect();
+            hops.sort_unstable();
+            sent.sort_unstable();
+            assert_eq!(sent, hops, "flow {} from {} to {}", flow.0, src.0, dst.0);
+        }
+    }
+}

@@ -7,7 +7,7 @@
 // tests in one block need more headroom than the default 128.
 #![recursion_limit = "256"]
 
-use netsim::{FaultMask, NodeId, NodeKind, RoutingPolicy, Topology};
+use netsim::{FaultMask, NodeId, RoutingPolicy, Topology};
 use proptest::prelude::*;
 
 fn fat_tree_ks() -> impl Strategy<Value = usize> {
@@ -438,18 +438,7 @@ proptest! {
         // (host and edge failures legally disconnect hosts; they are
         // covered by the host-link unit test and excluded here to keep
         // the walk assertions meaningful).
-        let mut fabric_links = Vec::new();
-        for n in 0..pristine.node_count() as u32 {
-            let node = NodeId(n);
-            if pristine.kind(node) != NodeKind::Switch {
-                continue;
-            }
-            for (pi, p) in pristine.node_ports(node).iter().enumerate() {
-                if pristine.kind(p.peer) == NodeKind::Switch && p.peer.0 > n {
-                    fabric_links.push((node, pi as u16));
-                }
-            }
-        }
+        let fabric_links: Vec<(NodeId, u16)> = pristine.switch_links().collect();
         let mut mask = FaultMask::new();
         let mut repaired = pristine.clone();
         let steps = 1 + rng.below(2) as usize;
@@ -533,23 +522,8 @@ proptest! {
         // Candidates: all switch-switch links, plus all switches that
         // serve no hosts directly is too narrow (aggs have no hosts but
         // cores too) — any switch except the edge layer qualifies.
-        let mut fabric_links = Vec::new();
-        let mut non_edge_switches = Vec::new();
-        for n in 0..t.node_count() as u32 {
-            let node = NodeId(n);
-            if t.kind(node) != NodeKind::Switch {
-                continue;
-            }
-            let has_host = t.node_ports(node).iter().any(|p| t.kind(p.peer) == NodeKind::Host);
-            if !has_host {
-                non_edge_switches.push(node);
-            }
-            for (pi, p) in t.node_ports(node).iter().enumerate() {
-                if t.kind(p.peer) == NodeKind::Switch && p.peer.0 > n {
-                    fabric_links.push((node, pi as u16));
-                }
-            }
-        }
+        let fabric_links: Vec<(NodeId, u16)> = t.switch_links().collect();
+        let non_edge_switches = t.core_switches();
         let mut mask = FaultMask::new();
         let total = fabric_links.len() + non_edge_switches.len();
         let pick = rng.below(total as u64) as usize;

@@ -6,10 +6,8 @@
 //! deterministic function of its inputs, so encoder and decoder always agree
 //! with no shared tables to transcribe.
 //!
-//! The same generator doubles as the sender-side ESI sampler that gives
-//! Polyraptor's multi-source mode its "statistically unique symbols from
-//! independently seeded senders" property (paper §2, *Multi-source
-//! transport*).
+//! [`Xorshift64`] is the seeded stream the codec's tests draw objects and
+//! loss patterns from; the codec itself never uses it.
 
 /// SplitMix64 finalizer: a bijective 64-bit mixer with full avalanche.
 #[inline]
@@ -40,13 +38,14 @@ pub fn rand(y: u64, i: u64, m: u32) -> u32 {
     (((h >> 32) * m as u64) >> 32) as u32
 }
 
-/// A small, fast, seedable PRNG (xorshift64*), used where a *stream* of
-/// random values is needed (e.g. random ESI sampling by repair senders).
+/// A small, fast, seedable PRNG (xorshift64*): the test-data stream of
+/// this crate's unit and integration tests (objects, loss patterns,
+/// arrival orders).
 ///
-/// Deliberately implemented here rather than pulling `rand` into the
-/// library's dependency graph: the value sequence is part of the wire
-/// contract between independently-seeded senders, so it must never change
-/// underneath us with a crate upgrade.
+/// Implemented here rather than pulling in `rand`: the pinned test data
+/// depends on the exact value sequence, so it must never change with a
+/// crate upgrade. Public only because the integration tests under
+/// `tests/` link the library as an ordinary dependency.
 #[derive(Debug, Clone)]
 pub struct Xorshift64 {
     state: u64,

@@ -22,7 +22,7 @@ use polyraptor::{host_fail_token, host_up_token};
 
 use crate::fault::REROUTE_DELAY_NS;
 use crate::runner::{run, Fabric, RqRunOptions, Run, RunReport, Transport};
-use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
+use crate::scenario::{LogicalSession, Pattern, StorageScenario};
 
 /// Parameters of a churn soak: the storage fetch workload plus the
 /// Poisson fault process sustained over it.
@@ -74,15 +74,10 @@ impl ChurnScenario {
     /// The underlying storage workload (fetch pattern, no background).
     fn storage(&self) -> StorageScenario {
         StorageScenario {
-            sessions: self.sessions,
             object_bytes: self.object_bytes,
-            replicas: self.replicas,
-            lambda_per_host: PAPER_LAMBDA_PER_HOST,
             background_frac: 0.0,
-            pattern: Pattern::Read,
-            seed: self.seed,
-            normalize_load: true,
             shared_risk_placement: self.shared_risk_placement,
+            ..StorageScenario::fig1b(self.sessions, self.replicas, self.seed)
         }
     }
 

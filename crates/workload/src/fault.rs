@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use netsim::{FaultPlan, NodeId, SimTime, Topology};
 
 use crate::runner::{build_tcp_conns, Fabric, Run, Transport};
-use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
+use crate::scenario::{LogicalSession, Pattern, StorageScenario};
 
 /// Control-plane convergence after a detected failure: 25 ms covers
 /// failure detection plus route recomputation on a data-centre fabric.
@@ -107,15 +107,9 @@ impl FaultScenario {
     /// Polyraptor and TCP runs, like every paired experiment here).
     fn storage(&self) -> StorageScenario {
         StorageScenario {
-            sessions: self.sessions,
             object_bytes: self.object_bytes,
-            replicas: self.replicas,
-            lambda_per_host: PAPER_LAMBDA_PER_HOST,
             background_frac: 0.0,
-            pattern: Pattern::Write,
-            seed: self.seed,
-            normalize_load: true,
-            shared_risk_placement: false,
+            ..StorageScenario::fig1a(self.sessions, self.replicas, self.seed)
         }
     }
 
@@ -152,24 +146,10 @@ impl FaultScenario {
                     continue;
                 }
             }
-            let flow = c.data_flow();
-            // Under a layered policy each pinned flow rides the layer
-            // the fabric's hash assigns it, so the replay must walk
-            // that layer's tables — layer 0 alone would mispredict the
-            // busiest core whenever non-minimal layers carry traffic.
-            let layer = netsim::layer_choice(flow, topo.layer_count());
-            let mut at = c.sender;
-            let mut steps = 0;
-            while at != c.receiver {
-                let choices = topo.try_next_ports_on(layer, at, c.receiver);
-                at = topo
-                    .port(at, choices[netsim::ecmp_choice(flow, at, choices.len())])
-                    .peer;
+            for at in topo.pinned_path(c.data_flow(), c.sender, c.receiver) {
                 if let Some(n) = hits.get_mut(&at.0) {
                     *n += 1;
                 }
-                steps += 1;
-                assert!(steps < 64, "ECMP walk exceeded 64 hops");
             }
         }
         let (&id, _) = hits

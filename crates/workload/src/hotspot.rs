@@ -59,51 +59,37 @@ impl HotspotScenario {
         let mut faults = FaultPlan::new();
         let mut down = FaultMask::new();
         let mut degraded = 0usize;
-        let mut total_fabric_links = 0usize;
-        for n in 0..topo.node_count() as u32 {
-            let node = NodeId(n);
-            if topo.kind(node) != NodeKind::Switch {
-                continue;
-            }
-            for (p, port) in topo.node_ports(node).iter().enumerate() {
-                // Count each undirected link once (lower node id owns
-                // it) and only switch-switch links (host links are the
-                // flows' own bottleneck, not a "hotspot").
-                if topo.kind(port.peer) != NodeKind::Switch || port.peer.0 < n {
-                    continue;
-                }
-                total_fabric_links += 1;
-                if rng.f64() < self.degraded_frac {
-                    let action = if self.degraded_rate_frac == 0.0 {
-                        // A dead link that splits the fabric would leave
-                        // some host pair with no path, and its transfer
-                        // would never finish: keep that link healthy.
-                        down.fail_link(&topo, node, p as u16);
-                        if !switches_connected(&topo, &down) {
-                            down.restore_link(&topo, node, p as u16);
-                            continue;
-                        }
-                        FaultAction::LinkDown {
-                            node,
-                            port: p as u16,
-                        }
-                    } else {
-                        FaultAction::RateChange {
-                            node,
-                            port: p as u16,
-                            rate_bps: (port.rate_bps as f64 * self.degraded_rate_frac) as u64,
-                        }
-                    };
-                    faults.push(SimTime::ZERO, action);
-                    degraded += 1;
-                }
+        // Each switch-switch link once (host links are the flows' own
+        // bottleneck, not a "hotspot"), one draw per link.
+        for (node, port) in topo.switch_links() {
+            if rng.f64() < self.degraded_frac {
+                let action = if self.degraded_rate_frac == 0.0 {
+                    // A dead link that splits the fabric would leave
+                    // some host pair with no path, and its transfer
+                    // would never finish: keep that link healthy.
+                    down.fail_link(&topo, node, port);
+                    if !switches_connected(&topo, &down) {
+                        down.restore_link(&topo, node, port);
+                        continue;
+                    }
+                    FaultAction::LinkDown { node, port }
+                } else {
+                    let rate_bps = topo.port(node, port).rate_bps;
+                    FaultAction::RateChange {
+                        node,
+                        port,
+                        rate_bps: (rate_bps as f64 * self.degraded_rate_frac) as u64,
+                    }
+                };
+                faults.push(SimTime::ZERO, action);
+                degraded += 1;
             }
         }
         assert!(
             degraded > 0 || self.degraded_frac == 0.0,
             "degraded_frac {} degraded none of {} fabric links",
             self.degraded_frac,
-            total_fabric_links
+            topo.switch_links().count()
         );
         let mut shuffled = hosts;
         rng.shuffle(&mut shuffled);

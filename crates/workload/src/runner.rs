@@ -303,7 +303,7 @@ pub struct RqRunOptions {
     pub telemetry: TelemetryOptions,
     /// Accepted and ignored — route columns are rebuilt on the calling
     /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
-    /// 2(b)).
+    /// item 12).
     pub parallelism: usize,
     /// Event-loop shards (0 = available cores, 1 = one shard, inline
     /// on the calling thread, the default). Byte-identical per seed at
@@ -313,16 +313,18 @@ pub struct RqRunOptions {
 }
 
 impl Default for RqRunOptions {
+    /// The NDP fabric [`SimConfig::ndp`] describes, minimal routing.
     fn default() -> Self {
+        let ndp = SimConfig::ndp(0);
         Self {
             pr: PrConfig::paper_default(),
-            switch_queue: QueueConfig::NDP_DEFAULT,
-            route: RouteMode::Spray,
+            switch_queue: ndp.switch_queue,
+            route: ndp.route,
             policy: RoutingPolicy::minimal(),
-            layer_assign: LayerAssign::FlowHash,
+            layer_assign: ndp.layer_assign,
             telemetry: TelemetryOptions::default(),
-            parallelism: 1,
-            shards: 1,
+            parallelism: ndp.parallelism,
+            shards: ndp.shards,
         }
     }
 }
@@ -458,7 +460,7 @@ pub struct TcpRunOptions {
     pub telemetry: TelemetryOptions,
     /// Accepted and ignored — route columns are rebuilt on the calling
     /// thread; pinned by `bench_e2e` until its next revision (ROADMAP
-    /// 2(b)).
+    /// item 12).
     pub parallelism: usize,
     /// Event-loop shards (0 = available cores, 1 = one shard, inline
     /// on the calling thread, the default). Byte-identical per seed at
@@ -467,14 +469,17 @@ pub struct TcpRunOptions {
 }
 
 impl Default for TcpRunOptions {
+    /// The classic fabric [`SimConfig::classic`] describes, minimal
+    /// routing.
     fn default() -> Self {
+        let classic = SimConfig::classic(0);
         Self {
-            switch_queue: QueueConfig::DROPTAIL_DEFAULT,
-            route: RouteMode::EcmpFlow,
+            switch_queue: classic.switch_queue,
+            route: classic.route,
             policy: RoutingPolicy::minimal(),
             telemetry: TelemetryOptions::default(),
-            parallelism: 1,
-            shards: 1,
+            parallelism: classic.parallelism,
+            shards: classic.shards,
         }
     }
 }

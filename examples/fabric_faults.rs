@@ -39,7 +39,7 @@
 
 use std::path::Path;
 
-use polyraptor_repro::netsim::{FabricStats, FaultMask, NodeKind, RouteRepair, Topology};
+use polyraptor_repro::netsim::{FabricStats, FaultMask, RouteRepair, Topology};
 use polyraptor_repro::workload::{
     run, ChurnScenario, Fabric, FaultScenario, RankCurve, RqRunOptions, RunReport, RunTelemetry,
     TcpRunOptions, TelemetryOptions, Transport,
@@ -104,16 +104,9 @@ fn write_telemetry(t: &RunTelemetry, prefix: &str) {
 fn time_reroute(fabric: &Fabric) -> (f64, f64, RouteRepair, usize) {
     let pristine = fabric.build();
     // Victim: the first switch-switch link (an edge/leaf uplink).
-    let (node, port) = (0..pristine.node_count() as u32)
-        .map(polyraptor_repro::netsim::NodeId)
-        .filter(|&n| pristine.kind(n) == NodeKind::Switch)
-        .find_map(|n| {
-            pristine
-                .node_ports(n)
-                .iter()
-                .position(|p| pristine.kind(p.peer) == NodeKind::Switch)
-                .map(|p| (n, p as u16))
-        })
+    let (node, port) = pristine
+        .switch_links()
+        .next()
         .expect("fabric has switch-switch links");
     let mut mask = FaultMask::new();
     mask.fail_link(&pristine, node, port);
