@@ -16,22 +16,84 @@
 //! `fabric_invariants` property tests exercise single-failure
 //! recoverability this way).
 
-use std::collections::BTreeSet;
-
 use crate::time::SimTime;
 use crate::topology::{NodeId, Topology};
 
 /// The set of links and nodes currently failed.
 ///
 /// Links are tracked as *directed* `(node, port)` entries; the
-/// `fail_link`/`restore_link` helpers insert both directions, so a
-/// failed link is dead both ways. Determinism note: the sets are
-/// `BTreeSet`s so iteration (and hence any derived recomputation) is
-/// seed-stable.
+/// `fail_link`/`restore_link` helpers change both directions together,
+/// so a failed link is dead both ways — the simulator relies on it when
+/// it checks a packet's wire at the receiving end. Both sets are dense
+/// bitmaps: a node's failed ports are the set bits of its own words (as
+/// many as its highest failed port needs, so any port count fits), and
+/// failed nodes are bits indexed by node id. [`FaultMask::link_is_down`]
+/// and [`FaultMask::node_is_down`] are therefore an indexed load or two,
+/// with no search. Determinism note: iteration and the deltas run in
+/// ascending `(node, port)` order, and no trailing zero word or empty
+/// node is ever kept, so `==` is set equality.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultMask {
-    links: BTreeSet<(u32, u16)>,
-    nodes: BTreeSet<u32>,
+    /// `links[node]`: the node's failed ports, one bit each.
+    links: Vec<Vec<u64>>,
+    /// The failed nodes, one bit each.
+    nodes: Vec<u64>,
+}
+
+/// Whether bit `i` of a bitmap is set.
+fn bit(words: &[u64], i: usize) -> bool {
+    words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 != 0)
+}
+
+/// Set bit `i`, growing the bitmap as far as it needs.
+fn set_bit(words: &mut Vec<u64>, i: usize) {
+    if words.len() <= i / 64 {
+        words.resize(i / 64 + 1, 0);
+    }
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Clear bit `i`, then drop trailing zero words.
+fn clear_bit(words: &mut Vec<u64>, i: usize) {
+    if let Some(w) = words.get_mut(i / 64) {
+        *w &= !(1 << (i % 64));
+    }
+    while words.last() == Some(&0) {
+        words.pop();
+    }
+}
+
+/// The set bits of `a` that are clear in `b`, ascending.
+fn ones_minus<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
+    a.iter().enumerate().flat_map(move |(i, &w)| {
+        let mut w = w & !b.get(i).copied().unwrap_or(0);
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let low = w.trailing_zeros() as usize;
+                w &= w - 1;
+                i * 64 + low
+            })
+        })
+    })
+}
+
+/// Directed link entries failed in `a` but not in `b`, ascending.
+fn links_minus(a: &FaultMask, b: &FaultMask) -> Vec<(NodeId, u16)> {
+    a.links
+        .iter()
+        .enumerate()
+        .flat_map(|(n, ports)| {
+            let gone = b.links.get(n).map_or(&[][..], Vec::as_slice);
+            ones_minus(ports, gone).map(move |p| (NodeId(n as u32), p as u16))
+        })
+        .collect()
+}
+
+/// Nodes failed in `a` but not in `b`, ascending.
+fn nodes_minus(a: &FaultMask, b: &FaultMask) -> Vec<NodeId> {
+    ones_minus(&a.nodes, &b.nodes)
+        .map(|n| NodeId(n as u32))
+        .collect()
 }
 
 impl FaultMask {
@@ -48,35 +110,48 @@ impl FaultMask {
     /// Fail the link behind `(node, port)`, both directions.
     pub fn fail_link(&mut self, topo: &Topology, node: NodeId, port: u16) {
         let p = topo.port(node, port);
-        self.links.insert((node.0, port));
-        self.links.insert((p.peer.0, p.peer_port));
+        for (n, port) in [(node.0, port), (p.peer.0, p.peer_port)] {
+            let n = n as usize;
+            if self.links.len() <= n {
+                self.links.resize_with(n + 1, Vec::new);
+            }
+            set_bit(&mut self.links[n], port as usize);
+        }
     }
 
     /// Restore the link behind `(node, port)`, both directions.
     pub fn restore_link(&mut self, topo: &Topology, node: NodeId, port: u16) {
         let p = topo.port(node, port);
-        self.links.remove(&(node.0, port));
-        self.links.remove(&(p.peer.0, p.peer_port));
+        for (n, port) in [(node.0, port), (p.peer.0, p.peer_port)] {
+            if let Some(ports) = self.links.get_mut(n as usize) {
+                clear_bit(ports, port as usize);
+            }
+        }
+        while self.links.last().is_some_and(Vec::is_empty) {
+            self.links.pop();
+        }
     }
 
     /// Fail a node (all its links become unusable).
     pub fn fail_node(&mut self, node: NodeId) {
-        self.nodes.insert(node.0);
+        set_bit(&mut self.nodes, node.0 as usize);
     }
 
     /// Restore a failed node.
     pub fn restore_node(&mut self, node: NodeId) {
-        self.nodes.remove(&node.0);
+        clear_bit(&mut self.nodes, node.0 as usize);
     }
 
     /// Whether the link leaving `node` through `port` is failed.
     pub fn link_is_down(&self, node: NodeId, port: u16) -> bool {
-        self.links.contains(&(node.0, port))
+        self.links
+            .get(node.0 as usize)
+            .is_some_and(|ports| bit(ports, port as usize))
     }
 
     /// Whether a node is failed.
     pub fn node_is_down(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node.0)
+        bit(&self.nodes, node.0 as usize)
     }
 
     /// Whether the directed hop `(node, port)` is fully usable: the node
@@ -87,54 +162,42 @@ impl FaultMask {
             && !self.node_is_down(topo.port(node, port).peer)
     }
 
-    /// Every failed directed `(node, port)` entry, in deterministic
-    /// order. The simulator flushes these queues when routes converge:
+    /// Every failed directed `(node, port)` entry, in ascending order.
+    /// The simulator flushes these queues when routes converge:
     /// packets forwarded onto a dead link during the convergence window
     /// would otherwise strand there unaccounted.
     pub fn down_links(&self) -> impl Iterator<Item = (NodeId, u16)> + '_ {
-        self.links.iter().map(|&(n, p)| (NodeId(n), p))
+        self.links.iter().enumerate().flat_map(|(n, ports)| {
+            ones_minus(ports, &[]).map(move |p| (NodeId(n as u32), p as u16))
+        })
     }
 
     /// Directed `(node, port)` link entries failed in `self` but not in
     /// `earlier` — the link half of the delta
     /// [`Topology::repair_routes`](crate::topology::Topology::repair_routes)
-    /// excises from the routing tables. Deterministic (set) order.
+    /// excises from the routing tables. Ascending order.
     pub fn new_links_since(&self, earlier: &FaultMask) -> Vec<(NodeId, u16)> {
-        self.links
-            .difference(&earlier.links)
-            .map(|&(n, p)| (NodeId(n), p))
-            .collect()
+        links_minus(self, earlier)
     }
 
     /// Nodes failed in `self` but not in `earlier` — the node half of
-    /// the repair delta. Deterministic (set) order.
+    /// the repair delta. Ascending order.
     pub fn new_nodes_since(&self, earlier: &FaultMask) -> Vec<NodeId> {
-        self.nodes
-            .difference(&earlier.nodes)
-            .map(|&n| NodeId(n))
-            .collect()
+        nodes_minus(self, earlier)
     }
 
     /// Directed `(node, port)` link entries failed in `earlier` but no
     /// longer in `self` — the link half of a restoration delta, which
     /// [`Topology::repair_routes`](crate::topology::Topology::repair_routes)
-    /// heals with bounded restore surgery. Deterministic (set) order.
+    /// heals with bounded restore surgery. Ascending order.
     pub fn restored_links_since(&self, earlier: &FaultMask) -> Vec<(NodeId, u16)> {
-        earlier
-            .links
-            .difference(&self.links)
-            .map(|&(n, p)| (NodeId(n), p))
-            .collect()
+        links_minus(earlier, self)
     }
 
     /// Nodes failed in `earlier` but no longer in `self` — the node half
-    /// of a restoration delta. Deterministic (set) order.
+    /// of a restoration delta. Ascending order.
     pub fn restored_nodes_since(&self, earlier: &FaultMask) -> Vec<NodeId> {
-        earlier
-            .nodes
-            .difference(&self.nodes)
-            .map(|&n| NodeId(n))
-            .collect()
+        nodes_minus(earlier, self)
     }
 }
 
@@ -564,6 +627,8 @@ fn draw_up_victim<T: Copy>(
 mod tests {
     use super::*;
     use crate::topology::NodeKind;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn line_topo() -> Topology {
         // h0 — s1 — h2
@@ -589,6 +654,174 @@ mod tests {
         m.restore_link(&t, a, 0);
         assert!(m.is_empty());
         assert!(m.port_is_up(&t, a, 0));
+    }
+
+    /// Every link the mask fails or restores changes in both directions
+    /// at once — an arrival's loss check reads only the receiving end's
+    /// entry, so it must stand for the whole wire. Checked from either
+    /// end of every link of a fat-tree, one link at a time and with all
+    /// of them down.
+    #[test]
+    fn mask_links_are_symmetric() {
+        let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+        let entries = entries(&t);
+        let symmetric = |m: &FaultMask| {
+            entries.iter().all(|&(n, p)| {
+                let back = t.port(n, p);
+                m.link_is_down(n, p) == m.link_is_down(back.peer, back.peer_port)
+            })
+        };
+        let mut all = FaultMask::new();
+        for &(n, p) in &entries {
+            let mut one = FaultMask::new();
+            one.fail_link(&t, n, p);
+            assert!(symmetric(&one) && one.down_links().count() == 2);
+            let back = t.port(n, p);
+            one.restore_link(&t, back.peer, back.peer_port);
+            assert!(one.is_empty(), "restoring from the far end undoes both");
+            all.fail_link(&t, n, p);
+            assert!(symmetric(&all));
+        }
+        assert_eq!(all.down_links().count(), entries.len());
+        for &(n, p) in entries.iter().rev() {
+            all.restore_link(&t, n, p);
+            assert!(symmetric(&all));
+        }
+        assert!(all.is_empty());
+    }
+
+    /// The reference the mask is checked against: the `BTreeSet`s it
+    /// used to be.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Model {
+        links: BTreeSet<(u32, u16)>,
+        nodes: BTreeSet<u32>,
+    }
+
+    /// A switch with 70 hosts (ports past the first 64-bit word) and a
+    /// second switch with 3, joined by two parallel links.
+    fn wide_topo() -> Topology {
+        let mut t = Topology::new();
+        let (a, b) = (t.add_node(NodeKind::Switch), t.add_node(NodeKind::Switch));
+        for i in 0..73 {
+            let h = t.add_node(NodeKind::Host);
+            t.connect(h, if i < 70 { a } else { b }, 1_000_000_000, 1_000);
+        }
+        t.connect(a, b, 1_000_000_000, 1_000);
+        t.connect(a, b, 1_000_000_000, 1_000);
+        t.compute_routes();
+        t
+    }
+
+    /// Every directed `(node, port)` entry of `t`.
+    fn entries(t: &Topology) -> Vec<(NodeId, u16)> {
+        (0..t.node_count() as u32)
+            .flat_map(|v| (0..t.node_ports(NodeId(v)).len() as u16).map(move |p| (NodeId(v), p)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random fail and restore sequences of links and nodes on a
+        /// fat-tree and on a topology with a 72-port switch: after every
+        /// step the mask answers `link_is_down`, `node_is_down`,
+        /// `port_is_up` and `is_empty` for every entry as the `BTreeSet`
+        /// model does, lists `down_links` in the model's order, gives the
+        /// model's four deltas against a snapshot taken at a random
+        /// earlier step, and is `==` to that snapshot exactly when the
+        /// model is — so failing and then restoring an element gives a
+        /// mask equal to the one before.
+        #[test]
+        fn mask_matches_the_btreeset_model(
+            wide in any::<bool>(),
+            steps in proptest::collection::vec((0u8..6, any::<u64>()), 1..120),
+        ) {
+            let t = if wide { wide_topo() } else { Topology::fat_tree(4, 1_000_000_000, 10_000) };
+            let n = t.node_count() as u32;
+            let entries = entries(&t);
+            let (mut mask, mut model) = (FaultMask::new(), Model::default());
+            let (mut then_mask, mut then_model) = (mask.clone(), model.clone());
+            let links = |v: Vec<(NodeId, u16)>| -> Vec<(u32, u16)> {
+                v.into_iter().map(|(v, p)| (v.0, p)).collect()
+            };
+            let nodes = |v: Vec<NodeId>| -> Vec<u32> { v.into_iter().map(|v| v.0).collect() };
+            let minus = |a: &BTreeSet<(u32, u16)>, b: &BTreeSet<(u32, u16)>| -> Vec<(u32, u16)> {
+                a.difference(b).copied().collect()
+            };
+            for (op, raw) in steps {
+                let pick = |len: usize| (raw % len.max(1) as u64) as usize;
+                // Restores aim at something failed when there is any,
+                // so the mask also shrinks back to empty.
+                let (node, port) = match model.links.iter().nth(pick(model.links.len())) {
+                    Some(&(v, p)) if op == 2 => (NodeId(v), p),
+                    _ => entries[pick(entries.len())],
+                };
+                let victim = match model.nodes.iter().nth(pick(model.nodes.len())) {
+                    Some(&v) if op == 4 => NodeId(v),
+                    _ => NodeId(pick(n as usize) as u32),
+                };
+                let back = t.port(node, port);
+                let pair = [(node.0, port), (back.peer.0, back.peer_port)];
+                let (before, was) = (mask.clone(), model.clone());
+                if op <= 1 || (op == 5 && raw & 1 == 0) {
+                    mask.fail_link(&t, node, port);
+                    model.links.extend(pair);
+                }
+                if op == 2 || (op == 5 && raw & 1 == 0) {
+                    mask.restore_link(&t, node, port);
+                    for e in &pair {
+                        model.links.remove(e);
+                    }
+                }
+                if op == 3 || (op == 5 && raw & 1 == 1) {
+                    mask.fail_node(victim);
+                    model.nodes.insert(victim.0);
+                }
+                if op == 4 || (op == 5 && raw & 1 == 1) {
+                    mask.restore_node(victim);
+                    model.nodes.remove(&victim.0);
+                }
+                // A failure and its restore back to back (op 5) leave
+                // the mask as it was unless the element was down before.
+                prop_assert_eq!(mask == before, model == was);
+                if raw >> 60 == 0 {
+                    (then_mask, then_model) = (mask.clone(), model.clone());
+                }
+                let down = |v: NodeId| model.nodes.contains(&v.0);
+                for &(v, p) in &entries {
+                    let cut = model.links.contains(&(v.0, p));
+                    prop_assert_eq!(mask.link_is_down(v, p), cut);
+                    let up = !down(v) && !cut && !down(t.port(v, p).peer);
+                    prop_assert_eq!(mask.port_is_up(&t, v, p), up);
+                }
+                // Past the last node too: ids no mask word reaches.
+                for v in (0..n + 70).map(NodeId) {
+                    prop_assert_eq!(mask.node_is_down(v), down(v));
+                }
+                let empty = model.links.is_empty() && model.nodes.is_empty();
+                prop_assert_eq!(mask.is_empty(), empty);
+                let listed = links(mask.down_links().collect());
+                prop_assert_eq!(listed, model.links.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(
+                    links(mask.new_links_since(&then_mask)),
+                    minus(&model.links, &then_model.links)
+                );
+                prop_assert_eq!(
+                    links(mask.restored_links_since(&then_mask)),
+                    minus(&then_model.links, &model.links)
+                );
+                prop_assert_eq!(
+                    nodes(mask.new_nodes_since(&then_mask)),
+                    model.nodes.difference(&then_model.nodes).copied().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    nodes(mask.restored_nodes_since(&then_mask)),
+                    then_model.nodes.difference(&model.nodes).copied().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(mask == then_mask, model == then_model);
+            }
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub enum Enqueued {
 }
 
 /// Counters a queue maintains (read by the experiment harness).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Packets enqueued intact.
     pub enqueued: u64,
@@ -91,54 +91,53 @@ impl<P: SimPayload> PortQueue<P> {
         }
     }
 
+    /// The admission rule [`PortQueue::enqueue`] and [`PortQueue::pass`]
+    /// share: the capacity `pkt` is tested against, and whether it
+    /// belongs in the data queue (the one `max_depth` tracks) rather
+    /// than the header queue.
+    fn admission(&self, pkt: &Packet<P>) -> (usize, bool) {
+        match self.config {
+            QueueConfig::DropTail { cap_pkts } => (cap_pkts, true),
+            QueueConfig::Ndp {
+                header_cap_pkts, ..
+            } if pkt.payload.is_control() => (header_cap_pkts, false),
+            QueueConfig::Ndp { data_cap_pkts, .. } => (data_cap_pkts, true),
+        }
+    }
+
     /// Offer a packet to the queue.
     pub fn enqueue(&mut self, pkt: Packet<P>) -> Enqueued {
-        match self.config {
-            QueueConfig::DropTail { cap_pkts } => {
-                if self.data.len() >= cap_pkts {
-                    self.stats.dropped += 1;
-                    Enqueued::Dropped
-                } else {
-                    self.data.push_back(pkt);
-                    self.stats.enqueued += 1;
-                    self.stats.max_depth = self.stats.max_depth.max(self.data.len());
-                    Enqueued::Queued
-                }
+        let (cap, is_data) = self.admission(&pkt);
+        let queue = if is_data {
+            &mut self.data
+        } else {
+            &mut self.headers
+        };
+        if queue.len() < cap {
+            queue.push_back(pkt);
+            self.stats.enqueued += 1;
+            if is_data {
+                self.stats.max_depth = self.stats.max_depth.max(self.data.len());
             }
-            QueueConfig::Ndp {
-                data_cap_pkts,
-                header_cap_pkts,
-            } => {
-                if pkt.payload.is_control() {
-                    if self.headers.len() >= header_cap_pkts {
-                        self.stats.dropped += 1;
-                        Enqueued::Dropped
-                    } else {
-                        self.headers.push_back(pkt);
-                        self.stats.enqueued += 1;
-                        Enqueued::Queued
-                    }
-                } else if self.data.len() < data_cap_pkts {
-                    self.data.push_back(pkt);
-                    self.stats.enqueued += 1;
-                    self.stats.max_depth = self.stats.max_depth.max(self.data.len());
-                    Enqueued::Queued
-                } else {
-                    // Data queue full: trim to header, priority-forward.
-                    match pkt.trimmed() {
-                        Some(header) if self.headers.len() < header_cap_pkts => {
-                            self.headers.push_back(header);
-                            self.stats.trimmed += 1;
-                            Enqueued::Trimmed
-                        }
-                        _ => {
-                            self.stats.dropped += 1;
-                            Enqueued::Dropped
-                        }
+            return Enqueued::Queued;
+        }
+        // Data queue full under NDP: trim to header, priority-forward.
+        if let QueueConfig::Ndp {
+            header_cap_pkts, ..
+        } = self.config
+        {
+            if is_data {
+                if let Some(header) = pkt.trimmed() {
+                    if self.headers.len() < header_cap_pkts {
+                        self.headers.push_back(header);
+                        self.stats.trimmed += 1;
+                        return Enqueued::Trimmed;
                     }
                 }
             }
         }
+        self.stats.dropped += 1;
+        Enqueued::Dropped
     }
 
     /// Take the next packet to transmit (headers served with strict
@@ -153,6 +152,27 @@ impl<P: SimPayload> PortQueue<P> {
             self.stats.tx_bytes += u64::from(p.size);
         }
         pkt
+    }
+
+    /// Count `pkt` through this empty queue without storing it: if
+    /// [`PortQueue::enqueue`] would store it intact, leave [`stats`]
+    /// exactly as `enqueue` then [`PortQueue::dequeue`] would and
+    /// return `true` — the caller transmits the packet itself.
+    /// Otherwise (a zero capacity) change nothing and return `false`.
+    ///
+    /// [`stats`]: PortQueue::stats
+    pub fn pass(&mut self, pkt: &Packet<P>) -> bool {
+        debug_assert!(self.is_empty(), "only an empty queue passes packets");
+        let (cap, is_data) = self.admission(pkt);
+        if cap == 0 {
+            return false;
+        }
+        self.stats.enqueued += 1;
+        if is_data {
+            self.stats.max_depth = self.stats.max_depth.max(1);
+        }
+        self.stats.tx_bytes += u64::from(pkt.size);
+        true
     }
 
     /// Discard everything queued (fault injection: the port's link or
@@ -282,6 +302,61 @@ mod tests {
         q.enqueue(b);
         assert_eq!(q.dequeue().unwrap().flow, FlowId(1));
         assert_eq!(q.dequeue().unwrap().flow, FlowId(2));
+    }
+
+    /// `pass` on an empty queue counts exactly what `enqueue` then
+    /// `dequeue` would: under drop-tail and NDP, for data and control
+    /// packets, on a fresh queue and on one with traffic behind it. A
+    /// queue that would not store the packet (zero capacity) passes
+    /// nothing.
+    #[test]
+    fn pass_counts_like_enqueue_then_dequeue() {
+        let configs = [
+            QueueConfig::DROPTAIL_DEFAULT,
+            QueueConfig::NDP_DEFAULT,
+            QueueConfig::DropTail { cap_pkts: 1 },
+            QueueConfig::Ndp {
+                data_cap_pkts: 1,
+                header_cap_pkts: 1,
+            },
+        ];
+        for config in configs {
+            for payload in [P::Data, P::Pull, P::Hdr] {
+                for history in [0, 3] {
+                    let mut queued = PortQueue::new(config);
+                    for _ in 0..history {
+                        queued.enqueue(pkt(P::Data));
+                        queued.enqueue(pkt(P::Pull));
+                    }
+                    while queued.dequeue().is_some() {}
+                    let mut passed = PortQueue::new(config);
+                    passed.stats = queued.stats;
+                    let what = format!("{config:?}, {payload:?}, history {history}");
+                    assert_eq!(
+                        queued.enqueue(pkt(payload.clone())),
+                        Enqueued::Queued,
+                        "{what}"
+                    );
+                    assert!(queued.dequeue().is_some(), "{what}");
+                    assert!(passed.pass(&pkt(payload.clone())), "{what}");
+                    assert_eq!(passed.stats(), queued.stats(), "{what}");
+                    assert!(passed.is_empty(), "{what}");
+                }
+            }
+        }
+        for config in [
+            QueueConfig::DropTail { cap_pkts: 0 },
+            QueueConfig::Ndp {
+                data_cap_pkts: 0,
+                header_cap_pkts: 0,
+            },
+        ] {
+            let mut q = PortQueue::new(config);
+            for payload in [P::Data, P::Pull] {
+                assert!(!q.pass(&pkt(payload)), "{config:?}");
+                assert_eq!(q.stats(), QueueStats::default(), "{config:?}");
+            }
+        }
     }
 
     #[test]

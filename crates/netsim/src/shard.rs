@@ -477,8 +477,7 @@ where
         let pending = queues.pop().expect("just built").into_unordered();
         queues.resize_with(k, EventQueue::default);
         for ev in pending {
-            let t = target_of(&ev.kind, &sim.topo);
-            queues[plan.shard_of[t.0 as usize] as usize].push(ev);
+            queues[plan.shard_of[target_of(&ev.kind).0 as usize] as usize].push(ev);
         }
     }
     let mut lanes = vec![std::mem::take(&mut sim.lane)];
@@ -781,13 +780,10 @@ where
                 control: &*g.control,
                 tele_on,
             };
-            // The window test peeks: an event at or past the horizon
-            // stays put, cursor and all.
-            while queue.peek().is_some_and(|e| e.at.as_nanos() < horizon) {
-                let ev = queue.pop().expect("peeked");
+            // An event at or past the horizon stays put, cursor and all.
+            while let Some(ev) = queue.pop_before(horizon) {
                 last_at = ev.at.as_nanos();
-                let target = target_of(&ev.kind, env.topo);
-                let slot = cell_of[target.0 as usize] as usize - slot_base;
+                let slot = cell_of[target_of(&ev.kind).0 as usize] as usize - slot_base;
                 dispatch_node(
                     &env,
                     &mut cells_w[slot],
@@ -797,9 +793,8 @@ where
                     ev.seq,
                     ev.kind,
                 );
-                while let Some(oe) = lane.out.pop() {
-                    let ot = target_of(&oe.kind, env.topo);
-                    let os = plan.shard_of[ot.0 as usize] as usize;
+                for oe in lane.out.drain(..) {
+                    let os = plan.shard_of[target_of(&oe.kind).0 as usize] as usize;
                     if os == w {
                         queue.push(oe);
                     } else {

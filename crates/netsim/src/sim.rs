@@ -81,7 +81,10 @@ pub trait Agent<P: SimPayload> {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<P>);
 }
 
-/// Effect buffer handed to agent callbacks.
+/// Effect buffer handed to agent callbacks. Inside a simulator its two
+/// buffers are the execution lane's own, lent for the callback and
+/// handed back emptied once its effects are applied, so a callback
+/// allocates nothing here.
 pub struct Ctx<P> {
     /// Current simulation time.
     pub now: SimTime,
@@ -92,20 +95,16 @@ pub struct Ctx<P> {
 }
 
 impl<P> Ctx<P> {
-    fn new(now: SimTime, node: NodeId) -> Self {
+    /// A detached context for unit-testing agents outside a simulator.
+    /// Effects queued on it are inspectable via [`Ctx::queued_sends`] and
+    /// simply discarded on drop.
+    pub fn detached(now: SimTime, node: NodeId) -> Self {
         Self {
             now,
             node,
             sends: Vec::new(),
             timers: Vec::new(),
         }
-    }
-
-    /// A detached context for unit-testing agents outside a simulator.
-    /// Effects queued on it are inspectable via [`Ctx::queued_sends`] and
-    /// simply discarded on drop.
-    pub fn detached(now: SimTime, node: NodeId) -> Self {
-        Self::new(now, node)
     }
 
     /// Packets queued so far (test inspection).
@@ -254,17 +253,18 @@ pub(crate) type WireBox<P> = Box<Option<Packet<Stamped<P>>>>;
 /// on the node queue (per-shard in a sharded run).
 #[derive(Debug)]
 pub(crate) enum NodeEvent<P> {
-    /// Packet fully received at the far end of `(from, port)`
-    /// (store-and-forward). Carrying the transmitting side lets the
-    /// dispatcher drop packets whose link died while they were on the
-    /// wire. Boxed: `Arrive` dwarfs the other variants, and the queue
-    /// moves and sorts events by value — a thin event is most of the
-    /// event loop's memory traffic.
+    /// Packet fully received by `to` on `in_port` (store-and-forward).
+    /// Carrying the receiving end makes the target a field read, and
+    /// lets the dispatcher drop packets whose link died while they were
+    /// on the wire (the mask fails both directions together). Boxed:
+    /// `Arrive` dwarfs the other variants, and the queue moves events
+    /// by value — a thin event is most of the event loop's memory
+    /// traffic.
     Arrive {
-        /// Transmitting node.
-        from: NodeId,
-        /// Transmitting port on `from`.
-        port: u16,
+        /// Receiving node.
+        to: NodeId,
+        /// Receiving port on `to`.
+        in_port: u16,
         /// The packet (`Some` from transmission to dispatch).
         pkt: WireBox<P>,
     },

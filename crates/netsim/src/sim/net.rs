@@ -166,7 +166,8 @@ const LANE_BOXES_MAX: usize = 1 << 14;
 
 /// Per-execution-lane scratch: the stats a lane's node dispatch
 /// accumulates, the events it emits (routed to queues or mailboxes by
-/// the driver), and the telemetry notes it buffers. The simulator
+/// the driver), the effect buffers it lends agent callbacks, and the
+/// telemetry notes it buffers. The simulator
 /// owns one persistent lane, which shard 0 runs on; every other shard
 /// worker gets a fresh one whose stats merge into it at run end.
 pub(crate) struct Lane<P> {
@@ -177,6 +178,10 @@ pub(crate) struct Lane<P> {
     /// a sharded run a box travels with its packet, so boxes migrate
     /// between lanes.
     boxes: Vec<WireBox<P>>,
+    /// The [`Ctx`] buffers, lent to each agent callback and returned
+    /// empty by [`apply_ctx`], so their capacity is reused.
+    sends: Vec<Packet<P>>,
+    timers: Vec<(SimTime, u64)>,
     /// Telemetry events emitted during node dispatch, keyed by the
     /// authoring event so the driver can replay them to the sink in
     /// exact key order at synchronisation points.
@@ -189,6 +194,8 @@ impl<P> Default for Lane<P> {
             stats: FabricStats::default(),
             out: Vec::new(),
             boxes: Vec::new(),
+            sends: Vec::new(),
+            timers: Vec::new(),
             notes: Vec::new(),
         }
     }
@@ -228,9 +235,9 @@ pub(crate) fn probe_cells<'a, P: SimPayload + 'a, A: 'a>(
 
 /// The node a node-event executes at (and therefore the shard it
 /// belongs to): arrivals execute at the receiving end of the wire.
-pub(crate) fn target_of<P>(kind: &NodeEvent<P>, topo: &Topology) -> NodeId {
+pub(crate) fn target_of<P>(kind: &NodeEvent<P>) -> NodeId {
     match kind {
-        NodeEvent::Arrive { from, port, .. } => topo.port(*from, *port).peer,
+        NodeEvent::Arrive { to, .. } => *to,
         NodeEvent::Dequeue(n, _) => *n,
         NodeEvent::Timer(n, _) => *n,
     }
@@ -251,19 +258,20 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
 ) {
     match kind {
         NodeEvent::Arrive {
-            from,
-            port,
+            to,
+            in_port,
             pkt: mut wire,
         } => {
-            debug_assert_eq!(env.topo.port(from, port).peer, cell.node);
+            debug_assert_eq!(to, cell.node);
             let pkt = wire.take().expect("a box on the wire holds its packet");
             if lane.boxes.len() < LANE_BOXES_MAX {
                 lane.boxes.push(wire);
             }
             // The packet was on the wire; if the link died under it
-            // or the far end is dead, it never really arrives.
-            if env.control.mask.link_is_down(from, port) || env.control.mask.node_is_down(cell.node)
-            {
+            // or the far end is dead, it never really arrives. The mask
+            // fails and restores both directions of a link together,
+            // so the receiving end's entry stands for the wire.
+            if env.control.mask.link_is_down(to, in_port) || env.control.mask.node_is_down(to) {
                 lane.stats.lost_to_fault += 1;
                 return;
             }
@@ -283,7 +291,7 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
         }
         NodeEvent::Timer(node, token) => {
             debug_assert_eq!(node, cell.node);
-            let mut ctx = Ctx::new(at, node);
+            let mut ctx = lend_ctx(lane, at, node);
             let agent = cell
                 .agent
                 .as_mut()
@@ -307,7 +315,7 @@ fn deliver_to_agent<P: SimPayload, A: Agent<P>>(
         assert_eq!(h, cell.node, "unicast packet delivered to wrong host");
     }
     lane.stats.delivered += 1;
-    let mut ctx = Ctx::new(now.0, cell.node);
+    let mut ctx = lend_ctx(lane, now.0, cell.node);
     let agent = cell
         .agent
         .as_mut()
@@ -316,6 +324,19 @@ fn deliver_to_agent<P: SimPayload, A: Agent<P>>(
     apply_ctx(env, cell, lane, now, ctx);
 }
 
+/// A context for one agent callback at `node`, holding the lane's
+/// effect buffers until [`apply_ctx`] hands them back.
+fn lend_ctx<P>(lane: &mut Lane<P>, now: SimTime, node: NodeId) -> Ctx<P> {
+    Ctx {
+        now,
+        node,
+        sends: std::mem::take(&mut lane.sends),
+        timers: std::mem::take(&mut lane.timers),
+    }
+}
+
+/// Apply a callback's effects, then return its emptied buffers to the
+/// lane.
 fn apply_ctx<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
@@ -323,9 +344,14 @@ fn apply_ctx<P: SimPayload, A: Agent<P>>(
     now: EvKey,
     ctx: Ctx<P>,
 ) {
-    let node = ctx.node;
+    let Ctx {
+        node,
+        mut sends,
+        mut timers,
+        ..
+    } = ctx;
     debug_assert_eq!(node, cell.node);
-    for (t, token) in ctx.timers {
+    for (t, token) in timers.drain(..) {
         assert!(
             t >= now.0,
             "timer at {} is in the simulator's past (now {})",
@@ -340,11 +366,13 @@ fn apply_ctx<P: SimPayload, A: Agent<P>>(
             kind: NodeEvent::Timer(node, token),
         });
     }
-    for pkt in ctx.sends {
+    for pkt in sends.drain(..) {
         // Host NIC: hosts have exactly one port (index 0). The layer
         // stamp stays unset until the first switch assigns it.
         enqueue_and_kick(env, cell, lane, now, 0, wrap_packet(pkt));
     }
+    lane.sends = sends;
+    lane.timers = timers;
 }
 
 fn forward<P: SimPayload, A: Agent<P>>(
@@ -431,6 +459,16 @@ fn enqueue_and_kick<P: SimPayload, A: Agent<P>>(
     port: u16,
     pkt: Packet<Stamped<P>>,
 ) -> Enqueued {
+    // An empty queue in front of a free, live wire: the packet goes
+    // straight on, counted as if it had been queued and dequeued.
+    if cell.queues[port as usize].is_empty() && !cell.port_busy(port, now) {
+        if let Some(rate) = wire_rate(env, cell.node, port) {
+            if cell.queues[port as usize].pass(&pkt) {
+                put_on_wire(env, cell, lane, now.0, port, rate, pkt);
+                return Enqueued::Queued;
+            }
+        }
+    }
     let outcome = cell.queues[port as usize].enqueue(pkt);
     match outcome {
         Enqueued::Dropped => {
@@ -448,6 +486,21 @@ fn enqueue_and_kick<P: SimPayload, A: Agent<P>>(
     outcome
 }
 
+/// The rate `(node, port)` transmits at, or `None` while it cannot:
+/// a silent rate-0 blackhole or a detected fault. A port that cannot
+/// transmit stays idle; queued packets wait for a possible repair (and
+/// overflow per queue discipline).
+fn wire_rate(env: &Env<'_>, node: NodeId, port: u16) -> Option<u64> {
+    let rate = env
+        .control
+        .rate_overrides
+        .get(&(node.0, port))
+        .copied()
+        .unwrap_or_else(|| env.topo.port(node, port).rate_bps);
+    let faulted = env.control.mask.node_is_down(node) || env.control.mask.link_is_down(node, port);
+    (rate > 0 && !faulted).then_some(rate)
+}
+
 /// Put `port`'s next queued packet on the wire at `at`. Only called
 /// with the wire free: by the port's release event, or by an enqueue
 /// that found the release already past.
@@ -458,23 +511,27 @@ fn transmit_next<P: SimPayload, A: Agent<P>>(
     at: SimTime,
     port: u16,
 ) {
-    let node = cell.node;
-    let rate = env
-        .control
-        .rate_overrides
-        .get(&(node.0, port))
-        .copied()
-        .unwrap_or_else(|| env.topo.port(node, port).rate_bps);
-    let faulted = env.control.mask.node_is_down(node) || env.control.mask.link_is_down(node, port);
-    if rate == 0 || faulted {
-        // Link down (silent rate-0 blackhole or detected fault):
-        // leave the port idle; queued packets wait for a possible
-        // repair (and overflow per queue discipline).
-        return;
-    }
-    let Some(pkt) = cell.queues[port as usize].dequeue() else {
+    let Some(rate) = wire_rate(env, cell.node, port) else {
         return;
     };
+    if let Some(pkt) = cell.queues[port as usize].dequeue() {
+        put_on_wire(env, cell, lane, at, port, rate, pkt);
+    }
+}
+
+/// Transmit `pkt` from `port` at `at`, the wire free and live at
+/// `rate`: its arrival goes out, and the port's release is reserved
+/// (and armed if packets wait behind it).
+fn put_on_wire<P: SimPayload, A: Agent<P>>(
+    env: &Env<'_>,
+    cell: &mut NodeCell<P, A>,
+    lane: &mut Lane<P>,
+    at: SimTime,
+    port: u16,
+    rate: u64,
+    pkt: Packet<Stamped<P>>,
+) {
+    let node = cell.node;
     let link = *env.topo.port(node, port);
     let ser = serialization_ns(pkt.size, rate);
     let seq = cell.next_seq();
@@ -485,8 +542,8 @@ fn transmit_next<P: SimPayload, A: Agent<P>>(
         rank: node.0 + 1,
         seq,
         kind: NodeEvent::Arrive {
-            from: node,
-            port,
+            to: link.peer,
+            in_port: link.peer_port,
             pkt: wire,
         },
     });

@@ -815,7 +815,7 @@ fn event_key_is_total_and_push_order_independent() {
             let (at, rank, seq) = keys[i];
             queue.push(mk(at, rank, seq));
         }
-        std::iter::from_fn(|| queue.pop())
+        std::iter::from_fn(|| queue.pop_before(u64::MAX))
             .map(|ev| ev.key())
             .collect()
     };

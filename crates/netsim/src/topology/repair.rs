@@ -3,7 +3,7 @@
 
 use crate::fault::FaultMask;
 
-use super::routes::{fabric_links, LayerTables, SwitchIndex};
+use super::routes::{fabric_links, live_fabric_ports, LayerTables, SwitchIndex};
 use super::{host_cut, NodeId, NodeKind, Port, Topology};
 
 /// Outcome of an incremental [`Topology::repair_routes`] call —
@@ -131,6 +131,7 @@ impl Topology {
         // arena), shifting entries in place and flagging per-column
         // outcomes in bitmaps that are aggregated afterwards.
         let n_cols = self.col_root.len();
+        let live = live_fabric_ports(&self.kinds, &self.ports, &self.port_off, mask);
         let mut dirty_cols: Vec<Vec<bool>> = Vec::with_capacity(n_layers);
         let mut touched_total = 0usize;
         for layer in 0..n_layers {
@@ -166,7 +167,7 @@ impl Topology {
             // dirty columns are skipped — their rebuild below covers
             // everything at once.
             restore_surgery_layer(
-                &self.kinds,
+                &live,
                 &self.ports,
                 &self.port_off,
                 ix,
@@ -187,7 +188,7 @@ impl Topology {
             .iter()
             .map(|cols| cols.iter().filter(|&&d| d).count())
             .sum();
-        self.rebuild_columns(mask, Some(&dirty_cols));
+        self.rebuild_columns(mask, &live, Some(&dirty_cols));
         self.routes_mask = mask.clone();
         RouteRepair {
             full: false,
@@ -212,7 +213,7 @@ impl Topology {
 // obscure that they advance in lockstep.
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 fn restore_surgery_layer(
-    kinds: &[NodeKind],
+    live: &[bool],
     ports: &[Port],
     off: &[u32],
     ix: &SwitchIndex,
@@ -228,7 +229,7 @@ fn restore_surgery_layer(
         let wu = w.0 as usize;
         // w's usable links under the new mask: (port, peer, the peer's
         // port back to w, link weight).
-        let live: Vec<(u16, usize, u16, u32)> = fabric_links(kinds, ports, off, mask, w.0)
+        let usable: Vec<(u16, usize, u16, u32)> = fabric_links(live, ports, off, w.0)
             .map(|(pi, gid, port)| {
                 (
                     pi,
@@ -238,7 +239,7 @@ fn restore_surgery_layer(
                 )
             })
             .collect();
-        let mut own = Vec::with_capacity(live.len());
+        let mut own = Vec::with_capacity(usable.len());
         for col in 0..roots.len() {
             if col_dirty[col] {
                 continue;
@@ -251,7 +252,7 @@ fn restore_surgery_layer(
             }
             // New distance of w: one link past its closest reachable
             // usable neighbour.
-            let dw = live
+            let dw = usable
                 .iter()
                 .map(|&(_, peer, _, wl)| tab.dist_to(ix, peer, col).saturating_add(wl))
                 .min()
@@ -262,7 +263,7 @@ fn restore_surgery_layer(
             // Any usable neighbour strictly farther than dw + w(link)
             // (including unreachable ones) gets closer through w — the
             // shrink can cascade, so rebuild this column.
-            if live
+            if usable
                 .iter()
                 .any(|&(_, peer, _, wl)| tab.dist_to(ix, peer, col) > dw + wl)
             {
@@ -275,7 +276,7 @@ fn restore_surgery_layer(
             // further out.
             tab.set_dist(ix, wu, col, dw);
             own.clear();
-            for &(pi, peer, back, wl) in &live {
+            for &(pi, peer, back, wl) in &usable {
                 let dp = tab.dist_to(ix, peer, col);
                 if dp + wl == dw {
                     own.push(pi);

@@ -280,7 +280,8 @@ impl Topology {
             tab.len.resize(s * n_cols, 0);
             tab.dist.resize(s * n_cols, u32::MAX);
         }
-        self.rebuild_columns(mask, None);
+        let live = live_fabric_ports(&self.kinds, &self.ports, &self.port_off, mask);
+        self.rebuild_columns(mask, &live, None);
         for (a, &h) in self.access.iter_mut().zip(&self.hosts) {
             a.cut = host_cut(mask, h);
         }
@@ -288,12 +289,18 @@ impl Topology {
         self.routes_mask = mask.clone();
     }
 
-    /// Rebuild route columns against `mask` — all of them, or only the
-    /// (layer, column) pairs flagged in `dirty`; full recompute and
-    /// repair share this loop. A column is a contiguous slice of each
-    /// destination-major arena and is searched with one reused scratch.
-    pub(super) fn rebuild_columns(&mut self, mask: &FaultMask, dirty: Option<&[Vec<bool>]>) {
-        let (kinds, ports, port_off) = (&self.kinds, &self.ports, &self.port_off);
+    /// Rebuild route columns against `mask` (whose usable fabric ports
+    /// are `live`) — all of them, or only the (layer, column) pairs
+    /// flagged in `dirty`; full recompute and repair share this loop. A
+    /// column is a contiguous slice of each destination-major arena and
+    /// is searched with one reused scratch.
+    pub(super) fn rebuild_columns(
+        &mut self,
+        mask: &FaultMask,
+        live: &[bool],
+        dirty: Option<&[Vec<bool>]>,
+    ) {
+        let (ports, port_off) = (&self.ports, &self.port_off);
         let rows = &self.switches.rows;
         let mut scratch = ColumnScratch::default();
         for (layer, tab) in self.layers.iter_mut().enumerate() {
@@ -310,7 +317,7 @@ impl Topology {
                         len: &mut tab.len[col * s..][..s],
                         dist: &mut tab.dist[col * s..][..s],
                     };
-                    compute_column(kinds, ports, port_off, rows, mask, column, &mut scratch);
+                    compute_column(live, ports, port_off, rows, mask, column, &mut scratch);
                 }
             }
         }
@@ -519,25 +526,46 @@ struct Column<'a> {
     dist: &'a mut [u32],
 }
 
-/// The usable switch-to-switch links of switch `u` under `mask` (link
-/// up, peer a live switch), as `(port index, global port id, port)` in
-/// ascending port order. The only adjacency route computation sees:
+/// One flag per global port: whether it is a usable switch-to-switch
+/// link under `mask` (a switch's port, link up, peer a live switch).
+/// Built once per recomputation or repair, so the searches ask the mask
+/// once per port rather than once per port and column.
+pub(super) fn live_fabric_ports(
+    kinds: &[NodeKind],
+    ports: &[Port],
+    off: &[u32],
+    mask: &FaultMask,
+) -> Vec<bool> {
+    let mut live = vec![false; ports.len()];
+    for (u, kind) in kinds.iter().enumerate() {
+        if *kind != NodeKind::Switch {
+            continue;
+        }
+        let base = off[u] as usize;
+        for (pi, port) in ports[base..off[u + 1] as usize].iter().enumerate() {
+            live[base + pi] = kinds[port.peer.0 as usize] == NodeKind::Switch
+                && !mask.link_is_down(NodeId(u as u32), pi as u16)
+                && !mask.node_is_down(port.peer);
+        }
+    }
+    live
+}
+
+/// The usable switch-to-switch links of switch `u` (flagged in `live`,
+/// see [`live_fabric_ports`]), as `(port index, global port id, port)`
+/// in ascending port order. The only adjacency route computation sees:
 /// hosts are in no frontier and no surgery loop.
 pub(super) fn fabric_links<'a>(
-    kinds: &'a [NodeKind],
+    live: &'a [bool],
     ports: &'a [Port],
     off: &[u32],
-    mask: &'a FaultMask,
     u: u32,
 ) -> impl Iterator<Item = (u16, usize, &'a Port)> {
     let base = off[u as usize] as usize;
     let mine = &ports[base..off[u as usize + 1] as usize];
-    mine.iter().enumerate().filter_map(move |(pi, port)| {
-        let usable = kinds[port.peer.0 as usize] == NodeKind::Switch
-            && !mask.link_is_down(NodeId(u), pi as u16)
-            && !mask.node_is_down(port.peer);
-        usable.then_some((pi as u16, base + pi, port))
-    })
+    mine.iter()
+        .enumerate()
+        .filter_map(move |(pi, port)| live[base + pi].then_some((pi as u16, base + pi, port)))
 }
 
 /// Rebuild one layer's routing column for one access switch: a weighted
@@ -553,7 +581,7 @@ pub(super) fn fabric_links<'a>(
 /// `Topology` fields disjointly. The search runs on node ids and
 /// indexes the slices by each switch's [`SwitchRow`].
 fn compute_column(
-    kinds: &[NodeKind],
+    live: &[bool],
     ports: &[Port],
     off: &[u32],
     rows: &[SwitchRow],
@@ -590,7 +618,7 @@ fn compute_column(
                 continue; // settled closer through another neighbour
             }
             reached.push(u);
-            for (_, gid, port) in fabric_links(kinds, ports, off, mask, u) {
+            for (_, gid, port) in fabric_links(live, ports, off, u) {
                 let (nd, v) = (d + weights[gid] as u32, port.peer.0);
                 if nd < dist[row(v)] {
                     dist[row(v)] = nd;
@@ -607,7 +635,7 @@ fn compute_column(
         let SwitchRow { row: r, cell } = rows[u as usize];
         let (r, base) = (r as usize, cell as usize);
         let mut l = 0usize;
-        for (pi, gid, port) in fabric_links(kinds, ports, off, mask, u) {
+        for (pi, gid, port) in fabric_links(live, ports, off, u) {
             let dv = dist[row(port.peer.0)];
             if dv != u32::MAX && dv + weights[gid] as u32 == dist[r] {
                 buf[base + l] = pi;
