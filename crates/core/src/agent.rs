@@ -168,13 +168,6 @@ pub struct PolyraptorAgent {
     /// (session, revived sender) re-admissions via host-revival
     /// notifications — strandings that were later undone.
     pub unstranded_sessions: u64,
-    /// Real-oracle encoders this host's senders built. A session's
-    /// replicas share one encoder ([`SessionSpec`] carries it), so summed
-    /// over all hosts this counts one per object sent, not one per
-    /// replica; always 0 under the counting oracle. Only the sum is
-    /// meaningful: which replica builds is whichever starts first — in a
-    /// sharded run, in wall-clock time.
-    pub objects_encoded: u64,
     /// Flow-span telemetry: session open/close and recovery marks, in
     /// the order recorded (time-ordered — marks are appended at event
     /// time). Empty unless [`PrConfig::record_spans`] is set; collected
@@ -200,7 +193,6 @@ impl PolyraptorAgent {
             stranded_sessions: 0,
             retargeted_sessions: 0,
             unstranded_sessions: 0,
-            objects_encoded: 0,
             spans: Vec::new(),
         }
     }
@@ -247,6 +239,17 @@ impl PolyraptorAgent {
     /// Protocol configuration.
     pub fn config(&self) -> &PrConfig {
         &self.cfg
+    }
+
+    /// Receive sessions on this host whose real oracle built an encoder
+    /// over the object (see [`ReceiverSession::encoded`]): one per
+    /// receiver that got a symbol, so a multicast write counts once per
+    /// receiver; always 0 under the counting oracle.
+    pub fn objects_encoded(&self) -> u64 {
+        self.recv_sessions
+            .values()
+            .filter(|rs| rs.encoded())
+            .count() as u64
     }
 
     // ---- pull machinery -------------------------------------------------
@@ -492,18 +495,27 @@ impl Agent<PrPayload> for PolyraptorAgent {
                 esi,
                 sender_idx,
                 trimmed,
-                body,
             } => {
                 let Some(rs) = self.recv_sessions.get_mut(&session) else {
                     return;
                 };
+                // A symbol names its session, and a real oracle writes the
+                // bytes of that session's object: a symbol stamped with
+                // another session would decode into the wrong object.
+                debug_assert_eq!(
+                    rs.spec.sender_index(pkt.src),
+                    Some(usize::from(sender_idx)),
+                    "symbol from {:?} stamped session {} sender {sender_idx}",
+                    pkt.src,
+                    session.0
+                );
                 if rs.done {
                     return; // late tail symbols after completion
                 }
                 if trimmed {
                     rs.on_trimmed(sender_idx, esi, ctx.now);
                     self.enqueue_pull(session, pkt.src, PullClass::Credit, ctx);
-                } else if rs.on_symbol(sender_idx, esi, body, ctx.now) {
+                } else if rs.on_symbol(sender_idx, esi, ctx.now) {
                     self.complete_session(session, ctx);
                 } else {
                     self.enqueue_pull(session, pkt.src, PullClass::Credit, ctx);
@@ -518,13 +530,11 @@ impl Agent<PrPayload> for PolyraptorAgent {
             } => {
                 if let Some(ss) = self.send_sessions.get_mut(&session) {
                     ss.on_pull(pkt.src, count, nudge, batch, self.node, &self.cfg, ctx);
-                    self.objects_encoded += u64::from(ss.take_built_encoder());
                 }
             }
             PrPayload::Req { session } => {
                 if let Some(ss) = self.send_sessions.get_mut(&session) {
                     ss.on_req(self.node, &self.cfg, ctx);
-                    self.objects_encoded += u64::from(ss.take_built_encoder());
                 }
             }
             PrPayload::Fin { session } => {
@@ -546,7 +556,6 @@ impl Agent<PrPayload> for PolyraptorAgent {
                 if let Some(ss) = self.send_sessions.get_mut(&sid) {
                     if ss.spec.initiator == Initiator::Sender {
                         ss.start(self.node, &self.cfg, ctx);
-                        self.objects_encoded += u64::from(ss.take_built_encoder());
                     }
                     // Receiver-initiated senders wait for Req.
                 } else {

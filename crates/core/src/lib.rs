@@ -72,4 +72,4 @@ pub use oracle::{required_overhead, session_object, Oracle};
 pub use receiver::ReceiverSession;
 pub use sender::SenderSession;
 pub use session::{Initiator, SessionSpec};
-pub use wire::{symbol_packet_bytes, PrPayload, SessionId, SymbolBody, CONTROL_BYTES};
+pub use wire::{symbol_packet_bytes, PrPayload, SessionId, CONTROL_BYTES};

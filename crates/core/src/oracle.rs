@@ -13,11 +13,13 @@
 //! * [`Oracle::Real`] runs the actual [`rq`] decoder over real bytes and
 //!   only reports completion when decoding genuinely succeeds — and the
 //!   decoded bytes equal the session's canonical object. Tests use it to
-//!   validate the counting model. It holds symbol storage for what has
-//!   arrived, none before the first symbol, and once it has succeeded
-//!   none again.
+//!   validate the counting model. Symbols arrive as ESIs alone (the wire
+//!   carries no bytes), so the oracle owns an encoder over the canonical
+//!   object and has it write each arrival into the decoder. It holds
+//!   symbol storage for what has arrived and no encoder before the first
+//!   symbol, and once it has succeeded neither again.
 
-use rq::{CodeMode, CodeParams, DecodeStats, Decoded, Decoder};
+use rq::{CodeMode, CodeParams, DecodeStats, Decoded, Decoder, Encoder};
 
 use crate::wire::SessionId;
 
@@ -93,6 +95,13 @@ pub enum Oracle {
         /// The in-progress decoder; `None` once decode succeeded — the
         /// received symbols are freed with it.
         decoder: Option<Decoder>,
+        /// The encoder over the canonical object that writes each symbol
+        /// arriving without bytes: built at the first such symbol, freed
+        /// with the decoder. Boxed: sessions stay installed after their
+        /// decode, so an inline encoder would grow every one of them.
+        encoder: Option<Box<Encoder>>,
+        /// Whether this oracle ever built its encoder.
+        encoded: bool,
         /// Distinct symbols the successful decode had collected.
         received: usize,
         /// The decode paths the decoder took, kept past its release.
@@ -124,14 +133,18 @@ impl Oracle {
         Oracle::Real {
             session,
             decoder: Some(Decoder::new(code)),
+            encoder: None,
+            encoded: false,
             received: 0,
             stats: DecodeStats::default(),
         }
     }
 
-    /// Record a received symbol. `bytes` is `None` under counting mode
-    /// (the simulation does not materialize symbol bodies at scale).
-    /// Returns `true` if the object just became recoverable.
+    /// Record a received symbol. `bytes` is `None` when the symbol came
+    /// over the simulated wire, which carries none: the counting oracle
+    /// needs none, and the real one has its own encoder write the symbol
+    /// straight into the decoder's storage (a duplicate is not written
+    /// at all). Returns `true` if the object just became recoverable.
     pub fn add(&mut self, esi: u32, bytes: Option<Vec<u8>>) -> bool {
         match self {
             Oracle::Counting {
@@ -147,63 +160,60 @@ impl Oracle {
                 // distinct symbols.
                 *source_seen == *k || seen.len() >= *k + *required_overhead
             }
-            Oracle::Real { .. } => {
-                let bytes = bytes.expect("real oracle requires symbol bytes");
-                self.add_real(|dec| dec.push(esi, bytes))
+            Oracle::Real {
+                session,
+                decoder,
+                encoder,
+                encoded,
+                received,
+                stats,
+            } => {
+                let Some(dec) = decoder else {
+                    return true;
+                };
+                match bytes {
+                    Some(bytes) => dec.push(esi, bytes),
+                    None => {
+                        let enc = encoder.get_or_insert_with(|| {
+                            *encoded = true;
+                            let code = dec.params();
+                            Box::new(object_encoder(*session, code.data_len, code.symbol_size))
+                        });
+                        dec.push_with(esi, |slot| enc.symbol_into(esi, slot))
+                    }
+                };
+                // From `k` distinct symbols on, try to decode in place; a
+                // success is checked against the canonical object and
+                // releases the decoder and the encoder.
+                if dec.symbols_received() < dec.params().k {
+                    return false;
+                }
+                let decoded = match dec.decode_in_place() {
+                    Ok(object) => {
+                        assert!(
+                            is_session_object(*session, object),
+                            "real oracle decoded wrong bytes for session {}",
+                            session.0
+                        );
+                        true
+                    }
+                    Err(_) => false,
+                };
+                *stats = dec.decode_stats();
+                if decoded {
+                    *received = dec.symbols_received();
+                    *decoder = None;
+                    *encoder = None;
+                }
+                decoded
             }
         }
     }
 
-    /// [`Oracle::add`] for a symbol its sender's encoder has yet to
-    /// write: the real oracle has the encoder write it straight into the
-    /// decoder's storage (a duplicate is not written at all); the
-    /// counting oracle needs no bytes.
-    pub fn add_encoded(&mut self, esi: u32, encoder: &rq::Encoder) -> bool {
-        match self {
-            Oracle::Counting { .. } => self.add(esi, None),
-            Oracle::Real { .. } => {
-                self.add_real(|dec| dec.push_with(esi, |slot| encoder.symbol_into(esi, slot)))
-            }
-        }
-    }
-
-    /// The real arm of [`Oracle::add`]: `push` the symbol and, from `k`
-    /// distinct symbols on, try to decode in place. A success is checked
-    /// against the session's canonical object and releases the decoder.
-    fn add_real(&mut self, push: impl FnOnce(&mut Decoder) -> bool) -> bool {
-        let Oracle::Real {
-            session,
-            decoder,
-            received,
-            stats,
-        } = self
-        else {
-            unreachable!("add_real is the real oracle's")
-        };
-        let Some(dec) = decoder else {
-            return true;
-        };
-        push(dec);
-        if dec.symbols_received() < dec.params().k {
-            return false;
-        }
-        let decoded = match dec.decode_in_place() {
-            Ok(object) => {
-                assert!(
-                    is_session_object(*session, object),
-                    "real oracle decoded wrong bytes for session {}",
-                    session.0
-                );
-                true
-            }
-            Err(_) => false,
-        };
-        *stats = dec.decode_stats();
-        if decoded {
-            *received = dec.symbols_received();
-            *decoder = None;
-        }
-        decoded
+    /// Whether this oracle built an encoder: a real oracle does at its
+    /// first symbol that came without bytes, the counting one never.
+    pub fn encoded(&self) -> bool {
+        matches!(self, Oracle::Real { encoded: true, .. })
     }
 
     /// Distinct symbols collected so far.
@@ -276,9 +286,9 @@ fn object_word(session: SessionId, i: u64) -> [u8; 8] {
 
 /// Write `session`'s canonical object from byte `at` on over `out`, at
 /// any offset, word-aligned or not — the generator behind
-/// [`session_object`], and the store a real-oracle sender's encoder
-/// re-reads its source symbols from.
-pub(crate) fn write_session_object_at(session: SessionId, at: usize, out: &mut [u8]) {
+/// [`session_object`], and the store a real oracle's encoder re-reads
+/// its source symbols from.
+fn write_session_object_at(session: SessionId, at: usize, out: &mut [u8]) {
     // Up to the word boundary, then whole words, then what is left of
     // the last one — as `session_object_matches_at` checks them.
     let (head, body) = out.split_at_mut(((8 - at % 8) % 8).min(out.len()));
@@ -294,12 +304,23 @@ pub(crate) fn write_session_object_at(session: SessionId, at: usize, out: &mut [
 }
 
 /// The canonical (deterministic) object bytes for a session — what a
-/// "real" sender would read from storage. Both the real oracle and the
-/// real-mode sender generate the same bytes from the session id.
+/// "real" sender would read from storage, generated from the session id
+/// alone.
 pub fn session_object(session: SessionId, len: usize) -> Vec<u8> {
     let mut out = vec![0u8; len];
     write_session_object_at(session, 0, &mut out);
     out
+}
+
+/// An encoder over session `id`'s canonical object of `data_len` bytes
+/// in symbols of `symbol_size` bytes. It keeps only the object's parity:
+/// like a replica's store, the generator hands it the source bytes again
+/// whenever a symbol needs them.
+fn object_encoder(id: SessionId, data_len: usize, symbol_size: usize) -> Encoder {
+    Encoder::from_source(data_len, symbol_size, move |at, out| {
+        write_session_object_at(id, at, out)
+    })
+    .expect("session object is non-empty and fits one block")
 }
 
 /// Whether `object` is `session`'s canonical object, regenerated word by
@@ -332,8 +353,6 @@ fn session_object_matches_at(session: SessionId, at: usize, bytes: &[u8]) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::object_encoder;
-    use rq::Encoder;
 
     #[test]
     fn overhead_distribution_shape() {
@@ -459,14 +478,14 @@ mod tests {
     }
 
     #[test]
-    fn add_encoded_equals_add_with_bytes() {
-        // The by-reference path and the by-value one feed one decoder
+    fn add_without_bytes_equals_add_with_bytes() {
+        // The oracle's own encoder and bytes handed in feed one decoder
         // logic: same answers symbol by symbol, duplicates included.
         let session = SessionId(21);
         let len = 40 * 64 - 9;
         let enc = Encoder::new(&session_object(session, len), 64).unwrap();
         let mut by_value = Oracle::real(session, len, 64, CodeMode::Systematic);
-        let mut by_reference = Oracle::real(session, len, 64, CodeMode::Systematic);
+        let mut by_esi = Oracle::real(session, len, 64, CodeMode::Systematic);
         let esis = (0..40u32)
             .filter(|e| e % 7 != 2)
             .chain([41, 41, 44, 47, 50, 53, 56, 59, 62]);
@@ -475,21 +494,25 @@ mod tests {
             if done {
                 break;
             }
-            done = by_reference.add_encoded(esi, &enc);
+            done = by_esi.add(esi, None);
             assert_eq!(done, by_value.add(esi, Some(enc.symbol(esi))), "esi {esi}");
-            assert_eq!(by_reference.symbols_received(), by_value.symbols_received());
-            assert_eq!(by_reference.symbols_needed(), by_value.symbols_needed());
+            assert_eq!(by_esi.symbols_received(), by_value.symbols_received());
+            assert_eq!(by_esi.symbols_needed(), by_value.symbols_needed());
         }
         assert!(done);
-        assert_eq!(by_reference.decode_stats(), by_value.decode_stats());
-        assert!(by_reference.decode_stats().solver_decodes >= 1);
+        assert_eq!(by_esi.decode_stats(), by_value.decode_stats());
+        assert!(by_esi.decode_stats().solver_decodes >= 1);
         // What had arrived (34 sources and the repairs it took), not the
         // six symbols the decode filled in.
-        assert!((40..46).contains(&by_reference.symbols_received()));
-        // The counting oracle takes the same call and needs no bytes.
+        assert!((40..46).contains(&by_esi.symbols_received()));
+        // Only the oracle that was handed no bytes built an encoder.
+        assert!(by_esi.encoded());
+        assert!(!by_value.encoded());
+        // The counting oracle takes the same call and never encodes.
         let mut counting = Oracle::counting(session, 40, 1);
-        assert!(!counting.add_encoded(0, &enc));
+        assert!(!counting.add(0, None));
         assert_eq!(counting.symbols_received(), 1);
+        assert!(!counting.encoded());
     }
 
     /// A decoder holding `object` cut into `t`-byte source symbols.
@@ -575,10 +598,11 @@ mod tests {
             t in 1usize..200,
         ) {
             use proptest::prelude::*;
-            // The encoder a real-oracle sender builds keeps only the
-            // parity and re-reads the generator at unaligned offsets
-            // (odd `t`) up to a ragged tail (`n % t != 0`); it must send
-            // what an encoder over a staged copy of the object sends.
+            // The encoder a real oracle builds keeps only the parity, as
+            // a replica sending from its store would, and re-reads the
+            // generator at unaligned offsets (odd `t`) up to a ragged
+            // tail (`n % t != 0`); it must write what an encoder over a
+            // staged copy of the object sends.
             let session = SessionId(id);
             let sender = object_encoder(session, n, t);
             let staged = Encoder::new(&session_object(session, n), t).unwrap();

@@ -21,7 +21,6 @@ use crate::config::{OracleMode, PrConfig, SYMBOL_SIZE};
 use crate::metrics::SessionRecord;
 use crate::oracle::Oracle;
 use crate::session::{EsiLayout, SessionSpec};
-use crate::wire::SymbolBody;
 
 /// Receiver-side state for one session.
 pub struct ReceiverSession {
@@ -125,24 +124,16 @@ impl ReceiverSession {
         }
     }
 
-    /// Record a full symbol from sender `sender_idx`; returns `true`
-    /// when the object just became recoverable.
-    pub fn on_symbol(
-        &mut self,
-        sender_idx: u8,
-        esi: u32,
-        body: Option<SymbolBody>,
-        now: SimTime,
-    ) -> bool {
+    /// Record a full symbol `esi` from sender `sender_idx`; returns
+    /// `true` when the object just became recoverable. The symbol comes
+    /// without bytes: a real oracle has its own encoder write them.
+    pub fn on_symbol(&mut self, sender_idx: u8, esi: u32, now: SimTime) -> bool {
         debug_assert!(!self.done);
         self.started = true;
         self.last_activity = now;
         self.count_arrival(sender_idx);
         self.note_esi(sender_idx, esi);
-        match body {
-            Some(body) => self.oracle.add_encoded(esi, body.encoder()),
-            None => self.oracle.add(esi, None),
-        }
+        self.oracle.add(esi, None)
     }
 
     /// Record a trimmed header (no coding progress, but it advances the
@@ -271,6 +262,12 @@ impl ReceiverSession {
         self.oracle.decode_stats()
     }
 
+    /// Whether this session's real oracle built an encoder over the
+    /// object (see [`Oracle::encoded`]).
+    pub fn encoded(&self) -> bool {
+        self.oracle.encoded()
+    }
+
     /// The next sender to target with a keep-alive pull (round-robin
     /// over the senders not known dead; plain round-robin when every
     /// sender is dead — they may yet revive, and the keep-alive must
@@ -396,7 +393,7 @@ mod tests {
         let mut rs = recv_session(5 * SYMBOL_SIZE);
         let mut done = false;
         for esi in 0..5u32 {
-            done = rs.on_symbol(0, esi, None, SimTime::from_nanos(esi as u64));
+            done = rs.on_symbol(0, esi, SimTime::from_nanos(esi as u64));
         }
         assert!(done, "systematic completion at k source symbols");
         assert_eq!(rs.arrivals_from(0), 5);
@@ -418,33 +415,56 @@ mod tests {
         let mut ss = SenderSession::new(spec.clone(), NodeId(1), &cfg);
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(1));
         ss.start(NodeId(1), &cfg, &mut ctx);
-        let symbols: Vec<(u32, SymbolBody)> = ctx
+        let esis: Vec<u32> = ctx
             .queued_sends()
             .iter()
-            .map(|pkt| match &pkt.payload {
-                PrPayload::Symbol { esi, body, .. } => (*esi, body.clone().unwrap()),
+            .map(|pkt| match pkt.payload {
+                PrPayload::Symbol { esi, .. } => esi,
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
 
         // Built with the session, like the counting oracle — and until a
-        // symbol arrives it is parameters only.
+        // symbol arrives it is parameters only, with nothing encoded.
         let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 1);
         let Oracle::Real {
             decoder: Some(decoder),
+            encoder: None,
             ..
         } = &rs.oracle
         else {
-            panic!("a fresh real oracle is decoding");
+            panic!("a fresh real oracle is decoding and has no encoder");
         };
         assert_eq!(decoder.storage_bytes(), 0);
+        assert!(!rs.encoded());
         assert_eq!((rs.symbols_received(), rs.symbols_needed()), (0, 5));
         let mut done = false;
-        for (esi, body) in symbols {
-            done = rs.on_symbol(0, esi, Some(body), SimTime::ZERO);
+        for esi in esis {
+            done = rs.on_symbol(0, esi, SimTime::ZERO);
         }
         assert!(done, "the blind window (k + 2 symbols) decodes");
         assert_eq!(rs.symbols_needed(), 0);
+        // The decode frees the decoder and the encoder alike.
+        assert!(matches!(
+            rs.oracle,
+            Oracle::Real {
+                decoder: None,
+                encoder: None,
+                ..
+            }
+        ));
+        assert!(rs.encoded());
+    }
+
+    #[test]
+    fn receiver_session_stays_small() {
+        // Sessions stay installed after completion, so every byte here
+        // is paid once per session for the whole run.
+        assert!(
+            std::mem::size_of::<ReceiverSession>() <= 520,
+            "ReceiverSession grew to {} bytes",
+            std::mem::size_of::<ReceiverSession>()
+        );
     }
 
     #[test]
@@ -471,9 +491,9 @@ mod tests {
             SimTime::ZERO,
         );
         let mut rs = ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 1);
-        rs.on_symbol(0, 0, None, SimTime::ZERO);
-        rs.on_symbol(1, 5, None, SimTime::ZERO);
-        rs.on_symbol(1, 6, None, SimTime::ZERO);
+        rs.on_symbol(0, 0, SimTime::ZERO);
+        rs.on_symbol(1, 5, SimTime::ZERO);
+        rs.on_symbol(1, 6, SimTime::ZERO);
         assert_eq!(rs.arrivals_from(0), 1);
         assert_eq!(rs.arrivals_from(1), 2);
     }
@@ -500,10 +520,10 @@ mod tests {
         assert_eq!(rs.stranded_estimate(0), share, "blind window outstanding");
         // The whole initial window arrives, plus a licensed pull cycle.
         for esi in 0..share as u32 {
-            rs.on_symbol(0, esi, None, SimTime::from_nanos(u64::from(esi)));
+            rs.on_symbol(0, esi, SimTime::from_nanos(u64::from(esi)));
         }
         rs.note_pull_sent(0);
-        rs.on_symbol(0, share as u32, None, SimTime::ZERO);
+        rs.on_symbol(0, share as u32, SimTime::ZERO);
         assert_eq!(rs.stranded_estimate(0), 0, "everything licensed arrived");
         rs.begin_recovery_round();
         assert_eq!(rs.take_repull_batch(0, 64), 0, "zero loss ⇒ pure nudge");
@@ -517,7 +537,7 @@ mod tests {
         // Half the blind window arrives, the rest dies in the fabric.
         let arrived = share / 2;
         for esi in 0..arrived as u32 {
-            rs.on_symbol(0, esi, None, SimTime::ZERO);
+            rs.on_symbol(0, esi, SimTime::ZERO);
         }
         let lost = share - arrived;
         assert_eq!(rs.stranded_estimate(0), lost);
@@ -533,7 +553,7 @@ mod tests {
         for _ in 0..100 {
             rs.note_pull_sent(0);
         }
-        rs.on_symbol(0, 0, None, SimTime::ZERO);
+        rs.on_symbol(0, 0, SimTime::ZERO);
         let needed = rs.symbols_needed();
         assert!(needed <= 3 + 2, "4-symbol object needs at most k+overhead");
         rs.begin_recovery_round();
@@ -557,7 +577,7 @@ mod tests {
         let mut rs = recv_session(100 * SYMBOL_SIZE);
         let share = cfg.per_sender_window(100 * SYMBOL_SIZE, 1);
         for esi in 0..(share as u32 + 20) {
-            rs.on_symbol(0, esi, None, SimTime::ZERO);
+            rs.on_symbol(0, esi, SimTime::ZERO);
         }
         assert_eq!(rs.stranded_estimate(0), 0);
     }
@@ -576,7 +596,7 @@ mod tests {
         // symbols, in emission order); senders 2 and 3 lost everything.
         let share = PrConfig::paper_default().per_sender_window(64 * 1440, 3);
         for esi in 0..share as u32 {
-            rs.on_symbol(0, esi, None, SimTime::ZERO);
+            rs.on_symbol(0, esi, SimTime::ZERO);
         }
         let targets: Vec<u32> = rs.recovery_targets().iter().map(|n| n.0).collect();
         assert_eq!(targets, vec![2, 3], "re-pull exactly the stranded senders");
@@ -585,7 +605,7 @@ mod tests {
         for i in 1..3usize {
             let layout = EsiLayout::new(64, 3, i);
             for n in 0..share {
-                rs.on_symbol(i as u8, layout.esi(n), None, SimTime::ZERO);
+                rs.on_symbol(i as u8, layout.esi(n), SimTime::ZERO);
             }
         }
         assert_eq!(rs.recovery_targets().len(), 1, "quiet ⇒ single nudge");
@@ -652,7 +672,7 @@ mod tests {
     #[test]
     fn record_captures_counters() {
         let mut rs = recv_session(2 * SYMBOL_SIZE);
-        rs.on_symbol(0, 0, None, SimTime::from_micros(1));
+        rs.on_symbol(0, 0, SimTime::from_micros(1));
         rs.on_trimmed(0, 1, SimTime::from_micros(2));
         rs.pulls_sent = 5;
         let rec = rs.record(NodeId(0), SimTime::from_micros(100));

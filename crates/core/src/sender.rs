@@ -21,9 +21,9 @@
 
 use netsim::{Ctx, Dest, FlowId, NodeId, Packet};
 
-use crate::config::{MulticastPull, OracleMode, PrConfig, SYMBOL_SIZE};
+use crate::config::{MulticastPull, PrConfig, SYMBOL_SIZE};
 use crate::session::{EsiLayout, SessionSpec};
-use crate::wire::{symbol_packet_bytes, PrPayload, SymbolBody};
+use crate::wire::{symbol_packet_bytes, PrPayload};
 
 /// Sender-side state for one session.
 pub struct SenderSession {
@@ -46,15 +46,6 @@ pub struct SenderSession {
     fins: Vec<bool>,
     detached: Vec<bool>,
     started: bool,
-    /// Real-mode encoder, from [`SessionSpec::encoder`] at the first
-    /// emission (None before that, and always under the counting
-    /// oracle), as the handle every emitted symbol carries a clone of.
-    /// Dropped with the session at the last FIN; the encoder goes when
-    /// the last symbol in flight has landed too.
-    encoder: Option<SymbolBody>,
-    /// This sender had to build the object's encoder (no sibling replica
-    /// was holding it) and the agent has not booked that yet.
-    built_encoder: bool,
     /// All receivers have FINed; the agent can drop this state.
     pub complete: bool,
     /// Symbols emitted; also the number of the next emission in
@@ -79,8 +70,6 @@ impl SenderSession {
             fins: vec![false; n_recv],
             detached: vec![false; n_recv],
             started: false,
-            encoder: None,
-            built_encoder: false,
             complete: false,
             symbols_sent: 0,
             spec,
@@ -97,7 +86,6 @@ impl SenderSession {
     /// Emit one fresh symbol towards `dst`.
     fn emit(&mut self, dst: Dest, node: NodeId, ctx: &mut Ctx<PrPayload>) {
         let esi = self.layout.esi(self.symbols_sent);
-        let body = self.encoder.clone();
         self.symbols_sent += 1;
         ctx.send(Packet {
             src: node,
@@ -109,7 +97,6 @@ impl SenderSession {
                 esi,
                 sender_idx: self.sender_idx,
                 trimmed: false,
-                body,
             },
         });
     }
@@ -156,22 +143,9 @@ impl SenderSession {
             return;
         }
         self.started = true;
-        if cfg.oracle == OracleMode::Real {
-            let (encoder, built) = self.spec.encoder();
-            self.encoder = Some(SymbolBody::new(encoder));
-            self.built_encoder = built;
-        }
         for _ in 0..self.window(cfg) {
             self.emit_group(node, ctx);
         }
-    }
-
-    /// Whether this sender built the object's encoder since the last
-    /// call — the agent adds it to
-    /// [`crate::PolyraptorAgent::objects_encoded`] after every call that
-    /// can start a sender.
-    pub(crate) fn take_built_encoder(&mut self) -> bool {
-        std::mem::take(&mut self.built_encoder)
     }
 
     /// A `Req` arrived (receiver-initiated read): same as `start`.

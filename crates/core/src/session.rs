@@ -5,12 +5,8 @@
 //! participants): the workload installs the same [`SessionSpec`] at every
 //! participating host before the start time, and schedules a start timer.
 
-use std::sync::{Arc, Mutex, Weak};
-
 use netsim::{GroupId, NodeId, SimTime};
 
-use crate::config::SYMBOL_SIZE;
-use crate::oracle::write_session_object_at;
 use crate::wire::SessionId;
 
 /// The contiguous source-symbol range `[lo, hi)` that sender `idx` of
@@ -127,47 +123,9 @@ pub struct SessionSpec {
     pub initiator: Initiator,
     /// Background sessions are excluded from reported metrics.
     pub background: bool,
-    /// The object's real-oracle encoder, shared by every clone of this
-    /// spec (see [`SessionSpec::encoder`]). Weak: the senders that
-    /// started own the encoder, and the last one's FIN frees it.
-    encoder: Arc<Mutex<Weak<rq::Encoder>>>,
 }
 
 impl SessionSpec {
-    /// The encoder over this session's canonical object
-    /// ([`crate::session_object`]), and whether this call had to build it.
-    ///
-    /// Every replica of a real-oracle session sends symbols of the same
-    /// bytes, so the specs installed at the participating hosts (clones
-    /// of one another) share one encoder: the first caller builds it
-    /// under the lock, later callers get the same `Arc` for as long as
-    /// any of them still holds it. The encoded bytes are a pure function
-    /// of `(id, data_len)` and building takes no simulated time, so who
-    /// builds never shows in a run's results.
-    pub(crate) fn encoder(&self) -> (Arc<rq::Encoder>, bool) {
-        let mut slot = self
-            .encoder
-            .lock()
-            .expect("a sibling session panicked while encoding");
-        if let Some(enc) = slot.upgrade() {
-            return (enc, false);
-        }
-        let enc = Arc::new(object_encoder(self.id, self.data_len, SYMBOL_SIZE));
-        *slot = Arc::downgrade(&enc);
-        (enc, true)
-    }
-
-    /// Whether some started sender currently holds this session's shared
-    /// encoder (diagnostics: never under the counting oracle, and not
-    /// after the last sender saw its FIN).
-    pub fn encoder_live(&self) -> bool {
-        self.encoder
-            .lock()
-            .expect("a sibling session panicked while encoding")
-            .strong_count()
-            > 0
-    }
-
     /// One-to-one write (sender initiates).
     pub fn unicast(
         id: SessionId,
@@ -185,7 +143,6 @@ impl SessionSpec {
             start,
             initiator: Initiator::Sender,
             background: false,
-            encoder: Arc::default(),
         }
     }
 
@@ -212,7 +169,6 @@ impl SessionSpec {
             start,
             initiator: Initiator::Sender,
             background: false,
-            encoder: Arc::default(),
         }
     }
 
@@ -234,7 +190,6 @@ impl SessionSpec {
             start,
             initiator: Initiator::Receiver,
             background: false,
-            encoder: Arc::default(),
         }
     }
 
@@ -279,17 +234,6 @@ impl SessionSpec {
             assert!(!self.receivers.contains(s), "host cannot send to itself");
         }
     }
-}
-
-/// An encoder over session `id`'s canonical object of `data_len` bytes
-/// in symbols of `symbol_size` bytes. It keeps only the object's parity:
-/// like a replica's store, the generator hands it the source bytes again
-/// whenever a symbol needs them.
-pub(crate) fn object_encoder(id: SessionId, data_len: usize, symbol_size: usize) -> rq::Encoder {
-    rq::Encoder::from_source(data_len, symbol_size, move |at, out| {
-        write_session_object_at(id, at, out)
-    })
-    .expect("session object is non-empty and fits one block")
 }
 
 #[cfg(test)]

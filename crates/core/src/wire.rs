@@ -14,9 +14,10 @@
 //!   (control).
 //!
 //! Sizes model a 64-byte header (addressing + transport fields) plus the
-//! symbol body for full symbol packets.
-
-use std::sync::Arc;
+//! symbol body for full symbol packets. No packet carries the body
+//! itself: a symbol names its session and ESI, and a real-decoder
+//! receiver has its own encoder write the bytes that ESI stands for
+//! ([`crate::Oracle`]), so every payload is a few plain words.
 
 use netsim::{SimPayload, HEADER_BYTES};
 
@@ -24,46 +25,8 @@ use netsim::{SimPayload, HEADER_BYTES};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u32);
 
-/// The bytes of a symbol in flight under the real-decoder oracle: a
-/// shared handle on the sender's encoder, the symbol being that
-/// encoder's `esi`. Cloning it (one per emission, one per multicast
-/// branch) copies a pointer; the receiver has the sender's encoder
-/// write the symbol straight into its decoder, and a symbol trimmed on
-/// the way is never materialised at all.
-#[derive(Clone)]
-pub struct SymbolBody(Arc<rq::Encoder>);
-
-impl SymbolBody {
-    /// The symbols of `encoder`.
-    pub fn new(encoder: Arc<rq::Encoder>) -> Self {
-        Self(encoder)
-    }
-
-    /// The encoder whose symbol this is.
-    pub fn encoder(&self) -> &Arc<rq::Encoder> {
-        &self.0
-    }
-}
-
-/// Names the block by its shape, once per packet.
-impl std::fmt::Debug for SymbolBody {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let code = self.0.params();
-        write!(f, "SymbolBody(K={}, T={})", code.k, code.symbol_size)
-    }
-}
-
-/// Two bodies are equal when they are the same encoder.
-impl PartialEq for SymbolBody {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for SymbolBody {}
-
 /// Polyraptor packet payloads.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrPayload {
     /// An encoding symbol (or its trimmed header).
     Symbol {
@@ -75,10 +38,6 @@ pub enum PrPayload {
         sender_idx: u8,
         /// True if a switch trimmed the body; only the header arrived.
         trimmed: bool,
-        /// Where the symbol's bytes are — only under the real-decoder
-        /// oracle (tests/examples); `None` at simulation scale, where the
-        /// packet's `size` field models the bytes on the wire.
-        body: Option<SymbolBody>,
     },
     /// Receiver-driven request for more symbols. Pulls are *cumulative*
     /// (they report how many of this sender's symbols — full or trimmed —
@@ -138,21 +97,11 @@ impl SimPayload for PrPayload {
     }
 
     fn trim(&self) -> Option<Self> {
-        match self {
-            PrPayload::Symbol {
-                session,
-                esi,
-                sender_idx,
-                ..
-            } => Some(PrPayload::Symbol {
-                session: *session,
-                esi: *esi,
-                sender_idx: *sender_idx,
-                trimmed: true,
-                body: None, // trimming discards the payload
-            }),
-            other => Some(other.clone()),
+        let mut header = *self;
+        if let PrPayload::Symbol { trimmed, .. } = &mut header {
+            *trimmed = true;
         }
+        Some(header)
     }
 }
 
@@ -168,38 +117,27 @@ pub const CONTROL_BYTES: u32 = HEADER_BYTES;
 mod tests {
     use super::*;
 
-    fn body(len: usize) -> SymbolBody {
-        SymbolBody::new(Arc::new(rq::Encoder::new(&vec![7u8; len], 1440).unwrap()))
-    }
-
     #[test]
     fn symbol_is_data_until_trimmed() {
-        let body = body(48);
         let s = PrPayload::Symbol {
             session: SessionId(1),
             esi: 9,
-            sender_idx: 0,
+            sender_idx: 2,
             trimmed: false,
-            body: Some(body.clone()),
         };
         assert!(!s.is_control());
         let t = s.trim().unwrap();
         assert!(t.is_control());
-        drop(s);
         assert_eq!(
-            Arc::strong_count(body.encoder()),
-            1,
-            "a trimmed header holds no reference on the encoder"
-        );
-        match t {
+            t,
             PrPayload::Symbol {
+                session: SessionId(1),
                 esi: 9,
+                sender_idx: 2,
                 trimmed: true,
-                body: None,
-                ..
-            } => {}
-            other => panic!("trim changed identity: {other:?}"),
-        }
+            },
+            "trimming sets the flag and keeps the identity"
+        );
     }
 
     #[test]
@@ -222,7 +160,6 @@ mod tests {
                 esi: 0,
                 sender_idx: 0,
                 trimmed: false,
-                body: None,
             },
             PrPayload::Pull {
                 session: SessionId(5),
@@ -243,7 +180,7 @@ mod tests {
 
     #[test]
     fn payload_is_small_and_shareable() {
-        fn shareable<T: Send + Sync>() {}
+        fn shareable<T: Copy + Send + Sync>() {}
         shareable::<PrPayload>();
         // Every queued packet, event and multicast copy carries one.
         assert!(
@@ -251,36 +188,6 @@ mod tests {
             "PrPayload grew to {} bytes",
             std::mem::size_of::<PrPayload>()
         );
-        let body = body(512 << 10);
-        let symbol = PrPayload::Symbol {
-            session: SessionId(1),
-            esi: 0,
-            sender_idx: 0,
-            trimmed: false,
-            body: Some(body.clone()),
-        };
-        let branches = vec![symbol.clone(); 3];
-        assert_eq!(
-            Arc::strong_count(body.encoder()),
-            5,
-            "a clone shares the encoder, it does not copy bytes"
-        );
-        assert!(branches.iter().all(|b| *b == symbol), "same encoder");
-        assert_ne!(
-            symbol,
-            PrPayload::Symbol {
-                session: SessionId(1),
-                esi: 0,
-                sender_idx: 0,
-                trimmed: false,
-                body: Some(self::body(512 << 10)),
-            },
-            "an equal block elsewhere is another body"
-        );
-        // Prints the block's shape, none of its bytes.
-        let printed = format!("{symbol:?}");
-        assert!(printed.contains("SymbolBody(K=365, T=1440)"), "{printed}");
-        assert!(printed.len() < 200, "{} bytes of Debug", printed.len());
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn run_recovery_round(
         if rs.done {
             break;
         }
-        if rs.on_symbol(idx % n_senders as u8, esi, None, SimTime::ZERO) {
+        if rs.on_symbol(idx % n_senders as u8, esi, SimTime::ZERO) {
             rs.done = true;
         }
     }
@@ -114,7 +114,7 @@ proptest! {
             }
             let idx = rng.below(n_senders as u64) as u8;
             let esi = rng.below(4 * k as u64) as u32;
-            if rs.on_symbol(idx, esi, None, SimTime::ZERO) {
+            if rs.on_symbol(idx, esi, SimTime::ZERO) {
                 rs.done = true;
             }
         }
@@ -176,7 +176,7 @@ proptest! {
             }
             let idx = rng.below(n_senders as u64) as u8;
             let esi = rng.below(4 * k as u64) as u32;
-            if rs.on_symbol(idx, esi, None, SimTime::ZERO) {
+            if rs.on_symbol(idx, esi, SimTime::ZERO) {
                 rs.done = true;
             }
         }

@@ -103,7 +103,7 @@ fn real_oracle_multi_source_fetch() {
 
 /// A seeded 3-replica read scenario under Polyraptor, staged by hand
 /// so the agents can be inspected afterwards: per-flow `(session, start,
-/// finish)` and the sum of `objects_encoded` over all hosts.
+/// finish)` and the sum of `objects_encoded()` over all hosts.
 fn staged_read(oracle: OracleMode, shards: usize) -> (Vec<(u32, SimTime, SimTime)>, u64) {
     let sc = StorageScenario {
         sessions: 16,
@@ -127,13 +127,13 @@ fn staged_read(oracle: OracleMode, shards: usize) -> (Vec<(u32, SimTime, SimTime
     let specs = build_rq_specs(&mut sim, &sessions, sc.pattern);
     for spec in &specs {
         install_rq(&mut sim, spec);
-        assert!(!spec.encoder_live(), "installing a session must not encode");
     }
+    let encoded = |sim: &Simulator<_, PolyraptorAgent>| -> u64 {
+        sim.agents().map(|(_, a)| a.objects_encoded()).sum()
+    };
+    assert_eq!(encoded(&sim), 0, "installing a session must not encode");
     sim.run_to_completion();
     assert_eq!(sim.stats().shard_epochs > 0, shards > 1, "shard plan");
-    for spec in &specs {
-        assert!(!spec.encoder_live(), "the last FIN frees the encoder");
-    }
     let mut flows: Vec<_> = sim
         .agents()
         .flat_map(|(_, a)| &a.records)
@@ -141,13 +141,12 @@ fn staged_read(oracle: OracleMode, shards: usize) -> (Vec<(u32, SimTime, SimTime
         .collect();
     flows.sort_unstable();
     assert_eq!(flows.len(), sc.sessions, "every read must complete");
-    let encoded = sim.agents().map(|(_, a)| a.objects_encoded).sum();
-    (flows, encoded)
+    (flows, encoded(&sim))
 }
 
-/// With the codec in the loop a session's three replicas share one
-/// encoder — built by whichever starts first — and neither that sharing
-/// nor the shard count shows in the results.
+/// With the codec in the loop a read's one receiver encodes the object
+/// once, whatever its three replicas send, and the shard count shows
+/// neither in that count nor in the results.
 #[test]
 fn real_oracle_read_encodes_each_object_once() {
     let (serial, encoded) = staged_read(OracleMode::Real, 1);
@@ -164,11 +163,10 @@ fn real_oracle_read_encodes_each_object_once() {
 
 /// Drive one multi-source session by hand: two replicas start, deliver
 /// their shares (less one lost symbol) and go away; the third starts
-/// only then, finds the shared encoder gone, rebuilds it, and its
-/// symbols still complete the decode — which the real oracle checks
-/// byte for byte against the session object.
+/// only then, and its symbols still complete the decode — which the
+/// real oracle checks byte for byte against the session object.
 #[test]
-fn late_sender_rebuilds_the_shared_encoder() {
+fn late_sender_completes_the_byte_checked_decode() {
     let cfg = PrConfig::real_oracle();
     let (receiver, replicas) = (NodeId(0), [NodeId(1), NodeId(2), NodeId(3)]);
     let spec = SessionSpec::multi_source(
@@ -181,7 +179,7 @@ fn late_sender_rebuilds_the_shared_encoder() {
     let mut rs = ReceiverSession::new(spec.clone(), receiver, &cfg, 1);
     // Start `node`'s sender and keep pulling until it has emitted
     // `symbols` symbols; returns the first `symbols` of them as (sender
-    // index, esi, body).
+    // index, esi).
     let emit = |node: NodeId, symbols: usize| {
         let mut ss = SenderSession::new(spec.clone(), node, &cfg);
         let mut out = Vec::new();
@@ -190,15 +188,12 @@ fn late_sender_rebuilds_the_shared_encoder() {
         while out.len() < symbols {
             for pkt in ctx.queued_sends() {
                 let PrPayload::Symbol {
-                    esi,
-                    sender_idx,
-                    body,
-                    ..
-                } = &pkt.payload
+                    esi, sender_idx, ..
+                } = pkt.payload
                 else {
                     panic!("senders emit only symbols");
                 };
-                out.push((*sender_idx, *esi, body.clone()));
+                out.push((sender_idx, esi));
             }
             ctx = Ctx::detached(SimTime::ZERO, node);
             ss.on_pull(receiver, out.len() as u64, false, 0, node, &cfg, &mut ctx);
@@ -207,45 +202,25 @@ fn late_sender_rebuilds_the_shared_encoder() {
         (ss, out)
     };
 
-    assert!(!spec.encoder_live());
     let (a, from_a) = emit(replicas[0], 14);
     let (b, from_b) = emit(replicas[1], 13);
-    assert!(spec.encoder_live(), "started senders hold the encoder");
-    // The object is the replica's; its encoder holds only the parity.
-    let encoder = from_a[0].2.as_ref().expect("a body").encoder();
-    let bp = encoder.block_params();
-    assert_eq!(encoder.storage_bytes(), (bp.s + bp.h) * SYMBOL_SIZE);
-    assert!(encoder.storage_bytes() < bp.k * SYMBOL_SIZE);
     let mut done = false;
-    for (idx, esi, body) in from_a.into_iter().chain(from_b.into_iter().skip(1)) {
-        assert!(body.is_some(), "real-oracle symbols carry bytes");
-        done |= rs.on_symbol(idx, esi, body, SimTime::ZERO);
+    for (idx, esi) in from_a.into_iter().chain(from_b.into_iter().skip(1)) {
+        done |= rs.on_symbol(idx, esi, SimTime::ZERO);
     }
     assert!(!done, "a third of the object is still missing");
     drop((a, b));
-    assert!(!spec.encoder_live(), "the last sender's exit frees it");
 
-    let (c, from_c) = emit(replicas[2], 24);
-    assert!(spec.encoder_live(), "the late sender rebuilt it");
-    for (idx, esi, body) in from_c {
-        if rs.on_symbol(idx, esi, body, SimTime::ZERO) {
+    let (_c, from_c) = emit(replicas[2], 24);
+    for (idx, esi) in from_c {
+        if rs.on_symbol(idx, esi, SimTime::ZERO) {
             done = true;
             break;
         }
     }
-    assert!(done, "the rebuilt encoder's symbols complete the decode");
+    assert!(done, "the late sender's symbols complete the decode");
     assert!(rs.symbols_received() >= cfg.k_for(spec.data_len));
-    drop(c);
-
-    // The counting oracle never populates the slot.
-    let counting = PrConfig::paper_default();
-    let mut ss = SenderSession::new(spec.clone(), replicas[0], &counting);
-    ss.start(
-        replicas[0],
-        &counting,
-        &mut Ctx::detached(SimTime::ZERO, replicas[0]),
-    );
-    assert!(!spec.encoder_live());
+    assert!(rs.encoded(), "the receiver's oracle wrote the symbols");
 }
 
 /// Different seeds must actually change the run (that equal seeds give

@@ -4,10 +4,11 @@
 //! pinned as hashes recorded from the commit *before* symbol bodies
 //! became references into the sender's encoder (`4cfa1c3`), when every
 //! emission allocated its symbol, the decoder kept a map of `Vec`s and
-//! the canonical object was a serial `mix64` chain. None of that may
-//! move a simulated nanosecond or a symbol count: when the oracle is
-//! asked and what it answers for a given ESI set are as they were, on
-//! one shard and on two alike.
+//! the canonical object was a serial `mix64` chain. Since then symbols
+//! carry no bytes at all and each receiver's oracle encodes the object
+//! itself. None of that may move a simulated nanosecond or a symbol
+//! count: when the oracle is asked and what it answers for a given ESI
+//! set are as they were, on one shard and on two alike.
 
 use polyraptor_repro::netsim::{FabricStats, Pcg32, SimConfig, Simulator};
 use polyraptor_repro::polyraptor::{PolyraptorAgent, PrConfig, SessionId};
@@ -45,7 +46,10 @@ impl Fnv {
 /// What one run leaves behind: the hash of every flow's `(session,
 /// start, finish, distinct symbols, trimmed headers, pulls)` in
 /// canonical order plus the four packet fates, the fabric's counters,
-/// and the decode paths the receivers took.
+/// and the decode paths the receivers took. Checks on the way that
+/// each receiver's oracle encodes the object once: none at install,
+/// and after the run one per receiver of every session — three per
+/// multicast write, one per read or background unicast.
 fn run(sc: &StorageScenario, shards: usize) -> (u64, FabricStats, DecodeStats) {
     let topo = Fabric::small().build();
     let sessions = sc.generate(&topo);
@@ -62,10 +66,13 @@ fn run(sc: &StorageScenario, shards: usize) -> (u64, FabricStats, DecodeStats) {
     for spec in &specs {
         install_rq(&mut sim, spec);
     }
+    let encoded = |sim: &Simulator<_, PolyraptorAgent>| -> u64 {
+        sim.agents().map(|(_, a)| a.objects_encoded()).sum()
+    };
+    assert_eq!(encoded(&sim), 0, "installing a session must not encode");
     sim.run_to_completion();
-    for spec in &specs {
-        assert!(!spec.encoder_live(), "no sender and no symbol holds it");
-    }
+    let receivers: usize = specs.iter().map(|spec| spec.receivers.len()).sum();
+    assert_eq!(encoded(&sim), receivers as u64, "one encode per receiver");
 
     let mut flows = Vec::new();
     let mut decodes = DecodeStats::default();
