@@ -90,8 +90,8 @@ pub use queue::{Enqueued, PortQueue, QueueConfig, QueueStats};
 pub use rng::Pcg32;
 pub use sim::{Agent, Ctx, FabricStats, LayerAssign, RouteMode, SimConfig, Simulator};
 pub use telemetry::{
-    Annotation, AnomalyKind, Bucket, FabricEvent, FlightDump, FlowSpanEvent, NoTelemetry,
-    PortProbe, PortSample, Recorder, SpanMark, TelemetryConfig, TelemetrySink, TraceBuilder,
+    Annotation, AnomalyKind, Bucket, FabricEvent, FlowSpanEvent, NoTelemetry, PortProbe,
+    PortSample, Recorder, SpanMark, TelemetryConfig, TelemetrySink, TraceBuilder,
 };
 pub use time::{serialization_ns, SimTime};
 pub use topology::{NodeId, NodeKind, Port, RouteRepair, RoutingPolicy, Topology};

@@ -916,10 +916,7 @@ mod tests {
             "{windows} windows for {GLOBAL_EVENTS} global events"
         );
 
-        let rec = Recorder::new(TelemetryConfig {
-            window_ns: 50_000,
-            ring_capacity: 8,
-        });
+        let rec = Recorder::new(TelemetryConfig { window_ns: 50_000 });
         let before = WINDOWS.get();
         let mut on = probe_sim(1, Some(rec));
         on.run_to_completion();

@@ -313,15 +313,16 @@ pub struct FabricStats {
     /// queues, in flight on a failed link, arriving at a dead switch, or
     /// addressed to a destination the fault mask disconnected.
     pub lost_to_fault: u64,
-    /// Route recomputations triggered by fault events (incremental
-    /// repairs and full recomputations combined).
+    /// Route repairs triggered by fault events, each an in-place
+    /// [`Topology::repair_routes`] (a simulator only runs on routes
+    /// computed under the topology's current policy).
     pub reroutes: u64,
-    /// Reroutes served by incremental [`Topology::repair_routes`]
-    /// surgery instead of a full recomputation.
+    /// Always equal to [`FabricStats::reroutes`], every reroute being
+    /// incremental; kept because `bench_e2e` reports it.
     pub reroutes_incremental: u64,
     /// (layer, access-switch) route columns rebuilt by a per-column
-    /// search across all reroutes (full recomputations count every
-    /// column; host and access-link faults rebuild none).
+    /// search across all reroutes (host and access-link faults rebuild
+    /// none).
     pub route_dests_rebuilt: u64,
     /// Multicast trees rebuilt during reroutes.
     pub trees_repaired: u64,
@@ -463,7 +464,15 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     /// telemetry sink — pass `None::<Recorder>` for a runtime-switchable
     /// sink that is currently off, or `Some(Recorder::new(..))` to
     /// record.
+    ///
+    /// # Panics
+    /// Panics if the routes were not computed under the topology's
+    /// current policy: a run's reroutes only repair them in place.
     pub fn with_telemetry(topo: Topology, config: SimConfig, telemetry: T) -> Self {
+        assert!(
+            topo.routes_current(),
+            "simulator needs routes computed under the current policy"
+        );
         let n = topo.node_count();
         let plan = ShardPlan::build(&topo, crate::shard::resolve(config.shards));
         // Per-node RNG streams fork from the config seed in node-id
@@ -605,10 +614,10 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         self.telemetry.finish(now, &stats, &probes);
     }
 
-    /// Flag an anomaly on the telemetry sink (freezes a flight-recorder
-    /// dump). Workloads call this post-run for transport-level
-    /// anomalies — timeouts, stranded sessions — that the fabric cannot
-    /// see itself.
+    /// Flag an anomaly on the telemetry sink: an `Anomaly` annotation
+    /// at the current instant. Workloads call this post-run for
+    /// transport-level anomalies — timeouts, stranded sessions — that
+    /// the fabric cannot see itself.
     pub fn note_anomaly(&mut self, kind: AnomalyKind) {
         let now = self.now;
         self.telemetry.record(now, FabricEvent::Anomaly(kind));

@@ -7,12 +7,12 @@ use std::collections::{BinaryHeap, HashMap};
 use crate::evq::{Ev, EventQueue};
 use crate::fault::{ElementKey, FaultAction, FaultMask};
 use crate::packet::{GroupId, SimPayload};
-use crate::telemetry::{AnomalyKind, FabricEvent, TelemetrySink};
+use crate::telemetry::{FabricEvent, TelemetrySink};
 use crate::time::SimTime;
 use crate::topology::{NodeId, Topology};
 
 use super::layer::clear_memos;
-use super::mcast::{build_tree, group_crosses_fault, Group};
+use super::mcast::{build_tree, Group};
 use super::net::NodeCell;
 use super::{FabricStats, GlobalEvent, NodeEvent, GLOBAL_RANK};
 
@@ -259,12 +259,12 @@ fn apply_fault_shared<T: TelemetrySink>(
     }
 }
 
-/// The shared part of a deferred reroute: bring the routing tables up
-/// to date with the live fault mask — incrementally where the mask only
-/// grew (see [`Topology::repair_routes`]), from scratch otherwise —
-/// and repair multicast trees (receivers a fault cut off are skipped
-/// until a later repair restores them). Dead-link flushes and memo
-/// clears come back as [`LocalOp`]s.
+/// The shared part of a deferred reroute: repair the routing tables in
+/// place to the live fault mask (see [`Topology::repair_routes`]; a
+/// simulator only runs on routes computed under the topology's current
+/// policy, so the repair never falls back to a full recomputation) and
+/// rebuild the multicast trees that need it (see [`Group::needs_rebuild`]).
+/// Dead-link flushes and memo clears come back as [`LocalOp`]s.
 fn reroute_shared<T: TelemetrySink>(
     topo: &mut Topology,
     control: &mut Control,
@@ -281,27 +281,18 @@ fn reroute_shared<T: TelemetrySink>(
     // one convergence window's flows.
     ops.push(LocalOp::ClearMemos);
     let outcome = topo.repair_routes(&control.mask);
+    debug_assert!(!outcome.full, "a simulator's routes are always current");
     telemetry.record(
         now,
         FabricEvent::Reroute {
-            full: outcome.full,
             dests_rebuilt: outcome.dests_rebuilt as u32,
             restored: outcome.restored as u32,
         },
     );
-    if outcome.full {
-        // The incremental-repair contract says a mid-run reroute
-        // never falls back to a full recomputation once routes
-        // exist — flag it (and freeze a flight-recorder dump) so a
-        // regression is debuggable from the trace alone.
-        telemetry.record(now, FabricEvent::Anomaly(AnomalyKind::FullRecompute));
-    }
     control.stats.reroutes += 1;
-    if !outcome.full {
-        control.stats.reroutes_incremental += 1;
-        if outcome.restored > 0 {
-            control.stats.restores_incremental += 1;
-        }
+    control.stats.reroutes_incremental += 1;
+    if outcome.restored > 0 {
+        control.stats.restores_incremental += 1;
     }
     control.stats.route_dests_rebuilt += outcome.dests_rebuilt as u64;
     // Stale routes during the convergence window may have enqueued
@@ -311,14 +302,8 @@ fn reroute_shared<T: TelemetrySink>(
     for (node, port) in control.mask.down_links() {
         ops.push(LocalOp::Flush(node, port));
     }
-    // Multicast-tree repair is incremental too: after a failure-only
-    // reroute, a tree whose hops are all still alive keeps
-    // delivering on its recorded (alive) ports, so only trees
-    // crossing a dead element are rebuilt. A full reroute may have
-    // restored capacity, which can re-attach previously cut-off
-    // receivers — every tree is rebuilt then.
     for (gid, group) in control.groups.iter_mut().enumerate() {
-        if !outcome.full && !group_crosses_fault(topo, &control.mask, group) {
+        if !group.needs_rebuild(topo, &control.mask) {
             continue;
         }
         group.tree = build_tree(topo, GroupId(gid as u32), group.sender, &group.receivers);

@@ -15,6 +15,18 @@ pub(crate) struct Group {
     pub(crate) tree: Tree,
 }
 
+impl Group {
+    /// Whether a reroute must rebuild this group's tree: a recorded hop
+    /// is dead under the live mask (node, link or far end), or
+    /// [`build_tree`] left out a member the repaired routes may reach.
+    pub(super) fn needs_rebuild(&self, topo: &Topology, mask: &FaultMask) -> bool {
+        self.tree.partial
+            || self.tree.hops().any(|(node, ports)| {
+                mask.node_is_down(node) || ports.iter().any(|&p| !mask.port_is_up(topo, node, p))
+            })
+    }
+}
+
 /// A multicast forwarding tree, flat: looked up once per multicast hop.
 #[derive(Default)]
 pub(crate) struct Tree {
@@ -22,6 +34,8 @@ pub(crate) struct Tree {
     /// range of `ports` holding its out-ports.
     hops: Vec<(NodeId, u16, u16)>,
     ports: Vec<u16>,
+    /// Some receiver was unreachable when the tree was built.
+    partial: bool,
 }
 
 impl Tree {
@@ -41,20 +55,11 @@ impl Tree {
     }
 }
 
-/// Whether any hop recorded in a multicast tree's forwarding table
-/// is unusable under the live fault mask (dead node, dead link, or
-/// dead far end).
-pub(super) fn group_crosses_fault(topo: &Topology, mask: &FaultMask, group: &Group) -> bool {
-    group.tree.hops().any(|(node, ports)| {
-        mask.node_is_down(node) || ports.iter().any(|&p| !mask.port_is_up(topo, node, p))
-    })
-}
-
 /// Union of per-receiver paths with choices keyed deterministically
 /// by (group, switch): one copy per shared link, branching as low as
 /// possible. Receivers unreachable under the current routes (a fault
-/// cut them off) are skipped — during repair the tree covers the
-/// reachable membership.
+/// cut them off) are skipped and the tree marked partial — it covers
+/// the reachable membership until a reroute reaches the rest.
 pub(super) fn build_tree(
     topo: &Topology,
     gid: GroupId,
@@ -62,8 +67,10 @@ pub(super) fn build_tree(
     receivers: &[NodeId],
 ) -> Tree {
     let mut table: BTreeMap<NodeId, Vec<u16>> = BTreeMap::new();
+    let mut tree = Tree::default();
     for &r in receivers {
         if topo.try_next_ports_on(0, sender, r).is_empty() {
+            tree.partial = true;
             continue;
         }
         let mut at = sender;
@@ -78,7 +85,6 @@ pub(super) fn build_tree(
             at = topo.port(at, pick).peer;
         }
     }
-    let mut tree = Tree::default();
     for (node, ports) in table {
         let start = tree.ports.len() as u16;
         tree.ports.extend(ports);

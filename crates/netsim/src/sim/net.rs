@@ -397,7 +397,7 @@ fn forward<P: SimPayload, A: Agent<P>>(
                 // fault mask; outside faults this is a config bug.
                 assert!(
                     !env.control.mask.is_empty() || env.control.stats.reroutes > 0,
-                    "no route from switch {} to host {} (routes computed?)",
+                    "no route from switch {} to host {} on a fabric without faults",
                     node.0,
                     dst.0
                 );

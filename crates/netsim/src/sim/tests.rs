@@ -650,7 +650,6 @@ fn poisson_fault_process_is_deterministic_and_mixed() {
 fn recorder_annotates_faults_and_buckets_sum_to_totals() {
     let rec = Recorder::new(TelemetryConfig {
         window_ns: 50_000, // 50 µs windows over a ~500 µs run
-        ring_capacity: 8,
     });
     let (mut sim, src, dst, agg) = fat_tree_sim(SimConfig::ndp(9), Some(rec));
     burst(&mut sim, src, dst, 40);
@@ -678,9 +677,10 @@ fn recorder_annotates_faults_and_buckets_sum_to_totals() {
         2,
         "down + up each recompute routes"
     );
-    // No anomalies in a healthy incremental-repair run, hence no
-    // flight-recorder dumps.
-    assert!(rec.dumps().is_empty());
+    // The fabric itself flags no anomaly: only workloads note them.
+    assert!(!ann
+        .iter()
+        .any(|a| matches!(a.event, FabricEvent::Anomaly(_))));
 
     let b = rec.buckets();
     assert!(!b.is_empty());
@@ -729,14 +729,13 @@ fn recorder_on_is_byte_identical_to_off() {
     assert_eq!(a, c, "Option sink vs compiled-out sink: identical");
 }
 
-/// A flight dump is the tail of the annotation log: all of it while
-/// the log is shorter than `ring_capacity`, then the newest
-/// `ring_capacity` entries, oldest first, ending with the anomaly.
+/// A noted anomaly is an annotation at the simulator's current
+/// instant, in order with the fabric events around it: the log before
+/// it is its history.
 #[test]
-fn note_anomaly_freezes_dump_with_recent_history() {
+fn note_anomaly_annotates_in_order_with_the_fabric_events() {
     let rec = Recorder::new(TelemetryConfig {
         window_ns: 1_000_000,
-        ring_capacity: 4,
     });
     let t = {
         let mut t = Topology::new();
@@ -775,16 +774,6 @@ fn note_anomaly_freezes_dump_with_recent_history() {
         ),
         "{events:?}"
     );
-    let [first, second] = rec.dumps() else {
-        panic!("one dump per anomaly, got {}", rec.dumps().len());
-    };
-    assert_eq!(first.anomaly, AnomalyKind::StrandedSession);
-    assert_eq!(second.anomaly, AnomalyKind::Timeout);
-    assert_eq!(second.at, log[5].at);
-    // Below capacity: the whole log so far, in insertion order.
-    assert_eq!(first.events, log[..3]);
-    // Past capacity: the newest 4 of the 6, oldest first.
-    assert_eq!(second.events, log[2..]);
 }
 
 /// The `(time, rank, seq)` key is a total order independent of push
@@ -1180,4 +1169,25 @@ fn lone_packet_across_the_fat_tree_is_seven_events() {
     assert_eq!(sim.run_to_completion(), 7);
     assert_eq!(sim.stats().events, 7);
     assert_eq!(arrival_us(&sim, dst), [6 * 22]);
+}
+
+/// A simulator starts only on routes computed under the topology's
+/// current policy, so no reroute in its run falls back to a full
+/// recomputation: a topology never routed, and one whose policy
+/// changed after its routes, are both refused.
+#[test]
+fn simulator_refuses_a_topology_not_routed_under_its_policy() {
+    let mut repoliced = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    repoliced.set_policy(crate::topology::RoutingPolicy::layered(2, 3));
+    for topo in [Topology::new(), repoliced] {
+        let refused = std::panic::catch_unwind(|| {
+            Simulator::<P, Echo>::new(topo, SimConfig::ndp(1));
+        })
+        .expect_err("the simulator must refuse stale routes");
+        let msg = refused.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(
+            msg,
+            "simulator needs routes computed under the current policy"
+        );
+    }
 }

@@ -1,5 +1,5 @@
-//! Fabric telemetry: time-series probes, event annotations, and a
-//! flight recorder — off by default with zero hot-path cost.
+//! Fabric telemetry: time-series probes and event annotations — off
+//! by default with zero hot-path cost.
 //!
 //! The simulator is generic over a [`TelemetrySink`], and there are two
 //! sinks. The default, [`NoTelemetry`], is a unit type whose methods
@@ -25,17 +25,16 @@
 //! is *exact* — identical to what an eager probe at the boundary would
 //! have seen.
 //!
-//! Three data products:
+//! Two data products:
 //! - **Buckets** ([`Bucket`]): fixed-window deltas of the fabric
 //!   counters (deliver/trim/drop/fault-loss rates, per-layer
 //!   utilisation) plus sparse per-port samples (queue depth, per-port
 //!   trim/drop/tx deltas) for every switch port that was non-idle.
 //! - **Annotations** ([`Annotation`]): timestamped fabric events —
-//!   faults, restorations, reroutes, layer re-assignments, anomalies.
-//! - **Flight dumps** ([`FlightDump`]): an anomaly ([`AnomalyKind`])
-//!   freezes a copy of the annotation log's tail — its last
-//!   `ring_capacity` entries — into [`Recorder::dumps`] for post-mortem
-//!   debugging.
+//!   faults, restorations, reroutes, layer re-assignments, and the
+//!   anomalies ([`AnomalyKind`]) a workload flags after the run. The
+//!   log is the post-mortem: what led up to an anomaly is the entries
+//!   before it.
 //!
 //! Flow/session spans ([`FlowSpanEvent`]) are recorded by transport
 //! agents (gated by their own config), collected post-run, and merged
@@ -53,29 +52,21 @@ use crate::topology::RoutingPolicy;
 pub struct TelemetryConfig {
     /// Bucket width in nanoseconds (default 1 ms).
     pub window_ns: u64,
-    /// Annotations a flight dump keeps: the newest this many (default
-    /// 256).
-    pub ring_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             window_ns: 1_000_000,
-            ring_capacity: 256,
         }
     }
 }
 
-/// Why a flight-recorder dump was taken.
+/// What a run flagged as worth a post-mortem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnomalyKind {
     /// A transport timeout fired (work the fabric failed to carry).
     Timeout,
-    /// A reroute fell back to a full route recomputation — the
-    /// incremental-repair contract says this never happens once routes
-    /// exist, so seeing one mid-run is worth a post-mortem.
-    FullRecompute,
     /// A session lost a replica to a host failure (stranded until
     /// re-targeted).
     StrandedSession,
@@ -117,11 +108,8 @@ pub enum FabricEvent {
         /// New rate in bits per second (0 = blackhole).
         rate_bps: u64,
     },
-    /// The control plane brought routes up to date with the fault mask.
+    /// The control plane repaired routes in place to the fault mask.
     Reroute {
-        /// Whether this was a full recomputation (vs incremental
-        /// surgery).
-        full: bool,
         /// (layer, access-switch) route columns rebuilt.
         dests_rebuilt: u32,
         /// Restorations healed incrementally in this repair.
@@ -139,7 +127,7 @@ pub enum FabricEvent {
         /// Layer it was moved to.
         to: u8,
     },
-    /// An anomaly was flagged (also freezes a flight-recorder dump).
+    /// An anomaly was flagged.
     Anomaly(AnomalyKind),
 }
 
@@ -172,13 +160,9 @@ impl FabricEvent {
                 rate_bps,
             } => format!("rate {node}:{port} -> {rate_bps} bps"),
             FabricEvent::Reroute {
-                full,
                 dests_rebuilt,
                 restored,
-            } => format!(
-                "reroute {} ({dests_rebuilt} dests, {restored} restored)",
-                if *full { "full" } else { "incremental" },
-            ),
+            } => format!("reroute incremental ({dests_rebuilt} dests, {restored} restored)"),
             FabricEvent::LayerReassign {
                 flow,
                 dst,
@@ -277,22 +261,9 @@ impl Bucket {
     }
 }
 
-/// A frozen flight-recorder snapshot, taken when an anomaly fired.
-#[derive(Debug, Clone)]
-pub struct FlightDump {
-    /// When the anomaly fired.
-    pub at: SimTime,
-    /// What fired it.
-    pub anomaly: AnomalyKind,
-    /// The last `ring_capacity` annotations at that instant, oldest
-    /// first (includes the anomaly annotation itself as the newest
-    /// entry).
-    pub events: Vec<Annotation>,
-}
-
-/// The active telemetry sink: buckets, annotations, and the flight
-/// recorder. Construct with [`Recorder::new`] and install as
-/// `Some(recorder)` on a simulator whose sink is `Option<Recorder>`.
+/// The active telemetry sink: buckets and annotations. Construct with
+/// [`Recorder::new`] and install as `Some(recorder)` on a simulator
+/// whose sink is `Option<Recorder>`.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     cfg: TelemetryConfig,
@@ -307,19 +278,16 @@ pub struct Recorder {
     prev_ports: HashMap<(u32, u16), (u64, u64, u64, u64)>,
     buckets: Vec<Bucket>,
     annotations: Vec<Annotation>,
-    dumps: Vec<FlightDump>,
     finished: bool,
 }
 
 impl Recorder {
-    /// A recorder with the given window and ring capacity.
+    /// A recorder with the given window.
     ///
     /// # Panics
-    /// Panics if the window is zero (the boundary would never advance)
-    /// or `ring_capacity` is zero (a dump could not hold the anomaly).
+    /// Panics if the window is zero (the boundary would never advance).
     pub fn new(cfg: TelemetryConfig) -> Self {
         assert!(cfg.window_ns > 0, "telemetry window must be positive");
-        assert!(cfg.ring_capacity > 0, "flight recorder needs capacity >= 1");
         Self {
             cfg,
             boundary_ns: cfg.window_ns,
@@ -327,14 +295,8 @@ impl Recorder {
             prev_ports: HashMap::new(),
             buckets: Vec::new(),
             annotations: Vec::new(),
-            dumps: Vec::new(),
             finished: false,
         }
-    }
-
-    /// The configuration this recorder was built with.
-    pub fn config(&self) -> TelemetryConfig {
-        self.cfg
     }
 
     /// Closed buckets so far, in time order.
@@ -345,11 +307,6 @@ impl Recorder {
     /// All annotations recorded, in time order.
     pub fn annotations(&self) -> &[Annotation] {
         &self.annotations
-    }
-
-    /// Flight-recorder dumps taken so far.
-    pub fn dumps(&self) -> &[FlightDump] {
-        &self.dumps
     }
 
     /// Close the open bucket at `end`: push the counter deltas since
@@ -461,16 +418,8 @@ impl TelemetrySink for Option<Recorder> {
     }
 
     fn record(&mut self, at: SimTime, event: FabricEvent) {
-        let Some(r) = self else { return };
-        r.annotations.push(Annotation { at, event });
-        if let FabricEvent::Anomaly(anomaly) = event {
-            // The flight recorder is the annotation log's tail.
-            let from = r.annotations.len().saturating_sub(r.cfg.ring_capacity);
-            r.dumps.push(FlightDump {
-                at,
-                anomaly,
-                events: r.annotations[from..].to_vec(),
-            });
+        if let Some(r) = self {
+            r.annotations.push(Annotation { at, event });
         }
     }
 
@@ -691,10 +640,7 @@ mod tests {
 
     #[test]
     fn bucket_boundaries_align_to_windows() {
-        let mut r = Some(Recorder::new(TelemetryConfig {
-            window_ns: 100,
-            ring_capacity: 4,
-        }));
+        let mut r = Some(Recorder::new(TelemetryConfig { window_ns: 100 }));
         // The simulator closes buckets before dispatching an event at or
         // past the boundary; emulate an event at t=250 (crosses two
         // boundaries) and a run ending at t=310.
@@ -724,10 +670,7 @@ mod tests {
 
     #[test]
     fn port_samples_are_deltas_and_sparse() {
-        let mut r = Some(Recorder::new(TelemetryConfig {
-            window_ns: 100,
-            ring_capacity: 4,
-        }));
+        let mut r = Some(Recorder::new(TelemetryConfig { window_ns: 100 }));
         let stats = FabricStats::default();
         TelemetrySink::close_bucket(&mut r, &stats, &[probe(5, 1, 3, 2), probe(5, 2, 0, 0)]);
         // Port (5,2) had depth 0 but non-zero cumulative counters on its
@@ -743,34 +686,30 @@ mod tests {
     }
 
     #[test]
-    fn anomaly_freezes_a_dump() {
-        let mut r = Some(Recorder::new(TelemetryConfig {
-            window_ns: 1_000,
-            ring_capacity: 3,
-        }));
+    fn anomaly_is_the_newest_annotation() {
+        let mut r = Some(Recorder::new(TelemetryConfig { window_ns: 1_000 }));
         let at = SimTime::from_nanos;
-        TelemetrySink::record(&mut r, at(1), FabricEvent::LinkDown { node: 9, port: 2 });
-        TelemetrySink::record(
-            &mut r,
-            at(2),
-            FabricEvent::Reroute {
-                full: false,
-                dests_rebuilt: 4,
-                restored: 0,
-            },
-        );
-        assert!(on(&r).dumps().is_empty());
-        TelemetrySink::record(&mut r, at(3), FabricEvent::Anomaly(AnomalyKind::Timeout));
-        assert_eq!(on(&r).dumps().len(), 1);
-        let dump = &on(&r).dumps()[0];
-        assert_eq!(dump.at, at(3));
-        assert_eq!(dump.anomaly, AnomalyKind::Timeout);
-        // The dump holds the log so far, including the anomaly itself.
-        assert_eq!(dump.events.len(), 3);
-        assert!(matches!(
-            dump.events[2].event,
-            FabricEvent::Anomaly(AnomalyKind::Timeout)
-        ));
+        let events = [
+            (at(1), FabricEvent::LinkDown { node: 9, port: 2 }),
+            (
+                at(2),
+                FabricEvent::Reroute {
+                    dests_rebuilt: 4,
+                    restored: 0,
+                },
+            ),
+            (at(3), FabricEvent::Anomaly(AnomalyKind::Timeout)),
+        ];
+        for (t, event) in events {
+            TelemetrySink::record(&mut r, t, event);
+        }
+        // The log holds what led up to the anomaly, the anomaly last.
+        let log: Vec<_> = on(&r)
+            .annotations()
+            .iter()
+            .map(|a| (a.at, a.event))
+            .collect();
+        assert_eq!(log, events);
     }
 
     #[test]
@@ -807,14 +746,15 @@ mod tests {
     #[test]
     fn event_labels_and_categories() {
         assert_eq!(FabricEvent::NodeDown { node: 3 }.category(), "fault");
+        let reroute = FabricEvent::Reroute {
+            dests_rebuilt: 10,
+            restored: 1,
+        };
+        assert_eq!(reroute.category(), "reroute");
+        // Trace exports name every reroute by this label.
         assert_eq!(
-            FabricEvent::Reroute {
-                full: true,
-                dests_rebuilt: 10,
-                restored: 1
-            }
-            .category(),
-            "reroute"
+            reroute.label(),
+            "reroute incremental (10 dests, 1 restored)"
         );
         assert_eq!(
             FabricEvent::LayerReassign {

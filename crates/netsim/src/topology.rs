@@ -265,6 +265,13 @@ impl Topology {
         self.policy
     }
 
+    /// Whether the route tables and weight arenas were computed under
+    /// the active policy: a simulator refuses a topology without them,
+    /// so every [`Topology::repair_routes`] in a run repairs in place.
+    pub(crate) fn routes_current(&self) -> bool {
+        self.routes_policy == Some(self.policy) && self.weights_policy == Some(self.policy)
+    }
+
     /// Number of layers the current route tables carry (0 before the
     /// first [`Topology::compute_routes`]).
     pub fn layer_count(&self) -> usize {

@@ -74,7 +74,7 @@ impl Topology {
         // both directions): two per undirected link.
         let restored = restored_links.len() / 2 + restored_nodes.len();
         let n_layers = self.policy.layers;
-        if self.routes_policy != Some(self.policy) || self.weights_policy != Some(self.policy) {
+        if !self.routes_current() {
             self.compute_routes_masked(mask);
             let all = self.col_root.len() * n_layers;
             return RouteRepair {

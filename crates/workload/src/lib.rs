@@ -26,7 +26,7 @@
 //!   seeded repetitions (Figure 1c's error bars);
 //! * [`csv`] — plain CSV emission for the figure binaries;
 //! * [`telemetry`] — opt-in run recording (fabric time-series buckets,
-//!   event annotations, flow spans, flight-recorder dumps) with CSV and
+//!   event annotations, flow spans) with CSV and
 //!   Perfetto-loadable Chrome-trace exporters.
 //!
 //! Three one-line wrappers over [`run`] remain — `run_storage_rq`,

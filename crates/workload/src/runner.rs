@@ -893,13 +893,13 @@ where
     };
     let spans = collect(&sim, &mut report);
     if report.timeouts > 0 {
-        // Work the fabric failed to carry: the flight recorder freezes
-        // the lead-up events.
+        // Work the fabric failed to carry: the annotations before it
+        // are the lead-up.
         sim.note_anomaly(AnomalyKind::Timeout);
     }
     if report.stranded_sessions > 0 {
         // Survivable (that is the re-target claim), but still anomalous
-        // fabric-level history worth a flight dump.
+        // fabric-level history worth a post-mortem.
         sim.note_anomaly(AnomalyKind::StrandedSession);
     }
     let mut missing: BTreeMap<u32, isize> = BTreeMap::new();

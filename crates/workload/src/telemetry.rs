@@ -31,7 +31,7 @@ const FABRIC_PID: u32 = 0;
 /// every run. A runner whose public result is not a report
 /// (`run_storage_rq`, `run_storage_tcp`) drops the recording; build the
 /// scenario's [`crate::Run`] and call [`crate::run`] to keep it. The
-/// recorder runs at netsim's default window and ring capacity
+/// recorder runs at netsim's default window
 /// ([`TelemetryConfig::default`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryOptions {
@@ -55,8 +55,8 @@ impl TelemetryOptions {
     }
 }
 
-/// Everything one recorded run produced: the fabric recorder (buckets,
-/// annotations, flight-recorder dumps) plus the transport agents' flow
+/// Everything one recorded run produced: the fabric recorder (buckets
+/// and annotations) plus the transport agents' flow
 /// spans, with the exporters that turn them into files.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
@@ -221,11 +221,10 @@ impl RunTelemetry {
     /// One-line shape summary for run banners.
     pub fn describe(&self) -> String {
         format!(
-            "{} buckets, {} annotations, {} spans, {} flight dumps",
+            "{} buckets, {} annotations, {} spans",
             self.recorder.buckets().len(),
             self.recorder.annotations().len(),
             self.spans.len(),
-            self.recorder.dumps().len(),
         )
     }
 }
@@ -280,7 +279,6 @@ mod tests {
     fn sample_run() -> RunTelemetry {
         let mut r = Some(Recorder::new(TelemetryConfig {
             window_ns: 1_000_000,
-            ring_capacity: 8,
         }));
         TelemetrySink::record(
             &mut r,
@@ -368,6 +366,5 @@ mod tests {
         assert!(d.contains("2 buckets"), "{d}");
         assert!(d.contains("2 annotations"), "{d}");
         assert!(d.contains("3 spans"), "{d}");
-        assert!(d.contains("1 flight dumps"), "{d}");
     }
 }

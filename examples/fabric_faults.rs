@@ -18,8 +18,8 @@
 //! and the new coalescing/restore counters, under both replica
 //! placements.
 //!
-//! `--telemetry` records the run (time-series buckets, fault/reroute
-//! annotations, flow spans, flight-recorder dumps) and writes
+//! `--telemetry` records the run (time-series buckets, fault, reroute
+//! and anomaly annotations, flow spans) and writes
 //! `{fault,churn}_{fabric.csv,ports.csv,trace.json}` into
 //! `target/telemetry/`; the trace loads in Perfetto. Recording changes
 //! nothing else — the run stays byte-identical per seed.

@@ -11,8 +11,15 @@
 //! That the run is the same at every shard count, recorded or not, is
 //! `tests/identity.rs`.
 
-use polyraptor_repro::netsim::FaultAction;
-use polyraptor_repro::workload::{run, ChurnScenario, Fabric, RqRunOptions, RunReport, Transport};
+use std::panic;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
+
+use polyraptor_repro::netsim::{FaultAction, FaultPlan};
+use polyraptor_repro::workload::{
+    run, ChurnScenario, Fabric, RqRunOptions, RunReport, StorageScenario, Transport,
+};
 
 /// The churn scenario's run under Polyraptor at its defaults: one
 /// fetch record per session.
@@ -172,4 +179,50 @@ fn host_failure_never_pulls_a_session_before_its_start_timer() {
             f.start
         );
     }
+}
+
+#[test]
+fn revived_write_replica_rejoins_its_tree() {
+    // A 3-replica multicast write whose second replica dies 300 µs
+    // into the session and revives 300 µs later. The dead replica
+    // drops out of the write's tree; the reroute after the revival
+    // must take it back, or its receiver waits on keep-alive sweeps
+    // forever. The run goes on a watchdog thread so that regression
+    // fails the test instead of hanging it.
+    let flows = |shards| {
+        let (done, finished) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            let sc = StorageScenario {
+                object_bytes: 256 << 10,
+                background_frac: 0.0,
+                ..StorageScenario::fig1a(1, 3, 7)
+            };
+            let opts = RqRunOptions {
+                shards,
+                ..RqRunOptions::default()
+            };
+            let mut write = sc.build(&Fabric::small(), Transport::Rq(opts));
+            let (victim, start) = (write.sessions[0].replicas[1], write.sessions[0].start);
+            write.faults = FaultPlan::new()
+                .host_down(start + 300_000, victim)
+                .host_up(start + 600_000, victim);
+            write.reroute_delay_ns = 50_000;
+            let flows = run(write).flows;
+            let _ = done.send(());
+            flows
+        });
+        // A panicking run disconnects the channel: join it to re-raise.
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+            panic!("the write at {shards} shard(s) never finished");
+        }
+        worker.join().unwrap_or_else(|e| panic::resume_unwind(e))
+    };
+    let one = flows(1);
+    assert_eq!(one.len(), 3, "every replica finishes: {one:?}");
+    let two = flows(2);
+    assert_eq!(
+        format!("{one:?}"),
+        format!("{two:?}"),
+        "the same write at 1 and 2 shards"
+    );
 }

@@ -14,8 +14,7 @@ use polyraptor_repro::netsim::{FaultMix, RoutingPolicy};
 use polyraptor_repro::polyraptor::{OracleMode, PrConfig};
 use polyraptor_repro::workload::{
     run, ChurnScenario, Fabric, FaultScenario, HotspotScenario, IncastScenario, Pattern,
-    RqRunOptions, Run, RunReport, RunTelemetry, StorageScenario, TcpRunOptions, TelemetryOptions,
-    Transport,
+    RqRunOptions, Run, RunReport, StorageScenario, TcpRunOptions, TelemetryOptions, Transport,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -236,24 +235,13 @@ fn outcome(rep: &RunReport) -> impl PartialEq + Debug {
     (flows, counters, rep.fault_instants.clone())
 }
 
-/// A recording's exports: fabric series, port series, trace, and the
-/// number of flight dumps.
-fn exports(t: &RunTelemetry) -> (String, String, String, usize) {
-    (
-        t.fabric_series_csv(),
-        t.port_series_csv(),
-        t.trace_json(),
-        t.recorder.dumps().len(),
-    )
-}
-
 /// Run `draw` at one shard unrecorded, then at all six settings (that
 /// one again included), and check each run against the first: the same
 /// flows, counters and fault instants; the same fabric counters at one shard,
 /// and the same shard-invariant ones at any count; the shard machinery
 /// working exactly when there is more than one shard; a recording
-/// exactly when one was asked for, exporting the same series, trace and
-/// flight dumps at every shard count.
+/// exactly when one was asked for, exporting the same series and trace
+/// at every shard count.
 fn check(draw: &Draw) {
     let base = draw.run(1, false);
     let base_outcome = outcome(&base);
@@ -280,7 +268,8 @@ fn check(draw: &Draw) {
             );
             assert_eq!(rep.telemetry.is_some(), record, "{at}: recording");
             if let Some(t) = &rep.telemetry {
-                let got = exports(t);
+                // The trace's instants carry every annotation, anomalies included.
+                let got = (t.fabric_series_csv(), t.port_series_csv(), t.trace_json());
                 let want = recorded.get_or_insert_with(|| got.clone());
                 assert!(*want == got, "{at}: exports differ from one shard's");
             }
