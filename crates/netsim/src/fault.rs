@@ -626,7 +626,7 @@ fn draw_up_victim<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::NodeKind;
+    use crate::topology::{NodeKind, RoutingPolicy};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -663,7 +663,7 @@ mod tests {
     /// of them down.
     #[test]
     fn mask_links_are_symmetric() {
-        let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+        let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
         let entries = entries(&t);
         let symmetric = |m: &FaultMask| {
             entries.iter().all(|&(n, p)| {
@@ -737,7 +737,7 @@ mod tests {
             wide in any::<bool>(),
             steps in proptest::collection::vec((0u8..6, any::<u64>()), 1..120),
         ) {
-            let t = if wide { wide_topo() } else { Topology::fat_tree(4, 1_000_000_000, 10_000) };
+            let t = if wide { wide_topo() } else { Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal()) };
             let n = t.node_count() as u32;
             let entries = entries(&t);
             let (mut mask, mut model) = (FaultMask::new(), Model::default());

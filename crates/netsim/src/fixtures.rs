@@ -8,7 +8,7 @@ use crate::packet::{Dest, FlowId, Packet, SimPayload};
 use crate::sim::{Agent, Ctx, SimConfig, Simulator};
 use crate::telemetry::{NoTelemetry, TelemetrySink};
 use crate::time::SimTime;
-use crate::topology::{NodeId, NodeKind, Topology};
+use crate::topology::{NodeId, NodeKind, RoutingPolicy, Topology};
 
 /// Data trims to its header; headers and pulls are control.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,7 +117,7 @@ pub(crate) fn incast_sim(config: SimConfig) -> (Simulator<P, Echo>, NodeId, Node
 /// uses both aggs, so killing one catches in-flight packets while the
 /// survivor keeps every pair connected.
 fn fat_tree() -> (Topology, Vec<NodeId>, NodeId) {
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = t.hosts().to_vec();
     let agg = t
         .node_ports(t.edge_switch(hosts[0]))

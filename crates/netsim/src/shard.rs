@@ -843,6 +843,7 @@ mod tests {
     use super::*;
     use crate::fixtures::{probe_sim, Probe, P};
     use crate::telemetry::{NoTelemetry, Recorder, TelemetryConfig};
+    use crate::topology::RoutingPolicy;
     use std::thread::ThreadId;
 
     const GLOBAL_EVENTS: u64 = 4;
@@ -872,7 +873,7 @@ mod tests {
         let s = lone.add_node(NodeKind::Switch);
         lone.connect(a, s, 1_000_000_000, 10_000);
         lone.compute_routes();
-        let fat = Topology::fat_tree(4, 1_000_000_000, 10_000);
+        let fat = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
         // (fabric, request): one switch cannot be split four ways.
         for (topo, request) in [(&fat, 1), (&lone, 4)] {
             let n = topo.node_count();

@@ -119,7 +119,7 @@ fn control_overtakes_data() {
 #[test]
 fn multicast_delivers_to_all() {
     // One sender, three receivers on a k=4 fat-tree.
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = t.hosts().to_vec();
     let mut sim = echo_sim(t, SimConfig::ndp(3), NoTelemetry);
     let (s, r1, r2, r3) = (hosts[0], hosts[3], hosts[7], hosts[12]);
@@ -144,7 +144,7 @@ fn multicast_delivers_to_all() {
 fn multicast_tree_shares_sender_uplink() {
     // The whole point of multicast in Fig 1a: one copy leaves the
     // sender regardless of replica count.
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = t.hosts().to_vec();
     let mut sim = echo_sim(t, SimConfig::ndp(3), NoTelemetry);
     let s = hosts[0];
@@ -336,7 +336,7 @@ fn access_link_failure_stays_stale_until_the_reroute() {
 
 #[test]
 fn multicast_tree_repair_after_core_failure() {
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let cores = t.core_switches();
     let hosts = t.hosts().to_vec();
     let mut sim = echo_sim(t, SimConfig::ndp(8), NoTelemetry);
@@ -506,9 +506,12 @@ fn layered_policy_spreads_flows_and_counts_per_layer() {
     // Many distinct flows on a 4-layer fat-tree: the flow hash must
     // land traffic on several layers, and the per-layer utilisation
     // counters must account every switch-forwarded unicast packet.
-    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
-    t.set_policy(crate::topology::RoutingPolicy::layered(4, 5));
-    t.compute_routes();
+    let t = Topology::fat_tree(
+        4,
+        1_000_000_000,
+        10_000,
+        crate::topology::RoutingPolicy::layered(4, 5),
+    );
     let hosts = t.hosts().to_vec();
     let mut sim = echo_sim(t, SimConfig::ndp(5), NoTelemetry);
     let (src, dst) = (hosts[0], hosts[15]);
@@ -612,7 +615,7 @@ fn dead_layer_reassigns_flows_mid_window() {
 #[test]
 fn poisson_fault_process_is_deterministic_and_mixed() {
     use crate::fault::{FaultMix, FaultProcess};
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let proc = FaultProcess::poisson(1000.0, FaultMix::uniform(), Some(2_000_000)).seed(7);
     let a = proc.compile(&t, SimTime::from_micros(100), 24);
     let b = proc.compile(&t, SimTime::from_micros(100), 24);
@@ -1177,7 +1180,7 @@ fn lone_packet_across_the_fat_tree_is_seven_events() {
 /// changed after its routes, are both refused.
 #[test]
 fn simulator_refuses_a_topology_not_routed_under_its_policy() {
-    let mut repoliced = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let mut repoliced = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     repoliced.set_policy(crate::topology::RoutingPolicy::layered(2, 3));
     for topo in [Topology::new(), repoliced] {
         let refused = std::panic::catch_unwind(|| {

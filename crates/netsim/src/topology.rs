@@ -250,7 +250,9 @@ impl Topology {
 
     /// Select the layered routing policy. Takes effect at the next
     /// [`Topology::compute_routes`] / [`Topology::compute_routes_masked`]
-    /// call; call one of them afterwards before forwarding.
+    /// call; call one of them afterwards before forwarding. The
+    /// generators take their policy and route once under it; this is
+    /// for re-policing a topology already routed.
     pub fn set_policy(&mut self, policy: RoutingPolicy) {
         assert!(
             (1..=RoutingPolicy::MAX_LAYERS).contains(&policy.layers),

@@ -2,17 +2,18 @@
 
 use crate::rng::Pcg32;
 
-use super::{NodeId, NodeKind, Topology};
+use super::{NodeId, NodeKind, RoutingPolicy, Topology};
 
 impl Topology {
     /// Build a k-ary fat-tree (k even): k pods of (k/2 edge + k/2
     /// aggregation) switches, (k/2)² core switches, and k/2 hosts per
     /// edge switch — k²/4 per pod, k³/4 in all. All links share
-    /// `rate_bps`/`prop_ns` (the paper: 1 Gbps, 10 µs).
+    /// `rate_bps`/`prop_ns` (the paper: 1 Gbps, 10 µs). Routed once,
+    /// under `policy`.
     // Index loops mirror the fat-tree's (pod, column) coordinate system;
     // iterator chains over the nested vecs obscure the symmetry.
     #[allow(clippy::needless_range_loop)]
-    pub fn fat_tree(k: usize, rate_bps: u64, prop_ns: u64) -> Topology {
+    pub fn fat_tree(k: usize, rate_bps: u64, prop_ns: u64, policy: RoutingPolicy) -> Topology {
         assert!(
             k >= 2 && k.is_multiple_of(2),
             "fat-tree requires even k >= 2"
@@ -50,6 +51,7 @@ impl Topology {
                 }
             }
         }
+        t.set_policy(policy);
         t.compute_routes();
         t
     }
@@ -60,7 +62,8 @@ impl Topology {
     /// uplink runs at `hosts_per_leaf × rate_bps / (spines × oversub)`,
     /// so `oversub = 1` is non-blocking and `oversub = 4` is the classic
     /// 4:1 oversubscribed data-centre fabric (and makes the fabric
-    /// heterogeneous — uplinks slower than host links).
+    /// heterogeneous — uplinks slower than host links). Routed once,
+    /// under `policy`.
     pub fn leaf_spine(
         leaves: usize,
         spines: usize,
@@ -68,6 +71,7 @@ impl Topology {
         oversub: f64,
         rate_bps: u64,
         prop_ns: u64,
+        policy: RoutingPolicy,
     ) -> Topology {
         assert!(
             leaves >= 2 && spines >= 1 && hosts_per_leaf >= 1,
@@ -93,15 +97,18 @@ impl Topology {
                 t.connect(leaf, spine, uplink_bps, prop_ns);
             }
         }
+        t.set_policy(policy);
         t.compute_routes();
         t
     }
 
     /// Build a Jellyfish-style fabric (Singla et al.): `switches`
     /// switches wired into a seeded random `net_degree`-regular graph
-    /// (simple and connected — stub matching with deterministic
-    /// retries), each hosting `hosts_per_switch` hosts. All links share
-    /// `rate_bps`/`prop_ns`. Same seed ⇒ identical graph.
+    /// (simple and connected: stub matching with deterministic retries
+    /// below degree 6, seeded double-edge swaps over a circulant from
+    /// degree 6 up), each hosting `hosts_per_switch` hosts. All links share
+    /// `rate_bps`/`prop_ns`. Same seed ⇒ identical graph. Routed once,
+    /// under `policy`.
     pub fn jellyfish(
         switches: usize,
         net_degree: usize,
@@ -109,6 +116,7 @@ impl Topology {
         rate_bps: u64,
         prop_ns: u64,
         seed: u64,
+        policy: RoutingPolicy,
     ) -> Topology {
         assert!(
             net_degree >= 2 && switches > net_degree,
@@ -132,6 +140,7 @@ impl Topology {
                 t.connect(host, s, rate_bps, prop_ns);
             }
         }
+        t.set_policy(policy);
         t.compute_routes();
         t
     }
@@ -141,11 +150,12 @@ impl Topology {
 ///
 /// Low degrees use stub matching: shuffle every switch's stubs, pair
 /// them up, and retry the whole shuffle (with a deterministically
-/// perturbed seed) on self-loops, duplicate edges, or a disconnected
-/// result. The no-collision odds decay like `exp(-d²/4)`, so from
-/// degree 6 up (the 5k-host Jellyfish runs at degree 12) the whole
-/// graph is built by [`swapped_regular_edges`] instead.
-fn random_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
+/// perturbed seed) on self-loops, duplicate edges (found in an
+/// [`EdgeSet`]), or a disconnected result. The no-collision odds decay
+/// like `exp(-d²/4)`, so from degree 6 up (the 5k-host Jellyfish runs
+/// at degree 12) the whole graph is built by [`swapped_regular_edges`]
+/// instead.
+pub(super) fn random_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
     if d >= 6 {
         return swapped_regular_edges(n, d, seed);
     }
@@ -153,14 +163,14 @@ fn random_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
         let mut rng = Pcg32::new(seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut stubs: Vec<usize> = (0..n).flat_map(|i| (0..d).map(move |_| i)).collect();
         rng.shuffle(&mut stubs);
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = EdgeSet::new(n);
         let mut edges = Vec::with_capacity(n * d / 2);
         for pair in stubs.chunks(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a == b || !seen.insert((a.min(b), a.max(b))) {
+            let edge = (pair[0].min(pair[1]), pair[0].max(pair[1]));
+            if edge.0 == edge.1 || !seen.insert(edge) {
                 continue 'attempt;
             }
-            edges.push((a.min(b), a.max(b)));
+            edges.push(edge);
         }
         if connected(n, &edges) {
             return edges;
@@ -197,7 +207,8 @@ fn connected(n: usize, edges: &[(usize, usize)]) -> bool {
 /// chords 1..d/2, plus the antipodal matching when d is odd) and mix it
 /// with seeded double-edge swaps, which preserve d-regularity and
 /// simplicity by construction. Swapping continues in rounds until the
-/// result is connected.
+/// result is connected. A swap is tested against the present edges in
+/// an [`EdgeSet`] bit matrix, O(1) per test.
 fn swapped_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
     assert!(
         d < n - 1,
@@ -221,8 +232,11 @@ fn swapped_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
             edges.push((i, i + n / 2));
         }
     }
-    let mut present: std::collections::BTreeSet<(usize, usize)> = edges.iter().copied().collect();
-    debug_assert_eq!(present.len(), edges.len(), "circulant base must be simple");
+    let mut present = EdgeSet::new(n);
+    for &e in &edges {
+        let fresh = present.insert(e);
+        debug_assert!(fresh, "circulant base must be simple");
+    }
     let mut rng = Pcg32::new(seed ^ 0x0005_EED0_F1A7_u64);
     let target = 20 * edges.len();
     for _ in 0..100 {
@@ -241,11 +255,11 @@ fn swapped_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
             }
             let na = (a.min(c), a.max(c));
             let nb = (b.min(e), b.max(e));
-            if present.contains(&na) || present.contains(&nb) {
+            if present.contains(na) || present.contains(nb) {
                 continue;
             }
-            present.remove(&edges[i]);
-            present.remove(&edges[j]);
+            present.remove(edges[i]);
+            present.remove(edges[j]);
             present.insert(na);
             present.insert(nb);
             edges[i] = na;
@@ -259,4 +273,47 @@ fn swapped_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
         }
     }
     panic!("could not mix a connected {d}-regular graph on {n} switches");
+}
+
+/// The edges of a simple graph on nodes `0..n`, as an `n × n` bit
+/// matrix over normalised `(low, high)` pairs: O(1) membership for the
+/// regular-graph builders (stub matching's duplicate check, the mixer's
+/// swap test). 125 KB at 1 000 switches.
+struct EdgeSet {
+    n: usize,
+    bits: Vec<u64>,
+}
+
+impl EdgeSet {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            bits: vec![0; (n * n).div_ceil(64)],
+        }
+    }
+
+    /// Word index and bit mask of a normalised edge.
+    fn at(&self, (a, b): (usize, usize)) -> (usize, u64) {
+        debug_assert!(a < b && b < self.n, "edge ({a}, {b}) not normalised");
+        let i = a * self.n + b;
+        (i / 64, 1 << (i % 64))
+    }
+
+    fn contains(&self, e: (usize, usize)) -> bool {
+        let (w, m) = self.at(e);
+        self.bits[w] & m != 0
+    }
+
+    /// Add `e`; false when it was already present.
+    fn insert(&mut self, e: (usize, usize)) -> bool {
+        let (w, m) = self.at(e);
+        let fresh = self.bits[w] & m == 0;
+        self.bits[w] |= m;
+        fresh
+    }
+
+    fn remove(&mut self, e: (usize, usize)) {
+        let (w, m) = self.at(e);
+        self.bits[w] &= !m;
+    }
 }

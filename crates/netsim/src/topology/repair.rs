@@ -3,7 +3,7 @@
 
 use crate::fault::FaultMask;
 
-use super::routes::{fabric_links, live_fabric_ports, LayerTables, SwitchIndex};
+use super::routes::{LayerTables, LiveFabric, SwitchIndex};
 use super::{host_cut, NodeId, NodeKind, Port, Topology};
 
 /// Outcome of an incremental [`Topology::repair_routes`] call —
@@ -131,7 +131,7 @@ impl Topology {
         // arena), shifting entries in place and flagging per-column
         // outcomes in bitmaps that are aggregated afterwards.
         let n_cols = self.col_root.len();
-        let live = live_fabric_ports(&self.kinds, &self.ports, &self.port_off, mask);
+        let live = LiveFabric::build(self, mask);
         let mut dirty_cols: Vec<Vec<bool>> = Vec::with_capacity(n_layers);
         let mut touched_total = 0usize;
         for layer in 0..n_layers {
@@ -146,8 +146,9 @@ impl Topology {
                 // Dead switches' distances are irrelevant (their cells
                 // are cleared below).
                 let alive = !mask.node_is_down(NodeId(u));
+                let row = ix.rows[u as usize].row as usize;
                 for col in 0..n_cols {
-                    if let Some(left) = tab.excise(ix, u as usize, col, p) {
+                    if let Some(left) = tab.excise(ix, row, col, p) {
                         col_touched[col] = true;
                         col_dirty[col] |= left == 0 && alive;
                     }
@@ -158,7 +159,7 @@ impl Topology {
             // cells and distances wholesale. (Its own column empties by
             // the rule above: its nearest neighbour loses its last port.)
             for &w in &dead_switches {
-                tab.clear_switch(ix, w.0 as usize);
+                tab.clear_row(ix.rows[w.0 as usize].row as usize);
             }
             // Restore surgery, against the post-excision tables.
             // Distances of non-dirty columns are exact here (failure
@@ -213,7 +214,7 @@ impl Topology {
 // obscure that they advance in lockstep.
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 fn restore_surgery_layer(
-    live: &[bool],
+    live: &LiveFabric,
     ports: &[Port],
     off: &[u32],
     ix: &SwitchIndex,
@@ -226,16 +227,18 @@ fn restore_surgery_layer(
     col_dirty: &mut [bool],
 ) {
     for &w in restored_switches {
-        let wu = w.0 as usize;
-        // w's usable links under the new mask: (port, peer, the peer's
-        // port back to w, link weight).
-        let usable: Vec<(u16, usize, u16, u32)> = fabric_links(live, ports, off, w.0)
-            .map(|(pi, gid, port)| {
+        let rw = ix.rows[w.0 as usize].row as usize;
+        // w's usable links under the new mask: (port, peer row, the
+        // peer's port back to w, link weight).
+        let usable: Vec<(u16, usize, u16, u32)> = live
+            .of(rw)
+            .iter()
+            .map(|link| {
                 (
-                    pi,
-                    port.peer.0 as usize,
-                    port.peer_port,
-                    weights[gid] as u32,
+                    link.port,
+                    link.peer as usize,
+                    ports[link.gid as usize].peer_port,
+                    weights[link.gid as usize] as u32,
                 )
             })
             .collect();
@@ -254,7 +257,7 @@ fn restore_surgery_layer(
             // usable neighbour.
             let dw = usable
                 .iter()
-                .map(|&(_, peer, _, wl)| tab.dist_to(ix, peer, col).saturating_add(wl))
+                .map(|&(_, peer, _, wl)| tab.dist_at(peer, col).saturating_add(wl))
                 .min()
                 .unwrap_or(u32::MAX);
             if dw == u32::MAX {
@@ -265,7 +268,7 @@ fn restore_surgery_layer(
             // shrink can cascade, so rebuild this column.
             if usable
                 .iter()
-                .any(|&(_, peer, _, wl)| tab.dist_to(ix, peer, col) > dw + wl)
+                .any(|&(_, peer, _, wl)| tab.dist_at(peer, col) > dw + wl)
             {
                 col_dirty[col] = true;
                 continue;
@@ -274,33 +277,37 @@ fn restore_surgery_layer(
             // into its (empty — cleared when it died) cell, and make w
             // an additional equal-cost hop at neighbours one link
             // further out.
-            tab.set_dist(ix, wu, col, dw);
+            tab.set_dist(rw, col, dw);
             own.clear();
             for &(pi, peer, back, wl) in &usable {
-                let dp = tab.dist_to(ix, peer, col);
+                let dp = tab.dist_at(peer, col);
                 if dp + wl == dw {
                     own.push(pi);
                 } else if dp == dw + wl {
                     tab.insert_port(ix, peer, col, back);
                 }
             }
-            tab.set_advertised(ix, wu, col, &own);
+            tab.set_advertised(ix, rw, col, &own);
         }
     }
     for &(u, p) in restored_links {
-        let port = ports[off[u as usize] as usize + p as usize];
-        let (v, q) = (port.peer, port.peer_port);
+        let gid = off[u as usize] as usize + p as usize;
+        let (v, q) = (ports[gid].peer, ports[gid].peer_port);
         // The link only carries traffic if both endpoints are alive.
         if mask.node_is_down(NodeId(u)) || mask.node_is_down(v) {
             continue;
         }
-        let wl = weights[off[u as usize] as usize + p as usize] as u32;
+        let (ru, rv) = (
+            ix.rows[u as usize].row as usize,
+            ix.rows[v.0 as usize].row as usize,
+        );
+        let wl = weights[gid] as u32;
         for col in 0..roots.len() {
             if col_dirty[col] {
                 continue;
             }
-            let du = tab.dist_to(ix, u as usize, col);
-            let dv = tab.dist_to(ix, v.0 as usize, col);
+            let du = tab.dist_at(ru, col);
+            let dv = tab.dist_at(rv, col);
             if du == u32::MAX && dv == u32::MAX {
                 continue; // both sides cut off; the link helps nobody
             }
@@ -316,9 +323,9 @@ fn restore_surgery_layer(
             // distances, or a gap of 1 on a weight-2 link — no shortest
             // path uses the link and nothing changes.)
             if du == dv + wl {
-                tab.insert_port(ix, u as usize, col, p);
+                tab.insert_port(ix, ru, col, p);
             } else if dv == du + wl {
-                tab.insert_port(ix, v.0 as usize, col, q);
+                tab.insert_port(ix, rv, col, q);
             }
         }
     }

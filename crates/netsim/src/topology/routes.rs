@@ -40,6 +40,13 @@
 //! - **Distances / weights** (per layer): flat `dist[c·S + row]`
 //!   (switch to column root) and a per-layer weight arena indexed by
 //!   global port id.
+//! - **Live adjacency** (per recomputation or repair, not stored): a
+//!   [`LiveFabric`] keyed by switch row — `off` (`S + 1` entries) over
+//!   one flat `links` list holding each switch's usable
+//!   switch-to-switch links under the mask as `(peer row, global port
+//!   id, port index)`, in ascending port order. Column searches run in
+//!   row space on it: they never touch a host port, and a neighbour's
+//!   `dist` entry is one index, not a lookup through its node id.
 //! - **Hosts** (shared by all layers): one small `access` record per
 //!   host — its ToR, the ToR's column, the ToR's port facing it, and a
 //!   `cut` bit (host or access link down under the mask the routes were
@@ -162,20 +169,14 @@ pub(super) struct LayerTables {
 }
 
 impl LayerTables {
-    /// Index of switch `u`'s entry for column `col` in `len` and `dist`.
+    /// Arena offset and capacity of the route cell for `(row, col)`.
     #[inline]
-    fn slot(&self, ix: &SwitchIndex, u: usize, col: usize) -> usize {
-        let row = ix.rows[u].row as usize;
-        debug_assert!(row < self.n_switches, "node {u} has no switch row");
-        col * self.n_switches + row
-    }
-
-    /// Arena offset and capacity of the route cell for `(u, col)`.
-    #[inline]
-    fn cell(&self, ix: &SwitchIndex, u: usize, col: usize) -> (usize, usize) {
-        let SwitchRow { row, cell } = ix.rows[u];
-        let cap = ix.cell_off[row as usize + 1] - cell;
-        (col * self.n_fabric_ports + cell as usize, cap as usize)
+    fn cell(&self, ix: &SwitchIndex, row: usize, col: usize) -> (usize, usize) {
+        let (cell, end) = (ix.cell_off[row], ix.cell_off[row + 1]);
+        (
+            col * self.n_fabric_ports + cell as usize,
+            (end - cell) as usize,
+        )
     }
 
     /// The advertised ports of `(u, col)`: the cell's occupied prefix.
@@ -190,22 +191,28 @@ impl LayerTables {
     /// Weighted distance from switch `u` to the root of column `col`.
     #[inline]
     pub(super) fn dist_to(&self, ix: &SwitchIndex, u: usize, col: usize) -> u32 {
-        self.dist[self.slot(ix, u, col)]
+        let row = ix.rows[u].row as usize;
+        debug_assert!(row < self.n_switches, "node {u} has no switch row");
+        self.dist_at(row, col)
     }
 
+    /// Weighted distance from the switch in `row` to the root of `col`.
     #[inline]
-    pub(super) fn set_dist(&mut self, ix: &SwitchIndex, u: usize, col: usize, d: u32) {
-        let i = self.slot(ix, u, col);
-        self.dist[i] = d;
+    pub(super) fn dist_at(&self, row: usize, col: usize) -> u32 {
+        self.dist[col * self.n_switches + row]
     }
 
-    /// Insert `p` into the cell keeping ascending order (no-op when
-    /// already advertised). A cell holds distinct fabric port indices
-    /// of its switch at capacity the fabric degree, so the shift always
-    /// fits.
-    pub(super) fn insert_port(&mut self, ix: &SwitchIndex, u: usize, col: usize, p: u16) {
-        let (start, cap) = self.cell(ix, u, col);
-        let li = self.slot(ix, u, col);
+    pub(super) fn set_dist(&mut self, row: usize, col: usize, d: u32) {
+        self.dist[col * self.n_switches + row] = d;
+    }
+
+    /// Insert `p` into the cell of `(row, col)` keeping ascending order
+    /// (no-op when already advertised). A cell holds distinct fabric
+    /// port indices of its switch at capacity the fabric degree, so the
+    /// shift always fits.
+    pub(super) fn insert_port(&mut self, ix: &SwitchIndex, row: usize, col: usize, p: u16) {
+        let (start, cap) = self.cell(ix, row, col);
+        let li = col * self.n_switches + row;
         let l = self.len[li] as usize;
         if let Err(pos) = self.buf[start..start + l].binary_search(&p) {
             debug_assert!(l < cap, "route cell overflow");
@@ -216,12 +223,18 @@ impl LayerTables {
         }
     }
 
-    /// Excise `p` from the cell of `(u, col)` if it is advertised there,
-    /// keeping the rest in order: how many ports the cell still holds,
-    /// or `None` when `p` was not among them.
-    pub(super) fn excise(&mut self, ix: &SwitchIndex, u: usize, col: usize, p: u16) -> Option<u16> {
-        let (start, _) = self.cell(ix, u, col);
-        let li = self.slot(ix, u, col);
+    /// Excise `p` from the cell of `(row, col)` if it is advertised
+    /// there, keeping the rest in order: how many ports the cell still
+    /// holds, or `None` when `p` was not among them.
+    pub(super) fn excise(
+        &mut self,
+        ix: &SwitchIndex,
+        row: usize,
+        col: usize,
+        p: u16,
+    ) -> Option<u16> {
+        let (start, _) = self.cell(ix, row, col);
+        let li = col * self.n_switches + row;
         let l = self.len[li] as usize;
         let pos = self.buf[start..start + l].iter().position(|&x| x == p)?;
         self.buf
@@ -230,22 +243,27 @@ impl LayerTables {
         Some(self.len[li])
     }
 
-    /// Empty switch `u`'s cell and forget its distance in every column.
-    pub(super) fn clear_switch(&mut self, ix: &SwitchIndex, u: usize) {
-        let row = ix.rows[u].row as usize;
+    /// Empty the cell of the switch in `row` and forget its distance in
+    /// every column.
+    pub(super) fn clear_row(&mut self, row: usize) {
         for li in (row..self.len.len()).step_by(self.n_switches) {
             self.len[li] = 0;
             self.dist[li] = u32::MAX;
         }
     }
 
-    /// Fill the empty cell of `(u, col)` with `ports`, ascending.
-    pub(super) fn set_advertised(&mut self, ix: &SwitchIndex, u: usize, col: usize, ports: &[u16]) {
-        let (start, cap) = self.cell(ix, u, col);
+    /// Fill the empty cell of `(row, col)` with `ports`, ascending.
+    pub(super) fn set_advertised(
+        &mut self,
+        ix: &SwitchIndex,
+        row: usize,
+        col: usize,
+        ports: &[u16],
+    ) {
+        let (start, cap) = self.cell(ix, row, col);
         debug_assert!(ports.len() <= cap, "route cell overflow");
         self.buf[start..start + ports.len()].copy_from_slice(ports);
-        let li = self.slot(ix, u, col);
-        self.len[li] = ports.len() as u16;
+        self.len[col * self.n_switches + row] = ports.len() as u16;
     }
 }
 
@@ -280,7 +298,7 @@ impl Topology {
             tab.len.resize(s * n_cols, 0);
             tab.dist.resize(s * n_cols, u32::MAX);
         }
-        let live = live_fabric_ports(&self.kinds, &self.ports, &self.port_off, mask);
+        let live = LiveFabric::build(self, mask);
         self.rebuild_columns(mask, &live, None);
         for (a, &h) in self.access.iter_mut().zip(&self.hosts) {
             a.cut = host_cut(mask, h);
@@ -289,7 +307,7 @@ impl Topology {
         self.routes_mask = mask.clone();
     }
 
-    /// Rebuild route columns against `mask` (whose usable fabric ports
+    /// Rebuild route columns against `mask` (whose usable fabric links
     /// are `live`) — all of them, or only the (layer, column) pairs
     /// flagged in `dirty`; full recompute and repair share this loop. A
     /// column is a contiguous slice of each destination-major arena and
@@ -297,11 +315,10 @@ impl Topology {
     pub(super) fn rebuild_columns(
         &mut self,
         mask: &FaultMask,
-        live: &[bool],
+        live: &LiveFabric,
         dirty: Option<&[Vec<bool>]>,
     ) {
-        let (ports, port_off) = (&self.ports, &self.port_off);
-        let rows = &self.switches.rows;
+        let ix = &self.switches;
         let mut scratch = ColumnScratch::default();
         for (layer, tab) in self.layers.iter_mut().enumerate() {
             // Columns by index, not by chunking `buf`: a fabric with no
@@ -312,12 +329,12 @@ impl Topology {
                 if dirty.is_none_or(|d| d[layer][col]) {
                     let column = Column {
                         weights: &self.weights[layer],
-                        root,
+                        root: (!mask.node_is_down(root)).then(|| ix.rows[root.0 as usize].row),
                         buf: &mut tab.buf[col * p_f..][..p_f],
                         len: &mut tab.len[col * s..][..s],
                         dist: &mut tab.dist[col * s..][..s],
                     };
-                    compute_column(live, ports, port_off, rows, mask, column, &mut scratch);
+                    compute_column(live, &ix.cell_off, column, &mut scratch);
                 }
             }
         }
@@ -476,7 +493,7 @@ impl Topology {
                 let ports = self.node_ports(NodeId(u as u32));
                 for col in 0..n_cols {
                     let cell = tab.advertised(ix, u, col);
-                    let (_, cap) = tab.cell(ix, u, col);
+                    let (_, cap) = tab.cell(ix, ix.rows[u].row as usize, col);
                     assert!(
                         cell.len() <= cap,
                         "layer {layer} cell ({u}, {col}) overflows its capacity"
@@ -500,10 +517,72 @@ impl Topology {
     }
 }
 
+/// The usable switch-to-switch links under one fault mask, keyed by
+/// switch row (CSR): row `r`'s links are `links[off[r]..off[r + 1]]`,
+/// in ascending port order. A link is usable when its far end is a
+/// live switch and the link is up. Built once per recomputation or
+/// repair, so the searches ask the mask once per port rather than once
+/// per port and column, and walk a switch's fabric links without its
+/// host ports. The only adjacency route computation sees.
+pub(super) struct LiveFabric {
+    off: Vec<u32>,
+    links: Vec<LiveLink>,
+}
+
+/// One usable directed switch-to-switch link of a [`LiveFabric`] row.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct LiveLink {
+    /// The far end's switch row.
+    pub(super) peer: u32,
+    /// The link's global port id (`port_off[node] + port`), which
+    /// indexes the weight arenas.
+    pub(super) gid: u32,
+    /// The port's index at its own switch: what a route cell holds.
+    pub(super) port: u16,
+}
+
+impl LiveFabric {
+    pub(super) fn build(t: &Topology, mask: &FaultMask) -> Self {
+        let ix = &t.switches;
+        let mut live = Self {
+            off: Vec::with_capacity(ix.switches() + 1),
+            links: Vec::with_capacity(ix.fabric_ports()),
+        };
+        live.off.push(0);
+        for (u, sr) in ix.rows.iter().enumerate() {
+            if sr.is_host() {
+                continue;
+            }
+            let base = t.port_off[u];
+            for (pi, port) in t.node_ports(NodeId(u as u32)).iter().enumerate() {
+                let peer = ix.rows[port.peer.0 as usize];
+                if !peer.is_host()
+                    && !mask.link_is_down(NodeId(u as u32), pi as u16)
+                    && !mask.node_is_down(port.peer)
+                {
+                    live.links.push(LiveLink {
+                        peer: peer.row,
+                        gid: base + pi as u32,
+                        port: pi as u16,
+                    });
+                }
+            }
+            live.off.push(live.links.len() as u32);
+        }
+        live
+    }
+
+    /// The usable links of the switch in `row`, ascending by port.
+    #[inline]
+    pub(super) fn of(&self, row: usize) -> &[LiveLink] {
+        &self.links[self.off[row] as usize..self.off[row + 1] as usize]
+    }
+}
+
 /// Reusable scratch for [`compute_column`], so per-column searches
 /// allocate nothing: the search's distance buckets (weights are 1 or 2,
 /// so three buckets indexed by `distance % 3` hold every open distance)
-/// and the reached-switch list.
+/// and the reached-row list.
 #[derive(Default)]
 struct ColumnScratch {
     buckets: [Vec<u32>; 3],
@@ -516,8 +595,9 @@ struct ColumnScratch {
 struct Column<'a> {
     /// The layer's link-weight arena (shared, read-only).
     weights: &'a [u8],
-    /// The access switch this column routes towards.
-    root: NodeId,
+    /// The row of the access switch this column routes towards, `None`
+    /// when that switch is down (the column is then empty).
+    root: Option<u32>,
     /// The column's `P_f`-length route-cell slice.
     buf: &'a mut [u16],
     /// The column's `S`-length occupied-prefix slice, by switch row.
@@ -526,66 +606,21 @@ struct Column<'a> {
     dist: &'a mut [u32],
 }
 
-/// One flag per global port: whether it is a usable switch-to-switch
-/// link under `mask` (a switch's port, link up, peer a live switch).
-/// Built once per recomputation or repair, so the searches ask the mask
-/// once per port rather than once per port and column.
-pub(super) fn live_fabric_ports(
-    kinds: &[NodeKind],
-    ports: &[Port],
-    off: &[u32],
-    mask: &FaultMask,
-) -> Vec<bool> {
-    let mut live = vec![false; ports.len()];
-    for (u, kind) in kinds.iter().enumerate() {
-        if *kind != NodeKind::Switch {
-            continue;
-        }
-        let base = off[u] as usize;
-        for (pi, port) in ports[base..off[u + 1] as usize].iter().enumerate() {
-            live[base + pi] = kinds[port.peer.0 as usize] == NodeKind::Switch
-                && !mask.link_is_down(NodeId(u as u32), pi as u16)
-                && !mask.node_is_down(port.peer);
-        }
-    }
-    live
-}
-
-/// The usable switch-to-switch links of switch `u` (flagged in `live`,
-/// see [`live_fabric_ports`]), as `(port index, global port id, port)`
-/// in ascending port order. The only adjacency route computation sees:
-/// hosts are in no frontier and no surgery loop.
-pub(super) fn fabric_links<'a>(
-    live: &'a [bool],
-    ports: &'a [Port],
-    off: &[u32],
-    u: u32,
-) -> impl Iterator<Item = (u16, usize, &'a Port)> {
-    let base = off[u as usize] as usize;
-    let mine = &ports[base..off[u as usize + 1] as usize];
-    mine.iter()
-        .enumerate()
-        .filter_map(move |(pi, port)| live[base + pi].then_some((pi as u16, base + pi, port)))
-}
-
 /// Rebuild one layer's routing column for one access switch: a weighted
-/// shortest-path search over [`fabric_links`] from the root outward
+/// shortest-path search over the [`LiveFabric`] from the root outward
 /// (weights in {1, 2} per the layer's preferred-link draw; all 1 on
 /// layer 0), recording the distances in the column's `dist` slice, then
-/// record every reached switch's advertised ports into its arena cell —
-/// exactly the ports on weighted shortest paths, in ascending port
-/// order. The search traverses links in reverse, but the mask and the
-/// weights are symmetric per link, so checking the (u, port) direction
-/// suffices. A free function (not a method), taking only this column's
-/// slices of the column-major arenas, so the caller can borrow
-/// `Topology` fields disjointly. The search runs on node ids and
-/// indexes the slices by each switch's [`SwitchRow`].
+/// record every reached switch's advertised ports into its arena cell
+/// (based at `cell_off[row]`) — exactly the ports on weighted shortest
+/// paths, in ascending port order. The search traverses links in
+/// reverse, but the mask and the weights are symmetric per link, so
+/// listing the (u, port) direction suffices. A free function (not a method),
+/// taking only this column's slices of the column-major arenas, so the
+/// caller can borrow `Topology` fields disjointly. The search runs in
+/// row space: buckets hold rows and `dist` is indexed by them directly.
 fn compute_column(
-    live: &[bool],
-    ports: &[Port],
-    off: &[u32],
-    rows: &[SwitchRow],
-    mask: &FaultMask,
+    live: &LiveFabric,
+    cell_off: &[u32],
     column: Column,
     scratch: &mut ColumnScratch,
 ) {
@@ -598,31 +633,30 @@ fn compute_column(
     } = column;
     len.fill(0);
     dist.fill(u32::MAX);
-    if mask.node_is_down(root) {
+    let Some(root) = root else {
         return;
-    }
-    let row = |n: u32| rows[n as usize].row as usize;
+    };
     // Dial's algorithm: settle distances in increasing order, one
     // bucket per distance. Relaxing from distance d only ever fills the
     // buckets of d + 1 and d + 2, never the one being drained.
     let ColumnScratch { buckets, reached } = scratch;
     reached.clear();
-    dist[row(root.0)] = 0;
-    buckets[0].push(root.0);
+    dist[root as usize] = 0;
+    buckets[0].push(root);
     let (mut d, mut open) = (0u32, 1usize);
     while open > 0 {
         let mut level = std::mem::take(&mut buckets[(d % 3) as usize]);
         open -= level.len();
         for u in level.drain(..) {
-            if dist[row(u)] != d {
+            if dist[u as usize] != d {
                 continue; // settled closer through another neighbour
             }
             reached.push(u);
-            for (_, gid, port) in fabric_links(live, ports, off, u) {
-                let (nd, v) = (d + weights[gid] as u32, port.peer.0);
-                if nd < dist[row(v)] {
-                    dist[row(v)] = nd;
-                    buckets[(nd % 3) as usize].push(v);
+            for link in live.of(u as usize) {
+                let nd = d + weights[link.gid as usize] as u32;
+                if nd < dist[link.peer as usize] {
+                    dist[link.peer as usize] = nd;
+                    buckets[(nd % 3) as usize].push(link.peer);
                     open += 1;
                 }
             }
@@ -631,14 +665,13 @@ fn compute_column(
         d += 1;
     }
     // Every reached switch but the root (settled first) gets a cell.
-    for &u in &reached[1..] {
-        let SwitchRow { row: r, cell } = rows[u as usize];
-        let (r, base) = (r as usize, cell as usize);
+    for &r in &reached[1..] {
+        let (r, base) = (r as usize, cell_off[r as usize] as usize);
         let mut l = 0usize;
-        for (pi, gid, port) in fabric_links(live, ports, off, u) {
-            let dv = dist[row(port.peer.0)];
-            if dv != u32::MAX && dv + weights[gid] as u32 == dist[r] {
-                buf[base + l] = pi;
+        for link in live.of(r) {
+            let dv = dist[link.peer as usize];
+            if dv != u32::MAX && dv + weights[link.gid as usize] as u32 == dist[r] {
+                buf[base + l] = link.port;
                 l += 1;
             }
         }

@@ -4,18 +4,18 @@ use crate::rng::Pcg32;
 #[test]
 fn fat_tree_counts() {
     // k=4: 16 hosts, 4 pods × (2+2) switches + 4 cores = 20 switches.
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     assert_eq!(t.hosts().len(), 16);
     assert_eq!(t.node_count(), 16 + 8 + 8 + 4);
     // k=10: the paper's 250-server fabric.
-    let t10 = Topology::fat_tree(10, 1_000_000_000, 10_000);
+    let t10 = Topology::fat_tree(10, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     assert_eq!(t10.hosts().len(), 250);
     assert_eq!(t10.node_count(), 250 + 50 + 50 + 25);
 }
 
 #[test]
 fn fat_tree_symmetric_ports() {
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     for n in 0..t.node_count() as u32 {
         for (i, p) in t.node_ports(NodeId(n)).iter().enumerate() {
             let back = t.port(p.peer, p.peer_port);
@@ -27,7 +27,7 @@ fn fat_tree_symmetric_ports() {
 
 #[test]
 fn hosts_have_one_port_switches_k() {
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     for &h in t.hosts() {
         assert_eq!(t.node_ports(h).len(), 1);
     }
@@ -40,7 +40,7 @@ fn hosts_have_one_port_switches_k() {
 
 #[test]
 fn path_hops_structure() {
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = t.hosts().to_vec();
     // Same rack: 2 hops (host→edge→host).
     assert_eq!(t.path_hops(hosts[0], hosts[1]), 2);
@@ -52,7 +52,7 @@ fn path_hops_structure() {
 
 #[test]
 fn multipath_counts() {
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = t.hosts().to_vec();
     let (src, dst) = (hosts[0], hosts[15]);
     // At the source edge switch there are k/2 = 2 equal-cost uplinks.
@@ -64,7 +64,7 @@ fn multipath_counts() {
 
 #[test]
 fn same_rack_detection() {
-    let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = t.hosts().to_vec();
     assert!(t.same_rack(hosts[0], hosts[1]));
     assert!(!t.same_rack(hosts[0], hosts[2]));
@@ -81,7 +81,15 @@ fn self_link_panics() {
 #[test]
 fn leaf_spine_structure_and_oversub() {
     // 4 leaves x 4 hosts, 2 spines, 2:1 oversubscription.
-    let t = Topology::leaf_spine(4, 2, 4, 2.0, 1_000_000_000, 10_000);
+    let t = Topology::leaf_spine(
+        4,
+        2,
+        4,
+        2.0,
+        1_000_000_000,
+        10_000,
+        RoutingPolicy::minimal(),
+    );
     assert_eq!(t.hosts().len(), 16);
     assert_eq!(t.node_count(), 16 + 4 + 2);
     // Uplink rate = 4 x 1G / (2 spines x 2.0) = 1 Gbps... per uplink.
@@ -103,7 +111,7 @@ fn leaf_spine_structure_and_oversub() {
 
 #[test]
 fn jellyfish_regular_connected_deterministic() {
-    let t = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 7);
+    let t = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 7, RoutingPolicy::minimal());
     assert_eq!(t.hosts().len(), 16);
     assert_eq!(t.node_count(), 16 + 8);
     for n in 0..8u32 {
@@ -119,8 +127,8 @@ fn jellyfish_regular_connected_deterministic() {
         }
     }
     // Same seed => identical wiring; different seed => different.
-    let t2 = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 7);
-    let t3 = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 8);
+    let t2 = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 7, RoutingPolicy::minimal());
+    let t3 = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 8, RoutingPolicy::minimal());
     let wiring = |t: &Topology| -> Vec<Vec<u32>> {
         (0..t.node_count() as u32)
             .map(|n| t.node_ports(NodeId(n)).iter().map(|p| p.peer.0).collect())
@@ -132,7 +140,7 @@ fn jellyfish_regular_connected_deterministic() {
 
 #[test]
 fn layered_policy_widens_path_set_and_stays_loop_free() {
-    let mut t = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3);
+    let mut t = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3, RoutingPolicy::minimal());
     let minimal: usize = count_advertised(&t, 0);
     t.set_policy(RoutingPolicy::layered(3, 7));
     t.compute_routes();
@@ -187,7 +195,8 @@ fn layered_policy_widens_path_set_and_stays_loop_free() {
     }
     // next_ports[0] still walks a minimal path.
     let (a, b) = (hosts[0], hosts[7]);
-    let minimal_t = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3);
+    let minimal_t =
+        Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3, RoutingPolicy::minimal());
     assert_eq!(t.path_hops(a, b), minimal_t.path_hops(a, b));
 }
 
@@ -205,7 +214,7 @@ fn count_advertised(t: &Topology, layer: usize) -> usize {
 
 #[test]
 fn masked_recompute_routes_around_core_failure() {
-    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let core = t.core_switches()[0];
     let mut mask = FaultMask::new();
     mask.fail_node(core);
@@ -276,9 +285,7 @@ fn weight_snapshot(t: &Topology) -> Vec<Vec<u8>> {
 /// bit-identical to freshly derived ones.
 #[test]
 fn weight_tables_cached_across_masked_recomputes() {
-    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
-    t.set_policy(RoutingPolicy::layered(3, 9));
-    t.compute_routes();
+    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::layered(3, 9));
     let builds = t.weight_builds();
     let snapshot = weight_snapshot(&t);
     let mut mask = FaultMask::new();
@@ -311,7 +318,7 @@ fn repair_single_link_matches_full_and_rebuilds_few() {
     // single path into the agg's pod empties, so just that pod's
     // edge switches (2 of 8) need a BFS rebuild. The true core layer is the
     // last-added (k/2)² nodes (`core_switches()` includes aggs).
-    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let core = NodeId(pristine.node_count() as u32 - 1);
     let mut mask = FaultMask::new();
     mask.fail_link(&pristine, core, 0);
@@ -341,7 +348,7 @@ fn repair_core_switch_is_pure_surgery() {
     // repair is pure port-list surgery: zero BFS rebuilds. Note
     // `core_switches()` also returns aggs (any host-free switch);
     // the true core layer is the last-added (k/2)² nodes.
-    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let core = NodeId(pristine.node_count() as u32 - 1);
     let mut mask = FaultMask::new();
     mask.fail_node(core);
@@ -359,7 +366,7 @@ fn repair_sequential_faults_track_full_recompute() {
     // Grow the mask one failure at a time; each repair must leave the
     // tables identical to a from-scratch recomputation of the
     // accumulated mask.
-    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let cores = pristine.core_switches();
     let mut mask = FaultMask::new();
     let mut repaired = pristine.clone();
@@ -380,7 +387,7 @@ fn repair_sequential_faults_track_full_recompute() {
 fn repair_restores_incrementally_on_every_layer() {
     // The true core layer is the last-added (k/2)² nodes
     // (`core_switches()` also returns aggs).
-    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let core = NodeId(t.node_count() as u32 - 1);
     let mut mask = FaultMask::new();
     mask.fail_node(core);
@@ -392,13 +399,13 @@ fn repair_restores_incrementally_on_every_layer() {
     assert!(!outcome.full, "restoration must repair incrementally");
     assert_eq!(outcome.restored, 1);
     assert_eq!(outcome.dests_rebuilt, 0, "no distance shrank");
-    let healthy = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let healthy = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     assert_eq!(route_tables(&t), route_tables(&healthy));
     // An aggregation switch's death cuts its group's cores off from
     // the pod; the restoration must rebuild exactly that pod's two
     // edge-switch columns (where distances genuinely changed) and
     // still match.
-    let mut t2 = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let mut t2 = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let agg = t2.core_switches()[0]; // host-free ⇒ agg or core; [0] is an agg
     let mut m2 = FaultMask::new();
     m2.fail_node(agg);
@@ -412,9 +419,15 @@ fn repair_restores_incrementally_on_every_layer() {
     // on a 3-layer Jellyfish is a bit flip on every layer at once —
     // no column rebuilt or touched either way — and lands exactly
     // on the from-scratch tables.
-    let mut lt = Topology::jellyfish(12, 3, 2, 1_000_000_000, 10_000, 3);
-    lt.set_policy(RoutingPolicy::layered(3, 11));
-    lt.compute_routes();
+    let mut lt = Topology::jellyfish(
+        12,
+        3,
+        2,
+        1_000_000_000,
+        10_000,
+        3,
+        RoutingPolicy::layered(3, 11),
+    );
     let layered_pristine = lt.clone();
     let victim_host = lt.hosts()[0];
     let mut m3 = FaultMask::new();
@@ -458,7 +471,7 @@ fn repair_restores_incrementally_on_every_layer() {
 fn restore_repair_link_and_host_cases() {
     // A host link flaps down and up: the cut bit flips and flips
     // back; no column is rebuilt either way.
-    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let victim = pristine.hosts()[0];
     let mut t = pristine.clone();
     let mut mask = FaultMask::new();
@@ -529,14 +542,21 @@ fn repair_after_policy_change_takes_full_fallback() {
     // invalidates the weight tables surgery would run against; the
     // next repair must fall back to a full recompute under the new
     // policy and land exactly on its from-scratch tables.
-    let mut t = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3);
-    t.set_policy(RoutingPolicy::layered(2, 1));
-    t.compute_routes();
+    let mut t = Topology::jellyfish(
+        8,
+        3,
+        1,
+        1_000_000_000,
+        10_000,
+        3,
+        RoutingPolicy::layered(2, 1),
+    );
     t.set_policy(RoutingPolicy::layered(2, 2)); // same count, new seed
     let mut mask = FaultMask::new();
     mask.fail_link(&t, NodeId(0), 0);
     assert!(t.repair_routes(&mask).full, "stale weights force fallback");
-    let mut fresh = Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3);
+    let mut fresh =
+        Topology::jellyfish(8, 3, 1, 1_000_000_000, 10_000, 3, RoutingPolicy::minimal());
     fresh.set_policy(RoutingPolicy::layered(2, 2));
     fresh.compute_routes_masked(&mask);
     assert_eq!(route_tables(&t), route_tables(&fresh));
@@ -547,7 +567,7 @@ fn repair_after_policy_change_takes_full_fallback() {
 
 #[test]
 fn repair_with_no_delta_is_a_noop() {
-    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let before = route_tables(&t);
     let outcome = t.repair_routes(&FaultMask::new());
     assert!(!outcome.full);
@@ -560,7 +580,7 @@ fn repair_host_link_rebuilds_only_that_host() {
     // A dying host uplink cuts exactly one destination, and does it
     // with a bit flip: hosts are leaves nothing routes through, so
     // no column is rebuilt or even touched.
-    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let victim = pristine.hosts()[0];
     let mut mask = FaultMask::new();
     mask.fail_link(&pristine, victim, 0);
@@ -613,7 +633,15 @@ fn host_to_host_link_is_rejected() {
 /// host-port room in every cell, 28 849 328 B.)
 #[test]
 fn jellyfish_5000_route_table_bytes() {
-    let mut t = Topology::jellyfish(250, 12, 20, 1_000_000_000, 10_000, 7);
+    let mut t = Topology::jellyfish(
+        250,
+        12,
+        20,
+        1_000_000_000,
+        10_000,
+        7,
+        RoutingPolicy::minimal(),
+    );
     assert_eq!(t.hosts().len(), 5000);
     assert_eq!(t.route_table_bytes(), 2_017_332, "one layer");
     t.set_policy(RoutingPolicy::layered(2, 7));
@@ -627,9 +655,15 @@ fn jellyfish_5000_route_table_bytes() {
 #[test]
 #[ignore = "20 000-host build; run in release"]
 fn jellyfish_20000_route_tables_fit_in_64_mb() {
-    let mut t = Topology::jellyfish(1000, 12, 20, 1_000_000_000, 10_000, 7);
-    t.set_policy(RoutingPolicy::layered(2, 7));
-    t.compute_routes();
+    let t = Topology::jellyfish(
+        1000,
+        12,
+        20,
+        1_000_000_000,
+        10_000,
+        7,
+        RoutingPolicy::layered(2, 7),
+    );
     assert_eq!(t.hosts().len(), 20_000);
     assert_eq!(t.route_table_bytes(), 60_569_316);
     assert!(t.route_table_bytes() <= 64 << 20);
@@ -637,7 +671,15 @@ fn jellyfish_20000_route_tables_fit_in_64_mb() {
 
 #[test]
 fn masked_recompute_leaves_cut_hosts_unroutable() {
-    let mut t = Topology::leaf_spine(2, 2, 2, 1.0, 1_000_000_000, 10_000);
+    let mut t = Topology::leaf_spine(
+        2,
+        2,
+        2,
+        1.0,
+        1_000_000_000,
+        10_000,
+        RoutingPolicy::minimal(),
+    );
     let hosts = t.hosts().to_vec();
     let leaf = t.edge_switch(hosts[0]);
     let mut mask = FaultMask::new();
@@ -656,13 +698,27 @@ fn masked_recompute_leaves_cut_hosts_unroutable() {
 /// spines), so there it cannot.
 #[test]
 fn csr_invariants_hold_after_build_and_repair() {
-    let leaf_spine = Topology::leaf_spine(3, 2, 2, 1.0, 1_000_000_000, 10_000);
+    let leaf_spine = Topology::leaf_spine(
+        3,
+        2,
+        2,
+        1.0,
+        1_000_000_000,
+        10_000,
+        RoutingPolicy::minimal(),
+    );
     assert_eq!(leaf_spine.switches.rows[3].row, 1, "second leaf, id 3");
-    let mut jelly = Topology::jellyfish(8, 3, 2, 1_000_000_000, 10_000, 7);
-    jelly.set_policy(RoutingPolicy::layered(2, 5));
-    jelly.compute_routes();
+    let jelly = Topology::jellyfish(
+        8,
+        3,
+        2,
+        1_000_000_000,
+        10_000,
+        7,
+        RoutingPolicy::layered(2, 5),
+    );
     for mut t in [
-        Topology::fat_tree(4, 1_000_000_000, 10_000),
+        Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal()),
         leaf_spine,
         jelly,
     ] {
@@ -728,9 +784,17 @@ fn lone_switch_routes_through_a_zero_width_column() {
 fn switch_links_list_each_link_once_lower_end_first() {
     use crate::fault::ElementKey;
     for t in [
-        Topology::fat_tree(4, 1_000_000_000, 10_000),
-        Topology::leaf_spine(4, 3, 2, 2.0, 1_000_000_000, 10_000),
-        Topology::jellyfish(12, 4, 2, 1_000_000_000, 10_000, 5),
+        Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal()),
+        Topology::leaf_spine(
+            4,
+            3,
+            2,
+            2.0,
+            1_000_000_000,
+            10_000,
+            RoutingPolicy::minimal(),
+        ),
+        Topology::jellyfish(12, 4, 2, 1_000_000_000, 10_000, 5, RoutingPolicy::minimal()),
     ] {
         let is_switch = |n: NodeId| t.kind(n) == NodeKind::Switch;
         let mut keyed = std::collections::BTreeSet::new();
@@ -763,10 +827,19 @@ fn switch_links_list_each_link_once_lower_end_first() {
 fn pinned_path_is_the_path_ecmp_forwarding_takes() {
     use crate::fixtures::{data_pkt, echo_sim};
     use crate::{FlowId, Packet, Recorder, SimConfig, SimTime, TelemetryConfig};
-    let mut jelly = Topology::jellyfish(12, 4, 2, 1_000_000_000, 10_000, 5);
-    jelly.set_policy(RoutingPolicy::layered(2, 9));
-    jelly.compute_routes();
-    for t in [Topology::fat_tree(4, 1_000_000_000, 10_000), jelly] {
+    let jelly = Topology::jellyfish(
+        12,
+        4,
+        2,
+        1_000_000_000,
+        10_000,
+        5,
+        RoutingPolicy::layered(2, 9),
+    );
+    for t in [
+        Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal()),
+        jelly,
+    ] {
         let hosts = t.hosts();
         for i in 0..40 {
             let (src, dst) = (hosts[i % hosts.len()], hosts[(3 * i + 5) % hosts.len()]);
@@ -801,6 +874,83 @@ fn pinned_path_is_the_path_ecmp_forwarding_takes() {
             hops.sort_unstable();
             sent.sort_unstable();
             assert_eq!(sent, hops, "flow {} from {} to {}", flow.0, src.0, dst.0);
+        }
+    }
+}
+
+/// FNV-1a over a mixer's edge list, endpoints as 64-bit words in order.
+fn edge_list_hash(edges: &[(usize, usize)]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &(a, b) in edges {
+        for w in [a as u64, b as u64] {
+            for byte in w.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+    h
+}
+
+/// The degree-12 mixer's edge lists, in order: the 5 000-host
+/// Jellyfish at the three scenario seeds of a benchmark panel at
+/// seed 1, and the 20 000-host one.
+#[test]
+fn mixer_edge_lists_are_pinned() {
+    let panel = |i: u64| 1u64.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let got = [
+        edge_list_hash(&build::random_regular_edges(250, 12, panel(0))),
+        edge_list_hash(&build::random_regular_edges(250, 12, panel(1))),
+        edge_list_hash(&build::random_regular_edges(250, 12, panel(2))),
+        edge_list_hash(&build::random_regular_edges(1000, 12, 7)),
+    ];
+    let golden = [
+        0xF458_07F4_FA96_D5C5,
+        0x5092_C8E4_129D_3245,
+        0x09A9_1DDC_2810_CA25,
+        0xD9A2_35F0_9E45_84ED,
+    ];
+    assert_eq!(got, golden, "mixer edge lists {got:#018x?}");
+}
+
+/// The mixer's output is a simple, connected, d-regular graph, at even
+/// and odd degrees alike.
+#[test]
+fn mixer_output_is_regular_simple_and_connected() {
+    for (n, d) in [(20, 6), (41, 6), (16, 7), (30, 7), (26, 12), (60, 12)] {
+        for seed in 0..8u64 {
+            let edges = build::random_regular_edges(n, d, seed);
+            assert_eq!(edges.len(), n * d / 2, "({n}, {d}, {seed}) edge count");
+            let mut degree = vec![0usize; n];
+            let mut seen = std::collections::BTreeSet::new();
+            // Union-find over the edges: one root left means connected.
+            let mut parent: Vec<usize> = (0..n).collect();
+            fn root(parent: &mut [usize], mut x: usize) -> usize {
+                while parent[x] != x {
+                    parent[x] = parent[parent[x]];
+                    x = parent[x];
+                }
+                x
+            }
+            for &(a, b) in &edges {
+                assert!(
+                    a < b && b < n,
+                    "({n}, {d}, {seed}) edge ({a}, {b}) not normalised"
+                );
+                assert!(
+                    seen.insert((a, b)),
+                    "({n}, {d}, {seed}) duplicate edge ({a}, {b})"
+                );
+                degree[a] += 1;
+                degree[b] += 1;
+                let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
+                parent[ra] = rb;
+            }
+            assert!(
+                degree.iter().all(|&k| k == d),
+                "({n}, {d}, {seed}) not {d}-regular"
+            );
+            let roots = (0..n).filter(|&x| root(&mut parent, x) == x).count();
+            assert_eq!(roots, 1, "({n}, {d}, {seed}) disconnected");
         }
     }
 }

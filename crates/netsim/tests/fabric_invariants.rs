@@ -19,7 +19,7 @@ fn fat_tree_ks() -> impl Strategy<Value = usize> {
 fn any_fabric() -> impl Strategy<Value = (Topology, String)> {
     prop_oneof![
         fat_tree_ks().prop_map(|k| (
-            Topology::fat_tree(k, 1_000_000_000, 10_000),
+            Topology::fat_tree(k, 1_000_000_000, 10_000, RoutingPolicy::minimal()),
             format!("fat_tree k={k}")
         )),
         (
@@ -29,13 +29,29 @@ fn any_fabric() -> impl Strategy<Value = (Topology, String)> {
             prop_oneof![Just(1.0f64), Just(2.0), Just(4.0)]
         )
             .prop_map(|(leaves, spines, hpl, oversub)| (
-                Topology::leaf_spine(leaves, spines, hpl, oversub, 1_000_000_000, 10_000),
+                Topology::leaf_spine(
+                    leaves,
+                    spines,
+                    hpl,
+                    oversub,
+                    1_000_000_000,
+                    10_000,
+                    RoutingPolicy::minimal()
+                ),
                 format!("leaf_spine {leaves}x{spines}x{hpl} {oversub}:1")
             )),
         // Even switch counts only: stub matching needs switches × degree
         // even, and the degree here is 3.
         (3usize..=5, 1usize..=2, any::<u64>()).prop_map(|(half, hps, seed)| (
-            Topology::jellyfish(half * 2, 3, hps, 1_000_000_000, 10_000, seed),
+            Topology::jellyfish(
+                half * 2,
+                3,
+                hps,
+                1_000_000_000,
+                10_000,
+                seed,
+                RoutingPolicy::minimal()
+            ),
             format!("jellyfish sw={} hps={hps} seed={seed}", half * 2)
         )),
     ]
@@ -253,7 +269,7 @@ proptest! {
     /// one of the three fat-tree distances (2, 4, 6).
     #[test]
     fn path_lengths_are_fat_tree_distances(k in fat_tree_ks(), pair_seed in any::<u64>()) {
-        let t = Topology::fat_tree(k, 1_000_000_000, 10_000);
+        let t = Topology::fat_tree(k, 1_000_000_000, 10_000, RoutingPolicy::minimal());
         let hosts = t.hosts().to_vec();
         let mut rng = netsim::Pcg32::new(pair_seed);
         for _ in 0..16 {
@@ -269,7 +285,7 @@ proptest! {
     /// port from any node reaches the destination without loops.
     #[test]
     fn all_multipath_choices_reach_destination(k in fat_tree_ks(), seed in any::<u64>()) {
-        let t = Topology::fat_tree(k, 1_000_000_000, 10_000);
+        let t = Topology::fat_tree(k, 1_000_000_000, 10_000, RoutingPolicy::minimal());
         let hosts = t.hosts().to_vec();
         let mut rng = netsim::Pcg32::new(seed);
         let a = hosts[rng.below(hosts.len() as u64) as usize];
@@ -311,7 +327,7 @@ proptest! {
             }
         }
 
-        let t = Topology::fat_tree(k, 1_000_000_000, 10_000);
+        let t = Topology::fat_tree(k, 1_000_000_000, 10_000, RoutingPolicy::minimal());
         let hosts = t.hosts().to_vec();
         let mut rng = netsim::Pcg32::new(seed);
         let sender = hosts[rng.below(hosts.len() as u64) as usize];
@@ -438,13 +454,13 @@ proptest! {
         // (host and edge failures legally disconnect hosts; they are
         // covered by the host-link unit test and excluded here to keep
         // the walk assertions meaningful).
-        let fabric_links: Vec<(NodeId, u16)> = pristine.switch_links().collect();
+        let switch_links: Vec<(NodeId, u16)> = pristine.switch_links().collect();
         let mut mask = FaultMask::new();
         let mut repaired = pristine.clone();
         let steps = 1 + rng.below(2) as usize;
         for step in 0..steps {
-            if fabric_links.is_empty() { return Ok(()); }
-            let (node, port) = fabric_links[rng.below(fabric_links.len() as u64) as usize];
+            if switch_links.is_empty() { return Ok(()); }
+            let (node, port) = switch_links[rng.below(switch_links.len() as u64) as usize];
             mask.fail_link(&repaired, node, port);
             repaired.repair_routes(&mask);
             let mut full = pristine.clone();
@@ -517,21 +533,21 @@ proptest! {
         k in prop_oneof![Just(4usize), Just(6usize)],
         seed in any::<u64>(),
     ) {
-        let mut t = Topology::fat_tree(k, 1_000_000_000, 10_000);
+        let mut t = Topology::fat_tree(k, 1_000_000_000, 10_000, RoutingPolicy::minimal());
         let mut rng = netsim::Pcg32::new(seed);
         // Candidates: all switch-switch links, plus all switches that
         // serve no hosts directly is too narrow (aggs have no hosts but
         // cores too) — any switch except the edge layer qualifies.
-        let fabric_links: Vec<(NodeId, u16)> = t.switch_links().collect();
+        let switch_links: Vec<(NodeId, u16)> = t.switch_links().collect();
         let non_edge_switches = t.core_switches();
         let mut mask = FaultMask::new();
-        let total = fabric_links.len() + non_edge_switches.len();
+        let total = switch_links.len() + non_edge_switches.len();
         let pick = rng.below(total as u64) as usize;
-        if pick < fabric_links.len() {
-            let (node, port) = fabric_links[pick];
+        if pick < switch_links.len() {
+            let (node, port) = switch_links[pick];
             mask.fail_link(&t, node, port);
         } else {
-            mask.fail_node(non_edge_switches[pick - fabric_links.len()]);
+            mask.fail_node(non_edge_switches[pick - switch_links.len()]);
         }
         t.compute_routes_masked(&mask);
         let hosts = t.hosts().to_vec();

@@ -75,9 +75,15 @@ fn fabric_port(t: &Topology, sw: NodeId) -> u16 {
 
 #[test]
 fn layered_jellyfish_answers_match_the_node_keyed_tables() {
-    let mut t = Topology::jellyfish(12, 4, 3, 1_000_000_000, 10_000, 5);
-    t.set_policy(RoutingPolicy::layered(2, 9));
-    t.compute_routes();
+    let t = Topology::jellyfish(
+        12,
+        4,
+        3,
+        1_000_000_000,
+        10_000,
+        5,
+        RoutingPolicy::layered(2, 9),
+    );
     let (sw, victim) = (NodeId(0), NodeId(7));
     let link = (sw, fabric_port(&t, sw));
     let got = three_states(t, link, victim);
@@ -91,9 +97,7 @@ fn layered_jellyfish_answers_match_the_node_keyed_tables() {
 
 #[test]
 fn layered_fat_tree_answers_match_the_node_keyed_tables() {
-    let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000);
-    t.set_policy(RoutingPolicy::layered(2, 3));
-    t.compute_routes();
+    let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::layered(2, 3));
     // An edge switch's first uplink (ids interleave edges, hosts, aggs
     // and cores, so row ≠ id here) and a core switch.
     let edge = t.edge_switch(t.hosts()[0]);
@@ -106,4 +110,28 @@ fn layered_fat_tree_answers_match_the_node_keyed_tables() {
         0xD88E_16E0_E5C9_C907,
     ];
     assert_eq!(got, golden, "fat-tree answers {got:#018x?}");
+}
+
+#[test]
+fn swap_mixed_jellyfish_answers_match_the_bit_matrix_mixer() {
+    // Degree 6: the graph comes from the double-edge-swap mixer, not
+    // stub matching, so these answers pin the mixer's draws as well.
+    let t = Topology::jellyfish(
+        40,
+        6,
+        2,
+        1_000_000_000,
+        10_000,
+        3,
+        RoutingPolicy::layered(2, 9),
+    );
+    let (sw, victim) = (NodeId(5), NodeId(22));
+    let link = (sw, fabric_port(&t, sw));
+    let got = three_states(t, link, victim);
+    let golden = [
+        0x9540_BBB8_B347_DFE7,
+        0x0B0D_DB7A_0A94_E527,
+        0x9540_BBB8_B347_DFE7,
+    ];
+    assert_eq!(got, golden, "swap-mixed jellyfish answers {got:#018x?}");
 }

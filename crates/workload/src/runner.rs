@@ -131,14 +131,20 @@ impl Fabric {
         }
     }
 
-    /// Build the routed topology.
+    /// Build the topology routed under single-layer minimal routing.
     pub fn build(&self) -> Topology {
+        self.build_with_policy(RoutingPolicy::minimal())
+    }
+
+    /// Build the topology routed under `policy`: the generator routes
+    /// once, under the policy asked for, and nothing is recomputed.
+    pub fn build_with_policy(&self, policy: RoutingPolicy) -> Topology {
         match *self {
             Self::FatTree {
                 k,
                 rate_bps,
                 prop_ns,
-            } => Topology::fat_tree(k, rate_bps, prop_ns),
+            } => Topology::fat_tree(k, rate_bps, prop_ns, policy),
             Self::LeafSpine {
                 leaves,
                 spines,
@@ -146,7 +152,15 @@ impl Fabric {
                 oversub,
                 rate_bps,
                 prop_ns,
-            } => Topology::leaf_spine(leaves, spines, hosts_per_leaf, oversub, rate_bps, prop_ns),
+            } => Topology::leaf_spine(
+                leaves,
+                spines,
+                hosts_per_leaf,
+                oversub,
+                rate_bps,
+                prop_ns,
+                policy,
+            ),
             Self::Jellyfish {
                 switches,
                 net_degree,
@@ -161,20 +175,9 @@ impl Fabric {
                 rate_bps,
                 prop_ns,
                 seed,
+                policy,
             ),
         }
-    }
-
-    /// Build the routed topology under a layered routing policy
-    /// (recomputes routes only when the policy differs from the builder
-    /// default — single-layer minimal).
-    pub fn build_with_policy(&self, policy: RoutingPolicy) -> Topology {
-        let mut topo = self.build();
-        if policy != RoutingPolicy::minimal() {
-            topo.set_policy(policy);
-            topo.compute_routes();
-        }
-        topo
     }
 
     /// Number of hosts the fabric will have.

@@ -279,7 +279,7 @@ mod tests {
     use super::*;
 
     fn topo() -> Topology {
-        Topology::fat_tree(4, 1_000_000_000, 10_000)
+        Topology::fat_tree(4, 1_000_000_000, 10_000, netsim::RoutingPolicy::minimal())
     }
 
     #[test]

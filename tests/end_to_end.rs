@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: the full stack (codec → protocol →
 //! fabric → workload) exercised end to end.
 
-use polyraptor_repro::netsim::{Ctx, NodeId, Pcg32, SimConfig, SimTime, Simulator, Topology};
+use polyraptor_repro::netsim::{
+    Ctx, NodeId, Pcg32, RoutingPolicy, SimConfig, SimTime, Simulator, Topology,
+};
 use polyraptor_repro::polyraptor::{
     start_token, MulticastPull, OracleMode, PolyraptorAgent, PrConfig, PrPayload, ReceiverSession,
     SenderSession, SessionId, SessionSpec, SYMBOL_SIZE,
@@ -40,7 +42,7 @@ fn tcp_flows(sc: &StorageScenario) -> Vec<TransferResult> {
 /// every replica must reconstruct the exact object bytes.
 #[test]
 fn real_oracle_multicast_write() {
-    let topo = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let topo = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = topo.hosts().to_vec();
     let cfg = PrConfig::real_oracle();
     let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, SimConfig::ndp(11));
@@ -77,7 +79,7 @@ fn real_oracle_multicast_write() {
 /// senders must assemble into one decodable object (no duplicate ESIs).
 #[test]
 fn real_oracle_multi_source_fetch() {
-    let topo = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let topo = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = topo.hosts().to_vec();
     let cfg = PrConfig::real_oracle();
     let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, SimConfig::ndp(13));
@@ -277,7 +279,7 @@ fn incast_eliminated_for_rq_only() {
 /// overflow becomes trimmed headers instead (the Incast-free mechanism).
 #[test]
 fn ndp_fabric_never_drops() {
-    let topo = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let topo = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = topo.hosts().to_vec();
     let cfg = PrConfig::paper_default();
     let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, SimConfig::ndp(17));
@@ -343,7 +345,7 @@ fn tcp_partitioned_fetch_completes() {
 /// replica across overlapping sessions.
 #[test]
 fn overlapping_roles_on_one_host() {
-    let topo = Topology::fat_tree(4, 1_000_000_000, 10_000);
+    let topo = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = topo.hosts().to_vec();
     let cfg = PrConfig::paper_default();
     let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, SimConfig::ndp(23));

@@ -3,7 +3,7 @@
 //! completion-tail penalty that ≥ 2 layers remove, plus the per-layer
 //! fabric accounting.
 
-use polyraptor_repro::netsim::{FaultMix, RoutingPolicy};
+use polyraptor_repro::netsim::{FaultMix, NodeId, RoutingPolicy, Topology};
 use polyraptor_repro::workload::{ChurnScenario, Fabric, RqRunOptions, RunReport, Transport};
 
 /// The sweep example's smoke shape (deg-4 Jellyfish) at a seed pair
@@ -96,4 +96,47 @@ fn layered_run_accounts_utilisation_per_layer() {
         "single-layer policy forwards only on layer 0"
     );
     assert_eq!(minimal.fabric.layer_reassignments, 0);
+}
+
+/// Every layer's answer from every node towards every host: the
+/// advertised ports and the weighted distance.
+type Answers = Vec<(Vec<u16>, Option<u32>)>;
+
+fn answers(t: &Topology) -> Answers {
+    let mut out = Vec::new();
+    for layer in 0..t.layer_count() {
+        for n in 0..t.node_count() as u32 {
+            for &dst in t.hosts() {
+                out.push((
+                    t.try_next_ports_on(layer, NodeId(n), dst).to_vec(),
+                    t.layer_distance(layer, NodeId(n), dst),
+                ));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn build_with_policy_routes_a_layered_fabric_once() {
+    let topo = Fabric::large_jellyfish().build_with_policy(RoutingPolicy::layered(2, 7));
+    assert_eq!(topo.layer_count(), 2);
+    assert_eq!(
+        topo.weight_builds(),
+        1,
+        "one routing pass, under the asked policy"
+    );
+}
+
+#[test]
+fn build_with_policy_answers_as_generate_then_repolice() {
+    let policy = RoutingPolicy::layered(3, 11);
+    let once = jellyfish().build_with_policy(policy);
+    // The sequence it replaces: route minimal, re-police, route again.
+    let mut twice =
+        Topology::jellyfish(12, 4, 2, 1_000_000_000, 10_000, 7, RoutingPolicy::minimal());
+    twice.set_policy(policy);
+    twice.compute_routes();
+    assert_eq!(once.layer_count(), 3);
+    assert!(answers(&once) == answers(&twice), "same answers either way");
 }
