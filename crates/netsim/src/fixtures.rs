@@ -116,7 +116,7 @@ pub(crate) fn incast_sim(config: SimConfig) -> (Simulator<P, Echo>, NodeId, Node
 /// aggregation switch in host 0's pod — the natural victim: spraying
 /// uses both aggs, so killing one catches in-flight packets while the
 /// survivor keeps every pair connected.
-fn fat_tree() -> (Topology, Vec<NodeId>, NodeId) {
+pub(crate) fn fat_tree() -> (Topology, Vec<NodeId>, NodeId) {
     let t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
     let hosts = t.hosts().to_vec();
     let agg = t

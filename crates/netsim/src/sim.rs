@@ -314,8 +314,8 @@ pub struct FabricStats {
     /// addressed to a destination the fault mask disconnected.
     pub lost_to_fault: u64,
     /// Route repairs triggered by fault events, each an in-place
-    /// [`Topology::repair_routes`] (a simulator only runs on routes
-    /// computed under the topology's current policy).
+    /// [`Topology::repair_routes`] (a simulator only starts on routes
+    /// computed for the healthy fabric).
     pub reroutes: u64,
     /// Always equal to [`FabricStats::reroutes`], every reroute being
     /// incremental; kept because `bench_e2e` reports it.
@@ -466,12 +466,15 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     /// record.
     ///
     /// # Panics
-    /// Panics if the routes were not computed under the topology's
-    /// current policy: a run's reroutes only repair them in place.
+    /// Panics if the topology was never routed, or its routes were
+    /// computed under a fault mask: a run starts on the healthy fabric,
+    /// its faults come from its fault plan, and its reroutes only repair
+    /// the routes in place.
     pub fn with_telemetry(topo: Topology, config: SimConfig, telemetry: T) -> Self {
+        assert!(topo.routed(), "simulator needs a routed topology");
         assert!(
-            topo.routes_current(),
-            "simulator needs routes computed under the current policy"
+            topo.routes_mask().is_empty(),
+            "simulator needs routes computed for the healthy fabric"
         );
         let n = topo.node_count();
         let plan = ShardPlan::build(&topo, crate::shard::resolve(config.shards));

@@ -543,7 +543,7 @@ fn dead_layer_reassigns_flows_mid_window() {
     // then re-assign the flow onto the live layer at sA instead of
     // blackholing it until the deferred reroute.
     let build = |seed: u64| -> (Topology, NodeId, NodeId, NodeId) {
-        let mut t = Topology::new();
+        let mut t = Topology::with_policy(RoutingPolicy::layered(2, seed));
         let a = t.add_node(NodeKind::Host);
         let sa = t.add_node(NodeKind::Switch);
         let s1 = t.add_node(NodeKind::Switch);
@@ -556,7 +556,6 @@ fn dead_layer_reassigns_flows_mid_window() {
         t.connect(s1, sb, 1_000_000_000, 10_000);
         t.connect(s2, sb, 1_000_000_000, 10_000);
         t.connect(sb, b, 1_000_000_000, 10_000);
-        t.set_policy(crate::topology::RoutingPolicy::layered(2, seed));
         t.compute_routes();
         (t, a, sa, b)
     };
@@ -1174,23 +1173,27 @@ fn lone_packet_across_the_fat_tree_is_seven_events() {
     assert_eq!(arrival_us(&sim, dst), [6 * 22]);
 }
 
-/// A simulator starts only on routes computed under the topology's
-/// current policy, so no reroute in its run falls back to a full
-/// recomputation: a topology never routed, and one whose policy
-/// changed after its routes, are both refused.
+/// A simulator starts only on routes computed for the healthy fabric:
+/// a topology never routed, and one routed around a failed access link
+/// (its packets would meet a hole no fault of the run cut), are both
+/// refused before a packet is sent.
 #[test]
-fn simulator_refuses_a_topology_not_routed_under_its_policy() {
-    let mut repoliced = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
-    repoliced.set_policy(crate::topology::RoutingPolicy::layered(2, 3));
-    for topo in [Topology::new(), repoliced] {
+fn simulator_refuses_a_topology_not_routed_for_the_healthy_fabric() {
+    let (mut masked, hosts, _) = fat_tree();
+    let (src, victim) = (hosts[0], hosts[15]);
+    let mut mask = FaultMask::new();
+    mask.fail_link(&masked, victim, 0);
+    masked.compute_routes_masked(&mask);
+    let unrouted = (Topology::new(), "simulator needs a routed topology");
+    let healthy = "simulator needs routes computed for the healthy fabric";
+    for (topo, expected) in [unrouted, (masked, healthy)] {
         let refused = std::panic::catch_unwind(|| {
-            Simulator::<P, Echo>::new(topo, SimConfig::ndp(1));
+            let mut sim = echo_sim(topo, SimConfig::ndp(1), NoTelemetry);
+            burst(&mut sim, src, victim, 3);
+            sim.run_to_completion();
         })
-        .expect_err("the simulator must refuse stale routes");
+        .expect_err("the simulator must refuse these routes");
         let msg = refused.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(
-            msg,
-            "simulator needs routes computed under the current policy"
-        );
+        assert_eq!(msg, expected);
     }
 }

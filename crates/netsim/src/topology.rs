@@ -15,12 +15,19 @@
 //! table and distance table; the forwarding policy picks a layer per
 //! flow and then a port within the layer at run time.
 //!
-//! Routing is **re-runnable**: [`Topology::compute_routes_masked`]
-//! recomputes every layer against a live [`FaultMask`], and
-//! [`Topology::repair_routes`] heals each layer *incrementally* after a
-//! fault-mask delta — failures by dead-entry surgery, restorations by
-//! bounded restore surgery — which is how the simulator reroutes around
-//! mid-run link and switch failures without paying a full recompute.
+//! A topology is routed under the policy it was made with — minimal
+//! for [`Topology::new`], the given one for a generator — and its
+//! graph is final once routed: the first route computation freezes the
+//! ports and draws the layer weights, and [`Topology::add_node`] /
+//! [`Topology::connect`] refuse edits from then on.
+//!
+//! Routing is **re-runnable** on that fixed graph:
+//! [`Topology::compute_routes_masked`] recomputes every layer against a
+//! [`FaultMask`] from scratch, and [`Topology::repair_routes`] heals
+//! each layer *incrementally* after a fault-mask delta — failures by
+//! dead-entry surgery, restorations by bounded restore surgery — which
+//! is how the simulator reroutes around mid-run link and switch
+//! failures without paying a full recompute.
 //!
 //! Three generators are provided: [`Topology::fat_tree`] (the paper's
 //! evaluation fabric, k = 10 → 250 hosts), [`Topology::leaf_spine`]
@@ -152,28 +159,26 @@ struct HostAccess {
 pub struct Topology {
     kinds: Vec<NodeKind>,
     /// Construction-time edge log; the source of truth the flat port
-    /// arena is (re-)frozen from.
+    /// arena is frozen from by the first routing.
     edges: Vec<EdgeRec>,
     /// Per-node degree, maintained by [`Topology::connect`].
     degree: Vec<u32>,
     /// Flat port arena: node `n`'s ports are
     /// `ports[port_off[n] .. port_off[n + 1]]`.
     ports: Vec<Port>,
-    /// CSR prefix offsets into `ports` (`node_count + 1` entries).
+    /// CSR prefix offsets into `ports` (`node_count + 1` entries once
+    /// frozen, `[0]` before).
     port_off: Vec<u32>,
-    /// The edge log changed since the last freeze; port accessors are
-    /// invalid until the next [`Topology::freeze_ports`].
-    ports_stale: bool,
     hosts: Vec<NodeId>,
     host_index: Vec<Option<u32>>, // NodeId -> index into `hosts`
-    /// Per-host attachment record, indexed like `hosts`; rebuilt (and
-    /// single-homing enforced) by every freeze.
+    /// Per-host attachment record, indexed like `hosts`; built (and
+    /// single-homing enforced) by the freeze.
     access: Vec<HostAccess>,
     /// The access switches (switches with at least one host), in column
     /// order: `col_root[c]` is the switch column `c` routes towards.
     col_root: Vec<NodeId>,
     /// The switch rows and fabric-port cell offsets every layer's
-    /// arenas are keyed by; rebuilt by every freeze.
+    /// arenas are keyed by; built by the freeze.
     switches: SwitchIndex,
     /// One routing table set per layer (`layers[0]` = minimal routes).
     /// Empty until [`Topology::compute_routes`].
@@ -182,21 +187,10 @@ pub struct Topology {
     /// (`port_off[n] + p`): 1 or 2; layer 0 and host links are always 1.
     /// Derived deterministically from the policy seed and link identity.
     weights: Vec<Vec<u8>>,
+    /// The routing policy, fixed when the topology is made.
     policy: RoutingPolicy,
-    /// The policy the current layer tables were computed under. When it
-    /// differs from `policy` (e.g. [`Topology::set_policy`] changed the
-    /// seed without a recompute), [`Topology::repair_routes`] must take
-    /// the full fallback — surgery against stale weight tables would
-    /// diverge from a fresh [`Topology::compute_routes_masked`].
-    routes_policy: Option<RoutingPolicy>,
-    /// The policy the cached `weights` arenas were built under (`None`
-    /// = stale: the policy changed or the port arena was re-frozen).
-    /// Weight tables depend only on (policy, frozen graph) — never the
-    /// fault mask — so mid-run masked recomputes reuse them instead of
-    /// re-deriving one seeded hash per inter-switch link per layer.
-    weights_policy: Option<RoutingPolicy>,
     /// Diagnostic: how many times the per-layer weight arenas were
-    /// (re)built — see [`Topology::weight_builds`].
+    /// built — see [`Topology::weight_builds`].
     weight_builds: u64,
     /// The fault mask the current layer tables were computed against —
     /// the baseline [`Topology::repair_routes`] diffs new masks against.
@@ -210,15 +204,25 @@ impl Default for Topology {
 }
 
 impl Topology {
-    /// An empty topology.
+    /// An empty topology, routed under minimal routing.
     pub fn new() -> Self {
+        Self::with_policy(RoutingPolicy::minimal())
+    }
+
+    /// An empty topology to be routed under `policy` — the one place a
+    /// policy enters, so the layer count is checked here.
+    pub(crate) fn with_policy(policy: RoutingPolicy) -> Self {
+        assert!(
+            (1..=RoutingPolicy::MAX_LAYERS).contains(&policy.layers),
+            "layer count must be in 1..={}",
+            RoutingPolicy::MAX_LAYERS
+        );
         Self {
             kinds: Vec::new(),
             edges: Vec::new(),
             degree: Vec::new(),
             ports: Vec::new(),
             port_off: vec![0],
-            ports_stale: false,
             hosts: Vec::new(),
             host_index: Vec::new(),
             access: Vec::new(),
@@ -226,9 +230,7 @@ impl Topology {
             switches: SwitchIndex::empty(),
             layers: Vec::new(),
             weights: Vec::new(),
-            policy: RoutingPolicy::minimal(),
-            routes_policy: None,
-            weights_policy: None,
+            policy,
             weight_builds: 0,
             routes_mask: FaultMask::new(),
         }
@@ -240,38 +242,29 @@ impl Topology {
     pub fn set_parallelism(&mut self, _parallelism: usize) {}
 
     /// Diagnostic counter: how many times the per-layer link-weight
-    /// arenas were (re)built. Weight tables depend only on (policy,
-    /// frozen graph) — never the fault mask — so mid-run masked
-    /// recomputes and repairs must reuse the cached arenas; tests gate
-    /// on this counter staying flat across fault events.
+    /// arenas were built. Weight tables depend only on (policy, graph),
+    /// both final once routed, so they are built by the first routing
+    /// and reused by every masked recompute and repair; tests gate on
+    /// this counter staying at 1.
     pub fn weight_builds(&self) -> u64 {
         self.weight_builds
     }
 
-    /// Select the layered routing policy. Takes effect at the next
-    /// [`Topology::compute_routes`] / [`Topology::compute_routes_masked`]
-    /// call; call one of them afterwards before forwarding. The
-    /// generators take their policy and route once under it; this is
-    /// for re-policing a topology already routed.
-    pub fn set_policy(&mut self, policy: RoutingPolicy) {
-        assert!(
-            (1..=RoutingPolicy::MAX_LAYERS).contains(&policy.layers),
-            "layer count must be in 1..={}",
-            RoutingPolicy::MAX_LAYERS
-        );
-        self.policy = policy;
-    }
-
-    /// The active layered routing policy.
+    /// The routing policy the topology was made with.
     pub fn policy(&self) -> RoutingPolicy {
         self.policy
     }
 
-    /// Whether the route tables and weight arenas were computed under
-    /// the active policy: a simulator refuses a topology without them,
-    /// so every [`Topology::repair_routes`] in a run repairs in place.
-    pub(crate) fn routes_current(&self) -> bool {
-        self.routes_policy == Some(self.policy) && self.weights_policy == Some(self.policy)
+    /// Whether routes were computed: the graph is final and the layer
+    /// tables and weight arenas exist.
+    pub(crate) fn routed(&self) -> bool {
+        !self.layers.is_empty()
+    }
+
+    /// The fault mask the current layer tables were computed against
+    /// (empty for the healthy fabric).
+    pub(crate) fn routes_mask(&self) -> &FaultMask {
+        &self.routes_mask
     }
 
     /// Number of layers the current route tables carry (0 before the
@@ -281,7 +274,11 @@ impl Topology {
     }
 
     /// Add a node of the given kind, returning its id.
+    ///
+    /// # Panics
+    /// Panics once routes were computed: the graph is final then.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        assert!(!self.routed(), "the graph is final once routed");
         let id = NodeId(self.kinds.len() as u32);
         self.kinds.push(kind);
         self.degree.push(0);
@@ -290,14 +287,18 @@ impl Topology {
             self.host_index[id.0 as usize] = Some(self.hosts.len() as u32);
             self.hosts.push(id);
         }
-        self.ports_stale = true;
         id
     }
 
     /// Connect two nodes with a bidirectional link. Port indices are
     /// assigned in call order (the a-side port first), exactly as the
-    /// flat arena will record them at the next freeze.
+    /// flat arena will record them at the freeze.
+    ///
+    /// # Panics
+    /// Panics on a self-link, and once routes were computed: the graph
+    /// is final then.
     pub fn connect(&mut self, a: NodeId, b: NodeId, rate_bps: u64, prop_ns: u64) {
+        assert!(!self.routed(), "the graph is final once routed");
         assert_ne!(a, b, "self-links are not allowed");
         self.edges.push(EdgeRec {
             a: a.0,
@@ -307,17 +308,12 @@ impl Topology {
         });
         self.degree[a.0 as usize] += 1;
         self.degree[b.0 as usize] += 1;
-        self.ports_stale = true;
     }
 
-    /// Freeze the edge log into the flat CSR port arena. Idempotent;
-    /// [`Topology::compute_routes_masked`] calls this, so generator
-    /// users never need to. Port accessors are only valid between a
-    /// freeze and the next graph edit.
+    /// Freeze the edge log into the flat CSR port arena. The first
+    /// routing calls this once, after which the graph is final; port
+    /// accessors are valid from then on.
     fn freeze_ports(&mut self) {
-        if !self.ports_stale {
-            return;
-        }
         let n = self.kinds.len();
         self.port_off.clear();
         self.port_off.reserve(n + 1);
@@ -359,10 +355,6 @@ impl Topology {
             cursor[a] += 1;
             cursor[b] += 1;
         }
-        self.ports_stale = false;
-        // A re-frozen arena may assign different global port ids;
-        // cached weight tables are keyed by them and must be rebuilt.
-        self.weights_policy = None;
         self.index_access();
     }
 
@@ -405,6 +397,12 @@ impl Topology {
         }
     }
 
+    /// Whether the port arena covers every node: true from the first
+    /// routing on (and for a topology with no node).
+    fn frozen(&self) -> bool {
+        self.port_off.len() == self.kinds.len() + 1
+    }
+
     /// Node kind accessor.
     pub fn kind(&self, n: NodeId) -> NodeKind {
         self.kinds[n.0 as usize]
@@ -429,10 +427,7 @@ impl Topology {
     /// Ports of a node.
     #[inline]
     pub fn node_ports(&self, n: NodeId) -> &[Port] {
-        debug_assert!(
-            !self.ports_stale,
-            "graph edited since the last freeze; call compute_routes() first"
-        );
+        debug_assert!(self.frozen(), "no ports before the first compute_routes()");
         let i = n.0 as usize;
         &self.ports[self.port_off[i] as usize..self.port_off[i + 1] as usize]
     }
@@ -440,10 +435,7 @@ impl Topology {
     /// A specific port.
     #[inline]
     pub fn port(&self, n: NodeId, p: u16) -> &Port {
-        debug_assert!(
-            !self.ports_stale,
-            "graph edited since the last freeze; call compute_routes() first"
-        );
+        debug_assert!(self.frozen(), "no ports before the first compute_routes()");
         debug_assert!(
             (p as u32) < self.port_off[n.0 as usize + 1] - self.port_off[n.0 as usize],
             "port {} out of range for node {}",

@@ -19,7 +19,7 @@ impl Topology {
             "fat-tree requires even k >= 2"
         );
         let half = k / 2;
-        let mut t = Topology::new();
+        let mut t = Topology::with_policy(policy);
 
         // Hosts and edge/agg switches, pod by pod.
         let mut edges = vec![vec![NodeId(0); half]; k];
@@ -51,7 +51,6 @@ impl Topology {
                 }
             }
         }
-        t.set_policy(policy);
         t.compute_routes();
         t
     }
@@ -81,7 +80,7 @@ impl Topology {
         let uplink_bps =
             ((hosts_per_leaf as f64 * rate_bps as f64) / (spines as f64 * oversub)).round() as u64;
         assert!(uplink_bps > 0, "oversubscription leaves uplinks at 0 bps");
-        let mut t = Topology::new();
+        let mut t = Topology::with_policy(policy);
         let mut leaf_ids = Vec::with_capacity(leaves);
         for _ in 0..leaves {
             let leaf = t.add_node(NodeKind::Switch);
@@ -97,7 +96,6 @@ impl Topology {
                 t.connect(leaf, spine, uplink_bps, prop_ns);
             }
         }
-        t.set_policy(policy);
         t.compute_routes();
         t
     }
@@ -127,7 +125,7 @@ impl Topology {
             "switches x net_degree must be even"
         );
         let edges = random_regular_edges(switches, net_degree, seed);
-        let mut t = Topology::new();
+        let mut t = Topology::with_policy(policy);
         let sw: Vec<NodeId> = (0..switches)
             .map(|_| t.add_node(NodeKind::Switch))
             .collect();
@@ -140,7 +138,6 @@ impl Topology {
                 t.connect(host, s, rate_bps, prop_ns);
             }
         }
-        t.set_policy(policy);
         t.compute_routes();
         t
     }

@@ -11,7 +11,9 @@ use super::{host_cut, NodeId, NodeKind, Port, Topology};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteRepair {
     /// The repair fell back to a full [`Topology::compute_routes_masked`]
-    /// (routes were never computed under the current policy).
+    /// because routes were never computed — the first routing of a
+    /// hand-built graph. A generator's topology, and every topology a
+    /// simulator runs, is routed already, so this is always false there.
     pub full: bool,
     /// (layer, access-switch) columns rebuilt by a per-column search.
     /// Equals `access switches × layers` on a full fallback; usually a
@@ -60,7 +62,7 @@ impl Topology {
     ///
     /// Falls back to a full [`Topology::compute_routes_masked`] — and
     /// says so in the returned [`RouteRepair`] — only when routes were
-    /// never computed under the current policy. Every layer repairs
+    /// never computed, so there is nothing to repair. Every layer repairs
     /// incrementally, and a mass delta simply rebuilds its (large) dirty
     /// column set — never more work than a full recompute, which visits
     /// every column anyway.
@@ -74,7 +76,7 @@ impl Topology {
         // both directions): two per undirected link.
         let restored = restored_links.len() / 2 + restored_nodes.len();
         let n_layers = self.policy.layers;
-        if !self.routes_current() {
+        if !self.routed() {
             self.compute_routes_masked(mask);
             let all = self.col_root.len() * n_layers;
             return RouteRepair {

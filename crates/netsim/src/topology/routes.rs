@@ -13,7 +13,7 @@
 //!   are `ports[port_off[n] .. port_off[n+1]]` and `port_off[n] + p` is
 //!   the *global port id* of `(n, p)`. The graph is built through an
 //!   edge log and frozen into the arena by the first route computation.
-//! - **Switch rows** (shared by all layers): every freeze numbers the
+//! - **Switch rows** (shared by all layers): the freeze numbers the
 //!   `S` switches `0..S` in id order and gives each a *row*; hosts get
 //!   none. A switch's *fabric degree* counts its ports whose peer is a
 //!   switch, and `cell_off[row]` (`S + 1` entries) is the prefix over
@@ -88,7 +88,7 @@ impl SwitchRow {
 }
 
 /// The dense switch index every layer's arenas are keyed by (layout:
-/// see the module docs), rebuilt by every freeze.
+/// see the module docs), built by the freeze.
 #[derive(Debug, Clone)]
 pub(super) struct SwitchIndex {
     /// Per node: its [`SwitchRow`] (switches numbered in id order).
@@ -268,28 +268,31 @@ impl LayerTables {
 }
 
 impl Topology {
-    /// Compute every layer's routing tables on the healthy fabric (must
-    /// be called after the graph is final and before forwarding).
+    /// Compute every layer's routing tables on the healthy fabric. The
+    /// first call makes the graph final; call it before forwarding.
     pub fn compute_routes(&mut self) {
         self.compute_routes_masked(&FaultMask::new());
     }
 
     /// Recompute every layer's routing tables, treating every link and
-    /// node in `mask` as absent. Re-runnable at any time; the simulator
-    /// calls this when executing fault events mid-run. Destinations that
-    /// the mask disconnects simply end up with empty port lists (see
-    /// [`Topology::try_next_ports_on`]).
+    /// node in `mask` as absent — a what-if or from-scratch reference;
+    /// a running simulator only repairs its routes
+    /// ([`Topology::repair_routes`]), and refuses a topology whose
+    /// routes were computed under a non-empty mask. Re-runnable at any
+    /// time. Destinations that the mask disconnects simply end up with
+    /// empty port lists (see [`Topology::try_next_ports_on`]).
     ///
-    /// The layer arenas are resized in place, so every recompute after
-    /// the first reuses the existing allocations instead of cloning or
-    /// reallocating nested tables.
+    /// The first call freezes the graph and builds the weight arenas;
+    /// every later one reuses them and resizes the layer arenas in
+    /// place.
     pub fn compute_routes_masked(&mut self, mask: &FaultMask) {
-        self.freeze_ports();
+        if !self.routed() {
+            self.freeze_ports();
+            self.build_weights();
+        }
         let (s, p_f) = (self.switches.switches(), self.switches.fabric_ports());
         let n_cols = self.col_root.len();
         let n_layers = self.policy.layers;
-        self.ensure_weights();
-        self.layers.truncate(n_layers);
         self.layers.resize_with(n_layers, LayerTables::default);
         for tab in &mut self.layers {
             tab.n_switches = s;
@@ -303,7 +306,6 @@ impl Topology {
         for (a, &h) in self.access.iter_mut().zip(&self.hosts) {
             a.cut = host_cut(mask, h);
         }
-        self.routes_policy = Some(self.policy);
         self.routes_mask = mask.clone();
     }
 
@@ -340,20 +342,14 @@ impl Topology {
         }
     }
 
-    /// Rebuild the per-layer link-weight arenas iff the cached ones are
-    /// stale — the policy changed, or the port arena was re-frozen
-    /// (which may reassign the global port ids the arenas are indexed
-    /// by). The tables are a pure function of (policy, frozen graph),
-    /// independent of the fault mask, so the common mid-run case —
-    /// masked recompute or repair after a fault event — reuses them.
-    fn ensure_weights(&mut self) {
-        if self.weights_policy == Some(self.policy) {
-            return;
-        }
+    /// Build the per-layer link-weight arenas, once, at the first
+    /// routing. They are a pure function of (policy, graph) — both
+    /// final from then on — and independent of the fault mask, so every
+    /// masked recompute and repair reuses them.
+    fn build_weights(&mut self) {
         self.weights = (0..self.policy.layers)
             .map(|l| self.layer_weight_table(l))
             .collect();
-        self.weights_policy = Some(self.policy);
         self.weight_builds += 1;
     }
 
@@ -424,7 +420,6 @@ impl Topology {
     /// no dangling indices). Panics on the first violation.
     pub fn check_csr_invariants(&self) {
         let n = self.node_count();
-        assert!(!self.ports_stale, "graph edited since the last freeze");
         assert_eq!(self.port_off.len(), n + 1, "offset table length");
         assert_eq!(self.port_off[0], 0, "offsets start at 0");
         for i in 0..n {

@@ -14,12 +14,21 @@ fn fat_tree_ks() -> impl Strategy<Value = usize> {
     prop_oneof![Just(4usize), Just(6usize), Just(8usize)]
 }
 
+/// A fabric drawn but not yet built: it is built under the policy a
+/// property routes it with, because a topology's policy is fixed when
+/// it is made. Carries a human-readable label.
+type Shape = (Box<dyn Fn(RoutingPolicy) -> Topology>, String);
+
+fn shape(build: impl Fn(RoutingPolicy) -> Topology + 'static, label: String) -> Shape {
+    (Box::new(build), label)
+}
+
 /// A generator covering all three topology families at proptest-sized
-/// scales: (topology, human-readable label).
-fn any_fabric() -> impl Strategy<Value = (Topology, String)> {
+/// scales.
+fn any_shape() -> impl Strategy<Value = Shape> {
     prop_oneof![
-        fat_tree_ks().prop_map(|k| (
-            Topology::fat_tree(k, 1_000_000_000, 10_000, RoutingPolicy::minimal()),
+        fat_tree_ks().prop_map(|k| shape(
+            move |policy| Topology::fat_tree(k, 1_000_000_000, 10_000, policy),
             format!("fat_tree k={k}")
         )),
         (
@@ -28,33 +37,38 @@ fn any_fabric() -> impl Strategy<Value = (Topology, String)> {
             1usize..=4,
             prop_oneof![Just(1.0f64), Just(2.0), Just(4.0)]
         )
-            .prop_map(|(leaves, spines, hpl, oversub)| (
-                Topology::leaf_spine(
+            .prop_map(|(leaves, spines, hpl, oversub)| shape(
+                move |policy| Topology::leaf_spine(
                     leaves,
                     spines,
                     hpl,
                     oversub,
                     1_000_000_000,
                     10_000,
-                    RoutingPolicy::minimal()
+                    policy
                 ),
                 format!("leaf_spine {leaves}x{spines}x{hpl} {oversub}:1")
             )),
         // Even switch counts only: stub matching needs switches × degree
         // even, and the degree here is 3.
-        (3usize..=5, 1usize..=2, any::<u64>()).prop_map(|(half, hps, seed)| (
-            Topology::jellyfish(
+        (3usize..=5, 1usize..=2, any::<u64>()).prop_map(|(half, hps, seed)| shape(
+            move |policy| Topology::jellyfish(
                 half * 2,
                 3,
                 hps,
                 1_000_000_000,
                 10_000,
                 seed,
-                RoutingPolicy::minimal()
+                policy
             ),
             format!("jellyfish sw={} hps={hps} seed={seed}", half * 2)
         )),
     ]
+}
+
+/// [`any_shape`] under minimal routing: (topology, label).
+fn any_fabric() -> impl Strategy<Value = (Topology, String)> {
+    any_shape().prop_map(|(build, label)| (build(RoutingPolicy::minimal()), label))
 }
 
 /// Walk advertised next-hops from `a` to `b` under a seeded picker;
@@ -217,15 +231,12 @@ proptest! {
     /// violation).
     #[test]
     fn csr_tables_match_reference_nested_build(
-        fabric in any_fabric(),
+        fabric in any_shape(),
         layers in 1usize..=3,
         seed in any::<u64>(),
     ) {
-        let (mut t, label) = fabric;
-        if layers > 1 {
-            t.set_policy(RoutingPolicy::layered(layers, seed ^ 0x0C5A));
-            t.compute_routes();
-        }
+        let (build, label) = fabric;
+        let mut t = build(RoutingPolicy::layered(layers, seed ^ 0x0C5A));
         let mut rng = netsim::Pcg32::new(seed);
         let hosts = t.hosts().to_vec();
         let mut walk = FaultWalk::new(&t);
@@ -393,14 +404,13 @@ proptest! {
     /// is bit-identical to plain minimal routing.
     #[test]
     fn layered_routes_loop_free_within_stretch(
-        fabric in any_fabric(),
+        fabric in any_shape(),
         layers in 2usize..=4,
         seed in any::<u64>(),
     ) {
-        let (mut t, label) = fabric;
-        let minimal = t.clone();
-        t.set_policy(RoutingPolicy::layered(layers, seed));
-        t.compute_routes();
+        let (build, label) = fabric;
+        let minimal = build(RoutingPolicy::minimal());
+        let t = build(RoutingPolicy::layered(layers, seed));
         prop_assert_eq!(t.layer_count(), layers, "{}", label);
         let hosts = t.hosts().to_vec();
         // Layer 0 stays the minimal route set, bit for bit.
@@ -489,13 +499,12 @@ proptest! {
     /// see it as a no-op.)
     #[test]
     fn restore_repair_matches_full_recompute(
-        fabric in any_fabric(),
+        fabric in any_shape(),
         layers in 1usize..=3,
         seed in any::<u64>(),
     ) {
-        let (mut pristine, label) = fabric;
-        pristine.set_policy(RoutingPolicy::layered(layers, seed ^ 0xFA7));
-        pristine.compute_routes();
+        let (build, label) = fabric;
+        let pristine = build(RoutingPolicy::layered(layers, seed ^ 0xFA7));
         let mut rng = netsim::Pcg32::new(seed);
         let mut walk = FaultWalk::new(&pristine);
         let mut repaired = pristine.clone();
