@@ -14,10 +14,13 @@
 //!   only reports completion when decoding genuinely succeeds — and the
 //!   decoded bytes equal the session's canonical object. Tests use it to
 //!   validate the counting model. Symbols arrive as ESIs alone (the wire
-//!   carries no bytes), so the oracle owns an encoder over the canonical
-//!   object and has it write each arrival into the decoder. It holds
-//!   symbol storage for what has arrived and no encoder before the first
-//!   symbol, and once it has succeeded neither again.
+//!   carries no bytes), so the oracle writes each arrival into the
+//!   decoder itself: a source symbol straight from the object's
+//!   generator ([`rq::rand::mix64_stream`]), a repair symbol through an
+//!   encoder over the object that it builds at the first repair ESI. A
+//!   session that finishes on source symbols alone never builds one. It
+//!   holds symbol storage for what has arrived, and once it has
+//!   succeeded neither storage nor encoder again.
 
 use rq::{CodeMode, CodeParams, DecodeStats, Decoded, Decoder, Encoder};
 
@@ -95,10 +98,11 @@ pub enum Oracle {
         /// The in-progress decoder; `None` once decode succeeded — the
         /// received symbols are freed with it.
         decoder: Option<Decoder>,
-        /// The encoder over the canonical object that writes each symbol
-        /// arriving without bytes: built at the first such symbol, freed
-        /// with the decoder. Boxed: sessions stay installed after their
-        /// decode, so an inline encoder would grow every one of them.
+        /// The encoder over the canonical object that writes each repair
+        /// symbol arriving without bytes: built at the first such symbol
+        /// before the decode, freed with the decoder. Boxed: sessions
+        /// stay installed after their decode, so an inline encoder would
+        /// grow every one of them.
         encoder: Option<Box<Encoder>>,
         /// Whether this oracle ever built its encoder.
         encoded: bool,
@@ -142,9 +146,11 @@ impl Oracle {
 
     /// Record a received symbol. `bytes` is `None` when the symbol came
     /// over the simulated wire, which carries none: the counting oracle
-    /// needs none, and the real one has its own encoder write the symbol
-    /// straight into the decoder's storage (a duplicate is not written
-    /// at all). Returns `true` if the object just became recoverable.
+    /// needs none, and the real one writes the symbol straight into the
+    /// decoder's storage — a source symbol from the object's generator,
+    /// a repair symbol through its own encoder (a duplicate is not
+    /// written at all). Returns `true` if the object just became
+    /// recoverable.
     pub fn add(&mut self, esi: u32, bytes: Option<Vec<u8>>) -> bool {
         match self {
             Oracle::Counting {
@@ -171,12 +177,20 @@ impl Oracle {
                 let Some(dec) = decoder else {
                     return true;
                 };
+                let code = dec.params();
                 match bytes {
                     Some(bytes) => dec.push(esi, bytes),
+                    None if (esi as usize) < code.k => {
+                        // The zeroed slot keeps a short last symbol's padding.
+                        let at = esi as usize * code.symbol_size;
+                        let len = code.symbol_size.min(code.data_len - at);
+                        dec.push_with(esi, |slot| {
+                            write_session_object_at(*session, at, &mut slot[..len])
+                        })
+                    }
                     None => {
                         let enc = encoder.get_or_insert_with(|| {
                             *encoded = true;
-                            let code = dec.params();
                             Box::new(object_encoder(*session, code.data_len, code.symbol_size))
                         });
                         dec.push_with(esi, |slot| enc.symbol_into(esi, slot))
@@ -211,7 +225,8 @@ impl Oracle {
     }
 
     /// Whether this oracle built an encoder: a real oracle does at its
-    /// first symbol that came without bytes, the counting one never.
+    /// first repair symbol that came without bytes before its decode, the
+    /// counting one never.
     pub fn encoded(&self) -> bool {
         matches!(self, Oracle::Real { encoded: true, .. })
     }
@@ -259,47 +274,41 @@ impl Oracle {
     }
 }
 
-/// Words `i, i + 1, …` (eight little-endian bytes each) of a session's
+/// The counter of word `i` (eight little-endian bytes) of a session's
 /// canonical object: the SplitMix64 *counter* stream, word `i` =
 /// `mix64(base + i·γ)`. Every word is a function of its index alone, so
 /// the object can be written or checked from any offset and consecutive
-/// words do not wait on each other. The counter steps by `γ`: no
-/// multiply per word for the index, on a path every source symbol of a
-/// real-oracle sender takes.
-fn object_words(session: SessionId, i: u64) -> impl Iterator<Item = [u8; 8]> {
-    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+/// words do not wait on each other — [`rq::rand::mix64_stream`] makes
+/// eight at a time with AVX-512.
+fn word_counter(session: SessionId, i: u64) -> u64 {
     let base = u64::from(session.0) ^ 0xDA7A_B10C;
-    let mut counter = base.wrapping_add(i.wrapping_mul(GAMMA));
-    std::iter::repeat_with(move || {
-        let word = rq::rand::mix64(counter).to_le_bytes();
-        counter = counter.wrapping_add(GAMMA);
-        word
-    })
+    base.wrapping_add(i.wrapping_mul(rq::rand::GAMMA))
+}
+
+/// Words `first, first + 1, …` of a session's canonical object over
+/// `out`.
+fn write_object_words(session: SessionId, first: u64, out: &mut [[u8; 8]]) {
+    rq::rand::mix64_stream(word_counter(session, first), rq::rand::GAMMA, out);
 }
 
 /// Word `i` of a session's canonical object.
 fn object_word(session: SessionId, i: u64) -> [u8; 8] {
-    object_words(session, i)
-        .next()
-        .expect("the word stream is endless")
+    rq::rand::mix64(word_counter(session, i)).to_le_bytes()
 }
 
 /// Write `session`'s canonical object from byte `at` on over `out`, at
 /// any offset, word-aligned or not — the generator behind
-/// [`session_object`], and the store a real oracle's encoder re-reads
-/// its source symbols from.
+/// [`session_object`], a real oracle's source symbols, and the store
+/// its encoder re-reads them from.
 fn write_session_object_at(session: SessionId, at: usize, out: &mut [u8]) {
     // Up to the word boundary, then whole words, then what is left of
     // the last one — as `session_object_matches_at` checks them.
     let (head, body) = out.split_at_mut(((8 - at % 8) % 8).min(out.len()));
     head.copy_from_slice(&object_word(session, (at / 8) as u64)[at % 8..][..head.len()]);
     let first = ((at + head.len()) / 8) as u64;
-    let last = first + (body.len() / 8) as u64;
-    let mut words = body.chunks_exact_mut(8);
-    for (word, bytes) in words.by_ref().zip(object_words(session, first)) {
-        word.copy_from_slice(&bytes);
-    }
-    let tail = words.into_remainder();
+    let (words, tail) = body.as_chunks_mut::<8>();
+    write_object_words(session, first, words);
+    let last = first + words.len() as u64;
     tail.copy_from_slice(&object_word(session, last)[..tail.len()]);
 }
 
@@ -335,19 +344,28 @@ fn is_session_object(session: SessionId, object: Decoded<'_>) -> bool {
     })
 }
 
+/// Words of the object regenerated at a time to check a decoded run
+/// against: a stack buffer.
+const CHECK_WORDS: usize = 64;
+
 /// Whether `bytes` are the canonical object's bytes from offset `at` on.
 fn session_object_matches_at(session: SessionId, at: usize, bytes: &[u8]) -> bool {
     // A run may start inside a word: check up to the word boundary, then
     // whole words, then what is left of the last one.
     let (head, body) = bytes.split_at(((8 - at % 8) % 8).min(bytes.len()));
     let first = ((at + head.len()) / 8) as u64;
-    let words = body.chunks_exact(8);
-    let tail = words.remainder();
+    let (words, tail) = body.as_chunks::<8>();
+    let mut expect = [[0u8; 8]; CHECK_WORDS];
     head == &object_word(session, (at / 8) as u64)[at % 8..][..head.len()]
-        && tail == &object_word(session, first + (body.len() / 8) as u64)[..tail.len()]
-        && words
-            .zip(object_words(session, first))
-            .all(|(word, bytes)| word == bytes)
+        && tail == &object_word(session, first + words.len() as u64)[..tail.len()]
+        && (first..)
+            .step_by(CHECK_WORDS)
+            .zip(words.chunks(CHECK_WORDS))
+            .all(|(first, words)| {
+                let expect = &mut expect[..words.len()];
+                write_object_words(session, first, expect);
+                expect == words
+            })
 }
 
 #[cfg(test)]
@@ -515,6 +533,24 @@ mod tests {
         assert!(!counting.encoded());
     }
 
+    #[test]
+    fn a_session_finishing_on_sources_builds_no_encoder() {
+        // Source ESIs are written from the generator (the decode checks
+        // them byte for byte against the object); a repair ESI arriving
+        // only after the decode is not written at all.
+        let session = SessionId(9);
+        let len = 40 * 64 - 9;
+        let mut o = Oracle::real(session, len, 64, CodeMode::Systematic);
+        for esi in 0..39 {
+            assert!(!o.add(esi, None), "esi {esi}");
+        }
+        assert!(o.add(39, None), "all source symbols ⇒ complete");
+        assert!(o.add(45, None), "stays complete");
+        assert!(!o.encoded());
+        assert_eq!(o.decode_stats().fast_path_decodes, 1);
+        assert_eq!(o.symbols_received(), 40);
+    }
+
     /// A decoder holding `object` cut into `t`-byte source symbols.
     fn holding(object: &[u8], t: usize) -> Decoder {
         let mut dec = Decoder::new(CodeParams::systematic(object.len(), t).unwrap());
@@ -621,7 +657,9 @@ mod tests {
         let session = SessionId(0xBEEF);
         let base = 0xBEEF ^ 0xDA7A_B10C_u64;
         for first in [0u64, 1, 7, 1 << 40, u64::MAX - 2] {
-            for (j, word) in (0u64..5).zip(object_words(session, first)) {
+            let mut words = [[0u8; 8]; 5];
+            write_object_words(session, first, &mut words);
+            for (j, word) in (0u64..).zip(words) {
                 let i = first.wrapping_add(j);
                 let expect =
                     rq::rand::mix64(base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));

@@ -426,7 +426,8 @@ mod tests {
 
         // Built with the session, like the counting oracle — and until a
         // symbol arrives it is parameters only, with nothing encoded.
-        let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 1);
+        let fresh = || ReceiverSession::new(spec.clone(), NodeId(0), &cfg, 1);
+        let mut rs = fresh();
         let Oracle::Real {
             decoder: Some(decoder),
             encoder: None,
@@ -438,22 +439,35 @@ mod tests {
         assert_eq!(decoder.storage_bytes(), 0);
         assert!(!rs.encoded());
         assert_eq!((rs.symbols_received(), rs.symbols_needed()), (0, 5));
+        // The blind window (k + 2 symbols) sends the sources first: they
+        // decode on their own, written from the object's generator, and
+        // no encoder is ever built.
+        assert!(esis[..5].iter().all(|&esi| esi < 5), "{esis:?}");
         let mut done = false;
-        for esi in esis {
+        for &esi in &esis {
             done = rs.on_symbol(0, esi, SimTime::ZERO);
         }
-        assert!(done, "the blind window (k + 2 symbols) decodes");
+        assert!(done, "the blind window decodes");
         assert_eq!(rs.symbols_needed(), 0);
-        // The decode frees the decoder and the encoder alike.
+        assert!(!rs.encoded());
+        // Without source 0 the first repair builds the encoder, and the
+        // decode frees the decoder and the encoder alike.
+        let mut lossy = fresh();
+        let mut done = false;
+        for &esi in &esis[1..] {
+            done = lossy.on_symbol(0, esi, SimTime::ZERO);
+            assert_eq!(lossy.encoded(), esi >= 5, "esi {esi}");
+        }
+        assert!(done, "k + 1 symbols decode");
         assert!(matches!(
-            rs.oracle,
+            lossy.oracle,
             Oracle::Real {
                 decoder: None,
                 encoder: None,
                 ..
             }
         ));
-        assert!(rs.encoded());
+        assert!(lossy.encoded());
     }
 
     #[test]

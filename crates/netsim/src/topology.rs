@@ -250,11 +250,6 @@ impl Topology {
         self.weight_builds
     }
 
-    /// The routing policy the topology was made with.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.policy
-    }
-
     /// Whether routes were computed: the graph is final and the layer
     /// tables and weight arenas exist.
     pub(crate) fn routed(&self) -> bool {

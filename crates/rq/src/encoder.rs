@@ -1,10 +1,11 @@
 //! Systematic encoder for a single source block.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::gf256;
 use crate::hdpc::HdpcFold;
-use crate::matrix::{hdpc_columns, ldpc_cols};
+use crate::matrix::{hdpc_columns, ldpc_walk};
 use crate::params::{BlockParams, CodeMode};
 use crate::tuple::lt_columns_with_floor;
 
@@ -120,12 +121,12 @@ type ReadSource = dyn Fn(usize, &mut [u8]) + Send + Sync;
 /// a repair symbol allocates nothing.
 const XOR_PIECE: usize = 512;
 
-/// One intermediate symbol, where it lies.
+/// Consecutive intermediate symbols (usually one), where they lie.
 enum Column<'a> {
     /// Held by the encoder.
     Stored(&'a [u8]),
-    /// A source column of a re-read object: its bytes `[at, at + len)`,
-    /// then zero padding to `T`.
+    /// Source columns of a re-read object: its bytes `[at, at + len)`,
+    /// then zero padding to the columns' end.
     Source {
         read: &'a ReadSource,
         at: usize,
@@ -134,7 +135,7 @@ enum Column<'a> {
 }
 
 impl Column<'_> {
-    /// Write the symbol over `out`.
+    /// Write the symbols over `out`.
     fn write_over(&self, out: &mut [u8]) {
         match *self {
             Column::Stored(bytes) => out.copy_from_slice(bytes),
@@ -142,6 +143,18 @@ impl Column<'_> {
                 let (data, padding) = out.split_at_mut(len);
                 read(at, data);
                 padding.fill(0);
+            }
+        }
+    }
+
+    /// The symbols' bytes: held ones where they lie, re-read ones
+    /// written over `buf` (as long as the columns) first.
+    fn bytes<'b>(&'b self, buf: &'b mut [u8]) -> &'b [u8] {
+        match *self {
+            Column::Stored(bytes) => bytes,
+            Column::Source { .. } => {
+                self.write_over(buf);
+                buf
             }
         }
     }
@@ -167,46 +180,14 @@ impl Encoder {
     /// parity construction, no solve — it cannot fail on valid input).
     /// It keeps its own copy of the source beside the parity.
     pub fn new(data: &[u8], symbol_size: usize) -> Result<Self, EncodeError> {
-        Self::staged(data.len(), symbol_size, |source| {
-            source.copy_from_slice(data)
-        })
-    }
-
-    /// [`Encoder::new`] over the `data_len`-byte object that `read`
-    /// re-reads: `read(at, out)` must write the object's bytes
-    /// `[at, at + out.len())` over `out`, the same bytes on every call.
-    /// The encoder reads the whole object once to build its parity and
-    /// keeps only that (`(S + H) · T` bytes); every source column a
-    /// symbol needs afterwards is read again, never past `data_len`.
-    pub fn from_source(
-        data_len: usize,
-        symbol_size: usize,
-        read: impl Fn(usize, &mut [u8]) + Send + Sync + 'static,
-    ) -> Result<Self, EncodeError> {
-        let staged = Self::staged(data_len, symbol_size, |source| read(0, source))?;
-        // A copy, not a `drain`: the parity's own allocation, so the
-        // staged block's capacity goes with it.
-        let parity = staged.stored[staged.code.k * symbol_size..].to_vec();
-        Ok(Self {
-            stored: parity,
-            source: Some(Arc::new(read)),
-            ..staged
-        })
-    }
-
-    /// An encoder owning the whole `L · T` intermediate block over the
-    /// `data_len` bytes that `write_source` writes over its (zeroed)
-    /// head.
-    fn staged(
-        data_len: usize,
-        symbol_size: usize,
-        write_source: impl FnOnce(&mut [u8]),
-    ) -> Result<Self, EncodeError> {
-        let code = CodeParams::systematic(data_len, symbol_size)?;
+        let code = CodeParams::systematic(data.len(), symbol_size)?;
         let params = BlockParams::new(code.k);
         let mut block = vec![0u8; params.l * symbol_size];
-        write_source(&mut block[..data_len]);
-        Self::fill_parity(&params, &mut block, symbol_size);
+        block[..data.len()].copy_from_slice(data);
+        let (source, parity) = block.split_at_mut(code.k * symbol_size);
+        fill_parity(&params, symbol_size, parity, |cols| {
+            Column::Stored(&source[cols.start * symbol_size..cols.end * symbol_size])
+        });
         Ok(Self {
             params,
             code,
@@ -215,49 +196,37 @@ impl Encoder {
         })
     }
 
+    /// [`Encoder::new`] over the `data_len`-byte object that `read`
+    /// re-reads: `read(at, out)` must write the object's bytes
+    /// `[at, at + out.len())` over `out`, the same bytes on every call.
+    /// The encoder streams the object once, a few columns at a time, to
+    /// build its parity and keeps only that (`(S + H) · T` bytes); every
+    /// source column a symbol needs afterwards is read again, never past
+    /// `data_len`.
+    pub fn from_source(
+        data_len: usize,
+        symbol_size: usize,
+        read: impl Fn(usize, &mut [u8]) + Send + Sync + 'static,
+    ) -> Result<Self, EncodeError> {
+        let code = CodeParams::systematic(data_len, symbol_size)?;
+        let params = BlockParams::new(code.k);
+        let mut parity = vec![0u8; (params.s + params.h) * symbol_size];
+        fill_parity(&params, symbol_size, &mut parity, |cols| {
+            source_columns(&read, code, cols)
+        });
+        Ok(Self {
+            params,
+            code,
+            stored: parity,
+            source: Some(Arc::new(read)),
+        })
+    }
+
     /// [`Encoder::new`]; the mode argument has one value. Kept because
     /// `bench_e2e/src/layers.rs` calls it (ROADMAP, "API the benchmark
     /// pins").
     pub fn with_mode(data: &[u8], symbol_size: usize, _: CodeMode) -> Result<Self, EncodeError> {
         Self::new(data, symbol_size)
-    }
-
-    /// Direct systematic construction: the intermediate block is
-    /// `[source | LDPC parity | HDPC parity]` in one `L · T` buffer —
-    /// `block`, holding the zero-padded source and zeros behind it —
-    /// each parity symbol computed straight from its constraint row: two
-    /// streaming passes over the block instead of an `L×L` inactivation
-    /// solve.
-    ///
-    /// This works because the precode rows are triangular over the parity
-    /// columns: LDPC row `j` touches only source columns plus its identity
-    /// column `K+j`, and HDPC row `h` touches columns `[0, K+S)` plus its
-    /// identity column `K+S+h` — so each parity symbol is determined by
-    /// columns constructed before it.
-    fn fill_parity(params: &BlockParams, block: &mut [u8], t: usize) {
-        let k = params.k;
-        let (source, parity) = block.split_at_mut(k * t);
-        let (ldpc, hdpc) = parity.split_at_mut(params.s * t);
-        // LDPC parity: row j is `C[k+j] + XOR(source cols) = 0`.
-        for (cols, sym) in ldpc_cols(params).iter().zip(ldpc.chunks_exact_mut(t)) {
-            debug_assert_eq!(
-                cols.iter().filter(|&&col| col as usize >= k).count(),
-                1,
-                "LDPC row must touch exactly one parity column (its identity)"
-            );
-            for &col in cols.iter().filter(|&&col| (col as usize) < k) {
-                gf256::xor_assign(sym, &source[col as usize * t..][..t]);
-            }
-        }
-        // HDPC parity: row h is `C[ks+h] + Σ coef_j · C[j] = 0` over
-        // `j < K+S`, all of which are already constructed.
-        let mut fold = HdpcFold::new(params.h, t);
-        let constructed = source.chunks_exact(t).chain(ldpc.chunks_exact(t));
-        let columns = hdpc_columns(params);
-        fold.fold_all(columns.iter().map(|c| &c[..]).zip(constructed));
-        for (h, sym) in hdpc.chunks_exact_mut(t).enumerate() {
-            fold.write_row(h, sym);
-        }
     }
 
     /// The decoder-facing parameters of this block.
@@ -283,11 +252,7 @@ impl Encoder {
         match &self.source {
             None => Column::Stored(&self.stored[c * t..][..t]),
             Some(_) if c >= k => Column::Stored(&self.stored[(c - k) * t..][..t]),
-            Some(read) => Column::Source {
-                read: read.as_ref(),
-                at: c * t,
-                len: t.min(self.code.data_len - c * t),
-            },
+            Some(read) => source_columns(read.as_ref(), self.code, c..c + 1),
         }
     }
 
@@ -322,6 +287,75 @@ impl Encoder {
         for c in cols {
             self.column(c as usize).xor_into(out);
         }
+    }
+}
+
+/// Source columns `cols` (below `K`) of the object `read` re-reads.
+fn source_columns(read: &ReadSource, code: CodeParams, cols: Range<usize>) -> Column<'_> {
+    let at = cols.start * code.symbol_size;
+    Column::Source {
+        read,
+        at,
+        len: (cols.len() * code.symbol_size).min(code.data_len - at),
+    }
+}
+
+/// Source columns [`fill_parity`] reads at a time: 23 KB at
+/// `T = 1440`, one call to a re-read object's `read`.
+const WINDOW: usize = 16;
+
+/// Direct systematic construction: the `S + H` parity symbols of the
+/// intermediate block `[source | LDPC parity | HDPC parity]`, written
+/// over `parity` (zeroed) from the `K` source columns that `source`
+/// gives for a range, each parity symbol computed straight from its
+/// constraint row instead of by an `L×L` inactivation solve. One
+/// streaming pass over the source, [`WINDOW`] columns at a time: each
+/// column is XORed into the LDPC rows its walk names and folded into
+/// all `H` HDPC rows, so a re-read source is never staged whole.
+///
+/// This works because the precode rows are triangular over the parity
+/// columns: LDPC row `j` touches only source columns plus its identity
+/// column `K+j`, and HDPC row `h` touches columns `[0, K+S)` plus its
+/// identity column `K+S+h` — so each parity symbol is determined by
+/// columns constructed before it. The rows are sums over GF(256), so
+/// the order columns are added in changes no byte.
+fn fill_parity<'a>(
+    params: &BlockParams,
+    t: usize,
+    parity: &mut [u8],
+    source: impl Fn(Range<usize>) -> Column<'a>,
+) {
+    let k = params.k;
+    let (ldpc, hdpc) = parity.split_at_mut(params.s * t);
+    // HDPC row h is `C[ks+h] + Σ coef_j · C[j] = 0` over `j < K+S`.
+    let mut fold = HdpcFold::new(params.h, t);
+    let columns = hdpc_columns(params);
+    let mut buf = vec![0u8; WINDOW.min(k) * t];
+    for first in (0..k).step_by(WINDOW) {
+        let cols = first..(first + WINDOW).min(k);
+        let window = source(cols.clone());
+        let symbols = window.bytes(&mut buf[..cols.len() * t]);
+        // LDPC row j is `C[k+j] + XOR(source cols) = 0`.
+        for (c, symbol) in cols.clone().zip(symbols.chunks_exact(t)) {
+            for j in ldpc_walk(params, c) {
+                gf256::xor_assign(&mut ldpc[j * t..][..t], symbol);
+            }
+        }
+        fold.fold_all(
+            columns[cols]
+                .iter()
+                .map(|c| &c[..])
+                .zip(symbols.chunks_exact(t)),
+        );
+    }
+    fold.fold_all(
+        columns[k..]
+            .iter()
+            .map(|c| &c[..])
+            .zip(ldpc.chunks_exact(t)),
+    );
+    for (h, sym) in hdpc.chunks_exact_mut(t).enumerate() {
+        fold.write_row(h, sym);
     }
 }
 
@@ -370,7 +404,7 @@ mod tests {
 
     /// The systematic intermediates built symbol by symbol, one
     /// `xor_assign` / `addmul` per (row, column) — the construction
-    /// [`Encoder::fill_parity`] must stay byte-equal to.
+    /// [`fill_parity`] must stay byte-equal to.
     fn reference_intermediates(data: &[u8], t: usize) -> Vec<Vec<u8>> {
         let params = BlockParams::new(data.len().div_ceil(t));
         let mut c: Vec<Vec<u8>> = data

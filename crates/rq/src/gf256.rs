@@ -6,31 +6,45 @@
 //! is two table lookups and an addition.
 //!
 //! Besides scalar arithmetic this module provides the *symbol* operations
-//! the codec is built from: XOR of whole symbols (`u64`-wide,
-//! autovectorizable) and multiply-accumulate / scaling over whole slices
-//! ([`addmul`], [`mul_slice`]), which the solver's elimination and dense
-//! phases spend their time in. On a CPU with AVX2 those two run 32 bytes
-//! per step through split-nibble `vpshufb` kernels (the private `avx2`
-//! module, also behind [`crate::hdpc::HdpcFold`]); anywhere else, and on
-//! a tail shorter than 32 bytes, they index one 256-byte row of a
-//! compile-time 64 KiB product table per coefficient — branchless in the
-//! per-byte loop. Both give the same bytes.
+//! the codec is built from: XOR of whole symbols ([`xor_assign`]) and
+//! multiply-accumulate / scaling over whole slices ([`addmul`],
+//! [`mul_slice`]), which the encoder, the decoder's projections and the
+//! solver spend their time in. Those three, and the dense-row fold behind
+//! [`crate::hdpc::HdpcFold`], run on the fastest of four tiers the CPU
+//! has, chosen at runtime (the private `avx2` module):
+//!
+//! 1. **GFNI on 64 bytes** (with AVX-512F and BW) and
+//! 2. **GFNI on 32 bytes** — one `vgf2p8affineqb` per chunk, the
+//!    coefficient as an 8×8 bit matrix (the `0x11D` field is not the
+//!    instruction's own `0x11B`, so the affine form, not `vgf2p8mulb`);
+//! 3. **AVX2** — split-nibble `vpshufb` lookups, two per 32-byte chunk;
+//! 4. **tables** — anywhere else, and on a tail shorter than 32 bytes:
+//!    one 256-byte row of a compile-time 64 KiB product table per
+//!    coefficient, branchless in the per-byte loop (and `u64` words for
+//!    XOR).
+//!
+//! All four give the same bytes.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::Avx2;
+pub(crate) use avx2::Simd;
 
-/// Stand-in for the AVX2 kernels where the architecture has none:
-/// [`Avx2::detect`] never finds them, so no value of this type exists.
+/// Stand-in for the vector kernels where the architecture has none:
+/// [`Simd::detect`] never finds them, so no value of this type exists.
 #[cfg(not(target_arch = "x86_64"))]
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Avx2 {}
+pub(crate) enum Simd {}
 
 #[cfg(not(target_arch = "x86_64"))]
-impl Avx2 {
+impl Simd {
     pub(crate) fn detect() -> Option<Self> {
         None
+    }
+
+    #[cfg(test)]
+    pub(crate) fn tiers() -> impl Iterator<Item = Self> {
+        std::iter::empty()
     }
 
     pub(crate) fn addmul(self, _: &mut [u8], _: &[u8], _: u8) {
@@ -38,6 +52,10 @@ impl Avx2 {
     }
 
     pub(crate) fn mul_slice(self, _: &mut [u8], _: u8) {
+        match self {}
+    }
+
+    pub(crate) fn xor(self, _: &mut [u8], _: &[u8]) {
         match self {}
     }
 
@@ -136,21 +154,25 @@ pub fn add(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
-/// XOR `src` into `dst` (symbol addition). Both slices must be the same
-/// length; this is an invariant of symbol storage, so it is asserted.
+/// XOR `src` into `dst` (symbol addition), 32 or 64 bytes per step
+/// when the CPU has AVX2 or AVX-512 (the vector tiers of [`addmul`]).
+/// Both slices must be the same length; this is an invariant of symbol
+/// storage, so it is asserted.
 #[inline]
 pub fn xor_assign(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "symbol length mismatch");
-    // u64-wide fast path; the remainder is handled byte by byte.
-    let (dst_chunks, dst_rest) = dst.split_at_mut(dst.len() - dst.len() % 8);
-    let (src_chunks, src_rest) = src.split_at(src.len() - src.len() % 8);
-    for (d, s) in dst_chunks
-        .chunks_exact_mut(8)
-        .zip(src_chunks.chunks_exact(8))
-    {
-        let x = u64::from_ne_bytes(d.try_into().unwrap());
-        let y = u64::from_ne_bytes(s.try_into().unwrap());
-        d.copy_from_slice(&(x ^ y).to_ne_bytes());
+    match Simd::detect() {
+        Some(simd) => simd.xor(dst, src),
+        None => xor_words(dst, src),
+    }
+}
+
+/// [`xor_assign`] `u64` by `u64`, the remainder byte by byte.
+fn xor_words(dst: &mut [u8], src: &[u8]) {
+    let (dst_words, dst_rest) = dst.as_chunks_mut::<8>();
+    let (src_words, src_rest) = src.as_chunks::<8>();
+    for (d, s) in dst_words.iter_mut().zip(src_words) {
+        *d = (u64::from_ne_bytes(*d) ^ u64::from_ne_bytes(*s)).to_ne_bytes();
     }
     for (d, s) in dst_rest.iter_mut().zip(src_rest) {
         *d ^= s;
@@ -159,10 +181,10 @@ pub fn xor_assign(dst: &mut [u8], src: &[u8]) {
 
 /// Multiply-accumulate over whole symbol slices: `dst[i] ^= c · src[i]`.
 ///
-/// `c == 0` is a no-op and `c == 1` degenerates to [`xor_assign`] (which
-/// takes the `u64`-wide autovectorized path); both are common in the
-/// solver so they get dedicated paths. Any other `c` runs the AVX2
-/// kernel when the CPU has it, else [`MUL_TABLE`] row `c` byte by byte.
+/// `c == 0` is a no-op and `c == 1` degenerates to [`xor_assign`]; both
+/// are common in the solver so they get dedicated paths. Any other `c` runs the GFNI or
+/// AVX2 kernel when the CPU has one, else [`MUL_TABLE`] row `c` byte by
+/// byte.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -173,8 +195,8 @@ pub fn addmul(dst: &mut [u8], src: &[u8], c: u8) {
         1 => xor_assign(dst, src),
         _ => {
             assert_eq!(dst.len(), src.len(), "symbol length mismatch");
-            match Avx2::detect() {
-                Some(avx2) => avx2.addmul(dst, src, c),
+            match Simd::detect() {
+                Some(simd) => simd.addmul(dst, src, c),
                 None => addmul_table(dst, src, c),
             }
         }
@@ -190,15 +212,15 @@ fn addmul_table(dst: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
-/// In-place symbol scaling: `dst[i] = c · dst[i]`, by the AVX2 kernel
-/// when the CPU has it, like [`addmul`].
+/// In-place symbol scaling: `dst[i] = c · dst[i]`, by the GFNI or AVX2
+/// kernel when the CPU has one, like [`addmul`].
 #[inline]
 pub fn mul_slice(dst: &mut [u8], c: u8) {
     match c {
         0 => dst.fill(0),
         1 => {}
-        _ => match Avx2::detect() {
-            Some(avx2) => avx2.mul_slice(dst, c),
+        _ => match Simd::detect() {
+            Some(simd) => simd.mul_slice(dst, c),
             None => mul_slice_table(dst, c),
         },
     }
@@ -437,10 +459,32 @@ pub(crate) mod tests {
     /// few bytes into a buffer, so no kernel sees them aligned.
     pub(crate) const KERNEL_LENGTHS: [usize; 11] = [0, 1, 31, 32, 33, 63, 64, 65, 100, 1440, 1441];
 
-    /// The kernels to test: the table code always, AVX2 when the CPU
-    /// has it.
-    pub(crate) fn kernels() -> impl Iterator<Item = Option<Avx2>> {
-        [None].into_iter().chain(Avx2::detect().map(Some))
+    /// The kernels to test: the table code always, then every vector
+    /// tier the CPU has (AVX2, GFNI).
+    pub(crate) fn kernels() -> impl Iterator<Item = Option<Simd>> {
+        [None].into_iter().chain(Simd::tiers().map(Some))
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn affine_matrices_match_reference() {
+        // `vgf2p8affineqb` spelled out: bit `i` of the result is the
+        // parity of `x` ANDed with byte `7 - i` of the matrix.
+        let affine = |matrix: u64, x: u8| -> u8 {
+            (0..8).fold(0, |acc, i| {
+                let row = (matrix >> (8 * (7 - i))) as u8;
+                acc | (((row & x).count_ones() & 1) as u8) << i
+            })
+        };
+        for c in 0..=255u8 {
+            for x in 0..=255u8 {
+                assert_eq!(
+                    affine(avx2::AFFINE[c as usize], x),
+                    mul_ref(c, x),
+                    "c={c} x={x}"
+                );
+            }
+        }
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -473,7 +517,7 @@ pub(crate) mod tests {
                     let mut dst_buf = base_buf.clone();
                     let dst = &mut dst_buf[1..];
                     match kernel {
-                        Some(avx2) => avx2.addmul(dst, src, c),
+                        Some(simd) => simd.addmul(dst, src, c),
                         None => addmul_table(dst, src, c),
                     }
                     for i in 0..len {
@@ -489,6 +533,26 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn xor_kernels_match_reference_at_unaligned_lengths() {
+        for kernel in kernels() {
+            for len in KERNEL_LENGTHS.into_iter().chain([95, 127, 128, 129]) {
+                let (src_buf, base_buf) =
+                    (bytes(len as u64, 3 + len), bytes(!(len as u64), 1 + len));
+                let (src, base) = (&src_buf[3..], &base_buf[1..]);
+                let mut dst_buf = base_buf.clone();
+                let dst = &mut dst_buf[1..];
+                match kernel {
+                    Some(simd) => simd.xor(dst, src),
+                    None => xor_words(dst, src),
+                }
+                for i in 0..len {
+                    assert_eq!(dst[i], base[i] ^ src[i], "{kernel:?} len={len} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn mul_slice_kernels_match_reference_at_unaligned_lengths() {
         for kernel in kernels() {
             for len in KERNEL_LENGTHS {
@@ -498,7 +562,7 @@ pub(crate) mod tests {
                     let mut dst_buf = base_buf.clone();
                     let dst = &mut dst_buf[5..];
                     match kernel {
-                        Some(avx2) => avx2.mul_slice(dst, c),
+                        Some(simd) => simd.mul_slice(dst, c),
                         None => mul_slice_table(dst, c),
                     }
                     for i in 0..len {

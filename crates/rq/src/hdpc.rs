@@ -8,9 +8,11 @@
 //! one sweep, and takes its columns two at a time
 //! ([`HdpcFold::fold_all`]), so each symbol byte is read once.
 //!
-//! On a CPU with AVX2 the sums live row by row and the split-nibble
-//! kernel adds every whole 32-byte chunk of a column pair into all rows
-//! at once: per chunk, two loads, then two `vpshufb` per row and column.
+//! On a CPU with AVX2 the sums live row by row and the vector kernel
+//! adds every whole 32-byte chunk of a column pair into all rows at
+//! once: per chunk, two loads, then per row and column one
+//! `vgf2p8affineqb` with GFNI (on 64-byte chunks with AVX-512), or two
+//! `vpshufb` with AVX2 alone.
 //!
 //! Anywhere else, and for the last `symbol_size % 32` bytes, the rows'
 //! products of one byte value fit the lanes of a `u128`: per column the
@@ -20,7 +22,7 @@
 //! each of the other 247 (multiplication distributes over GF(256)
 //! addition: `c·(x ^ y) = c·x ^ c·y`).
 
-use crate::gf256::{Avx2, MUL_TABLE};
+use crate::gf256::{Simd, MUL_TABLE};
 use crate::params::H_HDPC;
 
 /// Most rows one fold sums: one lane each in a `u128`.
@@ -44,10 +46,10 @@ const _: () = assert!(H_HDPC <= MAX_ROWS, "one fold must hold every HDPC row");
 /// ```
 pub struct HdpcFold {
     rows: usize,
-    /// Bytes summed by the AVX2 kernel: the whole 32-byte chunks of a
-    /// symbol with AVX2, none without.
+    /// Bytes summed by the vector kernel: the whole 32-byte chunks of a
+    /// symbol with one, none without.
     width: usize,
-    avx2: Option<Avx2>,
+    simd: Option<Simd>,
     /// Bytes `0..width` of every row, row after row.
     head: Vec<u8>,
     /// Byte position `width + i` of every row: `tail[i]`, little-endian
@@ -79,23 +81,23 @@ impl HdpcFold {
     /// # Panics
     /// Panics if `rows > MAX_ROWS`.
     pub fn new(rows: usize, symbol_size: usize) -> Self {
-        Self::with_kernel(rows, symbol_size, Avx2::detect())
+        Self::with_kernel(rows, symbol_size, Simd::detect())
     }
 
-    /// [`HdpcFold::new`] with the AVX2 kernel or without it.
-    pub(crate) fn with_kernel(rows: usize, symbol_size: usize, avx2: Option<Avx2>) -> Self {
+    /// [`HdpcFold::new`] with a given vector kernel or none.
+    pub(crate) fn with_kernel(rows: usize, symbol_size: usize, simd: Option<Simd>) -> Self {
         assert!(
             rows <= MAX_ROWS,
             "{rows} rows, at most {MAX_ROWS} fold at once"
         );
-        let width = match avx2 {
+        let width = match simd {
             Some(_) => symbol_size - symbol_size % 32,
             None => 0,
         };
         Self {
             rows,
             width,
-            avx2,
+            simd,
             head: vec![0; rows * width],
             tail: vec![0; symbol_size - width],
             tabs: [[0; 256]; 2],
@@ -135,8 +137,8 @@ impl HdpcFold {
             assert_eq!(coefs.len(), self.rows, "one coefficient per row");
         }
         let width = self.width;
-        if let Some(avx2) = self.avx2 {
-            avx2.fold(
+        if let Some(simd) = self.simd {
+            simd.fold(
                 &mut self.head,
                 columns.map(|(coefs, s)| (coefs, &s[..width])),
             );

@@ -50,8 +50,9 @@
 //! paper relies on is, and is enforced by tests.
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: `gf256`'s private `avx2` module, the AVX2
-// kernels, is the one place that opts out.
+// `deny`, not `forbid`: two private modules opt out, `gf256::avx2`
+// (the AVX2 and GFNI field kernels) and `rand::avx512` (the AVX-512
+// counter-stream fill).
 #![deny(unsafe_code)]
 
 pub mod decoder;

@@ -53,29 +53,38 @@ impl ConstraintRow {
     }
 }
 
+/// The three LDPC rows source column `i` is folded into: the circulant
+/// triple-hit walk (RFC 5053 §5.4.2.3). `S >= 2` always, and for
+/// `S == 2` the stride degenerates to 1, which is still fine. A row comes
+/// up twice only if `S < 3`; over GF(2) a double hit cancels.
+pub fn ldpc_walk(params: &BlockParams, i: usize) -> impl Iterator<Item = usize> {
+    let s = params.s;
+    let a = 1 + (i / s) % (s.saturating_sub(1).max(1));
+    (0..3).map(move |n| (i % s + n * a) % s)
+}
+
 /// Column sets of the `S` LDPC constraint rows: row `j` holds its
 /// identity column `K + j` plus the source columns folded into it.
 pub fn ldpc_cols(params: &BlockParams) -> Vec<Vec<u32>> {
     let k = params.k;
-    let s = params.s;
-    let mut cols_per_row: Vec<Vec<u32>> = (0..s)
-        .map(|j| vec![(k + j) as u32]) // identity part
+    let per_row = 3 * k / params.s + 2;
+    let mut cols_per_row: Vec<Vec<u32>> = (0..params.s)
+        .map(|j| {
+            let mut row = Vec::with_capacity(per_row);
+            row.push((k + j) as u32); // identity part
+            row
+        })
         .collect();
     for i in 0..k {
-        // Circulant triple-hit walk (RFC 5053 §5.4.2.3). S >= 2 always,
-        // and for S == 2 the stride degenerates to 1, which is still fine.
-        let a = 1 + (i / s) % (s.saturating_sub(1).max(1));
-        let mut b = i % s;
-        for _ in 0..3 {
+        for b in ldpc_walk(params, i) {
             let row = &mut cols_per_row[b];
-            // The same source column can be hit twice only if S < 3; over
-            // GF(2) a double hit cancels, so toggle membership.
-            if let Some(pos) = row.iter().position(|&c| c == i as u32) {
-                row.swap_remove(pos);
+            // A double hit cancels: toggle membership. Columns go in in
+            // ascending order, so `i` can only be the row's last one.
+            if row.last() == Some(&(i as u32)) {
+                row.pop();
             } else {
                 row.push(i as u32);
             }
-            b = (b + a) % s;
         }
     }
     cols_per_row

@@ -6,16 +6,68 @@
 //! deterministic function of its inputs, so encoder and decoder always agree
 //! with no shared tables to transcribe.
 //!
+//! [`mix64_stream`] writes the SplitMix64 *counter* stream — word `i` is
+//! `mix64(counter + i·step)` — eight words per instruction with
+//! AVX-512 (the private `avx512` module), else one by one; both give the
+//! same bytes. It generates the simulator's canonical objects.
+//!
 //! [`Xorshift64`] is the seeded stream the codec's tests draw objects and
 //! loss patterns from; the codec itself never uses it.
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
+#[cfg(target_arch = "x86_64")]
+use avx512::Avx512;
+
+/// Stand-in for the AVX-512 kernel where the architecture has none:
+/// [`Avx512::detect`] never finds it, so no value of this type exists.
+#[cfg(not(target_arch = "x86_64"))]
+#[derive(Clone, Copy, Debug)]
+enum Avx512 {}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl Avx512 {
+    fn detect() -> Option<Self> {
+        None
+    }
+
+    fn mix64_stream(self, _: u64, _: u64, _: &mut [[u8; 8]]) {
+        match self {}
+    }
+}
+
+/// SplitMix64's increment, which [`mix64`] adds first.
+pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+const MIX1: u64 = 0xBF58_476D_1CE4_E5B9;
+const MIX2: u64 = 0x94D0_49BB_1331_11EB;
 
 /// SplitMix64 finalizer: a bijective 64-bit mixer with full avalanche.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z = z.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(MIX1);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX2);
     z ^ (z >> 31)
+}
+
+/// Write `mix64(counter + i·step)` over word `i` of `out`, as eight
+/// little-endian bytes, with the AVX-512 kernel when the CPU has
+/// AVX-512F and AVX-512DQ. Every word is a function of its index alone,
+/// so a stream can be written from any word on.
+pub fn mix64_stream(counter: u64, step: u64, out: &mut [[u8; 8]]) {
+    match Avx512::detect() {
+        Some(avx512) => avx512.mix64_stream(counter, step, out),
+        None => mix64_stream_scalar(counter, step, out),
+    }
+}
+
+/// [`mix64_stream`] one word at a time: the fallback, and the
+/// reference the kernel is tested against.
+fn mix64_stream_scalar(mut counter: u64, step: u64, out: &mut [[u8; 8]]) {
+    for word in out {
+        *word = mix64(counter).to_le_bytes();
+        counter = counter.wrapping_add(step);
+    }
 }
 
 /// Hash two words into one; used to derive per-symbol seeds from
@@ -90,6 +142,33 @@ mod tests {
         assert_eq!(mix64(0), mix64(0));
         assert_ne!(mix64(0), 0);
         assert_ne!(mix64(1), mix64(2));
+    }
+
+    /// The scalar stream's words, computed from the index.
+    fn reference(counter: u64, step: u64, n: usize) -> Vec<[u8; 8]> {
+        (0..n as u64)
+            .map(|i| mix64(counter.wrapping_add(i.wrapping_mul(step))).to_le_bytes())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn stream_kernels_equal_the_scalar_stream(
+            counter in proptest::prelude::any::<u64>(),
+            step in proptest::prelude::any::<u64>(),
+        ) {
+            // 0..=20 words: none, a partial vector, one, two and a tail,
+            // from any counter (the counters wrap inside most streams).
+            let kernels = [None].into_iter().chain(Avx512::detect().map(Some));
+            for (kernel, n) in kernels.flat_map(|kernel| (0..=20).map(move |n| (kernel, n))) {
+                let mut out = vec![[0xEE; 8]; n];
+                match kernel {
+                    Some(avx512) => avx512.mix64_stream(counter, step, &mut out),
+                    None => mix64_stream_scalar(counter, step, &mut out),
+                }
+                proptest::prop_assert_eq!(out, reference(counter, step, n), "{:?} n={}", kernel, n);
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! Failure surfaces as [`SolveError::Singular`]: the decoder responds by
 //! waiting for more symbols (the encoder never solves).
 
-use crate::gf256::{self, Avx2};
+use crate::gf256::{self, Simd};
 use crate::hdpc::{HdpcFold, MAX_ROWS};
 use crate::matrix::{ConstraintRow, RowKind};
 
@@ -266,7 +266,7 @@ pub fn solve(
         &mut dense_values,
         pivot_values,
         symbol_size,
-        Avx2::detect(),
+        Simd::detect(),
     );
 
     // ---- Phase 3: dense solve over the inactive unknowns ----------------
@@ -309,13 +309,13 @@ pub fn solve(
 
 /// Add `coefs[r][col] · value` of every `(col, value)` pivot to dense
 /// row `r`'s right-hand side `values[r]`: one [`HdpcFold`] pass per group
-/// of at most [`MAX_ROWS`] rows, with the AVX2 kernel or without it.
+/// of at most [`MAX_ROWS`] rows, with a given vector kernel or none.
 fn fold_pivots<'a>(
     coefs: &[Vec<u8>],
     values: &mut [Vec<u8>],
     pivots: impl Iterator<Item = (u32, &'a [u8])> + Clone,
     symbol_size: usize,
-    avx2: Option<Avx2>,
+    simd: Option<Simd>,
 ) {
     let mut row = vec![0u8; symbol_size];
     for (coefs, values) in coefs.chunks(MAX_ROWS).zip(values.chunks_mut(MAX_ROWS)) {
@@ -329,7 +329,7 @@ fn fold_pivots<'a>(
         if columns.is_empty() {
             continue;
         }
-        let mut fold = HdpcFold::with_kernel(coefs.len(), symbol_size, avx2);
+        let mut fold = HdpcFold::with_kernel(coefs.len(), symbol_size, simd);
         fold.fold_all(columns.iter().map(|(column, value)| (&column[..], *value)));
         for (h, value) in values.iter_mut().enumerate() {
             fold.write_row(h, &mut row);

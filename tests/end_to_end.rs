@@ -105,8 +105,11 @@ fn real_oracle_multi_source_fetch() {
 
 /// A seeded 3-replica read scenario under Polyraptor, staged by hand
 /// so the agents can be inspected afterwards: per-flow `(session, start,
-/// finish)` and the sum of `objects_encoded()` over all hosts.
-fn staged_read(oracle: OracleMode, shards: usize) -> (Vec<(u32, SimTime, SimTime)>, u64) {
+/// finish)`, the sum of `objects_encoded()` over all hosts, and the
+/// receivers that got a repair symbol before their decode — those that
+/// ran the solver or finished past `k` symbols, since one that got only
+/// source symbols finishes on the fast path at exactly `k`.
+fn staged_read(oracle: OracleMode, shards: usize) -> (Vec<(u32, SimTime, SimTime)>, u64, u64) {
     let sc = StorageScenario {
         sessions: 16,
         background_frac: 0.0,
@@ -143,22 +146,38 @@ fn staged_read(oracle: OracleMode, shards: usize) -> (Vec<(u32, SimTime, SimTime
         .collect();
     flows.sort_unstable();
     assert_eq!(flows.len(), sc.sessions, "every read must complete");
-    (flows, encoded(&sim))
+    let repaired = sim
+        .agents()
+        .flat_map(|(_, a)| a.records.iter().map(move |r| (a, r)))
+        .filter(|(a, r)| {
+            let solved = a
+                .receiver_session(r.session)
+                .map(|rs| rs.decode_stats().solver_decodes);
+            r.symbols > pr.k_for(r.data_len)
+                || solved.expect("a record's session stays installed") > 0
+        })
+        .count() as u64;
+    (flows, encoded(&sim), repaired)
 }
 
 /// With the codec in the loop a read's one receiver encodes the object
-/// once, whatever its three replicas send, and the shard count shows
-/// neither in that count nor in the results.
+/// at most once, whatever its three replicas send: once if a repair
+/// symbol reached it before its decode, never if source symbols alone
+/// did. The shard count shows neither in that count nor in the results.
 #[test]
 fn real_oracle_read_encodes_each_object_once() {
-    let (serial, encoded) = staged_read(OracleMode::Real, 1);
-    assert_eq!(encoded, 16, "one encode per session, not one per replica");
-    let (sharded, encoded) = staged_read(OracleMode::Real, 2);
-    assert_eq!(encoded, 16, "shards must not duplicate the encode");
+    let (serial, encoded, repaired) = staged_read(OracleMode::Real, 1);
+    assert_eq!(
+        encoded, repaired,
+        "one encode per receiver that got a repair ESI, not one per replica"
+    );
+    assert_eq!(encoded, 13, "of 16 reads");
+    let (sharded, encoded, _) = staged_read(OracleMode::Real, 2);
+    assert_eq!(encoded, repaired, "shards must not duplicate the encode");
     assert_eq!(serial, sharded, "per-flow results differ across shards");
     // The counting oracle never touches the codec, and the codec takes
     // no simulated time: same flows, no encoder.
-    let (counting, encoded) = staged_read(OracleMode::Counting, 1);
+    let (counting, encoded, _) = staged_read(OracleMode::Counting, 1);
     assert_eq!(encoded, 0);
     assert_eq!(counting.len(), serial.len());
 }

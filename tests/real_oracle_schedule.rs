@@ -5,10 +5,11 @@
 //! became references into the sender's encoder (`4cfa1c3`), when every
 //! emission allocated its symbol, the decoder kept a map of `Vec`s and
 //! the canonical object was a serial `mix64` chain. Since then symbols
-//! carry no bytes at all and each receiver's oracle encodes the object
-//! itself. None of that may move a simulated nanosecond or a symbol
-//! count: when the oracle is asked and what it answers for a given ESI
-//! set are as they were, on one shard and on two alike.
+//! carry no bytes at all, each receiver's oracle writes source symbols
+//! from the object's generator and builds an encoder only at its first
+//! repair symbol. None of that may move a simulated nanosecond or a
+//! symbol count: when the oracle is asked and what it answers for a given
+//! ESI set are as they were, on one shard and on two alike.
 
 use polyraptor_repro::netsim::{FabricStats, Pcg32, SimConfig, Simulator};
 use polyraptor_repro::polyraptor::{PolyraptorAgent, PrConfig, SessionId};
@@ -46,11 +47,11 @@ impl Fnv {
 /// What one run leaves behind: the hash of every flow's `(session,
 /// start, finish, distinct symbols, trimmed headers, pulls)` in
 /// canonical order plus the four packet fates, the fabric's counters,
-/// and the decode paths the receivers took. Checks on the way that
-/// each receiver's oracle encodes the object once: none at install,
-/// and after the run one per receiver of every session — three per
-/// multicast write, one per read or background unicast.
-fn run(sc: &StorageScenario, shards: usize) -> (u64, FabricStats, DecodeStats) {
+/// the decode paths the receivers took, and `(encodes, receivers)`.
+/// Checks on the way that the oracles encode exactly where a repair
+/// symbol reached them: none at install, and after the run one per
+/// receiver that got a repair ESI before its decode.
+fn run(sc: &StorageScenario, shards: usize) -> (u64, FabricStats, DecodeStats, (u64, usize)) {
     let topo = Fabric::small().build();
     let sessions = sc.generate(&topo);
     let mut cfg = SimConfig::ndp(sc.seed ^ 0xFAB);
@@ -72,10 +73,13 @@ fn run(sc: &StorageScenario, shards: usize) -> (u64, FabricStats, DecodeStats) {
     assert_eq!(encoded(&sim), 0, "installing a session must not encode");
     sim.run_to_completion();
     let receivers: usize = specs.iter().map(|spec| spec.receivers.len()).sum();
-    assert_eq!(encoded(&sim), receivers as u64, "one encode per receiver");
 
     let mut flows = Vec::new();
     let mut decodes = DecodeStats::default();
+    // A receiver that got only source symbols before its decode finishes
+    // on the fast path at exactly `k` of them; one that got a repair ESI
+    // first either ran the solver or needed more than `k`.
+    let mut repaired = 0;
     for (_, agent) in sim.agents() {
         for r in &agent.records {
             flows.push((
@@ -92,8 +96,16 @@ fn run(sc: &StorageScenario, shards: usize) -> (u64, FabricStats, DecodeStats) {
                 .decode_stats();
             decodes.fast_path_decodes += stats.fast_path_decodes;
             decodes.solver_decodes += stats.solver_decodes;
+            let k = PrConfig::real_oracle().k_for(r.data_len);
+            repaired += u64::from(r.symbols > k || stats.solver_decodes > 0);
         }
     }
+    assert_eq!(flows.len(), receivers, "every receiver completes");
+    assert_eq!(
+        encoded(&sim),
+        repaired,
+        "one encode per receiver that got a repair ESI"
+    );
     flows.sort();
     let stats = sim.stats();
     let mut h = Fnv(0xCBF2_9CE4_8422_2325);
@@ -114,24 +126,30 @@ fn run(sc: &StorageScenario, shards: usize) -> (u64, FabricStats, DecodeStats) {
     ] {
         h.word(fate);
     }
-    (h.0, stats, decodes)
+    (h.0, stats, decodes, (repaired, receivers))
 }
 
 /// Check one scenario's hash at shards 1 and 2 against the constant
-/// recorded from the by-value data path.
-fn check(name: &str, golden: u64, sc: &StorageScenario) {
-    let (serial, stats, decodes) = run(sc, 1);
+/// recorded from the by-value data path, and its `(encodes, receivers)`
+/// against `encodes`.
+fn check(name: &str, golden: u64, encodes: (u64, usize), sc: &StorageScenario) {
+    let (serial, stats, decodes, serial_encodes) = run(sc, 1);
     assert_eq!(
         serial, golden,
         "{name}: serial schedule hash {serial:#018x} differs from the by-value data path's"
     );
-    let (sharded, sharded_stats, sharded_decodes) = run(sc, 2);
+    assert_eq!(serial_encodes, encodes, "{name}: (encodes, receivers)");
+    let (sharded, sharded_stats, sharded_decodes, sharded_encodes) = run(sc, 2);
     assert!(sharded_stats.shard_epochs > 0, "{name}: ran sharded");
     assert_eq!(
         sharded, golden,
         "{name}: 2-shard schedule hash {sharded:#018x} differs from the by-value data path's"
     );
     assert_eq!(decodes, sharded_decodes, "{name}: decode paths");
+    assert_eq!(
+        sharded_encodes, encodes,
+        "{name}: 2-shard (encodes, receivers)"
+    );
     // The run must exercise what the data path changed: bodies dropped
     // by a trim, and symbols written in place around the gaps they left.
     assert!(stats.trimmed > 0, "{name}: the run must congest: {stats:?}");
@@ -143,7 +161,12 @@ fn check(name: &str, golden: u64, sc: &StorageScenario) {
 
 #[test]
 fn real_oracle_read_matches_the_by_value_schedule() {
-    check("read", 0x9D21_20B0_6E44_6FAE, &scenario(Pattern::Read, 52));
+    check(
+        "read",
+        0x9D21_20B0_6E44_6FAE,
+        (22, 24),
+        &scenario(Pattern::Read, 52),
+    );
 }
 
 #[test]
@@ -151,6 +174,7 @@ fn real_oracle_write_matches_the_by_value_schedule() {
     check(
         "write",
         0xC02D_40EB_A0BC_5494,
+        (53, 56),
         &scenario(Pattern::Write, 51),
     );
 }
