@@ -11,21 +11,24 @@
 //! the minimum propagation delay over cross-shard links — an event at
 //! time `t` can influence another shard no earlier than
 //! `t + lookahead`, so everything below the horizon is safe to run
-//! without seeing the neighbours' future. Cross-shard packets travel
-//! through per-epoch mailboxes; global events (faults and reroutes,
-//! which mutate fabric-wide state) execute alone at barriers, as do
-//! telemetry bucket closes.
+//! without seeing the neighbours' future. Dispatch pushes each event
+//! it emits straight into its own shard's queue, or into an outbox when
+//! it will run on another shard; outboxes are handed over once per
+//! window, one mailbox lock per destination. Global events (faults and
+//! reroutes, which mutate fabric-wide state) execute alone at barriers,
+//! as do telemetry bucket closes.
 //!
 //! There is one driver. **One shard** — the default, or what a request
 //! collapses to on a fabric that cannot be split — is its degenerate
 //! case, not a second loop: the plan is the whole fabric in node-id
 //! order, no link crosses a shard so the lookahead is unbounded, and
 //! the single worker runs inline on the calling thread with the
-//! simulator's queue and lane moved in and out whole. Its windows end
-//! only where something global happens — the next fault or reroute, a
-//! telemetry bucket boundary, the deadline — so a run is one window per
-//! such point and the per-event work is pop, dispatch, push. With more
-//! shards each worker is a scoped thread.
+//! simulator's lane, queue and all, moved in and out whole. Its windows
+//! end only where something global happens — the next fault or
+//! reroute, a telemetry bucket boundary, the deadline — so a run is one
+//! window per such point and the per-event work is pop, then dispatch,
+//! which pushes what the event emits. With more shards each worker is a
+//! scoped thread.
 //!
 //! Determinism is inherited, not re-proved: every event carries the
 //! execution-order-independent key `(time, author rank, author seq)`
@@ -47,10 +50,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
 
-use crate::evq::{Ev, EventQueue};
+use crate::evq::Ev;
 use crate::packet::SimPayload;
 use crate::sim::{
     apply_global_event, apply_local_op, dispatch_node, probe_cells, target_of, Agent, Control, Env,
@@ -60,14 +63,21 @@ use crate::telemetry::{FabricEvent, PortProbe, TelemetrySink};
 use crate::time::SimTime;
 use crate::topology::{NodeId, NodeKind, Topology};
 
-/// A shard's private event queue (shard 0's is the simulator's own).
-type ShardQueue<P> = EventQueue<NodeEvent<P>>;
-/// `mailboxes[dst][src]`: cross-shard events posted during a window.
-type Mailboxes<P> = Vec<Vec<Mutex<Vec<Ev<NodeEvent<P>>>>>>;
-/// What each worker hands back at the end of the run: its remaining
-/// queue, its lane (stats + buffered notes), events processed, and the
-/// timestamp of the last event it executed.
-type WorkerResult<P> = (ShardQueue<P>, Lane<P>, u64, u64);
+/// One shard's incoming mail: the cross-shard events the other shards
+/// handed over at the end of a window, drained after the window's
+/// barrier.
+struct Mailbox<P> {
+    events: Mutex<Vec<Ev<NodeEvent<P>>>>,
+    /// Some shard handed events over since the last drain. Set before
+    /// the barrier and cleared after it, so the barrier orders every
+    /// read after the writes it must see.
+    full: AtomicBool,
+}
+
+/// What each worker hands back at the end of the run: its lane (the
+/// remaining queue, stats and buffered notes), events processed, and
+/// the timestamp of the last event it executed.
+type WorkerResult<P> = (Lane<P>, u64, u64);
 
 /// A partition of a topology into event-loop shards (see the module
 /// docs). Built once per simulator; purely a wall-clock knob — the
@@ -422,10 +432,10 @@ struct Epochs<'a, P, T> {
     config: &'a SimConfig,
     cell_of: &'a [u32],
     shared: RwLock<SharedCtx<'a, P, T>>,
-    /// Cross-shard events posted during a window, drained by the
-    /// destination after the epoch barrier. Insertion order is
-    /// irrelevant — the queue's total key order re-serialises.
-    mailboxes: Mailboxes<P>,
+    /// `mailboxes[dst]`: cross-shard events handed over at the end of a
+    /// window, drained by `dst` after the epoch barrier. Insertion
+    /// order is irrelevant — the queue's total key order re-serialises.
+    mailboxes: Vec<Mailbox<P>>,
     bins: Vec<Mutex<ShardBin>>,
     /// Each shard's next event time, published before the barrier.
     next_pub: Vec<AtomicU64>,
@@ -458,9 +468,9 @@ fn flush_notes<T: TelemetrySink>(telemetry: &mut T, bins: &[Mutex<ShardBin>]) {
 /// event loop. Returns the number of events processed across all
 /// shards plus global events.
 ///
-/// Shard 0 takes the simulator's own queue and lane, moved in and out
-/// whole; with more shards the pending events are dealt out first and
-/// merged back after. One shard runs on the calling thread.
+/// Shard 0 takes the simulator's own lane, queue and all, moved in and
+/// out whole; with more shards the pending events are dealt out first
+/// and merged back after. One shard runs on the calling thread.
 pub(crate) fn run<P, A, T>(sim: &mut Simulator<P, A, T>, deadline: SimTime) -> u64
 where
     P: SimPayload + Send,
@@ -472,16 +482,14 @@ where
     let entry_now = sim.now;
     let tele_on = sim.telemetry.enabled();
 
-    let mut queues: Vec<ShardQueue<P>> = vec![std::mem::take(&mut sim.nevents)];
+    let mut lanes = vec![std::mem::take(&mut sim.lane)];
+    lanes.extend((1..k).map(|w| Lane::new(w, k)));
     if k > 1 {
-        let pending = queues.pop().expect("just built").into_unordered();
-        queues.resize_with(k, EventQueue::default);
-        for ev in pending {
-            queues[plan.shard_of[target_of(&ev.kind).0 as usize] as usize].push(ev);
+        for ev in std::mem::take(&mut lanes[0].queue).into_unordered() {
+            let s = plan.shard_of[target_of(&ev.kind).0 as usize] as usize;
+            lanes[s].queue.push(ev);
         }
     }
-    let mut lanes = vec![std::mem::take(&mut sim.lane)];
-    lanes.resize_with(k, Lane::default);
 
     // Disjoint per-shard cell slices (cells are stored shard-grouped).
     let mut slices: Vec<&mut [NodeCell<P, A>]> = Vec::with_capacity(k);
@@ -508,7 +516,10 @@ where
             _payload: std::marker::PhantomData,
         }),
         mailboxes: (0..k)
-            .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
+            .map(|_| Mailbox {
+                events: Mutex::new(Vec::new()),
+                full: AtomicBool::new(false),
+            })
             .collect(),
         bins: (0..k)
             .map(|_| {
@@ -529,21 +540,19 @@ where
         entry_now,
     };
 
-    let seats = queues.into_iter().zip(lanes).zip(slices).enumerate();
+    let seats = lanes.into_iter().zip(slices).enumerate();
     let results: Vec<WorkerResult<P>> = if k == 1 {
         // No thread: an agent's panic unwinds to the caller as itself.
         seats
-            .map(|(w, ((queue, lane), cells))| {
-                worker(&epochs, w, queue, lane, cells).expect("a lone worker has no sibling")
+            .map(|(w, (lane, cells))| {
+                worker(&epochs, w, lane, cells).expect("a lone worker has no sibling")
             })
             .collect()
     } else {
         let joined: Vec<_> = std::thread::scope(|scope| {
             let epochs = &epochs;
             let handles: Vec<_> = seats
-                .map(|(w, ((queue, lane), cells))| {
-                    scope.spawn(move || worker(epochs, w, queue, lane, cells))
-                })
+                .map(|(w, (lane, cells))| scope.spawn(move || worker(epochs, w, lane, cells)))
                 .collect();
             handles.into_iter().map(|h| h.join()).collect()
         });
@@ -567,23 +576,22 @@ where
 
     // Reassemble: the notes still in the bins to the sink (a worker
     // empties its lane's into its bin before the barrier it leaves
-    // by), queues and lanes back into the simulator, and the clock to
-    // the last executed event.
+    // by), lanes back into the simulator, and the clock to the last
+    // executed event.
     let Epochs { shared, bins, .. } = epochs;
     let sh = shared.into_inner().expect("shared poisoned");
     flush_notes(sh.telemetry, &bins);
     let mut processed = sh.g_processed;
     let mut max_at = sh.g_last_at;
     sh.control.stats.events += sh.g_processed;
-    for (w, (queue, lane, did, last_at)) in results.into_iter().enumerate() {
+    for (w, (lane, did, last_at)) in results.into_iter().enumerate() {
         processed += did;
         max_at = max_at.max(last_at);
         if w == 0 {
-            sim.nevents = queue;
             sim.lane = lane;
         } else {
-            for ev in queue.into_unordered() {
-                sim.nevents.push(ev);
+            for ev in lane.queue.into_unordered() {
+                sim.lane.queue.push(ev);
             }
             sim.lane.stats.absorb(&lane.stats);
         }
@@ -603,7 +611,6 @@ where
 fn worker<P, A, T>(
     run: &Epochs<'_, P, T>,
     w: usize,
-    mut queue: ShardQueue<P>,
     mut lane: Lane<P>,
     cells_w: &mut [NodeCell<P, A>],
 ) -> Result<WorkerResult<P>, Poisoned>
@@ -646,7 +653,7 @@ where
                 .notes
                 .append(&mut lane.notes);
         }
-        let t_own = queue.peek().map_or(u64::MAX, |e| e.at.as_nanos());
+        let t_own = lane.queue.peek().map_or(u64::MAX, |e| e.at.as_nanos());
         next_pub[w].store(t_own, Ordering::SeqCst);
         if w == 0 {
             let g = shared.read().expect("shared read");
@@ -752,18 +759,18 @@ where
                         .then(|| cell_of[n.0 as usize] as usize - slot_base)
                 };
                 for &op in &g.ops {
-                    apply_local_op(cells_w, slot_of, &mut queue, &mut lane.stats, at, op);
+                    apply_local_op(cells_w, slot_of, &mut lane.queue, &mut lane.stats, at, op);
                 }
             }
             continue;
         }
         // Window: run this shard's events strictly below the
         // conservative horizon. Everything a window event can emit
-        // lands either back on this queue (own-node timers/dequeues,
-        // same-shard arrivals, possibly still inside the window) or at
-        // `t + cross-shard prop ≥ horizon` in a mailbox. One shard's
-        // lookahead is unbounded: its window ends at the next global
-        // event, bucket boundary or the deadline.
+        // lands either straight back on this queue (own-node
+        // timers/dequeues, same-shard arrivals, possibly still inside
+        // the window) or at `t + cross-shard prop ≥ horizon` in an
+        // outbox. One shard's lookahead is unbounded: its window ends
+        // at the next global event, bucket boundary or the deadline.
         let horizon = t_node
             .saturating_add(plan.lookahead_ns)
             .min(tg)
@@ -776,12 +783,13 @@ where
             let g = shared.read().expect("shared read");
             let env = Env {
                 topo: &*g.topo,
+                shard_of: &plan.shard_of,
                 config,
                 control: &*g.control,
                 tele_on,
             };
             // An event at or past the horizon stays put, cursor and all.
-            while let Some(ev) = queue.pop_before(horizon) {
+            while let Some(ev) = lane.queue.pop_before(horizon) {
                 last_at = ev.at.as_nanos();
                 let slot = cell_of[target_of(&ev.kind).0 as usize] as usize - slot_base;
                 dispatch_node(
@@ -793,19 +801,20 @@ where
                     ev.seq,
                     ev.kind,
                 );
-                for oe in lane.out.drain(..) {
-                    let os = plan.shard_of[target_of(&oe.kind).0 as usize] as usize;
-                    if os == w {
-                        queue.push(oe);
-                    } else {
-                        lane.stats.cross_shard_packets += 1;
-                        mailboxes[os][w].lock().expect("mailbox").push(oe);
-                    }
-                }
                 did += 1;
             }
         }
         processed += did;
+        // Hand the window's cross-shard events over: one lock per shard
+        // they go to, however many there are.
+        for (outbox, mailbox) in lane.outboxes.iter_mut().zip(mailboxes) {
+            if !outbox.is_empty() {
+                lane.stats.cross_shard_packets += outbox.len() as u64;
+                lane.stats.shard_lock_acquisitions += 1;
+                mailbox.events.lock().expect("mailbox").append(outbox);
+                mailbox.full.store(true, Ordering::SeqCst);
+            }
+        }
         if meets {
             if did == 0 && t_own != u64::MAX {
                 // Had work, but the horizon closed before any of it:
@@ -827,15 +836,15 @@ where
                 .max()
                 .expect("k >= 1");
         }
-        for slot in &mailboxes[w] {
-            let mut mb = slot.lock().expect("mailbox");
-            for ev in mb.drain(..) {
-                queue.push(ev);
+        if mailboxes[w].full.swap(false, Ordering::SeqCst) {
+            lane.stats.shard_lock_acquisitions += 1;
+            for ev in mailboxes[w].events.lock().expect("mailbox").drain(..) {
+                lane.queue.push(ev);
             }
         }
     }
     lane.stats.events += processed;
-    Ok((queue, lane, processed, last_at))
+    Ok((lane, processed, last_at))
 }
 
 #[cfg(test)]
@@ -933,6 +942,37 @@ mod tests {
             assert_eq!(stats, stats.shard_invariant());
         }
         assert_eq!(off.stats(), on.stats());
+    }
+
+    /// Cross-shard events change hands once per window, so mailbox
+    /// locks count shards, not packets: none at one shard, and at 2 and
+    /// 4 shards fewer than the packets that cross — per epoch at most
+    /// one hand-over per ordered shard pair and one drain per shard,
+    /// `k²` in all.
+    #[test]
+    fn shard_mailbox_locks_are_per_shard_pair_per_window_not_per_packet() {
+        let mut one = probe_sim(1, NoTelemetry);
+        one.run_to_completion();
+        assert_eq!(one.stats().shard_lock_acquisitions, 0);
+        for shards in [2u64, 4] {
+            let mut sim = probe_sim(shards as usize, NoTelemetry);
+            sim.run_to_completion();
+            let stats = sim.stats();
+            let (locks, crossed, epochs) = (
+                stats.shard_lock_acquisitions,
+                stats.cross_shard_packets,
+                stats.shard_epochs,
+            );
+            assert!(
+                0 < locks && locks < crossed,
+                "shards={shards}: {locks} locks for {crossed} cross-shard packets"
+            );
+            assert!(
+                locks <= shards * shards * epochs,
+                "shards={shards}: {locks} locks over {epochs} epochs"
+            );
+            assert_eq!(stats.shard_invariant(), one.stats().shard_invariant());
+        }
     }
 
     /// Run the probe fabric at `shards` with one agent primed to panic

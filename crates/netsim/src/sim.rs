@@ -43,7 +43,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use crate::evq::{Ev, EventQueue};
+use crate::evq::Ev;
 use crate::fault::{FaultAction, FaultMask, FaultPlan};
 use crate::packet::{GroupId, Packet, SimPayload};
 use crate::queue::{PortQueue, QueueConfig, QueueStats};
@@ -362,6 +362,12 @@ pub struct FabricStats {
     /// (0 at one shard; shard-machinery counter, see
     /// [`FabricStats::shard_invariant`]).
     pub cross_shard_packets: u64,
+    /// Mailbox locks the shard workers took: one per non-empty outbox a
+    /// worker hands over at the end of a window, and one per shard that
+    /// drains mail after it — at most `k·(k − 1) + k` per epoch at `k`
+    /// shards, however many packets cross (0 at one shard;
+    /// shard-machinery counter, see [`FabricStats::shard_invariant`]).
+    pub shard_lock_acquisitions: u64,
     /// Epochs in which a shard's window closed before it could execute
     /// a single local event — the conservative horizon held it back (0
     /// at one shard; shard-machinery counter, see
@@ -399,12 +405,14 @@ impl FabricStats {
         self.layer_reassignments += other.layer_reassignments;
         self.shard_epochs += other.shard_epochs;
         self.cross_shard_packets += other.cross_shard_packets;
+        self.shard_lock_acquisitions += other.shard_lock_acquisitions;
         self.horizon_stalls += other.horizon_stalls;
         self.shard_critical_events += other.shard_critical_events;
     }
 
     /// These counters with the shard-machinery fields
     /// ([`FabricStats::shard_epochs`], [`FabricStats::cross_shard_packets`],
+    /// [`FabricStats::shard_lock_acquisitions`],
     /// [`FabricStats::horizon_stalls`],
     /// [`FabricStats::shard_critical_events`]) zeroed. Every other field is
     /// byte-identical across shard counts per seed; the machinery
@@ -414,6 +422,7 @@ impl FabricStats {
         let mut s = *self;
         s.shard_epochs = 0;
         s.cross_shard_packets = 0;
+        s.shard_lock_acquisitions = 0;
         s.horizon_stalls = 0;
         s.shard_critical_events = 0;
         s
@@ -438,13 +447,12 @@ pub struct Simulator<P: SimPayload, A: Agent<P>, T: TelemetrySink = NoTelemetry>
     /// one shard); [`Simulator::cell_of`] maps node id → slot.
     pub(crate) cells: Vec<NodeCell<P, A>>,
     pub(crate) cell_of: Vec<u32>,
-    /// The node-event queue (all shards' events between runs).
-    pub(crate) nevents: EventQueue<NodeEvent<P>>,
     /// The global-event heap (faults, reroutes).
     pub(crate) gevents: BinaryHeap<Reverse<Ev<GlobalEvent>>>,
     pub(crate) control: Control,
-    /// Shard 0's lane; the other workers' stats merge into it at run
-    /// end, so its stats accumulate across runs.
+    /// Shard 0's lane. Its queue holds every shard's pending node
+    /// events between runs; the other workers' queues and stats merge
+    /// into it at run end, so its stats accumulate across runs.
     pub(crate) lane: Lane<P>,
     pub(crate) now: SimTime,
     /// Telemetry sink (default: the zero-cost [`NoTelemetry`]).
@@ -508,13 +516,13 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 memo: LayerMemo::default(),
             });
         }
+        let lane = Lane::new(0, plan.shards);
         Self {
             topo,
             config,
             plan,
             cells,
             cell_of,
-            nevents: EventQueue::default(),
             gevents: BinaryHeap::new(),
             control: Control {
                 mask: FaultMask::new(),
@@ -525,7 +533,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 stats: FabricStats::default(),
                 gseq: 0,
             },
-            lane: Lane::default(),
+            lane,
             now: SimTime::ZERO,
             telemetry,
         }
@@ -544,7 +552,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     /// own counter) onto the node queue.
     fn push_node_event(&mut self, node: NodeId, at: SimTime, kind: NodeEvent<P>) {
         let seq = self.cell_mut(node).next_seq();
-        self.nevents.push(Ev {
+        self.lane.queue.push(Ev {
             at,
             rank: node.0 + 1,
             seq,
@@ -566,7 +574,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         if self.control.set_rate(&self.topo, node, port, rate_bps) {
             let now = self.now;
             if let Some(ev) = self.cell_mut(node).kick(now, port) {
-                self.nevents.push(ev);
+                self.lane.queue.push(ev);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! The data plane: node cells, forwarding, and the transmit loop every
 //! node event runs through.
 
-use crate::evq::{Ev, EvKey};
+use crate::evq::{Ev, EvKey, EventQueue};
 use crate::packet::{Dest, Packet, SimPayload};
 use crate::queue::{Enqueued, PortQueue};
 use crate::rng::Pcg32;
@@ -164,15 +164,28 @@ impl<P: SimPayload, A> NodeCell<P, A> {
 /// few thousand packets the k = 10 runs ever have in flight.
 const LANE_BOXES_MAX: usize = 1 << 14;
 
-/// Per-execution-lane scratch: the stats a lane's node dispatch
-/// accumulates, the events it emits (routed to queues or mailboxes by
-/// the driver), the effect buffers it lends agent callbacks, and the
-/// telemetry notes it buffers. The simulator
-/// owns one persistent lane, which shard 0 runs on; every other shard
-/// worker gets a fresh one whose stats merge into it at run end.
+/// One shard's execution lane: its event queue, the outboxes its
+/// cross-shard arrivals wait in, the stats its node dispatch
+/// accumulates, the effect buffers it lends agent callbacks, and the
+/// telemetry notes it buffers.
+///
+/// Dispatch writes every event it emits once, where it will run: a
+/// node's own timers and port releases, and an arrival at a node of
+/// this shard, go straight into [`Lane::queue`]; an arrival at another
+/// shard's node goes into that shard's outbox, which the event loop
+/// hands over whole once per window. The simulator owns one persistent lane,
+/// shard 0's, whose queue holds every shard's pending events between
+/// runs; every other shard worker gets a fresh one whose queue and
+/// stats merge into it at run end.
 pub(crate) struct Lane<P> {
+    /// The shard this lane runs.
+    shard: u32,
+    /// The node events this shard executes, in key order.
+    pub(crate) queue: EventQueue<NodeEvent<P>>,
+    /// `outboxes[dst]`: arrivals at shard `dst`'s nodes emitted since
+    /// the last hand-over (this shard's own entry stays empty).
+    pub(crate) outboxes: Vec<Vec<Ev<NodeEvent<P>>>>,
     pub(crate) stats: FabricStats,
-    pub(crate) out: Vec<Ev<NodeEvent<P>>>,
     /// Boxes emptied at dispatch, refilled at the next transmission:
     /// a hop costs a malloc/free pair only while the pool is empty. In
     /// a sharded run a box travels with its packet, so boxes migrate
@@ -188,16 +201,38 @@ pub(crate) struct Lane<P> {
     pub(crate) notes: Vec<(SimTime, u32, u64, FabricEvent)>,
 }
 
-impl<P> Default for Lane<P> {
-    fn default() -> Self {
+impl<P> Lane<P> {
+    /// The empty lane of `shard`, one of `shards`.
+    pub(crate) fn new(shard: usize, shards: usize) -> Self {
         Self {
+            shard: shard as u32,
+            queue: EventQueue::default(),
+            outboxes: (0..shards).map(|_| Vec::new()).collect(),
             stats: FabricStats::default(),
-            out: Vec::new(),
             boxes: Vec::new(),
             sends: Vec::new(),
             timers: Vec::new(),
             notes: Vec::new(),
         }
+    }
+
+    /// Emit an arrival: into this shard's queue if the receiving node
+    /// is this shard's, else into the receiver's shard's outbox.
+    fn emit_arrival(&mut self, shard_of: &[u32], ev: Ev<NodeEvent<P>>) {
+        let to = shard_of[target_of(&ev.kind).0 as usize];
+        if to == self.shard {
+            self.queue.push(ev);
+        } else {
+            self.outboxes[to as usize].push(ev);
+        }
+    }
+}
+
+/// What a run leaves in the simulator while it holds the simulator's
+/// lane: shard 0 of one, empty.
+impl<P> Default for Lane<P> {
+    fn default() -> Self {
+        Self::new(0, 1)
     }
 }
 
@@ -206,6 +241,8 @@ impl<P> Default for Lane<P> {
 /// global events, which are barriers in a sharded run.
 pub(crate) struct Env<'a> {
     pub(crate) topo: &'a Topology,
+    /// Shard of every node (all 0 at one shard).
+    pub(crate) shard_of: &'a [u32],
     pub(crate) config: &'a SimConfig,
     pub(crate) control: &'a Control,
     pub(crate) tele_on: bool,
@@ -359,7 +396,7 @@ fn apply_ctx<P: SimPayload, A: Agent<P>>(
             now.0
         );
         let seq = cell.next_seq();
-        lane.out.push(Ev {
+        lane.queue.push(Ev {
             at: t,
             rank: node.0 + 1,
             seq,
@@ -479,7 +516,9 @@ fn enqueue_and_kick<P: SimPayload, A: Agent<P>>(
         Enqueued::Queued => {}
     }
     if cell.port_busy(port, now) {
-        lane.out.extend(cell.arm_release(port));
+        if let Some(release) = cell.arm_release(port) {
+            lane.queue.push(release);
+        }
     } else {
         transmit_next(env, cell, lane, now.0, port);
     }
@@ -537,16 +576,19 @@ fn put_on_wire<P: SimPayload, A: Agent<P>>(
     let seq = cell.next_seq();
     let mut wire = lane.boxes.pop().unwrap_or_default();
     *wire = Some(pkt);
-    lane.out.push(Ev {
-        at: at + ser + link.prop_ns,
-        rank: node.0 + 1,
-        seq,
-        kind: NodeEvent::Arrive {
-            to: link.peer,
-            in_port: link.peer_port,
-            pkt: wire,
+    lane.emit_arrival(
+        env.shard_of,
+        Ev {
+            at: at + ser + link.prop_ns,
+            rank: node.0 + 1,
+            seq,
+            kind: NodeEvent::Arrive {
+                to: link.peer,
+                in_port: link.peer_port,
+                pkt: wire,
+            },
         },
-    });
+    );
     // The release's `seq` is drawn here whether or not the event is
     // pushed, so every event this node authors keeps the key an eager
     // release would have given it.
@@ -554,7 +596,9 @@ fn put_on_wire<P: SimPayload, A: Agent<P>>(
     cell.tx[port as usize].free_at = at + ser;
     cell.tx[port as usize].release_seq = cell.next_seq();
     if !cell.queues[port as usize].is_empty() {
-        lane.out.extend(cell.arm_release(port));
+        if let Some(release) = cell.arm_release(port) {
+            lane.queue.push(release);
+        }
     }
 }
 

@@ -1,4 +1,5 @@
 use super::*;
+use crate::evq::EventQueue;
 use crate::fixtures::*;
 use crate::packet::{Dest, FlowId};
 use crate::telemetry::{Recorder, TelemetryConfig};

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use crate::encoder::CodeParams;
 use crate::gf256;
 use crate::hdpc::HdpcFold;
-use crate::matrix::{hdpc_columns, ldpc_rows, ConstraintRow, RowKind};
+use crate::matrix::{hdpc_columns, ldpc_walk, ConstraintRow, RowKind};
 use crate::params::BlockParams;
 use crate::solver::{solve, SolveError};
 use crate::tuple::lt_columns_with_floor;
@@ -110,6 +110,9 @@ pub struct Decoder {
 /// a receiver holding a few symbols of many objects pays for what has
 /// arrived, large enough that an object is a few dozen allocations.
 pub const CHUNK_SYMBOLS: usize = 16;
+
+/// A received source column's entry in a solve's unknown numbering.
+const KNOWN: u32 = u32::MAX;
 
 /// A decoded object, viewed in the decoder's own storage.
 #[derive(Debug, Clone, Copy)]
@@ -336,85 +339,21 @@ impl Decoder {
                 need: self.code.k,
             });
         }
-        let k = self.code.k;
         let t = self.code.symbol_size;
         let p = &self.params;
 
-        // Compact unknown indices: missing source columns first
-        // (ascending), then all parity columns `k..l`.
-        let missing: Vec<u32> = (0..k as u32)
-            .filter(|&esi| !self.has_source(esi as usize))
-            .collect();
-        let m = missing.len();
-        let n_unknown = m + p.s + p.h;
-        const KNOWN: u32 = u32::MAX;
-        let mut compact = vec![KNOWN; p.l];
-        for (i, &c) in missing.iter().enumerate() {
-            compact[c as usize] = i as u32;
-        }
-        for (i, c) in (k..p.l).enumerate() {
-            compact[c] = (m + i) as u32;
-        }
+        let (missing, compact) = self.unknowns();
+        let n_unknown = missing.len() + p.s + p.h;
+        let mut rows = Vec::with_capacity(p.s + p.h + self.repairs.len());
+        self.precode_rows(&compact, n_unknown, &mut rows);
 
-        let mut rows: Vec<ConstraintRow> = Vec::with_capacity(p.s + p.h + self.repairs.len());
-
-        // Project a binary row: unknown columns survive (remapped), known
-        // source columns XOR into the RHS.
-        let project_binary = |cols: Vec<u32>, mut value: Vec<u8>| -> ConstraintRow {
-            let mut ucols = Vec::with_capacity(cols.len());
-            for c in cols {
-                match compact[c as usize] {
-                    KNOWN => gf256::xor_assign(&mut value, self.source(c as usize)),
-                    u => ucols.push(u),
-                }
-            }
-            ConstraintRow {
-                kind: RowKind::Binary { cols: ucols },
-                value,
-            }
-        };
-
-        for row in ldpc_rows(p, t) {
-            let RowKind::Binary { cols } = row.kind else {
-                unreachable!("LDPC rows are binary")
-            };
-            rows.push(project_binary(cols, row.value));
-        }
-        // HDPC rows: unknown columns keep their coefficient (remapped),
-        // known source symbols go into all H right-hand sides in one
-        // fused pass.
-        let ks = k + p.s;
-        let columns = hdpc_columns(p);
-        let mut hdpc_coefs = vec![vec![0u8; n_unknown]; p.h];
-        for (column, &u) in columns.iter().zip(&compact) {
-            if u != KNOWN {
-                for (coefs, &coef) in hdpc_coefs.iter_mut().zip(column) {
-                    coefs[u as usize] = coef;
-                }
-            }
-        }
-        let mut known = HdpcFold::new(p.h, t);
-        known.fold_all(
-            (columns.iter().enumerate())
-                .filter(|&(c, _)| compact[c] == KNOWN)
-                .map(|(c, column)| (&column[..], self.source(c))),
-        );
-        for (h, mut coefs) in hdpc_coefs.into_iter().enumerate() {
-            coefs[compact[ks + h] as usize] = 1;
-            let mut value = vec![0u8; t];
-            known.write_row(h, &mut value);
-            rows.push(ConstraintRow {
-                kind: RowKind::Dense { coefs },
-                value,
-            });
-        }
         // One row per received repair symbol; its LT columns over the
         // intermediates (degree-floored, matching the encoder), known
         // sources folded into the RHS.
         let min_d = crate::params::sys_repair_min_degree(p.l);
         for (&esi, sym) in &self.repairs {
             let cols = lt_columns_with_floor(p, esi, min_d);
-            rows.push(project_binary(cols, sym.clone()));
+            rows.push(self.project_binary(&compact, cols, sym.clone()));
         }
 
         let mut st = self.stats.get();
@@ -427,13 +366,164 @@ impl Decoder {
             Err(SolveError::Singular) => Err(DecodeError::RankDeficient { have }),
         }
     }
+
+    /// The missing source ESIs (ascending) and, per intermediate column,
+    /// its index among the unknowns: missing source columns first, then
+    /// all parity columns `k..l`; [`KNOWN`] for a received source column.
+    fn unknowns(&self) -> (Vec<u32>, Vec<u32>) {
+        let k = self.code.k;
+        let missing: Vec<u32> = (0..k as u32)
+            .filter(|&esi| !self.has_source(esi as usize))
+            .collect();
+        let mut compact = vec![KNOWN; self.params.l];
+        for (i, &c) in missing.iter().enumerate() {
+            compact[c as usize] = i as u32;
+        }
+        for (i, c) in (k..self.params.l).enumerate() {
+            compact[c] = (missing.len() + i) as u32;
+        }
+        (missing, compact)
+    }
+
+    /// A binary row projected onto the unknowns: unknown columns survive
+    /// (remapped), known source columns XOR into the right-hand side.
+    fn project_binary(&self, compact: &[u32], cols: Vec<u32>, mut value: Vec<u8>) -> ConstraintRow {
+        let mut ucols = Vec::with_capacity(cols.len());
+        for c in cols {
+            match compact[c as usize] {
+                KNOWN => gf256::xor_assign(&mut value, self.source(c as usize)),
+                u => ucols.push(u),
+            }
+        }
+        ConstraintRow {
+            kind: RowKind::Binary { cols: ucols },
+            value,
+        }
+    }
+
+    /// Append the `S` LDPC rows, then the `H` HDPC rows, projected onto
+    /// the `n_unknown` unknowns that `compact` numbers, in one streaming
+    /// pass over the source columns, [`CHUNK_SYMBOLS`] at a time as
+    /// the decoder stores them — the walk the encoder's parity takes.
+    ///
+    /// LDPC row `j` keeps its identity column `K+j` and the missing
+    /// source columns whose walk names it (`S` is a prime ≥ 3, so a walk
+    /// never names a row twice); each received source column is XORed
+    /// into the right-hand sides of the rows its walk names, and folded
+    /// into all `H` HDPC right-hand sides. HDPC rows keep their
+    /// coefficients of unknown columns (remapped) and the identity at
+    /// `K+S+h`.
+    fn precode_rows(&self, compact: &[u32], n_unknown: usize, rows: &mut Vec<ConstraintRow>) {
+        let (k, t, p) = (self.code.k, self.code.symbol_size, &self.params);
+        let columns = hdpc_columns(p);
+        let mut ldpc_cols: Vec<Vec<u32>> = (0..p.s).map(|j| vec![compact[k + j]]).collect();
+        let mut ldpc_values = vec![vec![0u8; t]; p.s];
+        let mut known = HdpcFold::new(p.h, t);
+        for first in (0..k).step_by(CHUNK_SYMBOLS) {
+            let window = first..(first + CHUNK_SYMBOLS).min(k);
+            for c in window.clone() {
+                match compact[c] {
+                    KNOWN => {
+                        for j in ldpc_walk(p, c) {
+                            gf256::xor_assign(&mut ldpc_values[j], self.source(c));
+                        }
+                    }
+                    u => {
+                        for j in ldpc_walk(p, c) {
+                            ldpc_cols[j].push(u);
+                        }
+                    }
+                }
+            }
+            known.fold_all(
+                window
+                    .filter(|&c| compact[c] == KNOWN)
+                    .map(|c| (&columns[c][..], self.source(c))),
+            );
+        }
+        rows.extend(
+            ldpc_cols
+                .into_iter()
+                .zip(ldpc_values)
+                .map(|(cols, value)| ConstraintRow {
+                    kind: RowKind::Binary { cols },
+                    value,
+                }),
+        );
+        let mut hdpc_coefs = vec![vec![0u8; n_unknown]; p.h];
+        for (column, &u) in columns.iter().zip(compact) {
+            if u != KNOWN {
+                for (coefs, &coef) in hdpc_coefs.iter_mut().zip(column) {
+                    coefs[u as usize] = coef;
+                }
+            }
+        }
+        let ks = k + p.s;
+        for (h, mut coefs) in hdpc_coefs.into_iter().enumerate() {
+            coefs[compact[ks + h] as usize] = 1;
+            let mut value = vec![0u8; t];
+            known.write_row(h, &mut value);
+            rows.push(ConstraintRow {
+                kind: RowKind::Dense { coefs },
+                value,
+            });
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::Encoder;
+    use crate::matrix::ldpc_rows;
     use crate::rand::Xorshift64;
+
+    /// The LDPC rows a solve streams column by column equal the rows
+    /// spelled out one at a time and projected onto the unknowns row by
+    /// row — the same projected columns, the same right-hand-side
+    /// bytes. Random K, ragged objects, symbol sizes off the 64-byte
+    /// vector width and random loss patterns, from none to all.
+    #[test]
+    fn streamed_ldpc_rows_equal_the_row_by_row_projection() {
+        let mut rng = Xorshift64::new(0x5EED_1D9C);
+        for case in 0..60 {
+            let t = [1, 17, 24, 100, 130, 1440, 1441][rng.next_below(7) as usize];
+            let k = 1 + rng.next_below(400) as usize;
+            let len = (k - 1) * t + 1 + rng.next_below(t as u64) as usize;
+            let d: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let enc = Encoder::new(&d, t).unwrap();
+            let lost_percent = [0, 1, 10, 50, 100][rng.next_below(5) as usize];
+            let mut dec = Decoder::new(enc.params());
+            for esi in 0..k as u32 {
+                if rng.next_below(100) >= lost_percent {
+                    dec.push(esi, enc.symbol(esi));
+                }
+            }
+            let p = &dec.params;
+            assert_eq!(p.k, k, "case {case}");
+            let (missing, compact) = dec.unknowns();
+            let mut streamed = Vec::new();
+            dec.precode_rows(&compact, missing.len() + p.s + p.h, &mut streamed);
+            let by_row: Vec<ConstraintRow> = ldpc_rows(p, t)
+                .into_iter()
+                .map(|row| {
+                    let RowKind::Binary { cols } = row.kind else {
+                        unreachable!("LDPC rows are binary")
+                    };
+                    dec.project_binary(&compact, cols, row.value)
+                })
+                .collect();
+            assert_eq!(streamed.len(), p.s + p.h, "case {case}");
+            for (j, (got, want)) in streamed.iter().zip(&by_row).enumerate() {
+                assert_eq!(
+                    got,
+                    want,
+                    "case {case}: K = {k}, T = {t}, {} missing, LDPC row {j}",
+                    missing.len()
+                );
+            }
+        }
+    }
 
     fn data(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 97 + 43) as u8).collect()

@@ -390,7 +390,7 @@ mod tests {
         (0..params.h)
             .map(|h| {
                 let mut coefs = vec![0u8; params.l];
-                for (c, column) in coefs.iter_mut().zip(&columns) {
+                for (c, column) in coefs.iter_mut().zip(columns.iter()) {
                     *c = column[h];
                 }
                 coefs[ks + h] = 1;

@@ -33,7 +33,7 @@ pub(crate) use avx2::Simd;
 /// Stand-in for the vector kernels where the architecture has none:
 /// [`Simd::detect`] never finds them, so no value of this type exists.
 #[cfg(not(target_arch = "x86_64"))]
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Simd {}
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -43,7 +43,7 @@ impl Simd {
     }
 
     #[cfg(test)]
-    pub(crate) fn tiers() -> impl Iterator<Item = Self> {
+    pub(crate) fn tiers() -> impl DoubleEndedIterator<Item = Self> {
         std::iter::empty()
     }
 
@@ -463,6 +463,14 @@ pub(crate) mod tests {
     /// tier the CPU has (AVX2, GFNI).
     pub(crate) fn kernels() -> impl Iterator<Item = Option<Simd>> {
         [None].into_iter().chain(Simd::tiers().map(Some))
+    }
+
+    /// The kernel every call uses is picked once per process, and it is
+    /// the fastest tier the CPU has.
+    #[test]
+    fn detected_tier_is_the_fastest_the_cpu_has() {
+        assert_eq!(Simd::detect(), Simd::tiers().next_back());
+        assert_eq!(Simd::detect(), Simd::detect());
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -31,6 +31,8 @@ use std::arch::x86_64::{
     _mm512_storeu_si512, _mm512_xor_si512,
 };
 
+use std::sync::OnceLock;
+
 use super::{addmul_table, mul_slice_table, xor_words, MUL_TABLE};
 
 /// Split-nibble product tables: `NIB[c] = [c·i, c·(i << 4)]` for `i` in
@@ -91,14 +93,16 @@ enum Tier {
 /// Proof that this host runs its tier's features (AVX2; GFNI beside it;
 /// AVX-512F and BW beside those): the only way to reach the kernels.
 /// Only [`Simd::tiers`] makes one, after detecting them.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Simd(Tier);
 
 impl Simd {
     /// The fastest tier this host runs: GFNI on 64 bytes, GFNI on 32,
-    /// then AVX2; `None` without AVX2.
+    /// then AVX2; `None` without AVX2. Detected once per process: every
+    /// kernel call asks.
     pub(crate) fn detect() -> Option<Self> {
-        Self::tiers().next_back()
+        static FASTEST: OnceLock<Option<Simd>> = OnceLock::new();
+        *FASTEST.get_or_init(|| Self::tiers().next_back())
     }
 
     /// Every tier this host runs, slowest first: what [`Simd::detect`]

@@ -22,12 +22,17 @@ use avx512::Avx512;
 /// Stand-in for the AVX-512 kernel where the architecture has none:
 /// [`Avx512::detect`] never finds it, so no value of this type exists.
 #[cfg(not(target_arch = "x86_64"))]
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Avx512 {}
 
 #[cfg(not(target_arch = "x86_64"))]
 impl Avx512 {
     fn detect() -> Option<Self> {
+        None
+    }
+
+    #[cfg(test)]
+    fn features() -> Option<Self> {
         None
     }
 
@@ -169,6 +174,14 @@ mod tests {
                 proptest::prop_assert_eq!(out, reference(counter, step, n), "{:?} n={}", kernel, n);
             }
         }
+    }
+
+    /// The kernel choice is made once per process, and it is the CPU's
+    /// answer.
+    #[test]
+    fn avx512_detected_once_is_the_cpus_answer() {
+        assert_eq!(Avx512::detect(), Avx512::features());
+        assert_eq!(Avx512::detect(), Avx512::detect());
     }
 
     #[test]

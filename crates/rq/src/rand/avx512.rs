@@ -15,16 +15,25 @@ use std::arch::x86_64::{
     _mm512_srli_epi64, _mm512_storeu_si512, _mm512_xor_si512,
 };
 
+use std::sync::OnceLock;
+
 use super::{mix64_stream_scalar, GAMMA, MIX1, MIX2};
 
 /// Proof that this host runs AVX-512F and AVX-512DQ: the only way to
 /// reach the kernel.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct Avx512(());
 
 impl Avx512 {
-    /// `Some` when the CPU has AVX-512F and AVX-512DQ.
+    /// `Some` when the CPU has AVX-512F and AVX-512DQ. Detected once per
+    /// process: every stream asks.
     pub(super) fn detect() -> Option<Self> {
+        static FOUND: OnceLock<Option<Avx512>> = OnceLock::new();
+        *FOUND.get_or_init(Self::features)
+    }
+
+    /// [`Avx512::detect`]'s question, asked of the CPU each call.
+    pub(super) fn features() -> Option<Self> {
         (is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq"))
             .then_some(Self(()))
     }
