@@ -44,9 +44,11 @@ fn main() {
     // Multicast pull policy: strict aggregation, then with straggler
     // detach.
     let mut strict = RqRunOptions::default();
-    strict.pr.multicast = MulticastPull::All;
+    strict.pr.multicast = MulticastPull::All { detach_after: None };
     let mut detach = strict;
-    detach.pr.straggler_lag = Some(64);
+    detach.pr.multicast = MulticastPull::All {
+        detach_after: Some(64),
+    };
     let window = |w: u32| {
         let mut opts = RqRunOptions::default();
         opts.pr.initial_window = w;

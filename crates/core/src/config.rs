@@ -14,7 +14,13 @@ pub enum MulticastPull {
     /// other receiver's congestion (measured by the `ablations` binary);
     /// the paper's own straggler-detachment "current work" exists to
     /// mitigate exactly this.
-    All,
+    All {
+        /// Straggler detection (the paper's "current work" extension):
+        /// detach a receiver once it has blocked the group in more than
+        /// this many pump rounds while another receiver had room, and
+        /// serve it unicast at its own pace. `None` never detaches.
+        detach_after: Option<u64>,
+    },
     /// Pull coalescing: one emission consumes every outstanding credit,
     /// so the group is paced by the *fastest* receiver. Receivers whose
     /// access links can't keep up lose the excess to packet trimming and
@@ -22,7 +28,7 @@ pub enum MulticastPull {
     /// free to replace. It is the default. The `ablations` binary runs
     /// it against [`MulticastPull::All`] on 3-replica writes over the
     /// 16-host fat-tree: median goodput 0.539 vs 0.526 Gbps, and 0.648
-    /// for `All` with straggler detach.
+    /// for `All` with straggler detach (`detach_after: Some(64)`).
     Any,
 }
 
@@ -81,10 +87,6 @@ pub struct PrConfig {
     pub initial_window: u32,
     /// Oracle mode (see [`OracleMode`]).
     pub oracle: OracleMode,
-    /// Multicast straggler detection (the paper's "current work"
-    /// extension): detach a receiver whose pull count lags the fastest
-    /// receiver by more than this many symbols. `None` disables.
-    pub straggler_lag: Option<u64>,
     /// Multicast pull-to-emission policy (see [`MulticastPull`]).
     pub multicast: MulticastPull,
     /// Record per-session flow spans (open/close plus pull-round,
@@ -105,7 +107,6 @@ impl PrConfig {
         Self {
             initial_window: 16,
             oracle: OracleMode::Counting,
-            straggler_lag: None,
             multicast: MulticastPull::Any,
             record_spans: false,
         }

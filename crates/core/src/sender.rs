@@ -257,14 +257,17 @@ impl SenderSession {
             }
             let go = any_active
                 && match cfg.multicast {
-                    MulticastPull::All => all_have_room,
+                    MulticastPull::All { .. } => all_have_room,
                     MulticastPull::Any => any_has_room,
                 };
             if !go {
                 // Strict aggregation: blame the blockers (straggler
                 // detection, paper's "current work" extension).
-                if any_active && cfg.multicast == MulticastPull::All {
-                    self.detect_stragglers(w, cfg);
+                match cfg.multicast {
+                    MulticastPull::All {
+                        detach_after: Some(lag),
+                    } if any_active => self.detect_stragglers(w, lag),
+                    _ => {}
                 }
                 return;
             }
@@ -273,12 +276,9 @@ impl SenderSession {
     }
 
     /// Under strict aggregation, count pump rounds blocked per receiver;
-    /// past the configured threshold the receiver is detached and served
-    /// unicast at its own pace.
-    fn detect_stragglers(&mut self, w: u64, cfg: &PrConfig) {
-        let Some(threshold) = cfg.straggler_lag else {
-            return;
-        };
+    /// past `threshold` the receiver is detached and served unicast at
+    /// its own pace.
+    fn detect_stragglers(&mut self, w: u64, threshold: u64) {
         let mut blockers = Vec::new();
         let mut any_current = false;
         for r in 0..self.latest.len() {

@@ -75,8 +75,8 @@ struct Mailbox<P> {
 }
 
 /// What each worker hands back at the end of the run: its lane (the
-/// remaining queue, stats and buffered notes), events processed, and
-/// the timestamp of the last event it executed.
+/// remaining queue, stats and the run's telemetry notes), events
+/// processed, and the timestamp of the last event it executed.
 type WorkerResult<P> = (Lane<P>, u64, u64);
 
 /// A partition of a topology into event-loop shards (see the module
@@ -397,11 +397,10 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// What each shard contributes to the synchronisation points: buffered
-/// telemetry notes every epoch, plus (at bucket boundaries) a
-/// cumulative stats snapshot and this shard's switch-port probes.
+/// What each shard contributes at a bucket boundary: a cumulative
+/// stats snapshot and this shard's switch-port probes. (Telemetry notes
+/// stay in the lane until the run ends.)
 struct ShardBin {
-    notes: Vec<(SimTime, u32, u64, FabricEvent)>,
     probes: Vec<PortProbe>,
     stats: FabricStats,
 }
@@ -449,17 +448,18 @@ struct Epochs<'a, P, T> {
     entry_now: SimTime,
 }
 
-/// Drain every bin's buffered notes and replay them to the sink in
-/// `(time, rank, seq)` order — execution order at one shard, and the
-/// order one shard would have executed them in at any count (one
-/// author's notes are already key-sorted per bin).
-fn flush_notes<T: TelemetrySink>(telemetry: &mut T, bins: &[Mutex<ShardBin>]) {
-    let mut all = Vec::new();
-    for bin in bins {
-        all.append(&mut bin.lock().expect("bin lock").notes);
-    }
-    all.sort_by_key(|&(at, rank, seq, _)| (at, rank, seq));
-    for (at, _, _, fe) in all {
+/// Replay a run's telemetry notes, gathered from every lane, to the
+/// sink in `(time, rank, seq)` order — execution order at one shard,
+/// and the order one shard would have executed them in at any count.
+/// The sink files each note after every annotation at or before its
+/// instant, so the global events' annotations, recorded as they were
+/// applied, keep their place.
+fn flush_notes<T: TelemetrySink>(
+    telemetry: &mut T,
+    mut notes: Vec<(SimTime, u32, u64, FabricEvent)>,
+) {
+    notes.sort_by_key(|&(at, rank, seq, _)| (at, rank, seq));
+    for (at, _, _, fe) in notes {
         telemetry.record(at, fe);
     }
 }
@@ -524,7 +524,6 @@ where
         bins: (0..k)
             .map(|_| {
                 Mutex::new(ShardBin {
-                    notes: Vec::new(),
                     probes: Vec::new(),
                     stats: FabricStats::default(),
                 })
@@ -574,17 +573,15 @@ where
             .collect()
     };
 
-    // Reassemble: the notes still in the bins to the sink (a worker
-    // empties its lane's into its bin before the barrier it leaves
-    // by), lanes back into the simulator, and the clock to the last
-    // executed event.
-    let Epochs { shared, bins, .. } = epochs;
-    let sh = shared.into_inner().expect("shared poisoned");
-    flush_notes(sh.telemetry, &bins);
+    // Reassemble: every lane's notes to the sink, lanes back into the
+    // simulator, and the clock to the last executed event.
+    let sh = epochs.shared.into_inner().expect("shared poisoned");
     let mut processed = sh.g_processed;
     let mut max_at = sh.g_last_at;
     sh.control.stats.events += sh.g_processed;
-    for (w, (lane, did, last_at)) in results.into_iter().enumerate() {
+    let mut notes = Vec::new();
+    for (w, (mut lane, did, last_at)) in results.into_iter().enumerate() {
+        notes.append(&mut lane.notes);
         processed += did;
         max_at = max_at.max(last_at);
         if w == 0 {
@@ -596,6 +593,7 @@ where
             sim.lane.stats.absorb(&lane.stats);
         }
     }
+    flush_notes(sh.telemetry, notes);
     sim.now = SimTime::from_nanos(max_at);
     processed
 }
@@ -643,16 +641,8 @@ where
     let mut processed = 0u64;
     let mut last_at = entry_now.as_nanos();
     loop {
-        // Phase 1: hand buffered notes to the bin and publish this
-        // shard's clock; worker 0 publishes the global and
-        // bucket-boundary clocks.
-        if tele_on && !lane.notes.is_empty() {
-            bins[w]
-                .lock()
-                .expect("bin lock")
-                .notes
-                .append(&mut lane.notes);
-        }
+        // Phase 1: publish this shard's clock; worker 0 publishes the
+        // global and bucket-boundary clocks.
         let t_own = lane.queue.peek().map_or(u64::MAX, |e| e.at.as_nanos());
         next_pub[w].store(t_own, Ordering::SeqCst);
         if w == 0 {
@@ -703,7 +693,6 @@ where
             if w == 0 {
                 let mut g = shared.write().expect("shared write");
                 let sh = &mut *g;
-                flush_notes(sh.telemetry, bins);
                 let mut probes = Vec::new();
                 let mut total = sh.control.stats;
                 for bin in bins {
@@ -726,9 +715,6 @@ where
             if w == 0 {
                 let mut g = shared.write().expect("shared write");
                 let sh = &mut *g;
-                if tele_on {
-                    flush_notes(sh.telemetry, bins);
-                }
                 let Reverse(gev) = sh.gevents.pop().expect("global clock from this heap");
                 debug_assert_eq!(gev.at.as_nanos(), tg);
                 sh.g_last_at = tg;

@@ -1,6 +1,8 @@
 //! Routing-layer choice: the layer a unicast packet rides, and the
 //! per-switch memo of flows moved off a dead one.
 
+use std::collections::HashMap;
+
 use crate::evq::EvKey;
 use crate::packet::{Packet, SimPayload};
 use crate::telemetry::FabricEvent;
@@ -9,89 +11,13 @@ use crate::topology::NodeId;
 use super::net::{Env, Lane, NodeCell, Stamped, LAYER_UNSTAMPED};
 use super::LayerAssign;
 
-/// Per-switch flat open-addressing memo of layer re-assignments, keyed
-/// by `(flow, destination)` — the CSR-flattening treatment applied to
-/// the old fabric-global `HashMap` on the forwarding hot path. Exact
-/// full-key compare (no folded-hash false hits), power-of-two capacity,
-/// lazy allocation (a healthy fabric never allocates), cleared at every
-/// applied reroute. Per-switch rather than global so shards never share
+/// Per-switch memo of layer re-assignments, `(flow, destination) →
+/// layer`: filled only under a fault era (a healthy fabric never
+/// allocates one) and cleared at every mask change. It is looked up,
+/// never iterated, so the map's order cannot reach a run; it is
+/// per-switch rather than fabric-global so shards never share
 /// forwarding state.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LayerMemo {
-    keys: Vec<(u64, u32)>,
-    vals: Vec<u8>,
-    len: usize,
-}
-
-/// Empty-slot sentinel in [`LayerMemo::vals`] (never a valid layer:
-/// layers are bounded by [`crate::topology::RoutingPolicy::MAX_LAYERS`]).
-const MEMO_EMPTY: u8 = u8::MAX;
-
-fn memo_hash(flow: u64, dst: u32) -> u64 {
-    let mut z = flow ^ (u64::from(dst) << 32) ^ 0x9E37_79B9_7F4A_7C15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl LayerMemo {
-    /// Index of the key's slot: its current one, or the empty slot an
-    /// insert would claim.
-    fn slot(&self, flow: u64, dst: u32) -> usize {
-        let mask = self.vals.len() - 1;
-        let mut i = memo_hash(flow, dst) as usize & mask;
-        loop {
-            if self.vals[i] == MEMO_EMPTY || self.keys[i] == (flow, dst) {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn get(&self, flow: u64, dst: u32) -> Option<u8> {
-        if self.len == 0 {
-            return None;
-        }
-        let i = self.slot(flow, dst);
-        (self.vals[i] != MEMO_EMPTY).then(|| self.vals[i])
-    }
-
-    fn insert(&mut self, flow: u64, dst: u32, layer: u8) {
-        debug_assert_ne!(layer, MEMO_EMPTY);
-        // Grow at 7/8 load so the linear probe stays short.
-        if self.vals.is_empty() || self.len * 8 >= self.vals.len() * 7 {
-            self.grow();
-        }
-        let i = self.slot(flow, dst);
-        if self.vals[i] == MEMO_EMPTY {
-            self.keys[i] = (flow, dst);
-            self.len += 1;
-        }
-        self.vals[i] = layer;
-    }
-
-    fn clear(&mut self) {
-        if self.len > 0 {
-            self.vals.fill(MEMO_EMPTY);
-            self.len = 0;
-        }
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.vals.len() * 2).max(16);
-        let old_keys = std::mem::take(&mut self.keys);
-        let old_vals = std::mem::take(&mut self.vals);
-        self.keys = vec![(0, 0); cap];
-        self.vals = vec![MEMO_EMPTY; cap];
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
-            if v != MEMO_EMPTY {
-                let i = self.slot(k.0, k.1);
-                self.keys[i] = k;
-                self.vals[i] = v;
-            }
-        }
-    }
-}
+pub(crate) type LayerMemo = HashMap<(u64, u32), u8>;
 
 /// Whether `layer` has at least one advertised port at `node`
 /// towards `dst` that is locally usable (link and far end up under
@@ -184,7 +110,7 @@ pub(super) fn assign_layer<P: SimPayload, A>(
         // era, memoized until the mask next changes).
         if env.control.mask.is_empty() {
             layer_choice(flow, n_layers)
-        } else if let Some(memoed) = cell.memo.get(flow.0, dst.0) {
+        } else if let Some(&memoed) = cell.memo.get(&(flow.0, dst.0)) {
             memoed as usize
         } else {
             let hashed = layer_choice(flow, n_layers);
@@ -198,7 +124,7 @@ pub(super) fn assign_layer<P: SimPayload, A>(
                     moved = Some((hashed, alt));
                 }
             }
-            cell.memo.insert(flow.0, dst.0, pick as u8);
+            cell.memo.insert((flow.0, dst.0), pick as u8);
             pick
         }
     } else {
@@ -213,13 +139,13 @@ pub(super) fn assign_layer<P: SimPayload, A>(
         let assigned = stamp as usize;
         if layer_live(env, assigned, node, dst_index) {
             assigned
-        } else if let Some(memoed) = cell.memo.get(flow.0, dst.0) {
+        } else if let Some(&memoed) = cell.memo.get(&(flow.0, dst.0)) {
             memoed as usize
         } else if let Some(alt) = (1..n_layers)
             .map(|k| (assigned + k) % n_layers)
             .find(|&l| layer_live(env, l, node, dst_index))
         {
-            cell.memo.insert(flow.0, dst.0, alt as u8);
+            cell.memo.insert((flow.0, dst.0), alt as u8);
             moved = Some((assigned, alt));
             alt
         } else {

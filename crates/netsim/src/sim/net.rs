@@ -196,8 +196,8 @@ pub(crate) struct Lane<P> {
     sends: Vec<Packet<P>>,
     timers: Vec<(SimTime, u64)>,
     /// Telemetry events emitted during node dispatch, keyed by the
-    /// authoring event so the driver can replay them to the sink in
-    /// exact key order at synchronisation points.
+    /// authoring event. They stay here until the run ends, when the
+    /// driver files every lane's notes to the sink in exact key order.
     pub(crate) notes: Vec<(SimTime, u32, u64, FabricEvent)>,
 }
 

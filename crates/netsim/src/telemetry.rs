@@ -34,7 +34,11 @@
 //!   faults, restorations, reroutes, layer re-assignments, and the
 //!   anomalies ([`AnomalyKind`]) a workload flags after the run. The
 //!   log is the post-mortem: what led up to an anomaly is the entries
-//!   before it.
+//!   before it. The recorder keeps it in time order itself: global
+//!   events are recorded as they are applied, while layer
+//!   re-assignments, noted during node dispatch on whichever shard ran
+//!   it, are filed when the run ends, each after every annotation at or
+//!   before its instant.
 //!
 //! Flow/session spans ([`FlowSpanEvent`]) are recorded by transport
 //! agents (gated by their own config), collected post-run, and merged
@@ -304,7 +308,10 @@ impl Recorder {
         &self.buckets
     }
 
-    /// All annotations recorded, in time order.
+    /// All annotations recorded, in time order; annotations at one
+    /// instant in the order they were recorded. The order is the
+    /// recorder's own: each record is filed after every annotation at
+    /// or before its instant, however late it arrives.
     pub fn annotations(&self) -> &[Annotation] {
         &self.annotations
     }
@@ -379,7 +386,9 @@ pub trait TelemetrySink {
     /// catch-up would never terminate.
     fn close_bucket(&mut self, _stats: &FabricStats, _ports: &[PortProbe]) {}
 
-    /// Record a timestamped fabric event.
+    /// Record a timestamped fabric event. A recording sink keeps its
+    /// log in time order: an event may be recorded after later ones
+    /// (the event loop files node-dispatch notes when a run ends).
     fn record(&mut self, _at: SimTime, _event: FabricEvent) {}
 
     /// End of run: close the final (partial) bucket at `now`.
@@ -419,7 +428,10 @@ impl TelemetrySink for Option<Recorder> {
 
     fn record(&mut self, at: SimTime, event: FabricEvent) {
         if let Some(r) = self {
-            r.annotations.push(Annotation { at, event });
+            // After every annotation at or before `at`: the log is in
+            // time order whatever order the simulator files in.
+            let i = r.annotations.partition_point(|a| a.at <= at);
+            r.annotations.insert(i, Annotation { at, event });
         }
     }
 
@@ -710,6 +722,45 @@ mod tests {
             .map(|a| (a.at, a.event))
             .collect();
         assert_eq!(log, events);
+    }
+
+    #[test]
+    fn records_are_filed_in_time_order() {
+        let mut r = Some(Recorder::new(TelemetryConfig { window_ns: 1_000 }));
+        let at = SimTime::from_nanos;
+        let down = FabricEvent::LinkDown { node: 9, port: 2 };
+        let up = FabricEvent::LinkUp { node: 9, port: 2 };
+        let moved = |flow| FabricEvent::LayerReassign {
+            flow,
+            dst: 4,
+            from: 0,
+            to: 1,
+        };
+        // Out of time order, and twice at an instant already logged.
+        for (t, event) in [
+            (at(5), down),
+            (at(9), up),
+            (at(2), moved(1)),
+            (at(5), moved(2)),
+            (at(5), moved(3)),
+        ] {
+            TelemetrySink::record(&mut r, t, event);
+        }
+        let log: Vec<_> = on(&r)
+            .annotations()
+            .iter()
+            .map(|a| (a.at, a.event))
+            .collect();
+        assert_eq!(
+            log,
+            [
+                (at(2), moved(1)),
+                (at(5), down),
+                (at(5), moved(2)),
+                (at(5), moved(3)),
+                (at(9), up),
+            ]
+        );
     }
 
     #[test]

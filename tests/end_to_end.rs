@@ -330,7 +330,7 @@ fn multicast_policies_both_complete() {
     let sc = small_scenario(Pattern::Write, 3, 9);
     let any = rq_flows(&sc, RqRunOptions::default());
     let mut strict_opts = RqRunOptions::default();
-    strict_opts.pr.multicast = MulticastPull::All;
+    strict_opts.pr.multicast = MulticastPull::All { detach_after: None };
     let all = rq_flows(&sc, strict_opts);
     let any_ops = op_results(&any, sc.object_bytes);
     let all_ops = op_results(&all, sc.object_bytes);
