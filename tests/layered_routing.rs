@@ -30,6 +30,32 @@ fn link_churn() -> ChurnScenario {
     sc
 }
 
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xCBF2_9CE4_8422_2325)
+    }
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// Hash of every flow's `(session, start, finish)` in report order.
+fn flows_hash(rep: &RunReport) -> u64 {
+    let mut h = Fnv::new();
+    h.word(rep.flows.len() as u64);
+    for f in &rep.flows {
+        h.word(u64::from(f.session));
+        h.word(f.start.as_nanos());
+        h.word(f.finish.as_nanos());
+    }
+    h.0
+}
+
 fn run(layers: usize) -> RunReport {
     let opts = RqRunOptions {
         policy: if layers == 1 {
@@ -68,6 +94,26 @@ fn layers_cut_the_link_fault_completion_tail_on_jellyfish() {
         minimal.max_ns,
         two.max_ns
     );
+}
+
+/// The 2- and 3-layer runs, pinned: the flows moved off a dead layer
+/// and every flow's instants. The layer memo decides both, so a memo
+/// that outlives its fault era (never cleared when the mask changes)
+/// moves fewer flows, later.
+#[test]
+fn layered_runs_are_pinned() {
+    for (layers, moves, flows) in [
+        (2, 6, 0x3FEB_85A1_968A_FB2F),
+        (3, 10, 0x244B_B2A3_302A_269E),
+    ] {
+        let rep = run(layers);
+        assert_eq!(
+            rep.fabric.layer_reassignments, moves,
+            "{layers} layers: layer moves"
+        );
+        let got = flows_hash(&rep);
+        assert_eq!(got, flows, "{layers} layers: flows hash {got:#018x}");
+    }
 }
 
 #[test]
