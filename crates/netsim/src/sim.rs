@@ -47,7 +47,7 @@ use crate::evq::Ev;
 use crate::fault::{FaultAction, FaultMask, FaultPlan};
 use crate::packet::{GroupId, Packet, SimPayload};
 use crate::queue::{PortQueue, QueueConfig, QueueStats};
-use crate::rng::Pcg32;
+use crate::rng::{mix64, Pcg32};
 use crate::shard::ShardPlan;
 use crate::telemetry::{AnomalyKind, FabricEvent, NoTelemetry, TelemetrySink};
 use crate::time::SimTime;
@@ -353,6 +353,16 @@ pub struct FabricStats {
     /// advertised port locally known down — onto a live layer. At most
     /// one move per (switch, flow, destination) per convergence window.
     pub layer_reassignments: u64,
+    /// The run's schedule in one number: the wrapping sum, over every
+    /// executed event, of a 64-bit mix of its key `(at, rank, seq)`,
+    /// the node it ran at (a fault's node; 0 for a reroute) and its
+    /// kind. Two runs with equal digests executed the same events, at
+    /// the same instants, in the same tie-break order — an event that
+    /// moves without changing a packet fate or a flow still moves it.
+    /// A sum does not depend on the order of its terms, so each shard
+    /// lane sums its own events and the lanes merge by addition: the
+    /// digest is the same at every shard count, recorded or not.
+    pub schedule_digest: u64,
     /// Synchronisation epochs in which two or more shard workers met
     /// at a barrier (0 at one shard). Shard-machinery counter: it
     /// varies with the shard count by construction — compare runs
@@ -403,11 +413,27 @@ impl FabricStats {
             self.layer_dropped[i] += other.layer_dropped[i];
         }
         self.layer_reassignments += other.layer_reassignments;
+        self.schedule_digest = self.schedule_digest.wrapping_add(other.schedule_digest);
         self.shard_epochs += other.shard_epochs;
         self.cross_shard_packets += other.cross_shard_packets;
         self.shard_lock_acquisitions += other.shard_lock_acquisitions;
         self.horizon_stalls += other.horizon_stalls;
         self.shard_critical_events += other.shard_critical_events;
+    }
+
+    /// Count one executed event into
+    /// [`FabricStats::schedule_digest`]: `node` is where it ran, `kind`
+    /// its kind's tag (0 arrival, 1 port release, 2 timer, 3 fault,
+    /// 4 reroute).
+    #[inline]
+    pub(crate) fn note_event(&mut self, at: SimTime, rank: u32, seq: u64, node: u32, kind: u8) {
+        // `at` below 2^40 ns (18 simulated minutes) and a node's
+        // counter below 2^24 fill disjoint bits (past either, two
+        // events' words can meet, not just by chance); the odd
+        // multiplier spreads the place over all 64.
+        let place = u64::from(rank) << 32 | u64::from(node) << 3 | u64::from(kind);
+        let word = at.as_nanos() ^ seq.rotate_left(40) ^ place.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.schedule_digest = self.schedule_digest.wrapping_add(mix64(word));
     }
 
     /// These counters with the shard-machinery fields

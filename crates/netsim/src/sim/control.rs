@@ -117,6 +117,20 @@ pub(crate) fn apply_global_event<T: TelemetrySink>(
     ev: Ev<GlobalEvent>,
     ops: &mut Vec<LocalOp>,
 ) {
+    let (node, kind) = match ev.kind {
+        GlobalEvent::Fault(
+            FaultAction::LinkDown { node, .. }
+            | FaultAction::LinkUp { node, .. }
+            | FaultAction::RateChange { node, .. },
+        ) => (node, 3),
+        GlobalEvent::Fault(
+            FaultAction::SwitchDown { switch } | FaultAction::SwitchUp { switch },
+        ) => (switch, 3),
+        GlobalEvent::Reroute => (NodeId(0), 4),
+    };
+    control
+        .stats
+        .note_event(ev.at, ev.rank, ev.seq, node.0, kind);
     match ev.kind {
         GlobalEvent::Fault(action) => {
             apply_fault_shared(topo, control, telemetry, ev.at, action, ops);

@@ -300,6 +300,7 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
             pkt: mut wire,
         } => {
             debug_assert_eq!(to, cell.node);
+            lane.stats.note_event(at, rank, seq, to.0, 0);
             let pkt = wire.take().expect("a box on the wire holds its packet");
             if lane.boxes.len() < LANE_BOXES_MAX {
                 lane.boxes.push(wire);
@@ -319,6 +320,7 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
         }
         NodeEvent::Dequeue(node, port) => {
             debug_assert_eq!(node, cell.node);
+            lane.stats.note_event(at, rank, seq, node.0, 1);
             debug_assert_eq!((at, seq), {
                 let tx = &cell.tx[port as usize];
                 (tx.free_at, tx.release_seq)
@@ -328,6 +330,7 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
         }
         NodeEvent::Timer(node, token) => {
             debug_assert_eq!(node, cell.node);
+            lane.stats.note_event(at, rank, seq, node.0, 2);
             let mut ctx = lend_ctx(lane, at, node);
             let agent = cell
                 .agent

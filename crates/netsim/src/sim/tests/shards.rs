@@ -193,3 +193,65 @@ fn timer_at_the_current_instant_is_legal() {
     assert_eq!(sim.run_to_completion(), 1);
     assert_eq!(sim.agent(a).fired_at, [t, t, t]);
 }
+
+/// On timer `token`, sends 20 packets to host `token`.
+struct Courier;
+
+impl Agent<P> for Courier {
+    fn on_packet(&mut self, _: Packet<P>, _: &mut Ctx<P>) {}
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<P>) {
+        for i in 0..20 {
+            ctx.send(data_pkt(ctx.node, NodeId(token as u32), i));
+        }
+    }
+}
+
+/// The schedule digest sees events move where no counter does. A
+/// courier's timer token names the host its burst goes to, and two
+/// hosts behind one edge switch are the same hops away. Sending to the
+/// other one (a different token), or firing two same-instant timers
+/// in the other order, leaves every packet fate and the event count as
+/// they were, and changes the digest — which is the same at 1, 2 and 4
+/// shards.
+#[test]
+fn schedule_digest_sees_what_counters_miss_at_every_shard_count() {
+    let (t, hosts, _) = fat_tree();
+    let (a, b) = (hosts[14], hosts[15]);
+    assert_eq!(t.edge_switch(a), t.edge_switch(b));
+    let run = |tokens: &[NodeId], shards: usize| {
+        let mut cfg = SimConfig::ndp(9);
+        cfg.shards = shards;
+        let mut sim = Simulator::new(t.clone(), cfg);
+        for &h in &hosts {
+            sim.set_agent(h, Courier);
+        }
+        for &to in tokens {
+            sim.schedule_timer(hosts[0], SimTime::ZERO, u64::from(to.0));
+        }
+        sim.run_to_completion();
+        sim.stats()
+    };
+    let stats: Vec<FabricStats> = [vec![a], vec![b], vec![a, b], vec![b, a]]
+        .iter()
+        .map(|tokens| {
+            let one = run(tokens, 1);
+            for shards in [2, 4] {
+                assert_eq!(
+                    run(tokens, shards).shard_invariant(),
+                    one.shard_invariant(),
+                    "timers {tokens:?} at {shards} shards"
+                );
+            }
+            one
+        })
+        .collect();
+    let counted = |s: &FabricStats| (s.delivered, s.dropped, s.trimmed, s.events);
+    for (x, y, what) in [(0, 1, "token"), (2, 3, "timer order")] {
+        assert_eq!(counted(&stats[x]), counted(&stats[y]), "{what}: counters");
+        assert_ne!(
+            stats[x].schedule_digest, stats[y].schedule_digest,
+            "{what}: digest"
+        );
+    }
+    assert_eq!(stats[0].delivered, 20);
+}

@@ -6,8 +6,11 @@
 //! packet is waiting and keeps one RTO timer per connection; these
 //! constants are the proof that neither moved a simulated nanosecond:
 //! every flow's `(session, start, finish)` and the fabric's packet
-//! fates must hash to the eager schedule's value. That a run is the
-//! same at every shard count is `tests/identity.rs`.
+//! fates must hash to the eager schedule's value. Beside each hash is
+//! the run's schedule digest, recorded when the digest was added: it
+//! moves if any executed event does, where the hash sees only flows
+//! and fates. That a run is the same at every shard count is
+//! `tests/identity.rs`.
 
 use polyraptor_repro::netsim::{FabricStats, FaultPlan, NodeKind, SimTime, Topology};
 use polyraptor_repro::workload::{
@@ -123,13 +126,17 @@ fn churn(topo: &Topology, sessions: &[LogicalSession]) -> (FaultPlan, u64) {
 }
 
 /// Check one run's hash against the constant recorded from the eager
-/// schedule.
-fn check(name: &str, golden: u64, rep: RunReport) -> FabricStats {
+/// schedule, then its schedule digest against the one recorded when
+/// the digest was added (the hash sees flows and fates; the digest
+/// sees every executed event).
+fn check(name: &str, golden: u64, digest: u64, rep: RunReport) -> FabricStats {
     let hash = schedule_hash(&rep);
     assert_eq!(
         hash, golden,
         "{name}: schedule hash {hash:#018x} differs from the eager schedule's"
     );
+    let got = rep.fabric.schedule_digest;
+    assert_eq!(got, digest, "{name}: schedule digest {got:#018x}");
     rep.fabric
 }
 
@@ -141,7 +148,12 @@ fn rq() -> Transport {
 fn multicast_write_matches_the_eager_schedule() {
     let sc = scenario(Pattern::Write, 41);
     let rep = run_on_fat_tree(&sc, rq(), healthy);
-    let stats = check("rq write", 0xF2E7_87CA_4418_FDCD, rep);
+    let stats = check(
+        "rq write",
+        0xF2E7_87CA_4418_FDCD,
+        0xCB26_DF5C_40D8_BEF5,
+        rep,
+    );
     assert!(stats.trimmed > 0, "the run must congest: {stats:?}");
 }
 
@@ -149,7 +161,7 @@ fn multicast_write_matches_the_eager_schedule() {
 fn multi_source_read_matches_the_eager_schedule() {
     let sc = scenario(Pattern::Read, 42);
     let rep = run_on_fat_tree(&sc, rq(), healthy);
-    let stats = check("rq read", 0x1481_6605_3574_E0D0, rep);
+    let stats = check("rq read", 0x1481_6605_3574_E0D0, 0x04C4_2504_8554_7FB7, rep);
     assert!(stats.trimmed > 0, "the run must congest: {stats:?}");
 }
 
@@ -160,6 +172,7 @@ fn tcp_write_matches_the_eager_schedule() {
     let stats = check(
         "tcp write",
         0x3DBF_EBB9_AFEC_7644,
+        0xDDC5_572A_E4F8_9D67,
         run_on_fat_tree(&sc, tcp, healthy),
     );
     assert!(stats.dropped > 0, "the run must congest: {stats:?}");
@@ -171,6 +184,7 @@ fn churn_matches_the_eager_schedule() {
     let stats = check(
         "rq churn",
         0x5C6C_67CE_D6EA_7D58,
+        0x9DFA_6090_52FD_3E62,
         run_on_fat_tree(&sc, rq(), churn),
     );
     assert!(stats.lost_to_fault > 0, "the faults must cost packets");

@@ -8,7 +8,7 @@
 //! shim's generator, which does not shrink: a failing draw is printed
 //! whole. `tests/event_schedule.rs`, `tests/real_oracle_schedule.rs`
 //! and `tests/run_paths.rs` pin history (constants recorded from older
-//! loops); this file pins consistency.
+//! loops, and each run's schedule digest); this file pins consistency.
 
 use polyraptor_repro::netsim::{FaultMix, RoutingPolicy};
 use polyraptor_repro::polyraptor::{OracleMode, PrConfig};
@@ -238,7 +238,9 @@ fn outcome(rep: &RunReport) -> impl PartialEq + Debug {
 /// Run `draw` at one shard unrecorded, then at all six settings (that
 /// one again included), and check each run against the first: the same
 /// flows, counters and fault instants; the same fabric counters at one shard,
-/// and the same shard-invariant ones at any count; the shard machinery
+/// and the same shard-invariant ones at any count (among them the
+/// schedule digest, so every executed event, not only its outcome, is
+/// compared); the shard machinery
 /// working exactly when there is more than one shard; a recording
 /// exactly when one was asked for, exporting the same series and trace
 /// at every shard count.
@@ -330,10 +332,11 @@ fn every_draw_runs_alike_at_every_shard_count_recorded_or_not() {
     }
 }
 
-/// The count that decided sharding stays (ROADMAP item 3): the
-/// benchmark's `churn_dense_k10` scenario at seed 1 and 4 shards has a
-/// speed-up ceiling of 6 699 977 ÷ 2 223 483 = 3.013 — the work
-/// divides; what a 4-shard run loses, it loses to synchronisation.
+/// A count behind the decision that sharding stays (ROADMAP item 15):
+/// the benchmark's `churn_dense_k10` scenario at seed 1 and 4 shards
+/// has a speed-up ceiling of 6 699 977 ÷ 2 223 483 = 3.013 — the work
+/// divides; what a 4-shard run loses, it loses to synchronisation. Its
+/// schedule digest is pinned beside the event count.
 /// Release mode (6.7 M events):
 /// `cargo test --release --test identity -- --ignored`.
 #[test]
@@ -355,5 +358,6 @@ fn churn_dense_k10_speedup_ceiling_at_four_shards_is_3_013() {
     };
     let stats = run(sc.build(&Fabric::paper(), Transport::Rq(opts))).fabric;
     assert_eq!(stats.events, 6_699_977);
+    assert_eq!(stats.schedule_digest, 0x45B6_690E_ED7B_D80E);
     assert_eq!(stats.shard_critical_events, 2_223_483);
 }

@@ -96,15 +96,15 @@ fn layers_cut_the_link_fault_completion_tail_on_jellyfish() {
     );
 }
 
-/// The 2- and 3-layer runs, pinned: the flows moved off a dead layer
-/// and every flow's instants. The layer memo decides both, so a memo
-/// that outlives its fault era (never cleared when the mask changes)
-/// moves fewer flows, later.
+/// The 2- and 3-layer runs, pinned: the flows moved off a dead layer,
+/// every flow's instants and the schedule digest. The layer memo
+/// decides all three, so a memo that outlives its fault era (never
+/// cleared when the mask changes) moves fewer flows, later.
 #[test]
 fn layered_runs_are_pinned() {
-    for (layers, moves, flows) in [
-        (2, 6, 0x3FEB_85A1_968A_FB2F),
-        (3, 10, 0x244B_B2A3_302A_269E),
+    for (layers, moves, flows, digest) in [
+        (2, 6, 0x3FEB_85A1_968A_FB2F, 0xD26B_A2CF_C206_654A),
+        (3, 10, 0x244B_B2A3_302A_269E, 0x34AA_D94D_C9DA_2516),
     ] {
         let rep = run(layers);
         assert_eq!(
@@ -113,6 +113,8 @@ fn layered_runs_are_pinned() {
         );
         let got = flows_hash(&rep);
         assert_eq!(got, flows, "{layers} layers: flows hash {got:#018x}");
+        let got = rep.fabric.schedule_digest;
+        assert_eq!(got, digest, "{layers} layers: schedule digest {got:#018x}");
     }
 }
 

@@ -7,7 +7,8 @@
 //! A row hashes every flow's `(session, start, finish)` in report order
 //! together with the runner's own scalars (incast goodput bits, TCP
 //! timeouts, the fault victim and instant, the churn re-target
-//! counters), and pins the fabric's four packet fates beside it. Every
+//! counters), and pins the fabric's four packet fates beside it, and
+//! the run's schedule digest (recorded when the digest was added). Every
 //! row runs at one shard and at two, with recording off and on, and all
 //! four runs must match the row: a shard count or a recorder that moved
 //! one simulated nanosecond would show here.
@@ -209,8 +210,9 @@ fn hotspot() -> HotspotScenario {
 }
 
 /// Run `row` under all four variants and check every run against the
-/// pinned hash and fates.
-fn check(name: &str, hash: u64, fates: [u64; 4], row: impl Fn(Variant) -> Observed) {
+/// pinned hash and fates, and against the schedule digest recorded
+/// when the digest was added.
+fn check(name: &str, hash: u64, fates: [u64; 4], digest: u64, row: impl Fn(Variant) -> Observed) {
     let mut first: Option<FabricStats> = None;
     for shards in [1, 2] {
         for record in [false, true] {
@@ -228,6 +230,8 @@ fn check(name: &str, hash: u64, fates: [u64; 4], row: impl Fn(Variant) -> Observ
                 stats.lost_to_fault,
             ];
             assert_eq!(got, fates, "{name} {v:?}: packet fates");
+            let got = stats.schedule_digest;
+            assert_eq!(got, digest, "{name} {v:?}: schedule digest {got:#018x}");
             assert_eq!(stats.shard_epochs == 0, shards == 1, "{name} {v:?}: shards");
             match &report.telemetry {
                 Some(t) => assert!(!t.recorder.buckets().is_empty(), "{name} {v:?}: buckets"),
@@ -259,6 +263,7 @@ fn storage_rq() {
         "storage_rq",
         0x6691_CF97_9FE0_BF3D,
         [8441, 1232, 0, 0],
+        0x9DF9_7978_23E5_0308,
         |v| {
             let rep = run(storage().build(&Fabric::small(), Transport::Rq(v.rq())));
             let flows = run_storage_rq(&storage(), &Fabric::small(), &v.rq());
@@ -273,6 +278,7 @@ fn storage_tcp() {
         "storage_tcp",
         0x5785_8B46_E9E7_2819,
         [5565, 0, 71, 0],
+        0x3C33_9E49_EE45_7AFD,
         |v| {
             let rep = run(storage().build(&Fabric::small(), Transport::Tcp(v.tcp())));
             let flows = run_storage_tcp(&storage(), &Fabric::small(), &v.tcp());
@@ -283,32 +289,50 @@ fn storage_tcp() {
 
 #[test]
 fn incast_rq() {
-    check("incast_rq", 0x3DE5_D1F0_37B6_34F0, [414, 6, 0, 0], |v| {
-        incast_observed(run(incast().build(&Fabric::small(), Transport::Rq(v.rq()))))
-    });
+    check(
+        "incast_rq",
+        0x3DE5_D1F0_37B6_34F0,
+        [414, 6, 0, 0],
+        0xA721_B17B_399E_938F,
+        |v| incast_observed(run(incast().build(&Fabric::small(), Transport::Rq(v.rq())))),
+    );
 }
 
 #[test]
 fn incast_tcp() {
-    check("incast_tcp", 0x521D_9062_4943_035E, [408, 0, 34, 0], |v| {
-        incast_observed(run(
-            incast().build(&Fabric::small(), Transport::Tcp(v.tcp()))
-        ))
-    });
+    check(
+        "incast_tcp",
+        0x521D_9062_4943_035E,
+        [408, 0, 34, 0],
+        0xA0EC_030D_6FDC_35D3,
+        |v| {
+            incast_observed(run(
+                incast().build(&Fabric::small(), Transport::Tcp(v.tcp()))
+            ))
+        },
+    );
 }
 
 #[test]
 fn fault_rq() {
-    check("fault_rq", 0xA64F_6C4A_EA60_A5E4, [3433, 0, 0, 301], |v| {
-        fault_observed(Transport::Rq(v.rq()))
-    });
+    check(
+        "fault_rq",
+        0xA64F_6C4A_EA60_A5E4,
+        [3433, 0, 0, 301],
+        0x55DA_EF17_7C87_4059,
+        |v| fault_observed(Transport::Rq(v.rq())),
+    );
 }
 
 #[test]
 fn fault_tcp() {
-    check("fault_tcp", 0xC549_D2A6_5B8A_65EB, [3342, 0, 0, 27], |v| {
-        fault_observed(Transport::Tcp(v.tcp()))
-    });
+    check(
+        "fault_tcp",
+        0xC549_D2A6_5B8A_65EB,
+        [3342, 0, 0, 27],
+        0xB65A_7865_6DAE_4CB2,
+        |v| fault_observed(Transport::Tcp(v.tcp())),
+    );
 }
 
 #[test]
@@ -317,16 +341,23 @@ fn churn_rq() {
         "churn_rq",
         0x96FA_97BF_2CF2_4E0E,
         [11695, 1093, 0, 279],
+        0xDFB2_EBB1_6B98_C965,
         |v| churn_observed(run_churn_rq(&churn(), &Fabric::small(), &v.rq())),
     );
 }
 
 #[test]
 fn churn_tcp() {
-    check("churn_tcp", 0x0B9B_EAD6_F9E9_9B69, [8776, 0, 0, 23], |v| {
-        let rep = run(churn().build(&Fabric::small(), Transport::Tcp(v.tcp())));
-        churn_observed(rep.into_ops(churn().object_bytes))
-    });
+    check(
+        "churn_tcp",
+        0x0B9B_EAD6_F9E9_9B69,
+        [8776, 0, 0, 23],
+        0x6D65_E127_AD19_5A77,
+        |v| {
+            let rep = run(churn().build(&Fabric::small(), Transport::Tcp(v.tcp())));
+            churn_observed(rep.into_ops(churn().object_bytes))
+        },
+    );
 }
 
 #[test]
@@ -335,6 +366,7 @@ fn hotspot_rq() {
         "hotspot_rq",
         0xF0A1_6BB8_FC75_7BEE,
         [2751, 242, 0, 0],
+        0xF3D9_CB57_B95B_2BD6,
         |v| flows_observed(run(hotspot().build(&Fabric::small(), Transport::Rq(v.rq())))),
     );
 }
