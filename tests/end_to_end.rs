@@ -9,8 +9,9 @@ use polyraptor_repro::polyraptor::{
     SenderSession, SessionId, SessionSpec, SYMBOL_SIZE,
 };
 use polyraptor_repro::workload::{
-    build_rq_specs, foreground_goodputs, install_rq, op_results, run, Fabric, IncastScenario,
-    Pattern, RankCurve, RqRunOptions, StorageScenario, TcpRunOptions, TransferResult, Transport,
+    build_rq_specs, foreground_goodputs, install_rq, op_results, run, Fabric, FaultScenario,
+    IncastScenario, Pattern, RankCurve, RqRunOptions, StorageScenario, TcpRunOptions,
+    TransferResult, Transport,
 };
 
 fn small_scenario(pattern: Pattern, replicas: usize, seed: u64) -> StorageScenario {
@@ -345,6 +346,40 @@ fn multicast_policies_both_complete() {
         mean_any >= mean_all * 0.9,
         "pull coalescing should not lose to strict aggregation ({mean_any} vs {mean_all})"
     );
+}
+
+/// Strict aggregation with straggler detach: a core failure mid-write
+/// (repaired well after convergence) and the same writes healthy, each
+/// pinned by flow count, events and schedule digest. A detached
+/// replica's batched nudge refills its own unicast window, and a
+/// receiver detaches only after more than `detach_after` blocked rounds;
+/// breaking either moves a digest.
+#[test]
+fn straggler_detach_schedule_is_pinned() {
+    let mut opts = RqRunOptions::default();
+    opts.pr.multicast = MulticastPull::All {
+        detach_after: Some(4),
+    };
+    let failed = FaultScenario {
+        recover_after_frac: Some(30.0),
+        ..FaultScenario::fig1_failure(12, 256 << 10, 11)
+    };
+    for (name, sc, pin) in [
+        ("core failure", failed, (36, 93_223, 0x1734_c8f0_d5e1_3cab)),
+        (
+            "healthy",
+            failed.healthy(),
+            (36, 87_455, 0xa169_f0d5_8607_7d34),
+        ),
+    ] {
+        let rep = run(sc.build(&Fabric::small(), Transport::Rq(opts)));
+        let got = (
+            rep.flows.len(),
+            rep.fabric.events,
+            rep.fabric.schedule_digest,
+        );
+        assert_eq!(got, pin, "{name}: flows, events, digest");
+    }
 }
 
 /// Read pattern under TCP: partitioned fetch emulation completes and
