@@ -534,7 +534,7 @@ impl Agent<PrPayload> for PolyraptorAgent {
             }
             PrPayload::Req { session } => {
                 if let Some(ss) = self.send_sessions.get_mut(&session) {
-                    ss.on_req(self.node, &self.cfg, ctx);
+                    ss.start(self.node, &self.cfg, ctx);
                 }
             }
             PrPayload::Fin { session } => {

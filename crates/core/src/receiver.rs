@@ -212,23 +212,28 @@ impl ReceiverSession {
 
     /// Size the batched write-off of a recovery re-pull to
     /// `spec.senders[idx]`, read at pull transmission time: the stranded
-    /// estimate, capped by `cap` and by what the decode still needs
-    /// minus what this round already requested — batched recovery never
-    /// asks for more symbols than the session could use. The batch is
-    /// added to the sender's cumulative write-off (so the outgoing
-    /// count consumes the stranded credit) and the ledger licenses the
-    /// `batch`-sized refill plus the forced nudge emission.
+    /// estimate, under the batch rule it shares with
+    /// [`ReceiverSession::take_retarget_batch`].
     pub fn take_repull_batch(&mut self, idx: usize, cap: u32) -> u32 {
+        self.take_batch(idx, self.stranded_estimate(idx), cap)
+    }
+
+    /// The one rule of a batched re-pull to `spec.senders[idx]`: `want`
+    /// symbols, capped by `cap` and by what the decode still needs minus
+    /// what this round already requested — batched recovery never asks
+    /// for more symbols than the session could use. The batch is added
+    /// to the sender's cumulative write-off (so the outgoing count
+    /// consumes the stranded credit and the sender's window refills by
+    /// `batch` fresh symbols), and the ledger licenses that refill plus
+    /// the forced nudge emission.
+    fn take_batch(&mut self, idx: usize, want: u64, cap: u32) -> u32 {
         let budget = self.symbols_needed().saturating_sub(self.repull_round);
-        let batch = self
-            .stranded_estimate(idx)
+        let batch = want
             .min(u64::from(cap))
             .min(budget)
             .min(u64::from(u32::MAX)) as u32;
         self.repull_round += u64::from(batch);
         self.written_off[idx] += u64::from(batch);
-        // The sender answers with a window refill of up to `batch` plus
-        // the one forced emission — all freshly licensed.
         self.granted[idx] += u64::from(batch) + 1;
         batch
     }
@@ -341,21 +346,14 @@ impl ReceiverSession {
     }
 
     /// Size the batch of a re-target re-pull to `spec.senders[idx]`,
-    /// read at pull transmission time: the symbols the decode still
-    /// needs (already-decoded symbols are never re-fetched — the
-    /// data-redundancy payoff), capped by `cap` and by what this round
-    /// already requested, so a re-target round across several survivors
-    /// never re-pulls more than `symbols_needed` at the moment of
-    /// stranding. Accounting mirrors [`ReceiverSession::take_repull_batch`]:
-    /// the write-off advances the survivor's credit clock (its window
-    /// refills by `batch` fresh symbols) and the ledger licenses the
-    /// refill plus the forced nudge.
+    /// read at pull transmission time: all the decode still needs
+    /// (already-decoded symbols are never re-fetched — the
+    /// data-redundancy payoff), under the batch rule of
+    /// [`ReceiverSession::take_repull_batch`], so a re-target round
+    /// across several survivors never re-pulls more than
+    /// `symbols_needed` at the moment of stranding.
     pub fn take_retarget_batch(&mut self, idx: usize, cap: u32) -> u32 {
-        let budget = self.symbols_needed().saturating_sub(self.repull_round);
-        let batch = budget.min(u64::from(cap)).min(u64::from(u32::MAX)) as u32;
-        self.repull_round += u64::from(batch);
-        self.written_off[idx] += u64::from(batch);
-        self.granted[idx] += u64::from(batch) + 1;
+        let batch = self.take_batch(idx, u64::MAX, cap);
         self.retarget_symbols += u64::from(batch);
         batch
     }

@@ -136,8 +136,9 @@ impl SenderSession {
         (self.emitted + self.unicast_sent[r]).saturating_sub(self.latest[r])
     }
 
-    /// Sender-initiated start (storage write): push the initial window
-    /// at line rate.
+    /// Start the session: push the initial window at line rate. A
+    /// sender-initiated session (a write) starts at its start timer, a
+    /// receiver-initiated one (a read) when the receiver's `Req` arrives.
     pub fn start(&mut self, node: NodeId, cfg: &PrConfig, ctx: &mut Ctx<PrPayload>) {
         if self.started {
             return;
@@ -146,11 +147,6 @@ impl SenderSession {
         for _ in 0..self.window(cfg) {
             self.emit_group(node, ctx);
         }
-    }
-
-    /// A `Req` arrived (receiver-initiated read): same as `start`.
-    pub fn on_req(&mut self, node: NodeId, cfg: &PrConfig, ctx: &mut Ctx<PrPayload>) {
-        self.start(node, cfg, ctx);
     }
 
     /// A pull arrived from `from` reporting `count` cumulative arrivals.
@@ -196,25 +192,18 @@ impl SenderSession {
 
         if nudge {
             // Force one emission so a receiver whose accounting diverged
-            // (lost trimmed headers) makes progress even at batch 0...
+            // (lost trimmed headers) makes progress even at batch 0; a
+            // batched re-pull then refills whatever window its write-off
+            // reopened, by the ordinary rule below.
             if self.detached[r] {
                 self.unicast_sent[r] += 1;
                 self.emit(Dest::Host(from), node, ctx);
-                // ...then refill whatever window the write-off reopened.
-                if batch > 0 {
-                    let w = self.window(cfg);
-                    while self.in_flight(r) < w {
-                        self.unicast_sent[r] += 1;
-                        self.emit(Dest::Host(from), node, ctx);
-                    }
-                }
             } else {
                 self.emit_group(node, ctx);
-                if batch > 0 {
-                    self.pump(node, cfg, ctx);
-                }
             }
-            return;
+            if batch == 0 {
+                return;
+            }
         }
 
         if self.detached[r] {
@@ -323,11 +312,6 @@ impl SenderSession {
             self.pump(node, cfg, ctx);
         }
         self.complete
-    }
-
-    /// Diagnostic: which receivers are detached.
-    pub fn detached(&self) -> &[bool] {
-        &self.detached
     }
 
     /// Diagnostic: total group emissions.

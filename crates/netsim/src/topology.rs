@@ -574,26 +574,6 @@ impl Topology {
         self.edge_switch(a) == self.edge_switch(b)
     }
 
-    /// Whether two hosts share a coarse shared-risk group: the same
-    /// rack, or edge switches with a common switch neighbour — on a
-    /// fat-tree that is "same pod" (one aggregation switch serves both),
-    /// the blast radius of a single aggregation failure. Shared-risk-
-    /// aware replica placement (`workload::scenario`) uses this to
-    /// spread replica sets so no single agg/core event can strand more
-    /// than one of them; fabrics where every pair shares risk (e.g. a
-    /// two-tier leaf–spine, where all leaves see all spines) simply fall
-    /// back to the rack rule.
-    pub fn shared_risk(&self, a: NodeId, b: NodeId) -> bool {
-        let (ea, eb) = (self.edge_switch(a), self.edge_switch(b));
-        if ea == eb {
-            return true;
-        }
-        self.node_ports(ea).iter().any(|p| {
-            self.kind(p.peer) == NodeKind::Switch
-                && self.node_ports(eb).iter().any(|q| q.peer == p.peer)
-        })
-    }
-
     /// Switches with no directly attached hosts — the "core layer" in a
     /// hierarchical fabric (fat-tree core, leaf-spine spines). Fault
     /// scenarios use this to aim failures at pure transit switches,

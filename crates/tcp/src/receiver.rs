@@ -34,20 +34,21 @@ impl TcpReceiver {
         }
     }
 
-    fn flow(&self) -> FlowId {
-        FlowId(u64::from(self.spec.id.0) << 16 | 0xACE)
+    /// Send a header-only `payload` back to the sender.
+    fn reply(&self, payload: TcpPayload, ctx: &mut Ctx<TcpPayload>) {
+        ctx.send(Packet {
+            src: self.spec.receiver,
+            dst: Dest::Host(self.spec.sender),
+            flow: FlowId(u64::from(self.spec.id.0) << 16 | 0xACE),
+            size: HEADER_BYTES,
+            payload,
+        });
     }
 
     /// Handle a SYN: reply SYN-ACK (idempotent — SYN retransmissions get
     /// fresh SYN-ACKs).
     pub fn on_syn(&mut self, ctx: &mut Ctx<TcpPayload>) {
-        ctx.send(Packet {
-            src: self.spec.receiver,
-            dst: Dest::Host(self.spec.sender),
-            flow: self.flow(),
-            size: HEADER_BYTES,
-            payload: TcpPayload::SynAck { conn: self.spec.id },
-        });
+        self.reply(TcpPayload::SynAck { conn: self.spec.id }, ctx);
     }
 
     /// Handle a data segment; always answers with the current cumulative
@@ -65,16 +66,11 @@ impl TcpReceiver {
             // Out of order: buffer and coalesce.
             self.insert_ooo(seq, end);
         }
-        ctx.send(Packet {
-            src: self.spec.receiver,
-            dst: Dest::Host(self.spec.sender),
-            flow: self.flow(),
-            size: HEADER_BYTES,
-            payload: TcpPayload::Ack {
-                conn: self.spec.id,
-                ack: self.rcv_nxt,
-            },
-        });
+        let ack = TcpPayload::Ack {
+            conn: self.spec.id,
+            ack: self.rcv_nxt,
+        };
+        self.reply(ack, ctx);
         if self.rcv_nxt >= self.spec.bytes && self.finished.is_none() {
             self.finished = Some(ctx.now);
             return true;

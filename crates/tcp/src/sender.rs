@@ -92,6 +92,11 @@ impl TcpSender {
     /// Open the connection: transmit SYN and arm the SYN timeout.
     pub fn open(&mut self, ctx: &mut Ctx<TcpPayload>) {
         debug_assert_eq!(self.phase, SenderPhase::SynSent);
+        self.send_syn(ctx);
+    }
+
+    /// Transmit a SYN and arm the timer that resends it.
+    fn send_syn(&mut self, ctx: &mut Ctx<TcpPayload>) {
         ctx.send(Packet {
             src: self.spec.sender,
             dst: Dest::Host(self.spec.receiver),
@@ -203,14 +208,7 @@ impl TcpSender {
                 // Lost SYN: resend with backoff.
                 self.timeouts += 1;
                 self.backoff = (self.backoff + 1).min(10);
-                ctx.send(Packet {
-                    src: self.spec.sender,
-                    dst: Dest::Host(self.spec.receiver),
-                    flow: self.flow(),
-                    size: HEADER_BYTES,
-                    payload: TcpPayload::Syn { conn: self.spec.id },
-                });
-                self.arm_rto(ctx.now);
+                self.send_syn(ctx);
             }
             SenderPhase::Established => {
                 self.timeouts += 1;

@@ -47,9 +47,6 @@ pub struct ChurnScenario {
     pub repair_delay_ns: u64,
     /// Event class weights (see [`FaultMix`]).
     pub mix: FaultMix,
-    /// Shared-risk-aware replica placement (compare both settings under
-    /// the same seed to see correlated-failure exposure move).
-    pub shared_risk_placement: bool,
     /// Master seed (placement, arrivals, fault process, fabric).
     pub seed: u64,
 }
@@ -66,7 +63,6 @@ impl ChurnScenario {
             fault_rate_per_sec: 400.0,
             repair_delay_ns: 40_000_000,
             mix: FaultMix::uniform(),
-            shared_risk_placement: false,
             seed,
         }
     }
@@ -76,7 +72,6 @@ impl ChurnScenario {
         StorageScenario {
             object_bytes: self.object_bytes,
             background_frac: 0.0,
-            shared_risk_placement: self.shared_risk_placement,
             ..StorageScenario::fig1b(self.sessions, self.replicas, self.seed)
         }
     }
@@ -192,39 +187,5 @@ mod tests {
         let b = rq(&sc);
         assert_eq!(a.fault_instants, b.fault_instants);
         assert_eq!(a.host_failures, b.host_failures);
-    }
-
-    #[test]
-    fn shared_risk_placement_spreads_replicas_on_fat_tree() {
-        let topo = Fabric::small().build();
-        let mut sc = small();
-        sc.shared_risk_placement = true;
-        // k=4 fat-tree has 4 pods of 4 hosts: 3 replicas can always be
-        // spread across distinct pods.
-        let sessions = sc.storage().generate(&topo);
-        for s in &sessions {
-            for (i, &a) in s.replicas.iter().enumerate() {
-                for &b in &s.replicas[..i] {
-                    assert!(
-                        !topo.shared_risk(a, b),
-                        "replicas {} and {} share a risk group",
-                        a.0,
-                        b.0
-                    );
-                }
-            }
-        }
-        // The default placement does collide somewhere (that's the
-        // comparison the flag exists for).
-        let default_sessions = small().storage().generate(&topo);
-        let mut collisions = 0;
-        for s in &default_sessions {
-            for (i, &a) in s.replicas.iter().enumerate() {
-                for &b in &s.replicas[..i] {
-                    collisions += usize::from(topo.shared_risk(a, b));
-                }
-            }
-        }
-        assert!(collisions > 0, "default placement ignores shared risk");
     }
 }

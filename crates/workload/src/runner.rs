@@ -980,7 +980,6 @@ mod tests {
             replicas: 3,
             lambda_per_host: crate::scenario::PAPER_LAMBDA_PER_HOST,
             normalize_load: true,
-            shared_risk_placement: false,
             background_frac: 0.2,
             pattern: Pattern::Write,
             seed: 7,
@@ -1009,7 +1008,6 @@ mod tests {
             replicas: 3,
             lambda_per_host: crate::scenario::PAPER_LAMBDA_PER_HOST,
             normalize_load: true,
-            shared_risk_placement: false,
             background_frac: 0.2,
             pattern: Pattern::Read,
             seed: 8,
@@ -1027,7 +1025,6 @@ mod tests {
             replicas: 3,
             lambda_per_host: crate::scenario::PAPER_LAMBDA_PER_HOST,
             normalize_load: true,
-            shared_risk_placement: false,
             background_frac: 0.2,
             pattern: Pattern::Write,
             seed: 7,

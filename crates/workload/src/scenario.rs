@@ -69,14 +69,6 @@ pub struct StorageScenario {
     /// RQ 1-/3-replica curves it reports. No binary measures the other
     /// reading (`false`); tests use it to pin small runs.
     pub normalize_load: bool,
-    /// Shared-risk-aware replica placement: in addition to the paper's
-    /// outside-the-client's-rack rule, replicas of one session avoid
-    /// each other's shared-risk groups (same rack or same aggregation
-    /// reach — see `Topology::shared_risk`), so a single agg/core event
-    /// cannot strand more than one replica. Falls back to the plain rule
-    /// when the fabric can't satisfy it (e.g. leaf–spine, where every
-    /// leaf pair shares every spine). Churn runs compare both settings.
-    pub shared_risk_placement: bool,
 }
 
 /// The paper's arrival rate expressed per host (λ = 2560/s ÷ 250 hosts).
@@ -94,7 +86,6 @@ impl StorageScenario {
             pattern: Pattern::Write,
             seed,
             normalize_load: true,
-            shared_risk_placement: false,
         }
     }
 
@@ -148,20 +139,13 @@ impl StorageScenario {
             let mut replicas = Vec::with_capacity(self.replicas);
             let primary = hosts[peer_of[client_idx]];
             let primary = if topo.same_rack(client, primary) {
-                draw_replica(&mut rng, topo, &hosts, client, &replicas, false)
+                draw_replica(&mut rng, topo, &hosts, client, &replicas)
             } else {
                 primary
             };
             replicas.push(primary);
             while replicas.len() < self.replicas {
-                let r = draw_replica(
-                    &mut rng,
-                    topo,
-                    &hosts,
-                    client,
-                    &replicas,
-                    self.shared_risk_placement,
-                );
+                let r = draw_replica(&mut rng, topo, &hosts, client, &replicas);
                 replicas.push(r);
             }
 
@@ -186,30 +170,14 @@ impl StorageScenario {
 }
 
 /// Draw a replica outside the client's rack (the paper's rule), not
-/// colliding with already-placed replicas. With `shared_risk_aware`, a
-/// bounded number of draws additionally avoids every taken replica's
-/// shared-risk group; if the fabric can't satisfy that (small pods,
-/// leaf–spine), the draw falls back to the plain rule rather than spin.
+/// colliding with already-placed replicas.
 fn draw_replica(
     rng: &mut Pcg32,
     topo: &Topology,
     hosts: &[NodeId],
     client: NodeId,
     taken: &[NodeId],
-    shared_risk_aware: bool,
 ) -> NodeId {
-    if shared_risk_aware {
-        for _ in 0..64 {
-            let r = hosts[rng.below(hosts.len() as u64) as usize];
-            if r != client
-                && !topo.same_rack(client, r)
-                && !taken.contains(&r)
-                && !taken.iter().any(|&t| topo.shared_risk(t, r))
-            {
-                return r;
-            }
-        }
-    }
     loop {
         let r = hosts[rng.below(hosts.len() as u64) as usize];
         if r != client && !topo.same_rack(client, r) && !taken.contains(&r) {

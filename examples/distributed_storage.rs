@@ -26,7 +26,6 @@ fn main() {
         pattern: Pattern::Write,
         seed: 7,
         normalize_load: true,
-        shared_risk_placement: false,
     };
 
     println!(

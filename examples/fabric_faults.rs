@@ -15,8 +15,7 @@
 //! fault process (links, sub-convergence-window flaps, transit
 //! switches, and host failures with session re-target) over a
 //! 3-replica fetch workload, printing completion/recovery percentiles
-//! and the new coalescing/restore counters, under both replica
-//! placements.
+//! and the coalescing/restore counters beside the TCP baseline's.
 //!
 //! `--telemetry` records the run (time-series buckets, fault, reroute
 //! and anomaly annotations, flow spans) and writes
@@ -191,7 +190,7 @@ fn run_churn(smoke: bool, telemetry: bool) {
         opts.telemetry = TelemetryOptions::enabled_default();
     }
     let rep = run(sc.build(&fabric, Transport::Rq(opts)));
-    churn_line("default", &rep);
+    churn_line("polyraptor", &rep);
     let (events, critical) = (rep.fabric.events, rep.fabric.shard_critical_events);
     if critical > 0 {
         println!(
@@ -203,11 +202,6 @@ fn run_churn(smoke: bool, telemetry: bool) {
     if let Some(t) = &rep.telemetry {
         write_telemetry(t, "churn");
     }
-    let mut spread = sc;
-    spread.shared_risk_placement = true;
-    let rep_spread = run(spread.build(&fabric, Transport::Rq(RqRunOptions::default())));
-    println!();
-    churn_line("shared-risk", &rep_spread);
     // The TCP baseline under the identical seeded fault plan: one
     // ECMP-pinned connection per replica stripe, no re-target — a dead
     // replica's stripe stalls until the scripted repair and the

@@ -24,7 +24,6 @@ fn small_scenario(pattern: Pattern, replicas: usize, seed: u64) -> StorageScenar
         pattern,
         seed,
         normalize_load: true,
-        shared_risk_placement: false,
     }
 }
 

@@ -32,7 +32,6 @@ fn scenario(pattern: Pattern, seed: u64) -> StorageScenario {
         pattern,
         seed,
         normalize_load: false,
-        shared_risk_placement: false,
     }
 }
 

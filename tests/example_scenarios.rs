@@ -89,7 +89,6 @@ fn distributed_storage_write_completes() {
         pattern: Pattern::Write,
         seed: 42,
         normalize_load: true,
-        shared_risk_placement: false,
     };
     let a = run(sc.build(&Fabric::small(), rq())).flows;
     assert!(!a.is_empty());
@@ -166,7 +165,6 @@ fn storage_writes_complete_on_leaf_spine_and_jellyfish() {
         pattern: Pattern::Write,
         seed: 5,
         normalize_load: true,
-        shared_risk_placement: false,
     };
     for fabric in [Fabric::small_leaf_spine(), Fabric::small_jellyfish()] {
         let results = run(sc.build(&fabric, rq())).flows;

@@ -140,26 +140,6 @@ fn links_only_churn_never_pays_a_full_recompute() {
 }
 
 #[test]
-fn shared_risk_placement_compares_under_identical_churn() {
-    // Same seed, same fault plan, different placement: both complete;
-    // the spread placement never lets one event strand two replicas of
-    // one session (asserted structurally in workload::churn's unit
-    // tests — here we assert the run-level contract holds for both).
-    let sc = scenario();
-    let mut spread = sc;
-    spread.shared_risk_placement = true;
-    let fabric = Fabric::small();
-    let a = rq(&sc, &fabric);
-    let b = rq(&spread, &fabric);
-    assert_eq!(a.flows.len(), b.flows.len());
-    assert_eq!(a.timeouts + b.timeouts, 0);
-    assert_eq!(
-        a.fault_instants, b.fault_instants,
-        "placement must not perturb the fault process"
-    );
-}
-
-#[test]
 fn host_failure_never_pulls_a_session_before_its_start_timer() {
     // 600 fetches over 250 hosts: clients hold several sessions each,
     // so a host-failure notice reaches clients that also hold sessions

@@ -84,7 +84,6 @@ fn storage(pattern: Pattern) -> impl Strategy<Value = Scenario> {
                 pattern,
                 seed,
                 normalize_load: false,
-                shared_risk_placement: false,
             })
         })
 }

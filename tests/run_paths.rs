@@ -169,7 +169,6 @@ fn storage() -> StorageScenario {
         pattern: Pattern::Write,
         seed: 41,
         normalize_load: false,
-        shared_risk_placement: false,
     }
 }
 
