@@ -135,3 +135,28 @@ fn swap_mixed_jellyfish_answers_match_the_bit_matrix_mixer() {
     ];
     assert_eq!(got, golden, "swap-mixed jellyfish answers {got:#018x?}");
 }
+
+#[test]
+fn multi_block_jellyfish_answers_are_pinned() {
+    // 130 access switches, so 130 route columns per layer: more than
+    // one 64-bit word holds (the fabrics above stop at 40), so a search
+    // that settles 64 columns per pass has full and partial blocks here.
+    let t = Topology::jellyfish(
+        130,
+        6,
+        1,
+        1_000_000_000,
+        10_000,
+        3,
+        RoutingPolicy::layered(2, 9),
+    );
+    let (sw, victim) = (NodeId(5), NodeId(77));
+    let link = (sw, fabric_port(&t, sw));
+    let got = three_states(t, link, victim);
+    let golden = [
+        0xE57E_955B_23A4_4FA1,
+        0xFADA_5B1E_53AD_8A15,
+        0xE57E_955B_23A4_4FA1,
+    ];
+    assert_eq!(got, golden, "multi-block jellyfish answers {got:#018x?}");
+}
