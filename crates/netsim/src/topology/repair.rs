@@ -1,5 +1,5 @@
 //! Incremental route repair: excision and restore surgery in place, and
-//! a per-column rebuild only where a distance changed.
+//! a search rebuild of only the columns where a distance changed.
 
 use crate::fault::FaultMask;
 
@@ -15,7 +15,7 @@ pub struct RouteRepair {
     /// hand-built graph. A generator's topology, and every topology a
     /// simulator runs, is routed already, so this is always false there.
     pub full: bool,
-    /// (layer, access-switch) columns rebuilt by a per-column search.
+    /// (layer, access-switch) columns rebuilt by the route search.
     /// Equals `access switches × layers` on a full fallback; usually a
     /// small fraction of it after a single link or switch failure, and
     /// 0 after a host or access-link fault (a bit flip, no column).
@@ -49,7 +49,8 @@ impl Topology {
     /// port in that layer (any surviving advertised port still reaches
     /// a neighbour strictly closer under the layer's weights, so every
     /// distance is preserved by induction); only those (layer, column)
-    /// pairs are rebuilt by a per-column search.
+    /// pairs are rebuilt, by the same block search a full recompute
+    /// runs.
     ///
     /// **Restorations.** A restored element can only *shrink* distances.
     /// Using each layer's retained distance table the repair decides per
@@ -208,7 +209,7 @@ impl Topology {
 /// equal-cost next hops under the layer's weights — in-place cell
 /// shifts, no allocation; columns where the restored element lies on a
 /// strictly shorter weighted path (or re-attaches a cut-off region) are
-/// flagged in `col_dirty` for a per-column rebuild. Elements are
+/// flagged in `col_dirty` for a search rebuild. Elements are
 /// processed sequentially, so a restored switch's freshly computed
 /// distance feeds the checks of later elements in the same delta.
 // The column loops index several parallel per-column tables

@@ -1,5 +1,6 @@
 //! Route tables: the switch-keyed arenas every layer's routes live in,
-//! and the full per-column rebuild.
+//! and the block search that builds and repairs their columns, 64 per
+//! pass.
 //!
 //! # Memory layout: CSR arenas
 //!
@@ -33,8 +34,8 @@
 //!   advertises distinct fabric ports only), failure excision and
 //!   restore surgery shift entries *in place* and never reallocate. The
 //!   arenas are column-major — column `c` owns contiguous
-//!   `buf[c·P_f..]`/`len[c·S..]` regions — so a column rebuild is a
-//!   search over one contiguous slice of each arena. (A lone switch
+//!   `buf[c·P_f..]`/`len[c·S..]` regions — and a rebuild addresses
+//!   each column by index. (A lone switch
 //!   with hosts only has `P_f = 0`: its columns are zero-width in `buf`
 //!   but still one row wide in `len`/`dist`.)
 //! - **Distances / weights** (per layer): flat `dist[c·S + row]`
@@ -44,9 +45,10 @@
 //!   [`LiveFabric`] keyed by switch row — `off` (`S + 1` entries) over
 //!   one flat `links` list holding each switch's usable
 //!   switch-to-switch links under the mask as `(peer row, global port
-//!   id, port index)`, in ascending port order. Column searches run in
-//!   row space on it: they never touch a host port, and a neighbour's
-//!   `dist` entry is one index, not a lookup through its node id.
+//!   id, port index)`, in ascending port order. The route search runs
+//!   in row space on it: it never touches a host port, and a
+//!   neighbour's `dist` entry is one index, not a lookup through its
+//!   node id.
 //! - **Hosts** (shared by all layers): one small `access` record per
 //!   host — its ToR, the ToR's column, the ToR's port facing it, and a
 //!   `cut` bit (host or access link down under the mask the routes were
@@ -55,6 +57,20 @@
 //!   the ToR: the one access port), a host source (port 0 iff its ToR
 //!   has a route), the destination itself (nothing), and a cut host
 //!   (nothing, anywhere). A host or access-link fault is a bit flip.
+//!
+//! # The route search: 64 columns per pass
+//!
+//! Every column of a layer is a shortest-path search from its root
+//! over the same live fabric, so [`LayerTables::rebuild_block`] runs
+//! up to 64 of them at once, one bit of a `u64` per column: each switch
+//! row keeps one word per distance level, bit `j` set when column `j`
+//! first reached it at that distance. Weights are 1 or 2, so a level is
+//! what the previous level pushes along weight-1 links and the one
+//! before along weight-2 links, less what is already reached; a link's
+//! port joins a reached row's cells in the columns where its far end
+//! sits one link weight closer. A full recompute hands every column to
+//! the search, a repair only the dirty ones; both go through
+//! [`Topology::rebuild_columns`].
 
 use crate::fault::FaultMask;
 use crate::rng::Pcg32;
@@ -311,9 +327,9 @@ impl Topology {
 
     /// Rebuild route columns against `mask` (whose usable fabric links
     /// are `live`) — all of them, or only the (layer, column) pairs
-    /// flagged in `dirty`; full recompute and repair share this loop. A
-    /// column is a contiguous slice of each destination-major arena and
-    /// is searched with one reused scratch.
+    /// flagged in `dirty`; full recompute and repair share this loop.
+    /// Each layer's columns go to [`LayerTables::rebuild_block`] 64 at a
+    /// time, with one scratch reused across blocks and layers.
     pub(super) fn rebuild_columns(
         &mut self,
         mask: &FaultMask,
@@ -321,23 +337,30 @@ impl Topology {
         dirty: Option<&[Vec<bool>]>,
     ) {
         let ix = &self.switches;
-        let mut scratch = ColumnScratch::default();
+        let roots: Vec<Option<u32>> = self
+            .col_root
+            .iter()
+            .map(|&root| (!mask.node_is_down(root)).then(|| ix.rows[root.0 as usize].row))
+            .collect();
+        let mut scratch = BlockScratch::new(ix.switches());
+        let mut cols = Vec::with_capacity(roots.len());
         for (layer, tab) in self.layers.iter_mut().enumerate() {
             // Columns by index, not by chunking `buf`: a fabric with no
             // switch-to-switch port has zero-width `buf` columns that
             // still carry a row of `len`/`dist` (the root's distance 0).
-            let (s, p_f) = (tab.n_switches, tab.n_fabric_ports);
-            for (col, &root) in self.col_root.iter().enumerate() {
-                if dirty.is_none_or(|d| d[layer][col]) {
-                    let column = Column {
-                        weights: &self.weights[layer],
-                        root: (!mask.node_is_down(root)).then(|| ix.rows[root.0 as usize].row),
-                        buf: &mut tab.buf[col * p_f..][..p_f],
-                        len: &mut tab.len[col * s..][..s],
-                        dist: &mut tab.dist[col * s..][..s],
-                    };
-                    compute_column(live, &ix.cell_off, column, &mut scratch);
-                }
+            cols.clear();
+            cols.extend(
+                (0..roots.len() as u32).filter(|&c| dirty.is_none_or(|d| d[layer][c as usize])),
+            );
+            for block in cols.chunks(BLOCK) {
+                tab.rebuild_block(
+                    &ix.cell_off,
+                    live,
+                    &self.weights[layer],
+                    &roots,
+                    block,
+                    &mut scratch,
+                );
             }
         }
     }
@@ -574,102 +597,153 @@ impl LiveFabric {
     }
 }
 
-/// Reusable scratch for [`compute_column`], so per-column searches
-/// allocate nothing: the search's distance buckets (weights are 1 or 2,
-/// so three buckets indexed by `distance % 3` hold every open distance)
-/// and the reached-row list.
-#[derive(Default)]
-struct ColumnScratch {
-    buckets: [Vec<u32>; 3],
-    reached: Vec<u32>,
+/// Columns one block search settles: one bit each of a `u64`.
+const BLOCK: usize = 64;
+
+/// Reusable scratch for [`LayerTables::rebuild_block`], kept across
+/// blocks and layers so a rebuild allocates once, not per column: three
+/// distance levels and the reached set, each one `u64` per switch row
+/// whose bit `j` stands for the block's `j`-th column.
+struct BlockScratch {
+    /// `levels[(d % 3)·S + row]`: the columns first reached at that row
+    /// at distance `d`. Weights are 1 or 2, so settling distance `d`
+    /// needs only levels `d − 1` and `d − 2`: three levels hold every
+    /// one the search still reads.
+    levels: Vec<u64>,
+    /// `reached[row]`: the columns that reached the row at any distance
+    /// settled so far.
+    reached: Vec<u64>,
+    /// Per live link of the row being settled: the columns its far end
+    /// holds at the level one link's weight below.
+    hits: Vec<u64>,
 }
 
-/// One (layer, column) for [`compute_column`] to rebuild: the column's
-/// slices of the column-major arenas plus the layer context the search
-/// needs.
-struct Column<'a> {
-    /// The layer's link-weight arena (shared, read-only).
-    weights: &'a [u8],
-    /// The row of the access switch this column routes towards, `None`
-    /// when that switch is down (the column is then empty).
-    root: Option<u32>,
-    /// The column's `P_f`-length route-cell slice.
-    buf: &'a mut [u16],
-    /// The column's `S`-length occupied-prefix slice, by switch row.
-    len: &'a mut [u16],
-    /// The column's `S`-length distance slice, by switch row.
-    dist: &'a mut [u32],
+impl BlockScratch {
+    fn new(rows: usize) -> Self {
+        Self {
+            levels: vec![0; 3 * rows],
+            reached: vec![0; rows],
+            hits: Vec::new(),
+        }
+    }
 }
 
-/// Rebuild one layer's routing column for one access switch: a weighted
-/// shortest-path search over the [`LiveFabric`] from the root outward
-/// (weights in {1, 2} per the layer's preferred-link draw; all 1 on
-/// layer 0), recording the distances in the column's `dist` slice, then
-/// record every reached switch's advertised ports into its arena cell
-/// (based at `cell_off[row]`) — exactly the ports on weighted shortest
-/// paths, in ascending port order. The search traverses links in
-/// reverse, but the mask and the weights are symmetric per link, so
-/// listing the (u, port) direction suffices. A free function (not a method),
-/// taking only this column's slices of the column-major arenas, so the
-/// caller can borrow `Topology` fields disjointly. The search runs in
-/// row space: buckets hold rows and `dist` is indexed by them directly.
-fn compute_column(
-    live: &LiveFabric,
-    cell_off: &[u32],
-    column: Column,
-    scratch: &mut ColumnScratch,
-) {
-    let Column {
-        weights,
-        root,
-        buf,
-        len,
-        dist,
-    } = column;
-    len.fill(0);
-    dist.fill(u32::MAX);
-    let Some(root) = root else {
-        return;
-    };
-    // Dial's algorithm: settle distances in increasing order, one
-    // bucket per distance. Relaxing from distance d only ever fills the
-    // buckets of d + 1 and d + 2, never the one being drained.
-    let ColumnScratch { buckets, reached } = scratch;
-    reached.clear();
-    dist[root as usize] = 0;
-    buckets[0].push(root);
-    let (mut d, mut open) = (0u32, 1usize);
-    while open > 0 {
-        let mut level = std::mem::take(&mut buckets[(d % 3) as usize]);
-        open -= level.len();
-        for u in level.drain(..) {
-            if dist[u as usize] != d {
-                continue; // settled closer through another neighbour
+impl LayerTables {
+    /// Rebuild up to 64 of this layer's columns in one breadth-first
+    /// pass over the [`LiveFabric`]: bit `j` of each row's words stands
+    /// for column `cols[j]`, whose root row is `roots[cols[j]]` (`None`
+    /// when that switch is down: the column is then empty).
+    ///
+    /// Weights are 1 or 2 (all 1 on layer 0), so the rows first reached
+    /// at distance `d` are those one weight-1 link past level `d − 1` or
+    /// one weight-2 link past level `d − 2`, less what is already
+    /// reached. The search pushes along each reached row's live links:
+    /// a down switch's row still lists its links to live peers, but no
+    /// live row lists a link to it, so it is never reached. Each new bit
+    /// writes its `dist`, and the row's cells take link `(r → u, w)`'s
+    /// port in the columns of `level[d][r] & level[d − w][u]` — exactly
+    /// the ports on weighted shortest paths. Links are walked in
+    /// ascending port order and a (row, column) pair is settled at one
+    /// distance only, so every cell is filled in ascending order. The
+    /// search walks links outward from the root, but the mask and the
+    /// weights are symmetric per link, so the (u, port) direction
+    /// listed suffices.
+    fn rebuild_block(
+        &mut self,
+        cell_off: &[u32],
+        live: &LiveFabric,
+        weights: &[u8],
+        roots: &[Option<u32>],
+        cols: &[u32],
+        scratch: &mut BlockScratch,
+    ) {
+        debug_assert!(cols.len() <= BLOCK, "a block holds at most 64 columns");
+        let (s, p_f) = (self.n_switches, self.n_fabric_ports);
+        let BlockScratch {
+            levels,
+            reached,
+            hits,
+        } = scratch;
+        debug_assert_eq!(reached.len(), s, "scratch sized for another fabric");
+        levels.fill(0);
+        reached.fill(0);
+        for (j, &c) in cols.iter().enumerate() {
+            let c = c as usize;
+            self.len[c * s..][..s].fill(0);
+            self.dist[c * s..][..s].fill(u32::MAX);
+            if let Some(root) = roots[c] {
+                levels[root as usize] |= 1 << j;
             }
-            reached.push(u);
-            for link in live.of(u as usize) {
-                let nd = d + weights[link.gid as usize] as u32;
-                if nd < dist[link.peer as usize] {
-                    dist[link.peer as usize] = nd;
-                    buckets[(nd % 3) as usize].push(link.peer);
-                    open += 1;
+        }
+        // Rows with a bit at each of the three live levels, by d % 3:
+        // the search ends once levels d − 1 and d − 2 are both empty.
+        let mut open = [0usize; 3];
+        let mut d = 0u32;
+        loop {
+            let cur = (d % 3) as usize * s;
+            if d > 0 {
+                let (back1, back2) = (((d + 2) % 3) as usize, ((d + 1) % 3) as usize);
+                if open[back1] + open[back2] == 0 {
+                    break;
+                }
+                let (back1, back2) = (back1 * s, back2 * s);
+                levels[cur..cur + s].fill(0);
+                for u in 0..s {
+                    let (one, two) = (levels[back1 + u], levels[back2 + u]);
+                    if one | two == 0 {
+                        continue;
+                    }
+                    for link in live.of(u) {
+                        let bits = if weights[link.gid as usize] == 1 {
+                            one
+                        } else {
+                            two
+                        };
+                        levels[cur + link.peer as usize] |= bits;
+                    }
                 }
             }
-        }
-        buckets[(d % 3) as usize] = level; // hand the allocation back
-        d += 1;
-    }
-    // Every reached switch but the root (settled first) gets a cell.
-    for &r in &reached[1..] {
-        let (r, base) = (r as usize, cell_off[r as usize] as usize);
-        let mut l = 0usize;
-        for link in live.of(r) {
-            let dv = dist[link.peer as usize];
-            if dv != u32::MAX && dv + weights[link.gid as usize] as u32 == dist[r] {
-                buf[base + l] = link.port;
-                l += 1;
+            let mut settled = 0;
+            for r in 0..s {
+                let new = levels[cur + r] & !reached[r];
+                levels[cur + r] = new;
+                if new == 0 {
+                    continue;
+                }
+                settled += 1;
+                reached[r] |= new;
+                // Bit j of `hits[k]`: link k ends where column j was
+                // first reached one link's weight closer to its root.
+                // Levels below 0 read as the zeroed slots they occupy.
+                let links = live.of(r);
+                hits.clear();
+                hits.extend(links.iter().map(|link| {
+                    let w = u32::from(weights[link.gid as usize]);
+                    levels[((d + 3 - w) % 3) as usize * s + link.peer as usize]
+                }));
+                let base = cell_off[r] as usize;
+                let mut bits = new;
+                while bits != 0 {
+                    let j = bits.trailing_zeros();
+                    let c = cols[j as usize] as usize;
+                    // Every live port is written and only the hits kept:
+                    // no branch per link. Port k lands at most at slot
+                    // k, inside the cell; what lies past `len` is never
+                    // read.
+                    let cell = &mut self.buf[c * p_f + base..][..links.len()];
+                    let mut l = 0;
+                    for (link, &hit) in links.iter().zip(hits.iter()) {
+                        cell[l] = link.port;
+                        l += (hit >> j & 1) as usize;
+                    }
+                    let li = c * s + r;
+                    self.dist[li] = d;
+                    self.len[li] = l as u16;
+                    bits &= bits - 1;
+                }
             }
+            open[(d % 3) as usize] = settled;
+            d += 1;
         }
-        len[r] = l as u16;
     }
 }
