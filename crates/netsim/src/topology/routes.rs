@@ -601,14 +601,15 @@ impl LiveFabric {
 const BLOCK: usize = 64;
 
 /// Reusable scratch for [`LayerTables::rebuild_block`], kept across
-/// blocks and layers so a rebuild allocates once, not per column: three
+/// blocks and layers so a rebuild allocates once, not per column: five
 /// distance levels and the reached set, each one `u64` per switch row
 /// whose bit `j` stands for the block's `j`-th column.
 struct BlockScratch {
-    /// `levels[(d % 3)·S + row]`: the columns first reached at that row
-    /// at distance `d`. Weights are 1 or 2, so settling distance `d`
-    /// needs only levels `d − 1` and `d − 2`: three levels hold every
-    /// one the search still reads.
+    /// `levels[(d % 5)·S + row]`: while distance `d` settles, the
+    /// columns first reached at that row at `d − 2` and `d − 1`, those
+    /// pushed to it at `d` (reduced to the first reached as the row
+    /// settles), and those pushed on to `d + 1` and `d + 2`. Weights are
+    /// 1 or 2, so five levels hold every one the search still touches.
     levels: Vec<u64>,
     /// `reached[row]`: the columns that reached the row at any distance
     /// settled so far.
@@ -621,7 +622,7 @@ struct BlockScratch {
 impl BlockScratch {
     fn new(rows: usize) -> Self {
         Self {
-            levels: vec![0; 3 * rows],
+            levels: vec![0; 5 * rows],
             reached: vec![0; rows],
             hits: Vec::new(),
         }
@@ -637,17 +638,17 @@ impl LayerTables {
     /// Weights are 1 or 2 (all 1 on layer 0), so the rows first reached
     /// at distance `d` are those one weight-1 link past level `d − 1` or
     /// one weight-2 link past level `d − 2`, less what is already
-    /// reached. The search pushes along each reached row's live links:
-    /// a down switch's row still lists its links to live peers, but no
-    /// live row lists a link to it, so it is never reached. Each new bit
-    /// writes its `dist`, and the row's cells take link `(r → u, w)`'s
-    /// port in the columns of `level[d][r] & level[d − w][u]` — exactly
-    /// the ports on weighted shortest paths. Links are walked in
-    /// ascending port order and a (row, column) pair is settled at one
-    /// distance only, so every cell is filled in ascending order. The
-    /// search walks links outward from the root, but the mask and the
-    /// weights are symmetric per link, so the (u, port) direction
-    /// listed suffices.
+    /// reached. A row settling bits at `d` pushes them along its live
+    /// links into levels `d + w`: a down switch's row still lists its
+    /// links to live peers, but no live row lists a link to it, so it is
+    /// never reached. Each new bit writes its `dist`, and the row's
+    /// cells take link `(r → u, w)`'s port in the columns of
+    /// `level[d][r] & level[d − w][u]` — exactly the ports on weighted
+    /// shortest paths. Links are walked in ascending port order and a
+    /// (row, column) pair is settled at one distance only, so every cell
+    /// is filled in ascending order. The search walks links outward from
+    /// the root, but the mask and the weights are symmetric per link, so
+    /// the (u, port) direction listed suffices.
     fn rebuild_block(
         &mut self,
         cell_off: &[u32],
@@ -675,52 +676,38 @@ impl LayerTables {
                 levels[root as usize] |= 1 << j;
             }
         }
-        // Rows with a bit at each of the three live levels, by d % 3:
-        // the search ends once levels d − 1 and d − 2 are both empty.
-        let mut open = [0usize; 3];
-        let mut d = 0u32;
-        loop {
-            let cur = (d % 3) as usize * s;
-            if d > 0 {
-                let (back1, back2) = (((d + 2) % 3) as usize, ((d + 1) % 3) as usize);
-                if open[back1] + open[back2] == 0 {
-                    break;
-                }
-                let (back1, back2) = (back1 * s, back2 * s);
-                levels[cur..cur + s].fill(0);
-                for u in 0..s {
-                    let (one, two) = (levels[back1 + u], levels[back2 + u]);
-                    if one | two == 0 {
-                        continue;
-                    }
-                    for link in live.of(u) {
-                        let bits = if weights[link.gid as usize] == 1 {
-                            one
-                        } else {
-                            two
-                        };
-                        levels[cur + link.peer as usize] |= bits;
-                    }
-                }
-            }
-            let mut settled = 0;
+        // Levels d − 2 … d + 2 live in slots d % 5: a settling row reads
+        // the two below and pushes into the two above. Two levels in a
+        // row that settle nothing push nothing further: the search ends.
+        let (mut d, mut idle) = (0u32, 0);
+        while idle < 2 {
+            let cur = (d % 5) as usize * s;
+            let ahead = ((d + 2) % 5) as usize * s;
+            levels[ahead..ahead + s].fill(0); // held level d − 3
+            idle += 1;
             for r in 0..s {
-                let new = levels[cur + r] & !reached[r];
+                let pending = levels[cur + r];
+                if pending == 0 {
+                    continue;
+                }
+                let new = pending & !reached[r];
                 levels[cur + r] = new;
                 if new == 0 {
                     continue;
                 }
-                settled += 1;
+                idle = 0;
                 reached[r] |= new;
-                // Bit j of `hits[k]`: link k ends where column j was
-                // first reached one link's weight closer to its root.
+                // Push `new` one link weight on, and note per link the
+                // columns its far end holds one link weight back (bit j
+                // of `hits[k]`: link k is on column j's shortest paths).
                 // Levels below 0 read as the zeroed slots they occupy.
                 let links = live.of(r);
                 hits.clear();
-                hits.extend(links.iter().map(|link| {
-                    let w = u32::from(weights[link.gid as usize]);
-                    levels[((d + 3 - w) % 3) as usize * s + link.peer as usize]
-                }));
+                for link in links {
+                    let (w, peer) = (u32::from(weights[link.gid as usize]), link.peer as usize);
+                    levels[((d + w) % 5) as usize * s + peer] |= new;
+                    hits.push(levels[((d + 5 - w) % 5) as usize * s + peer]);
+                }
                 let base = cell_off[r] as usize;
                 let mut bits = new;
                 while bits != 0 {
@@ -742,7 +729,6 @@ impl LayerTables {
                     bits &= bits - 1;
                 }
             }
-            open[(d % 3) as usize] = settled;
             d += 1;
         }
     }
