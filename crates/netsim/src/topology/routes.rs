@@ -345,9 +345,6 @@ impl Topology {
         let mut scratch = BlockScratch::new(ix.switches());
         let mut cols = Vec::with_capacity(roots.len());
         for (layer, tab) in self.layers.iter_mut().enumerate() {
-            // Columns by index, not by chunking `buf`: a fabric with no
-            // switch-to-switch port has zero-width `buf` columns that
-            // still carry a row of `len`/`dist` (the root's distance 0).
             cols.clear();
             cols.extend(
                 (0..roots.len() as u32).filter(|&c| dirty.is_none_or(|d| d[layer][c as usize])),
