@@ -320,9 +320,9 @@ pub struct FabricStats {
     /// Always equal to [`FabricStats::reroutes`], every reroute being
     /// incremental; kept because `bench_e2e` reports it.
     pub reroutes_incremental: u64,
-    /// (layer, access-switch) route columns rebuilt by a per-column
-    /// search across all reroutes (host and access-link faults rebuild
-    /// none).
+    /// (layer, access-switch) route columns rebuilt by the block search
+    /// across all reroutes: the columns a repair found dirty (host and
+    /// access-link faults rebuild none).
     pub route_dests_rebuilt: u64,
     /// Multicast trees rebuilt during reroutes.
     pub trees_repaired: u64,
@@ -331,9 +331,10 @@ pub struct FabricStats {
     /// delta, so the deferred reroute sees a no-op — a flapping link
     /// costs its flushed packets, never a route recomputation.
     pub flaps_coalesced: u64,
-    /// Reroutes whose delta contained restorations that were healed by
-    /// bounded restore surgery (per-destination rebuilds only where a
-    /// distance could shrink) instead of a full recomputation.
+    /// Reroutes whose delta contained restorations. Every one is healed
+    /// in place by [`Topology::repair_routes`], each restored hop joined
+    /// by one rule, with column rebuilds only where a distance can
+    /// shrink; none pays a full recomputation.
     pub restores_incremental: u64,
     /// Per-layer utilisation: unicast packets forwarded at switches,
     /// indexed by the routing layer that carried them (single-layer

@@ -24,8 +24,8 @@
 //! Routing is **re-runnable** on that fixed graph:
 //! [`Topology::compute_routes_masked`] recomputes every layer against a
 //! [`FaultMask`] from scratch, and [`Topology::repair_routes`] heals
-//! each layer *incrementally* after a fault-mask delta — failures by
-//! dead-entry surgery, restorations by bounded restore surgery — which
+//! each layer *incrementally* after a fault-mask delta — failed hops
+//! excised, restored hops joined in place by one rule — which
 //! is how the simulator reroutes around mid-run link and switch
 //! failures without paying a full recompute.
 //!

@@ -71,6 +71,15 @@
 //! sits one link weight closer. A full recompute hands every column to
 //! the search, a repair only the dirty ones; both go through
 //! [`Topology::rebuild_columns`].
+//!
+//! # Surgery
+//!
+//! A repair edits a column in place through three cell methods:
+//! [`LayerTables::excise`] takes a failed hop out of a cell,
+//! [`LayerTables::clear`] empties a dead switch's, and
+//! [`LayerTables::join_hop`] applies the search's own cell rule — a
+//! port joins where its far end sits one link weight closer — to one
+//! restored hop, against distances already exact.
 
 use crate::fault::FaultMask;
 use crate::rng::Pcg32;
@@ -179,8 +188,8 @@ pub(super) struct LayerTables {
     /// `dist[c·S + row]` = weighted distance from that switch to the
     /// column's root switch under the mask the routes were computed
     /// with (`u32::MAX` = unreachable; the root itself holds 0 iff it
-    /// is up). Restore repair uses it to decide in O(degree) per column
-    /// whether a restored element can shorten any path.
+    /// is up). [`LayerTables::join_hop`] reads it to decide in O(1) per
+    /// column whether a restored hop shortens a path.
     dist: Vec<u32>,
 }
 
@@ -222,23 +231,6 @@ impl LayerTables {
         self.dist[col * self.n_switches + row] = d;
     }
 
-    /// Insert `p` into the cell of `(row, col)` keeping ascending order
-    /// (no-op when already advertised). A cell holds distinct fabric
-    /// port indices of its switch at capacity the fabric degree, so the
-    /// shift always fits.
-    pub(super) fn insert_port(&mut self, ix: &SwitchIndex, row: usize, col: usize, p: u16) {
-        let (start, cap) = self.cell(ix, row, col);
-        let li = col * self.n_switches + row;
-        let l = self.len[li] as usize;
-        if let Err(pos) = self.buf[start..start + l].binary_search(&p) {
-            debug_assert!(l < cap, "route cell overflow");
-            self.buf
-                .copy_within(start + pos..start + l, start + pos + 1);
-            self.buf[start + pos] = p;
-            self.len[li] = (l + 1) as u16;
-        }
-    }
-
     /// Excise `p` from the cell of `(row, col)` if it is advertised
     /// there, keeping the rest in order: how many ports the cell still
     /// holds, or `None` when `p` was not among them.
@@ -259,27 +251,47 @@ impl LayerTables {
         Some(self.len[li])
     }
 
-    /// Empty the cell of the switch in `row` and forget its distance in
-    /// every column.
-    pub(super) fn clear_row(&mut self, row: usize) {
-        for li in (row..self.len.len()).step_by(self.n_switches) {
-            self.len[li] = 0;
-            self.dist[li] = u32::MAX;
-        }
+    /// Empty the cell of `(row, col)` and forget its distance.
+    pub(super) fn clear(&mut self, row: usize, col: usize) {
+        let li = col * self.n_switches + row;
+        self.len[li] = 0;
+        self.dist[li] = u32::MAX;
     }
 
-    /// Fill the empty cell of `(row, col)` with `ports`, ascending.
-    pub(super) fn set_advertised(
+    /// The one rule for a restored directed hop `u —p→ v` of weight `w`
+    /// in column `col` (switch rows), against distances exact without
+    /// it: nothing if `v` is unreachable; `p` joins `u`'s cell, in
+    /// ascending order, if `d(u) = d(v) + w`; and `true` — the hop
+    /// shortens a path, so the column must be rebuilt — if
+    /// `d(u) > d(v) + w`. A cell holds distinct fabric port indices of
+    /// its switch at capacity the fabric degree, so the join always fits.
+    pub(super) fn join_hop(
         &mut self,
         ix: &SwitchIndex,
-        row: usize,
         col: usize,
-        ports: &[u16],
-    ) {
-        let (start, cap) = self.cell(ix, row, col);
-        debug_assert!(ports.len() <= cap, "route cell overflow");
-        self.buf[start..start + ports.len()].copy_from_slice(ports);
-        self.len[col * self.n_switches + row] = ports.len() as u16;
+        u: usize,
+        p: u16,
+        v: usize,
+        w: u32,
+    ) -> bool {
+        let (dv, du) = (self.dist_at(v, col), self.dist_at(u, col));
+        if dv == u32::MAX || du < dv + w {
+            return false;
+        }
+        if du > dv + w {
+            return true;
+        }
+        let (start, cap) = self.cell(ix, u, col);
+        let li = col * self.n_switches + u;
+        let l = self.len[li] as usize;
+        if let Err(pos) = self.buf[start..start + l].binary_search(&p) {
+            debug_assert!(l < cap, "route cell overflow");
+            self.buf
+                .copy_within(start + pos..start + l, start + pos + 1);
+            self.buf[start + pos] = p;
+            self.len[li] = (l + 1) as u16;
+        }
+        false
     }
 }
 
@@ -319,10 +331,15 @@ impl Topology {
         }
         let live = LiveFabric::build(self, mask);
         self.rebuild_columns(mask, &live, None);
+        self.refresh_cuts(mask);
+        self.routes_mask = mask.clone();
+    }
+
+    /// Set every host's `cut` bit for `mask`.
+    pub(super) fn refresh_cuts(&mut self, mask: &FaultMask) {
         for (a, &h) in self.access.iter_mut().zip(&self.hosts) {
             a.cut = host_cut(mask, h);
         }
-        self.routes_mask = mask.clone();
     }
 
     /// Rebuild route columns against `mask` (whose usable fabric links

@@ -539,7 +539,7 @@ proptest! {
     /// (fabric and host links), switches (ToRs included), and whole
     /// hosts —
     /// applied one `repair_routes` delta at a time yields bit-identical
-    /// route tables, per layer, to a from-scratch
+    /// route tables and distances, per layer, to a from-scratch
     /// `compute_routes_masked` of the accumulated mask, on every
     /// topology family under a 1–3-layer policy. (A down+up pair
     /// landing in one delta is the coalesced-flap case: the repair must
@@ -572,6 +572,12 @@ proptest! {
                             repaired.try_next_ports_on(layer, NodeId(n), h),
                             full.try_next_ports_on(layer, NodeId(n), h),
                             "{}: layer {} node {} dest {} diverged at step {}",
+                            label, layer, n, h.0, step
+                        );
+                        prop_assert_eq!(
+                            repaired.layer_distance(layer, NodeId(n), h),
+                            full.layer_distance(layer, NodeId(n), h),
+                            "{}: layer {} node {} dest {} distance diverged at step {}",
                             label, layer, n, h.0, step
                         );
                     }
