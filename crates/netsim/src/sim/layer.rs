@@ -27,7 +27,7 @@ fn layer_live(env: &Env<'_>, layer: usize, node: NodeId, dst_index: usize) -> bo
     env.topo
         .try_next_ports_at(layer, node, dst_index)
         .iter()
-        .any(|&p| env.control.mask.port_is_up(env.topo, node, p))
+        .any(|p| env.control.mask.port_is_up(env.topo, node, p))
 }
 
 /// Whether `layer` still offers a fully live path from `node` to the
@@ -50,7 +50,7 @@ fn layer_path_live(
     let mut stack = vec![node];
     let mut seen: Vec<NodeId> = Vec::new();
     while let Some(at) = stack.pop() {
-        for &p in env.topo.try_next_ports_at(layer, at, dst_index) {
+        for p in env.topo.try_next_ports_at(layer, at, dst_index).iter() {
             if !env.control.mask.port_is_up(env.topo, at, p) {
                 continue;
             }

@@ -352,7 +352,7 @@ fn dead_layer_reassigns_flows_mid_window() {
     let seed = (0..64)
         .find(|&s| {
             let (t, _, sa, b) = build(s);
-            t.try_next_ports_on(1, sa, b) == [1u16]
+            t.try_next_ports_on(1, sa, b).to_vec() == [1u16]
         })
         .expect("some seed prefers the s1 branch on layer 1");
     let (t, a, sa, b) = build(seed);

@@ -46,7 +46,8 @@ mod routes;
 mod tests;
 
 pub use repair::RouteRepair;
-use routes::{LayerTables, SwitchIndex};
+pub use routes::NextPorts;
+use routes::{LayerTables, SwitchIndex, UNREACHABLE};
 
 /// Index of a node (host or switch) in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -446,7 +447,7 @@ impl Topology {
     /// # Panics
     /// Panics if routes were not computed or `dst` is unreachable —
     /// both are configuration bugs, not runtime conditions.
-    pub fn next_ports(&self, node: NodeId, dst: NodeId) -> &[u16] {
+    pub fn next_ports(&self, node: NodeId, dst: NodeId) -> NextPorts<'_> {
         let next = self.try_next_ports_on(0, node, dst);
         assert!(
             !next.is_empty(),
@@ -462,7 +463,7 @@ impl Topology {
     /// layer off — the simulator's layer re-assignment moves flows away
     /// from such layers).
     #[inline]
-    pub fn try_next_ports_on(&self, layer: usize, node: NodeId, dst: NodeId) -> &[u16] {
+    pub fn try_next_ports_on(&self, layer: usize, node: NodeId, dst: NodeId) -> NextPorts<'_> {
         self.try_next_ports_at(layer, node, self.host_index(dst))
     }
 
@@ -475,34 +476,34 @@ impl Topology {
     /// One load of the node's packed switch-row word tells a host from
     /// a switch and places the switch in the arenas.
     #[inline]
-    pub fn try_next_ports_at(&self, layer: usize, node: NodeId, dst_index: usize) -> &[u16] {
+    pub fn try_next_ports_at(&self, layer: usize, node: NodeId, dst_index: usize) -> NextPorts<'_> {
         let tab = &self.layers[layer];
         let ix = &self.switches;
         let dst = &self.access[dst_index];
         let at = node.0 as usize;
         if dst.cut {
-            return &[];
+            return NextPorts::EMPTY;
         }
         let col = dst.col as usize;
         if ix.rows[at].is_host() {
             let src_index = self.host_index(node);
             let src = &self.access[src_index];
             let routed = !src.cut && src_index != dst_index;
-            return if routed && tab.dist_to(ix, src.tor as usize, col) != u32::MAX {
-                &[0]
+            return if routed && tab.dist_to(ix, src.tor as usize, col) != UNREACHABLE {
+                NextPorts::one(&0)
             } else {
-                &[]
+                NextPorts::EMPTY
             };
         }
         if node.0 == dst.tor {
             // The root's distance is 0 iff the ToR itself is up.
             return if tab.dist_to(ix, at, col) == 0 {
-                std::slice::from_ref(&dst.port)
+                NextPorts::one(&dst.port)
             } else {
-                &[]
+                NextPorts::EMPTY
             };
         }
-        tab.advertised(ix, at, col)
+        tab.next_ports(ix, at, col)
     }
 
     /// The nodes a per-flow-ECMP packet of `flow` crosses from `src` to
@@ -549,7 +550,7 @@ impl Topology {
             None => (node.0, 1, to.cut),
         };
         let d = self.layers[layer].dist_to(&self.switches, from as usize, to.col as usize);
-        (!cut && d != u32::MAX).then(|| d + access_links)
+        (!cut && d != UNREACHABLE).then(|| u32::from(d) + access_links)
     }
 
     /// Hop count of the shortest path between two hosts (layer 0's

@@ -5,7 +5,7 @@
 
 use crate::fault::FaultMask;
 
-use super::routes::{LayerTables, LiveFabric, LiveLink};
+use super::routes::{LayerTables, LiveFabric, LiveLink, UNREACHABLE};
 use super::{NodeId, Topology};
 
 /// Outcome of an incremental [`Topology::repair_routes`] call —
@@ -36,14 +36,15 @@ impl Topology {
     /// (or a few) new link or switch failures or restorations.
     ///
     /// **Hosts.** A host or access-link fault (or repair) touches no
-    /// table: it flips the host's `cut` bit and is done.
+    /// table: it flips the host's `cut` bit, and a delta of nothing else
+    /// (or an empty one) returns there, rebuilding no column.
     ///
     /// **The fabric.** The repair diffs `mask` against the mask the
     /// tables were last computed with and applies the switch-to-switch
     /// delta to each (layer, column) in one pass of three steps:
     ///
     /// 1. *Excise* every newly dead directed hop out of live switches'
-    ///    cells — an in-place shift within the fixed-capacity cell.
+    ///    cells — its bit cleared in the cell's next-hop mask.
     ///    Removing an advertised port can only change distances when it
     ///    was the cell's last (any surviving port still reaches a
     ///    neighbour strictly closer under the layer's weights, so every
@@ -54,7 +55,7 @@ impl Topology {
     ///    in hand. A restored directed hop `u —p→ v` of weight `w` does
     ///    nothing if `v` is unreachable, dirties the column if
     ///    `d(u) > d(v) + w` (it shortens a path, which can cascade), and
-    ///    joins `p` to `u`'s cell if `d(u) = d(v) + w`. A revived switch
+    ///    sets `p`'s bit in `u`'s mask if `d(u) = d(v) + w`. A revived switch
     ///    takes one link past its closest live neighbour as its distance
     ///    (the column it roots is dirty), then joins its hops in both
     ///    directions by the same rule.
@@ -84,25 +85,19 @@ impl Topology {
             };
         }
         self.refresh_cuts(mask);
-        let live = LiveFabric::build(self, mask);
         let ix = &self.switches;
         let row = |n: NodeId| ix.rows[n.0 as usize].row as usize;
         let is_switch = |n: NodeId| !ix.rows[n.0 as usize].is_host();
         let up_switch = |n: NodeId| is_switch(n) && !mask.node_is_down(n);
-        // The restored directed hop (n, p), in switch rows.
-        let hop = |n: NodeId, p: u16| {
-            let gid = self.port_off[n.0 as usize] + u32::from(p);
-            let peer = row(self.ports[gid as usize].peer) as u32;
-            Join::Hop(row(n), LiveLink { peer, gid, port: p })
-        };
         let new_switches: Vec<NodeId> = mask
             .new_nodes_since(&self.routes_mask)
             .into_iter()
             .filter(|&w| is_switch(w))
             .collect();
         // Failed fabric links (masks store both directions) and the
-        // hops into a newly dead switch, at their live ends.
-        let mut excised: Vec<(usize, u16)> = mask
+        // hops into a newly dead switch, at their live ends, as mask
+        // bits.
+        let mut excised: Vec<(usize, u8)> = mask
             .new_links_since(&self.routes_mask)
             .into_iter()
             .chain(
@@ -111,27 +106,48 @@ impl Topology {
                     .flat_map(|&w| self.node_ports(w).iter().map(|p| (p.peer, p.peer_port))),
             )
             .filter(|&(n, p)| up_switch(n) && is_switch(self.port(n, p).peer))
-            .map(|(n, p)| (row(n), p))
+            .map(|(n, p)| (row(n), ix.bit_of(row(n), p)))
             .collect();
         excised.sort_unstable();
         excised.dedup();
+        let revived: Vec<usize> = restored_nodes
+            .into_iter()
+            .filter(|&w| is_switch(w))
+            .map(row)
+            .collect();
+        // A restored link carries traffic only between live switches.
+        let restored_hops: Vec<(NodeId, u16)> = restored_links
+            .into_iter()
+            .filter(|&(n, p)| up_switch(n) && up_switch(self.port(n, p).peer))
+            .collect();
+        let dead: Vec<usize> = new_switches.into_iter().map(row).collect();
+        if excised.is_empty() && revived.is_empty() && restored_hops.is_empty() && dead.is_empty() {
+            // Hosts and host links only: no table holds them.
+            self.routes_mask = mask.clone();
+            return RouteRepair {
+                full: false,
+                dests_rebuilt: 0,
+                restored,
+            };
+        }
+        let live = LiveFabric::build(self, mask);
+        // The restored directed hop (n, p), in switch rows.
+        let hop = |n: NodeId, p: u16| {
+            let gid = self.port_off[n.0 as usize] + u32::from(p);
+            let peer = row(self.ports[gid as usize].peer) as u32;
+            let bit = ix.bit_of(row(n), p);
+            Join::Hop(row(n), LiveLink { peer, gid, bit })
+        };
         let mut joins = Vec::new();
-        for w in restored_nodes.into_iter().filter(|&w| is_switch(w)) {
-            joins.push(Join::Revive(row(w)));
-            for link in live.of(row(w)) {
+        for &w in &revived {
+            joins.push(Join::Revive(w));
+            for &link in live.of(w) {
                 let back = self.ports[link.gid as usize];
-                joins.push(hop(w, link.port));
+                joins.push(Join::Hop(w, link));
                 joins.push(hop(back.peer, back.peer_port));
             }
         }
-        // A restored link carries traffic only between live switches.
-        joins.extend(
-            restored_links
-                .into_iter()
-                .filter(|&(n, p)| up_switch(n) && up_switch(self.port(n, p).peer))
-                .map(|(n, p)| hop(n, p)),
-        );
-        let dead: Vec<usize> = new_switches.into_iter().map(row).collect();
+        joins.extend(restored_hops.into_iter().map(|(n, p)| hop(n, p)));
         // One pass over column `col` (rooted at switch row `root`) of a
         // layer: whether it must be rebuilt. A dirty column is left
         // half-done, since its rebuild rewrites all of it.
@@ -139,7 +155,7 @@ impl Topology {
             let weight = |link: &LiveLink| u32::from(weights[link.gid as usize]);
             if excised
                 .iter()
-                .any(|&(u, p)| tab.excise(ix, u, col, p) == Some(0))
+                .any(|&(u, bit)| tab.excise(u, col, bit) == Some(0))
             {
                 return true;
             }
@@ -147,20 +163,21 @@ impl Topology {
                 tab.clear(w, col);
             }
             joins.iter().any(|join| match *join {
+                Join::Revive(w) if w == root => true,
                 Join::Revive(w) => {
                     let d = live
                         .of(w)
                         .iter()
-                        .map(|link| {
-                            tab.dist_at(link.peer as usize, col)
-                                .saturating_add(weight(link))
+                        .filter_map(|link| match tab.dist_at(link.peer as usize, col) {
+                            UNREACHABLE => None,
+                            d => Some(u32::from(d) + weight(link)),
                         })
                         .min();
-                    tab.set_dist(w, col, d.unwrap_or(u32::MAX));
-                    w == root
+                    tab.set_dist(w, col, d);
+                    false
                 }
                 Join::Hop(u, link) => {
-                    tab.join_hop(ix, col, u, link.port, link.peer as usize, weight(&link))
+                    tab.join_hop(col, u, link.bit, link.peer as usize, weight(&link))
                 }
             })
         };

@@ -6,8 +6,8 @@
 //!
 //! Both the graph and the routing tables live in contiguous CSR-style
 //! arenas instead of nested `Vec`s, so a forwarding decision is flat
-//! arithmetic into three big arrays rather than three dependent pointer
-//! hops, and repair surgery is `memmove`s inside fixed-capacity cells:
+//! arithmetic into a few big arrays rather than dependent pointer hops,
+//! and repair surgery flips bits in one word per cell:
 //!
 //! - **Adjacency**: one flat `ports: Vec<Port>` plus a prefix-offset
 //!   table `port_off: Vec<u32>` (length `nodes + 1`); node `n`'s ports
@@ -16,36 +16,36 @@
 //!   edge log and frozen into the arena by the first route computation.
 //! - **Switch rows** (shared by all layers): the freeze numbers the
 //!   `S` switches `0..S` in id order and gives each a *row*; hosts get
-//!   none. A switch's *fabric degree* counts its ports whose peer is a
-//!   switch, and `cell_off[row]` (`S + 1` entries) is the prefix over
-//!   those degrees, `P_f = cell_off[S]` fabric ports in all. One packed
-//!   per-node word holds `(row, cell_off[row])`, so a lookup resolves a
-//!   node's place in the arenas with a single load.
+//!   none. A switch's *fabric ports* are its ports whose peer is a
+//!   switch, at most 64 (the freeze refuses more), and `cell_off[row]`
+//!   (`S + 1` entries) is the prefix over their counts, `P_f =
+//!   cell_off[S]` fabric ports in all. The *bit-to-port map* `port_of`
+//!   (`P_f` entries) lists each switch's fabric port indices in
+//!   ascending order from `cell_off[row]` on: bit `i` of the switch's
+//!   next-hop masks stands for port `port_of[cell_off[row] + i]`. One
+//!   packed per-node word holds `(row, cell_off[row])`, so a lookup
+//!   resolves a node's place in the arenas with a single load.
 //! - **Routes** (per layer): hosts are single-homed leaves, so every
 //!   host behind one access switch (ToR) shares its routes up to the
 //!   last hop. The tables therefore hold one destination column per
 //!   **access switch** — never per host — and rows for switches only.
-//!   One flat `buf: Vec<u16>` holds a fixed-capacity cell per `(switch,
-//!   column)` — capacity the switch's fabric degree, at arena offset
-//!   `c·P_f + cell_off[row]` — plus a `len: Vec<u16>` table
-//!   (`len[c·S + row]`) giving the occupied prefix. The advertised
-//!   ports are that prefix: the node's real port indices, always in
-//!   ascending order. Because a cell can never overflow (a switch
-//!   advertises distinct fabric ports only), failure excision and
-//!   restore surgery shift entries *in place* and never reallocate. The
-//!   arenas are column-major — column `c` owns contiguous
-//!   `buf[c·P_f..]`/`len[c·S..]` regions — and a rebuild addresses
-//!   each column by index. (A lone switch
-//!   with hosts only has `P_f = 0`: its columns are zero-width in `buf`
-//!   but still one row wide in `len`/`dist`.)
-//! - **Distances / weights** (per layer): flat `dist[c·S + row]`
-//!   (switch to column root) and a per-layer weight arena indexed by
-//!   global port id.
+//!   One `u64` next-hop mask per `(switch, column)`, `next[c·S + row]`,
+//!   has bit `i` set when the switch's `i`-th fabric port is on a
+//!   shortest path of the layer: the cell's ports ascend with their
+//!   bits, so its order costs nothing to keep. The arenas are
+//!   column-major — column `c` owns the contiguous `next[c·S..]` and
+//!   `dist[c·S..]` — and a rebuild addresses each column by index. (A
+//!   lone switch with hosts only has `P_f = 0` and an empty map, but its
+//!   columns are still one row wide.)
+//! - **Distances / weights** (per layer): one `u8` per `(switch,
+//!   column)`, `dist[c·S + row]`, the weighted distance to the column's
+//!   root (255 for unreachable; a distance over 254 is refused when it
+//!   is found), and a per-layer weight arena indexed by global port id.
 //! - **Live adjacency** (per recomputation or repair, not stored): a
 //!   [`LiveFabric`] keyed by switch row — `off` (`S + 1` entries) over
 //!   one flat `links` list holding each switch's usable
 //!   switch-to-switch links under the mask as `(peer row, global port
-//!   id, port index)`, in ascending port order. The route search runs
+//!   id, mask bit)`, in ascending port order. The route search runs
 //!   in row space on it: it never touches a host port, and a
 //!   neighbour's `dist` entry is one index, not a lookup through its
 //!   node id.
@@ -68,18 +68,19 @@
 //! what the previous level pushes along weight-1 links and the one
 //! before along weight-2 links, less what is already reached; a link's
 //! port joins a reached row's cells in the columns where its far end
-//! sits one link weight closer. A full recompute hands every column to
-//! the search, a repair only the dirty ones; both go through
-//! [`Topology::rebuild_columns`].
+//! sits one link weight closer, which sets its bit in those columns'
+//! masks. A full recompute hands every column to the search, a repair
+//! only the dirty ones; both go through [`Topology::rebuild_columns`].
 //!
 //! # Surgery
 //!
-//! A repair edits a column in place through three cell methods:
-//! [`LayerTables::excise`] takes a failed hop out of a cell,
-//! [`LayerTables::clear`] empties a dead switch's, and
-//! [`LayerTables::join_hop`] applies the search's own cell rule — a
-//! port joins where its far end sits one link weight closer — to one
-//! restored hop, against distances already exact.
+//! A repair edits a column in place through three cell methods, each a
+//! word write: [`LayerTables::excise`] clears a failed hop's bit (the
+//! cell emptied when its mask reads 0), [`LayerTables::clear`] zeroes a
+//! dead switch's mask and distance, and [`LayerTables::join_hop`]
+//! applies the search's own cell rule — a port joins where its far end
+//! sits one link weight closer — to one restored hop, setting its bit
+//! against distances already exact.
 
 use crate::fault::FaultMask;
 use crate::rng::Pcg32;
@@ -87,14 +88,14 @@ use crate::rng::Pcg32;
 use super::{host_cut, HostAccess, NodeId, NodeKind, Port, Topology};
 
 /// A node's place in the switch-keyed route arenas, packed into one
-/// word so a forwarding lookup resolves row and cell base with a single
+/// word so a forwarding lookup resolves row and map base with a single
 /// load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct SwitchRow {
-    /// The switch's row: its index within a column of `len` and `dist`
+    /// The switch's row: its index within a column of `next` and `dist`
     /// ([`SwitchRow::HOST`]'s `u32::MAX` for a host, which has none).
     pub(super) row: u32,
-    /// `cell_off[row]`: the base of its cells within a column of `buf`.
+    /// `cell_off[row]`: where its fabric ports start in `port_of`.
     cell: u32,
 }
 
@@ -112,6 +113,29 @@ impl SwitchRow {
     }
 }
 
+/// The most fabric ports a switch may have: one bit each of a `u64`
+/// next-hop mask.
+const MAX_FABRIC_DEGREE: usize = 64;
+
+/// A `dist` entry for a switch the column's root is unreachable from.
+pub(super) const UNREACHABLE: u8 = u8::MAX;
+
+/// The largest weighted distance a `u8` entry holds (255 is
+/// [`UNREACHABLE`]).
+const MAX_DIST: u32 = UNREACHABLE as u32 - 1;
+
+/// A weighted distance as a `dist` entry.
+///
+/// # Panics
+/// Panics on a distance over [`MAX_DIST`].
+fn dist_entry(d: u32) -> u8 {
+    assert!(
+        d <= MAX_DIST,
+        "weighted distance {d} is over {MAX_DIST}, the most a route distance holds"
+    );
+    d as u8
+}
+
 /// The dense switch index every layer's arenas are keyed by (layout:
 /// see the module docs), built by the freeze.
 #[derive(Debug, Clone)]
@@ -121,6 +145,9 @@ pub(super) struct SwitchIndex {
     /// Prefix over the switches' fabric degrees, by row: `S + 1`
     /// entries, `cell_off[S] = P_f`.
     cell_off: Vec<u32>,
+    /// The bit-to-port map: from `cell_off[row]` on, the switch's
+    /// fabric port indices in ascending order, one per mask bit.
+    port_of: Vec<u16>,
 }
 
 impl SwitchIndex {
@@ -129,10 +156,15 @@ impl SwitchIndex {
         Self {
             rows: Vec::new(),
             cell_off: vec![0],
+            port_of: Vec::new(),
         }
     }
 
-    /// Number the switches of a frozen port arena in id order.
+    /// Number the switches of a frozen port arena in id order and map
+    /// each one's mask bits to its fabric ports.
+    ///
+    /// # Panics
+    /// Panics on a switch with more than 64 fabric ports.
     pub(super) fn build(kinds: &[NodeKind], ports: &[Port], off: &[u32]) -> Self {
         let is_switch = |n: usize| kinds[n] == NodeKind::Switch;
         let mut ix = Self::empty();
@@ -142,16 +174,25 @@ impl SwitchIndex {
                 ix.rows.push(SwitchRow::HOST);
                 continue;
             }
-            let (row, cell) = (ix.switches(), ix.fabric_ports() as u32);
+            let (row, cell) = (ix.switches(), ix.fabric_ports());
             let mine = &ports[off[n] as usize..off[n + 1] as usize];
-            let fabric_degree = mine.iter().filter(|p| is_switch(p.peer.0 as usize)).count();
+            ix.port_of.extend(
+                (0..mine.len() as u16).filter(|&p| is_switch(mine[p as usize].peer.0 as usize)),
+            );
+            let fabric_degree = ix.port_of.len() - cell;
+            assert!(
+                fabric_degree <= MAX_FABRIC_DEGREE,
+                "switch {n} has {fabric_degree} switch-to-switch ports; \
+                 a route mask holds at most {MAX_FABRIC_DEGREE}"
+            );
             ix.rows.push(SwitchRow {
                 row: row as u32,
-                cell,
+                cell: cell as u32,
             });
-            ix.cell_off.push(cell + fabric_degree as u32);
+            ix.cell_off.push(ix.port_of.len() as u32);
         }
         ix.cell_off.shrink_to_fit();
+        ix.port_of.shrink_to_fit();
         ix
     }
 
@@ -164,58 +205,224 @@ impl SwitchIndex {
     fn fabric_ports(&self) -> usize {
         self.cell_off[self.switches()] as usize
     }
+
+    /// The fabric ports of the switch in `row`, one per mask bit.
+    fn ports_of(&self, row: usize) -> &[u16] {
+        &self.port_of[self.cell_off[row] as usize..self.cell_off[row + 1] as usize]
+    }
+
+    /// The mask bit of fabric port `port` of the switch in `row`.
+    ///
+    /// # Panics
+    /// Panics if `port` is not one of that switch's fabric ports.
+    pub(super) fn bit_of(&self, row: usize, port: u16) -> u8 {
+        self.ports_of(row)
+            .binary_search(&port)
+            .expect("a fabric port of the switch") as u8
+    }
+}
+
+/// The ports one route lookup advertises, in ascending order: a mask
+/// over a slice of port indices, bit `i` set when `ports[i]` is among
+/// them. At a switch the slice is its bit-to-port map; the last hop
+/// and a host source are one bit over one port. Indexing picks the
+/// `k`-th set bit, so `ports[k]` is the `k`-th advertised port.
+#[derive(Clone, Copy)]
+pub struct NextPorts<'a> {
+    mask: u64,
+    ports: &'a [u16],
+}
+
+impl<'a> NextPorts<'a> {
+    /// No port: the destination is unreachable (or is the node itself).
+    pub(super) const EMPTY: NextPorts<'static> = NextPorts {
+        mask: 0,
+        ports: &[],
+    };
+
+    /// Exactly `port`.
+    pub(super) fn one(port: &'a u16) -> Self {
+        Self {
+            mask: 1,
+            ports: std::slice::from_ref(port),
+        }
+    }
+
+    /// The ports of `mask`'s bits in `map`, a switch's bit-to-port map
+    /// from its first entry on.
+    #[inline]
+    fn masked(mask: u64, map: &'a [u16]) -> Self {
+        let width = (u64::BITS - mask.leading_zeros()) as usize;
+        Self {
+            mask,
+            ports: &map[..width],
+        }
+    }
+
+    /// How many ports are advertised.
+    #[inline]
+    pub fn len(&self) -> usize {
+        if self.mask >> 16 == 0 {
+            let (low, high) = (self.mask as u8 as usize, (self.mask >> 8) as usize);
+            return usize::from(BYTE_ONES[low] + BYTE_ONES[high]);
+        }
+        self.mask.count_ones() as usize
+    }
+
+    /// Whether no port is advertised.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.mask == 0
+    }
+
+    /// The advertised ports, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u16> + 'a {
+        let (mut bits, ports) = (self.mask, self.ports);
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(ports[i])
+        })
+    }
+
+    /// The advertised ports, ascending, as a vector.
+    pub fn to_vec(&self) -> Vec<u16> {
+        self.iter().collect()
+    }
+}
+
+impl std::ops::Index<usize> for NextPorts<'_> {
+    type Output = u16;
+
+    /// The `k`-th advertised port: the `k`-th set bit's.
+    ///
+    /// # Panics
+    /// Panics if `k >= self.len()`.
+    #[inline]
+    fn index(&self, k: usize) -> &u16 {
+        &self.ports[select(self.mask, k)]
+    }
+}
+
+/// `BYTE_ONES[b]`: how many bits of byte `b` are set.
+const BYTE_ONES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = (b as u8).count_ones() as u8;
+        b += 1;
+    }
+    table
+};
+
+/// `SELECT_IN_BYTE[b][r]`: the position of the `r`-th set bit of byte
+/// `b` (8 when it has no such bit).
+const SELECT_IN_BYTE: [[u8; 8]; 256] = {
+    let mut table = [[8u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut bit, mut r) = (0, 0);
+        while bit < 8 {
+            if b >> bit & 1 == 1 {
+                table[b][r] = bit as u8;
+                r += 1;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// The position of the `r`-th set bit of byte `b`, 8 when it has none.
+#[inline]
+fn select_in_byte(b: u64, r: usize) -> usize {
+    SELECT_IN_BYTE[b as u8 as usize]
+        .get(r)
+        .map_or(8, |&bit| usize::from(bit))
+}
+
+/// The position of the `k`-th set bit of `x` (from 0, lowest first),
+/// or a position past the highest set bit when `x` has at most `k`.
+/// A mask of at most 16 bits — a fabric degree of at most 16, as on
+/// every fabric the workloads build — takes one compare to pick its
+/// byte and no branch on `k`; a wider one walks its bytes.
+#[inline]
+pub(super) fn select(x: u64, k: usize) -> usize {
+    if x >> 16 == 0 {
+        let low = usize::from(BYTE_ONES[x as u8 as usize]);
+        let (base, byte, r) = if k < low {
+            (0, x, k)
+        } else {
+            (8, x >> 8, k - low)
+        };
+        return base + select_in_byte(byte, r);
+    }
+    let (mut base, mut k) = (0, k);
+    while base < 64 {
+        let ones = usize::from(BYTE_ONES[(x >> base) as u8 as usize]);
+        if k < ones {
+            return base + select_in_byte(x >> base, k);
+        }
+        k -= ones;
+        base += 8;
+    }
+    64
+}
+
+impl PartialEq for NextPorts<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for NextPorts<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// One layer's routing state as flat column-major arenas (layout: see
-/// the module docs): advertised-port cells and weighted distances, per
-/// (switch row, access-switch column), maintained in lockstep by full
+/// the module docs): next-hop masks and weighted distances, per (switch
+/// row, access-switch column), maintained in lockstep by full
 /// recomputation and incremental repair alike. Hosts have no row: the
-/// last hop is resolved from [`HostAccess`]. A cell's occupied prefix
-/// is always in ascending port order (the order full recomputation
-/// records), so in-place surgery stays bit-identical to a from-scratch
-/// build. Every accessor takes a node id and translates it through the
-/// [`SwitchIndex`].
+/// last hop is resolved from [`HostAccess`]. Node-keyed accessors
+/// translate through the [`SwitchIndex`].
 #[derive(Debug, Clone, Default)]
 pub(super) struct LayerTables {
-    /// Switch count `S` (column stride of `len` and `dist`).
+    /// Switch count `S` (column stride of `next` and `dist`).
     n_switches: usize,
-    /// Fabric port count `P_f` (column stride of `buf`).
-    n_fabric_ports: usize,
-    /// Route arena: fixed-capacity advertised-port cells (see above).
-    buf: Vec<u16>,
-    /// `len[c·S + row]` = occupied prefix of that route cell.
-    len: Vec<u16>,
+    /// `next[c·S + row]`: the next-hop mask of that (switch, column),
+    /// bit `i` for the switch's `i`-th fabric port.
+    next: Vec<u64>,
     /// `dist[c·S + row]` = weighted distance from that switch to the
     /// column's root switch under the mask the routes were computed
-    /// with (`u32::MAX` = unreachable; the root itself holds 0 iff it
-    /// is up). [`LayerTables::join_hop`] reads it to decide in O(1) per
-    /// column whether a restored hop shortens a path.
-    dist: Vec<u32>,
+    /// with ([`UNREACHABLE`]; the root itself holds 0 iff it is up).
+    /// [`LayerTables::join_hop`] reads it to decide in O(1) per column
+    /// whether a restored hop shortens a path.
+    dist: Vec<u8>,
 }
 
 impl LayerTables {
-    /// Arena offset and capacity of the route cell for `(row, col)`.
+    /// The advertised ports of switch `u` towards column `col`.
     #[inline]
-    fn cell(&self, ix: &SwitchIndex, row: usize, col: usize) -> (usize, usize) {
-        let (cell, end) = (ix.cell_off[row], ix.cell_off[row + 1]);
-        (
-            col * self.n_fabric_ports + cell as usize,
-            (end - cell) as usize,
-        )
-    }
-
-    /// The advertised ports of `(u, col)`: the cell's occupied prefix.
-    #[inline]
-    pub(super) fn advertised(&self, ix: &SwitchIndex, u: usize, col: usize) -> &[u16] {
+    pub(super) fn next_ports<'a>(
+        &'a self,
+        ix: &'a SwitchIndex,
+        u: usize,
+        col: usize,
+    ) -> NextPorts<'a> {
         let SwitchRow { row, cell } = ix.rows[u];
-        let start = col * self.n_fabric_ports + cell as usize;
-        let l = self.len[col * self.n_switches + row as usize] as usize;
-        &self.buf[start..start + l]
+        let mask = self.next[col * self.n_switches + row as usize];
+        NextPorts::masked(mask, &ix.port_of[cell as usize..])
     }
 
     /// Weighted distance from switch `u` to the root of column `col`.
     #[inline]
-    pub(super) fn dist_to(&self, ix: &SwitchIndex, u: usize, col: usize) -> u32 {
+    pub(super) fn dist_to(&self, ix: &SwitchIndex, u: usize, col: usize) -> u8 {
         let row = ix.rows[u].row as usize;
         debug_assert!(row < self.n_switches, "node {u} has no switch row");
         self.dist_at(row, col)
@@ -223,74 +430,53 @@ impl LayerTables {
 
     /// Weighted distance from the switch in `row` to the root of `col`.
     #[inline]
-    pub(super) fn dist_at(&self, row: usize, col: usize) -> u32 {
+    pub(super) fn dist_at(&self, row: usize, col: usize) -> u8 {
         self.dist[col * self.n_switches + row]
     }
 
-    pub(super) fn set_dist(&mut self, row: usize, col: usize, d: u32) {
-        self.dist[col * self.n_switches + row] = d;
+    /// Set the distance of `(row, col)`: `None` is unreachable.
+    pub(super) fn set_dist(&mut self, row: usize, col: usize, d: Option<u32>) {
+        self.dist[col * self.n_switches + row] = d.map_or(UNREACHABLE, dist_entry);
     }
 
-    /// Excise `p` from the cell of `(row, col)` if it is advertised
-    /// there, keeping the rest in order: how many ports the cell still
-    /// holds, or `None` when `p` was not among them.
-    pub(super) fn excise(
-        &mut self,
-        ix: &SwitchIndex,
-        row: usize,
-        col: usize,
-        p: u16,
-    ) -> Option<u16> {
-        let (start, _) = self.cell(ix, row, col);
-        let li = col * self.n_switches + row;
-        let l = self.len[li] as usize;
-        let pos = self.buf[start..start + l].iter().position(|&x| x == p)?;
-        self.buf
-            .copy_within(start + pos + 1..start + l, start + pos);
-        self.len[li] -= 1;
-        Some(self.len[li])
+    /// Clear `bit` in the mask of `(row, col)` if it is set: the mask
+    /// left, or `None` when the bit was not among it.
+    pub(super) fn excise(&mut self, row: usize, col: usize, bit: u8) -> Option<u64> {
+        let mask = &mut self.next[col * self.n_switches + row];
+        let b = 1 << bit;
+        if *mask & b == 0 {
+            return None;
+        }
+        *mask &= !b;
+        Some(*mask)
     }
 
     /// Empty the cell of `(row, col)` and forget its distance.
     pub(super) fn clear(&mut self, row: usize, col: usize) {
-        let li = col * self.n_switches + row;
-        self.len[li] = 0;
-        self.dist[li] = u32::MAX;
+        let i = col * self.n_switches + row;
+        self.next[i] = 0;
+        self.dist[i] = UNREACHABLE;
     }
 
-    /// The one rule for a restored directed hop `u —p→ v` of weight `w`
-    /// in column `col` (switch rows), against distances exact without
-    /// it: nothing if `v` is unreachable; `p` joins `u`'s cell, in
-    /// ascending order, if `d(u) = d(v) + w`; and `true` — the hop
-    /// shortens a path, so the column must be rebuilt — if
-    /// `d(u) > d(v) + w`. A cell holds distinct fabric port indices of
-    /// its switch at capacity the fabric degree, so the join always fits.
-    pub(super) fn join_hop(
-        &mut self,
-        ix: &SwitchIndex,
-        col: usize,
-        u: usize,
-        p: u16,
-        v: usize,
-        w: u32,
-    ) -> bool {
-        let (dv, du) = (self.dist_at(v, col), self.dist_at(u, col));
-        if dv == u32::MAX || du < dv + w {
+    /// The one rule for a restored directed hop `u → v` of weight `w`,
+    /// mask bit `bit` at `u`, in column `col` (switch rows), against
+    /// distances exact without it: nothing if `v` is unreachable; the
+    /// bit joins `u`'s mask if `d(u) = d(v) + w`; and `true` — the hop
+    /// shortens a path, so the column must be rebuilt — if `d(u) >
+    /// d(v) + w`.
+    pub(super) fn join_hop(&mut self, col: usize, u: usize, bit: u8, v: usize, w: u32) -> bool {
+        let du = match self.dist_at(u, col) {
+            UNREACHABLE => u32::MAX,
+            d => u32::from(d),
+        };
+        let dv = self.dist_at(v, col);
+        if dv == UNREACHABLE || du < u32::from(dv) + w {
             return false;
         }
-        if du > dv + w {
+        if du > u32::from(dv) + w {
             return true;
         }
-        let (start, cap) = self.cell(ix, u, col);
-        let li = col * self.n_switches + u;
-        let l = self.len[li] as usize;
-        if let Err(pos) = self.buf[start..start + l].binary_search(&p) {
-            debug_assert!(l < cap, "route cell overflow");
-            self.buf
-                .copy_within(start + pos..start + l, start + pos + 1);
-            self.buf[start + pos] = p;
-            self.len[li] = (l + 1) as u16;
-        }
+        self.next[col * self.n_switches + u] |= 1 << bit;
         false
     }
 }
@@ -318,16 +504,14 @@ impl Topology {
             self.freeze_ports();
             self.build_weights();
         }
-        let (s, p_f) = (self.switches.switches(), self.switches.fabric_ports());
+        let s = self.switches.switches();
         let n_cols = self.col_root.len();
         let n_layers = self.policy.layers;
         self.layers.resize_with(n_layers, LayerTables::default);
         for tab in &mut self.layers {
             tab.n_switches = s;
-            tab.n_fabric_ports = p_f;
-            tab.buf.resize(p_f * n_cols, 0);
-            tab.len.resize(s * n_cols, 0);
-            tab.dist.resize(s * n_cols, u32::MAX);
+            tab.next.resize(s * n_cols, 0);
+            tab.dist.resize(s * n_cols, UNREACHABLE);
         }
         let live = LiveFabric::build(self, mask);
         self.rebuild_columns(mask, &live, None);
@@ -367,14 +551,7 @@ impl Topology {
                 (0..roots.len() as u32).filter(|&c| dirty.is_none_or(|d| d[layer][c as usize])),
             );
             for block in cols.chunks(BLOCK) {
-                tab.rebuild_block(
-                    &ix.cell_off,
-                    live,
-                    &self.weights[layer],
-                    &roots,
-                    block,
-                    &mut scratch,
-                );
+                tab.rebuild_block(live, &self.weights[layer], &roots, block, &mut scratch);
             }
         }
     }
@@ -428,33 +605,32 @@ impl Topology {
         self.weights[layer][self.port_off[node.0 as usize] as usize + port as usize]
     }
 
-    /// Bytes held by the route tables: every layer's `buf`/`len`/`dist`
+    /// Bytes held by the route tables: every layer's `next`/`dist`
     /// arena capacity plus the per-host access records, the column list
-    /// and the switch index — the number that decides how large a
-    /// fabric fits.
+    /// and the switch index with its bit-to-port map — the number that
+    /// decides how large a fabric fits.
     pub fn route_table_bytes(&self) -> usize {
         use std::mem::size_of;
         let arenas: usize = self
             .layers
             .iter()
-            .map(|t| {
-                (t.buf.capacity() + t.len.capacity()) * size_of::<u16>()
-                    + t.dist.capacity() * size_of::<u32>()
-            })
+            .map(|t| t.next.capacity() * size_of::<u64>() + t.dist.capacity())
             .sum();
+        let ix = &self.switches;
         arenas
             + self.access.capacity() * size_of::<HostAccess>()
             + self.col_root.capacity() * size_of::<NodeId>()
-            + self.switches.rows.capacity() * size_of::<SwitchRow>()
-            + self.switches.cell_off.capacity() * size_of::<u32>()
+            + ix.rows.capacity() * size_of::<SwitchRow>()
+            + ix.cell_off.capacity() * size_of::<u32>()
+            + ix.port_of.capacity() * size_of::<u16>()
     }
 
     /// Structural invariants of the CSR arenas, for tests and debugging:
     /// offset monotonicity, port-arena symmetry, the switch index (rows
     /// a bijection from the switches onto `0..S`, hosts without one,
-    /// each cell's capacity its switch's fabric degree), cell-capacity
-    /// bounds, and advertised-port sanity (strictly ascending, in range,
-    /// no dangling indices). Panics on the first violation.
+    /// each switch's bit-to-port map its fabric ports in ascending
+    /// order), arena sizes, and every mask within its switch's fabric
+    /// degree. Panics on the first violation.
     pub fn check_csr_invariants(&self) {
         let n = self.node_count();
         assert_eq!(self.port_off.len(), n + 1, "offset table length");
@@ -491,6 +667,11 @@ impl Topology {
         let s = ix.switches();
         assert_eq!(ix.rows.len(), n, "one switch-row word per node");
         assert_eq!(ix.cell_off[0], 0, "cell offsets start at 0");
+        assert_eq!(
+            ix.port_of.len(),
+            ix.fabric_ports(),
+            "one map entry per fabric port"
+        );
         let mut row_owner = vec![None; s];
         for (u, &sr) in ix.rows.iter().enumerate() {
             if self.kinds[u] == NodeKind::Host {
@@ -500,49 +681,30 @@ impl Topology {
             let r = sr.row as usize;
             assert!(r < s, "switch {u} has row {r} outside 0..{s}");
             assert_eq!(row_owner[r].replace(u), None, "row {r} taken twice");
-            assert_eq!(sr.cell, ix.cell_off[r], "switch {u} cell base");
-            let fabric_degree = self
-                .node_ports(NodeId(u as u32))
-                .iter()
-                .filter(|p| self.kinds[p.peer.0 as usize] == NodeKind::Switch)
-                .count() as u32;
+            assert_eq!(sr.cell, ix.cell_off[r], "switch {u} map base");
+            let fabric: Vec<u16> = (0..self.node_ports(NodeId(u as u32)).len() as u16)
+                .filter(|&p| self.kind(self.port(NodeId(u as u32), p).peer) == NodeKind::Switch)
+                .collect();
             assert_eq!(
-                ix.cell_off[r + 1],
-                sr.cell + fabric_degree,
-                "switch {u} cell capacity is its fabric degree"
+                ix.ports_of(r),
+                fabric,
+                "switch {u}'s bit-to-port map is its fabric ports, ascending"
             );
         }
         assert!(row_owner.iter().all(Option::is_some), "rows cover 0..{s}");
-        let p_f = ix.fabric_ports();
         let n_cols = self.col_root.len();
         for (layer, tab) in self.layers.iter().enumerate() {
             assert_eq!(tab.n_switches, s, "layer {layer} row stride");
-            assert_eq!(tab.n_fabric_ports, p_f, "layer {layer} cell stride");
-            assert_eq!(tab.buf.len(), p_f * n_cols, "arena size");
-            assert_eq!(tab.len.len(), s * n_cols, "len table size");
+            assert_eq!(tab.next.len(), s * n_cols, "mask table size");
             assert_eq!(tab.dist.len(), s * n_cols, "dist table size");
-            for &u in row_owner.iter().flatten() {
-                let ports = self.node_ports(NodeId(u as u32));
+            for (r, &u) in row_owner.iter().flatten().enumerate() {
+                let degree = ix.ports_of(r).len() as u32;
                 for col in 0..n_cols {
-                    let cell = tab.advertised(ix, u, col);
-                    let (_, cap) = tab.cell(ix, ix.rows[u].row as usize, col);
+                    let mask = tab.next[col * s + r];
                     assert!(
-                        cell.len() <= cap,
-                        "layer {layer} cell ({u}, {col}) overflows its capacity"
+                        degree == 64 || mask >> degree == 0,
+                        "layer {layer} mask ({u}, {col}) sets a bit past fabric degree {degree}"
                     );
-                    for w in cell.windows(2) {
-                        assert!(w[0] < w[1], "layer {layer} cell ({u}, {col}) not ascending");
-                    }
-                    for &p in cell {
-                        assert!(
-                            (p as usize) < ports.len(),
-                            "layer {layer} cell ({u}, {col}) dangles port {p}"
-                        );
-                        assert!(
-                            self.kinds[ports[p as usize].peer.0 as usize] == NodeKind::Switch,
-                            "layer {layer} cell ({u}, {col}) advertises a host port"
-                        );
-                    }
                 }
             }
         }
@@ -569,8 +731,8 @@ pub(super) struct LiveLink {
     /// The link's global port id (`port_off[node] + port`), which
     /// indexes the weight arenas.
     pub(super) gid: u32,
-    /// The port's index at its own switch: what a route cell holds.
-    pub(super) port: u16,
+    /// The port's bit in its switch's next-hop masks.
+    pub(super) bit: u8,
 }
 
 impl LiveFabric {
@@ -586,16 +748,14 @@ impl LiveFabric {
                 continue;
             }
             let base = t.port_off[u];
-            for (pi, port) in t.node_ports(NodeId(u as u32)).iter().enumerate() {
-                let peer = ix.rows[port.peer.0 as usize];
-                if !peer.is_host()
-                    && !mask.link_is_down(NodeId(u as u32), pi as u16)
-                    && !mask.node_is_down(port.peer)
-                {
+            let ports = t.node_ports(NodeId(u as u32));
+            for (bit, &p) in ix.ports_of(sr.row as usize).iter().enumerate() {
+                let peer = ports[p as usize].peer;
+                if !mask.link_is_down(NodeId(u as u32), p) && !mask.node_is_down(peer) {
                     live.links.push(LiveLink {
-                        peer: peer.row,
-                        gid: base + pi as u32,
-                        port: pi as u16,
+                        peer: ix.rows[peer.0 as usize].row,
+                        gid: base + u32::from(p),
+                        bit: bit as u8,
                     });
                 }
             }
@@ -655,17 +815,18 @@ impl LayerTables {
     /// reached. A row settling bits at `d` pushes them along its live
     /// links into levels `d + w`: a down switch's row still lists its
     /// links to live peers, but no live row lists a link to it, so it is
-    /// never reached. Each new bit writes its `dist`, and the row's
-    /// cells take link `(r → u, w)`'s port in the columns of
-    /// `level[d][r] & level[d − w][u]` — exactly the ports on weighted
-    /// shortest paths. Links are walked in ascending port order and a
-    /// (row, column) pair is settled at one distance only, so every cell
-    /// is filled in ascending order. The search walks links outward from
-    /// the root, but the mask and the weights are symmetric per link, so
-    /// the (u, port) direction listed suffices.
+    /// never reached. Each new bit writes its `dist` and its mask: link
+    /// `(r → u, w)`'s bit is set in the columns of `level[d][r] &
+    /// level[d − w][u]` — exactly the ports on weighted shortest paths.
+    /// A (row, column) pair is settled at one distance only, so its mask
+    /// is written once. The search walks links outward from the root,
+    /// but the mask and the weights are symmetric per link, so the (u,
+    /// port) direction listed suffices.
+    ///
+    /// # Panics
+    /// Panics on a weighted distance over 254.
     fn rebuild_block(
         &mut self,
-        cell_off: &[u32],
         live: &LiveFabric,
         weights: &[u8],
         roots: &[Option<u32>],
@@ -673,7 +834,7 @@ impl LayerTables {
         scratch: &mut BlockScratch,
     ) {
         debug_assert!(cols.len() <= BLOCK, "a block holds at most 64 columns");
-        let (s, p_f) = (self.n_switches, self.n_fabric_ports);
+        let s = self.n_switches;
         let BlockScratch {
             levels,
             reached,
@@ -684,8 +845,8 @@ impl LayerTables {
         reached.fill(0);
         for (j, &c) in cols.iter().enumerate() {
             let c = c as usize;
-            self.len[c * s..][..s].fill(0);
-            self.dist[c * s..][..s].fill(u32::MAX);
+            self.next[c * s..][..s].fill(0);
+            self.dist[c * s..][..s].fill(UNREACHABLE);
             if let Some(root) = roots[c] {
                 levels[root as usize] |= 1 << j;
             }
@@ -711,6 +872,7 @@ impl LayerTables {
                 }
                 idle = 0;
                 reached[r] |= new;
+                let dist = dist_entry(d);
                 // Push `new` one link weight on, and note per link the
                 // columns its far end holds one link weight back (bit j
                 // of `hits[k]`: link k is on column j's shortest paths).
@@ -722,24 +884,16 @@ impl LayerTables {
                     levels[((d + w) % 5) as usize * s + peer] |= new;
                     hits.push(levels[((d + 5 - w) % 5) as usize * s + peer]);
                 }
-                let base = cell_off[r] as usize;
                 let mut bits = new;
                 while bits != 0 {
                     let j = bits.trailing_zeros();
-                    let c = cols[j as usize] as usize;
-                    // Every live port is written and only the hits kept:
-                    // no branch per link. Port k lands at most at slot
-                    // k, inside the cell; what lies past `len` is never
-                    // read.
-                    let cell = &mut self.buf[c * p_f + base..][..links.len()];
-                    let mut l = 0;
+                    let mut mask = 0;
                     for (link, &hit) in links.iter().zip(hits.iter()) {
-                        cell[l] = link.port;
-                        l += (hit >> j & 1) as usize;
+                        mask |= (hit >> j & 1) << link.bit;
                     }
-                    let li = c * s + r;
-                    self.dist[li] = d;
-                    self.len[li] = l as u16;
+                    let i = cols[j as usize] as usize * s + r;
+                    self.next[i] = mask;
+                    self.dist[i] = dist;
                     bits &= bits - 1;
                 }
             }

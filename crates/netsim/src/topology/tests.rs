@@ -186,10 +186,10 @@ fn layered_policy_widens_path_set_and_stays_loop_free() {
                 if NodeId(n) == h {
                     continue;
                 }
-                let min_ports = t.try_next_ports_on(0, NodeId(n), h);
+                let min_ports = t.try_next_ports_on(0, NodeId(n), h).to_vec();
                 if t.try_next_ports_on(layer, NodeId(n), h)
                     .iter()
-                    .any(|p| !min_ports.contains(p))
+                    .any(|p| !min_ports.contains(&p))
                 {
                     widened = true;
                 }
@@ -286,6 +286,20 @@ fn route_tables(t: &Topology) -> Vec<Vec<Vec<Vec<u16>>>> {
                         .collect()
                 })
                 .collect()
+        })
+        .collect()
+}
+
+/// Every layer's distance from every node to every host, beside
+/// [`route_tables`].
+fn distances(t: &Topology) -> Vec<Option<u32>> {
+    (0..t.layer_count())
+        .flat_map(|layer| {
+            (0..t.node_count() as u32).flat_map(move |n| {
+                t.hosts()
+                    .iter()
+                    .map(move |&h| t.layer_distance(layer, NodeId(n), h))
+            })
         })
         .collect()
 }
@@ -593,6 +607,25 @@ fn repair_host_link_rebuilds_only_that_host() {
         repaired.layer_distance(0, pristine.hosts()[2], neighbour),
         Some(4)
     );
+    // Host-only deltas on every layer of a layered fabric — a host
+    // link and a host down, then both back — rebuild no column and
+    // match a full recompute of every answer and distance.
+    let layered = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::layered(3, 5));
+    let (link_host, dead_host) = (layered.hosts()[0], layered.hosts()[5]);
+    let mut t = layered.clone();
+    let mut mask = FaultMask::new();
+    mask.fail_link(&t, link_host, 0);
+    mask.fail_node(dead_host);
+    for step in ["down", "up"] {
+        let outcome = t.repair_routes(&mask);
+        assert_eq!((outcome.full, outcome.dests_rebuilt), (false, 0), "{step}");
+        let mut full = layered.clone();
+        full.compute_routes_masked(&mask);
+        assert_eq!(route_tables(&t), route_tables(&full), "{step}");
+        assert_eq!(distances(&t), distances(&full), "{step}");
+        mask.restore_link(&t, link_host, 0);
+        mask.restore_node(dead_host);
+    }
 }
 
 #[test]
@@ -618,19 +651,21 @@ fn host_to_host_link_is_rejected() {
     t.compute_routes();
 }
 
-/// Route tables scale with access switches × switch-to-switch
-/// ports: the 5 000-host Jellyfish's tables, exactly. (One column
-/// per host took ≈ 575 MB under two layers; node-keyed rows with
-/// host-port room in every cell, 28 849 328 B.)
+/// Route tables scale with access switches × switches: nine bytes
+/// (a next-hop mask and a distance) per (layer, switch, column) on the
+/// 5 000-host Jellyfish, exactly. (One column per host took ≈ 575 MB
+/// under two layers; node-keyed rows with host-port room in every
+/// cell, 28 849 328 B; a `u16` port cell per fabric port with a `u16`
+/// length and a `u32` distance, 3 892 332 B.)
 #[test]
 fn jellyfish_5000_route_table_bytes() {
     let jellyfish = |policy| Topology::jellyfish(250, 12, 20, 1_000_000_000, 10_000, 7, policy);
     let t = jellyfish(RoutingPolicy::minimal());
     assert_eq!(t.hosts().len(), 5000);
-    assert_eq!(t.route_table_bytes(), 2_017_332, "one layer");
+    assert_eq!(t.route_table_bytes(), 710_832, "one layer");
     let t = jellyfish(RoutingPolicy::layered(2, 7));
-    assert_eq!(t.route_table_bytes(), 3_892_332, "two layers");
-    assert!(t.route_table_bytes() <= 4_000_000);
+    assert_eq!(t.route_table_bytes(), 1_273_332, "two layers");
+    assert!(t.route_table_bytes() <= 1_500_000);
 }
 
 /// The same count at RNG scale (flat fabrics of 10⁴+ racks): a
@@ -648,7 +683,11 @@ fn jellyfish_20000_route_tables_fit_in_64_mb() {
         RoutingPolicy::layered(2, 7),
     );
     assert_eq!(t.hosts().len(), 20_000);
-    assert_eq!(t.route_table_bytes(), 60_569_316);
+    assert_eq!(
+        t.route_table_bytes(),
+        18_593_316,
+        "60 569 316 B in port cells"
+    );
     assert!(t.route_table_bytes() <= 64 << 20);
 }
 
@@ -745,8 +784,12 @@ fn lone_switch_routes_through_a_zero_width_column() {
     t.compute_routes();
     t.check_csr_invariants();
     let routed = |t: &Topology| {
-        assert_eq!(t.next_ports(a, b), [0]);
-        assert_eq!(t.next_ports(s, b), [1], "the switch's access port to b");
+        assert_eq!(t.next_ports(a, b).to_vec(), [0]);
+        assert_eq!(
+            t.next_ports(s, b).to_vec(),
+            [1],
+            "the switch's access port to b"
+        );
         assert_eq!(t.path_hops(a, b), 2);
     };
     routed(&t);
@@ -758,6 +801,109 @@ fn lone_switch_routes_through_a_zero_width_column() {
     t.repair_routes(&mask);
     t.check_csr_invariants();
     routed(&t);
+}
+
+/// A next-hop mask has one bit per fabric port: a hub switch with 65
+/// switch neighbours is refused when the graph is frozen.
+#[test]
+#[should_panic(expected = "a route mask holds at most 64")]
+fn fabric_degree_over_64_is_refused() {
+    let mut t = Topology::new();
+    let hub = t.add_node(NodeKind::Switch);
+    for _ in 0..65 {
+        let leaf = t.add_node(NodeKind::Switch);
+        let host = t.add_node(NodeKind::Host);
+        t.connect(hub, leaf, 1_000_000_000, 10_000);
+        t.connect(leaf, host, 1_000_000_000, 10_000);
+    }
+    t.compute_routes();
+}
+
+/// A distance is one byte: a chain of 256 switches, whose end racks
+/// sit 255 links apart, is refused by the route search.
+#[test]
+#[should_panic(expected = "the most a route distance holds")]
+fn distance_over_254_is_refused() {
+    let mut t = Topology::new();
+    let chain: Vec<NodeId> = (0..256).map(|_| t.add_node(NodeKind::Switch)).collect();
+    for pair in chain.windows(2) {
+        t.connect(pair[0], pair[1], 1_000_000_000, 10_000);
+    }
+    for end in [chain[0], chain[255]] {
+        let host = t.add_node(NodeKind::Host);
+        t.connect(end, host, 1_000_000_000, 10_000);
+    }
+    t.compute_routes();
+}
+
+/// The rank select behind `NextPorts`' indexing finds the `k`-th set
+/// bit of masks of every density and width up to all 64 bits, and
+/// reads past the last one as out of range.
+#[test]
+fn select_finds_the_kth_set_bit() {
+    let mut rng = Pcg32::new(5);
+    let mut masks = vec![0, 1, 0xFFFF, 1 << 15, 1 << 16, u64::MAX, 1 << 63];
+    for density in 1..=8u32 {
+        for _ in 0..50 {
+            let m = (0..density).fold(u64::MAX, |m, _| {
+                m & (u64::from(rng.next_u32()) << 32 | u64::from(rng.next_u32()))
+            });
+            // Masks of at most 16 bits take their own path.
+            masks.extend([m, m & 0xFFFF, m & 0xFF]);
+        }
+    }
+    for x in masks {
+        let set: Vec<usize> = (0..64).filter(|&b| x >> b & 1 == 1).collect();
+        for (k, &b) in set.iter().enumerate() {
+            assert_eq!(routes::select(x, k), b, "bit {k} of {x:#x}");
+        }
+        let width = (u64::BITS - x.leading_zeros()) as usize;
+        assert!(
+            routes::select(x, set.len()) >= width,
+            "{x:#x} past its last bit"
+        );
+    }
+}
+
+/// `NextPorts`' three views of one lookup — iteration, `to_vec` and
+/// indexing by rank — agree and ascend, with `len` and `is_empty` to
+/// match, for every (layer, node, host) of a layered fat-tree and the
+/// small Jellyfish.
+#[test]
+fn next_ports_iter_index_and_to_vec_agree() {
+    for t in [
+        Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::layered(2, 3)),
+        Topology::jellyfish(
+            8,
+            3,
+            2,
+            1_000_000_000,
+            10_000,
+            1,
+            RoutingPolicy::layered(2, 3),
+        ),
+    ] {
+        let mut advertised = 0;
+        for layer in 0..t.layer_count() {
+            for n in 0..t.node_count() as u32 {
+                for &h in t.hosts() {
+                    let next = t.try_next_ports_on(layer, NodeId(n), h);
+                    let ports = next.to_vec();
+                    assert_eq!(next.iter().collect::<Vec<_>>(), ports);
+                    assert_eq!(
+                        (next.len(), next.is_empty()),
+                        (ports.len(), ports.is_empty())
+                    );
+                    for (k, &p) in ports.iter().enumerate() {
+                        assert_eq!(next[k], p, "rank {k} at ({layer}, {n}, {})", h.0);
+                    }
+                    assert!(ports.windows(2).all(|w| w[0] < w[1]), "{ports:?} ascends");
+                    advertised += ports.len();
+                }
+            }
+        }
+        assert!(advertised > 0);
+    }
 }
 
 /// `switch_links` lists every switch–switch link exactly once, lower

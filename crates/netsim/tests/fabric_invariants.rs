@@ -229,8 +229,8 @@ fn assert_matches_reference(t: &Topology, mask: &FaultMask, label: &str, step: u
         for n in 0..t.node_count() as u32 {
             for (h_idx, &h) in t.hosts().iter().enumerate() {
                 assert_eq!(
-                    t.try_next_ports_on(layer, NodeId(n), h),
-                    &ports_ref[n as usize][h_idx][..],
+                    t.try_next_ports_on(layer, NodeId(n), h).to_vec(),
+                    ports_ref[n as usize][h_idx],
                     "{label}: layer {layer} node {n} dest {} ports diverged at step {step}",
                     h.0
                 );

@@ -35,7 +35,7 @@ fn answer_hash(t: &Topology) -> u64 {
             for &dst in t.hosts() {
                 let ports = t.try_next_ports_on(layer, NodeId(n), dst);
                 h.word(ports.len() as u64);
-                for &p in ports {
+                for p in ports.iter() {
                     h.word(u64::from(p));
                 }
                 let d = t.layer_distance(layer, NodeId(n), dst);

@@ -20,9 +20,17 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
+use std::panic;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
 
 /// Draws per test run, each executed at all six settings.
 const DRAWS: u32 = 40;
+
+/// How long one draw's runs may take before the draw fails: the
+/// slowest draw takes 0.4 s in a debug build, so 20 s is 50 times that.
+const DRAW_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// One drawn experiment.
 #[derive(Debug, Clone, Copy)]
@@ -327,7 +335,21 @@ fn every_draw_runs_alike_at_every_shard_count_recorded_or_not() {
         // Captured, and shown only when the case fails: the shim does
         // not shrink, so the draw is the reproduction.
         println!("identity case {case}: {d:?}");
-        check(d);
+        // On a watchdog thread, so a draw whose run never ends fails
+        // with its case number instead of hanging the binary.
+        let (d, (done, finished)) = (*d, mpsc::channel());
+        let worker = thread::spawn(move || {
+            check(&d);
+            let _ = done.send(());
+        });
+        // A panicking draw disconnects the channel: join it to re-raise.
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(DRAW_TIMEOUT) {
+            panic!(
+                "identity case {case} did not finish in {} s",
+                DRAW_TIMEOUT.as_secs()
+            );
+        }
+        worker.join().unwrap_or_else(|e| panic::resume_unwind(e));
     }
 }
 
