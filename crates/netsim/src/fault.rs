@@ -17,27 +17,46 @@
 //! recoverability this way).
 
 use crate::time::SimTime;
-use crate::topology::{NodeId, Topology};
+use crate::topology::{NodeId, Topology, MAX_DEGREE};
 
 /// The set of links and nodes currently failed.
 ///
 /// Links are tracked as *directed* `(node, port)` entries; the
 /// `fail_link`/`restore_link` helpers change both directions together,
 /// so a failed link is dead both ways — the simulator relies on it when
-/// it checks a packet's wire at the receiving end. Both sets are dense
-/// bitmaps: a node's failed ports are the set bits of its own words (as
-/// many as its highest failed port needs, so any port count fits), and
-/// failed nodes are bits indexed by node id. [`FaultMask::link_is_down`]
-/// and [`FaultMask::node_is_down`] are therefore an indexed load or two,
-/// with no search. Determinism note: iteration and the deltas run in
-/// ascending `(node, port)` order, and no trailing zero word or empty
-/// node is ever kept, so `==` is set equality.
+/// it checks a packet's wire at the receiving end. Both sets are flat
+/// bitmaps: a failed link is bit `node·64 + port`, so a node's ports are
+/// one word (a routed fabric has no node with more than 64 ports, and a
+/// port past 63 is refused here), and a failed node is the bit of its
+/// id. [`FaultMask::link_is_down`] and [`FaultMask::node_is_down`] are
+/// therefore one indexed load each. Determinism note: iteration and the
+/// deltas run in ascending `(node, port)` order, and no trailing zero
+/// word is ever kept, so `==` is set equality.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultMask {
-    /// `links[node]`: the node's failed ports, one bit each.
-    links: Vec<Vec<u64>>,
+    /// The failed directed links, bit `node·64 + port` each.
+    links: Vec<u64>,
     /// The failed nodes, one bit each.
     nodes: Vec<u64>,
+}
+
+/// The bit of the directed link `(node, port)` in [`FaultMask::links`].
+///
+/// # Panics
+/// Panics on a port past 63, which would alias into the next node's
+/// word.
+fn link_bit(node: NodeId, port: u16) -> usize {
+    assert!(
+        usize::from(port) < MAX_DEGREE,
+        "port {port} of node {}: a fault mask holds ports 0..{MAX_DEGREE}",
+        node.0
+    );
+    node.0 as usize * MAX_DEGREE + usize::from(port)
+}
+
+/// The directed link of bit `i` of [`FaultMask::links`].
+fn link_of(i: usize) -> (NodeId, u16) {
+    (NodeId((i / MAX_DEGREE) as u32), (i % MAX_DEGREE) as u16)
 }
 
 /// Whether bit `i` of a bitmap is set.
@@ -79,14 +98,7 @@ fn ones_minus<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = usize> + '
 
 /// Directed link entries failed in `a` but not in `b`, ascending.
 fn links_minus(a: &FaultMask, b: &FaultMask) -> Vec<(NodeId, u16)> {
-    a.links
-        .iter()
-        .enumerate()
-        .flat_map(|(n, ports)| {
-            let gone = b.links.get(n).map_or(&[][..], Vec::as_slice);
-            ones_minus(ports, gone).map(move |p| (NodeId(n as u32), p as u16))
-        })
-        .collect()
+    ones_minus(&a.links, &b.links).map(link_of).collect()
 }
 
 /// Nodes failed in `a` but not in `b`, ascending.
@@ -110,26 +122,15 @@ impl FaultMask {
     /// Fail the link behind `(node, port)`, both directions.
     pub fn fail_link(&mut self, topo: &Topology, node: NodeId, port: u16) {
         let p = topo.port(node, port);
-        for (n, port) in [(node.0, port), (p.peer.0, p.peer_port)] {
-            let n = n as usize;
-            if self.links.len() <= n {
-                self.links.resize_with(n + 1, Vec::new);
-            }
-            set_bit(&mut self.links[n], port as usize);
-        }
+        set_bit(&mut self.links, link_bit(node, port));
+        set_bit(&mut self.links, link_bit(p.peer, p.peer_port));
     }
 
     /// Restore the link behind `(node, port)`, both directions.
     pub fn restore_link(&mut self, topo: &Topology, node: NodeId, port: u16) {
         let p = topo.port(node, port);
-        for (n, port) in [(node.0, port), (p.peer.0, p.peer_port)] {
-            if let Some(ports) = self.links.get_mut(n as usize) {
-                clear_bit(ports, port as usize);
-            }
-        }
-        while self.links.last().is_some_and(Vec::is_empty) {
-            self.links.pop();
-        }
+        clear_bit(&mut self.links, link_bit(node, port));
+        clear_bit(&mut self.links, link_bit(p.peer, p.peer_port));
     }
 
     /// Fail a node (all its links become unusable).
@@ -144,9 +145,7 @@ impl FaultMask {
 
     /// Whether the link leaving `node` through `port` is failed.
     pub fn link_is_down(&self, node: NodeId, port: u16) -> bool {
-        self.links
-            .get(node.0 as usize)
-            .is_some_and(|ports| bit(ports, port as usize))
+        bit(&self.links, link_bit(node, port))
     }
 
     /// Whether a node is failed.
@@ -167,9 +166,7 @@ impl FaultMask {
     /// packets forwarded onto a dead link during the convergence window
     /// would otherwise strand there unaccounted.
     pub fn down_links(&self) -> impl Iterator<Item = (NodeId, u16)> + '_ {
-        self.links.iter().enumerate().flat_map(|(n, ports)| {
-            ones_minus(ports, &[]).map(move |p| (NodeId(n as u32), p as u16))
-        })
+        ones_minus(&self.links, &[]).map(link_of)
     }
 
     /// Directed `(node, port)` link entries failed in `self` but not in
@@ -698,14 +695,14 @@ mod tests {
         nodes: BTreeSet<u32>,
     }
 
-    /// A switch with 70 hosts (ports past the first 64-bit word) and a
-    /// second switch with 3, joined by two parallel links.
+    /// A 64-port switch — 62 hosts, then two parallel links to a second
+    /// switch with 3 hosts on ports 62 and 63, the top bits of its word.
     fn wide_topo() -> Topology {
         let mut t = Topology::new();
         let (a, b) = (t.add_node(NodeKind::Switch), t.add_node(NodeKind::Switch));
-        for i in 0..73 {
+        for i in 0..65 {
             let h = t.add_node(NodeKind::Host);
-            t.connect(h, if i < 70 { a } else { b }, 1_000_000_000, 1_000);
+            t.connect(h, if i < 62 { a } else { b }, 1_000_000_000, 1_000);
         }
         t.connect(a, b, 1_000_000_000, 1_000);
         t.connect(a, b, 1_000_000_000, 1_000);
@@ -724,7 +721,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random fail and restore sequences of links and nodes on a
-        /// fat-tree and on a topology with a 72-port switch: after every
+        /// fat-tree and on a topology with a 64-port switch: after every
         /// step the mask answers `link_is_down`, `node_is_down`,
         /// `port_is_up` and `is_empty` for every entry as the `BTreeSet`
         /// model does, lists `down_links` in the model's order, gives the
@@ -822,6 +819,17 @@ mod tests {
                 prop_assert_eq!(mask == then_mask, model == then_model);
             }
         }
+    }
+
+    /// A node's failed ports are one word: a port past 63 is refused,
+    /// never read as the next node's port 0.
+    #[test]
+    #[should_panic(expected = "a fault mask holds ports 0..64")]
+    fn mask_refuses_a_port_past_63() {
+        let t = line_topo();
+        let mut m = FaultMask::new();
+        m.fail_link(&t, NodeId(1), 0);
+        m.link_is_down(NodeId(0), 64);
     }
 
     #[test]

@@ -47,6 +47,7 @@ mod tests;
 
 pub use repair::RouteRepair;
 pub use routes::NextPorts;
+pub(crate) use routes::MAX_DEGREE;
 use routes::{LayerTables, SwitchIndex, UNREACHABLE};
 
 /// Index of a node (host or switch) in the topology.
@@ -178,8 +179,8 @@ pub struct Topology {
     /// The access switches (switches with at least one host), in column
     /// order: `col_root[c]` is the switch column `c` routes towards.
     col_root: Vec<NodeId>,
-    /// The switch rows and fabric-port cell offsets every layer's
-    /// arenas are keyed by; built by the freeze.
+    /// The switch rows every layer's arenas are keyed by; built by the
+    /// freeze.
     switches: SwitchIndex,
     /// One routing table set per layer (`layers[0]` = minimal routes).
     /// Empty until [`Topology::compute_routes`].
@@ -360,7 +361,7 @@ impl Topology {
     /// is port 0") rely on: every host has exactly one port and its
     /// peer is a switch.
     fn index_access(&mut self) {
-        self.switches = SwitchIndex::build(&self.kinds, &self.ports, &self.port_off);
+        self.switches = SwitchIndex::build(&self.kinds, &self.port_off);
         let mut col_of = vec![u32::MAX; self.kinds.len()];
         self.col_root.clear();
         self.access.clear();
@@ -447,7 +448,7 @@ impl Topology {
     /// # Panics
     /// Panics if routes were not computed or `dst` is unreachable —
     /// both are configuration bugs, not runtime conditions.
-    pub fn next_ports(&self, node: NodeId, dst: NodeId) -> NextPorts<'_> {
+    pub fn next_ports(&self, node: NodeId, dst: NodeId) -> NextPorts {
         let next = self.try_next_ports_on(0, node, dst);
         assert!(
             !next.is_empty(),
@@ -463,7 +464,7 @@ impl Topology {
     /// layer off — the simulator's layer re-assignment moves flows away
     /// from such layers).
     #[inline]
-    pub fn try_next_ports_on(&self, layer: usize, node: NodeId, dst: NodeId) -> NextPorts<'_> {
+    pub fn try_next_ports_on(&self, layer: usize, node: NodeId, dst: NodeId) -> NextPorts {
         self.try_next_ports_at(layer, node, self.host_index(dst))
     }
 
@@ -473,10 +474,10 @@ impl Topology {
     /// the final port pick.
     /// Everything host-shaped is resolved here from the per-host access
     /// records (layout: see `topology::routes`); the tables know switches only.
-    /// One load of the node's packed switch-row word tells a host from
-    /// a switch and places the switch in the arenas.
+    /// One load of the node's switch row tells a host from a switch and
+    /// places the switch in the arenas.
     #[inline]
-    pub fn try_next_ports_at(&self, layer: usize, node: NodeId, dst_index: usize) -> NextPorts<'_> {
+    pub fn try_next_ports_at(&self, layer: usize, node: NodeId, dst_index: usize) -> NextPorts {
         let tab = &self.layers[layer];
         let ix = &self.switches;
         let dst = &self.access[dst_index];
@@ -490,7 +491,7 @@ impl Topology {
             let src = &self.access[src_index];
             let routed = !src.cut && src_index != dst_index;
             return if routed && tab.dist_to(ix, src.tor as usize, col) != UNREACHABLE {
-                NextPorts::one(&0)
+                NextPorts::one(0)
             } else {
                 NextPorts::EMPTY
             };
@@ -498,7 +499,7 @@ impl Topology {
         if node.0 == dst.tor {
             // The root's distance is 0 iff the ToR itself is up.
             return if tab.dist_to(ix, at, col) == 0 {
-                NextPorts::one(&dst.port)
+                NextPorts::one(dst.port)
             } else {
                 NextPorts::EMPTY
             };

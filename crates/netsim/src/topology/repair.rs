@@ -12,21 +12,18 @@ use super::{NodeId, Topology};
 /// how much of the routing state had to be recomputed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteRepair {
-    /// The repair fell back to a full [`Topology::compute_routes_masked`]
-    /// because routes were never computed — the first routing of a
-    /// hand-built graph. A generator's topology, and every topology a
-    /// simulator runs, is routed already, so this is always false there.
+    /// Always false: a repair never recomputes every column. Pinned by
+    /// `bench_e2e` until its next revision (ROADMAP item 12(a)).
     pub full: bool,
-    /// (layer, access-switch) columns rebuilt by the route search.
-    /// Equals `access switches × layers` on a full fallback; usually a
-    /// small fraction of it after a single link or switch failure, and
-    /// 0 after a host or access-link fault (a bit flip, no column).
+    /// (layer, access-switch) columns rebuilt by the route search:
+    /// usually a small fraction of `access switches × layers` after a
+    /// single link or switch failure, and 0 after a host or access-link
+    /// fault (a bit flip, no column).
     pub dests_rebuilt: usize,
     /// Restored elements (undirected links + nodes, host-side ones
-    /// included) in the delta. When `full` is false these were healed
-    /// in place — each restored hop joined where it is an equal-cost
-    /// next hop — and only columns whose distance can shrink were
-    /// rebuilt.
+    /// included) in the delta. These were healed in place — each
+    /// restored hop joined where it is an equal-cost next hop — and only
+    /// columns whose distance can shrink were rebuilt.
     pub restored: usize,
 }
 
@@ -61,29 +58,25 @@ impl Topology {
     ///    directions by the same rule.
     ///
     /// Dirty columns are rebuilt by the same block search a full
-    /// recompute runs. Falls back to a full
-    /// [`Topology::compute_routes_masked`] — and says so in the returned
-    /// [`RouteRepair`] — only when routes were never computed, so there
-    /// is nothing to repair. A mass delta simply rebuilds its (large)
-    /// dirty column set — never more work than a full recompute, which
-    /// visits every column anyway.
+    /// recompute runs. A mass delta simply rebuilds its (large) dirty
+    /// column set — never more work than a full recompute, which visits
+    /// every column anyway.
     ///
     /// The result is always identical to a full recomputation against
     /// `mask` (property-tested in `fabric_invariants`).
+    ///
+    /// # Panics
+    /// Panics if routes were never computed: there is nothing to repair.
     pub fn repair_routes(&mut self, mask: &FaultMask) -> RouteRepair {
+        assert!(
+            self.routed(),
+            "repair_routes needs routes: call compute_routes first"
+        );
         let restored_links = mask.restored_links_since(&self.routes_mask);
         let restored_nodes = mask.restored_nodes_since(&self.routes_mask);
         // Directed link entries come in symmetric pairs (masks store
         // both directions): two per undirected link.
         let restored = restored_links.len() / 2 + restored_nodes.len();
-        if !self.routed() {
-            self.compute_routes_masked(mask);
-            return RouteRepair {
-                full: true,
-                dests_rebuilt: self.col_root.len() * self.policy.layers,
-                restored,
-            };
-        }
         self.refresh_cuts(mask);
         let ix = &self.switches;
         let row = |n: NodeId| ix.rows[n.0 as usize].row as usize;
@@ -95,9 +88,9 @@ impl Topology {
             .filter(|&w| is_switch(w))
             .collect();
         // Failed fabric links (masks store both directions) and the
-        // hops into a newly dead switch, at their live ends, as mask
-        // bits.
-        let mut excised: Vec<(usize, u8)> = mask
+        // hops into a newly dead switch, at their live ends, in switch
+        // rows.
+        let mut excised: Vec<(usize, u16)> = mask
             .new_links_since(&self.routes_mask)
             .into_iter()
             .chain(
@@ -106,7 +99,7 @@ impl Topology {
                     .flat_map(|&w| self.node_ports(w).iter().map(|p| (p.peer, p.peer_port))),
             )
             .filter(|&(n, p)| up_switch(n) && is_switch(self.port(n, p).peer))
-            .map(|(n, p)| (row(n), ix.bit_of(row(n), p)))
+            .map(|(n, p)| (row(n), p))
             .collect();
         excised.sort_unstable();
         excised.dedup();
@@ -135,8 +128,7 @@ impl Topology {
         let hop = |n: NodeId, p: u16| {
             let gid = self.port_off[n.0 as usize] + u32::from(p);
             let peer = row(self.ports[gid as usize].peer) as u32;
-            let bit = ix.bit_of(row(n), p);
-            Join::Hop(row(n), LiveLink { peer, gid, bit })
+            Join::Hop(row(n), LiveLink { peer, gid, port: p })
         };
         let mut joins = Vec::new();
         for &w in &revived {
@@ -155,7 +147,7 @@ impl Topology {
             let weight = |link: &LiveLink| u32::from(weights[link.gid as usize]);
             if excised
                 .iter()
-                .any(|&(u, bit)| tab.excise(u, col, bit) == Some(0))
+                .any(|&(u, p)| tab.excise(u, col, p) == Some(0))
             {
                 return true;
             }
@@ -177,7 +169,7 @@ impl Topology {
                     false
                 }
                 Join::Hop(u, link) => {
-                    tab.join_hop(col, u, link.bit, link.peer as usize, weight(&link))
+                    tab.join_hop(col, u, link.port, link.peer as usize, weight(&link))
                 }
             })
         };

@@ -16,27 +16,23 @@
 //!   edge log and frozen into the arena by the first route computation.
 //! - **Switch rows** (shared by all layers): the freeze numbers the
 //!   `S` switches `0..S` in id order and gives each a *row*; hosts get
-//!   none. A switch's *fabric ports* are its ports whose peer is a
-//!   switch, at most 64 (the freeze refuses more), and `cell_off[row]`
-//!   (`S + 1` entries) is the prefix over their counts, `P_f =
-//!   cell_off[S]` fabric ports in all. The *bit-to-port map* `port_of`
-//!   (`P_f` entries) lists each switch's fabric port indices in
-//!   ascending order from `cell_off[row]` on: bit `i` of the switch's
-//!   next-hop masks stands for port `port_of[cell_off[row] + i]`. One
-//!   packed per-node word holds `(row, cell_off[row])`, so a lookup
+//!   none. A switch has at most 64 ports (the freeze refuses more), so
+//!   one `u64` holds any set of its ports, bit `p` for port `p`: every
+//!   next-hop mask, and every node's word of the fault mask, indexes
+//!   ports directly. One per-node word holds the row, so a lookup
 //!   resolves a node's place in the arenas with a single load.
 //! - **Routes** (per layer): hosts are single-homed leaves, so every
 //!   host behind one access switch (ToR) shares its routes up to the
 //!   last hop. The tables therefore hold one destination column per
 //!   **access switch** — never per host — and rows for switches only.
 //!   One `u64` next-hop mask per `(switch, column)`, `next[c·S + row]`,
-//!   has bit `i` set when the switch's `i`-th fabric port is on a
-//!   shortest path of the layer: the cell's ports ascend with their
-//!   bits, so its order costs nothing to keep. The arenas are
-//!   column-major — column `c` owns the contiguous `next[c·S..]` and
-//!   `dist[c·S..]` — and a rebuild addresses each column by index. (A
-//!   lone switch with hosts only has `P_f = 0` and an empty map, but its
-//!   columns are still one row wide.)
+//!   has bit `p` set when the switch's port `p` is on a shortest path of
+//!   the layer: the cell's ports ascend with their bits, so its order
+//!   costs nothing to keep. Only switch-facing ports are ever set. The
+//!   arenas are column-major — column `c` owns the contiguous
+//!   `next[c·S..]` and `dist[c·S..]` — and a rebuild addresses each
+//!   column by index. (A lone switch with hosts only has no
+//!   switch-facing port, but its columns are still one row wide.)
 //! - **Distances / weights** (per layer): one `u8` per `(switch,
 //!   column)`, `dist[c·S + row]`, the weighted distance to the column's
 //!   root (255 for unreachable; a distance over 254 is refused when it
@@ -45,7 +41,7 @@
 //!   [`LiveFabric`] keyed by switch row — `off` (`S + 1` entries) over
 //!   one flat `links` list holding each switch's usable
 //!   switch-to-switch links under the mask as `(peer row, global port
-//!   id, mask bit)`, in ascending port order. The route search runs
+//!   id, port)`, in ascending port order. The route search runs
 //!   in row space on it: it never touches a host port, and a
 //!   neighbour's `dist` entry is one index, not a lookup through its
 //!   node id.
@@ -75,47 +71,21 @@
 //! # Surgery
 //!
 //! A repair edits a column in place through three cell methods, each a
-//! word write: [`LayerTables::excise`] clears a failed hop's bit (the
+//! word write: [`LayerTables::excise`] clears a failed hop's port (the
 //! cell emptied when its mask reads 0), [`LayerTables::clear`] zeroes a
 //! dead switch's mask and distance, and [`LayerTables::join_hop`]
 //! applies the search's own cell rule — a port joins where its far end
-//! sits one link weight closer — to one restored hop, setting its bit
-//! against distances already exact.
+//! sits one link weight closer — to one restored hop, setting its port's
+//! bit against distances already exact.
 
 use crate::fault::FaultMask;
 use crate::rng::Pcg32;
 
-use super::{host_cut, HostAccess, NodeId, NodeKind, Port, Topology};
+use super::{host_cut, HostAccess, NodeId, NodeKind, Topology};
 
-/// A node's place in the switch-keyed route arenas, packed into one
-/// word so a forwarding lookup resolves row and map base with a single
-/// load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct SwitchRow {
-    /// The switch's row: its index within a column of `next` and `dist`
-    /// ([`SwitchRow::HOST`]'s `u32::MAX` for a host, which has none).
-    pub(super) row: u32,
-    /// `cell_off[row]`: where its fabric ports start in `port_of`.
-    cell: u32,
-}
-
-impl SwitchRow {
-    /// What a host holds: no row, no cells.
-    const HOST: SwitchRow = SwitchRow {
-        row: u32::MAX,
-        cell: u32::MAX,
-    };
-
-    /// Whether this is a host's word (one compare, on the row alone).
-    #[inline]
-    pub(super) fn is_host(self) -> bool {
-        self.row == Self::HOST.row
-    }
-}
-
-/// The most fabric ports a switch may have: one bit each of a `u64`
-/// next-hop mask.
-const MAX_FABRIC_DEGREE: usize = 64;
+/// The most ports a switch may have: one bit each of a `u64` next-hop
+/// mask (or a fault mask's word), whose bit `p` is port `p`.
+pub(crate) const MAX_DEGREE: usize = 64;
 
 /// A `dist` entry for a switch the column's root is unreachable from.
 pub(super) const UNREACHABLE: u8 = u8::MAX;
@@ -136,18 +106,33 @@ fn dist_entry(d: u32) -> u8 {
     d as u8
 }
 
+/// A node's row in the switch-keyed route arenas: its index within a
+/// column of `next` and `dist` ([`SwitchRow::HOST`] for a host, which
+/// has none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct SwitchRow {
+    pub(super) row: u32,
+}
+
+impl SwitchRow {
+    /// What a host holds: no row.
+    const HOST: SwitchRow = SwitchRow { row: u32::MAX };
+
+    /// Whether this is a host's word.
+    #[inline]
+    pub(super) fn is_host(self) -> bool {
+        self == Self::HOST
+    }
+}
+
 /// The dense switch index every layer's arenas are keyed by (layout:
 /// see the module docs), built by the freeze.
 #[derive(Debug, Clone)]
 pub(super) struct SwitchIndex {
     /// Per node: its [`SwitchRow`] (switches numbered in id order).
     pub(super) rows: Vec<SwitchRow>,
-    /// Prefix over the switches' fabric degrees, by row: `S + 1`
-    /// entries, `cell_off[S] = P_f`.
-    cell_off: Vec<u32>,
-    /// The bit-to-port map: from `cell_off[row]` on, the switch's
-    /// fabric port indices in ascending order, one per mask bit.
-    port_of: Vec<u16>,
+    /// Switch count `S`.
+    switches: usize,
 }
 
 impl SwitchIndex {
@@ -155,108 +140,51 @@ impl SwitchIndex {
     pub(super) fn empty() -> Self {
         Self {
             rows: Vec::new(),
-            cell_off: vec![0],
-            port_of: Vec::new(),
+            switches: 0,
         }
     }
 
-    /// Number the switches of a frozen port arena in id order and map
-    /// each one's mask bits to its fabric ports.
+    /// Number the switches of a frozen port arena in id order.
     ///
     /// # Panics
-    /// Panics on a switch with more than 64 fabric ports.
-    pub(super) fn build(kinds: &[NodeKind], ports: &[Port], off: &[u32]) -> Self {
-        let is_switch = |n: usize| kinds[n] == NodeKind::Switch;
+    /// Panics on a switch with more than 64 ports.
+    pub(super) fn build(kinds: &[NodeKind], off: &[u32]) -> Self {
         let mut ix = Self::empty();
         ix.rows.reserve_exact(kinds.len());
-        for n in 0..kinds.len() {
-            if !is_switch(n) {
+        for (n, &kind) in kinds.iter().enumerate() {
+            if kind == NodeKind::Host {
                 ix.rows.push(SwitchRow::HOST);
                 continue;
             }
-            let (row, cell) = (ix.switches(), ix.fabric_ports());
-            let mine = &ports[off[n] as usize..off[n + 1] as usize];
-            ix.port_of.extend(
-                (0..mine.len() as u16).filter(|&p| is_switch(mine[p as usize].peer.0 as usize)),
-            );
-            let fabric_degree = ix.port_of.len() - cell;
+            let degree = (off[n + 1] - off[n]) as usize;
             assert!(
-                fabric_degree <= MAX_FABRIC_DEGREE,
-                "switch {n} has {fabric_degree} switch-to-switch ports; \
-                 a route mask holds at most {MAX_FABRIC_DEGREE}"
+                degree <= MAX_DEGREE,
+                "switch {n} has {degree} ports; a route mask holds at most {MAX_DEGREE}"
             );
             ix.rows.push(SwitchRow {
-                row: row as u32,
-                cell: cell as u32,
+                row: ix.switches as u32,
             });
-            ix.cell_off.push(ix.port_of.len() as u32);
+            ix.switches += 1;
         }
-        ix.cell_off.shrink_to_fit();
-        ix.port_of.shrink_to_fit();
         ix
-    }
-
-    /// Switch count `S`.
-    fn switches(&self) -> usize {
-        self.cell_off.len() - 1
-    }
-
-    /// Fabric port count `P_f`.
-    fn fabric_ports(&self) -> usize {
-        self.cell_off[self.switches()] as usize
-    }
-
-    /// The fabric ports of the switch in `row`, one per mask bit.
-    fn ports_of(&self, row: usize) -> &[u16] {
-        &self.port_of[self.cell_off[row] as usize..self.cell_off[row + 1] as usize]
-    }
-
-    /// The mask bit of fabric port `port` of the switch in `row`.
-    ///
-    /// # Panics
-    /// Panics if `port` is not one of that switch's fabric ports.
-    pub(super) fn bit_of(&self, row: usize, port: u16) -> u8 {
-        self.ports_of(row)
-            .binary_search(&port)
-            .expect("a fabric port of the switch") as u8
     }
 }
 
 /// The ports one route lookup advertises, in ascending order: a mask
-/// over a slice of port indices, bit `i` set when `ports[i]` is among
-/// them. At a switch the slice is its bit-to-port map; the last hop
-/// and a host source are one bit over one port. Indexing picks the
-/// `k`-th set bit, so `ports[k]` is the `k`-th advertised port.
-#[derive(Clone, Copy)]
-pub struct NextPorts<'a> {
+/// whose bit `p` is set when port `p` is among them. Indexing picks the
+/// `k`-th set bit, the `k`-th advertised port.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct NextPorts {
     mask: u64,
-    ports: &'a [u16],
 }
 
-impl<'a> NextPorts<'a> {
+impl NextPorts {
     /// No port: the destination is unreachable (or is the node itself).
-    pub(super) const EMPTY: NextPorts<'static> = NextPorts {
-        mask: 0,
-        ports: &[],
-    };
+    pub(super) const EMPTY: NextPorts = NextPorts { mask: 0 };
 
     /// Exactly `port`.
-    pub(super) fn one(port: &'a u16) -> Self {
-        Self {
-            mask: 1,
-            ports: std::slice::from_ref(port),
-        }
-    }
-
-    /// The ports of `mask`'s bits in `map`, a switch's bit-to-port map
-    /// from its first entry on.
-    #[inline]
-    fn masked(mask: u64, map: &'a [u16]) -> Self {
-        let width = (u64::BITS - mask.leading_zeros()) as usize;
-        Self {
-            mask,
-            ports: &map[..width],
-        }
+    pub(super) fn one(port: u16) -> Self {
+        Self { mask: 1 << port }
     }
 
     /// How many ports are advertised.
@@ -276,15 +204,15 @@ impl<'a> NextPorts<'a> {
     }
 
     /// The advertised ports, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = u16> + 'a {
-        let (mut bits, ports) = (self.mask, self.ports);
+    pub fn iter(&self) -> impl Iterator<Item = u16> {
+        let mut bits = self.mask;
         std::iter::from_fn(move || {
             if bits == 0 {
                 return None;
             }
-            let i = bits.trailing_zeros() as usize;
+            let p = bits.trailing_zeros() as u16;
             bits &= bits - 1;
-            Some(ports[i])
+            Some(p)
         })
     }
 
@@ -294,16 +222,28 @@ impl<'a> NextPorts<'a> {
     }
 }
 
-impl std::ops::Index<usize> for NextPorts<'_> {
+/// `PORTS[p] = p`: what indexing a [`NextPorts`] returns a reference
+/// into.
+const PORTS: [u16; 64] = {
+    let mut table = [0u16; 64];
+    let mut p = 0;
+    while p < 64 {
+        table[p] = p as u16;
+        p += 1;
+    }
+    table
+};
+
+impl std::ops::Index<usize> for NextPorts {
     type Output = u16;
 
-    /// The `k`-th advertised port: the `k`-th set bit's.
+    /// The `k`-th advertised port: the `k`-th set bit.
     ///
     /// # Panics
     /// Panics if `k >= self.len()`.
     #[inline]
     fn index(&self, k: usize) -> &u16 {
-        &self.ports[select(self.mask, k)]
+        &PORTS[select(self.mask, k)]
     }
 }
 
@@ -319,9 +259,9 @@ const BYTE_ONES: [u8; 256] = {
 };
 
 /// `SELECT_IN_BYTE[b][r]`: the position of the `r`-th set bit of byte
-/// `b` (8 when it has no such bit).
+/// `b` (64 when it has no such bit).
 const SELECT_IN_BYTE: [[u8; 8]; 256] = {
-    let mut table = [[8u8; 8]; 256];
+    let mut table = [[64u8; 8]; 256];
     let mut b = 0;
     while b < 256 {
         let (mut bit, mut r) = (0, 0);
@@ -337,19 +277,19 @@ const SELECT_IN_BYTE: [[u8; 8]; 256] = {
     table
 };
 
-/// The position of the `r`-th set bit of byte `b`, 8 when it has none.
+/// The position of the `r`-th set bit of byte `b`, 64 when it has none.
 #[inline]
 fn select_in_byte(b: u64, r: usize) -> usize {
     SELECT_IN_BYTE[b as u8 as usize]
         .get(r)
-        .map_or(8, |&bit| usize::from(bit))
+        .map_or(64, |&bit| usize::from(bit))
 }
 
 /// The position of the `k`-th set bit of `x` (from 0, lowest first),
-/// or a position past the highest set bit when `x` has at most `k`.
-/// A mask of at most 16 bits — a fabric degree of at most 16, as on
-/// every fabric the workloads build — takes one compare to pick its
-/// byte and no branch on `k`; a wider one walks its bytes.
+/// or 64 or more — past the end of [`PORTS`] — when `x` has at most
+/// `k`. A mask within ports 0–15 — every switch the workloads build —
+/// takes one compare to pick its byte and no branch on `k`; a wider one
+/// walks its bytes.
 #[inline]
 pub(super) fn select(x: u64, k: usize) -> usize {
     if x >> 16 == 0 {
@@ -373,13 +313,7 @@ pub(super) fn select(x: u64, k: usize) -> usize {
     64
 }
 
-impl PartialEq for NextPorts<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl std::fmt::Debug for NextPorts<'_> {
+impl std::fmt::Debug for NextPorts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
@@ -396,7 +330,7 @@ pub(super) struct LayerTables {
     /// Switch count `S` (column stride of `next` and `dist`).
     n_switches: usize,
     /// `next[c·S + row]`: the next-hop mask of that (switch, column),
-    /// bit `i` for the switch's `i`-th fabric port.
+    /// bit `p` for the switch's port `p`.
     next: Vec<u64>,
     /// `dist[c·S + row]` = weighted distance from that switch to the
     /// column's root switch under the mask the routes were computed
@@ -409,15 +343,11 @@ pub(super) struct LayerTables {
 impl LayerTables {
     /// The advertised ports of switch `u` towards column `col`.
     #[inline]
-    pub(super) fn next_ports<'a>(
-        &'a self,
-        ix: &'a SwitchIndex,
-        u: usize,
-        col: usize,
-    ) -> NextPorts<'a> {
-        let SwitchRow { row, cell } = ix.rows[u];
-        let mask = self.next[col * self.n_switches + row as usize];
-        NextPorts::masked(mask, &ix.port_of[cell as usize..])
+    pub(super) fn next_ports(&self, ix: &SwitchIndex, u: usize, col: usize) -> NextPorts {
+        let row = ix.rows[u].row as usize;
+        NextPorts {
+            mask: self.next[col * self.n_switches + row],
+        }
     }
 
     /// Weighted distance from switch `u` to the root of column `col`.
@@ -439,11 +369,11 @@ impl LayerTables {
         self.dist[col * self.n_switches + row] = d.map_or(UNREACHABLE, dist_entry);
     }
 
-    /// Clear `bit` in the mask of `(row, col)` if it is set: the mask
-    /// left, or `None` when the bit was not among it.
-    pub(super) fn excise(&mut self, row: usize, col: usize, bit: u8) -> Option<u64> {
+    /// Clear `port`'s bit in the mask of `(row, col)` if it is set: the
+    /// mask left, or `None` when the port was not among it.
+    pub(super) fn excise(&mut self, row: usize, col: usize, port: u16) -> Option<u64> {
         let mask = &mut self.next[col * self.n_switches + row];
-        let b = 1 << bit;
+        let b = 1 << port;
         if *mask & b == 0 {
             return None;
         }
@@ -458,13 +388,13 @@ impl LayerTables {
         self.dist[i] = UNREACHABLE;
     }
 
-    /// The one rule for a restored directed hop `u → v` of weight `w`,
-    /// mask bit `bit` at `u`, in column `col` (switch rows), against
+    /// The one rule for a restored directed hop `u → v` of weight `w`
+    /// out of `u`'s port `port`, in column `col` (switch rows), against
     /// distances exact without it: nothing if `v` is unreachable; the
-    /// bit joins `u`'s mask if `d(u) = d(v) + w`; and `true` — the hop
+    /// port joins `u`'s mask if `d(u) = d(v) + w`; and `true` — the hop
     /// shortens a path, so the column must be rebuilt — if `d(u) >
     /// d(v) + w`.
-    pub(super) fn join_hop(&mut self, col: usize, u: usize, bit: u8, v: usize, w: u32) -> bool {
+    pub(super) fn join_hop(&mut self, col: usize, u: usize, port: u16, v: usize, w: u32) -> bool {
         let du = match self.dist_at(u, col) {
             UNREACHABLE => u32::MAX,
             d => u32::from(d),
@@ -476,7 +406,7 @@ impl LayerTables {
         if du > u32::from(dv) + w {
             return true;
         }
-        self.next[col * self.n_switches + u] |= 1 << bit;
+        self.next[col * self.n_switches + u] |= 1 << port;
         false
     }
 }
@@ -504,7 +434,7 @@ impl Topology {
             self.freeze_ports();
             self.build_weights();
         }
-        let s = self.switches.switches();
+        let s = self.switches.switches;
         let n_cols = self.col_root.len();
         let n_layers = self.policy.layers;
         self.layers.resize_with(n_layers, LayerTables::default);
@@ -543,7 +473,7 @@ impl Topology {
             .iter()
             .map(|&root| (!mask.node_is_down(root)).then(|| ix.rows[root.0 as usize].row))
             .collect();
-        let mut scratch = BlockScratch::new(ix.switches());
+        let mut scratch = BlockScratch::new(ix.switches);
         let mut cols = Vec::with_capacity(roots.len());
         for (layer, tab) in self.layers.iter_mut().enumerate() {
             cols.clear();
@@ -607,8 +537,8 @@ impl Topology {
 
     /// Bytes held by the route tables: every layer's `next`/`dist`
     /// arena capacity plus the per-host access records, the column list
-    /// and the switch index with its bit-to-port map — the number that
-    /// decides how large a fabric fits.
+    /// and the switch rows — the number that decides how large a fabric
+    /// fits.
     pub fn route_table_bytes(&self) -> usize {
         use std::mem::size_of;
         let arenas: usize = self
@@ -616,21 +546,17 @@ impl Topology {
             .iter()
             .map(|t| t.next.capacity() * size_of::<u64>() + t.dist.capacity())
             .sum();
-        let ix = &self.switches;
         arenas
             + self.access.capacity() * size_of::<HostAccess>()
             + self.col_root.capacity() * size_of::<NodeId>()
-            + ix.rows.capacity() * size_of::<SwitchRow>()
-            + ix.cell_off.capacity() * size_of::<u32>()
-            + ix.port_of.capacity() * size_of::<u16>()
+            + self.switches.rows.capacity() * size_of::<SwitchRow>()
     }
 
     /// Structural invariants of the CSR arenas, for tests and debugging:
     /// offset monotonicity, port-arena symmetry, the switch index (rows
     /// a bijection from the switches onto `0..S`, hosts without one,
-    /// each switch's bit-to-port map its fabric ports in ascending
-    /// order), arena sizes, and every mask within its switch's fabric
-    /// degree. Panics on the first violation.
+    /// every switch within 64 ports), arena sizes, and every mask within
+    /// its switch's switch-facing ports. Panics on the first violation.
     pub fn check_csr_invariants(&self) {
         let n = self.node_count();
         assert_eq!(self.port_off.len(), n + 1, "offset table length");
@@ -664,15 +590,10 @@ impl Topology {
             );
         }
         let ix = &self.switches;
-        let s = ix.switches();
+        let s = ix.switches;
         assert_eq!(ix.rows.len(), n, "one switch-row word per node");
-        assert_eq!(ix.cell_off[0], 0, "cell offsets start at 0");
-        assert_eq!(
-            ix.port_of.len(),
-            ix.fabric_ports(),
-            "one map entry per fabric port"
-        );
-        let mut row_owner = vec![None; s];
+        // Per row: the switch's node and its switch-facing ports' bits.
+        let mut fabric = vec![None; s];
         for (u, &sr) in ix.rows.iter().enumerate() {
             if self.kinds[u] == NodeKind::Host {
                 assert_eq!(sr, SwitchRow::HOST, "host {u} holds a switch row");
@@ -680,30 +601,25 @@ impl Topology {
             }
             let r = sr.row as usize;
             assert!(r < s, "switch {u} has row {r} outside 0..{s}");
-            assert_eq!(row_owner[r].replace(u), None, "row {r} taken twice");
-            assert_eq!(sr.cell, ix.cell_off[r], "switch {u} map base");
-            let fabric: Vec<u16> = (0..self.node_ports(NodeId(u as u32)).len() as u16)
-                .filter(|&p| self.kind(self.port(NodeId(u as u32), p).peer) == NodeKind::Switch)
-                .collect();
-            assert_eq!(
-                ix.ports_of(r),
-                fabric,
-                "switch {u}'s bit-to-port map is its fabric ports, ascending"
-            );
+            let ports = self.node_ports(NodeId(u as u32));
+            assert!(ports.len() <= MAX_DEGREE, "switch {u} has over 64 ports");
+            let bits = (0..ports.len())
+                .filter(|&p| self.kind(ports[p].peer) == NodeKind::Switch)
+                .fold(0u64, |m, p| m | 1 << p);
+            assert_eq!(fabric[r].replace((u, bits)), None, "row {r} taken twice");
         }
-        assert!(row_owner.iter().all(Option::is_some), "rows cover 0..{s}");
+        assert!(fabric.iter().all(Option::is_some), "rows cover 0..{s}");
         let n_cols = self.col_root.len();
         for (layer, tab) in self.layers.iter().enumerate() {
             assert_eq!(tab.n_switches, s, "layer {layer} row stride");
             assert_eq!(tab.next.len(), s * n_cols, "mask table size");
             assert_eq!(tab.dist.len(), s * n_cols, "dist table size");
-            for (r, &u) in row_owner.iter().flatten().enumerate() {
-                let degree = ix.ports_of(r).len() as u32;
+            for (r, &(u, bits)) in fabric.iter().flatten().enumerate() {
                 for col in 0..n_cols {
-                    let mask = tab.next[col * s + r];
-                    assert!(
-                        degree == 64 || mask >> degree == 0,
-                        "layer {layer} mask ({u}, {col}) sets a bit past fabric degree {degree}"
+                    assert_eq!(
+                        tab.next[col * s + r] & !bits,
+                        0,
+                        "layer {layer} mask ({u}, {col}) names a port that faces no switch"
                     );
                 }
             }
@@ -731,16 +647,17 @@ pub(super) struct LiveLink {
     /// The link's global port id (`port_off[node] + port`), which
     /// indexes the weight arenas.
     pub(super) gid: u32,
-    /// The port's bit in its switch's next-hop masks.
-    pub(super) bit: u8,
+    /// The port: its bit in its switch's next-hop masks.
+    pub(super) port: u16,
 }
 
 impl LiveFabric {
     pub(super) fn build(t: &Topology, mask: &FaultMask) -> Self {
         let ix = &t.switches;
+        // Every host port faces a switch port: the rest face switches.
         let mut live = Self {
-            off: Vec::with_capacity(ix.switches() + 1),
-            links: Vec::with_capacity(ix.fabric_ports()),
+            off: Vec::with_capacity(ix.switches + 1),
+            links: Vec::with_capacity(t.ports.len() - 2 * t.hosts.len()),
         };
         live.off.push(0);
         for (u, sr) in ix.rows.iter().enumerate() {
@@ -748,14 +665,16 @@ impl LiveFabric {
                 continue;
             }
             let base = t.port_off[u];
-            let ports = t.node_ports(NodeId(u as u32));
-            for (bit, &p) in ix.ports_of(sr.row as usize).iter().enumerate() {
-                let peer = ports[p as usize].peer;
-                if !mask.link_is_down(NodeId(u as u32), p) && !mask.node_is_down(peer) {
+            for (p, port) in t.node_ports(NodeId(u as u32)).iter().enumerate() {
+                let (peer, p) = (ix.rows[port.peer.0 as usize], p as u16);
+                if !peer.is_host()
+                    && !mask.link_is_down(NodeId(u as u32), p)
+                    && !mask.node_is_down(port.peer)
+                {
                     live.links.push(LiveLink {
-                        peer: ix.rows[peer.0 as usize].row,
+                        peer: peer.row,
                         gid: base + u32::from(p),
-                        bit: bit as u8,
+                        port: p,
                     });
                 }
             }
@@ -889,7 +808,7 @@ impl LayerTables {
                     let j = bits.trailing_zeros();
                     let mut mask = 0;
                     for (link, &hit) in links.iter().zip(hits.iter()) {
-                        mask |= (hit >> j & 1) << link.bit;
+                        mask |= (hit >> j & 1) << link.port;
                     }
                     let i = cols[j as usize] as usize * s + r;
                     self.next[i] = mask;

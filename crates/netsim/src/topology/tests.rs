@@ -570,6 +570,17 @@ fn restore_repair_rebuilds_on_distance_shrink() {
     assert_eq!(t.path_hops(h0, h1), 3, "shortcut back in use");
 }
 
+/// A repair needs tables to repair: before the first routing it is
+/// refused, naming the call that makes them.
+#[test]
+#[should_panic(expected = "call compute_routes first")]
+fn repair_before_routing_is_refused() {
+    let mut t = Topology::new();
+    let (h, s) = (t.add_node(NodeKind::Host), t.add_node(NodeKind::Switch));
+    t.connect(h, s, 1_000_000_000, 10_000);
+    t.repair_routes(&FaultMask::new());
+}
+
 #[test]
 fn repair_with_no_delta_is_a_noop() {
     let mut t = Topology::fat_tree(4, 1_000_000_000, 10_000, RoutingPolicy::minimal());
@@ -656,15 +667,16 @@ fn host_to_host_link_is_rejected() {
 /// 5 000-host Jellyfish, exactly. (One column per host took ≈ 575 MB
 /// under two layers; node-keyed rows with host-port room in every
 /// cell, 28 849 328 B; a `u16` port cell per fabric port with a `u16`
-/// length and a `u32` distance, 3 892 332 B.)
+/// length and a `u32` distance, 3 892 332 B; with a bit-to-port map
+/// beside the masks, 1 273 332 B.)
 #[test]
 fn jellyfish_5000_route_table_bytes() {
     let jellyfish = |policy| Topology::jellyfish(250, 12, 20, 1_000_000_000, 10_000, 7, policy);
     let t = jellyfish(RoutingPolicy::minimal());
     assert_eq!(t.hosts().len(), 5000);
-    assert_eq!(t.route_table_bytes(), 710_832, "one layer");
+    assert_eq!(t.route_table_bytes(), 682_828, "one layer");
     let t = jellyfish(RoutingPolicy::layered(2, 7));
-    assert_eq!(t.route_table_bytes(), 1_273_332, "two layers");
+    assert_eq!(t.route_table_bytes(), 1_245_328, "two layers");
     assert!(t.route_table_bytes() <= 1_500_000);
 }
 
@@ -685,8 +697,8 @@ fn jellyfish_20000_route_tables_fit_in_64_mb() {
     assert_eq!(t.hosts().len(), 20_000);
     assert_eq!(
         t.route_table_bytes(),
-        18_593_316,
-        "60 569 316 B in port cells"
+        18_481_312,
+        "60 569 316 B in port cells, 18 593 316 B with a bit-to-port map"
     );
     assert!(t.route_table_bytes() <= 64 << 20);
 }
@@ -803,20 +815,33 @@ fn lone_switch_routes_through_a_zero_width_column() {
     routed(&t);
 }
 
-/// A next-hop mask has one bit per fabric port: a hub switch with 65
-/// switch neighbours is refused when the graph is frozen.
+/// A next-hop mask has one bit per port: a switch with 65 ports is
+/// refused when the graph is frozen, whether they face 64 hosts and one
+/// switch or 65 switches.
 #[test]
-#[should_panic(expected = "a route mask holds at most 64")]
+#[should_panic(expected = "switch 0 has 65 ports; a route mask holds at most 64")]
 fn fabric_degree_over_64_is_refused() {
-    let mut t = Topology::new();
-    let hub = t.add_node(NodeKind::Switch);
-    for _ in 0..65 {
-        let leaf = t.add_node(NodeKind::Switch);
-        let host = t.add_node(NodeKind::Host);
-        t.connect(hub, leaf, 1_000_000_000, 10_000);
-        t.connect(leaf, host, 1_000_000_000, 10_000);
-    }
-    t.compute_routes();
+    let hub_with = |switch_peers: usize| {
+        let mut t = Topology::new();
+        let hub = t.add_node(NodeKind::Switch);
+        for i in 0..65 {
+            let host = t.add_node(NodeKind::Host);
+            if i < switch_peers {
+                let leaf = t.add_node(NodeKind::Switch);
+                t.connect(hub, leaf, 1_000_000_000, 10_000);
+                t.connect(leaf, host, 1_000_000_000, 10_000);
+            } else {
+                t.connect(hub, host, 1_000_000_000, 10_000);
+            }
+        }
+        t.compute_routes();
+    };
+    let host_ports = std::panic::catch_unwind(|| hub_with(1)).expect_err("refused");
+    assert_eq!(
+        host_ports.downcast_ref::<String>().map(String::as_str),
+        Some("switch 0 has 65 ports; a route mask holds at most 64")
+    );
+    hub_with(65);
 }
 
 /// A distance is one byte: a chain of 256 switches, whose end racks
@@ -838,7 +863,7 @@ fn distance_over_254_is_refused() {
 
 /// The rank select behind `NextPorts`' indexing finds the `k`-th set
 /// bit of masks of every density and width up to all 64 bits, and
-/// reads past the last one as out of range.
+/// reads past the last one as past every port.
 #[test]
 fn select_finds_the_kth_set_bit() {
     let mut rng = Pcg32::new(5);
@@ -857,9 +882,8 @@ fn select_finds_the_kth_set_bit() {
         for (k, &b) in set.iter().enumerate() {
             assert_eq!(routes::select(x, k), b, "bit {k} of {x:#x}");
         }
-        let width = (u64::BITS - x.leading_zeros()) as usize;
         assert!(
-            routes::select(x, set.len()) >= width,
+            routes::select(x, set.len()) >= 64,
             "{x:#x} past its last bit"
         );
     }
