@@ -534,6 +534,67 @@ mod tests {
     }
 
     #[test]
+    fn by_esi_and_by_value_oracles_agree_arrival_by_arrival() {
+        // Random K, symbol size, loss, arrival order and duplicates. Both
+        // oracles must give the same answers after every arrival. Some
+        // cases must see a first decode attempt that fails (rank
+        // deficient at K distinct symbols), after which sources keep
+        // arriving.
+        let mut failed_first_attempts = 0;
+        for case in 0..1_500 {
+            let mut rng = proptest::TestRng::for_case("oracles_agree", case);
+            let mut below = |n: usize| rng.next_below(n as u64) as usize;
+            let (k, t) = (1 + below(40), 4 + below(60));
+            let len = k * t - below(t);
+            let session = SessionId(case);
+            let enc = Encoder::new(&session_object(session, len), t).unwrap();
+            let k = enc.params().k;
+            let loss = below(70);
+            let mut esis: Vec<u32> = (0..2 * k as u32 + 8)
+                .filter(|_| below(100) >= loss)
+                .collect();
+            for i in (1..esis.len()).rev() {
+                esis.swap(i, below(i + 1));
+            }
+            for _ in 0..below(k + 1) {
+                let at = below(esis.len() + 1);
+                if let Some(&again) = esis.get(below(esis.len().max(1))) {
+                    esis.insert(at, again);
+                }
+            }
+            let mut by_value = Oracle::real(session, len, t, CodeMode::Systematic);
+            let mut by_esi = Oracle::real(session, len, t, CodeMode::Systematic);
+            let mut attempted = false;
+            for &esi in &esis {
+                let done = by_esi.add(esi, None);
+                assert_eq!(
+                    done,
+                    by_value.add(esi, Some(enc.symbol(esi))),
+                    "case {case}: esi {esi}"
+                );
+                assert_eq!(
+                    (by_esi.symbols_received(), by_esi.symbols_needed()),
+                    (by_value.symbols_received(), by_value.symbols_needed()),
+                    "case {case}: esi {esi}"
+                );
+                assert_eq!(
+                    by_esi.decode_stats(),
+                    by_value.decode_stats(),
+                    "case {case}: esi {esi}"
+                );
+                if !attempted && by_value.symbols_received() >= k {
+                    attempted = true;
+                    failed_first_attempts += usize::from(!done);
+                }
+                if done {
+                    break;
+                }
+            }
+        }
+        assert!(failed_first_attempts > 0, "no first decode attempt failed");
+    }
+
+    #[test]
     fn a_session_finishing_on_sources_builds_no_encoder() {
         // Source ESIs are written from the generator (the decode checks
         // them byte for byte against the object); a repair ESI arriving
