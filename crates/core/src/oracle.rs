@@ -14,12 +14,18 @@
 //!   only reports completion when decoding genuinely succeeds — and the
 //!   decoded bytes equal the session's canonical object. Tests use it to
 //!   validate the counting model. Symbols arrive as ESIs alone (the wire
-//!   carries no bytes), so the oracle writes each arrival into the
-//!   decoder itself: a source symbol straight from the object's
-//!   generator ([`rq::rand::mix64_stream`]), a repair symbol through an
-//!   encoder over the object that it builds at the first repair ESI. A
-//!   session that finishes on source symbols alone never builds one. It
-//!   holds symbol storage for what has arrived, and once it has
+//!   carries no bytes), so the oracle writes them into the decoder
+//!   itself. The code is systematic: source symbols go to the application
+//!   as they arrive, and their bytes are needed only to solve for the
+//!   missing ones. So a source ESI is only recorded (an [`EsiSet`] bit)
+//!   until the first decode attempt, which writes every recorded source
+//!   from the object's generator ([`rq::rand::mix64_stream`]) and then
+//!   decodes; after a failed attempt sources are written as they arrive.
+//!   A repair symbol is written at arrival, through an encoder over the
+//!   object that the oracle builds at the first repair ESI; a session
+//!   that finishes on source symbols alone never builds one. Before its
+//!   decode it holds symbol storage for the repairs that have arrived
+//!   (and, after a failed attempt, the sources), and once it has
 //!   succeeded neither storage nor encoder again.
 
 use rq::{CodeMode, CodeParams, DecodeStats, Decoded, Decoder, Encoder};
@@ -72,9 +78,27 @@ impl EsiSet {
         self.len
     }
 
-    /// Whether no ESI was ever inserted.
+    /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The ESIs in the set, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0u32..).zip(&self.words).flat_map(|(i, &word)| {
+            let mut left = word;
+            std::iter::from_fn(move || {
+                let bit = left.trailing_zeros();
+                left &= left.wrapping_sub(1);
+                (bit < 64).then_some(i * 64 + bit)
+            })
+        })
+    }
+
+    /// Empty the set, keeping its words' allocation.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.len = 0;
     }
 }
 
@@ -96,8 +120,12 @@ pub enum Oracle {
         /// Whose canonical object ([`session_object`]) must come out.
         session: SessionId,
         /// The in-progress decoder; `None` once decode succeeded — the
-        /// received symbols are freed with it.
-        decoder: Option<Decoder>,
+        /// received symbols are freed with it. Boxed, like the encoder:
+        /// sessions stay installed after their decode.
+        decoder: Option<Box<Decoder>>,
+        /// Source ESIs that arrived without bytes and are not written
+        /// into the decoder yet: held until the first decode attempt.
+        held: EsiSet,
         /// The encoder over the canonical object that writes each repair
         /// symbol arriving without bytes: built at the first such symbol
         /// before the decode, freed with the decoder. Boxed: sessions
@@ -136,7 +164,8 @@ impl Oracle {
             .expect("session object is non-empty and fits one block");
         Oracle::Real {
             session,
-            decoder: Some(Decoder::new(code)),
+            decoder: Some(Box::new(Decoder::new(code))),
+            held: EsiSet::default(),
             encoder: None,
             encoded: false,
             received: 0,
@@ -146,11 +175,16 @@ impl Oracle {
 
     /// Record a received symbol. `bytes` is `None` when the symbol came
     /// over the simulated wire, which carries none: the counting oracle
-    /// needs none, and the real one writes the symbol straight into the
-    /// decoder's storage — a source symbol from the object's generator,
-    /// a repair symbol through its own encoder (a duplicate is not
-    /// written at all). Returns `true` if the object just became
+    /// needs none, and the real one writes the symbol into the decoder's
+    /// storage itself — a repair symbol at once, through its own
+    /// encoder, and a source symbol from the object's generator at the
+    /// first decode attempt (at once after a failed one). A duplicate is
+    /// not written at all. Returns `true` if the object just became
     /// recoverable.
+    ///
+    /// Feed a real oracle either with bytes or without: a source ESI
+    /// given both ways before the first decode attempt counts twice
+    /// until then.
     pub fn add(&mut self, esi: u32, bytes: Option<Vec<u8>>) -> bool {
         match self {
             Oracle::Counting {
@@ -169,6 +203,7 @@ impl Oracle {
             Oracle::Real {
                 session,
                 decoder,
+                held,
                 encoder,
                 encoded,
                 received,
@@ -180,14 +215,7 @@ impl Oracle {
                 let code = dec.params();
                 match bytes {
                     Some(bytes) => dec.push(esi, bytes),
-                    None if (esi as usize) < code.k => {
-                        // The zeroed slot keeps a short last symbol's padding.
-                        let at = esi as usize * code.symbol_size;
-                        let len = code.symbol_size.min(code.data_len - at);
-                        dec.push_with(esi, |slot| {
-                            write_session_object_at(*session, at, &mut slot[..len])
-                        })
-                    }
+                    None if (esi as usize) < code.k => held.insert(esi),
                     None => {
                         let enc = encoder.get_or_insert_with(|| {
                             *encoded = true;
@@ -196,12 +224,22 @@ impl Oracle {
                         dec.push_with(esi, |slot| enc.symbol_into(esi, slot))
                     }
                 };
-                // From `k` distinct symbols on, try to decode in place; a
-                // success is checked against the canonical object and
-                // releases the decoder and the encoder.
-                if dec.symbols_received() < dec.params().k {
+                // From `k` distinct symbols on, write the held sources and
+                // try to decode in place; a success is checked against the
+                // canonical object and releases the decoder and the
+                // encoder.
+                if dec.symbols_received() + held.len() < code.k {
                     return false;
                 }
+                for esi in held.iter() {
+                    // The zeroed slot keeps a short last symbol's padding.
+                    let at = esi as usize * code.symbol_size;
+                    let len = code.symbol_size.min(code.data_len - at);
+                    dec.push_with(esi, |slot| {
+                        write_session_object_at(*session, at, &mut slot[..len])
+                    });
+                }
+                held.clear();
                 let decoded = match dec.decode_in_place() {
                     Ok(object) => {
                         assert!(
@@ -236,10 +274,25 @@ impl Oracle {
         match self {
             Oracle::Counting { seen, .. } => seen.len(),
             Oracle::Real {
-                decoder, received, ..
+                decoder,
+                held,
+                received,
+                ..
             } => decoder
                 .as_ref()
-                .map_or(*received, Decoder::symbols_received),
+                .map_or(*received, |d| d.symbols_received() + held.len()),
+        }
+    }
+
+    /// Bytes of symbol storage held: the decoder's (see
+    /// [`Decoder::storage_bytes`]) until the decode, 0 after it and
+    /// under counting. Held sources take none.
+    pub fn storage_bytes(&self) -> usize {
+        match self {
+            Oracle::Real {
+                decoder: Some(d), ..
+            } => d.storage_bytes(),
+            _ => 0,
         }
     }
 
@@ -267,8 +320,9 @@ impl Oracle {
             } => (*k + *required_overhead).saturating_sub(seen.len()) as u64,
             // The real decoder may need a little overhead beyond k, so
             // the bound stays at least 1 until decode succeeds.
-            Oracle::Real { decoder, .. } => decoder.as_ref().map_or(0, |d| {
-                (d.params().k.saturating_sub(d.symbols_received()) as u64).max(1)
+            Oracle::Real { decoder, held, .. } => decoder.as_ref().map_or(0, |d| {
+                let have = d.symbols_received() + held.len();
+                (d.params().k.saturating_sub(have) as u64).max(1)
             }),
         }
     }
@@ -592,6 +646,29 @@ mod tests {
             }
         }
         assert!(failed_first_attempts > 0, "no first decode attempt failed");
+    }
+
+    #[test]
+    fn held_sources_take_no_storage_until_the_decode() {
+        // K − 1 symbols without bytes, r of them repairs: only the
+        // repairs are written before the decode attempt at the K-th.
+        let session = SessionId(9);
+        let (len, t, r) = (40 * 64 - 9, 64, 3);
+        let mut o = Oracle::real(session, len, t, CodeMode::Systematic);
+        assert_eq!(o.storage_bytes(), 0);
+        for (i, esi) in (40..40 + r).enumerate() {
+            assert!(!o.add(esi, None));
+            assert_eq!(o.storage_bytes(), (i + 1) * t, "repair {esi}");
+        }
+        for esi in 3..39 {
+            assert!(!o.add(esi, None), "esi {esi}");
+            assert_eq!(o.storage_bytes(), r as usize * t, "source {esi}");
+        }
+        assert_eq!((o.symbols_received(), o.symbols_needed()), (39, 1));
+        assert!(o.add(39, None), "K symbols decode");
+        assert_eq!(o.storage_bytes(), 0);
+        assert_eq!(o.symbols_received(), 40);
+        assert_eq!(o.decode_stats().solver_decodes, 1);
     }
 
     #[test]

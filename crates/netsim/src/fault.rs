@@ -32,12 +32,28 @@ use crate::topology::{NodeId, Topology, MAX_DEGREE};
 /// therefore one indexed load each. Determinism note: iteration and the
 /// deltas run in ascending `(node, port)` order, and no trailing zero
 /// word is ever kept, so `==` is set equality.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct FaultMask {
     /// The failed directed links, bit `node·64 + port` each.
     links: Vec<u64>,
     /// The failed nodes, one bit each.
     nodes: Vec<u64>,
+}
+
+impl Clone for FaultMask {
+    fn clone(&self) -> Self {
+        Self {
+            links: self.links.clone(),
+            nodes: self.nodes.clone(),
+        }
+    }
+
+    /// Reuses both bitmaps' allocations: a route repair records its
+    /// mask this way.
+    fn clone_from(&mut self, source: &Self) {
+        self.links.clone_from(&source.links);
+        self.nodes.clone_from(&source.nodes);
+    }
 }
 
 /// The bit of the directed link `(node, port)` in [`FaultMask::links`].

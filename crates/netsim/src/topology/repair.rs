@@ -33,8 +33,9 @@ impl Topology {
     /// (or a few) new link or switch failures or restorations.
     ///
     /// **Hosts.** A host or access-link fault (or repair) touches no
-    /// table: it flips the host's `cut` bit, and a delta of nothing else
-    /// (or an empty one) returns there, rebuilding no column.
+    /// table: it flips the host's `cut` bit (only the hosts the delta
+    /// names are refreshed), and a delta of nothing else (or an empty
+    /// one) returns there, rebuilding no column.
     ///
     /// **The fabric.** The repair diffs `mask` against the mask the
     /// tables were last computed with and applies the switch-to-switch
@@ -72,26 +73,30 @@ impl Topology {
             self.routed(),
             "repair_routes needs routes: call compute_routes first"
         );
+        let new_links = mask.new_links_since(&self.routes_mask);
+        let new_nodes = mask.new_nodes_since(&self.routes_mask);
         let restored_links = mask.restored_links_since(&self.routes_mask);
         let restored_nodes = mask.restored_nodes_since(&self.routes_mask);
         // Directed link entries come in symmetric pairs (masks store
         // both directions): two per undirected link.
         let restored = restored_links.len() / 2 + restored_nodes.len();
-        self.refresh_cuts(mask);
+        // A host's cut bit reads only the host and its access link, so
+        // only the hosts the delta names can change: a link's host end
+        // is named, since masks store both directions.
+        let nodes = new_nodes.iter().chain(&restored_nodes).copied();
+        let link_ends = new_links.iter().chain(&restored_links).map(|&(n, _)| n);
+        for n in nodes.chain(link_ends) {
+            self.refresh_cut(mask, n);
+        }
         let ix = &self.switches;
         let row = |n: NodeId| ix.rows[n.0 as usize].row as usize;
         let is_switch = |n: NodeId| !ix.rows[n.0 as usize].is_host();
         let up_switch = |n: NodeId| is_switch(n) && !mask.node_is_down(n);
-        let new_switches: Vec<NodeId> = mask
-            .new_nodes_since(&self.routes_mask)
-            .into_iter()
-            .filter(|&w| is_switch(w))
-            .collect();
+        let new_switches: Vec<NodeId> = new_nodes.into_iter().filter(|&w| is_switch(w)).collect();
         // Failed fabric links (masks store both directions) and the
         // hops into a newly dead switch, at their live ends, in switch
         // rows.
-        let mut excised: Vec<(usize, u16)> = mask
-            .new_links_since(&self.routes_mask)
+        let mut excised: Vec<(usize, u16)> = new_links
             .into_iter()
             .chain(
                 new_switches
@@ -116,7 +121,7 @@ impl Topology {
         let dead: Vec<usize> = new_switches.into_iter().map(row).collect();
         if excised.is_empty() && revived.is_empty() && restored_hops.is_empty() && dead.is_empty() {
             // Hosts and host links only: no table holds them.
-            self.routes_mask = mask.clone();
+            self.routes_mask.clone_from(mask);
             return RouteRepair {
                 full: false,
                 dests_rebuilt: 0,
@@ -186,7 +191,7 @@ impl Topology {
             })
             .collect();
         self.rebuild_columns(mask, &live, Some(&dirty));
-        self.routes_mask = mask.clone();
+        self.routes_mask.clone_from(mask);
         RouteRepair {
             full: false,
             dests_rebuilt: dirty.iter().flatten().filter(|&&d| d).count(),

@@ -446,13 +446,20 @@ impl Topology {
         let live = LiveFabric::build(self, mask);
         self.rebuild_columns(mask, &live, None);
         self.refresh_cuts(mask);
-        self.routes_mask = mask.clone();
+        self.routes_mask.clone_from(mask);
     }
 
     /// Set every host's `cut` bit for `mask`.
-    pub(super) fn refresh_cuts(&mut self, mask: &FaultMask) {
+    fn refresh_cuts(&mut self, mask: &FaultMask) {
         for (a, &h) in self.access.iter_mut().zip(&self.hosts) {
             a.cut = host_cut(mask, h);
+        }
+    }
+
+    /// Set `n`'s `cut` bit for `mask` if `n` is a host.
+    pub(super) fn refresh_cut(&mut self, mask: &FaultMask, n: NodeId) {
+        if let Some(i) = self.host_index[n.0 as usize] {
+            self.access[i as usize].cut = host_cut(mask, n);
         }
     }
 
